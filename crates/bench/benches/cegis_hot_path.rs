@@ -388,7 +388,7 @@ fn bench_high_parallelism_synth(c: &mut Criterion, samples: usize) -> Json {
 /// The cross-run reuse workloads: the same problem solved twice through one
 /// long-lived `hanoi::Engine` (the second run starts from warm pools,
 /// function-candidate pools and a warm term bank) versus two fresh engines
-/// (the old `Driver` cold-run behaviour).  Two problems are measured: the
+/// (a cold run each).  Two problems are measured: the
 /// first-order running example (where per-run predicate sweeps dominate and
 /// warmth buys little) and its higher-order variant (where the cold run pays
 /// the expensive §4.2 function-candidate enumeration that the engine's pool
@@ -669,8 +669,7 @@ fn bench_cross_process_warm(c: &mut Criterion, samples: usize) -> Json {
             .save_state(&warm_dir)
             .expect("snapshot write succeeds");
         // Snapshot size on disk = the chunk bytes the problem's manifest
-        // references (snapshots are chunked content-addressed files now, not
-        // one monolithic JSON per problem).
+        // references.
         let snapshot_bytes = hanoi_store::ChunkStore::open(&warm_dir)
             .ok()
             .and_then(|store| store.manifest(problem.fingerprint()))

@@ -8,8 +8,10 @@
 //!   for Hanoi, Hanoi−SRC, Hanoi−CLC, ∧Str, LA and OneShot (Figure 8);
 //! * `ablation_synth` (binary) — the §5.4 comparison between the Myth-style
 //!   synthesizer and the fold-capable prototype;
-//! * Criterion benches (`benches/`) — component micro-benchmarks (evaluator,
-//!   enumeration, verification, synthesis, end-to-end inference).
+//! * the `cegis_hot_path` bench (`benches/`) — serial vs parallel checks,
+//!   the pool and check caches and warm restarts, summarized in
+//!   `BENCH_verification.json`.  Per-layer timings of the whole suite come
+//!   from the separate `perfbench` package.
 //!
 //! Runs go through a [`hanoi::Engine`]; whether runs share one engine is a
 //! *measurement* decision.  `figure7` (one configuration) uses a single

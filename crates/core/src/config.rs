@@ -11,9 +11,7 @@
 //!
 //! Both carry validating builders: setters keep the value well-formed where
 //! possible, and `validate()` rejects the combinations the engine cannot
-//! execute (reported as [`ConfigError`]).  The legacy [`HanoiConfig`] bundle
-//! is kept for the deprecated [`crate::Driver`] entry point and converts
-//! losslessly via [`HanoiConfig::split`] / [`HanoiConfig::from_parts`].
+//! execute (reported as [`ConfigError`]).
 
 use std::fmt;
 use std::path::PathBuf;
@@ -197,22 +195,11 @@ pub struct EngineConfig {
     /// lists — written by [`crate::Engine::save_state`], possibly by an
     /// *earlier process* or synced from another host) and transparently
     /// restores the problem's check-outcome cache and term banks from it.
-    /// Legacy monolithic snapshots (`<dir>/<fingerprint>.json`, the
-    /// pre-chunking format) stay read-compatible as a fallback, and
-    /// `hanoi-store migrate` converts them in place.  Corrupt chunks are
-    /// quarantined individually and the restore proceeds without them;
-    /// corrupt manifests or legacy files degrade to a cold start — never a
-    /// wrong answer.  `None` (the default) disables both loading and any
-    /// filesystem access.
+    /// Corrupt chunks are quarantined individually and the restore proceeds
+    /// without them; a corrupt manifest or a wrapper that fails validation
+    /// degrades to a cold start — never a wrong answer.  `None` (the
+    /// default) disables both loading and any filesystem access.
     pub warm_start_dir: Option<PathBuf>,
-    /// When `true`, [`crate::Engine::save_state`] writes the legacy
-    /// monolithic one-file-per-problem snapshots instead of the chunked
-    /// store format.  The default (`false`, chunked) is what every new
-    /// deployment wants — incremental saves, fleet sync, chunk-level
-    /// corruption isolation; the knob exists for interoperating with
-    /// pre-chunking readers and for pinning the two formats against each
-    /// other in tests.
-    pub monolithic_snapshots: bool,
 }
 
 impl Default for EngineConfig {
@@ -221,7 +208,6 @@ impl Default for EngineConfig {
             parallelism: 1,
             max_cached_problems: 64,
             warm_start_dir: None,
-            monolithic_snapshots: false,
         }
     }
 }
@@ -249,14 +235,6 @@ impl EngineConfig {
     /// [`EngineConfig::warm_start_dir`]).
     pub fn with_warm_start_dir(mut self, dir: impl Into<PathBuf>) -> Self {
         self.warm_start_dir = Some(dir.into());
-        self
-    }
-
-    /// Makes [`crate::Engine::save_state`] write legacy monolithic snapshot
-    /// files instead of the chunked store format (see
-    /// [`EngineConfig::monolithic_snapshots`]).
-    pub fn with_monolithic_snapshots(mut self, monolithic: bool) -> Self {
-        self.monolithic_snapshots = monolithic;
         self
     }
 
@@ -405,152 +383,21 @@ impl RunOptions {
     }
 }
 
-/// Full configuration of one inference run.
-///
-/// This is the legacy all-in-one bundle consumed by the deprecated
-/// [`crate::Driver`].  New code holds an [`EngineConfig`] for the engine and
-/// a [`RunOptions`] per run; [`HanoiConfig::split`] converts.
-#[derive(Debug, Clone)]
-pub struct HanoiConfig {
-    /// The algorithm to run.
-    pub mode: Mode,
-    /// The synthesizer backing `Synth`.
-    pub synthesizer: SynthChoice,
-    /// Bounds for the enumerative verifier.
-    pub bounds: VerifierBounds,
-    /// Search configuration for the synthesizer.
-    pub search: SearchConfig,
-    /// Which optimizations are enabled.
-    pub optimizations: Optimizations,
-    /// Wall-clock budget for the whole run (`None` = unlimited).  The paper
-    /// uses 30 minutes.
-    pub timeout: Option<Duration>,
-    /// Safety cap on CEGIS iterations.
-    pub max_iterations: usize,
-    /// Number of smallest values the OneShot baseline labels (30 in §5.5).
-    pub one_shot_samples: usize,
-    /// Worker threads for the bounded enumerative verifier: `1` (the
-    /// default) runs serially like the paper's implementation, `0` uses one
-    /// worker per available core, any other value is taken literally.
-    /// Parallel verification is outcome-identical to serial verification —
-    /// counterexample selection stays deterministic.
-    pub parallelism: usize,
-}
-
-impl Default for HanoiConfig {
-    fn default() -> Self {
-        HanoiConfig {
-            mode: Mode::Hanoi,
-            synthesizer: SynthChoice::Myth,
-            bounds: VerifierBounds::default(),
-            search: SearchConfig::default(),
-            optimizations: Optimizations::default(),
-            timeout: Some(Duration::from_secs(30 * 60)),
-            max_iterations: 400,
-            one_shot_samples: 30,
-            parallelism: 1,
-        }
-    }
-}
-
-impl HanoiConfig {
-    /// The paper's configuration: full Hanoi, Myth-style synthesis, paper
-    /// verifier bounds, 30-minute timeout.
-    pub fn paper() -> Self {
-        HanoiConfig::default()
-    }
-
-    /// A configuration suitable for unit/integration tests and quick
-    /// experiment runs: reduced verifier bounds and a short timeout.
-    pub fn quick() -> Self {
-        HanoiConfig {
-            bounds: VerifierBounds::quick(),
-            timeout: Some(Duration::from_secs(60)),
-            max_iterations: 150,
-            ..HanoiConfig::default()
-        }
-    }
-
-    /// Switches the inference mode.
-    pub fn with_mode(mut self, mode: Mode) -> Self {
-        self.mode = mode;
-        self
-    }
-
-    /// Switches the synthesizer.
-    pub fn with_synthesizer(mut self, synthesizer: SynthChoice) -> Self {
-        self.synthesizer = synthesizer;
-        self
-    }
-
-    /// Switches the optimizations.
-    pub fn with_optimizations(mut self, optimizations: Optimizations) -> Self {
-        self.optimizations = optimizations;
-        self
-    }
-
-    /// Sets the wall-clock budget.
-    pub fn with_timeout(mut self, timeout: Option<Duration>) -> Self {
-        self.timeout = timeout;
-        self
-    }
-
-    /// Sets the verifier's worker-thread count (`1` = serial, `0` = one
-    /// worker per available core).
-    pub fn with_parallelism(mut self, parallelism: usize) -> Self {
-        self.parallelism = parallelism;
-        self
-    }
-
-    /// Splits the bundle into its engine-wide and per-run halves.
-    pub fn split(&self) -> (EngineConfig, RunOptions) {
-        (
-            EngineConfig::default().with_parallelism(self.parallelism),
-            RunOptions {
-                mode: self.mode,
-                synthesizer: self.synthesizer,
-                bounds: self.bounds,
-                search: self.search.clone(),
-                optimizations: self.optimizations,
-                timeout: self.timeout,
-                max_iterations: self.max_iterations,
-                one_shot_samples: self.one_shot_samples,
-            },
-        )
-    }
-
-    /// Rebuilds a bundle from its halves (inverse of [`HanoiConfig::split`]
-    /// up to the engine's cache budget, which the bundle does not carry).
-    pub fn from_parts(engine: &EngineConfig, run: &RunOptions) -> Self {
-        HanoiConfig {
-            mode: run.mode,
-            synthesizer: run.synthesizer,
-            bounds: run.bounds,
-            search: run.search.clone(),
-            optimizations: run.optimizations,
-            timeout: run.timeout,
-            max_iterations: run.max_iterations,
-            one_shot_samples: run.one_shot_samples,
-            parallelism: engine.parallelism,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn defaults_match_the_paper() {
-        let config = HanoiConfig::paper();
-        assert_eq!(config.mode, Mode::Hanoi);
-        assert_eq!(config.synthesizer, SynthChoice::Myth);
-        assert_eq!(config.timeout, Some(Duration::from_secs(1800)));
-        assert_eq!(config.one_shot_samples, 30);
-        assert!(config.optimizations.synthesis_result_caching);
-        assert!(config.optimizations.counterexample_list_caching);
+        let options = RunOptions::paper();
+        assert_eq!(options.mode, Mode::Hanoi);
+        assert_eq!(options.synthesizer, SynthChoice::Myth);
+        assert_eq!(options.timeout, Some(Duration::from_secs(1800)));
+        assert_eq!(options.one_shot_samples, 30);
+        assert!(options.optimizations.synthesis_result_caching);
+        assert!(options.optimizations.counterexample_list_caching);
         // The paper's implementation is serial; parallelism is opt-in.
-        assert_eq!(config.parallelism, 1);
+        assert_eq!(EngineConfig::default().parallelism, 1);
     }
 
     #[test]
@@ -560,23 +407,6 @@ mod tests {
         assert!(!Optimizations::without_clc().counterexample_list_caching);
         assert!(Optimizations::without_clc().synthesis_result_caching);
         assert!(!Optimizations::none().synthesis_result_caching);
-    }
-
-    #[test]
-    fn split_and_from_parts_round_trip() {
-        let config = HanoiConfig::quick()
-            .with_mode(Mode::ConjStr)
-            .with_synthesizer(SynthChoice::Fold)
-            .with_parallelism(3);
-        let (engine, run) = config.split();
-        assert_eq!(engine.parallelism, 3);
-        assert_eq!(run.mode, Mode::ConjStr);
-        assert_eq!(run.synthesizer, SynthChoice::Fold);
-        assert_eq!(run.timeout, config.timeout);
-        let back = HanoiConfig::from_parts(&engine, &run);
-        assert_eq!(back.parallelism, config.parallelism);
-        assert_eq!(back.mode, config.mode);
-        assert_eq!(back.max_iterations, config.max_iterations);
     }
 
     #[test]
@@ -605,15 +435,14 @@ mod tests {
 
     #[test]
     fn builder_style_updates() {
-        let config = HanoiConfig::quick()
+        let options = RunOptions::quick()
             .with_mode(Mode::OneShot)
             .with_synthesizer(SynthChoice::Fold)
-            .with_timeout(None)
-            .with_parallelism(4);
-        assert_eq!(config.parallelism, 4);
-        assert_eq!(config.mode, Mode::OneShot);
-        assert_eq!(config.synthesizer, SynthChoice::Fold);
-        assert_eq!(config.timeout, None);
+            .with_timeout(None);
+        assert_eq!(options.mode, Mode::OneShot);
+        assert_eq!(options.synthesizer, SynthChoice::Fold);
+        assert_eq!(options.timeout, None);
+        assert_eq!(EngineConfig::default().with_parallelism(4).parallelism, 4);
         assert_eq!(Mode::all().len(), 4);
         assert_eq!(Mode::LinearArbitrary.label(), "LA");
         assert_eq!(SynthChoice::Fold.label(), "fold");

@@ -1,77 +1,17 @@
-//! The legacy per-call inference driver, kept as a thin shim over
-//! [`Engine`]/[`crate::Session`].
-//!
-//! `Driver::new(problem, config).run()` was the original one-shot entry
-//! point; it rebuilt every cache per call.  New code should hold a long-lived
-//! [`Engine`] and run [`crate::Session`]s against it — see the README's
-//! migration table.  The shim exists so old call sites keep compiling and
-//! behaving identically (a fresh engine per call is exactly the old cold-run
-//! behaviour).
+//! End-to-end checks of a cold, one-shot inference run — the Figure 4 loop
+//! driven through [`Engine::run`] on the paper's running example (§2).
 
+use crate::config::RunOptions;
+use crate::engine::Engine;
 use hanoi_abstraction::Problem;
 
-use crate::config::HanoiConfig;
-use crate::engine::Engine;
-use crate::outcome::RunResult;
-
-/// Runs representation-invariant inference on one problem, rebuilding all
-/// caches per call.
-#[deprecated(
-    since = "0.1.0",
-    note = "use a long-lived `Engine` and `Session::run` (see the README migration table); \
-            `Driver` rebuilds every cache per call"
-)]
-pub struct Driver<'p> {
-    problem: &'p Problem,
-    config: HanoiConfig,
-}
-
-#[allow(deprecated)]
-impl<'p> Driver<'p> {
-    /// Creates a driver with the given configuration.
-    pub fn new(problem: &'p Problem, config: HanoiConfig) -> Self {
-        Driver { problem, config }
-    }
-
-    /// Creates a driver with the paper's default configuration.
-    pub fn with_defaults(problem: &'p Problem) -> Self {
-        Driver::new(problem, HanoiConfig::default())
-    }
-
-    /// The configuration this driver will run with.
-    pub fn config(&self) -> &HanoiConfig {
-        &self.config
-    }
-
-    /// Runs inference to completion (or timeout) and returns the outcome with
-    /// its statistics.  Equivalent to one cold run through a fresh
-    /// [`Engine`].
-    pub fn run(&self) -> RunResult {
-        let (engine_config, options) = self.config.split();
-        let engine = match Engine::new(engine_config) {
-            Ok(engine) => engine,
-            Err(error) => {
-                return RunResult::new(
-                    crate::outcome::Outcome::SynthesisFailure(format!(
-                        "invalid engine config: {error}"
-                    )),
-                    crate::stats::RunStats::default(),
-                )
-            }
-        };
-        engine.run(self.problem, &options)
-    }
-}
-
-#[cfg(test)]
-#[allow(deprecated)]
 mod tests {
     use super::*;
     use crate::outcome::Outcome;
     use hanoi_lang::value::Value;
 
     /// The paper's running example (§2).
-    pub(crate) const LIST_SET: &str = r#"
+    const LIST_SET: &str = r#"
         type nat = O | S of nat
         type list = Nil | Cons of nat * list
 
@@ -107,8 +47,7 @@ mod tests {
     #[test]
     fn infers_the_no_duplicates_invariant_for_the_running_example() {
         let problem = Problem::from_source(LIST_SET).unwrap();
-        let driver = Driver::new(&problem, HanoiConfig::quick());
-        let result = driver.run();
+        let result = Engine::with_defaults().run(&problem, &RunOptions::quick());
         let invariant = match &result.outcome {
             Outcome::Invariant(inv) => inv.clone(),
             other => panic!("expected an invariant, got {other} ({:?})", result.stats),
@@ -145,37 +84,18 @@ mod tests {
     }
 
     #[test]
-    fn the_shim_matches_a_cold_engine_run() {
-        let problem = Problem::from_source(LIST_SET).unwrap();
-        let shimmed = Driver::new(&problem, HanoiConfig::quick()).run();
-        let (_, options) = HanoiConfig::quick().split();
-        let direct = Engine::with_defaults().run(&problem, &options);
-        assert_eq!(shimmed.outcome, direct.outcome);
-        assert_eq!(shimmed.stats.iterations, direct.stats.iterations);
-    }
-
-    #[test]
     fn reports_spec_violations_for_buggy_modules() {
         // An "insert" that does not de-duplicate: the module does not satisfy
         // the SET specification, and Hanoi must report a constructible
         // counterexample rather than an invariant.
         let buggy = LIST_SET.replace("if lookup l x then l else Cons (x, l)", "Cons (x, l)");
         let problem = Problem::from_source(&buggy).unwrap();
-        let driver = Driver::new(&problem, HanoiConfig::quick());
-        let result = driver.run();
+        let result = Engine::with_defaults().run(&problem, &RunOptions::quick());
         match result.outcome {
             Outcome::SpecViolation(witnesses) => {
                 assert!(!witnesses.is_empty());
             }
             other => panic!("expected a spec violation, got {other}"),
         }
-    }
-
-    #[test]
-    fn timeout_is_reported() {
-        let problem = Problem::from_source(LIST_SET).unwrap();
-        let config = HanoiConfig::quick().with_timeout(Some(std::time::Duration::ZERO));
-        let result = Driver::new(&problem, config).run();
-        assert_eq!(result.outcome, Outcome::Timeout);
     }
 }

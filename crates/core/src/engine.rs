@@ -2,9 +2,9 @@
 //! service entry points.
 //!
 //! The paper presents inference as a one-shot procedure, and until this
-//! module existed the public API mirrored that: every `Driver::run` built a
-//! verifier pool cache and a synthesizer term bank from scratch and dropped
-//! them with the run.  An [`Engine`] inverts the ownership: *it* owns a keyed
+//! module existed the public API mirrored that: every run built a verifier
+//! pool cache and a synthesizer term bank from scratch and dropped them with
+//! the run.  An [`Engine`] inverts the ownership: *it* owns a keyed
 //! registry of per-problem caches — the verifier's
 //! [`hanoi_verifier::PoolCache`] and one persistent
 //! [`hanoi_synth::TermBank`] per synthesizer back end — and hands out
@@ -41,13 +41,12 @@
 //! problem an earlier process solved answers its verifier checks from the
 //! restored cache without a single sweep (`RunStats::warm_start_loads`
 //! reports the restore; the `cross_process_warm` and `fleet_warm` workloads
-//! of the `cegis_hot_path` bench measure it).  Legacy monolithic
-//! `<fingerprint>.json` snapshots stay read-compatible.  Snapshots are
-//! advisory: a corrupt *chunk* is quarantined individually and the restore
-//! proceeds with the rest, while corrupt manifests, truncated legacy files,
-//! version-mismatched or wrong-problem wrappers degrade to a cold start —
-//! never a wrong answer, as `tests/warm_start_equivalence.rs` pins across
-//! the benchmark suite.
+//! of the `cegis_hot_path` bench measure it).  Snapshots are advisory: a
+//! corrupt *chunk* is quarantined individually and the restore proceeds with
+//! the rest, while corrupt or truncated manifests, version-mismatched or
+//! wrong-problem wrappers and components that fail to decode degrade to a
+//! cold start — never a wrong answer, as `tests/warm_start_equivalence.rs`
+//! pins across the benchmark suite.
 
 use std::collections::HashMap;
 use std::path::Path;
@@ -56,7 +55,6 @@ use std::sync::{Arc, Mutex, MutexGuard};
 use hanoi_abstraction::Problem;
 use hanoi_lang::digest::Digest;
 use hanoi_lang::json::Json;
-use hanoi_lang::util::{sync_dir, write_atomic};
 use hanoi_lang::value::Env;
 use hanoi_store::{ChunkStore, WrapperLoad};
 use hanoi_synth::TermBank;
@@ -66,16 +64,13 @@ use crate::config::{ConfigError, EngineConfig, RunOptions, SynthChoice};
 use crate::outcome::RunResult;
 use crate::session::Session;
 
-/// The format version of the per-problem warm-start snapshot files written
-/// by [`Engine::save_state`].  The file wraps the component snapshots
-/// (check cache, term banks), which carry their own versions; this one
-/// covers the wrapper layout.  Version 2 added the `pool_shapes` table
-/// (slab shape keys for the lazy pool-cache rebuild).
+/// The format version of the per-problem warm-start wrapper written by
+/// [`Engine::save_state`] (the store's manifests carry it as
+/// `wrapper_version`).  The wrapper holds the component snapshots (check
+/// cache, term banks), which carry their own versions; this one covers the
+/// wrapper layout.  Version 2 added the `pool_shapes` table (slab shape keys
+/// for the lazy pool-cache rebuild).
 const WARM_START_VERSION: u64 = 2;
-
-/// Snapshot files larger than this are ignored on load (a corrupt or
-/// foreign file cannot make session-open allocate unboundedly).
-const MAX_SNAPSHOT_BYTES: u64 = 256 * 1024 * 1024;
 
 /// Locks a mutex, recovering from poison.
 ///
@@ -100,7 +95,7 @@ pub(crate) struct ProblemCaches {
     /// address identity) can never suffer address reuse while the entry
     /// lives.
     globals: Env,
-    /// The problem's stable structural fingerprint — the warm-start file
+    /// The problem's stable structural fingerprint — the warm-start manifest
     /// name, and the check that a snapshot belongs to this problem.
     fingerprint: Digest,
     /// The shared verifier pool cache: `(type, count, size)` pools enumerated
@@ -126,8 +121,8 @@ pub(crate) struct ProblemCaches {
     /// How many snapshot artifacts were quarantined at entry creation:
     /// individual chunks whose bytes failed their content-address re-hash
     /// (each renamed to `<digest>.json.corrupt`; the restore proceeded with
-    /// the remaining chunks), a defective manifest, or — on the legacy
-    /// monolithic path — the whole snapshot file.  Surfaced as
+    /// the remaining chunks), a defective manifest, or a reassembled wrapper
+    /// that failed validation.  Surfaced as
     /// `RunStats::warm_start_quarantined`.
     warm_start_quarantined: u64,
 }
@@ -146,73 +141,41 @@ impl ProblemCaches {
     }
 
     /// Builds the entry for `problem`, restoring the check cache and term
-    /// banks from the warm-start store at `warm_dir`.  The chunked store is
-    /// preferred: when `manifests/<fingerprint>.json` exists, the wrapper is
-    /// reassembled chunk by chunk, quarantining (and counting) corrupt
-    /// chunks individually while the restore proceeds with the rest.  When
-    /// no manifest exists, the legacy monolithic `<fingerprint>.json` is
-    /// consulted read-compatibly, with PR 7's whole-file quarantine.  Every
-    /// failure mode — missing artifacts, I/O error, parse error, version or
+    /// banks from the warm-start store at `warm_dir`: when
+    /// `manifests/<fingerprint>.json` exists, the wrapper is reassembled
+    /// chunk by chunk, quarantining (and counting) corrupt chunks
+    /// individually while the restore proceeds with the rest.  Every failure
+    /// mode — missing artifacts, I/O error, parse error, version or
     /// fingerprint mismatch, corrupt component — degrades to a cold start
     /// (or a partially warm one); a snapshot can never make a session fail
     /// or (fingerprint collisions aside) answer for a different problem.
     fn restore_or_new(problem: &Problem, fingerprint: Digest, warm_dir: &Path) -> Self {
         let mut caches = ProblemCaches::new(problem, fingerprint);
-        if let Ok(store) = ChunkStore::open(warm_dir) {
-            match store.load_wrapper(fingerprint) {
-                WrapperLoad::Loaded {
-                    wrapper,
-                    quarantined,
-                } => {
-                    caches.warm_start_quarantined = quarantined;
-                    match validate_snapshot_json(&wrapper, fingerprint) {
-                        Some((checks, banks, shapes, loads)) => {
-                            caches.checks = Arc::new(checks);
-                            caches.banks = Mutex::new(banks);
-                            caches.pools.set_pending_shapes(shapes);
-                            caches.warm_start_loads = loads;
-                        }
-                        // A reassembled wrapper that fails engine validation
-                        // (e.g. a future wrapper version in the manifest)
-                        // starts cold; the manifest stays for diagnosis.
-                        None => caches.warm_start_quarantined += 1,
-                    }
-                    return caches;
-                }
-                WrapperLoad::Corrupt => {
-                    // The store quarantined the defective manifest; the
-                    // problem starts cold rather than trusting a legacy file
-                    // that a chunked save already superseded.
-                    caches.warm_start_quarantined += 1;
-                    return caches;
-                }
-                WrapperLoad::Missing => {}
-            }
-        }
-        // Legacy monolithic fallback, byte-compatible with pre-chunking
-        // stores (`hanoi-store migrate` converts them in place).
-        let path = warm_dir.join(format!("{}.json", fingerprint.to_hex()));
-        match load_snapshot(&path, fingerprint) {
-            SnapshotLoad::Loaded {
-                checks,
-                banks,
-                shapes,
-                loads,
+        let Ok(store) = ChunkStore::open(warm_dir) else {
+            return caches;
+        };
+        match store.load_wrapper(fingerprint) {
+            WrapperLoad::Loaded {
+                wrapper,
+                quarantined,
             } => {
-                caches.checks = Arc::new(checks);
-                caches.banks = Mutex::new(banks);
-                caches.pools.set_pending_shapes(shapes);
-                caches.warm_start_loads = loads;
+                caches.warm_start_quarantined = quarantined;
+                match validate_snapshot_json(&wrapper, fingerprint) {
+                    Some((checks, banks, shapes, loads)) => {
+                        caches.checks = Arc::new(checks);
+                        caches.banks = Mutex::new(banks);
+                        caches.pools.set_pending_shapes(shapes);
+                        caches.warm_start_loads = loads;
+                    }
+                    // A reassembled wrapper that fails engine validation
+                    // (e.g. a future wrapper version in the manifest) starts
+                    // cold; the manifest stays for diagnosis.
+                    None => caches.warm_start_quarantined += 1,
+                }
             }
-            SnapshotLoad::Corrupt => {
-                // Quarantine is best-effort: a read-only store (or a
-                // concurrent process racing for the same file) must not
-                // break session opens.
-                let quarantine = warm_dir.join(format!("{}.json.corrupt", fingerprint.to_hex()));
-                let _ = std::fs::rename(&path, &quarantine);
-                caches.warm_start_quarantined = 1;
-            }
-            SnapshotLoad::Missing => {}
+            // The store quarantined the defective manifest.
+            WrapperLoad::Corrupt => caches.warm_start_quarantined += 1,
+            WrapperLoad::Missing => {}
         }
         caches
     }
@@ -263,11 +226,6 @@ impl ProblemCaches {
         )
     }
 
-    /// The problem fingerprint this entry is keyed by.
-    pub(crate) fn fingerprint(&self) -> Digest {
-        self.fingerprint
-    }
-
     /// How many snapshot components this entry was warm-started from.
     pub(crate) fn warm_start_loads(&self) -> u64 {
         self.warm_start_loads
@@ -302,61 +260,8 @@ impl ProblemCaches {
     }
 }
 
-/// The outcome of reading one warm-start snapshot file: absent, defective,
-/// or fully restored (all-or-nothing: a snapshot with one corrupt component
-/// is wholly rejected, so partial restores can never mix states from
-/// different saves).  The caller quarantines `Corrupt` files — which
-/// includes version- and fingerprint-mismatched ones, both equally useless
-/// on every future process start.
-enum SnapshotLoad {
-    /// No snapshot file exists for the problem.
-    Missing,
-    /// A file exists but failed validation and must not be re-read.
-    Corrupt,
-    /// The snapshot restored cleanly.
-    Loaded {
-        checks: CheckCache,
-        banks: HashMap<SynthChoice, Arc<TermBank>>,
-        shapes: Vec<(hanoi_lang::types::Type, usize)>,
-        loads: u64,
-    },
-}
-
-/// Reads and validates one warm-start snapshot file.
-fn load_snapshot(path: &Path, fingerprint: Digest) -> SnapshotLoad {
-    let Ok(metadata) = std::fs::metadata(path) else {
-        return SnapshotLoad::Missing;
-    };
-    if !metadata.is_file() {
-        return SnapshotLoad::Missing;
-    }
-    match try_load_snapshot(path, fingerprint, metadata.len()) {
-        Some(loaded) => loaded,
-        None => SnapshotLoad::Corrupt,
-    }
-}
-
-/// The validation pipeline of [`load_snapshot`]; `None` means any defect.
-fn try_load_snapshot(path: &Path, fingerprint: Digest, len: u64) -> Option<SnapshotLoad> {
-    if len > MAX_SNAPSHOT_BYTES {
-        return None;
-    }
-    let text = std::fs::read_to_string(path).ok()?;
-    let json = hanoi_lang::json::parse(&text).ok()?;
-    let (checks, banks, shapes, loads) = validate_snapshot_json(&json, fingerprint)?;
-    Some(SnapshotLoad::Loaded {
-        checks,
-        banks,
-        shapes,
-        loads,
-    })
-}
-
-/// Validates a warm-start wrapper (monolithic file contents, or the
-/// reassembly of a chunked manifest — both the same JSON shape) and decodes
-/// its components; `None` means any defect.  This is the single validation
-/// path for both persistence formats, which is what makes the chunked ≡
-/// monolithic equivalence hold by construction.
+/// Validates a warm-start wrapper reassembled from a chunked manifest and
+/// decodes its components; `None` means any defect.
 #[allow(clippy::type_complexity)]
 fn validate_snapshot_json(
     json: &Json,
@@ -414,7 +319,7 @@ fn validate_snapshot_json(
 /// semantics — the closures the pools and banks captured) with the problem's
 /// structural fingerprint ([`Problem::fingerprint`]), which covers
 /// everything else a check outcome depends on — and doubles as the
-/// warm-start snapshot file name.
+/// warm-start manifest name.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 struct ProblemKey {
     /// Address identity of the globals environment (pinned by the entry).
@@ -574,16 +479,12 @@ impl Engine {
     /// Persists every live cache entry to the warm-start store at `dir`,
     /// returning how many snapshots were written.
     ///
-    /// By default each snapshot is saved **chunked**: split into
-    /// content-addressed chunks (check-cache stripes, term-bank core/parts,
-    /// pool shapes) with a per-problem manifest — chunks already present
-    /// from an earlier save are shared, so a periodic checkpoint whose
-    /// caches only grew writes deltas, and two stores can sync by manifest
-    /// diff (`hanoi-store sync`).  With
-    /// [`EngineConfig::monolithic_snapshots`] set, the legacy
-    /// one-file-per-problem format is written instead
-    /// ([`Engine::save_state_monolithic`]).  Either way every file goes
-    /// through the shared atomic-write helper
+    /// Each snapshot is saved **chunked**: split into content-addressed
+    /// chunks (check-cache stripes, term-bank core/parts, pool shapes) with
+    /// a per-problem manifest — chunks already present from an earlier save
+    /// are shared, so a periodic checkpoint whose caches only grew writes
+    /// deltas, and two stores can sync by manifest diff (`hanoi-store
+    /// sync`).  Every file goes through the shared atomic-write helper
     /// ([`hanoi_lang::util::write_atomic`]): temp sibling, **fsync**,
     /// rename — neither a crash mid-checkpoint nor a concurrent reader can
     /// observe a torn artifact.
@@ -592,35 +493,11 @@ impl Engine {
     /// free; a long-lived service calls this at checkpoints (shutdown,
     /// deploy, periodic flush), not per run.
     pub fn save_state(&self, dir: impl AsRef<Path>) -> std::io::Result<usize> {
-        let dir = dir.as_ref();
-        if self.config.monolithic_snapshots {
-            return self.save_state_monolithic(dir);
-        }
         let store = ChunkStore::open(dir)?;
         let mut written = 0;
         for caches in self.live_entries() {
             store.save_wrapper(&caches.snapshot_json())?;
             written += 1;
-        }
-        Ok(written)
-    }
-
-    /// [`Engine::save_state`] in the legacy monolithic format: one
-    /// `<fingerprint>.json` wrapper file per problem at the top of `dir`,
-    /// exactly as pre-chunking engines wrote (and still read).
-    pub fn save_state_monolithic(&self, dir: impl AsRef<Path>) -> std::io::Result<usize> {
-        let dir = dir.as_ref();
-        std::fs::create_dir_all(dir)?;
-        let mut written = 0;
-        for caches in self.live_entries() {
-            let path = dir.join(format!("{}.json", caches.fingerprint().to_hex()));
-            write_atomic(&path, caches.snapshot_json().render_pretty().as_bytes())?;
-            written += 1;
-        }
-        // Make the renames themselves durable (directory metadata);
-        // best-effort on top of the per-file fsync in `write_atomic`.
-        if written > 0 {
-            sync_dir(dir);
         }
         Ok(written)
     }
@@ -877,11 +754,6 @@ mod tests {
             .join("manifests")
             .join(format!("{}.json", problem.fingerprint().to_hex()));
         assert!(manifest_path.is_file(), "{manifest_path:?}");
-        assert!(
-            !dir.join(format!("{}.json", problem.fingerprint().to_hex()))
-                .exists(),
-            "the default format is chunked, not monolithic"
-        );
 
         // "Process 2": a brand-new engine restores from disk; every check of
         // the re-run is answered from the restored cache.
@@ -986,51 +858,64 @@ mod tests {
 
     #[test]
     fn corrupt_snapshots_fall_back_to_a_cold_start() {
-        // The legacy monolithic format: whole-file validation, whole-file
-        // quarantine — still supported read-compatibly.
         let problem = Problem::from_source(LIST_SET).unwrap();
         let options = RunOptions::quick();
         let dir = scratch_dir("corrupt");
-        let engine = Engine::new(EngineConfig::default().with_monolithic_snapshots(true)).unwrap();
+        let engine = Engine::with_defaults();
         let cold = engine.run(&problem, &options);
         engine.save_state(&dir).unwrap();
-        let path = dir.join(format!("{}.json", problem.fingerprint().to_hex()));
-
-        // Truncate the snapshot mid-file: parse fails, the run is cold and
-        // still correct — and the broken file is quarantined so the next
-        // process start does not re-parse it.
+        let manifests = dir.join("manifests");
+        let path = manifests.join(format!("{}.json", problem.fingerprint().to_hex()));
         let text = std::fs::read_to_string(&path).unwrap();
+        let restore = |problem: &Problem| {
+            Engine::new(EngineConfig::default().with_warm_start_dir(&dir))
+                .unwrap()
+                .run(problem, &options)
+        };
+
+        // Truncate the manifest mid-file: parse fails, the run is cold and
+        // still correct — and the broken manifest is quarantined so the next
+        // process start does not re-parse it.
         std::fs::write(&path, &text[..text.len() / 2]).unwrap();
-        let tampered = Engine::new(EngineConfig::default().with_warm_start_dir(&dir)).unwrap();
-        let result = tampered.run(&problem, &options);
+        let result = restore(&problem);
         assert_eq!(result.outcome, cold.outcome);
         assert_eq!(result.stats.warm_start_loads, 0, "{:?}", result.stats);
         assert_eq!(result.stats.verification_cache_hits, 0);
         assert_eq!(result.stats.warm_start_quarantined, 1, "{:?}", result.stats);
-        let quarantined = dir.join(format!("{}.json.corrupt", problem.fingerprint().to_hex()));
+        let quarantined = path.with_extension("json.corrupt");
         assert!(quarantined.is_file(), "{quarantined:?}");
-        assert!(!path.is_file(), "the broken file must be moved, not copied");
+        assert!(
+            !path.is_file(),
+            "the broken manifest must be moved, not copied"
+        );
 
-        // A version bump is rejected just as cleanly.
-        let bumped = text.replacen("\"version\": 2", "\"version\": 999", 1);
-        assert_ne!(bumped, text, "the version field must be present");
+        // A wrapper-version bump is rejected just as cleanly.
+        let bumped = text.replacen("\"wrapper_version\": 2", "\"wrapper_version\": 999", 1);
+        assert_ne!(bumped, text, "the wrapper version must be present");
         std::fs::write(&path, bumped).unwrap();
-        let mismatched = Engine::new(EngineConfig::default().with_warm_start_dir(&dir)).unwrap();
-        let result = mismatched.run(&problem, &options);
+        let result = restore(&problem);
         assert_eq!(result.outcome, cold.outcome);
         assert_eq!(result.stats.warm_start_loads, 0);
         assert_eq!(result.stats.warm_start_quarantined, 1);
 
-        // A snapshot renamed onto another problem's fingerprint is refused.
+        // A manifest copied onto another problem's fingerprint is refused.
         std::fs::write(&path, &text).unwrap();
         let buggy = LIST_SET.replace("if lookup l x then l else Cons (x, l)", "Cons (x, l)");
         let other = Problem::from_source(&buggy).unwrap();
-        let stolen = dir.join(format!("{}.json", other.fingerprint().to_hex()));
+        let stolen = manifests.join(format!("{}.json", other.fingerprint().to_hex()));
         std::fs::copy(&path, &stolen).unwrap();
-        let refusing = Engine::new(EngineConfig::default().with_warm_start_dir(&dir)).unwrap();
-        let result = refusing.run(&other, &options);
-        assert_eq!(result.stats.warm_start_loads, 0, "wrong-problem snapshot");
+        let result = restore(&other);
+        assert_eq!(result.stats.warm_start_loads, 0, "wrong-problem manifest");
+        assert_eq!(result.stats.warm_start_quarantined, 1);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn timeout_is_reported() {
+        let problem = Problem::from_source(LIST_SET).unwrap();
+        let options = RunOptions::quick().with_timeout(Some(std::time::Duration::ZERO));
+        let result = Engine::with_defaults().run(&problem, &options);
+        assert_eq!(result.outcome, Outcome::Timeout);
     }
 
     #[test]

@@ -23,8 +23,7 @@
 //! that run inference against it — warm re-runs, shared baseline banks,
 //! [`Engine::run_batch`] batches, streamed [`RunEvent`]s and cooperative
 //! [`CancelToken`] cancellation.  Engine-wide settings live in
-//! [`EngineConfig`], per-run options in [`RunOptions`].  The per-call
-//! [`Driver`] is a deprecated shim over a throwaway engine.
+//! [`EngineConfig`], per-run options in [`RunOptions`].
 //!
 //! Besides the main algorithm the crate provides the paper's two
 //! optimizations (synthesis-result caching and counterexample-list caching,
@@ -37,7 +36,8 @@ pub mod cancel;
 pub mod clc;
 pub mod config;
 pub mod context;
-pub mod driver;
+#[cfg(test)]
+mod driver;
 pub mod engine;
 pub mod events;
 pub mod modes;
@@ -51,11 +51,7 @@ pub mod stats;
 pub use hanoi_lang::json;
 
 pub use cancel::CancelToken;
-pub use config::{
-    ConfigError, EngineConfig, HanoiConfig, Mode, Optimizations, RunOptions, SynthChoice,
-};
-#[allow(deprecated)]
-pub use driver::Driver;
+pub use config::{ConfigError, EngineConfig, Mode, Optimizations, RunOptions, SynthChoice};
 pub use engine::{BatchJob, Engine};
 pub use events::{CollectingObserver, RunEvent, RunObserver, RunPhase, SequencedEvent, Sequencer};
 pub use outcome::{Outcome, RunResult};

@@ -56,12 +56,14 @@ pub struct RunStats {
     /// engines without a warm-start directory; identical for every run
     /// sharing the restored entry.
     pub warm_start_loads: u64,
-    /// Warm-start artifacts that failed to restore and were quarantined
-    /// (renamed `*.corrupt`) when the problem's engine entry was created:
-    /// individual chunks whose bytes failed the content-address re-hash
-    /// (the restore proceeded with the remaining chunks), a defective
-    /// manifest, or a defective legacy monolithic snapshot file.  `0` when
-    /// the snapshot was missing or restored cleanly; like
+    /// Warm-start artifacts that failed to restore when the problem's engine
+    /// entry was created: individual chunks whose bytes failed the
+    /// content-address re-hash (renamed `*.corrupt`; the restore proceeded
+    /// with the remaining chunks), a defective manifest (renamed
+    /// `*.corrupt`), or a reassembled wrapper the engine rejected — a
+    /// foreign wrapper version or kind, or a component that fails to decode
+    /// (the run starts cold).  `0` when the snapshot was missing or
+    /// restored cleanly; like
     /// `warm_start_loads`, identical for every run sharing the entry.
     pub warm_start_quarantined: u64,
     /// Candidate terms enumerated by the synthesis engine (pre-dedup) across

@@ -2,14 +2,13 @@
 //!
 //! The repository builds in an environment without network access, so the
 //! real criterion crate cannot be downloaded. This crate implements the
-//! subset of criterion's API used by the benches in `crates/bench/benches/`
-//! on top of `std::time::Instant`:
+//! subset of criterion's API used by the `cegis_hot_path` bench in
+//! `crates/bench/benches/` on top of `std::time::Instant`:
 //!
 //! * [`criterion_group!`] / [`criterion_main!`];
 //! * [`Criterion::benchmark_group`] and [`BenchmarkGroup::bench_function`];
-//! * [`Bencher::iter`] and [`Bencher::iter_batched`];
-//! * [`black_box`] (re-exported from `std::hint`);
-//! * sample-count and measurement-time knobs (accepted, loosely honoured).
+//! * [`Bencher::iter`];
+//! * the per-group sample-count knob ([`BenchmarkGroup::sample_size`]).
 //!
 //! Timing methodology: each benchmark is warmed up for a fixed number of
 //! iterations, then timed over `sample_size` samples, each sample running
@@ -20,22 +19,15 @@
 //! object per line, so harness binaries can collect machine-readable output.
 
 use std::fmt::Write as _;
+use std::hint::black_box;
 use std::time::{Duration, Instant};
 
-pub use std::hint::black_box;
+/// Samples per benchmark unless its group sets [`BenchmarkGroup::sample_size`].
+const DEFAULT_SAMPLE_SIZE: usize = 20;
 
-/// Mirrors criterion's `BatchSize`; only used to pick how many setup calls
-/// are batched together in [`Bencher::iter_batched`]. The stand-in always
-/// runs one setup per iteration, so the variants only differ in name.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BatchSize {
-    /// Small per-iteration inputs: batch many iterations per sample.
-    SmallInput,
-    /// Large per-iteration inputs: one iteration per sample.
-    LargeInput,
-    /// Inputs of unpredictable size.
-    PerIteration,
-}
+/// Target measurement time per benchmark; sampling stops early once four
+/// times this has elapsed (always keeping at least two samples).
+const MEASUREMENT_TIME: Duration = Duration::from_secs(2);
 
 /// A single measured sample set for one benchmark function.
 #[derive(Debug, Clone)]
@@ -92,51 +84,17 @@ fn fmt_ns(ns: f64) -> String {
 }
 
 /// The top-level harness handle, passed to every registered bench function.
-pub struct Criterion {
-    default_sample_size: usize,
-    measurement_time: Duration,
-}
-
-impl Default for Criterion {
-    fn default() -> Self {
-        Criterion {
-            default_sample_size: 20,
-            measurement_time: Duration::from_secs(2),
-        }
-    }
-}
+#[derive(Default)]
+pub struct Criterion;
 
 impl Criterion {
-    /// Sets the default number of samples per benchmark.
-    pub fn sample_size(mut self, n: usize) -> Self {
-        self.default_sample_size = n;
-        self
-    }
-
-    /// Sets the target measurement time per benchmark.
-    pub fn measurement_time(mut self, t: Duration) -> Self {
-        self.measurement_time = t;
-        self
-    }
-
     /// Opens a named benchmark group.
     pub fn benchmark_group(&mut self, name: impl Into<String>) -> BenchmarkGroup<'_> {
         BenchmarkGroup {
             name: name.into(),
-            sample_size: self.default_sample_size,
-            measurement_time: self.measurement_time,
+            sample_size: DEFAULT_SAMPLE_SIZE,
             _criterion: self,
         }
-    }
-
-    /// Benches a standalone function outside any group.
-    pub fn bench_function<F>(&mut self, id: impl Into<String>, f: F)
-    where
-        F: FnMut(&mut Bencher),
-    {
-        let mut group = self.benchmark_group("");
-        group.bench_function(id, f);
-        group.finish();
     }
 }
 
@@ -144,7 +102,6 @@ impl Criterion {
 pub struct BenchmarkGroup<'c> {
     name: String,
     sample_size: usize,
-    measurement_time: Duration,
     _criterion: &'c mut Criterion,
 }
 
@@ -155,26 +112,14 @@ impl BenchmarkGroup<'_> {
         self
     }
 
-    /// Sets the target measurement time for benchmarks in this group.
-    pub fn measurement_time(&mut self, t: Duration) -> &mut Self {
-        self.measurement_time = t;
-        self
-    }
-
     /// Runs one benchmark function and reports its timing.
     pub fn bench_function<F>(&mut self, id: impl Into<String>, mut f: F) -> &mut Self
     where
         F: FnMut(&mut Bencher),
     {
-        let id = id.into();
-        let full_id = if self.name.is_empty() {
-            id
-        } else {
-            format!("{}/{}", self.name, id)
-        };
+        let full_id = format!("{}/{}", self.name, id.into());
         let mut bencher = Bencher {
             sample_size: self.sample_size.max(2),
-            measurement_time: self.measurement_time,
             measurement: None,
         };
         f(&mut bencher);
@@ -228,7 +173,6 @@ fn report(m: &Measurement) {
 /// Measures a closure's execution time; handed to each benchmark function.
 pub struct Bencher {
     sample_size: usize,
-    measurement_time: Duration,
     measurement: Option<Measurement>,
 }
 
@@ -258,32 +202,7 @@ impl Bencher {
             let elapsed = start.elapsed();
             samples.push(elapsed.as_nanos() as f64 / iters_per_sample as f64);
             // Honour the measurement-time budget loosely (always >= 2 samples).
-            if budget.elapsed() > self.measurement_time * 4 && samples.len() >= 2 {
-                break;
-            }
-        }
-        self.measurement = Some(Measurement {
-            id: String::new(),
-            sample_ns: samples,
-        });
-    }
-
-    /// Times `routine` with a fresh input from `setup` on every iteration;
-    /// setup time is excluded from the measurement.
-    pub fn iter_batched<I, O, S, R>(&mut self, mut setup: S, mut routine: R, _size: BatchSize)
-    where
-        S: FnMut() -> I,
-        R: FnMut(I) -> O,
-    {
-        let budget = Instant::now();
-        let mut samples = Vec::with_capacity(self.sample_size);
-        for _ in 0..self.sample_size {
-            let input = setup();
-            let start = Instant::now();
-            black_box(routine(input));
-            let elapsed = start.elapsed();
-            samples.push(elapsed.as_nanos() as f64);
-            if budget.elapsed() > self.measurement_time * 4 && samples.len() >= 2 {
+            if budget.elapsed() > MEASUREMENT_TIME * 4 && samples.len() >= 2 {
                 break;
             }
         }
@@ -321,26 +240,18 @@ mod tests {
 
     #[test]
     fn iter_records_samples() {
-        let mut c = Criterion::default().sample_size(5);
+        let mut c = Criterion;
+        let mut group = c.benchmark_group("g");
+        group.sample_size(5);
         let mut ran = 0u64;
-        c.bench_function("smoke", |b| {
+        group.bench_function("smoke", |b| {
             b.iter(|| {
                 ran += 1;
-                std::hint::black_box(ran)
+                black_box(ran)
             })
         });
-        assert!(ran > 0);
-    }
-
-    #[test]
-    fn iter_batched_runs_setup_per_iteration() {
-        let mut c = Criterion::default().sample_size(4);
-        let mut group = c.benchmark_group("g");
-        group.sample_size(4);
-        group.bench_function("batched", |b| {
-            b.iter_batched(|| vec![1u8; 16], |v| v.len(), BatchSize::SmallInput)
-        });
         group.finish();
+        assert!(ran > 0);
     }
 
     #[test]

@@ -69,7 +69,7 @@ fn main() {
     if let Some(dir) = value("--warm-dir") {
         engine = engine.with_warm_start_dir(dir);
         // Boot-time store inventory: how much warmth this process can draw
-        // on, and whether legacy monolithic snapshots await migration.
+        // on.
         match hanoi_store::ChunkStore::open(dir) {
             Ok(store) => {
                 let stats = store.stats();
@@ -79,13 +79,6 @@ fn main() {
                     stats.chunks,
                     stats.total_bytes()
                 );
-                if stats.legacy_snapshots > 0 {
-                    eprintln!(
-                        "hanoi-serve: {} legacy monolithic snapshot(s) in {dir}; \
-                         run `hanoi-store migrate {dir}` to chunk them",
-                        stats.legacy_snapshots
-                    );
-                }
             }
             Err(e) => {
                 // The engine degrades to cold starts either way; say why.

@@ -6,7 +6,6 @@
 //! hanoi-store gc      <store-dir> [--max-bytes N]
 //! hanoi-store merge   <src-dir> <dst-dir>
 //! hanoi-store sync    <store-dir> <remote-dir>
-//! hanoi-store migrate <store-dir>
 //! ```
 //!
 //! Every subcommand prints one JSON object on stdout (machine-consumable —
@@ -17,12 +16,10 @@
 
 use std::process::ExitCode;
 
-use hanoi_store::{migrate_legacy_dir, ChunkStore};
+use hanoi_store::ChunkStore;
 
 fn usage() -> ExitCode {
-    eprintln!(
-        "usage: hanoi-store <stats|verify|gc|merge|sync|migrate> <dir> [<dir2>] [--max-bytes N]"
-    );
+    eprintln!("usage: hanoi-store <stats|verify|gc|merge|sync> <dir> [<dir2>] [--max-bytes N]");
     ExitCode::FAILURE
 }
 
@@ -105,13 +102,6 @@ fn main() -> ExitCode {
                 Err(e) => fail("sync", e),
             }
         }
-        ("migrate", [dir]) => match migrate_legacy_dir(std::path::Path::new(dir)) {
-            Ok(report) => {
-                println!("{}", report.to_json().render_pretty());
-                ExitCode::SUCCESS
-            }
-            Err(e) => fail("migrate", e),
-        },
         _ => usage(),
     }
 }

@@ -33,9 +33,8 @@
 //! remaining chunks: a tampered check stripe costs its few dozen memoized
 //! outcomes, a tampered bank part costs its memo rows, a tampered bank core
 //! costs that one bank — never the snapshot, and never correctness, because
-//! every surviving component is validated by the same decoders a monolithic
-//! restore uses.  Compare PR 7's whole-snapshot quarantine, which one
-//! flipped byte anywhere could trigger.
+//! every surviving component is validated by the component decoders before
+//! the engine uses it.
 //!
 //! # GC liveness
 //!
@@ -60,7 +59,7 @@
 //! convenience (pull, then push).
 //!
 //! The `hanoi-store` admin binary exposes `stats`, `verify`, `gc
-//! --max-bytes`, `merge`, `sync` and `migrate` over these primitives.
+//! --max-bytes`, `merge` and `sync` over these primitives.
 
 #![warn(missing_docs)]
 
@@ -74,7 +73,7 @@ use hanoi_lang::util::{sync_dir, write_atomic};
 
 mod snapshot;
 
-pub use snapshot::{migrate_legacy_dir, MigrateReport, SaveReport, WrapperLoad};
+pub use snapshot::{SaveReport, WrapperLoad};
 
 /// The manifest / index format version written by this crate.
 pub const STORE_VERSION: u64 = 1;
@@ -245,9 +244,6 @@ pub struct StoreStats {
     pub manifest_bytes: u64,
     /// Quarantined files (`*.corrupt`) awaiting diagnosis or GC.
     pub quarantined: usize,
-    /// Legacy monolithic snapshots (`<fingerprint>.json` at the store root)
-    /// that `hanoi-store migrate` would convert.
-    pub legacy_snapshots: usize,
 }
 
 impl StoreStats {
@@ -266,7 +262,6 @@ impl StoreStats {
             ("manifest_bytes", Json::Num(self.manifest_bytes as f64)),
             ("total_bytes", Json::Num(self.total_bytes() as f64)),
             ("quarantined", Json::Num(self.quarantined as f64)),
-            ("legacy_snapshots", Json::Num(self.legacy_snapshots as f64)),
         ])
     }
 }
@@ -385,10 +380,8 @@ pub enum ChunkLoad {
 
 /// A content-addressed chunk store rooted at one directory.
 ///
-/// The root holds `chunks/`, `manifests/`, the advisory `store_index.json`,
-/// and — read-compatibly — any legacy monolithic `<fingerprint>.json`
-/// snapshots from before the chunked format (`hanoi-store migrate` converts
-/// them in place).  All writes go through
+/// The root holds `chunks/`, `manifests/` and the advisory
+/// `store_index.json`.  All writes go through
 /// [`hanoi_lang::util::write_atomic`], so concurrent readers (other engine
 /// processes warm-starting from the same directory) never observe torn
 /// files.
@@ -549,16 +542,6 @@ impl ChunkStore {
             } else if name.ends_with(".json") {
                 stats.manifests += 1;
                 stats.manifest_bytes += entry.1;
-            }
-        }
-        for entry in read_dir_files(&self.root) {
-            let name = entry.0;
-            if name.ends_with(".corrupt") {
-                stats.quarantined += 1;
-            } else if let Some(stem) = name.strip_suffix(".json") {
-                if Digest::from_hex(stem).is_some() {
-                    stats.legacy_snapshots += 1;
-                }
             }
         }
         stats
@@ -1068,44 +1051,11 @@ mod tests {
         let store = temp_store("stats");
         assert_eq!(store.stats(), StoreStats::default());
         store.save_wrapper(&wrapper(Digest(1), 5)).unwrap();
-        std::fs::write(
-            store.root().join(format!("{}.json", Digest(9).to_hex())),
-            "{}",
-        )
-        .unwrap();
         let stats = store.stats();
         assert_eq!(stats.manifests, 1);
         assert!(stats.chunks >= 3);
         assert!(stats.total_bytes() > 0);
-        assert_eq!(stats.legacy_snapshots, 1);
         assert_eq!(stats.quarantined, 0);
-    }
-
-    #[test]
-    fn migrate_converts_legacy_snapshots_in_place() {
-        let store = temp_store("migrate");
-        let fingerprint = Digest(77);
-        let legacy = wrapper(fingerprint, 5);
-        let path = store.root().join(format!("{}.json", fingerprint.to_hex()));
-        std::fs::write(&path, legacy.render_pretty()).unwrap();
-        // A defective legacy file rides along.
-        let bad = store.root().join(format!("{}.json", Digest(78).to_hex()));
-        std::fs::write(&bad, "not json").unwrap();
-
-        let report = migrate_legacy_dir(store.root()).unwrap();
-        assert_eq!(report.migrated, 1);
-        assert_eq!(report.failed, 1);
-        assert!(!path.is_file(), "migrated legacy file is removed");
-        assert!(bad.with_extension("json.corrupt").is_file());
-        let WrapperLoad::Loaded {
-            wrapper: restored,
-            quarantined,
-        } = store.load_wrapper(fingerprint)
-        else {
-            panic!("migrated snapshot must load");
-        };
-        assert_eq!(quarantined, 0);
-        assert_eq!(restored.render_pretty(), legacy.render_pretty());
     }
 
     #[test]

@@ -5,9 +5,9 @@
 //! formats are owned by the verifier ([`CheckCache`]) and the synthesizer
 //! ([`TermBank`]).  This module routes the wrapper through the component
 //! chunk codecs on save and back on load; the store itself never interprets
-//! component contents, and the reassembled wrapper is byte-for-byte what a
-//! monolithic save would have written (pinned by tests), so the engine's
-//! existing validation pipeline consumes it unchanged.
+//! component contents, and the reassembled wrapper renders byte-for-byte
+//! like the wrapper that was saved (pinned by tests), so the engine
+//! validates it exactly as it built it.
 //!
 //! Section names in the manifest:
 //!
@@ -20,7 +20,6 @@
 
 use std::collections::BTreeMap;
 use std::io;
-use std::path::Path;
 
 use hanoi_lang::digest::Digest;
 use hanoi_lang::json::Json;
@@ -55,7 +54,8 @@ pub enum WrapperLoad {
     /// corrupt (quarantined on disk) or missing; their sections were
     /// dropped, costing warmth but never correctness.
     Loaded {
-        /// The reassembled wrapper, in the engine's monolithic format.
+        /// The reassembled wrapper: the same JSON object the engine handed
+        /// to [`ChunkStore::save_wrapper`], minus any dropped sections.
         wrapper: Json,
         /// Chunks dropped from the restore (corrupt or missing).
         quarantined: u64,
@@ -242,82 +242,4 @@ impl ChunkStore {
             .join(format!("{}.json", fingerprint.to_hex()))
             .is_file()
     }
-}
-
-/// What a [`migrate_legacy_dir`] pass did.
-#[derive(Debug, Default, Clone, PartialEq, Eq)]
-pub struct MigrateReport {
-    /// Legacy monolithic snapshots converted to chunked form (and removed).
-    pub migrated: usize,
-    /// Legacy files that failed to parse or validate (quarantined as
-    /// `.json.corrupt`).
-    pub failed: usize,
-    /// Chunks newly written across all migrations.
-    pub chunks_written: usize,
-}
-
-impl MigrateReport {
-    /// The report as a JSON object (the admin CLI's output format).
-    pub fn to_json(&self) -> Json {
-        Json::obj([
-            ("migrated", Json::Num(self.migrated as f64)),
-            ("failed", Json::Num(self.failed as f64)),
-            ("chunks_written", Json::Num(self.chunks_written as f64)),
-        ])
-    }
-}
-
-/// Converts every legacy monolithic snapshot (`<fingerprint>.json` at the
-/// store root, the pre-chunking engine format) into chunked form in place:
-/// parse, validate the wrapper shell, [`ChunkStore::save_wrapper`], then
-/// remove the legacy file (its contents live on, content-addressed).
-/// Defective legacy files are quarantined rather than deleted.
-pub fn migrate_legacy_dir(dir: &Path) -> io::Result<MigrateReport> {
-    let store = ChunkStore::open(dir)?;
-    let mut report = MigrateReport::default();
-    let mut legacy: Vec<(Digest, std::path::PathBuf)> = Vec::new();
-    for entry in std::fs::read_dir(dir)? {
-        let entry = entry?;
-        let Ok(metadata) = entry.metadata() else {
-            continue;
-        };
-        if !metadata.is_file() {
-            continue;
-        }
-        let name = entry.file_name();
-        let Some(name) = name.to_str() else { continue };
-        let Some(stem) = name.strip_suffix(".json") else {
-            continue;
-        };
-        if let Some(fingerprint) = Digest::from_hex(stem) {
-            legacy.push((fingerprint, entry.path()));
-        }
-    }
-    legacy.sort_by_key(|(fp, _)| fp.0);
-    for (fingerprint, path) in legacy {
-        let converted = std::fs::read_to_string(&path)
-            .ok()
-            .and_then(|text| hanoi_lang::json::parse(&text).ok())
-            // The fingerprint in the file must match the file name, exactly
-            // as the engine's own restore demands.
-            .filter(|json| {
-                json.get("fingerprint")
-                    .and_then(Json::as_str)
-                    .and_then(Digest::from_hex)
-                    == Some(fingerprint)
-            })
-            .and_then(|json| store.save_wrapper(&json).ok());
-        match converted {
-            Some(save) => {
-                report.migrated += 1;
-                report.chunks_written += save.chunks_written;
-                std::fs::remove_file(&path)?;
-            }
-            None => {
-                report.failed += 1;
-                let _ = std::fs::rename(&path, path.with_extension("json.corrupt"));
-            }
-        }
-    }
-    Ok(report)
 }

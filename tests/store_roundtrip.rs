@@ -1,19 +1,18 @@
 //! Fleet-level store operations seen from the engine: merging two stores
 //! yields the union of their warmth, GC under a byte budget never breaks a
 //! manifest that a later restore needs, bidirectional sync transfers only
-//! the difference, and `migrate` converts legacy monolithic snapshots into
-//! chunked form without losing warmth.
+//! the difference.
 //!
 //! `tests/warm_start_equivalence.rs` pins that a *single* store round-trips
 //! faithfully; this suite pins that the *administrative* operations
-//! (`hanoi-store merge|gc|sync|migrate`, exposed on [`ChunkStore`]) keep
+//! (`hanoi-store merge|gc|sync`, exposed on [`ChunkStore`]) keep
 //! every surviving snapshot restorable.
 
 use std::path::PathBuf;
 
 use hanoi_repro::benchmarks;
 use hanoi_repro::hanoi::{Engine, EngineConfig, Outcome, RunOptions};
-use hanoi_repro::store::{migrate_legacy_dir, ChunkStore};
+use hanoi_repro::store::ChunkStore;
 use hanoi_repro::synth::SearchConfig;
 use hanoi_repro::verifier::VerifierBounds;
 
@@ -192,39 +191,6 @@ fn gc_respects_the_budget_and_never_breaks_a_surviving_manifest() {
     let a_result = warm_engine(&dir).run(&a_problem, &test_options());
     assert_eq!(a_result.stats.warm_start_loads, 0);
     assert_eq!(a_result.stats.warm_start_quarantined, 0);
-
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn migrate_converts_legacy_snapshots_without_losing_warmth() {
-    let dir = scratch_dir("migrate");
-    let problem = benchmarks::find(A).unwrap().problem().unwrap();
-    let options = test_options();
-
-    // A legacy process: monolithic snapshot at the store root.
-    let engine = warm_engine(&dir);
-    let cold = engine.run(&problem, &options);
-    engine.save_state_monolithic(&dir).unwrap();
-    let legacy_path = dir.join(format!("{}.json", problem.fingerprint().to_hex()));
-    assert!(legacy_path.is_file());
-
-    // Legacy snapshots restore as-is, no migration required...
-    assert_warm(&dir, A, &outcome_key(&cold.outcome));
-
-    // ...and migration lifts them into chunked form, removing the original.
-    let report = migrate_legacy_dir(&dir).unwrap();
-    assert_eq!(report.migrated, 1, "{report:?}");
-    assert_eq!(report.failed, 0, "{report:?}");
-    assert!(
-        !legacy_path.is_file(),
-        "migrate must consume the legacy file"
-    );
-
-    let store = ChunkStore::open(&dir).unwrap();
-    assert!(store.manifest(problem.fingerprint()).is_some());
-    assert_eq!(store.stats().legacy_snapshots, 0);
-    assert_warm(&dir, A, &outcome_key(&cold.outcome));
 
     let _ = std::fs::remove_dir_all(&dir);
 }

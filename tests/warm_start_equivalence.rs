@@ -1,16 +1,15 @@
 //! Warm-start store correctness: a run restored from a *disk snapshot* in a
 //! brand-new engine — the cross-process reuse path — must produce results
-//! identical to a cold run on every benchmark of the suite, in **both**
-//! persistence formats (the chunked content-addressed store and the legacy
-//! monolithic files), and tampering must degrade gracefully: a tampered
-//! *chunk* is quarantined individually while the restore proceeds with the
-//! remaining chunks, and a tampered *monolithic file* degrades to a clean
-//! cold start — never a wrong answer either way.
+//! identical to a cold run on every benchmark of the suite, and tampering
+//! must degrade gracefully: a tampered *chunk* is quarantined individually
+//! while the restore proceeds with the remaining chunks, and a defective
+//! *manifest* or a wrapper that fails validation degrades to a clean cold
+//! start — never a wrong answer either way.
 //!
 //! This is the cross-process analogue of `tests/engine_reuse_equivalence.rs`
 //! (which pins in-process warm ≡ cold): here the warmth travels through
-//! `Engine::save_state` → the chunk store (manifests over digest-named
-//! chunks) or legacy JSON files keyed by `Problem::fingerprint()` →
+//! `Engine::save_state` → the chunk store (manifests keyed by
+//! `Problem::fingerprint()` over digest-named chunks) →
 //! `EngineConfig::warm_start_dir`, exercising the structural digest keys,
 //! the check-cache and term-bank serializers and chunk codecs, and the
 //! snapshot validation, none of which may depend on in-process state.
@@ -23,7 +22,9 @@
 use std::path::PathBuf;
 
 use hanoi_repro::benchmarks;
+use hanoi_repro::hanoi::json::Json;
 use hanoi_repro::hanoi::{Engine, EngineConfig, Outcome, RunOptions};
+use hanoi_repro::store::{ChunkLoad, ChunkStore};
 use hanoi_repro::synth::SearchConfig;
 use hanoi_repro::verifier::VerifierBounds;
 
@@ -75,11 +76,9 @@ fn warm_engine(dir: &PathBuf) -> Engine {
 
 #[test]
 fn snapshot_restored_engines_match_cold_engines_on_every_benchmark() {
-    // The three-way equivalence the store must uphold on all 28 benchmarks:
-    // chunked restore ≡ monolithic restore ≡ cold, on outcome, CEGIS
-    // iteration count and the learned V± sets.
-    let chunked_dir = scratch_dir("suite-chunked");
-    let mono_dir = scratch_dir("suite-mono");
+    // The equivalence the store must uphold on all 28 benchmarks: restored
+    // ≡ cold, on outcome, CEGIS iteration count and the learned V± sets.
+    let dir = scratch_dir("suite");
     for benchmark in benchmarks::registry() {
         let problem = benchmark
             .problem()
@@ -89,8 +88,8 @@ fn snapshot_restored_engines_match_cold_engines_on_every_benchmark() {
         // Cold: a fresh engine with no store, exactly one run.
         let cold = Engine::with_defaults().run(&problem, &options);
 
-        // "Process 1": solve once, checkpoint in both formats.
-        let saver = warm_engine(&chunked_dir);
+        // "Process 1": solve once, checkpoint.
+        let saver = warm_engine(&dir);
         let first = saver.run(&problem, &options);
         assert_eq!(
             outcome_key(&first.outcome),
@@ -99,84 +98,75 @@ fn snapshot_restored_engines_match_cold_engines_on_every_benchmark() {
             benchmark.id
         );
         assert!(
-            saver.save_state(&chunked_dir).unwrap() >= 1,
-            "{}: chunked snapshot write",
+            saver.save_state(&dir).unwrap() >= 1,
+            "{}: snapshot write",
             benchmark.id
         );
         assert!(
-            saver.save_state_monolithic(&mono_dir).unwrap() >= 1,
-            "{}: monolithic snapshot write",
-            benchmark.id
-        );
-        assert!(
-            chunked_dir
-                .join("manifests")
+            dir.join("manifests")
                 .join(format!("{}.json", problem.fingerprint().to_hex()))
                 .is_file(),
             "{}: the chunked save must produce a manifest",
             benchmark.id
         );
 
-        // "Process 2": brand-new engines whose only warmth is the disk, one
-        // per format.  Outcome, iteration count and V± must be identical.
-        for (format, dir) in [("chunked", &chunked_dir), ("monolithic", &mono_dir)] {
-            let restored = warm_engine(dir).run(&problem, &options);
-            assert_eq!(
-                outcome_key(&restored.outcome),
-                outcome_key(&cold.outcome),
-                "{} [{format}]: snapshot-restored run diverged from a cold run",
-                benchmark.id
-            );
-            assert_eq!(
-                restored.stats.iterations, cold.stats.iterations,
-                "{} [{format}]: restored run took a different CEGIS path",
-                benchmark.id
-            );
-            assert_eq!(
-                restored.stats.final_positives, cold.stats.final_positives,
-                "{} [{format}]: restored run learned a different V+",
-                benchmark.id
-            );
-            assert_eq!(
-                restored.stats.final_negatives, cold.stats.final_negatives,
-                "{} [{format}]: restored run learned a different V−",
-                benchmark.id
-            );
+        // "Process 2": a brand-new engine whose only warmth is the disk.
+        // Outcome, iteration count and V± must be identical.
+        let restored = warm_engine(&dir).run(&problem, &options);
+        assert_eq!(
+            outcome_key(&restored.outcome),
+            outcome_key(&cold.outcome),
+            "{}: snapshot-restored run diverged from a cold run",
+            benchmark.id
+        );
+        assert_eq!(
+            restored.stats.iterations, cold.stats.iterations,
+            "{}: restored run took a different CEGIS path",
+            benchmark.id
+        );
+        assert_eq!(
+            restored.stats.final_positives, cold.stats.final_positives,
+            "{}: restored run learned a different V+",
+            benchmark.id
+        );
+        assert_eq!(
+            restored.stats.final_negatives, cold.stats.final_negatives,
+            "{}: restored run learned a different V−",
+            benchmark.id
+        );
 
-            // The warmth must be real and must have come from the disk.
-            assert!(
-                restored.stats.warm_start_loads > 0,
-                "{} [{format}]: nothing was restored ({:?})",
-                benchmark.id,
-                restored.stats
-            );
-            assert_eq!(
-                restored.stats.warm_start_quarantined, 0,
-                "{} [{format}]: a clean store quarantined something ({:?})",
-                benchmark.id, restored.stats
-            );
-            assert_eq!(
-                restored.stats.verification_cache_hits as usize, restored.stats.verification_calls,
-                "{} [{format}]: a restored identical re-run must answer every \
-                 check from the snapshot ({:?})",
-                benchmark.id, restored.stats
-            );
-            assert_eq!(
-                restored.stats.pool_builds, 0,
-                "{} [{format}]: a fully warm restored run enumerated pools",
-                benchmark.id
-            );
-            assert!(
-                restored.stats.synth_terms_enumerated <= cold.stats.synth_terms_enumerated,
-                "{} [{format}]: a restored bank enumerated more terms than a cold one ({} > {})",
-                benchmark.id,
-                restored.stats.synth_terms_enumerated,
-                cold.stats.synth_terms_enumerated
-            );
-        }
+        // The warmth must be real and must have come from the disk.
+        assert!(
+            restored.stats.warm_start_loads > 0,
+            "{}: nothing was restored ({:?})",
+            benchmark.id,
+            restored.stats
+        );
+        assert_eq!(
+            restored.stats.warm_start_quarantined, 0,
+            "{}: a clean store quarantined something ({:?})",
+            benchmark.id, restored.stats
+        );
+        assert_eq!(
+            restored.stats.verification_cache_hits as usize, restored.stats.verification_calls,
+            "{}: a restored identical re-run must answer every check from the \
+             snapshot ({:?})",
+            benchmark.id, restored.stats
+        );
+        assert_eq!(
+            restored.stats.pool_builds, 0,
+            "{}: a fully warm restored run enumerated pools",
+            benchmark.id
+        );
+        assert!(
+            restored.stats.synth_terms_enumerated <= cold.stats.synth_terms_enumerated,
+            "{}: a restored bank enumerated more terms than a cold one ({} > {})",
+            benchmark.id,
+            restored.stats.synth_terms_enumerated,
+            cold.stats.synth_terms_enumerated
+        );
     }
-    let _ = std::fs::remove_dir_all(&chunked_dir);
-    let _ = std::fs::remove_dir_all(&mono_dir);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
@@ -184,9 +174,8 @@ fn numeric_family_snapshots_restore_identically_in_both_formats() {
     // The numeric/trace family goes through the same store machinery —
     // including Int values in the term-bank interner and arithmetic
     // components in the session digest — so it must uphold the same
-    // three-way equivalence: chunked restore ≡ monolithic restore ≡ cold.
-    let chunked_dir = scratch_dir("numeric-chunked");
-    let mono_dir = scratch_dir("numeric-mono");
+    // equivalence: restored ≡ cold.
+    let dir = scratch_dir("numeric");
     for benchmark in benchmarks::numeric_registry() {
         let problem = benchmark
             .problem()
@@ -196,7 +185,7 @@ fn numeric_family_snapshots_restore_identically_in_both_formats() {
 
         let cold = Engine::with_defaults().run(&problem, &options);
 
-        let saver = warm_engine(&chunked_dir);
+        let saver = warm_engine(&dir);
         let first = saver.run(&problem, &options);
         assert_eq!(
             outcome_key(&first.outcome),
@@ -210,62 +199,49 @@ fn numeric_family_snapshots_restore_identically_in_both_formats() {
             benchmark.id,
             first.stats
         );
-        assert!(
-            saver.save_state(&chunked_dir).unwrap() >= 1,
-            "{}",
-            benchmark.id
-        );
-        assert!(
-            saver.save_state_monolithic(&mono_dir).unwrap() >= 1,
-            "{}",
-            benchmark.id
-        );
+        assert!(saver.save_state(&dir).unwrap() >= 1, "{}", benchmark.id);
 
-        for (format, dir) in [("chunked", &chunked_dir), ("monolithic", &mono_dir)] {
-            let restored = warm_engine(dir).run(&problem, &options);
-            assert_eq!(
-                outcome_key(&restored.outcome),
-                outcome_key(&cold.outcome),
-                "{} [{format}]: snapshot-restored run diverged from a cold run",
-                benchmark.id
-            );
-            assert_eq!(
-                restored.stats.iterations, cold.stats.iterations,
-                "{} [{format}]: restored run took a different CEGIS path",
-                benchmark.id
-            );
-            assert_eq!(
-                (
-                    restored.stats.final_positives,
-                    restored.stats.final_negatives
-                ),
-                (cold.stats.final_positives, cold.stats.final_negatives),
-                "{} [{format}]: restored run learned different examples",
-                benchmark.id
-            );
-            assert!(
-                restored.stats.warm_start_loads > 0,
-                "{} [{format}]: nothing was restored ({:?})",
-                benchmark.id,
-                restored.stats
-            );
-            assert_eq!(
-                restored.stats.warm_start_quarantined, 0,
-                "{} [{format}]: a clean store quarantined something",
-                benchmark.id
-            );
-            // Guess memos replay the arithmetic-atom counter: a fully warm
-            // identical re-run must report exactly the cold run's count.
-            assert_eq!(
-                restored.stats.synth_arith_atoms, cold.stats.synth_arith_atoms,
-                "{} [{format}]: memo-served guesses must replay the \
-                 arithmetic-atom counter ({:?})",
-                benchmark.id, restored.stats
-            );
-        }
+        let restored = warm_engine(&dir).run(&problem, &options);
+        assert_eq!(
+            outcome_key(&restored.outcome),
+            outcome_key(&cold.outcome),
+            "{}: snapshot-restored run diverged from a cold run",
+            benchmark.id
+        );
+        assert_eq!(
+            restored.stats.iterations, cold.stats.iterations,
+            "{}: restored run took a different CEGIS path",
+            benchmark.id
+        );
+        assert_eq!(
+            (
+                restored.stats.final_positives,
+                restored.stats.final_negatives
+            ),
+            (cold.stats.final_positives, cold.stats.final_negatives),
+            "{}: restored run learned different examples",
+            benchmark.id
+        );
+        assert!(
+            restored.stats.warm_start_loads > 0,
+            "{}: nothing was restored ({:?})",
+            benchmark.id,
+            restored.stats
+        );
+        assert_eq!(
+            restored.stats.warm_start_quarantined, 0,
+            "{}: a clean store quarantined something",
+            benchmark.id
+        );
+        // Guess memos replay the arithmetic-atom counter: a fully warm
+        // identical re-run must report exactly the cold run's count.
+        assert_eq!(
+            restored.stats.synth_arith_atoms, cold.stats.synth_arith_atoms,
+            "{}: memo-served guesses must replay the arithmetic-atom counter ({:?})",
+            benchmark.id, restored.stats
+        );
     }
-    let _ = std::fs::remove_dir_all(&chunked_dir);
-    let _ = std::fs::remove_dir_all(&mono_dir);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
@@ -284,7 +260,7 @@ fn every_chunk_tampered_in_turn_quarantines_only_itself() {
     let _ = saver.run(&problem, &options);
     saver.save_state(&dir).unwrap();
 
-    let store = hanoi_repro::store::ChunkStore::open(&dir).unwrap();
+    let store = ChunkStore::open(&dir).unwrap();
     let manifest = store.manifest(problem.fingerprint()).unwrap();
     assert!(
         manifest.entries.len() >= 3,
@@ -351,73 +327,79 @@ fn tampered_snapshots_fall_back_to_cold_never_a_wrong_answer() {
     let options = test_options();
     let cold = Engine::with_defaults().run(&problem, &options);
 
+    // Save this problem and one other, whose manifest is the "foreign" one.
+    let other = benchmarks::find("/other/cache").unwrap().problem().unwrap();
     let saver = warm_engine(&dir);
     let _ = saver.run(&problem, &options);
-    // This test pins the *legacy monolithic* format: one top-level
-    // `<fingerprint>.json` per problem, quarantined wholesale on any defect.
-    saver.save_state_monolithic(&dir).unwrap();
-    let path = dir.join(format!("{}.json", problem.fingerprint().to_hex()));
+    let _ = saver.run(&other, &options);
+    saver.save_state(&dir).unwrap();
+    let store = ChunkStore::open(&dir).unwrap();
+    let manifest_path = |fingerprint: hanoi_repro::lang::digest::Digest| {
+        dir.join("manifests")
+            .join(format!("{}.json", fingerprint.to_hex()))
+    };
+    let path = manifest_path(problem.fingerprint());
     let pristine = std::fs::read_to_string(&path).unwrap();
+    let foreign = std::fs::read_to_string(manifest_path(other.fingerprint())).unwrap();
+    let quarantine_path = path.with_extension("json.corrupt");
 
     // Each tampering mode must yield a *cold* run with the *correct*
     // outcome: no error surfaces, nothing is restored, nothing is wrong.
+    // `true` marks the modes where the manifest itself is defective and is
+    // moved aside; in the others it parses and the engine rejects the
+    // reassembled wrapper.
     let truncated = pristine[..pristine.len() / 3].to_string();
     let garbage = "this is not json{{{".to_string();
-    let version_bumped = pristine.replacen("\"version\": 1", "\"version\": 42", 1);
-    assert_ne!(version_bumped, pristine);
+    let version_bumped = pristine.replacen("\"wrapper_version\": 2", "\"wrapper_version\": 42", 1);
+    assert_ne!(
+        version_bumped, pristine,
+        "the wrapper version must be present"
+    );
     let wrong_kind = pristine.replacen("hanoi-warm-start", "some-other-kind", 1);
-    // Valid JSON, valid wrapper, corrupt component: break the check cache's
-    // entry list structurally.
-    let broken_component = pristine.replacen("\"entries\": [", "\"entries\": [17, ", 1);
-    assert_ne!(broken_component, pristine);
-    let quarantine_path = dir.join(format!("{}.json.corrupt", problem.fingerprint().to_hex()));
-    for (tag, tampered) in [
-        ("truncated", &truncated),
-        ("garbage", &garbage),
-        ("version-bumped", &version_bumped),
-        ("wrong-kind", &wrong_kind),
-        ("broken-component", &broken_component),
+    assert_ne!(wrong_kind, pristine);
+    for (tag, tampered, moved) in [
+        ("truncated", &truncated, true),
+        ("garbage", &garbage, true),
+        ("version-bumped", &version_bumped, false),
+        ("wrong-kind", &wrong_kind, false),
+        ("other-problem", &foreign, true),
     ] {
         std::fs::write(&path, tampered).unwrap();
-        let result = warm_engine(&dir).run(&problem, &options);
-        assert_eq!(
-            outcome_key(&result.outcome),
-            outcome_key(&cold.outcome),
-            "{tag}: tampered snapshot changed the outcome"
-        );
-        assert_eq!(
-            result.stats.warm_start_loads, 0,
-            "{tag}: a tampered snapshot must not partially restore"
-        );
-        assert_eq!(
-            result.stats.verification_cache_hits, 0,
-            "{tag}: nothing may be served from a rejected snapshot"
-        );
-        assert_eq!(
-            result.stats.iterations, cold.stats.iterations,
-            "{tag}: the fallback run must be exactly the cold run"
-        );
-        // Every rejected-but-present snapshot is quarantined: moved aside
-        // to `<fingerprint>.json.corrupt` (so the next process start does
-        // not re-parse the same broken bytes) and reported in the stats.
-        assert_eq!(
-            result.stats.warm_start_quarantined, 1,
-            "{tag}: a rejected snapshot must be reported as quarantined"
-        );
-        assert!(
-            quarantine_path.is_file(),
-            "{tag}: the broken snapshot must be preserved at {quarantine_path:?}"
-        );
-        assert!(
-            !path.is_file(),
-            "{tag}: the broken snapshot must be moved aside, not left in place"
-        );
-        assert_eq!(
-            std::fs::read_to_string(&quarantine_path).unwrap(),
-            **tampered,
-            "{tag}: quarantine must preserve the defective bytes for diagnosis"
-        );
+        assert_falls_back_to_cold(&dir, &problem, &cold, tag);
+        if moved {
+            assert!(
+                !path.is_file(),
+                "{tag}: the broken manifest must be moved aside"
+            );
+            assert_eq!(
+                std::fs::read_to_string(&quarantine_path).unwrap(),
+                **tampered,
+                "{tag}: quarantine must preserve the defective bytes for diagnosis"
+            );
+            std::fs::remove_file(&quarantine_path).unwrap();
+        }
     }
+
+    // A lying chunk: valid JSON under a valid content address, but its
+    // check stripe carries an entry the check-cache decoder rejects, so the
+    // whole wrapper fails validation.
+    std::fs::write(&path, &pristine).unwrap();
+    let mut lying = store.manifest(problem.fingerprint()).unwrap();
+    let stripe = lying
+        .entries
+        .iter_mut()
+        .find(|e| e.section == "checks")
+        .expect("a solved benchmark memoizes checks");
+    let ChunkLoad::Loaded(Json::Obj(mut chunk)) = store.load_chunk(stripe.chunk) else {
+        panic!("the pristine stripe must load");
+    };
+    let Some(Json::Arr(entries)) = chunk.get_mut("entries") else {
+        panic!("a check stripe has an entry list");
+    };
+    entries.insert(0, Json::Num(17.0));
+    (stripe.chunk, stripe.bytes, _) = store.put_chunk(&Json::Obj(chunk).render_pretty()).unwrap();
+    store.put_manifest(&lying).unwrap();
+    assert_falls_back_to_cold(&dir, &problem, &cold, "lying-chunk");
 
     // And the pristine snapshot still restores after all that — with
     // nothing quarantined on the clean path.
@@ -426,8 +408,41 @@ fn tampered_snapshots_fall_back_to_cold_never_a_wrong_answer() {
     assert_eq!(outcome_key(&restored.outcome), outcome_key(&cold.outcome));
     assert!(restored.stats.warm_start_loads > 0);
     assert_eq!(restored.stats.warm_start_quarantined, 0);
-    assert!(path.is_file(), "a valid snapshot stays in place");
+    assert!(path.is_file(), "a valid manifest stays in place");
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Restores `problem` from the tampered store at `dir` and asserts the run
+/// is exactly the cold run, with nothing restored and one rejected artifact
+/// reported.
+fn assert_falls_back_to_cold(
+    dir: &PathBuf,
+    problem: &hanoi_repro::abstraction::Problem,
+    cold: &hanoi_repro::hanoi::RunResult,
+    tag: &str,
+) {
+    let result = warm_engine(dir).run(problem, &test_options());
+    assert_eq!(
+        outcome_key(&result.outcome),
+        outcome_key(&cold.outcome),
+        "{tag}: tampered snapshot changed the outcome"
+    );
+    assert_eq!(
+        result.stats.iterations, cold.stats.iterations,
+        "{tag}: the fallback run must be exactly the cold run"
+    );
+    assert_eq!(
+        result.stats.warm_start_loads, 0,
+        "{tag}: a tampered snapshot must not partially restore"
+    );
+    assert_eq!(
+        result.stats.verification_cache_hits, 0,
+        "{tag}: nothing may be served from a rejected snapshot"
+    );
+    assert_eq!(
+        result.stats.warm_start_quarantined, 1,
+        "{tag}: a rejected snapshot must be reported as quarantined"
+    );
 }
 
 #[test]
