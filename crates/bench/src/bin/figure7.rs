@@ -59,7 +59,7 @@ fn main() {
     harness.save_engine(&engine);
     println!("{}", figure7_table(&rows));
     println!("{}", completion_summary(&rows));
-    let json = hanoi_bench::json::Json::Arr(rows.iter().map(Row::to_json).collect());
+    let json = hanoi::json::Json::Arr(rows.iter().map(Row::to_json).collect());
     if std::fs::write(&out_path, json.render_pretty()).is_ok() {
         eprintln!("wrote {out_path}");
     }

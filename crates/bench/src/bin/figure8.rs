@@ -89,7 +89,7 @@ fn main() {
         .collect();
     println!("{}", figure8_series(&rows, &thresholds));
     println!("{}", completion_summary(&rows));
-    let json = hanoi_bench::json::Json::Arr(rows.iter().map(Row::to_json).collect());
+    let json = hanoi::json::Json::Arr(rows.iter().map(Row::to_json).collect());
     if std::fs::write(&out_path, json.render_pretty()).is_ok() {
         eprintln!("wrote {out_path}");
     }

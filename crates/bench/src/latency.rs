@@ -12,7 +12,7 @@
 
 use std::time::Duration;
 
-use crate::json::Json;
+use hanoi::json::Json;
 
 /// An exact-sample latency histogram.
 #[derive(Debug, Clone, Default)]

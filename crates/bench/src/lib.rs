@@ -8,10 +8,11 @@
 //!   for Hanoi, Hanoi−SRC, Hanoi−CLC, ∧Str, LA and OneShot (Figure 8);
 //! * `ablation_synth` (binary) — the §5.4 comparison between the Myth-style
 //!   synthesizer and the fold-capable prototype;
-//! * the `cegis_hot_path` bench (`benches/`) — serial vs parallel checks,
-//!   the pool and check caches and warm restarts, summarized in
-//!   `BENCH_verification.json`.  Per-layer timings of the whole suite come
-//!   from the separate `perfbench` package.
+//! * `hanoi_trace` (binary) — fixed-seed trace emission and held-out
+//!   validation for the `/numeric/*` benchmarks.
+//!
+//! Timings of the whole suite, end to end and per layer, come from the
+//! separate `perfbench` package.
 //!
 //! Runs go through a [`hanoi::Engine`]; whether runs share one engine is a
 //! *measurement* decision.  `figure7` (one configuration) uses a single
@@ -27,7 +28,6 @@
 //! *shape* of the results, and EXPERIMENTS.md records the comparison.
 
 pub mod cli;
-pub mod json;
 pub mod latency;
 pub mod report;
 
@@ -38,7 +38,7 @@ use hanoi_abstraction::Problem;
 use hanoi_benchmarks::Benchmark;
 use hanoi_verifier::VerifierBounds;
 
-use crate::json::{Json, JsonError};
+use hanoi::json::{self, Json, JsonError};
 
 /// How an individual run ended, in serialisable form.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

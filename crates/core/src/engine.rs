@@ -40,8 +40,8 @@
 //! when a problem is first opened: a freshly started process re-running a
 //! problem an earlier process solved answers its verifier checks from the
 //! restored cache without a single sweep (`RunStats::warm_start_loads`
-//! reports the restore; the `cross_process_warm` and `fleet_warm` workloads
-//! of the `cegis_hot_path` bench measure it).  Snapshots are advisory: a
+//! reports the restore; the `warm-restart` workload of the `perfbench` suite
+//! benchmark measures it).  Snapshots are advisory: a
 //! corrupt *chunk* is quarantined individually and the restore proceeds with
 //! the rest, while corrupt or truncated manifests, version-mismatched or
 //! wrong-problem wrappers and components that fail to decode degrade to a

@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! hanoi_stress --spawn [--mode stress|chaos|both] [--clients N]
-//!              [--requests N] [--out BENCH_verification.json]
+//!              [--requests N] [--out REPORT.json]
 //! hanoi_stress --addr HOST:PORT [--mode stress] [...]
 //! ```
 //!
@@ -38,8 +38,8 @@
 //!   `warm_start_loads > 0`.
 //!
 //! Any violated expectation is reported on stderr and the process exits
-//! non-zero.  With `--out`, the measurements are merged into the given
-//! JSON report under a `server_stress` key (other keys are preserved).
+//! non-zero.  The JSON report goes to stdout and, with `--out`, to the given
+//! file (overwritten).
 
 use std::io::{BufRead, BufReader, ErrorKind, Write};
 use std::net::TcpStream;
@@ -1167,21 +1167,6 @@ fn scenario_quarantine(addr: &str) -> Result<(), String> {
 // Drain + report plumbing
 // ---------------------------------------------------------------------------
 
-fn merge_into_bench_report(path: &str, section: Json) -> Result<(), String> {
-    let mut root = match std::fs::read_to_string(path) {
-        Ok(text) => json::parse(&text).map_err(|e| format!("{path}: {e}"))?,
-        Err(e) if e.kind() == ErrorKind::NotFound => Json::obj([]),
-        Err(e) => return Err(format!("{path}: {e}")),
-    };
-    match &mut root {
-        Json::Obj(map) => {
-            map.insert("server_stress".to_string(), section);
-        }
-        _ => return Err(format!("{path}: top level is not an object")),
-    }
-    std::fs::write(path, root.render_pretty() + "\n").map_err(|e| format!("{path}: {e}"))
-}
-
 fn scratch_dir(tag: &str) -> std::path::PathBuf {
     let dir = std::env::temp_dir().join(format!("hanoi-stress-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
@@ -1410,11 +1395,9 @@ fn main() {
     let section = report.summary(clients, requests);
     println!("{}", section.render_pretty());
     if let Some(path) = out {
-        match merge_into_bench_report(&path, section) {
-            Ok(()) => eprintln!("hanoi-stress: wrote `server_stress` section to {path}"),
-            Err(e) => {
-                report.violation(format!("report: {e}"));
-            }
+        match std::fs::write(&path, section.render_pretty() + "\n") {
+            Ok(()) => eprintln!("hanoi-stress: wrote the report to {path}"),
+            Err(e) => report.violation(format!("report: {path}: {e}")),
         }
     }
     if report.violations.is_empty() {

@@ -9,7 +9,7 @@
 //! ```
 //!
 //! Every subcommand prints one JSON object on stdout (machine-consumable —
-//! the CI smoke job and `scripts/bench_trend` parse it) and exits non-zero
+//! the CI smoke job parses it) and exits non-zero
 //! on I/O failure.  `verify` additionally exits with status 2 when it
 //! quarantined chunks or found broken manifests, so scripts can gate on
 //! store health.

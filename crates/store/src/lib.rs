@@ -54,8 +54,8 @@
 //! manifests the destination is missing (or holds an older version of) and
 //! only the chunks those manifests need that the destination does not
 //! already have.  The Nth process in a fleet therefore warms up by copying
-//! deltas, not whole snapshots — see the `fleet_warm` workload of the
-//! `cegis_hot_path` bench.  [`ChunkStore::sync`] is the bidirectional
+//! deltas, not whole snapshots (`tests/store_roundtrip.rs` pins the delta
+//! bound).  [`ChunkStore::sync`] is the bidirectional
 //! convenience (pull, then push).
 //!
 //! The `hanoi-store` admin binary exposes `stats`, `verify`, `gc

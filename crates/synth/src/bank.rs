@@ -54,8 +54,8 @@
 //! * **instrumentation hub** — terms enumerated, signature-column appends,
 //!   equivalence-class splits (previously-merged terms distinguished by a
 //!   new column), bank hit/miss, bitset-op, memo-hit and probe-batch
-//!   counters, surfaced through `RunStats` and the `cegis_hot_path` bench's
-//!   `synthesis_multi_cex` workload.
+//!   counters, surfaced through `RunStats` and the per-layer metrics of the
+//!   `perfbench` suite benchmark.
 //!
 //! The bank is owned by the CEGIS session (each synthesizer instance holds
 //! one across all of its `synthesize` calls) and is safe to share with the

@@ -9,8 +9,9 @@
 //! the problem and the caches: any warm/cold divergence is a cache bug, not
 //! scheduling noise.
 
-use hanoi_repro::benchmarks;
-use hanoi_repro::hanoi::{Engine, Mode, Outcome, RunOptions};
+use hanoi_repro::benchmarks::{self, Benchmark};
+use hanoi_repro::hanoi::{Engine, Mode, Outcome, RunOptions, RunResult};
+use hanoi_repro::synth::arith::ArithBounds;
 use hanoi_repro::synth::SearchConfig;
 use hanoi_repro::verifier::VerifierBounds;
 
@@ -46,69 +47,91 @@ fn outcome_key(outcome: &Outcome) -> String {
     }
 }
 
+/// Runs `benchmark` on a cold engine and twice through one warm engine, and
+/// asserts the runs agree and the warm re-run rebuilt nothing.  Returns the
+/// cold run.
+fn assert_warm_matches_cold(benchmark: &Benchmark, options: &RunOptions) -> RunResult {
+    let problem = benchmark
+        .problem()
+        .unwrap_or_else(|e| panic!("{}: {e}", benchmark.id));
+
+    // Cold: a fresh engine, exactly one run.
+    let cold = Engine::with_defaults().run(&problem, options);
+
+    // Warm: one engine, the same run twice; the second starts from the
+    // first run's pools and term bank.
+    let engine = Engine::with_defaults();
+    let session = engine.session(&problem);
+    let first = session.run(options);
+    let warm = session.run(options);
+
+    assert_eq!(
+        outcome_key(&first.outcome),
+        outcome_key(&cold.outcome),
+        "{}: first warm-engine run diverged from a cold engine",
+        benchmark.id
+    );
+    assert_eq!(
+        outcome_key(&warm.outcome),
+        outcome_key(&cold.outcome),
+        "{}: warm re-run diverged from a cold run",
+        benchmark.id
+    );
+    assert_eq!(
+        warm.stats.iterations, cold.stats.iterations,
+        "{}: warm re-run took a different CEGIS path",
+        benchmark.id
+    );
+    assert_eq!(
+        warm.stats.final_positives, cold.stats.final_positives,
+        "{}: warm re-run learned a different V+",
+        benchmark.id
+    );
+    assert_eq!(
+        warm.stats.final_negatives, cold.stats.final_negatives,
+        "{}: warm re-run learned a different V−",
+        benchmark.id
+    );
+
+    // The warmth must be real: the second run re-enumerates nothing.
+    assert_eq!(
+        warm.stats.pool_builds, 0,
+        "{}: a warm run built pools ({:?})",
+        benchmark.id, warm.stats
+    );
+    assert_eq!(
+        warm.stats.pool_slab_builds, 0,
+        "{}: a warm run built slabs",
+        benchmark.id
+    );
+    assert!(
+        warm.stats.synth_terms_enumerated <= cold.stats.synth_terms_enumerated,
+        "{}: a warm bank enumerated more terms than a cold one ({} > {})",
+        benchmark.id,
+        warm.stats.synth_terms_enumerated,
+        cold.stats.synth_terms_enumerated
+    );
+    cold
+}
+
 #[test]
 fn warm_engines_match_cold_engines_on_every_benchmark() {
     for benchmark in benchmarks::registry() {
-        let problem = benchmark
-            .problem()
-            .unwrap_or_else(|e| panic!("{}: {e}", benchmark.id));
-        let options = test_options();
+        assert_warm_matches_cold(&benchmark, &test_options());
+    }
+}
 
-        // Cold: a fresh engine, exactly one run.
-        let cold = Engine::with_defaults().run(&problem, &options);
-
-        // Warm: one engine, the same run twice; the second starts from the
-        // first run's pools and term bank.
-        let engine = Engine::with_defaults();
-        let session = engine.session(&problem);
-        let first = session.run(&options);
-        let warm = session.run(&options);
-
-        assert_eq!(
-            outcome_key(&first.outcome),
-            outcome_key(&cold.outcome),
-            "{}: first warm-engine run diverged from a cold engine",
-            benchmark.id
-        );
-        assert_eq!(
-            outcome_key(&warm.outcome),
-            outcome_key(&cold.outcome),
-            "{}: warm re-run diverged from a cold run",
-            benchmark.id
-        );
-        assert_eq!(
-            warm.stats.iterations, cold.stats.iterations,
-            "{}: warm re-run took a different CEGIS path",
-            benchmark.id
-        );
-        assert_eq!(
-            warm.stats.final_positives, cold.stats.final_positives,
-            "{}: warm re-run learned a different V+",
-            benchmark.id
-        );
-        assert_eq!(
-            warm.stats.final_negatives, cold.stats.final_negatives,
-            "{}: warm re-run learned a different V−",
-            benchmark.id
-        );
-
-        // The warmth must be real: the second run re-enumerates nothing.
-        assert_eq!(
-            warm.stats.pool_builds, 0,
-            "{}: a warm run built pools ({:?})",
-            benchmark.id, warm.stats
-        );
-        assert_eq!(
-            warm.stats.pool_slab_builds, 0,
-            "{}: a warm run built slabs",
-            benchmark.id
-        );
+#[test]
+fn warm_engines_match_cold_engines_on_every_numeric_benchmark() {
+    // The linear-arithmetic grammar replays through the same caches: warm
+    // re-runs must agree with cold ones and the grammar must be exercised.
+    let options = test_options().with_numeric_grammar(&ArithBounds::default());
+    for benchmark in benchmarks::numeric_registry() {
+        let cold = assert_warm_matches_cold(&benchmark, &options);
         assert!(
-            warm.stats.synth_terms_enumerated <= cold.stats.synth_terms_enumerated,
-            "{}: a warm bank enumerated more terms than a cold one ({} > {})",
-            benchmark.id,
-            warm.stats.synth_terms_enumerated,
-            cold.stats.synth_terms_enumerated
+            cold.stats.synth_arith_atoms > 0,
+            "{}: no arithmetic atoms enumerated",
+            benchmark.id
         );
     }
 }

@@ -1,7 +1,7 @@
 //! Fleet-level store operations seen from the engine: merging two stores
 //! yields the union of their warmth, GC under a byte budget never breaks a
-//! manifest that a later restore needs, bidirectional sync transfers only
-//! the difference.
+//! manifest that a later restore needs, bidirectional sync and repeated
+//! replication transfer only the difference.
 //!
 //! `tests/warm_start_equivalence.rs` pins that a *single* store round-trips
 //! faithfully; this suite pins that the *administrative* operations
@@ -193,4 +193,42 @@ fn gc_respects_the_budget_and_never_breaks_a_surviving_manifest() {
     assert_eq!(a_result.stats.warm_start_quarantined, 0);
 
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn fleet_replication_sends_only_the_delta_and_then_nothing() {
+    let dir_source = scratch_dir("fleet-source");
+    let dir_replica = scratch_dir("fleet-replica");
+    // The established fleet state, the running example's large check cache
+    // among it, so the full transfer is dominated by warmth the delta pass
+    // must not re-send.
+    for id in ["/coq/unique-list-::-set", A, "/other/sized-list"] {
+        populate(&dir_source, id);
+    }
+
+    let source = ChunkStore::open(&dir_source).unwrap();
+    let replica = ChunkStore::open(&dir_replica).unwrap();
+    // A new machine joins the fleet: everything transfers.
+    let full = replica.merge_from(&source).unwrap();
+    assert_eq!(full.manifests_copied, 3, "{full:?}");
+
+    // The source solves one more problem; only its chunks move.
+    let (_, b_outcome) = populate(&dir_source, B);
+    let delta = replica.merge_from(&source).unwrap();
+    assert_eq!(delta.manifests_copied, 1, "{delta:?}");
+    assert!(
+        delta.chunk_bytes_copied * 3 <= full.chunk_bytes_copied,
+        "the delta pass re-sent the fleet: {} of {} bytes",
+        delta.chunk_bytes_copied,
+        full.chunk_bytes_copied
+    );
+
+    // Converged: nothing left to move, and the replicated warmth restores.
+    let converged = replica.merge_from(&source).unwrap();
+    assert_eq!(converged.manifests_copied, 0, "{converged:?}");
+    assert_eq!(converged.chunks_copied, 0, "{converged:?}");
+    assert_warm(&dir_replica, B, &b_outcome);
+
+    let _ = std::fs::remove_dir_all(&dir_source);
+    let _ = std::fs::remove_dir_all(&dir_replica);
 }

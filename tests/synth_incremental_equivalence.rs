@@ -320,6 +320,15 @@ fn bank_reuse_across_iterations_serves_hits() {
         stats.bank_hits,
         stats.bank_misses
     );
+    assert!(
+        stats.guess_memo_hits > 0,
+        "a growing example sequence must replay unchanged sub-guesses from \
+         the guess memo: {stats:?}"
+    );
+    assert!(
+        stats.probe_batches > 0,
+        "component applications must go through batched probes: {stats:?}"
+    );
 }
 
 #[test]
@@ -603,6 +612,14 @@ fn word_boundary_example_sets_agree_across_representations() {
     assert_eq!(b.eq_class_splits, i.eq_class_splits);
     assert!(b.bitset_row_ops > 0, "the packed path must be exercised");
     assert_eq!(i.bitset_row_ops, 0, "the id-row path must not pack");
+
+    // Parallel guessing over multi-word lanes must not change the outcome
+    // at any level.
+    for parallelism in [2usize, 4, 0] {
+        let engine = Engine::new(&problem, test_config(parallelism));
+        let parallel = engine.synthesize_with_bank(&TermBank::new(), &examples, &Deadline::none());
+        assert_eq!(parallel, packed, "parallelism {parallelism}");
+    }
 }
 
 #[test]
