@@ -16,6 +16,11 @@
 //! overflow the stack with a deeply nested document; every entry point
 //! therefore enforces a nesting-depth ceiling ([`DEFAULT_MAX_DEPTH`] unless
 //! the caller picks a tighter one).
+//!
+//! Decoding is linear in the input: the parser copies each string's runs of
+//! plain bytes in one step, and [`FrameReader`] scans every buffered byte
+//! for a newline once, however the frame is split across reads.  Outside
+//! bytes therefore cost time in proportion to their size, never a stall.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -115,14 +120,6 @@ impl Json {
     }
 
     fn write(&self, out: &mut String, indent: Option<usize>, depth: usize) {
-        let (nl, pad, pad_in) = match indent {
-            Some(width) => (
-                "\n",
-                " ".repeat(width * depth),
-                " ".repeat(width * (depth + 1)),
-            ),
-            None => ("", String::new(), String::new()),
-        };
         match self {
             Json::Null => out.push_str("null"),
             Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
@@ -144,12 +141,10 @@ impl Json {
                     if i > 0 {
                         out.push(',');
                     }
-                    out.push_str(nl);
-                    out.push_str(&pad_in);
+                    new_line(out, indent, depth + 1);
                     item.write(out, indent, depth + 1);
                 }
-                out.push_str(nl);
-                out.push_str(&pad);
+                new_line(out, indent, depth);
                 out.push(']');
             }
             Json::Obj(map) => {
@@ -162,8 +157,7 @@ impl Json {
                     if i > 0 {
                         out.push(',');
                     }
-                    out.push_str(nl);
-                    out.push_str(&pad_in);
+                    new_line(out, indent, depth + 1);
                     write_escaped(out, key);
                     out.push(':');
                     if indent.is_some() {
@@ -171,11 +165,19 @@ impl Json {
                     }
                     value.write(out, indent, depth + 1);
                 }
-                out.push_str(nl);
-                out.push_str(&pad);
+                new_line(out, indent, depth);
                 out.push('}');
             }
         }
+    }
+}
+
+/// In pretty mode, starts a new line indented `depth` levels; compact
+/// rendering writes nothing.
+fn new_line(out: &mut String, indent: Option<usize>, depth: usize) {
+    if let Some(width) = indent {
+        out.push('\n');
+        out.extend(std::iter::repeat_n(' ', width * depth));
     }
 }
 
@@ -282,6 +284,7 @@ pub fn parse(input: &str) -> Result<Json, JsonError> {
 /// untrusted frames pick a much tighter bound than the snapshot loaders.
 pub fn parse_with_limits(input: &str, max_depth: usize) -> Result<Json, JsonError> {
     let mut p = Parser {
+        text: input,
         bytes: input.as_bytes(),
         pos: 0,
         depth: 0,
@@ -297,6 +300,8 @@ pub fn parse_with_limits(input: &str, max_depth: usize) -> Result<Json, JsonErro
 }
 
 struct Parser<'a> {
+    /// The input; `bytes` is the same text as bytes.
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
     depth: usize,
@@ -457,12 +462,16 @@ impl Parser<'_> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar.
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|_| self.err("invalid UTF-8"))?;
-                    let c = s.chars().next().unwrap();
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the whole run of plain bytes up to the next quote,
+                    // backslash or the end of input.  Both stop bytes are
+                    // ASCII, so the run ends on a char boundary.
+                    let run = &self.text[self.pos..];
+                    let len = run
+                        .bytes()
+                        .position(|b| b == b'"' || b == b'\\')
+                        .unwrap_or(run.len());
+                    out.push_str(&run[..len]);
+                    self.pos += len;
                 }
             }
         }
@@ -538,6 +547,9 @@ pub struct FrameReader {
     buf: Vec<u8>,
     /// Bytes of `buf` already handed out as frames (consumed prefix).
     start: usize,
+    /// End of the prefix already searched for a newline: `buf[start..scanned]`
+    /// holds none, so each byte is scanned once however the frame trickles in.
+    scanned: usize,
     max_bytes: usize,
     /// `true` while discarding the tail of an oversized line.
     discarding: bool,
@@ -549,6 +561,7 @@ impl FrameReader {
         FrameReader {
             buf: Vec::new(),
             start: 0,
+            scanned: 0,
             max_bytes,
             discarding: false,
         }
@@ -564,46 +577,31 @@ impl FrameReader {
     pub fn read_frame(&mut self, reader: &mut impl Read) -> FrameResult {
         let mut chunk = [0u8; 8192];
         loop {
-            // Serve a complete line from the buffer first.
-            while let Some(nl) = self.buf[self.start..].iter().position(|b| *b == b'\n') {
-                let line_end = self.start + nl;
-                let line: Vec<u8> = self.buf[self.start..line_end].to_vec();
+            // Serve a complete line from the buffer first, searching only
+            // the bytes no earlier pass has scanned.
+            while let Some(nl) = self.buf[self.scanned..].iter().position(|b| *b == b'\n') {
+                let (line_start, line_end) = (self.start, self.scanned + nl);
                 self.start = line_end + 1;
-                self.compact();
-                if self.discarding {
+                self.scanned = self.start;
+                let result = if self.discarding {
                     // The tail of an oversized line: swallow it and resume
                     // normal framing with the next line.
                     self.discarding = false;
-                    continue;
-                }
-                if line.len() > self.max_bytes {
-                    // The whole line arrived before the cap check ran (one
-                    // large read): same defect, nothing left to discard.
-                    return FrameResult::Oversized {
-                        limit: self.max_bytes,
-                    };
-                }
-                // Tolerate CRLF peers.
-                let line = match line.last() {
-                    Some(b'\r') => &line[..line.len() - 1],
-                    _ => &line[..],
+                    None
+                } else {
+                    self.line_result(line_start, line_end)
                 };
-                // Skip blank keep-alive lines rather than erroring on them.
-                if line.is_empty() {
-                    continue;
+                self.compact();
+                if let Some(result) = result {
+                    return result;
                 }
-                return match String::from_utf8(line.to_vec()) {
-                    Ok(text) => FrameResult::Frame(text),
-                    Err(_) => FrameResult::InvalidUtf8,
-                };
             }
+            self.scanned = self.buf.len();
             if self.discarding {
                 // Still inside an oversized line: drop everything buffered.
-                self.buf.clear();
-                self.start = 0;
+                self.clear();
             } else if self.partial_len() > self.max_bytes {
-                self.buf.clear();
-                self.start = 0;
+                self.clear();
                 self.discarding = true;
                 return FrameResult::Oversized {
                     limit: self.max_bytes,
@@ -629,10 +627,41 @@ impl FrameReader {
         }
     }
 
+    /// The outcome of the complete line `buf[start..end]`, or `None` for a
+    /// blank keep-alive line.
+    fn line_result(&self, start: usize, end: usize) -> Option<FrameResult> {
+        let line = &self.buf[start..end];
+        if line.len() > self.max_bytes {
+            // The whole line arrived before the cap check ran (one large
+            // read): same defect, nothing left to discard.
+            return Some(FrameResult::Oversized {
+                limit: self.max_bytes,
+            });
+        }
+        // Tolerate CRLF peers.
+        let line = line.strip_suffix(b"\r").unwrap_or(line);
+        // Skip blank keep-alive lines rather than erroring on them.
+        if line.is_empty() {
+            return None;
+        }
+        Some(match std::str::from_utf8(line) {
+            Ok(text) => FrameResult::Frame(text.to_owned()),
+            Err(_) => FrameResult::InvalidUtf8,
+        })
+    }
+
+    /// Drops everything buffered.
+    fn clear(&mut self) {
+        self.buf.clear();
+        self.start = 0;
+        self.scanned = 0;
+    }
+
     /// Drops the consumed prefix once it dominates the buffer.
     fn compact(&mut self) {
         if self.start > 4096 && self.start * 2 >= self.buf.len() {
             self.buf.drain(..self.start);
+            self.scanned -= self.start;
             self.start = 0;
         }
     }
@@ -651,6 +680,21 @@ pub fn write_frame(writer: &mut impl Write, json: &Json) -> std::io::Result<()> 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A reader that hands out its bytes at most three per `read`.
+    struct Trickle(Vec<u8>, usize);
+
+    impl Read for Trickle {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            if self.1 >= self.0.len() {
+                return Ok(0);
+            }
+            let n = buf.len().min(3).min(self.0.len() - self.1);
+            buf[..n].copy_from_slice(&self.0[self.1..self.1 + n]);
+            self.1 += n;
+            Ok(n)
+        }
+    }
 
     #[test]
     fn round_trips_a_flat_object() {
@@ -672,6 +716,206 @@ mod tests {
     fn escapes_round_trip() {
         let value = Json::Str("a\"b\\c\nd\te\u{1}".into());
         assert_eq!(parse(&value.render()).unwrap(), value);
+    }
+
+    #[test]
+    fn multibyte_scalars_decode_beside_escapes() {
+        // 2-, 3- and 4-byte scalars at the start, middle and end of a
+        // string, and directly before and after escapes.
+        for c in ['é', '€', '😀'] {
+            for (raw, decoded) in [
+                (format!("{c}ab"), format!("{c}ab")),
+                (format!("a{c}b"), format!("a{c}b")),
+                (format!("ab{c}"), format!("ab{c}")),
+                (format!("{c}"), format!("{c}")),
+                (format!("{c}{c}{c}"), format!("{c}{c}{c}")),
+                (format!("{c}\\n"), format!("{c}\n")),
+                (format!("\\\"{c}"), format!("\"{c}")),
+                (format!("a\\\\{c}\\/b"), format!("a\\{c}/b")),
+                (format!("\\u00e9{c}\\u20ac"), format!("é{c}€")),
+                (format!("{c}\\ud800{c}"), format!("{c}\u{fffd}{c}")),
+            ] {
+                let src = format!("\"{raw}\"");
+                let value = Json::Str(decoded.clone());
+                assert_eq!(parse(&src).as_ref(), Ok(&value), "{src}");
+                // Object keys take the same path.
+                let obj = format!("{{{src}:{src}}}");
+                assert_eq!(parse(&obj).unwrap().get(&decoded), Some(&value), "{obj}");
+            }
+        }
+    }
+
+    #[test]
+    fn string_errors_keep_their_offsets() {
+        // Cut off at EOF right after a multi-byte scalar: the error points
+        // at the end of the input.
+        for src in ["\"ab€", "\"😀", "\"é", "[\"x\",\"€€", "{\"k€"] {
+            let err = parse(src).unwrap_err();
+            assert_eq!(err.message, "unterminated string", "{src}");
+            assert_eq!(err.offset, src.len(), "{src}");
+        }
+        let cases: [(&str, &str, usize); 7] = [
+            ("\"€\\q\"", "bad escape", 5),
+            ("\"€\\", "bad escape", 5),
+            ("\"€\\é\"", "bad escape", 5),
+            ("\"😀\\u12", "truncated \\u escape", 6),
+            ("\"😀\\u12zz\"", "bad \\u escape", 6),
+            ("\"a\\u00€\"", "bad \\u escape", 3),
+            ("\"€\" x", "trailing characters", 6),
+        ];
+        for (src, message, offset) in cases {
+            let err = parse(src).unwrap_err();
+            assert_eq!(
+                (err.message.as_str(), err.offset),
+                (message, offset),
+                "{src}"
+            );
+        }
+    }
+
+    #[test]
+    fn random_strings_round_trip() {
+        // Dependency-free splitmix64 so every run draws the same strings.
+        let mut state = 0x5eed_u64;
+        let mut next = move || {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        };
+        let pool = [
+            '"', '\\', '/', '\n', '\r', '\t', '\u{0}', '\u{1f}', '\u{7f}',
+        ];
+        for _ in 0..400 {
+            let len = (next() % 40) as usize;
+            let s: String = (0..len)
+                .map(|_| match next() % 6 {
+                    0 => pool[(next() % pool.len() as u64) as usize],
+                    1 => char::from_u32((next() % 0x20) as u32).unwrap(),
+                    2 => char::from_u32(0x80 + (next() % 0x780) as u32).unwrap(),
+                    3 => char::from_u32(0x800 + (next() % 0xf800) as u32).unwrap_or('\u{fffd}'),
+                    4 => char::from_u32(0x1_0000 + (next() % 0x10_0000) as u32).unwrap(),
+                    _ => char::from(b' ' + (next() % 95) as u8),
+                })
+                .collect();
+            let value = Json::Str(s);
+            assert_eq!(parse(&value.render()), Ok(value.clone()));
+            assert_eq!(parse(&value.render_pretty()), Ok(value));
+        }
+    }
+
+    #[test]
+    fn rendering_is_byte_stable() {
+        // Chunk files are addressed by the digest of their rendered text, so
+        // both renderings must stay byte-for-byte what they are.
+        let doc = parse(
+            r#"{"arr":[1,-2.5,[],{},[true,null]],"empty":{},"esc":"q\"b\\n\n\t\u0001é",
+                "nested":{"k":[{"x":1e20,"y":0.125}],"z":-0}}"#,
+        )
+        .unwrap();
+        assert_eq!(
+            doc.render(),
+            r#"{"arr":[1,-2.5,[],{},[true,null]],"empty":{},"esc":"q\"b\\n\n\t\u0001é","nested":{"k":[{"x":100000000000000000000,"y":0.125}],"z":0}}"#
+        );
+        let pretty = r#"{
+  "arr": [
+    1,
+    -2.5,
+    [],
+    {},
+    [
+      true,
+      null
+    ]
+  ],
+  "empty": {},
+  "esc": "q\"b\\n\n\t\u0001é",
+  "nested": {
+    "k": [
+      {
+        "x": 100000000000000000000,
+        "y": 0.125
+      }
+    ],
+    "z": 0
+  }
+}"#;
+        assert_eq!(doc.render_pretty(), pretty);
+        assert_eq!(Json::Arr(vec![]).render_pretty(), "[]");
+        assert_eq!(Json::Num(3.0).render_pretty(), "3");
+    }
+
+    /// Runs `decode` on its own thread and fails the test once `ceiling`
+    /// passes, so a super-linear decoder fails here instead of hanging.  Only
+    /// a timed-out thread is left unjoined; the test process reaps it.
+    fn decode_within<T: Send + 'static>(
+        ceiling: std::time::Duration,
+        decode: impl FnOnce() -> T + Send + 'static,
+    ) -> T {
+        use std::sync::mpsc::RecvTimeoutError;
+        let (tx, rx) = std::sync::mpsc::channel();
+        let worker = std::thread::spawn(move || {
+            let _ = tx.send(decode());
+        });
+        match rx.recv_timeout(ceiling) {
+            Ok(value) => {
+                worker
+                    .join()
+                    .expect("the decoder thread already sent its result");
+                value
+            }
+            Err(RecvTimeoutError::Timeout) => panic!("decoding took longer than {ceiling:?}"),
+            Err(RecvTimeoutError::Disconnected) => match worker.join() {
+                Err(panic) => std::panic::resume_unwind(panic),
+                Ok(()) => unreachable!("the decoder thread returned without sending"),
+            },
+        }
+    }
+
+    /// Wall-time guard against a quadratic scan of outside bytes: a frame
+    /// whose one string is 4 MiB, and a chunk-shaped 4 MiB document of many
+    /// short strings.  A linear decoder meets the ceiling by an order of
+    /// magnitude even unoptimized; a quadratic one needs hours.
+    #[test]
+    fn hostile_input_decode_is_linear_time() {
+        let ceiling = std::time::Duration::from_secs(5);
+
+        let pattern = "é€😀 source text \\ \" \n";
+        let big = pattern.repeat((4 << 20) / pattern.len() + 1);
+        let frame = Json::obj([
+            ("op", Json::Str("submit".into())),
+            ("source", Json::Str(big)),
+        ]);
+        let mut wire = Vec::new();
+        write_frame(&mut wire, &frame).unwrap();
+        let parsed = decode_within(ceiling, move || {
+            let mut reader = FrameReader::new(8 << 20);
+            match reader.read_frame(&mut std::io::Cursor::new(wire)) {
+                FrameResult::Frame(text) => parse(&text),
+                other => panic!("{other:?}"),
+            }
+        });
+        assert_eq!(parsed, Ok(frame));
+
+        let rows: Vec<Json> = (0..6_500)
+            .map(|i| {
+                let value = value_to_json(&Value::nat_list(&[i % 3, 1])).unwrap();
+                Json::obj([
+                    ("key", Json::Str(format!("k{i:08x}"))),
+                    ("value", value),
+                    ("verdict", Json::Str("valid".into())),
+                ])
+            })
+            .collect();
+        let chunk = Json::obj([
+            ("kind", Json::Str("chunk".into())),
+            ("rows", Json::Arr(rows)),
+        ]);
+        let text = chunk.render_pretty();
+        assert!(text.len() > 4 << 20, "{}", text.len());
+        let parsed = decode_within(ceiling, move || parse(&text));
+        assert_eq!(parsed, Ok(chunk));
     }
 
     #[test]
@@ -734,18 +978,6 @@ mod tests {
 
         // Oversized line streamed in small chunks: bounded buffering, then
         // resync.
-        struct Trickle(Vec<u8>, usize);
-        impl Read for Trickle {
-            fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-                if self.1 >= self.0.len() {
-                    return Ok(0);
-                }
-                let n = buf.len().min(3).min(self.0.len() - self.1);
-                buf[..n].copy_from_slice(&self.0[self.1..self.1 + n]);
-                self.1 += n;
-                Ok(n)
-            }
-        }
         let mut reader = FrameReader::new(8);
         let mut input = Trickle(b"0123456789abcdef0123\nnext\n".to_vec(), 0);
         assert!(matches!(
@@ -775,6 +1007,35 @@ mod tests {
         assert!(matches!(
             reader.read_frame(&mut input),
             FrameResult::Closed { mid_frame: true }
+        ));
+    }
+
+    #[test]
+    fn trickled_frame_just_under_the_cap_survives() {
+        // A frame one byte under the cap, multi-byte scalars split across
+        // 3-byte reads: it must come back byte-identical.
+        let mut line = String::from("{\"source\":\"");
+        for c in "é€😀 \\\\ \\\" x".chars().cycle() {
+            if line.len() + c.len_utf8() + 2 > DEFAULT_MAX_FRAME_BYTES - 1 {
+                break;
+            }
+            line.push(c);
+        }
+        while line.len() + 2 < DEFAULT_MAX_FRAME_BYTES - 1 {
+            line.push('x');
+        }
+        line.push_str("\"}");
+        assert_eq!(line.len(), DEFAULT_MAX_FRAME_BYTES - 1);
+        let mut reader = FrameReader::new(DEFAULT_MAX_FRAME_BYTES);
+        let mut input = Trickle(format!("{line}\n").into_bytes(), 0);
+        match reader.read_frame(&mut input) {
+            FrameResult::Frame(s) => assert!(s == line, "frame changed in transit"),
+            other => panic!("{other:?}"),
+        }
+        assert!(parse(&line).is_ok());
+        assert!(matches!(
+            reader.read_frame(&mut input),
+            FrameResult::Closed { mid_frame: false }
         ));
     }
 
