@@ -4,6 +4,7 @@
 //! same flags; this module replaces the three hand-rolled copies of the
 //! parsing loop they used to carry.
 
+use std::str::FromStr;
 use std::time::Duration;
 
 use crate::HarnessConfig;
@@ -32,13 +33,20 @@ pub struct HarnessArgs {
 
 impl HarnessArgs {
     /// Parses `std::env::args`, treating `default_quick` as the mode when
-    /// neither `--quick` nor `--full` is given.
+    /// neither `--quick` nor `--full` is given.  A bad flag value is printed
+    /// and the process exits with status 2.
     pub fn parse(default_quick: bool) -> Self {
-        Self::from_args(&std::env::args().skip(1).collect::<Vec<_>>(), default_quick)
+        let args: Vec<String> = std::env::args().skip(1).collect();
+        Self::from_args(&args, default_quick).unwrap_or_else(|e| {
+            eprintln!("error: {e}");
+            std::process::exit(2);
+        })
     }
 
-    /// Parses an explicit argument list (exposed for tests).
-    pub fn from_args(args: &[String], default_quick: bool) -> Self {
+    /// Parses an explicit argument list (exposed for tests).  A missing or
+    /// unparsable value for `--timeout` or `--parallelism` is an error that
+    /// names the flag.
+    pub fn from_args(args: &[String], default_quick: bool) -> Result<Self, String> {
         let flag = |name: &str| args.iter().any(|a| a == name);
         let value = |name: &str| {
             args.iter()
@@ -59,18 +67,14 @@ impl HarnessArgs {
         } else {
             default_quick
         };
-        HarnessArgs {
+        Ok(HarnessArgs {
             quick,
-            timeout: value("--timeout")
-                .and_then(|v| v.parse::<u64>().ok())
-                .map(Duration::from_secs),
-            parallelism: value("--parallelism")
-                .and_then(|v| v.parse::<usize>().ok())
-                .unwrap_or(1),
+            timeout: parsed_value(args, "--timeout")?.map(Duration::from_secs),
+            parallelism: parsed_value(args, "--parallelism")?.unwrap_or(1),
             out: value("--out").cloned(),
             warm_dir: value("--warm-dir").cloned(),
             benchmark_filter: values("--benchmark"),
-        }
+        })
     }
 
     /// Builds the harness configuration these arguments describe.
@@ -110,6 +114,21 @@ impl HarnessArgs {
     }
 }
 
+/// The parsed value following the first `name` in `args` (`None` when the
+/// flag is absent), or an error naming the flag when the value is missing or
+/// does not parse.
+fn parsed_value<T: FromStr>(args: &[String], name: &str) -> Result<Option<T>, String> {
+    let Some(i) = args.iter().position(|a| a == name) else {
+        return Ok(None);
+    };
+    let raw = args
+        .get(i + 1)
+        .ok_or_else(|| format!("{name} needs a value"))?;
+    raw.parse()
+        .map(Some)
+        .map_err(|_| format!("{name}: cannot parse {raw:?}"))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -131,7 +150,8 @@ mod tests {
                 "x.json",
             ]),
             false,
-        );
+        )
+        .unwrap();
         assert!(args.quick);
         assert_eq!(args.timeout, Some(Duration::from_secs(7)));
         assert_eq!(args.parallelism, 3);
@@ -143,13 +163,13 @@ mod tests {
         assert_eq!(harness.parallelism, 3);
         assert_eq!(harness.warm_dir, None);
 
-        let defaults = HarnessArgs::from_args(&strings(&[]), true);
+        let defaults = HarnessArgs::from_args(&strings(&[]), true).unwrap();
         assert!(defaults.quick);
         assert_eq!(defaults.parallelism, 1);
         assert_eq!(defaults.out_or("d.json"), "d.json");
         assert!(!defaults.benchmarks().is_empty());
 
-        let full = HarnessArgs::from_args(&strings(&["--full"]), true);
+        let full = HarnessArgs::from_args(&strings(&["--full"]), true).unwrap();
         assert!(!full.quick);
         assert!(full.harness().paper_bounds);
         assert_eq!(full.benchmarks().len(), 28);
@@ -167,13 +187,24 @@ mod tests {
                 "/other/rational",
             ]),
             false,
-        );
+        )
+        .unwrap();
         assert_eq!(args.warm_dir.as_deref(), Some("/tmp/warm"));
         assert_eq!(args.harness().warm_dir.as_deref(), Some("/tmp/warm"));
         let ids: Vec<&str> = args.benchmarks().iter().map(|b| b.id).collect();
         assert_eq!(ids, vec!["/other/cache", "/other/rational"]);
         // An unknown id filters to nothing rather than erroring.
-        let none = HarnessArgs::from_args(&strings(&["--benchmark", "/no/such"]), false);
+        let none = HarnessArgs::from_args(&strings(&["--benchmark", "/no/such"]), false).unwrap();
         assert!(none.benchmarks().is_empty());
+    }
+
+    #[test]
+    fn bad_numeric_values_are_errors_naming_the_flag() {
+        let err = HarnessArgs::from_args(&strings(&["--parallelism", "x"]), true).unwrap_err();
+        assert!(err.contains("--parallelism"), "{err}");
+        let err = HarnessArgs::from_args(&strings(&["--timeout", "-1"]), true).unwrap_err();
+        assert!(err.contains("--timeout"), "{err}");
+        let err = HarnessArgs::from_args(&strings(&["--quick", "--timeout"]), true).unwrap_err();
+        assert!(err.contains("--timeout"), "{err}");
     }
 }

@@ -8,9 +8,11 @@
 //! parser and a pretty printer. The surface is deliberately small: [`Json`]
 //! values, [`parse`] / [`parse_with_limits`], [`Json::render`] /
 //! [`Json::render_pretty`], typed accessors, the structural encoding of
-//! first-order runtime values ([`value_to_json`] / [`value_from_json`]), and
-//! the newline-delimited framing layer ([`FrameReader`] / [`write_frame`])
-//! the TCP front end and its clients speak.
+//! first-order runtime values ([`value_to_json`] / [`value_from_json`]), the
+//! [`counters!`] table that declares a statistics struct once and generates
+//! its `to_json` (each field rendered through [`CounterJson`]), and the
+//! newline-delimited framing layer ([`FrameReader`] / [`write_frame`]) the
+//! TCP front end and its clients speak.
 //!
 //! The parser is recursive-descent, so untrusted input could otherwise
 //! overflow the stack with a deeply nested document; every entry point
@@ -25,6 +27,7 @@
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::io::{ErrorKind, Read, Write};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::symbol::Symbol;
 use crate::value::Value;
@@ -198,6 +201,116 @@ fn write_escaped(out: &mut String, s: &str) {
     }
     out.push('"');
 }
+
+/// A counter field's JSON form: counts become numbers, [`Duration`]s
+/// seconds, `None` becomes `null`, and an [`AtomicU64`] is read with a
+/// relaxed load.  Implemented for every field type a [`counters!`] table
+/// may declare.
+///
+/// [`Duration`]: std::time::Duration
+pub trait CounterJson {
+    /// The field's value as JSON.
+    fn counter_json(&self) -> Json;
+}
+
+impl CounterJson for u64 {
+    fn counter_json(&self) -> Json {
+        Json::Num(*self as f64)
+    }
+}
+
+impl CounterJson for usize {
+    fn counter_json(&self) -> Json {
+        Json::Num(*self as f64)
+    }
+}
+
+impl CounterJson for std::time::Duration {
+    fn counter_json(&self) -> Json {
+        Json::Num(self.as_secs_f64())
+    }
+}
+
+impl<T: CounterJson> CounterJson for Option<T> {
+    fn counter_json(&self) -> Json {
+        self.as_ref().map_or(Json::Null, T::counter_json)
+    }
+}
+
+impl CounterJson for AtomicU64 {
+    fn counter_json(&self) -> Json {
+        Json::Num(self.load(Ordering::Relaxed) as f64)
+    }
+}
+
+/// Declares a counter struct once and generates both the struct and its
+/// `to_json`.
+///
+/// Each field is one row: its doc comment, visibility, name and type, plus
+/// an optional `=> "key"` when its wire key differs from its name.
+/// `to_json` renders every field through [`CounterJson`] under that key.
+/// Attributes on the struct (docs, derives) are kept as written.
+///
+/// ```
+/// use std::time::Duration;
+///
+/// hanoi_lang::json::counters! {
+///     /// Work done by one pass.
+///     #[derive(Debug, Default)]
+///     pub struct PassStats {
+///         /// Wall-clock time of the pass.
+///         pub elapsed: Duration => "elapsed_secs",
+///         /// Items processed.
+///         pub items: u64,
+///     }
+/// }
+///
+/// let stats = PassStats { elapsed: Duration::from_millis(1500), items: 3 };
+/// assert_eq!(stats.to_json().render(), r#"{"elapsed_secs":1.5,"items":3}"#);
+/// ```
+#[doc(hidden)]
+#[macro_export]
+macro_rules! __counters {
+    (
+        $(#[$meta:meta])*
+        $vis:vis struct $name:ident {
+            $(
+                $(#[$field_meta:meta])*
+                $field_vis:vis $field:ident : $ty:ty $(=> $key:literal)?
+            ),* $(,)?
+        }
+    ) => {
+        $(#[$meta])*
+        $vis struct $name {
+            $(
+                $(#[$field_meta])*
+                $field_vis $field: $ty,
+            )*
+        }
+
+        impl $name {
+            /// Serializes every field to a JSON object: counts as numbers,
+            /// durations in seconds, absent values as `null`.
+            pub fn to_json(&self) -> $crate::json::Json {
+                $crate::json::Json::obj([
+                    $((
+                        $crate::__counters!(@key $field $($key)?),
+                        $crate::json::CounterJson::counter_json(&self.$field),
+                    ),)*
+                ])
+            }
+        }
+    };
+    (@key $field:ident $key:literal) => {
+        $key
+    };
+    (@key $field:ident) => {
+        stringify!($field)
+    };
+}
+
+#[doc(inline)]
+pub use crate::__counters as counters;
 
 /// Serializes a first-order [`Value`] structurally: a constructor
 /// application becomes `{"c": name, "a": [children…]}`, a tuple becomes

@@ -2,136 +2,90 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use hanoi_lang::json::Json;
+use hanoi_lang::json::counters;
 
-/// Monotonic counters covering every admission, shedding, failure and drain
-/// event the server handles.  All counters are relaxed atomics: they are
-/// operational telemetry, not synchronization.
-#[derive(Debug, Default)]
-pub struct ServerStats {
-    /// Client connections accepted.
-    pub connections_opened: AtomicU64,
-    /// Client connections that ended (any reason).
-    pub connections_closed: AtomicU64,
-    /// Connections turned away at accept time (connection ceiling).
-    pub connections_rejected: AtomicU64,
-    /// Connections closed for exceeding the idle or frame timeout
-    /// (slow-loris defence).
-    pub connections_timed_out: AtomicU64,
-    /// Complete frames received (before parsing).
-    pub frames_received: AtomicU64,
-    /// Frames answered with a structured protocol error (bad JSON, bad
-    /// request shape, unknown op, over-deep nesting).
-    pub protocol_errors: AtomicU64,
-    /// Lines discarded for exceeding the frame byte ceiling.
-    pub oversized_frames: AtomicU64,
-    /// Complete lines that were not valid UTF-8.
-    pub encoding_errors: AtomicU64,
-    /// Runs admitted to the queue.
-    pub runs_accepted: AtomicU64,
-    /// Submits shed because the admission queue was full.
-    pub shed_queue_full: AtomicU64,
-    /// Submits shed because the client exceeded its in-flight quota.
-    pub shed_client_quota: AtomicU64,
-    /// Submits shed because the server was draining.
-    pub shed_draining: AtomicU64,
-    /// Runs that returned a result (any outcome).
-    pub runs_completed: AtomicU64,
-    /// Runs that ended with an inferred invariant.
-    pub runs_invariant: AtomicU64,
-    /// Runs that ended cancelled (client cancel, disconnect, watchdog or
-    /// drain).
-    pub runs_cancelled: AtomicU64,
-    /// Runs that ended in a timeout outcome.
-    pub runs_timeout: AtomicU64,
-    /// Runs that panicked and were isolated (structured `panic` error to the
-    /// one client; process and sibling runs unaffected).
-    pub runs_panicked: AtomicU64,
-    /// Submits rejected because the problem source failed to elaborate.
-    pub runs_rejected: AtomicU64,
-    /// Runs force-cancelled by the watchdog for outliving their deadline.
-    pub watchdog_cancels: AtomicU64,
-    /// Run events streamed to clients.
-    pub events_sent: AtomicU64,
-    /// Frames dropped because the client's write side failed or timed out.
-    pub write_errors: AtomicU64,
-    /// Cancel commands honoured (a matching in-flight run existed).
-    pub cancels_honoured: AtomicU64,
-    /// Snapshot files written by the drain checkpoint.
-    pub drain_snapshots: AtomicU64,
-    /// Connections that detached from a run without ending it (the run kept
-    /// executing under its token).
-    pub runs_detached: AtomicU64,
-    /// Successful `resume` re-attachments.
-    pub runs_resumed: AtomicU64,
-    /// Journaled frames replayed to resuming clients.
-    pub replay_events_sent: AtomicU64,
-    /// Resumes whose replay had evicted frames (a `gap` frame was sent).
-    pub replay_gaps: AtomicU64,
-    /// Detached runs cancelled because nobody resumed within the grace
-    /// period.
-    pub grace_cancels: AtomicU64,
-    /// Submits shed by the per-client token-bucket rate limiter.
-    pub rate_limited_sheds: AtomicU64,
-    /// Successful hot config reloads (SIGHUP or the `reload` op).
-    pub config_reloads: AtomicU64,
-    /// Connections closed because no client address could be attributed
-    /// (failed `peer_addr`, or a missing/malformed PROXY protocol header
-    /// when `proxy_protocol` is enabled).
-    pub unattributed_connections: AtomicU64,
+counters! {
+    /// Monotonic counters covering every admission, shedding, failure and drain
+    /// event the server handles.  All counters are relaxed atomics: they are
+    /// operational telemetry, not synchronization.
+    #[derive(Debug, Default)]
+    pub struct ServerStats {
+        /// Client connections accepted.
+        pub connections_opened: AtomicU64,
+        /// Client connections that ended (any reason).
+        pub connections_closed: AtomicU64,
+        /// Connections turned away at accept time (connection ceiling).
+        pub connections_rejected: AtomicU64,
+        /// Connections closed for exceeding the idle or frame timeout
+        /// (slow-loris defence).
+        pub connections_timed_out: AtomicU64,
+        /// Complete frames received (before parsing).
+        pub frames_received: AtomicU64,
+        /// Frames answered with a structured protocol error (bad JSON, bad
+        /// request shape, unknown op, over-deep nesting).
+        pub protocol_errors: AtomicU64,
+        /// Lines discarded for exceeding the frame byte ceiling.
+        pub oversized_frames: AtomicU64,
+        /// Complete lines that were not valid UTF-8.
+        pub encoding_errors: AtomicU64,
+        /// Runs admitted to the queue.
+        pub runs_accepted: AtomicU64,
+        /// Submits shed because the admission queue was full.
+        pub shed_queue_full: AtomicU64,
+        /// Submits shed because the client exceeded its in-flight quota.
+        pub shed_client_quota: AtomicU64,
+        /// Submits shed because the server was draining.
+        pub shed_draining: AtomicU64,
+        /// Runs that returned a result (any outcome).
+        pub runs_completed: AtomicU64,
+        /// Runs that ended with an inferred invariant.
+        pub runs_invariant: AtomicU64,
+        /// Runs that ended cancelled (client cancel, disconnect, watchdog or
+        /// drain).
+        pub runs_cancelled: AtomicU64,
+        /// Runs that ended in a timeout outcome.
+        pub runs_timeout: AtomicU64,
+        /// Runs that panicked and were isolated (structured `panic` error to the
+        /// one client; process and sibling runs unaffected).
+        pub runs_panicked: AtomicU64,
+        /// Submits rejected because the problem source failed to elaborate.
+        pub runs_rejected: AtomicU64,
+        /// Runs force-cancelled by the watchdog for outliving their deadline.
+        pub watchdog_cancels: AtomicU64,
+        /// Run events streamed to clients.
+        pub events_sent: AtomicU64,
+        /// Frames dropped because the client's write side failed or timed out.
+        pub write_errors: AtomicU64,
+        /// Cancel commands honoured (a matching in-flight run existed).
+        pub cancels_honoured: AtomicU64,
+        /// Snapshot files written by the drain checkpoint.
+        pub drain_snapshots: AtomicU64,
+        /// Connections that detached from a run without ending it (the run kept
+        /// executing under its token).
+        pub runs_detached: AtomicU64,
+        /// Successful `resume` re-attachments.
+        pub runs_resumed: AtomicU64,
+        /// Journaled frames replayed to resuming clients.
+        pub replay_events_sent: AtomicU64,
+        /// Resumes whose replay had evicted frames (a `gap` frame was sent).
+        pub replay_gaps: AtomicU64,
+        /// Detached runs cancelled because nobody resumed within the grace
+        /// period.
+        pub grace_cancels: AtomicU64,
+        /// Submits shed by the per-client token-bucket rate limiter.
+        pub rate_limited_sheds: AtomicU64,
+        /// Successful hot config reloads (SIGHUP or the `reload` op).
+        pub config_reloads: AtomicU64,
+        /// Connections closed because no client address could be attributed
+        /// (failed `peer_addr`, or a missing/malformed PROXY protocol header
+        /// when `proxy_protocol` is enabled).
+        pub unattributed_connections: AtomicU64,
+    }
 }
 
 /// Increments a counter.
 pub(crate) fn bump(counter: &AtomicU64) {
     counter.fetch_add(1, Ordering::Relaxed);
-}
-
-impl ServerStats {
-    /// Reads one counter.
-    pub fn get(&self, counter: &AtomicU64) -> u64 {
-        counter.load(Ordering::Relaxed)
-    }
-
-    /// Serializes every counter (used by the `stats` reply).
-    pub fn to_json(&self) -> Json {
-        let n = |c: &AtomicU64| Json::Num(c.load(Ordering::Relaxed) as f64);
-        Json::obj([
-            ("connections_opened", n(&self.connections_opened)),
-            ("connections_closed", n(&self.connections_closed)),
-            ("connections_rejected", n(&self.connections_rejected)),
-            ("connections_timed_out", n(&self.connections_timed_out)),
-            ("frames_received", n(&self.frames_received)),
-            ("protocol_errors", n(&self.protocol_errors)),
-            ("oversized_frames", n(&self.oversized_frames)),
-            ("encoding_errors", n(&self.encoding_errors)),
-            ("runs_accepted", n(&self.runs_accepted)),
-            ("shed_queue_full", n(&self.shed_queue_full)),
-            ("shed_client_quota", n(&self.shed_client_quota)),
-            ("shed_draining", n(&self.shed_draining)),
-            ("runs_completed", n(&self.runs_completed)),
-            ("runs_invariant", n(&self.runs_invariant)),
-            ("runs_cancelled", n(&self.runs_cancelled)),
-            ("runs_timeout", n(&self.runs_timeout)),
-            ("runs_panicked", n(&self.runs_panicked)),
-            ("runs_rejected", n(&self.runs_rejected)),
-            ("watchdog_cancels", n(&self.watchdog_cancels)),
-            ("events_sent", n(&self.events_sent)),
-            ("write_errors", n(&self.write_errors)),
-            ("cancels_honoured", n(&self.cancels_honoured)),
-            ("drain_snapshots", n(&self.drain_snapshots)),
-            ("runs_detached", n(&self.runs_detached)),
-            ("runs_resumed", n(&self.runs_resumed)),
-            ("replay_events_sent", n(&self.replay_events_sent)),
-            ("replay_gaps", n(&self.replay_gaps)),
-            ("grace_cancels", n(&self.grace_cancels)),
-            ("rate_limited_sheds", n(&self.rate_limited_sheds)),
-            ("config_reloads", n(&self.config_reloads)),
-            (
-                "unattributed_connections",
-                n(&self.unattributed_connections),
-            ),
-        ])
-    }
 }
 
 #[cfg(test)]
@@ -161,6 +115,21 @@ mod tests {
         assert_eq!(json.get("config_reloads").unwrap().as_usize(), Some(1));
         assert_eq!(json.get("runs_detached").unwrap().as_usize(), Some(0));
         assert_eq!(json.get("grace_cancels").unwrap().as_usize(), Some(0));
-        assert_eq!(stats.get(&stats.runs_accepted), 2);
+        assert_eq!(
+            json.render(),
+            concat!(
+                r#"{"cancels_honoured":0,"config_reloads":1,"connections_closed":0,"#,
+                r#""connections_opened":0,"connections_rejected":0,"#,
+                r#""connections_timed_out":0,"drain_snapshots":0,"encoding_errors":0,"#,
+                r#""events_sent":0,"frames_received":0,"grace_cancels":0,"#,
+                r#""oversized_frames":0,"protocol_errors":0,"rate_limited_sheds":1,"#,
+                r#""replay_events_sent":2,"replay_gaps":1,"runs_accepted":2,"#,
+                r#""runs_cancelled":0,"runs_completed":0,"runs_detached":0,"#,
+                r#""runs_invariant":0,"runs_panicked":0,"runs_rejected":0,"#,
+                r#""runs_resumed":1,"runs_timeout":0,"shed_client_quota":0,"#,
+                r#""shed_draining":0,"shed_queue_full":1,"unattributed_connections":0,"#,
+                r#""watchdog_cancels":0,"write_errors":0}"#,
+            )
+        );
     }
 }

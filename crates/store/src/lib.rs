@@ -68,7 +68,7 @@ use std::io;
 use std::path::{Path, PathBuf};
 
 use hanoi_lang::digest::Digest;
-use hanoi_lang::json::Json;
+use hanoi_lang::json::{counters, Json};
 use hanoi_lang::util::{sync_dir, write_atomic};
 
 mod snapshot;
@@ -266,103 +266,56 @@ impl StoreStats {
     }
 }
 
-/// The outcome of a [`ChunkStore::verify`] sweep.
-#[derive(Debug, Default, Clone, PartialEq, Eq)]
-pub struct VerifyReport {
-    /// Chunks whose bytes re-hashed to their name.
-    pub chunks_ok: usize,
-    /// Chunks that failed the re-hash and were quarantined.
-    pub chunks_quarantined: usize,
-    /// Manifests whose every chunk exists and verified.
-    pub manifests_ok: usize,
-    /// Manifests referencing a missing or quarantined chunk (restores from
-    /// them degrade to partial warmth), or unparseable manifest files
-    /// (quarantined).
-    pub manifests_broken: usize,
-}
-
-impl VerifyReport {
-    /// The report as a JSON object (the admin CLI's output format).
-    pub fn to_json(&self) -> Json {
-        Json::obj([
-            ("chunks_ok", Json::Num(self.chunks_ok as f64)),
-            (
-                "chunks_quarantined",
-                Json::Num(self.chunks_quarantined as f64),
-            ),
-            ("manifests_ok", Json::Num(self.manifests_ok as f64)),
-            ("manifests_broken", Json::Num(self.manifests_broken as f64)),
-        ])
+counters! {
+    /// The outcome of a [`ChunkStore::verify`] sweep.
+    #[derive(Debug, Default, Clone, PartialEq, Eq)]
+    pub struct VerifyReport {
+        /// Chunks whose bytes re-hashed to their name.
+        pub chunks_ok: usize,
+        /// Chunks that failed the re-hash and were quarantined.
+        pub chunks_quarantined: usize,
+        /// Manifests whose every chunk exists and verified.
+        pub manifests_ok: usize,
+        /// Manifests referencing a missing or quarantined chunk (restores from
+        /// them degrade to partial warmth), or unparseable manifest files
+        /// (quarantined).
+        pub manifests_broken: usize,
     }
 }
 
-/// The outcome of a [`ChunkStore::gc`] pass.
-#[derive(Debug, Default, Clone, PartialEq, Eq)]
-pub struct GcReport {
-    /// Unreferenced chunk files deleted.
-    pub chunks_deleted: usize,
-    /// Manifests evicted to meet the byte budget (LRU first).
-    pub manifests_evicted: usize,
-    /// Quarantined (`*.corrupt`) and leftover temporary files purged.
-    pub debris_purged: usize,
-    /// Total bytes freed.
-    pub bytes_freed: u64,
-    /// Live bytes remaining after the pass.
-    pub bytes_remaining: u64,
-}
-
-impl GcReport {
-    /// The report as a JSON object (the admin CLI's output format).
-    pub fn to_json(&self) -> Json {
-        Json::obj([
-            ("chunks_deleted", Json::Num(self.chunks_deleted as f64)),
-            (
-                "manifests_evicted",
-                Json::Num(self.manifests_evicted as f64),
-            ),
-            ("debris_purged", Json::Num(self.debris_purged as f64)),
-            ("bytes_freed", Json::Num(self.bytes_freed as f64)),
-            ("bytes_remaining", Json::Num(self.bytes_remaining as f64)),
-        ])
+counters! {
+    /// The outcome of a [`ChunkStore::gc`] pass.
+    #[derive(Debug, Default, Clone, PartialEq, Eq)]
+    pub struct GcReport {
+        /// Unreferenced chunk files deleted.
+        pub chunks_deleted: usize,
+        /// Manifests evicted to meet the byte budget (LRU first).
+        pub manifests_evicted: usize,
+        /// Quarantined (`*.corrupt`) and leftover temporary files purged.
+        pub debris_purged: usize,
+        /// Total bytes freed.
+        pub bytes_freed: u64,
+        /// Live bytes remaining after the pass.
+        pub bytes_remaining: u64,
     }
 }
 
-/// The outcome of a [`ChunkStore::merge_from`] (one direction of a sync).
-#[derive(Debug, Default, Clone, PartialEq, Eq)]
-pub struct MergeReport {
-    /// Manifests copied into the destination (new or updated).
-    pub manifests_copied: usize,
-    /// Manifests already present byte-identically (nothing transferred).
-    pub manifests_unchanged: usize,
-    /// Manifests skipped because a needed source chunk was missing or
-    /// corrupt — the destination never receives a manifest with holes.
-    pub manifests_skipped: usize,
-    /// Chunks actually transferred (the delta).
-    pub chunks_copied: usize,
-    /// Bytes actually transferred — the headline fleet-sync number: for an
-    /// incremental sync this is ≪ the full snapshot size.
-    pub chunk_bytes_copied: u64,
-}
-
-impl MergeReport {
-    /// The report as a JSON object (the admin CLI's output format).
-    pub fn to_json(&self) -> Json {
-        Json::obj([
-            ("manifests_copied", Json::Num(self.manifests_copied as f64)),
-            (
-                "manifests_unchanged",
-                Json::Num(self.manifests_unchanged as f64),
-            ),
-            (
-                "manifests_skipped",
-                Json::Num(self.manifests_skipped as f64),
-            ),
-            ("chunks_copied", Json::Num(self.chunks_copied as f64)),
-            (
-                "chunk_bytes_copied",
-                Json::Num(self.chunk_bytes_copied as f64),
-            ),
-        ])
+counters! {
+    /// The outcome of a [`ChunkStore::merge_from`] (one direction of a sync).
+    #[derive(Debug, Default, Clone, PartialEq, Eq)]
+    pub struct MergeReport {
+        /// Manifests copied into the destination (new or updated).
+        pub manifests_copied: usize,
+        /// Manifests already present byte-identically (nothing transferred).
+        pub manifests_unchanged: usize,
+        /// Manifests skipped because a needed source chunk was missing or
+        /// corrupt — the destination never receives a manifest with holes.
+        pub manifests_skipped: usize,
+        /// Chunks actually transferred (the delta).
+        pub chunks_copied: usize,
+        /// Bytes actually transferred — the headline fleet-sync number: for an
+        /// incremental sync this is ≪ the full snapshot size.
+        pub chunk_bytes_copied: u64,
     }
 }
 
@@ -1072,5 +1025,61 @@ mod tests {
             store.load_wrapper(Digest(1)),
             WrapperLoad::Missing
         ));
+    }
+
+    #[test]
+    fn reports_render_their_admin_cli_json() {
+        let verify = VerifyReport {
+            chunks_ok: 7,
+            chunks_quarantined: 1,
+            manifests_ok: 3,
+            manifests_broken: 2,
+        };
+        assert_eq!(
+            verify.to_json().render(),
+            r#"{"chunks_ok":7,"chunks_quarantined":1,"manifests_broken":2,"manifests_ok":3}"#
+        );
+        let gc = GcReport {
+            chunks_deleted: 4,
+            manifests_evicted: 2,
+            debris_purged: 1,
+            bytes_freed: 4096,
+            bytes_remaining: 123456789,
+        };
+        assert_eq!(
+            gc.to_json().render(),
+            concat!(
+                r#"{"bytes_freed":4096,"bytes_remaining":123456789,"chunks_deleted":4,"#,
+                r#""debris_purged":1,"manifests_evicted":2}"#,
+            )
+        );
+        let merge = MergeReport {
+            manifests_copied: 5,
+            manifests_unchanged: 6,
+            manifests_skipped: 1,
+            chunks_copied: 9,
+            chunk_bytes_copied: 2048,
+        };
+        assert_eq!(
+            merge.to_json().render(),
+            concat!(
+                r#"{"chunk_bytes_copied":2048,"chunks_copied":9,"manifests_copied":5,"#,
+                r#""manifests_skipped":1,"manifests_unchanged":6}"#,
+            )
+        );
+        let stats = StoreStats {
+            manifests: 2,
+            chunks: 11,
+            chunk_bytes: 3000,
+            manifest_bytes: 500,
+            quarantined: 1,
+        };
+        assert_eq!(
+            stats.to_json().render(),
+            concat!(
+                r#"{"chunk_bytes":3000,"chunks":11,"manifest_bytes":500,"#,
+                r#""manifests":2,"quarantined":1,"total_bytes":3500}"#,
+            )
+        );
     }
 }

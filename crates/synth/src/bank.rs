@@ -556,13 +556,6 @@ pub struct TermBankStats {
     pub arith_atoms: u64,
 }
 
-impl TermBankStats {
-    /// Total component-application signature evaluations requested.
-    pub fn requests(&self) -> u64 {
-        self.bank_hits + self.bank_misses
-    }
-}
-
 /// The session-wide value interner: structural value ↔ dense id.
 #[derive(Debug)]
 struct Interner {

@@ -62,13 +62,6 @@ pub struct PoolCacheStats {
     pub predicate_evals: u64,
 }
 
-impl PoolCacheStats {
-    /// Total pool requests (hits + builds).
-    pub fn requests(&self) -> u64 {
-        self.hits + self.builds
-    }
-}
-
 /// Per-size slab store: all values of a type with exactly `size` nodes.
 type SlabMap = HashMap<(Type, usize), Arc<Vec<Value>>>;
 /// Assembled pool store, keyed by `(type, count, size)`.
