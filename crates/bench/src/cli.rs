@@ -33,8 +33,8 @@ pub struct HarnessArgs {
 
 impl HarnessArgs {
     /// Parses `std::env::args`, treating `default_quick` as the mode when
-    /// neither `--quick` nor `--full` is given.  A bad flag value is printed
-    /// and the process exits with status 2.
+    /// neither `--quick` nor `--full` is given.  An unknown argument or a bad
+    /// flag value is printed and the process exits with status 2.
     pub fn parse(default_quick: bool) -> Self {
         let args: Vec<String> = std::env::args().skip(1).collect();
         Self::from_args(&args, default_quick).unwrap_or_else(|e| {
@@ -43,38 +43,43 @@ impl HarnessArgs {
         })
     }
 
-    /// Parses an explicit argument list (exposed for tests).  A missing or
-    /// unparsable value for `--timeout` or `--parallelism` is an error that
-    /// names the flag.
+    /// Parses an explicit argument list (exposed for tests).  An argument
+    /// that is neither an accepted flag nor the value of one is an error
+    /// that names it and lists the accepted flags; so is a missing or
+    /// unparsable flag value, which names the flag.
     pub fn from_args(args: &[String], default_quick: bool) -> Result<Self, String> {
-        let flag = |name: &str| args.iter().any(|a| a == name);
-        let value = |name: &str| {
-            args.iter()
-                .position(|a| a == name)
-                .and_then(|i| args.get(i + 1))
+        let mut parsed = HarnessArgs {
+            quick: default_quick,
+            timeout: None,
+            parallelism: 1,
+            out: None,
+            warm_dir: None,
+            benchmark_filter: Vec::new(),
         };
-        let values = |name: &str| -> Vec<String> {
-            args.iter()
-                .enumerate()
-                .filter(|(_, a)| *a == name)
-                .filter_map(|(i, _)| args.get(i + 1).cloned())
-                .collect()
-        };
-        let quick = if flag("--quick") {
-            true
-        } else if flag("--full") {
-            false
-        } else {
-            default_quick
-        };
-        Ok(HarnessArgs {
-            quick,
-            timeout: parsed_value(args, "--timeout")?.map(Duration::from_secs),
-            parallelism: parsed_value(args, "--parallelism")?.unwrap_or(1),
-            out: value("--out").cloned(),
-            warm_dir: value("--warm-dir").cloned(),
-            benchmark_filter: values("--benchmark"),
-        })
+        let (mut quick, mut full) = (false, false);
+        let mut args = args.iter();
+        while let Some(flag) = args.next() {
+            let mut value = || args.next().ok_or_else(|| format!("{flag} needs a value"));
+            match flag.as_str() {
+                "--quick" => quick = true,
+                "--full" => full = true,
+                "--timeout" => {
+                    parsed.timeout = Some(Duration::from_secs(parse_value(flag, value()?)?))
+                }
+                "--parallelism" => parsed.parallelism = parse_value(flag, value()?)?,
+                "--out" => parsed.out = Some(value()?.clone()),
+                "--warm-dir" => parsed.warm_dir = Some(value()?.clone()),
+                "--benchmark" => parsed.benchmark_filter.push(value()?.clone()),
+                other => {
+                    return Err(format!(
+                        "unknown argument {other:?}; accepted flags: {ACCEPTED_FLAGS}"
+                    ))
+                }
+            }
+        }
+        // `--quick` wins over `--full`; neither selects the default mode.
+        parsed.quick = quick || (!full && default_quick);
+        Ok(parsed)
     }
 
     /// Builds the harness configuration these arguments describe.
@@ -114,19 +119,14 @@ impl HarnessArgs {
     }
 }
 
-/// The parsed value following the first `name` in `args` (`None` when the
-/// flag is absent), or an error naming the flag when the value is missing or
-/// does not parse.
-fn parsed_value<T: FromStr>(args: &[String], name: &str) -> Result<Option<T>, String> {
-    let Some(i) = args.iter().position(|a| a == name) else {
-        return Ok(None);
-    };
-    let raw = args
-        .get(i + 1)
-        .ok_or_else(|| format!("{name} needs a value"))?;
+/// The flags [`HarnessArgs::from_args`] accepts, as its error lists them.
+const ACCEPTED_FLAGS: &str = "--quick, --full, --timeout <secs>, --parallelism <n>, \
+    --out <path>, --warm-dir <path>, --benchmark <id>";
+
+/// `raw` parsed as the value of `flag`, or an error naming the flag.
+fn parse_value<T: FromStr>(flag: &str, raw: &str) -> Result<T, String> {
     raw.parse()
-        .map(Some)
-        .map_err(|_| format!("{name}: cannot parse {raw:?}"))
+        .map_err(|_| format!("{flag}: cannot parse {raw:?}"))
 }
 
 #[cfg(test)]
@@ -206,5 +206,23 @@ mod tests {
         assert!(err.contains("--timeout"), "{err}");
         let err = HarnessArgs::from_args(&strings(&["--quick", "--timeout"]), true).unwrap_err();
         assert!(err.contains("--timeout"), "{err}");
+    }
+
+    #[test]
+    fn unknown_arguments_are_errors_listing_the_accepted_flags() {
+        for (args, culprit) in [
+            (&["--help"][..], "--help"),
+            (&["--paralelism", "2"][..], "--paralelism"),
+            (&["--quick", "stray"][..], "stray"),
+        ] {
+            let err = HarnessArgs::from_args(&strings(args), true).unwrap_err();
+            assert!(err.contains(&format!("{culprit:?}")), "{err}");
+            assert!(err.contains(ACCEPTED_FLAGS), "{err}");
+        }
+        // A flag's value is not an argument of its own, even when it looks
+        // like one.
+        let args = HarnessArgs::from_args(&strings(&["--out", "--full"]), true).unwrap();
+        assert_eq!(args.out.as_deref(), Some("--full"));
+        assert!(args.quick);
     }
 }

@@ -36,8 +36,6 @@ pub mod cancel;
 pub mod clc;
 pub mod config;
 pub mod context;
-#[cfg(test)]
-mod driver;
 pub mod engine;
 pub mod events;
 pub mod modes;

@@ -83,8 +83,8 @@ pub struct LambdaExpr {
     pub param: Symbol,
     /// Parameter type.
     pub param_ty: Type,
-    /// Function body.
-    pub body: Expr,
+    /// Function body, shared with every closure the lambda evaluates to.
+    pub body: Arc<Expr>,
 }
 
 /// A recursive function `fix f (x : a) : r = body`; recursive occurrences of
@@ -99,8 +99,8 @@ pub struct FixExpr {
     pub param_ty: Type,
     /// Declared result type (the type of `body`).
     pub ret_ty: Type,
-    /// Function body.
-    pub body: Expr,
+    /// Function body, shared with every closure the fix evaluates to.
+    pub body: Arc<Expr>,
 }
 
 /// A core expression.
@@ -191,22 +191,28 @@ impl Expr {
     }
 
     /// A lambda abstraction.
-    pub fn lambda(param: &str, param_ty: Type, body: Expr) -> Expr {
+    pub fn lambda(param: &str, param_ty: Type, body: impl Into<Arc<Expr>>) -> Expr {
         Expr::Lambda(Arc::new(LambdaExpr {
             param: Symbol::new(param),
             param_ty,
-            body,
+            body: body.into(),
         }))
     }
 
     /// A recursive function.
-    pub fn fix(name: &str, param: &str, param_ty: Type, ret_ty: Type, body: Expr) -> Expr {
+    pub fn fix(
+        name: &str,
+        param: &str,
+        param_ty: Type,
+        ret_ty: Type,
+        body: impl Into<Arc<Expr>>,
+    ) -> Expr {
         Expr::Fix(Arc::new(FixExpr {
             name: Symbol::new(name),
             param: Symbol::new(param),
             param_ty,
             ret_ty,
-            body,
+            body: body.into(),
         }))
     }
 
@@ -424,14 +430,14 @@ impl TopLet {
                 Expr::Lambda(l) => Expr::Lambda(Arc::new(LambdaExpr {
                     param: l.param.clone(),
                     param_ty: l.param_ty.subst_abstract(concrete),
-                    body: subst_expr(&l.body, concrete),
+                    body: Arc::new(subst_expr(&l.body, concrete)),
                 })),
                 Expr::Fix(fx) => Expr::Fix(Arc::new(FixExpr {
                     name: fx.name.clone(),
                     param: fx.param.clone(),
                     param_ty: fx.param_ty.subst_abstract(concrete),
                     ret_ty: fx.ret_ty.subst_abstract(concrete),
-                    body: subst_expr(&fx.body, concrete),
+                    body: Arc::new(subst_expr(&fx.body, concrete)),
                 })),
                 Expr::Match(s, arms) => Expr::Match(
                     Box::new(subst_expr(s, concrete)),

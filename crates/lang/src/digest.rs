@@ -598,6 +598,31 @@ mod tests {
     }
 
     #[test]
+    fn multi_parameter_let_rec_digest_golden_values() {
+        // `let rec f (a) (b) = body` lowers to `fix f a = fun b -> body`:
+        // both the name-based and the slot-resolved form of that lowering
+        // are check-cache and snapshot keys, so their bits are pinned too.
+        let program = crate::parser::parse_program(
+            "let rec lookup (l : list) (x : nat) : bool =
+               match l with
+               | Nil -> False
+               | Cons (hd, tl) -> hd == x || lookup tl x
+               end",
+        )
+        .unwrap();
+        let expr = program.top_lets().next().unwrap().to_expr();
+        let resolved = crate::resolve::resolve(&expr);
+        assert_eq!(
+            Digest::of_expr(&expr).to_hex(),
+            "9a714b52e34af8b373a9394634d1c9a8"
+        );
+        assert_eq!(
+            Digest::of_resolved_expr(&resolved).to_hex(),
+            "9a714b52e34af8b373a9394634d1c9a8"
+        );
+    }
+
+    #[test]
     fn digests_ignore_interner_state() {
         // Interning unrelated symbols between two digest computations must
         // not perturb the result: digests depend on string content only.

@@ -716,4 +716,71 @@ mod tests {
         assert!(fuel.used() >= 1);
         assert!(fuel.remaining() < 100);
     }
+
+    /// The body a `fun`/`fix` node hands to the closures it evaluates to.
+    fn node_body(e: &Expr) -> &Arc<Expr> {
+        match e {
+            Expr::Lambda(l) => &l.body,
+            Expr::Fix(fx) => &fx.body,
+            other => panic!("expected a fun or fix, got {other:?}"),
+        }
+    }
+
+    fn closure_body(v: &Value) -> &Arc<Expr> {
+        match v {
+            Value::Closure(clo) => &clo.body,
+            other => panic!("expected a closure, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn closures_share_their_body_with_the_ast_node() {
+        let tyenv = tyenv();
+        let ev = Evaluator::new(&tyenv);
+        let identity = Expr::lambda("x", Type::named("nat"), Expr::var("x"));
+        for e in [identity, plus_expr()] {
+            let resolved = crate::resolve::resolve(&e);
+            for _ in 0..2 {
+                let by_name = ev.eval(&Env::empty(), &e, &mut Fuel::standard()).unwrap();
+                assert!(Arc::ptr_eq(closure_body(&by_name), node_body(&e)));
+                let slots = ev
+                    .eval_resolved(&Env::empty(), &resolved, &mut Fuel::standard())
+                    .unwrap();
+                assert!(Arc::ptr_eq(closure_body(&slots), node_body(&resolved)));
+            }
+        }
+    }
+
+    #[test]
+    fn applying_a_lowered_let_rec_shares_the_inner_body() {
+        // `let rec plus (m) (n) = ...` lowers to `fix plus m = fun n -> ...`;
+        // applying it to `m` yields the inner lambda's body, not a copy.
+        let program = crate::parser::parse_program(
+            "let rec plus (m : nat) (n : nat) : nat =
+               match m with
+               | O -> n
+               | S m2 -> S (plus m2 n)
+               end",
+        )
+        .unwrap();
+        let tyenv = tyenv();
+        let ev = Evaluator::new(&tyenv);
+        let lowered = program.top_lets().next().unwrap().to_expr();
+        let resolved = crate::resolve::resolve(&lowered);
+        let by_name = ev
+            .eval(&Env::empty(), &lowered, &mut Fuel::standard())
+            .unwrap();
+        let slots = ev
+            .eval_resolved(&Env::empty(), &resolved, &mut Fuel::standard())
+            .unwrap();
+        for (fix, e) in [(by_name, &lowered), (slots, &resolved)] {
+            let inner = node_body(node_body(e));
+            for _ in 0..2 {
+                let partial = ev
+                    .apply(fix.clone(), Value::nat(1), &mut Fuel::standard())
+                    .unwrap();
+                assert!(Arc::ptr_eq(closure_body(&partial), inner));
+            }
+        }
+    }
 }

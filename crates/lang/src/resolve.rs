@@ -89,7 +89,7 @@ fn resolve_in(frames: &mut Frames, expr: &Expr) -> Expr {
             Expr::Lambda(Arc::new(LambdaExpr {
                 param: l.param.clone(),
                 param_ty: l.param_ty.clone(),
-                body,
+                body: Arc::new(body),
             }))
         }
         Expr::Fix(fx) => {
@@ -103,7 +103,7 @@ fn resolve_in(frames: &mut Frames, expr: &Expr) -> Expr {
                 param: fx.param.clone(),
                 param_ty: fx.param_ty.clone(),
                 ret_ty: fx.ret_ty.clone(),
-                body,
+                body: Arc::new(body),
             }))
         }
         Expr::Match(scrutinee, arms) => {
@@ -158,7 +158,7 @@ pub fn resolve_closure_value(value: &Value) -> Value {
             let body = resolve_in(&mut frames, &clo.body);
             Value::Closure(Arc::new(Closure {
                 param: clo.param.clone(),
-                body,
+                body: Arc::new(body),
                 env: clo.env.clone(),
                 rec_name: clo.rec_name.clone(),
                 locals: clo.locals.clone(),
@@ -179,7 +179,7 @@ mod tests {
     fn lambda_params_resolve_to_slot_zero() {
         let e = Expr::lambda("x", Type::named("nat"), Expr::var("x"));
         match resolve(&e) {
-            Expr::Lambda(l) => assert_eq!(l.body, Expr::Local(0, Symbol::new("x"))),
+            Expr::Lambda(l) => assert_eq!(*l.body, Expr::Local(0, Symbol::new("x"))),
             other => panic!("unexpected {other:?}"),
         }
     }
@@ -198,7 +198,7 @@ mod tests {
         match resolve(&e) {
             Expr::Fix(fx) => {
                 assert_eq!(
-                    fx.body,
+                    *fx.body,
                     Expr::app(
                         Expr::Local(1, Symbol::new("f")),
                         Expr::Local(0, Symbol::new("x"))
@@ -227,7 +227,7 @@ mod tests {
             ),
         );
         match resolve(&e) {
-            Expr::Lambda(l) => match &l.body {
+            Expr::Lambda(l) => match &*l.body {
                 Expr::Match(scrutinee, arms) => {
                     assert_eq!(**scrutinee, Expr::Local(0, Symbol::new("l")));
                     // Arm 1 pushes [hd, tl]: tl is slot 0, hd is slot 1, and
@@ -257,7 +257,7 @@ mod tests {
             Expr::call("plus", [Expr::var("x"), Expr::var("x")]),
         );
         match resolve(&e) {
-            Expr::Lambda(l) => match &l.body {
+            Expr::Lambda(l) => match &*l.body {
                 Expr::App(inner, arg) => {
                     assert_eq!(**arg, Expr::Local(0, Symbol::new("x")));
                     match &**inner {
@@ -284,7 +284,7 @@ mod tests {
             ),
         );
         match resolve(&e) {
-            Expr::Lambda(l) => match &l.body {
+            Expr::Lambda(l) => match &*l.body {
                 Expr::Let(_, bound, body) => {
                     assert_eq!(**bound, Expr::Local(0, Symbol::new("x")));
                     assert_eq!(

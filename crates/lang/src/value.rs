@@ -10,7 +10,10 @@ use crate::symbol::Symbol;
 
 /// A runtime closure: a suspended function body together with the environment
 /// it was created in.  Recursive closures additionally remember their own
-/// name so applications can rebind it.
+/// name so applications can rebind it.  The body is shared, never copied:
+/// every closure a `fun`/`fix` node evaluates to holds the node's own
+/// `Arc<Expr>`, so creating one costs a refcount bump however large the
+/// body is.
 ///
 /// Closures come in two flavours distinguished by [`Closure::resolved`]:
 ///
@@ -26,8 +29,8 @@ use crate::symbol::Symbol;
 pub struct Closure {
     /// The parameter name.
     pub param: Symbol,
-    /// The function body.
-    pub body: Expr,
+    /// The function body, shared with the `fun`/`fix` node it came from.
+    pub body: Arc<Expr>,
     /// The captured environment.
     pub env: Env,
     /// For recursive closures, the function's own name.
@@ -41,10 +44,15 @@ pub struct Closure {
 
 impl Closure {
     /// A name-based (unresolved) closure — the historical representation.
-    pub fn by_name(param: Symbol, body: Expr, env: Env, rec_name: Option<Symbol>) -> Closure {
+    pub fn by_name(
+        param: Symbol,
+        body: impl Into<Arc<Expr>>,
+        env: Env,
+        rec_name: Option<Symbol>,
+    ) -> Closure {
         Closure {
             param,
-            body,
+            body: body.into(),
             env,
             rec_name,
             locals: Locals::empty(),

@@ -303,14 +303,14 @@ fn substitute_var(expr: &Expr, var: &Symbol, replacement: &Expr) -> Expr {
         Expr::Lambda(l) => Expr::Lambda(Arc::new(hanoi_lang::ast::LambdaExpr {
             param: l.param.clone(),
             param_ty: l.param_ty.clone(),
-            body: substitute_var(&l.body, var, replacement),
+            body: Arc::new(substitute_var(&l.body, var, replacement)),
         })),
         Expr::Fix(fx) => Expr::Fix(Arc::new(hanoi_lang::ast::FixExpr {
             name: fx.name.clone(),
             param: fx.param.clone(),
             param_ty: fx.param_ty.clone(),
             ret_ty: fx.ret_ty.clone(),
-            body: substitute_var(&fx.body, var, replacement),
+            body: Arc::new(substitute_var(&fx.body, var, replacement)),
         })),
         Expr::Match(s, arms) => Expr::Match(
             Box::new(substitute_var(s, var, replacement)),
