@@ -189,7 +189,6 @@ impl<'p, 'o> InferenceContext<'p, 'o> {
                 hits: pools.hits - self.pool_base.hits,
                 builds: pools.builds - self.pool_base.builds,
                 slab_builds: pools.slab_builds - self.pool_base.slab_builds,
-                slab_restores: pools.slab_restores - self.pool_base.slab_restores,
                 predicate_evals: pools.predicate_evals - self.pool_base.predicate_evals,
             });
         let checks = self.verifier.check_cache_stats();

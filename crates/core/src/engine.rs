@@ -68,8 +68,10 @@ use crate::session::Session;
 /// [`Engine::save_state`] (the store's manifests carry it as
 /// `wrapper_version`).  The wrapper holds the component snapshots (check
 /// cache, term banks), which carry their own versions; this one covers the
-/// wrapper layout.  Version 2 added the `pool_shapes` table (slab shape keys
-/// for the lazy pool-cache rebuild).
+/// wrapper layout.  Version 2 added a pool-slab shape table, which is no
+/// longer written and is ignored on read; the layout is otherwise
+/// unchanged, so the version stays 2 and stores remain readable by both
+/// older and newer builds.
 const WARM_START_VERSION: u64 = 2;
 
 /// Locks a mutex, recovering from poison.
@@ -99,13 +101,10 @@ pub(crate) struct ProblemCaches {
     /// name, and the check that a snapshot belongs to this problem.
     fingerprint: Digest,
     /// The shared verifier pool cache: `(type, count, size)` pools enumerated
-    /// at most once per engine, not once per run.  Pool *values* are not
-    /// persisted (they are deterministically re-derivable), but the snapshot
-    /// records the slab *shape keys* (`(type, size)`), which a restored
-    /// entry rebuilds lazily, once, on its first pool request
-    /// (`RunStats::pool_slab_restores`).  A fully warm restored run answers
-    /// every check from the check-outcome cache, never requests a pool, and
-    /// never pays for the rebuild.
+    /// at most once per engine, not once per run.  Pools are not persisted:
+    /// they are deterministically re-derivable, and a fully warm restored
+    /// run answers every check from the check-outcome cache without
+    /// requesting a pool.
     pools: Arc<PoolCache>,
     /// The shared check-outcome cache: completed verifier checks memoized
     /// under their full inputs, so re-runs skip entire sweeps.
@@ -161,10 +160,9 @@ impl ProblemCaches {
             } => {
                 caches.warm_start_quarantined = quarantined;
                 match validate_snapshot_json(&wrapper, fingerprint) {
-                    Some((checks, banks, shapes, loads)) => {
+                    Some((checks, banks, loads)) => {
                         caches.checks = Arc::new(checks);
                         caches.banks = Mutex::new(banks);
-                        caches.pools.set_pending_shapes(shapes);
                         caches.warm_start_loads = loads;
                     }
                     // A reassembled wrapper that fails engine validation
@@ -189,20 +187,6 @@ impl ProblemCaches {
             .iter()
             .filter_map(|(choice, bank)| Some((choice.label().to_string(), bank.to_json()?)))
             .collect();
-        // Slab shape keys, serialized through the type syntax.  Shapes whose
-        // type does not render/re-parse identically (e.g. the abstract `t`)
-        // are skipped — persistence is advisory, and dropping a shape only
-        // costs a later on-demand re-derivation.
-        let shape_objs: Vec<Json> = self
-            .pools
-            .slab_shapes()
-            .into_iter()
-            .filter_map(|(ty, size)| {
-                let text = ty.to_string();
-                (hanoi_lang::parser::parse_type(&text).ok()? == ty)
-                    .then(|| Json::obj([("ty", Json::Str(text)), ("size", Json::Num(size as f64))]))
-            })
-            .collect();
         Json::Obj(
             [
                 ("version".to_string(), Json::Num(WARM_START_VERSION as f64)),
@@ -219,7 +203,6 @@ impl ProblemCaches {
                     "banks".to_string(),
                     Json::Obj(bank_objs.into_iter().collect()),
                 ),
-                ("pool_shapes".to_string(), Json::Arr(shape_objs)),
             ]
             .into_iter()
             .collect(),
@@ -261,17 +244,12 @@ impl ProblemCaches {
 }
 
 /// Validates a warm-start wrapper reassembled from a chunked manifest and
-/// decodes its components; `None` means any defect.
-#[allow(clippy::type_complexity)]
+/// decodes its components; `None` means any defect.  A pool-slab shape
+/// table left by an older build is ignored.
 fn validate_snapshot_json(
     json: &Json,
     fingerprint: Digest,
-) -> Option<(
-    CheckCache,
-    HashMap<SynthChoice, Arc<TermBank>>,
-    Vec<(hanoi_lang::types::Type, usize)>,
-    u64,
-)> {
+) -> Option<(CheckCache, HashMap<SynthChoice, Arc<TermBank>>, u64)> {
     if json.get("version").and_then(Json::as_usize)? as u64 != WARM_START_VERSION {
         return None;
     }
@@ -298,16 +276,7 @@ fn validate_snapshot_json(
     } else {
         return None;
     }
-    let mut shapes = Vec::new();
-    let Json::Arr(shape_objs) = json.get("pool_shapes")? else {
-        return None;
-    };
-    for shape in shape_objs {
-        let ty = hanoi_lang::parser::parse_type(shape.get("ty").and_then(Json::as_str)?).ok()?;
-        let size = shape.get("size").and_then(Json::as_usize)?;
-        shapes.push((ty, size));
-    }
-    Some((checks, banks, shapes, loads))
+    Some((checks, banks, loads))
 }
 
 /// The registry key for one problem's caches.
@@ -480,7 +449,7 @@ impl Engine {
     /// returning how many snapshots were written.
     ///
     /// Each snapshot is saved **chunked**: split into content-addressed
-    /// chunks (check-cache stripes, term-bank core/parts, pool shapes) with
+    /// chunks (check-cache stripes, term-bank core/parts) with
     /// a per-problem manifest — chunks already present from an earlier save
     /// are shared, so a periodic checkpoint whose caches only grew writes
     /// deltas, and two stores can sync by manifest diff (`hanoi-store
@@ -783,38 +752,26 @@ mod tests {
     }
 
     #[test]
-    fn restored_pool_shapes_rebuild_lazily_once() {
+    fn wrappers_with_leftover_pool_shapes_still_validate() {
+        // Older builds wrote a `pool_shapes` table into every wrapper; its
+        // presence must not cost the restore.
         let problem = Problem::from_source(LIST_SET).unwrap();
-        let options = RunOptions::quick();
-        let dir = scratch_dir("shapes");
-        let first = Engine::with_defaults();
-        let cold = first.run(&problem, &options);
-        assert!(cold.is_success(), "{}", cold.outcome);
-        assert!(cold.stats.pool_slab_builds > 0);
-        assert_eq!(
-            cold.stats.pool_slab_restores, 0,
-            "cold runs restore nothing"
+        let engine = Engine::with_defaults();
+        assert!(engine.run(&problem, &RunOptions::quick()).is_success());
+        let Json::Obj(mut wrapper) = engine.caches_for(&problem).snapshot_json() else {
+            panic!("the wrapper is an object");
+        };
+        wrapper.insert(
+            "pool_shapes".to_string(),
+            Json::Arr(vec![Json::obj([
+                ("ty", Json::Str("list".to_string())),
+                ("size", Json::Num(3.0)),
+            ])]),
         );
-        first.save_state(&dir).unwrap();
-
-        let second = Engine::new(EngineConfig::default().with_warm_start_dir(&dir)).unwrap();
-        let pools = second.caches_for(&problem).pools();
-        assert_eq!(
-            pools.stats().slab_builds,
-            0,
-            "restored shapes must not rebuild before a pool is requested"
-        );
-        // The first pool request rebuilds every recorded shape, once.
-        let _ = pools.pool(&hanoi_lang::types::Type::named("list"), 5, 4, 1);
-        let stats = pools.stats();
-        assert_eq!(
-            stats.slab_restores, cold.stats.pool_slab_builds,
-            "the rebuild must cover exactly the recorded shapes: {stats:?}"
-        );
-        // Later requests are served from the rebuilt slabs.
-        let _ = pools.pool(&hanoi_lang::types::Type::named("list"), 5, 4, 1);
-        assert_eq!(pools.stats().slab_builds, stats.slab_builds);
-        let _ = std::fs::remove_dir_all(&dir);
+        let (_, banks, loads) = validate_snapshot_json(&Json::Obj(wrapper), problem.fingerprint())
+            .expect("a leftover pool_shapes key is ignored");
+        assert!(!banks.is_empty());
+        assert_eq!(loads, 1 + banks.len() as u64);
     }
 
     #[test]

@@ -40,10 +40,6 @@ counters! {
         /// Per-size enumeration slabs built by the pool cache (at most one per
         /// `(type, size)` per run).
         pub pool_slab_builds: u64,
-        /// Enumeration slabs rebuilt from recorded shapes when a warm-start
-        /// snapshot was restored (`0` for cold starts; counted once, lazily, on
-        /// the first pool request after a restore).
-        pub pool_slab_restores: u64,
         /// Candidate-predicate evaluations performed by the verifier's compiled
         /// predicates (pool filtering plus `P`/`Q` tests).
         pub predicate_evals: u64,
@@ -132,7 +128,6 @@ impl RunStats {
         self.pool_cache_hits = pool.hits;
         self.pool_builds = pool.builds;
         self.pool_slab_builds = pool.slab_builds;
-        self.pool_slab_restores = pool.slab_restores;
         self.predicate_evals = pool.predicate_evals;
     }
 
@@ -184,7 +179,6 @@ mod tests {
             pool_cache_hits: 40,
             pool_builds: 4,
             pool_slab_builds: 9,
-            pool_slab_restores: 5,
             predicate_evals: 12345,
             verification_cache_hits: 4,
             check_cache_evictions: 2,
@@ -208,7 +202,7 @@ mod tests {
                 r#"{"check_cache_evictions":2,"clc_restored_negatives":3,"#,
                 r#""final_negatives":8,"final_positives":11,"invariant_size":18,"#,
                 r#""iterations":7,"pool_builds":4,"pool_cache_hits":40,"#,
-                r#""pool_slab_builds":9,"pool_slab_restores":5,"predicate_evals":12345,"#,
+                r#""pool_slab_builds":9,"predicate_evals":12345,"#,
                 r#""synth_arith_atoms":12,"synth_bank_hits":500,"#,
                 r#""synth_bitset_row_ops":4321,"synth_column_appends":6,"#,
                 r#""synth_eq_class_splits":2,"synth_guess_memo_hits":7,"#,
@@ -226,7 +220,7 @@ mod tests {
                 r#"{"check_cache_evictions":0,"clc_restored_negatives":0,"#,
                 r#""final_negatives":0,"final_positives":0,"invariant_size":null,"#,
                 r#""iterations":0,"pool_builds":0,"pool_cache_hits":0,"#,
-                r#""pool_slab_builds":0,"pool_slab_restores":0,"predicate_evals":0,"#,
+                r#""pool_slab_builds":0,"predicate_evals":0,"#,
                 r#""synth_arith_atoms":0,"synth_bank_hits":0,"#,
                 r#""synth_bitset_row_ops":0,"synth_column_appends":0,"#,
                 r#""synth_eq_class_splits":0,"synth_guess_memo_hits":0,"#,

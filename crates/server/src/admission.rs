@@ -3,9 +3,9 @@
 //!
 //! Admission is where the server turns *overload* into *backpressure*
 //! instead of latency collapse.  The queue is strictly bounded
-//! ([`crate::ServerConfig::max_queue_depth`]); a submit beyond the bound (or
+//! ([`crate::Tunables::max_queue_depth`]); a submit beyond the bound (or
 //! beyond the submitting client's fair share,
-//! [`crate::ServerConfig::per_client_quota`]) is rejected immediately with a
+//! [`crate::Tunables::per_client_quota`]) is rejected immediately with a
 //! [`ShedReason`] and a `retry_after_ms` hint that scales with the current
 //! backlog per worker — clients learn to back off harder the more overloaded
 //! the server is.  The hint carries ±25% of deterministic jitter: identical
@@ -252,18 +252,19 @@ fn release_quota(in_flight: &mut HashMap<IpAddr, usize>, client: IpAddr) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::{ServerConfig, Tunables};
+    use crate::config::Tunables;
 
     fn ip(last: u8) -> IpAddr {
         IpAddr::from([10, 0, 0, last])
     }
 
     fn tunables(depth: usize, quota: usize, base_ms: u64) -> Arc<HotTunables> {
-        let mut tunables = Tunables::from_config(&ServerConfig::new());
-        tunables.max_queue_depth = depth;
-        tunables.per_client_quota = quota;
-        tunables.retry_after_base_ms = base_ms;
-        Arc::new(HotTunables::new(tunables))
+        Arc::new(HotTunables::new(Tunables {
+            max_queue_depth: depth,
+            per_client_quota: quota,
+            retry_after_base_ms: base_ms,
+            ..Tunables::default()
+        }))
     }
 
     #[test]

@@ -22,7 +22,11 @@
 //! advertised source address instead of the proxy's own — required for
 //! per-client fairness behind a reverse proxy, and only safe when the
 //! listener is reachable exclusively from that proxy.
+//!
+//! An unknown argument, a flag without its value or a value that does not
+//! parse is reported on stderr and the process exits with status 2.
 
+use std::str::FromStr;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
 
@@ -52,29 +56,80 @@ extern "C" fn on_reload(_signum: i32) {
     RELOAD.store(true, Ordering::Relaxed);
 }
 
+/// The flags [`parse_args`] accepts, as its error lists them.
+const ACCEPTED_FLAGS: &str = "--addr <host:port>, --workers <n>, --queue <n>, --quota <n>, \
+    --rate <per-sec>, --burst <n>, --grace-secs <n>, --config <file>, --parallelism <n>, \
+    --warm-dir <dir>, --watchdog-secs <n>, --drain-secs <n>, --max-conns <n>, \
+    --proxy-protocol, --chaos";
+
+/// Parses the command line into the listen address and the server
+/// configuration.  An unknown argument, a flag missing its value and a
+/// value that does not parse are errors naming the argument.
+fn parse_args(args: &[String]) -> Result<(String, ServerConfig), String> {
+    let mut addr = "127.0.0.1:7077".to_string();
+    let mut engine = EngineConfig::default().with_parallelism(1);
+    let mut config = ServerConfig::default();
+    let mut rate: Option<f64> = None;
+    let mut burst = config.tunables.rate_burst;
+    let mut args = args.iter();
+    while let Some(flag) = args.next() {
+        let mut value = || args.next().ok_or_else(|| format!("{flag} needs a value"));
+        match flag.as_str() {
+            "--addr" => addr = value()?.clone(),
+            "--workers" => config = config.with_workers(parse_value(flag, value()?)?),
+            "--queue" => config = config.with_max_queue_depth(parse_value(flag, value()?)?),
+            "--quota" => config = config.with_per_client_quota(parse_value(flag, value()?)?),
+            "--rate" => rate = Some(parse_value(flag, value()?)?),
+            "--burst" => burst = parse_value(flag, value()?)?,
+            "--grace-secs" => config = config.with_disconnect_grace(secs(flag, value()?)?),
+            "--config" => config = config.with_config_path(value()?),
+            "--parallelism" => engine = engine.with_parallelism(parse_value(flag, value()?)?),
+            "--warm-dir" => engine = engine.with_warm_start_dir(value()?),
+            "--watchdog-secs" => config = config.with_watchdog(secs(flag, value()?)?),
+            "--drain-secs" => config = config.with_drain_timeout(secs(flag, value()?)?),
+            "--max-conns" => config = config.with_max_connections(parse_value(flag, value()?)?),
+            "--proxy-protocol" => config = config.with_proxy_protocol(true),
+            "--chaos" => config = config.with_chaos(true),
+            other => {
+                return Err(format!(
+                    "unknown argument {other:?}; accepted flags: {ACCEPTED_FLAGS}"
+                ))
+            }
+        }
+    }
+    // `--burst` only shapes a rate limit that `--rate` turns on.
+    if let Some(rate) = rate {
+        config = config.with_rate_limit(rate, burst);
+    }
+    Ok((addr, config.with_engine(engine)))
+}
+
+/// `raw` parsed as the value of `flag`, or an error naming the flag.
+fn parse_value<T: FromStr>(flag: &str, raw: &str) -> Result<T, String> {
+    raw.parse()
+        .map_err(|_| format!("{flag}: cannot parse {raw:?}"))
+}
+
+/// A whole number of seconds given to `flag`.
+fn secs(flag: &str, raw: &str) -> Result<Duration, String> {
+    parse_value(flag, raw).map(Duration::from_secs)
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let flag = |name: &str| args.iter().any(|a| a == name);
-    let value = |name: &str| {
-        args.iter()
-            .position(|a| a == name)
-            .and_then(|i| args.get(i + 1))
-    };
-    let number = |name: &str| value(name).and_then(|v| v.parse::<usize>().ok());
-
-    let addr = value("--addr")
-        .cloned()
-        .unwrap_or_else(|| "127.0.0.1:7077".to_string());
-    let mut engine = EngineConfig::default().with_parallelism(number("--parallelism").unwrap_or(1));
-    if let Some(dir) = value("--warm-dir") {
-        engine = engine.with_warm_start_dir(dir);
+    let (addr, config) = parse_args(&args).unwrap_or_else(|e| {
+        eprintln!("hanoi-serve: {e}");
+        std::process::exit(2);
+    });
+    if let Some(dir) = &config.engine.warm_start_dir {
         // Boot-time store inventory: how much warmth this process can draw
         // on.
         match hanoi_store::ChunkStore::open(dir) {
             Ok(store) => {
                 let stats = store.stats();
                 eprintln!(
-                    "hanoi-serve: warm store {dir}: {} manifest(s), {} chunk(s), {} byte(s)",
+                    "hanoi-serve: warm store {}: {} manifest(s), {} chunk(s), {} byte(s)",
+                    dir.display(),
                     stats.manifests,
                     stats.chunks,
                     stats.total_bytes()
@@ -82,41 +137,9 @@ fn main() {
             }
             Err(e) => {
                 // The engine degrades to cold starts either way; say why.
-                eprintln!("hanoi-serve: warm store {dir} unavailable: {e}");
+                eprintln!("hanoi-serve: warm store {} unavailable: {e}", dir.display());
             }
         }
-    }
-    let mut config = ServerConfig::default()
-        .with_workers(number("--workers").unwrap_or(2))
-        .with_chaos(flag("--chaos"))
-        .with_proxy_protocol(flag("--proxy-protocol"))
-        .with_engine(engine);
-    if let Some(queue) = number("--queue") {
-        config = config.with_max_queue_depth(queue);
-    }
-    if let Some(quota) = number("--quota") {
-        config = config.with_per_client_quota(quota);
-    }
-    if let Some(rate) = value("--rate").and_then(|v| v.parse::<f64>().ok()) {
-        let burst = value("--burst")
-            .and_then(|v| v.parse::<f64>().ok())
-            .unwrap_or(16.0);
-        config = config.with_rate_limit(rate, burst);
-    }
-    if let Some(secs) = number("--grace-secs") {
-        config = config.with_disconnect_grace(Duration::from_secs(secs as u64));
-    }
-    if let Some(path) = value("--config") {
-        config = config.with_config_path(path);
-    }
-    if let Some(secs) = number("--watchdog-secs") {
-        config = config.with_watchdog(Duration::from_secs(secs as u64));
-    }
-    if let Some(secs) = number("--drain-secs") {
-        config = config.with_drain_timeout(Duration::from_secs(secs as u64));
-    }
-    if let Some(conns) = number("--max-conns") {
-        config = config.with_max_connections(conns);
     }
 
     // Panics are expected under chaos (and survivable always): keep the log
@@ -168,6 +191,92 @@ fn main() {
         Err(e) => {
             eprintln!("hanoi-serve: drain checkpoint failed: {e}");
             std::process::exit(1);
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<(String, ServerConfig), String> {
+        parse_args(&args.iter().map(|s| s.to_string()).collect::<Vec<_>>())
+    }
+
+    #[test]
+    fn flags_parse_and_default() {
+        let (addr, config) = parse(&[]).unwrap();
+        assert_eq!(addr, "127.0.0.1:7077");
+        assert_eq!(config.workers, 2);
+        assert_eq!(config.engine.parallelism, 1);
+        assert_eq!(config.engine.warm_start_dir, None);
+        assert_eq!(config.tunables, hanoi_server::Tunables::default());
+
+        let (addr, config) = parse(&[
+            "--addr",
+            "0.0.0.0:9000",
+            "--workers",
+            "3",
+            "--queue",
+            "5",
+            "--quota",
+            "2",
+            "--rate",
+            "4.5",
+            "--burst",
+            "2",
+            "--grace-secs",
+            "7",
+            "--watchdog-secs",
+            "9",
+            "--drain-secs",
+            "11",
+            "--max-conns",
+            "13",
+            "--parallelism",
+            "4",
+            "--warm-dir",
+            "/tmp/warm",
+            "--config",
+            "/tmp/tunables.json",
+            "--proxy-protocol",
+            "--chaos",
+        ])
+        .unwrap();
+        assert_eq!(addr, "0.0.0.0:9000");
+        assert_eq!(config.workers, 3);
+        assert_eq!(config.tunables.max_queue_depth, 5);
+        assert_eq!(config.tunables.per_client_quota, 2);
+        assert_eq!(config.tunables.rate_per_sec, 4.5);
+        assert_eq!(config.tunables.rate_burst, 2.0);
+        assert_eq!(config.tunables.disconnect_grace, Duration::from_secs(7));
+        assert_eq!(config.tunables.watchdog, Duration::from_secs(9));
+        assert_eq!(config.drain_timeout, Duration::from_secs(11));
+        assert_eq!(config.max_connections, 13);
+        assert_eq!(config.engine.parallelism, 4);
+        assert_eq!(
+            config.engine.warm_start_dir.as_deref(),
+            Some(std::path::Path::new("/tmp/warm"))
+        );
+        assert_eq!(
+            config.config_path.as_deref(),
+            Some(std::path::Path::new("/tmp/tunables.json"))
+        );
+        assert!(config.proxy_protocol);
+        assert!(config.enable_chaos);
+    }
+
+    #[test]
+    fn bad_arguments_are_errors_naming_them() {
+        for (args, named) in [
+            (&["--workers", "nope"][..], "--workers"),
+            (&["--quue", "4"][..], "\"--quue\""),
+            (&["--queue"][..], "--queue"),
+            (&["--rate", "fast"][..], "--rate"),
+            (&["--grace-secs", "-1"][..], "--grace-secs"),
+        ] {
+            let err = parse(args).unwrap_err();
+            assert!(err.contains(named), "{args:?}: {err}");
         }
     }
 }

@@ -26,49 +26,12 @@ use hanoi_lang::json::Json;
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
     /// Worker threads executing inference runs.  The *admission budget* —
-    /// with [`ServerConfig::max_queue_depth`], the number of runs the server
+    /// with [`Tunables::max_queue_depth`], the number of runs the server
     /// holds before it sheds.
     pub workers: usize,
-    /// Maximum queued (admitted, not yet running) runs.  A submit beyond
-    /// this is shed with a `retry_after_ms` hint instead of queued.
-    /// Hot-reloadable.
-    pub max_queue_depth: usize,
-    /// Maximum runs one client *address* may have in flight
-    /// (queued + running) before its submits are shed — per-client fairness
-    /// over the worker budget: one greedy client cannot occupy the whole
-    /// queue.  Keyed by address (not connection) because runs outlive
-    /// connections: a connection-keyed quota would reset every time the
-    /// offender reconnects.  Behind a reverse proxy, enable
-    /// [`ServerConfig::proxy_protocol`] so this keys on real client
-    /// addresses rather than the proxy's.  Hot-reloadable.
-    pub per_client_quota: usize,
-    /// Sustained submits per second one client address may make before its
-    /// submits are shed with `rate-limited` (a token bucket refilled at this
-    /// rate).  `0.0` disables rate limiting — the shipped default, sized for
-    /// trusted private-network deployments; enable it (`--rate` or a hot
-    /// reload) wherever clients are not all well-behaved.  The concurrency
-    /// quota bounds how much a client *holds*; this bounds how fast it
-    /// *asks*.  Hot-reloadable.
-    pub rate_per_sec: f64,
-    /// Burst capacity of the per-client token bucket: this many submits may
-    /// arrive back to back before the refill rate becomes the bound.
-    /// Hot-reloadable.
-    pub rate_burst: f64,
-    /// Hard per-run wall-clock ceiling.  Client-requested timeouts are
-    /// clamped to it, and a watchdog cancels (via the run's `CancelToken`)
-    /// any run still alive past the ceiling plus
-    /// [`ServerConfig::watchdog_grace`].  Hot-reloadable (applies to runs
-    /// admitted after the reload).
-    pub watchdog: Duration,
-    /// Extra slack the watchdog grants beyond the clamped timeout before it
-    /// force-cancels — covers runs wedged somewhere that polls the deadline
-    /// rarely.  Hot-reloadable.
-    pub watchdog_grace: Duration,
-    /// How long a run keeps executing after its client disconnects before
-    /// it is auto-cancelled.  Within the grace window the client may
-    /// `resume` by run token and lose nothing; `0` restores the old
-    /// cancel-on-disconnect behaviour.  Hot-reloadable.
-    pub disconnect_grace: Duration,
+    /// The hot-reloadable operational knobs: queue depth, quotas, rate
+    /// limits, watchdog clamps and grace deadlines.
+    pub tunables: Tunables,
     /// Byte budget of each run's event replay buffer.  When journaled
     /// events outgrow it, the oldest are evicted and a resuming client gets
     /// an explicit gap marker instead of a silent hole.
@@ -96,10 +59,6 @@ pub struct ServerConfig {
     /// Maximum concurrent client connections; further accepts are turned
     /// away with a `busy` error frame.
     pub max_connections: usize,
-    /// Base of the `retry_after_ms` backpressure hint; the hint scales with
-    /// how overloaded the queue is (and carries bounded jitter so shed
-    /// clients do not retry in lockstep).  Hot-reloadable.
-    pub retry_after_base_ms: u64,
     /// Distinct problem sources the server keeps elaborated (an elaborated
     /// problem pins the `Env` identity the engine's cache registry is keyed
     /// by, so re-submissions of the same source share warm caches).
@@ -132,13 +91,7 @@ impl Default for ServerConfig {
     fn default() -> Self {
         ServerConfig {
             workers: 2,
-            max_queue_depth: 64,
-            per_client_quota: 8,
-            rate_per_sec: 0.0,
-            rate_burst: 16.0,
-            watchdog: Duration::from_secs(120),
-            watchdog_grace: Duration::from_millis(500),
-            disconnect_grace: Duration::from_secs(15),
+            tunables: Tunables::default(),
             replay_buffer_bytes: 256 * 1024,
             result_retention: Duration::from_secs(120),
             max_tracked_runs: 1024,
@@ -148,7 +101,6 @@ impl Default for ServerConfig {
             max_frame_bytes: hanoi_lang::json::DEFAULT_MAX_FRAME_BYTES,
             max_frame_depth: 128,
             max_connections: 512,
-            retry_after_base_ms: 100,
             max_cached_sources: 64,
             proxy_protocol: false,
             enable_chaos: false,
@@ -172,33 +124,33 @@ impl ServerConfig {
 
     /// Sets the admission-queue depth.
     pub fn with_max_queue_depth(mut self, depth: usize) -> Self {
-        self.max_queue_depth = depth;
+        self.tunables.max_queue_depth = depth;
         self
     }
 
     /// Sets the per-client in-flight quota.
     pub fn with_per_client_quota(mut self, quota: usize) -> Self {
-        self.per_client_quota = quota;
+        self.tunables.per_client_quota = quota;
         self
     }
 
     /// Sets the per-client submit rate limit (`0.0` disables) and burst.
     pub fn with_rate_limit(mut self, per_sec: f64, burst: f64) -> Self {
-        self.rate_per_sec = per_sec;
-        self.rate_burst = burst;
+        self.tunables.rate_per_sec = per_sec;
+        self.tunables.rate_burst = burst;
         self
     }
 
     /// Sets the per-run watchdog ceiling.
     pub fn with_watchdog(mut self, watchdog: Duration) -> Self {
-        self.watchdog = watchdog;
+        self.tunables.watchdog = watchdog;
         self
     }
 
     /// Sets how long a disconnected client's runs keep executing before
     /// auto-cancel.
     pub fn with_disconnect_grace(mut self, grace: Duration) -> Self {
-        self.disconnect_grace = grace;
+        self.tunables.disconnect_grace = grace;
         self
     }
 
@@ -280,8 +232,6 @@ impl ServerConfig {
     pub fn validate(&self) -> Result<(), String> {
         for (name, value) in [
             ("workers", self.workers),
-            ("max_queue_depth", self.max_queue_depth),
-            ("per_client_quota", self.per_client_quota),
             ("max_frame_bytes", self.max_frame_bytes),
             ("max_frame_depth", self.max_frame_depth),
             ("max_connections", self.max_connections),
@@ -293,14 +243,11 @@ impl ServerConfig {
                 return Err(format!("`{name}` must be at least 1"));
             }
         }
-        if self.watchdog.is_zero() {
-            return Err("`watchdog` must be positive".to_string());
-        }
-        Tunables::from_config(self).validate()
+        self.tunables.validate()
     }
 }
 
-/// The hot-reloadable subset of [`ServerConfig`]: the operational knobs an
+/// The hot-reloadable part of [`ServerConfig`]: the operational knobs an
 /// operator retunes on a live fleet.
 ///
 /// A [`Tunables`] value is immutable once published; a reload builds a new
@@ -309,42 +256,72 @@ impl ServerConfig {
 /// the new set, never a mix.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Tunables {
-    /// See [`ServerConfig::max_queue_depth`].
+    /// Maximum queued (admitted, not yet running) runs.  A submit beyond
+    /// this is shed with a `retry_after_ms` hint instead of queued.
+    /// Hot-reloadable.
     pub max_queue_depth: usize,
-    /// See [`ServerConfig::per_client_quota`].
+    /// Maximum runs one client *address* may have in flight
+    /// (queued + running) before its submits are shed — per-client fairness
+    /// over the worker budget: one greedy client cannot occupy the whole
+    /// queue.  Keyed by address (not connection) because runs outlive
+    /// connections: a connection-keyed quota would reset every time the
+    /// offender reconnects.  Behind a reverse proxy, enable
+    /// [`ServerConfig::proxy_protocol`] so this keys on real client
+    /// addresses rather than the proxy's.  Hot-reloadable.
     pub per_client_quota: usize,
-    /// See [`ServerConfig::rate_per_sec`].
+    /// Sustained submits per second one client address may make before its
+    /// submits are shed with `rate-limited` (a token bucket refilled at this
+    /// rate).  `0.0` disables rate limiting — the shipped default, sized for
+    /// trusted private-network deployments; enable it (`--rate` or a hot
+    /// reload) wherever clients are not all well-behaved.  The concurrency
+    /// quota bounds how much a client *holds*; this bounds how fast it
+    /// *asks*.  Hot-reloadable.
     pub rate_per_sec: f64,
-    /// See [`ServerConfig::rate_burst`].
+    /// Burst capacity of the per-client token bucket: this many submits may
+    /// arrive back to back before the refill rate becomes the bound.
+    /// Hot-reloadable.
     pub rate_burst: f64,
-    /// See [`ServerConfig::retry_after_base_ms`].
-    pub retry_after_base_ms: u64,
-    /// See [`ServerConfig::watchdog`].
+    /// Hard per-run wall-clock ceiling.  Client-requested timeouts are
+    /// clamped to it, and a watchdog cancels (via the run's `CancelToken`)
+    /// any run still alive past the ceiling plus
+    /// [`Tunables::watchdog_grace`].  Hot-reloadable (applies to runs
+    /// admitted after the reload).
     pub watchdog: Duration,
-    /// See [`ServerConfig::watchdog_grace`].
+    /// Extra slack the watchdog grants beyond the clamped timeout before it
+    /// force-cancels — covers runs wedged somewhere that polls the deadline
+    /// rarely.  Hot-reloadable.
     pub watchdog_grace: Duration,
-    /// See [`ServerConfig::disconnect_grace`].
+    /// How long a run keeps executing after its client disconnects before
+    /// it is auto-cancelled.  Within the grace window the client may
+    /// `resume` by run token and lose nothing; `0` restores the old
+    /// cancel-on-disconnect behaviour.  Hot-reloadable.
     pub disconnect_grace: Duration,
+    /// Base of the `retry_after_ms` backpressure hint; the hint scales with
+    /// how overloaded the queue is (and carries bounded jitter so shed
+    /// clients do not retry in lockstep).  Hot-reloadable.
+    pub retry_after_base_ms: u64,
+}
+
+impl Default for Tunables {
+    fn default() -> Self {
+        Tunables {
+            max_queue_depth: 64,
+            per_client_quota: 8,
+            rate_per_sec: 0.0,
+            rate_burst: 16.0,
+            watchdog: Duration::from_secs(120),
+            watchdog_grace: Duration::from_millis(500),
+            disconnect_grace: Duration::from_secs(15),
+            retry_after_base_ms: 100,
+        }
+    }
 }
 
 impl Tunables {
-    /// The tunable subset of `config`.
-    pub fn from_config(config: &ServerConfig) -> Tunables {
-        Tunables {
-            max_queue_depth: config.max_queue_depth,
-            per_client_quota: config.per_client_quota,
-            rate_per_sec: config.rate_per_sec,
-            rate_burst: config.rate_burst,
-            retry_after_base_ms: config.retry_after_base_ms,
-            watchdog: config.watchdog,
-            watchdog_grace: config.watchdog_grace,
-            disconnect_grace: config.disconnect_grace,
-        }
-    }
-
     /// A copy of `self` with every key present in `json` (a flat object)
     /// replaced.  Unknown keys are rejected — a typoed knob in a reload file
-    /// must fail loudly, not silently keep the old value.
+    /// must fail loudly, not silently keep the old value — and so is a
+    /// fractional value for a key that takes an integer.
     ///
     /// Recognized keys: `max_queue_depth`, `per_client_quota`,
     /// `rate_per_sec`, `rate_burst`, `retry_after_base_ms`, `watchdog_ms`,
@@ -361,15 +338,22 @@ impl Tunables {
             if !num.is_finite() || num < 0.0 {
                 return Err(format!("`{key}` must be finite and non-negative"));
             }
+            let int = || {
+                if num.fract() == 0.0 {
+                    Ok(num as u64)
+                } else {
+                    Err(format!("`{key}` must be an integer"))
+                }
+            };
             match key.as_str() {
-                "max_queue_depth" => next.max_queue_depth = num as usize,
-                "per_client_quota" => next.per_client_quota = num as usize,
+                "max_queue_depth" => next.max_queue_depth = int()? as usize,
+                "per_client_quota" => next.per_client_quota = int()? as usize,
                 "rate_per_sec" => next.rate_per_sec = num,
                 "rate_burst" => next.rate_burst = num,
-                "retry_after_base_ms" => next.retry_after_base_ms = num as u64,
-                "watchdog_ms" => next.watchdog = Duration::from_millis(num as u64),
-                "watchdog_grace_ms" => next.watchdog_grace = Duration::from_millis(num as u64),
-                "disconnect_grace_ms" => next.disconnect_grace = Duration::from_millis(num as u64),
+                "retry_after_base_ms" => next.retry_after_base_ms = int()?,
+                "watchdog_ms" => next.watchdog = Duration::from_millis(int()?),
+                "watchdog_grace_ms" => next.watchdog_grace = Duration::from_millis(int()?),
+                "disconnect_grace_ms" => next.disconnect_grace = Duration::from_millis(int()?),
                 other => return Err(format!("unknown tunable `{other}`")),
             }
         }
@@ -487,7 +471,7 @@ mod tests {
 
     #[test]
     fn overlay_replaces_named_keys_and_rejects_unknown_ones() {
-        let base = Tunables::from_config(&ServerConfig::default());
+        let base = Tunables::default();
         let next = base
             .overlaid(
                 &parse(r#"{"rate_per_sec": 7.5, "per_client_quota": 3, "watchdog_ms": 1000}"#)
@@ -512,11 +496,19 @@ mod tests {
         assert!(base
             .overlaid(&parse(r#"{"watchdog_ms": 0}"#).unwrap())
             .is_err());
+        // Integer keys take integers only; the error names the key.
+        for (overlay, key) in [
+            (r#"{"max_queue_depth": 2.5}"#, "max_queue_depth"),
+            (r#"{"watchdog_ms": 0.5}"#, "watchdog_ms"),
+        ] {
+            let err = base.overlaid(&parse(overlay).unwrap()).unwrap_err();
+            assert_eq!(err, format!("`{key}` must be an integer"), "{overlay}");
+        }
     }
 
     #[test]
     fn hot_swap_publishes_whole_sets() {
-        let hot = HotTunables::new(Tunables::from_config(&ServerConfig::default()));
+        let hot = HotTunables::new(Tunables::default());
         let before = hot.get();
         let mut next = (*before).clone();
         next.rate_per_sec = 42.0;

@@ -259,7 +259,9 @@ fn reload(shared: &Shared) -> Result<Json, ProtocolError> {
         std::fs::read_to_string(path).map_err(|e| fail(format!("read {}: {e}", path.display())))?;
     let overlay = json::parse_with_limits(&text, shared.config.max_frame_depth)
         .map_err(|e| fail(format!("parse {}: {e}", path.display())))?;
-    let next = Tunables::from_config(&shared.config)
+    let next = shared
+        .config
+        .tunables
         .overlaid(&overlay)
         .map_err(|e| fail(format!("{}: {e}", path.display())))?;
     shared.tunables.swap(next);
@@ -279,7 +281,7 @@ impl Server {
         let listener = TcpListener::bind(addr)?;
         listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
-        let tunables = Arc::new(HotTunables::new(Tunables::from_config(&config)));
+        let tunables = Arc::new(HotTunables::new(config.tunables.clone()));
         let admission = Admission::new(config.workers, Arc::clone(&tunables));
         let shared = Arc::new(Shared {
             engine,

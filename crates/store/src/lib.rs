@@ -1,8 +1,8 @@
 //! The content-addressed, chunked warm-start store.
 //!
 //! PR 5–7 made cold-start cost a *cache* problem — structural digests key
-//! the check-outcome cache, the term banks and the pool-slab shapes, and the
-//! engine persists them between processes — but persistence was one
+//! the check-outcome cache and the term banks, and the engine persists them
+//! between processes — but persistence was one
 //! monolithic JSON blob per problem fingerprint: all-or-nothing to restore,
 //! impossible to share incrementally between hosts, and unbounded on disk.
 //! This crate replaces the blob with a **content-addressed chunk store**:
@@ -10,8 +10,9 @@
 //! - Every snapshot is split into independently addressed **chunks** — the
 //!   check cache by recency stripe ([`hanoi_verifier::CheckCache::split_snapshot`]),
 //!   each term bank into a core (value/name/world tables) plus memo-table
-//!   parts ([`hanoi_synth::TermBank::split_snapshot`]), and the pool-slab
-//!   shapes as one chunk.  A chunk lives at `chunks/<digest>.json`, where
+//!   parts ([`hanoi_synth::TermBank::split_snapshot`]).  Verifier pools are
+//!   not stored; the `shapes` chunk older builds wrote is ignored on read.
+//!   A chunk lives at `chunks/<digest>.json`, where
 //!   the digest ([`hanoi_lang::digest::Digest::of_str`]) is computed over
 //!   exactly the bytes in the file — so every read can re-hash and *prove*
 //!   the chunk is what its name claims.
@@ -97,8 +98,9 @@ const MAX_META_BYTES: u64 = 16 * 1024 * 1024;
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ManifestEntry {
     /// Which snapshot section the chunk belongs to: `"checks"` (one per
-    /// recency stripe), `"bank-core:<label>"` / `"bank-part:<label>"` per
-    /// synthesizer back end, or `"shapes"`.
+    /// recency stripe) or `"bank-core:<label>"` / `"bank-part:<label>"` per
+    /// synthesizer back end.  Older builds also wrote a `"shapes"` section,
+    /// which loads skip like any unknown section.
     pub section: String,
     /// The content address: the digest of the chunk file's exact bytes.
     pub chunk: Digest,
@@ -791,7 +793,7 @@ mod tests {
     }
 
     /// A realistic engine wrapper: empty check cache, one term bank with
-    /// `memos` guess memos, no shapes.
+    /// `memos` guess memos.
     fn wrapper(fingerprint: Digest, memos: u64) -> Json {
         let bank = TermBank::new();
         for i in 0..memos {
@@ -826,7 +828,6 @@ mod tests {
                             .collect(),
                     ),
                 ),
-                ("pool_shapes".to_string(), Json::Arr(Vec::new())),
             ]
             .into_iter()
             .collect(),
@@ -862,7 +863,7 @@ mod tests {
         let fingerprint = Digest(42);
         let original = wrapper(fingerprint, 10);
         let report = store.save_wrapper(&original).unwrap();
-        assert!(report.chunks_total >= 3, "checks + bank core + shapes");
+        assert!(report.chunks_total >= 2, "checks + bank core");
         assert_eq!(report.chunks_written, report.chunks_total);
 
         let WrapperLoad::Loaded {
@@ -909,7 +910,7 @@ mod tests {
         assert_eq!(noop.chunk_bytes_copied, 0);
 
         // One more problem in `a`: only its chunks travel.  The new wrapper
-        // shares the empty check cache and shapes chunks with the first one,
+        // shares the empty check cache chunk with the first one,
         // so the delta is strictly smaller than a full copy.
         a.save_wrapper(&wrapper(Digest(2), 5)).unwrap();
         let delta = b.merge_from(&a).unwrap();
@@ -978,6 +979,43 @@ mod tests {
     }
 
     #[test]
+    fn manifests_with_a_legacy_shapes_chunk_still_load() {
+        // Older builds appended a pool-shapes chunk to every manifest; a
+        // store they wrote must restore whole.
+        let store = temp_store("legacy-shapes");
+        let original = wrapper(Digest(1), 5);
+        store.save_wrapper(&original).unwrap();
+        let shapes = Json::obj([
+            ("version", Json::Num(1.0)),
+            ("kind", Json::Str("hanoi-pool-shapes".into())),
+            (
+                "shapes",
+                Json::Arr(vec![Json::obj([
+                    ("size", Json::Num(3.0)),
+                    ("ty", Json::Str("list".into())),
+                ])]),
+            ),
+        ]);
+        let (chunk, bytes, _) = store.put_chunk(&shapes.render_pretty()).unwrap();
+        let mut manifest = store.manifest(Digest(1)).unwrap();
+        manifest.entries.push(ManifestEntry {
+            section: "shapes".to_string(),
+            chunk,
+            bytes,
+        });
+        store.put_manifest(&manifest).unwrap();
+
+        let WrapperLoad::Loaded {
+            wrapper: restored,
+            quarantined: 0,
+        } = store.load_wrapper(Digest(1))
+        else {
+            panic!("a legacy manifest must load without quarantines");
+        };
+        assert_eq!(restored.render_pretty(), original.render_pretty());
+    }
+
+    #[test]
     fn verify_reports_and_quarantines() {
         let store = temp_store("verify");
         store.save_wrapper(&wrapper(Digest(1), 5)).unwrap();
@@ -985,7 +1023,7 @@ mod tests {
         assert_eq!(clean.chunks_quarantined, 0);
         assert_eq!(clean.manifests_broken, 0);
         assert_eq!(clean.manifests_ok, 1);
-        assert!(clean.chunks_ok >= 3);
+        assert!(clean.chunks_ok >= 2, "checks + bank core");
 
         let manifest = store.manifest(Digest(1)).unwrap();
         std::fs::write(store.chunk_path(manifest.entries[0].chunk), "bad").unwrap();
@@ -1006,7 +1044,7 @@ mod tests {
         store.save_wrapper(&wrapper(Digest(1), 5)).unwrap();
         let stats = store.stats();
         assert_eq!(stats.manifests, 1);
-        assert!(stats.chunks >= 3);
+        assert!(stats.chunks >= 2, "checks + bank core");
         assert!(stats.total_bytes() > 0);
         assert_eq!(stats.quarantined, 0);
     }

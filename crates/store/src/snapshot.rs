@@ -1,7 +1,7 @@
 //! Splitting engine warm-start wrappers into chunks and reassembling them.
 //!
 //! The engine's per-problem snapshot is a *wrapper* object — `{version,
-//! kind, fingerprint, check_cache, banks, pool_shapes}` — whose component
+//! kind, fingerprint, check_cache, banks}` — whose component
 //! formats are owned by the verifier ([`CheckCache`]) and the synthesizer
 //! ([`TermBank`]).  This module routes the wrapper through the component
 //! chunk codecs on save and back on load; the store itself never interprets
@@ -16,7 +16,9 @@
 //! | `checks`            | one check-cache recency stripe (oldest first)   |
 //! | `bank-core:<label>` | one term bank's value/name/world tables         |
 //! | `bank-part:<label>` | a slice of one bank's memo tables               |
-//! | `shapes`            | the pool-slab shape list                        |
+//!
+//! Older builds also wrote a `shapes` section (pool-slab shape keys); it is
+//! no longer written, and on load it is skipped like any unknown section.
 
 use std::collections::BTreeMap;
 use std::io;
@@ -66,8 +68,8 @@ impl ChunkStore {
     /// Saves an engine warm-start wrapper as chunks plus a manifest.
     ///
     /// The wrapper must carry `version`, `kind`, a hex `fingerprint`, a
-    /// `check_cache` snapshot, a `banks` object and a `pool_shapes` array —
-    /// anything else is rejected as [`io::ErrorKind::InvalidData`] (the
+    /// `check_cache` snapshot and a `banks` object — anything else is
+    /// rejected as [`io::ErrorKind::InvalidData`] (the
     /// engine only ever hands over wrappers it built itself, so a mismatch
     /// is a programming error, not an environmental one).
     pub fn save_wrapper(&self, wrapper: &Json) -> io::Result<SaveReport> {
@@ -114,17 +116,6 @@ impl ChunkStore {
                 sections.push((format!("bank-part:{label}"), part));
             }
         }
-        let shapes = wrapper
-            .get("pool_shapes")
-            .ok_or_else(|| invalid("wrapper has no pool_shapes"))?;
-        sections.push((
-            "shapes".to_string(),
-            Json::obj([
-                ("version", Json::Num(crate::STORE_VERSION as f64)),
-                ("kind", Json::Str("hanoi-pool-shapes".to_string())),
-                ("shapes", shapes.clone()),
-            ]),
-        ));
 
         let mut report = SaveReport::default();
         let mut entries = Vec::new();
@@ -170,7 +161,6 @@ impl ChunkStore {
         let mut stripes: Vec<Json> = Vec::new();
         let mut bank_cores: BTreeMap<String, Json> = BTreeMap::new();
         let mut bank_parts: BTreeMap<String, Vec<Json>> = BTreeMap::new();
-        let mut shapes = Json::Arr(Vec::new());
         for entry in &manifest.entries {
             let chunk = match self.load_chunk(entry.chunk) {
                 ChunkLoad::Loaded(chunk) => chunk,
@@ -187,12 +177,9 @@ impl ChunkStore {
                 bank_cores.insert(label.to_string(), chunk);
             } else if let Some(label) = entry.section.strip_prefix("bank-part:") {
                 bank_parts.entry(label.to_string()).or_default().push(chunk);
-            } else if entry.section == "shapes" {
-                if let Some(list) = chunk.get("shapes") {
-                    shapes = list.clone();
-                }
             }
-            // Unknown sections (a future format) are ignored, not fatal.
+            // Unknown sections (a future format, or the `shapes` section
+            // older builds wrote) are ignored, not fatal.
         }
 
         let (check_cache, skipped) = CheckCache::join_stripes(stripes.iter());
@@ -224,7 +211,6 @@ impl ChunkStore {
                 ("fingerprint".to_string(), Json::Str(fingerprint.to_hex())),
                 ("check_cache".to_string(), check_cache),
                 ("banks".to_string(), Json::Obj(banks.into_iter().collect())),
-                ("pool_shapes".to_string(), shapes),
             ]
             .into_iter()
             .collect(),

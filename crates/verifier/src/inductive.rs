@@ -20,7 +20,6 @@
 
 use std::collections::HashSet;
 use std::ops::ControlFlow;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use hanoi_abstraction::contract::{instrument_function, BoundaryLog};
@@ -36,9 +35,6 @@ use crate::outcome::{InductivenessCex, InductivenessOutcome, VerifierError};
 use crate::parallel::par_retain;
 use crate::poolcache::PoolCache;
 use crate::pools::{collect_abstract, search_product, CompiledPredicate};
-
-/// How often (in tuples) the deadline is polled.
-const DEADLINE_POLL: usize = 256;
 
 /// The conditioning predicate `P` of a conditional-inductiveness check.
 #[derive(Debug, Clone, Copy)]
@@ -75,25 +71,12 @@ enum Source<'a> {
 /// `invariant`, spreading tuple evaluation over `workers` threads (`1` =
 /// serial; parallel runs report the same counterexample as serial ones, see
 /// [`crate::parallel`]).  Pools come from the shared `pools` cache.
-pub fn check_conditional_inductiveness(
-    problem: &Problem,
-    pools: &PoolCache,
-    bounds: &VerifierBounds,
-    deadline: &Deadline,
-    pool: PoolSpec<'_>,
-    invariant: &Expr,
-    workers: usize,
-) -> Result<InductivenessOutcome, VerifierError> {
-    check_conditional_inductiveness_filtered(
-        problem, pools, bounds, deadline, pool, invariant, None, workers,
-    )
-}
-
-/// Like [`check_conditional_inductiveness`], but restricted to the single
-/// module operation named `only_op` when provided.  The LinearArbitrary
-/// baseline (§5.5) checks inductiveness one operation at a time.
+///
+/// With `only_op` set, only the module operation of that name is checked:
+/// the LinearArbitrary baseline (§5.5) checks inductiveness one operation
+/// at a time.
 #[allow(clippy::too_many_arguments)]
-pub fn check_conditional_inductiveness_filtered(
+pub fn check_conditional_inductiveness(
     problem: &Problem,
     pools: &PoolCache,
     bounds: &VerifierBounds,
@@ -187,16 +170,7 @@ pub fn check_conditional_inductiveness_filtered(
             }
         }
 
-        let polls = AtomicUsize::new(0);
-        let found = search_product(&choice_pools, cap, workers, |tuple| {
-            if polls
-                .fetch_add(1, Ordering::Relaxed)
-                .is_multiple_of(DEADLINE_POLL)
-                && deadline.expired()
-            {
-                return Err(VerifierError::Timeout);
-            }
-
+        let found = search_product(&choice_pools, cap, workers, deadline, |tuple| {
             // Materialize arguments, instrumenting abstract-mentioning
             // functional positions with boundary logs.
             let mut args: Vec<Value> = Vec::with_capacity(tuple.len());
@@ -235,7 +209,7 @@ pub fn check_conditional_inductiveness_filtered(
                 Ok(result) => result,
                 // A failing module operation on enumerated inputs is not a
                 // counterexample to inductiveness; skip the tuple.
-                Err(_) => return Ok(ControlFlow::Continue(())),
+                Err(_) => return ControlFlow::Continue(()),
             };
 
             // Rule I-Fun's premise: client-supplied values must satisfy P for
@@ -245,7 +219,7 @@ pub fn check_conditional_inductiveness_filtered(
                 .flat_map(|log| log.client_supplied_values())
                 .collect();
             if !client_supplied.iter().all(&satisfies_p) {
-                return Ok(ControlFlow::Continue(()));
+                return ControlFlow::Continue(());
             }
 
             // Check Q on every module-produced abstract value: the result's
@@ -255,7 +229,7 @@ pub fn check_conditional_inductiveness_filtered(
             produced.extend(logs.iter().flat_map(|log| log.module_supplied_values()));
             let violations: Vec<Value> = produced.into_iter().filter(|v| !q.test(v)).collect();
             if violations.is_empty() {
-                return Ok(ControlFlow::Continue(()));
+                return ControlFlow::Continue(());
             }
 
             // Build S = {|args|}σ ∪ client-supplied values.
@@ -265,12 +239,12 @@ pub fn check_conditional_inductiveness_filtered(
             }
             s.extend(client_supplied);
 
-            Ok(ControlFlow::Break(InductivenessCex {
+            ControlFlow::Break(InductivenessCex {
                 op: op.name.clone(),
                 args: display_args,
                 s,
                 v: violations,
-            }))
+            })
         })?;
 
         if let Some(cex) = found {
@@ -344,6 +318,7 @@ mod tests {
             &Deadline::none(),
             PoolSpec::Satisfying(&candidate),
             &candidate,
+            None,
             1,
         )
         .unwrap();
@@ -361,6 +336,7 @@ mod tests {
             &Deadline::none(),
             PoolSpec::Satisfying(&inv),
             &inv,
+            None,
             1,
         )
         .unwrap();
@@ -391,6 +367,7 @@ mod tests {
             &Deadline::none(),
             PoolSpec::Satisfying(&candidate),
             &candidate,
+            None,
             1,
         )
         .unwrap();
@@ -433,6 +410,7 @@ mod tests {
             &Deadline::none(),
             PoolSpec::Known(&v_plus),
             &candidate,
+            None,
             1,
         )
         .unwrap();
@@ -467,6 +445,7 @@ mod tests {
             &Deadline::none(),
             PoolSpec::Known(&[]),
             &candidate,
+            None,
             1,
         )
         .unwrap();

@@ -30,6 +30,10 @@
 //! counts pool hits, slab/pool builds and predicate evaluations (the eval
 //! counter is shared with [`crate::pools::CompiledPredicate`]), which the
 //! inference driver surfaces through `RunStats`.
+//!
+//! Nothing here is persisted across processes: pool contents are a
+//! deterministic function of `(type, size)`, and a warm-started run that
+//! answers its checks from the check-outcome cache never requests a pool.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -53,10 +57,6 @@ pub struct PoolCacheStats {
     pub builds: u64,
     /// Per-size slabs enumerated (at most one per `(type, size)` key).
     pub slab_builds: u64,
-    /// Slabs rebuilt from recorded warm-start shapes (see
-    /// [`PoolCache::set_pending_shapes`]); a subset of `slab_builds`, `0`
-    /// when no snapshot was restored or no pool was ever requested.
-    pub slab_restores: u64,
     /// Predicate evaluations performed by compiled predicates wired to this
     /// cache (see [`PoolCache::eval_counter`]).
     pub predicate_evals: u64,
@@ -92,14 +92,9 @@ pub struct PoolCache {
     /// concurrent requests for the same key enumerate exactly once (hits
     /// never take it).
     build_lock: Mutex<()>,
-    /// Slab shape keys recorded by a warm-start snapshot, awaiting their
-    /// one-time lazy rebuild on the first pool request (values are
-    /// deterministically re-derivable, so only the keys are persisted).
-    pending_shapes: Mutex<Option<Vec<(Type, usize)>>>,
     hits: AtomicU64,
     builds: AtomicU64,
     slab_builds: AtomicU64,
-    slab_restores: AtomicU64,
     evals: Arc<AtomicU64>,
 }
 
@@ -112,11 +107,9 @@ impl PoolCache {
             pools: Mutex::new(HashMap::new()),
             functions: Mutex::new(HashMap::new()),
             build_lock: Mutex::new(()),
-            pending_shapes: Mutex::new(None),
             hits: AtomicU64::new(0),
             builds: AtomicU64::new(0),
             slab_builds: AtomicU64::new(0),
-            slab_restores: AtomicU64::new(0),
             evals: Arc::new(AtomicU64::new(0)),
         }
     }
@@ -132,7 +125,6 @@ impl PoolCache {
     /// `(ty, count, size)` and shared thereafter.  Missing per-size slabs
     /// are built over `workers` threads (`<= 1` = serially).
     pub fn pool(&self, ty: &Type, count: usize, size: usize, workers: usize) -> Arc<Vec<Value>> {
-        self.restore_pending(workers);
         let key = (ty.clone(), count, size);
         if let Some(cached) = self.pools.lock().unwrap().get(&key) {
             self.hits.fetch_add(1, Ordering::Relaxed);
@@ -292,70 +284,6 @@ impl PoolCache {
         }
     }
 
-    /// The `(type, size)` keys of every slab currently cached, sorted for
-    /// deterministic snapshots.  Persisting the keys (not the values — those
-    /// are deterministically re-derivable) lets a restored process rebuild
-    /// its slabs once instead of re-deriving them piecemeal per request; see
-    /// [`PoolCache::set_pending_shapes`].
-    pub fn slab_shapes(&self) -> Vec<(Type, usize)> {
-        let mut shapes: Vec<(Type, usize)> = {
-            let slabs = self.slabs.lock().unwrap();
-            let pending = self.pending_shapes.lock().unwrap();
-            // A cache that never served a pool still owes its snapshot the
-            // shapes it was restored with.
-            slabs
-                .keys()
-                .cloned()
-                .chain(pending.iter().flatten().cloned())
-                .collect()
-        };
-        shapes.sort_by(|(a, sa), (b, sb)| (a.to_string(), sa).cmp(&(b.to_string(), sb)));
-        shapes.dedup();
-        shapes
-    }
-
-    /// Installs slab shape keys recorded by a warm-start snapshot.  The
-    /// slabs themselves are rebuilt **lazily, once**, on the first pool
-    /// request (a fully warm run that answers every check from the check
-    /// cache never requests a pool and never pays for the rebuild); rebuilt
-    /// slabs are counted in [`PoolCacheStats::slab_restores`].
-    pub fn set_pending_shapes(&self, shapes: Vec<(Type, usize)>) {
-        if !shapes.is_empty() {
-            *self.pending_shapes.lock().unwrap() = Some(shapes);
-        }
-    }
-
-    /// One-time lazy rebuild of restored slab shapes (no-op thereafter).
-    fn restore_pending(&self, workers: usize) {
-        let Some(shapes) = self.pending_shapes.lock().unwrap().take() else {
-            return;
-        };
-        let before = self.slab_builds.load(Ordering::Relaxed);
-        let mut by_type: HashMap<Type, Vec<usize>> = HashMap::new();
-        for (ty, size) in shapes {
-            by_type.entry(ty).or_default().push(size);
-        }
-        for (ty, mut sizes) in by_type {
-            sizes.sort_unstable();
-            sizes.dedup();
-            // Contiguous runs rebuild in one parallel range each; gaps stay
-            // unbuilt so the rebuild matches the recorded shapes exactly.
-            let mut run = 0;
-            while run < sizes.len() {
-                let start = sizes[run];
-                let mut end = start;
-                while run + 1 < sizes.len() && sizes[run + 1] == end + 1 {
-                    run += 1;
-                    end = sizes[run];
-                }
-                self.ensure_slab_range(&ty, start, end, workers);
-                run += 1;
-            }
-        }
-        let built = self.slab_builds.load(Ordering::Relaxed) - before;
-        self.slab_restores.fetch_add(built, Ordering::Relaxed);
-    }
-
     /// The shared predicate-evaluation counter; hand it to
     /// [`crate::pools::CompiledPredicate::with_eval_counter`] so evaluations
     /// show up in this session's [`PoolCacheStats`].
@@ -369,7 +297,6 @@ impl PoolCache {
             hits: self.hits.load(Ordering::Relaxed),
             builds: self.builds.load(Ordering::Relaxed),
             slab_builds: self.slab_builds.load(Ordering::Relaxed),
-            slab_restores: self.slab_restores.load(Ordering::Relaxed),
             predicate_evals: self.evals.load(Ordering::Relaxed),
         }
     }

@@ -13,6 +13,7 @@ use hanoi_lang::resolve::resolve;
 use hanoi_lang::types::Type;
 use hanoi_lang::value::Value;
 
+use crate::bounds::Deadline;
 use crate::outcome::VerifierError;
 
 /// A candidate predicate (`τc -> bool`) evaluated once to a closure so that
@@ -80,52 +81,6 @@ pub fn enumerate_values(problem: &Problem, ty: &Type, count: usize, size: usize)
     enumerator.first_values(ty, count, size)
 }
 
-/// Visits the cartesian product of `pools`, at most `cap` tuples, in
-/// lexicographic order.  The visitor may stop early by returning
-/// [`ControlFlow::Break`]; the break value is returned.
-///
-/// Returns `Ok(None)` when the product was exhausted (or capped) without a
-/// break, and propagates visitor errors.
-pub fn bounded_product<'a, T, R, E>(
-    pools: &'a [Vec<T>],
-    cap: usize,
-    mut visit: impl FnMut(&[&'a T]) -> Result<ControlFlow<R>, E>,
-) -> Result<Option<R>, E> {
-    if pools.iter().any(|p| p.is_empty()) {
-        return Ok(None);
-    }
-    let mut indices = vec![0usize; pools.len()];
-    let mut visited = 0usize;
-    loop {
-        if visited >= cap {
-            return Ok(None);
-        }
-        let current: Vec<&T> = indices
-            .iter()
-            .zip(pools)
-            .map(|(&i, pool)| &pool[i])
-            .collect();
-        match visit(&current)? {
-            ControlFlow::Break(result) => return Ok(Some(result)),
-            ControlFlow::Continue(()) => {}
-        }
-        visited += 1;
-        // Advance the odometer.
-        let mut position = pools.len();
-        loop {
-            if position == 0 {
-                return Ok(None);
-            }
-            position -= 1;
-            indices[position] += 1;
-            if indices[position] < pools[position].len() {
-                break;
-            }
-            indices[position] = 0;
-        }
-    }
-}
-
 /// Number of tuples [`search_product`] will visit: the size of the cartesian
 /// product of `pools`, capped at `cap`.
 pub fn product_len<T>(pools: &[Vec<T>], cap: usize) -> usize {
@@ -136,54 +91,55 @@ pub fn product_len<T>(pools: &[Vec<T>], cap: usize) -> usize {
     total.min(cap)
 }
 
-/// Decodes a flat lexicographic index into one tuple of the cartesian
-/// product of `pools` (the last pool varies fastest, matching
-/// [`bounded_product`]'s visit order).
+/// Decodes a flat index into one tuple of the cartesian product of `pools`.
+///
+/// This is the single definition of the verifier's tuple visit order:
+/// [`search_product`] tests flat indices `0..product_len` in ascending
+/// order, so `decode_tuple(pools, k)` is the `k`-th tuple visited.  The
+/// order is lexicographic, with the last pool varying fastest.
 pub fn decode_tuple<T>(pools: &[Vec<T>], mut flat: usize) -> Vec<&T> {
-    let mut tuple = vec![None; pools.len()];
-    for (slot, pool) in tuple.iter_mut().zip(pools).rev() {
-        *slot = Some(&pool[flat % pool.len()]);
+    let mut tuple = Vec::with_capacity(pools.len());
+    for pool in pools.iter().rev() {
+        tuple.push(&pool[flat % pool.len()]);
         flat /= pool.len();
     }
+    tuple.reverse();
     tuple
-        .into_iter()
-        .map(|slot| slot.expect("every slot is filled"))
-        .collect()
 }
 
-/// Searches the (capped) cartesian product of `pools` for the first tuple on
-/// which `visit` breaks, distributing tuples over `workers` threads.
+/// Searches the (capped) cartesian product of `pools`, in
+/// [`decode_tuple`] order, for the first tuple on which `visit` breaks,
+/// distributing tuples over `workers` threads.  The deadline is polled
+/// every 256 flat indices; an expired one ends the search with
+/// [`VerifierError::Timeout`].
 ///
 /// Serial-equivalent by construction: whatever thread breaks first, the
-/// reported break is always the one at the least lexicographic tuple index
-/// (see [`crate::parallel::find_first`]), so callers observe exactly the
+/// reported break is always the one at the least flat index (see
+/// [`crate::parallel::find_first`]), so callers observe exactly the
 /// counterexample a `workers = 1` run would report.  `visit` must therefore
 /// be a pure function of the tuple.
-pub fn search_product<'a, T, R, E>(
+pub fn search_product<'a, T, R>(
     pools: &'a [Vec<T>],
     cap: usize,
     workers: usize,
-    visit: impl Fn(&[&'a T]) -> Result<ControlFlow<R>, E> + Sync,
-) -> Result<Option<R>, E>
+    deadline: &Deadline,
+    visit: impl Fn(&[&'a T]) -> ControlFlow<R> + Sync,
+) -> Result<Option<R>, VerifierError>
 where
     T: Sync,
     R: Send,
-    E: Send,
 {
-    if pools.iter().any(|p| p.is_empty()) {
-        return Ok(None);
-    }
-    if workers <= 1 {
-        return bounded_product(pools, cap, visit);
-    }
     let len = product_len(pools, cap);
     crate::parallel::find_first(len, workers, PRODUCT_CHUNK, |flat| {
-        match visit(&decode_tuple(pools, flat))? {
-            ControlFlow::Break(result) => Ok(Some(result)),
-            ControlFlow::Continue(()) => Ok(None),
+        if flat.is_multiple_of(DEADLINE_POLL) && deadline.expired() {
+            return Err(VerifierError::Timeout);
         }
+        Ok(visit(&decode_tuple(pools, flat)).break_value())
     })
 }
+
+/// How often (in flat indices) [`search_product`] polls its deadline.
+const DEADLINE_POLL: usize = 256;
 
 /// Chunk size for parallel product search: large enough to amortize the
 /// claim, small enough that the short-circuit cutoff stays tight (a tuple
@@ -258,62 +214,78 @@ mod tests {
         assert!(values.windows(2).all(|w| w[0].size() <= w[1].size()));
     }
 
+    /// Every tuple serial `search_product` visits, in visit order.
+    fn visited<T: Copy + Send + Sync>(pools: &[Vec<T>], cap: usize) -> Vec<Vec<T>> {
+        let seen = std::sync::Mutex::new(Vec::new());
+        let found: Option<()> = search_product(pools, cap, 1, &Deadline::none(), |tuple| {
+            seen.lock()
+                .unwrap()
+                .push(tuple.iter().map(|&&x| x).collect());
+            ControlFlow::Continue(())
+        })
+        .unwrap();
+        assert_eq!(found, None);
+        seen.into_inner().unwrap()
+    }
+
+    /// The bounded product search (`search_product`) visits tuples
+    /// lexicographically, last pool fastest, and stops at the cap.
     #[test]
     fn bounded_product_visits_in_order_and_respects_cap() {
         let pools = vec![vec![1, 2, 3], vec![10, 20]];
-        let mut seen = Vec::new();
-        let result: Result<Option<()>, ()> = bounded_product(&pools, 100, |tuple| {
-            seen.push((*tuple[0], *tuple[1]));
-            Ok(ControlFlow::Continue(()))
-        });
-        assert_eq!(result, Ok(None));
+        let seen = visited(&pools, 100);
         assert_eq!(seen.len(), 6);
-        assert_eq!(seen[0], (1, 10));
-        assert_eq!(seen[5], (3, 20));
-
-        let mut count = 0usize;
-        let _: Result<Option<()>, ()> = bounded_product(&pools, 4, |_| {
-            count += 1;
-            Ok(ControlFlow::Continue(()))
-        });
-        assert_eq!(count, 4);
+        assert_eq!(seen[0], vec![1, 10]);
+        assert_eq!(seen[1], vec![1, 20]);
+        assert_eq!(seen[5], vec![3, 20]);
+        assert_eq!(visited(&pools, 4), seen[..4].to_vec());
     }
 
-    #[test]
-    fn bounded_product_breaks_early() {
-        let pools = vec![vec![1, 2, 3]];
-        let result: Result<Option<i32>, ()> = bounded_product(&pools, 100, |tuple| {
-            if *tuple[0] == 2 {
-                Ok(ControlFlow::Break(*tuple[0]))
-            } else {
-                Ok(ControlFlow::Continue(()))
-            }
-        });
-        assert_eq!(result, Ok(Some(2)));
-    }
-
-    #[test]
-    fn bounded_product_with_empty_pool_visits_nothing() {
-        let pools: Vec<Vec<i32>> = vec![vec![1, 2], vec![]];
-        let result: Result<Option<()>, ()> = bounded_product(&pools, 10, |_| {
-            panic!("should not be called");
-        });
-        assert_eq!(result, Ok(None));
-    }
-
+    /// `decode_tuple(pools, k)` is the `k`-th tuple the bounded product
+    /// search (`search_product`) visits.
     #[test]
     fn decode_tuple_matches_bounded_product_order() {
         let pools = vec![vec![1, 2, 3], vec![10, 20], vec![100, 200]];
-        let mut visited: Vec<Vec<i32>> = Vec::new();
-        let _: Result<Option<()>, ()> = bounded_product(&pools, 1000, |tuple| {
-            visited.push(tuple.iter().map(|&&x| x).collect());
-            Ok(ControlFlow::Continue(()))
-        });
-        assert_eq!(visited.len(), product_len(&pools, 1000));
-        for (flat, expected) in visited.iter().enumerate() {
+        let mut lexicographic = Vec::new();
+        for &a in &pools[0] {
+            for &b in &pools[1] {
+                for &c in &pools[2] {
+                    lexicographic.push(vec![a, b, c]);
+                }
+            }
+        }
+        assert_eq!(lexicographic.len(), product_len(&pools, 1000));
+        assert_eq!(visited(&pools, 1000), lexicographic);
+        for (flat, expected) in lexicographic.iter().enumerate() {
             let decoded: Vec<i32> = decode_tuple(&pools, flat).into_iter().copied().collect();
             assert_eq!(&decoded, expected, "flat index {flat}");
         }
+    }
+
+    #[test]
+    fn search_product_breaks_early() {
+        let pools = vec![vec![1, 2, 3]];
+        let tested = AtomicU64::new(0);
+        let found = search_product(&pools, 100, 1, &Deadline::none(), |tuple| {
+            tested.fetch_add(1, Ordering::Relaxed);
+            if *tuple[0] == 2 {
+                ControlFlow::Break(*tuple[0])
+            } else {
+                ControlFlow::Continue(())
+            }
+        });
+        assert_eq!(found, Ok(Some(2)));
+        assert_eq!(tested.load(Ordering::Relaxed), 2);
+    }
+
+    #[test]
+    fn search_product_visits_no_tuple_with_an_empty_pool_and_one_with_no_pools() {
+        let pools: Vec<Vec<i32>> = vec![vec![1, 2], vec![]];
+        assert_eq!(visited(&pools, 10), Vec::<Vec<i32>>::new());
+        // A zero-arity product (a module constant such as `empty`) still has
+        // one tuple; skipping it would let `False` pass every check.
+        let none: Vec<Vec<i32>> = Vec::new();
+        assert_eq!(visited(&none, 10), vec![Vec::<i32>::new()]);
     }
 
     #[test]
@@ -325,40 +297,38 @@ mod tests {
             (0..9).collect(),
             (0..5).collect(),
         ];
-        for threshold in [3i64, 9, 14, 100] {
-            let serial: Option<Vec<i64>> = search_product(&pools, 10_000, 1, |tuple| {
+        let first_above = |threshold: i64, workers: usize| -> Option<Vec<i64>> {
+            search_product(&pools, 10_000, workers, &Deadline::none(), |tuple| {
                 let sum: i64 = tuple.iter().copied().sum();
-                Ok::<_, ()>(if sum >= threshold {
+                if sum >= threshold {
                     ControlFlow::Break(tuple.iter().map(|&&x| x).collect())
                 } else {
                     ControlFlow::Continue(())
-                })
+                }
             })
-            .unwrap();
+            .unwrap()
+        };
+        for threshold in [3i64, 9, 14, 100] {
+            let serial = first_above(threshold, 1);
             for workers in [2, 4, 8] {
-                let parallel: Option<Vec<i64>> = search_product(&pools, 10_000, workers, |tuple| {
-                    let sum: i64 = tuple.iter().copied().sum();
-                    Ok::<_, ()>(if sum >= threshold {
-                        ControlFlow::Break(tuple.iter().map(|&&x| x).collect())
-                    } else {
-                        ControlFlow::Continue(())
-                    })
-                })
-                .unwrap();
-                assert_eq!(parallel, serial, "threshold={threshold} workers={workers}");
+                assert_eq!(
+                    first_above(threshold, workers),
+                    serial,
+                    "threshold={threshold} workers={workers}"
+                );
             }
         }
     }
 
     #[test]
     fn search_product_respects_the_cap() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
+        use std::sync::atomic::AtomicUsize;
         let pools = vec![(0..100).collect::<Vec<i32>>(), (0..100).collect()];
         for workers in [1, 4] {
             let visited = AtomicUsize::new(0);
-            let found: Option<()> = search_product(&pools, 37, workers, |_| {
+            let found: Option<()> = search_product(&pools, 37, workers, &Deadline::none(), |_| {
                 visited.fetch_add(1, Ordering::Relaxed);
-                Ok::<_, ()>(ControlFlow::Continue(()))
+                ControlFlow::Continue(())
             })
             .unwrap();
             assert_eq!(found, None);

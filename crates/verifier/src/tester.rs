@@ -7,7 +7,6 @@
 //! `I`), up to the configured bounds, and reports the first violating tuple.
 
 use std::ops::ControlFlow;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use hanoi_abstraction::Problem;
@@ -20,9 +19,6 @@ use crate::outcome::{SufficiencyCex, SufficiencyOutcome, VerifierError};
 use crate::parallel::par_retain;
 use crate::poolcache::PoolCache;
 use crate::pools::{search_product, CompiledPredicate};
-
-/// How often (in tuples) the deadline is polled.
-const DEADLINE_POLL: usize = 256;
 
 /// Checks sufficiency of `invariant` for the problem's specification,
 /// spreading tuple evaluation over `workers` threads (`1` = serial; parallel
@@ -68,31 +64,23 @@ pub fn check_sufficiency(
     }
 
     let abstract_positions = spec.abstract_positions();
-    let polls = AtomicUsize::new(0);
-    let found = search_product(&filtered, cap, workers, |tuple| {
-        if polls
-            .fetch_add(1, Ordering::Relaxed)
-            .is_multiple_of(DEADLINE_POLL)
-            && deadline.expired()
-        {
-            return Err(VerifierError::Timeout);
-        }
+    let found = search_product(&filtered, cap, workers, deadline, |tuple| {
         let args: Vec<Value> = tuple.iter().map(|v| (**v).clone()).collect();
         let mut fuel = Fuel::new(bounds.fuel);
         let holds = problem
             .eval_spec_with_fuel(&args, &mut fuel)
             .unwrap_or(false);
         if holds {
-            Ok(ControlFlow::Continue(()))
+            ControlFlow::Continue(())
         } else {
             let abstract_args = abstract_positions
                 .iter()
                 .map(|&i| args[i].clone())
                 .collect::<Vec<_>>();
-            Ok(ControlFlow::Break(SufficiencyCex {
+            ControlFlow::Break(SufficiencyCex {
                 args,
                 abstract_args,
-            }))
+            })
         }
     })?;
 

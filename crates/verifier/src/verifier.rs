@@ -1,6 +1,7 @@
 //! The [`Verifier`] façade: one object bundling a problem, bounds and a
 //! deadline, exposing the three checks the inference driver needs.
 
+use std::ops::ControlFlow;
 use std::sync::Arc;
 
 use hanoi_abstraction::Problem;
@@ -11,12 +12,10 @@ use hanoi_lang::value::Value;
 
 use crate::bounds::{Deadline, VerifierBounds};
 use crate::checkcache::{CheckCache, CheckCacheStats};
-use crate::inductive::{
-    check_conditional_inductiveness, check_conditional_inductiveness_filtered, PoolSpec,
-};
+use crate::inductive::{check_conditional_inductiveness, PoolSpec};
 use crate::outcome::{InductivenessOutcome, SufficiencyOutcome, VerifierError};
 use crate::poolcache::{PoolCache, PoolCacheStats};
-use crate::pools::CompiledPredicate;
+use crate::pools::{search_product, CompiledPredicate};
 use crate::tester::check_sufficiency;
 
 /// The bounded enumerative verifier.
@@ -158,6 +157,7 @@ impl<'p> Verifier<'p> {
                 &self.deadline,
                 PoolSpec::Known(v_plus),
                 invariant,
+                None,
                 self.workers(),
             )
         };
@@ -185,6 +185,7 @@ impl<'p> Verifier<'p> {
                 &self.deadline,
                 PoolSpec::Satisfying(invariant),
                 invariant,
+                None,
                 self.workers(),
             )
         };
@@ -202,7 +203,7 @@ impl<'p> Verifier<'p> {
         invariant: &Expr,
     ) -> Result<InductivenessOutcome, VerifierError> {
         let compute = || {
-            check_conditional_inductiveness_filtered(
+            check_conditional_inductiveness(
                 self.problem,
                 &self.pools,
                 &self.bounds,
@@ -234,6 +235,7 @@ impl<'p> Verifier<'p> {
             &self.deadline,
             PoolSpec::Satisfying(p),
             q,
+            None,
             self.workers(),
         )
     }
@@ -254,17 +256,19 @@ impl<'p> Verifier<'p> {
             self.bounds.single_size,
             self.workers(),
         );
-        crate::parallel::find_first(values.len(), self.workers(), 64, |index| {
-            if index % 256 == 0 && self.deadline.expired() {
-                return Err(VerifierError::Timeout);
-            }
-            let value = &values[index];
-            if compiled.test(value) {
-                Ok(None)
-            } else {
-                Ok(Some(value.clone()))
-            }
-        })
+        search_product(
+            std::slice::from_ref(&*values),
+            usize::MAX,
+            self.workers(),
+            &self.deadline,
+            |tuple| {
+                if compiled.test(tuple[0]) {
+                    ControlFlow::Continue(())
+                } else {
+                    ControlFlow::Break(tuple[0].clone())
+                }
+            },
+        )
     }
 
     /// The smallest `count` values of the concrete representation type — the

@@ -264,7 +264,7 @@ fn every_chunk_tampered_in_turn_quarantines_only_itself() {
     let manifest = store.manifest(problem.fingerprint()).unwrap();
     assert!(
         manifest.entries.len() >= 3,
-        "a solved benchmark should chunk into checks + bank(s) + shapes: {:?}",
+        "a solved benchmark should chunk into check stripe(s) + bank chunks: {:?}",
         manifest.entries.len()
     );
     for (i, entry) in manifest.entries.iter().enumerate() {
