@@ -15,7 +15,7 @@
 use hanoi_lang::enumerate::ValueEnumerator;
 use hanoi_lang::eval::Fuel;
 use hanoi_lang::types::Type;
-use hanoi_lang::util::OrderedSet;
+use hanoi_lang::util::{for_each_product, OrderedSet};
 use hanoi_lang::value::Value;
 
 use crate::problem::Problem;
@@ -106,9 +106,11 @@ impl ConstructibleOracle {
                     }
                 }
                 let mut results = Vec::new();
-                apply_cartesian(&pools, &mut Vec::new(), &mut |args| {
+                let pools: Vec<&[Value]> = pools.iter().map(Vec::as_slice).collect();
+                for_each_product(&pools, |args| {
+                    let args: Vec<Value> = args.iter().copied().cloned().collect();
                     let mut fuel = Fuel::standard();
-                    if let Ok(result) = evaluator.apply_many(op.value.clone(), args, &mut fuel) {
+                    if let Ok(result) = evaluator.apply_many(op.value.clone(), &args, &mut fuel) {
                         results.push(result);
                     }
                 });
@@ -177,27 +179,6 @@ fn project_abstract(value: &Value, sig: &Type, _concrete: &Type) -> Vec<Value> {
             Vec::new()
         }
         Type::Arrow(_, _) => Vec::new(),
-    }
-}
-
-fn apply_cartesian(
-    pools: &[Vec<Value>],
-    current: &mut Vec<Value>,
-    emit: &mut impl FnMut(&[Value]),
-) {
-    if pools.is_empty() {
-        emit(current);
-        return;
-    }
-    if current.len() == pools.len() {
-        emit(current);
-        return;
-    }
-    let index = current.len();
-    for item in &pools[index] {
-        current.push(item.clone());
-        apply_cartesian(pools, current, emit);
-        current.pop();
     }
 }
 

@@ -12,6 +12,7 @@ use std::sync::Arc;
 
 use crate::symbol::Symbol;
 use crate::types::{Type, TypeEnv};
+use crate::util::{compositions, for_each_product};
 use crate::value::Value;
 
 /// A memoising enumerator of first-order values by size.
@@ -71,13 +72,16 @@ impl<'a> ValueEnumerator<'a> {
                     }
                 } else {
                     let mut out = Vec::new();
-                    for split in compositions(size - 1, elems.len()) {
+                    for split in compositions(size - 1, elems.len()).iter() {
                         let groups: Vec<Arc<Vec<Value>>> = elems
                             .iter()
-                            .zip(&split)
+                            .zip(split)
                             .map(|(t, &s)| self.values_of_size(t, s))
                             .collect();
-                        cartesian(&groups, |items| out.push(Value::Tuple(items.into())));
+                        let groups: Vec<&[Value]> = groups.iter().map(|g| g.as_slice()).collect();
+                        for_each_product(&groups, |items| {
+                            out.push(Value::Tuple(items.iter().copied().cloned().collect()))
+                        });
                     }
                     out
                 }
@@ -105,14 +109,18 @@ impl<'a> ValueEnumerator<'a> {
             if size < 1 + args.len() {
                 continue;
             }
-            for split in compositions(size - 1, args.len()) {
+            for split in compositions(size - 1, args.len()).iter() {
                 let groups: Vec<Arc<Vec<Value>>> = args
                     .iter()
-                    .zip(&split)
+                    .zip(split)
                     .map(|(t, &s)| self.values_of_size(t, s))
                     .collect();
-                cartesian(&groups, |items| {
-                    out.push(Value::Ctor(ctor.clone(), items.into()))
+                let groups: Vec<&[Value]> = groups.iter().map(|g| g.as_slice()).collect();
+                for_each_product(&groups, |items| {
+                    out.push(Value::Ctor(
+                        ctor.clone(),
+                        items.iter().copied().cloned().collect(),
+                    ))
                 });
             }
         }
@@ -169,61 +177,6 @@ impl<'a> ValueEnumerator<'a> {
     pub fn tyenv(&self) -> &'a TypeEnv {
         self.tyenv
     }
-}
-
-/// All ways to write `total` as an ordered sum of `parts` positive integers.
-fn compositions(total: usize, parts: usize) -> Vec<Vec<usize>> {
-    let mut out = Vec::new();
-    if parts == 0 {
-        if total == 0 {
-            out.push(Vec::new());
-        }
-        return out;
-    }
-    if total < parts {
-        return out;
-    }
-    let mut current = Vec::with_capacity(parts);
-    compose_rec(total, parts, &mut current, &mut out);
-    out
-}
-
-fn compose_rec(total: usize, parts: usize, current: &mut Vec<usize>, out: &mut Vec<Vec<usize>>) {
-    if parts == 1 {
-        current.push(total);
-        out.push(current.clone());
-        current.pop();
-        return;
-    }
-    for first in 1..=(total - (parts - 1)) {
-        current.push(first);
-        compose_rec(total - first, parts - 1, current, out);
-        current.pop();
-    }
-}
-
-/// Calls `emit` with every element of the cartesian product of `groups`.
-fn cartesian(groups: &[Arc<Vec<Value>>], mut emit: impl FnMut(Vec<Value>)) {
-    fn rec(
-        groups: &[Arc<Vec<Value>>],
-        index: usize,
-        current: &mut Vec<Value>,
-        emit: &mut impl FnMut(Vec<Value>),
-    ) {
-        if index == groups.len() {
-            emit(current.clone());
-            return;
-        }
-        for item in groups[index].iter() {
-            current.push(item.clone());
-            rec(groups, index + 1, current, emit);
-            current.pop();
-        }
-    }
-    if groups.iter().any(|g| g.is_empty()) {
-        return;
-    }
-    rec(groups, 0, &mut Vec::new(), &mut emit);
 }
 
 #[cfg(test)]
@@ -402,8 +355,9 @@ mod tests {
 
     #[test]
     fn compositions_are_correct() {
-        assert_eq!(compositions(3, 1), vec![vec![3]]);
-        assert_eq!(compositions(3, 2), vec![vec![1, 2], vec![2, 1]]);
+        // The size splits this module draws from the shared helper.
+        assert_eq!(*compositions(3, 1), vec![vec![3]]);
+        assert_eq!(*compositions(3, 2), vec![vec![1, 2], vec![2, 1]]);
         assert_eq!(compositions(4, 3).len(), 3);
         assert!(compositions(2, 3).is_empty());
     }

@@ -6,7 +6,6 @@
 //! component measures the same way.
 
 use crate::ast::{Expr, Pattern};
-use crate::value::Value;
 
 /// Number of AST nodes of an expression.
 pub fn expr_size(e: &Expr) -> usize {
@@ -37,12 +36,6 @@ pub fn pattern_size(p: &Pattern) -> usize {
         Pattern::Wildcard | Pattern::Var(_) => 1,
         Pattern::Ctor(_, ps) | Pattern::Tuple(ps) => 1 + ps.iter().map(pattern_size).sum::<usize>(),
     }
-}
-
-/// Number of constructor/tuple nodes of a first-order value; identical to
-/// [`Value::size`], re-exported here for symmetry with [`expr_size`].
-pub fn value_size(v: &Value) -> usize {
-    v.size()
 }
 
 #[cfg(test)]
@@ -101,11 +94,5 @@ mod tests {
             )),
             3
         );
-    }
-
-    #[test]
-    fn value_size_matches_value_method() {
-        let v = Value::nat_list(&[1, 2, 3]);
-        assert_eq!(value_size(&v), v.size());
     }
 }

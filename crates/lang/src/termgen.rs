@@ -23,6 +23,7 @@ use std::sync::Arc;
 use crate::ast::Expr;
 use crate::symbol::Symbol;
 use crate::types::{Type, TypeEnv};
+use crate::util::{compositions, for_each_product};
 
 /// A named, typed component available to term enumeration: an in-scope
 /// variable or a global function.
@@ -178,14 +179,18 @@ impl<'a> TermGenerator<'a> {
             if size < 1 + 2 * arg_tys.len() {
                 continue;
             }
-            for split in compositions(size - 1 - arg_tys.len(), arg_tys.len()) {
+            for split in compositions(size - 1 - arg_tys.len(), arg_tys.len()).iter() {
                 let groups: Vec<Arc<Vec<Expr>>> = arg_tys
                     .iter()
-                    .zip(&split)
+                    .zip(split)
                     .map(|(t, &s)| self.terms_of_size(t, s))
                     .collect();
-                cartesian(&groups, |args| {
-                    out.push(Expr::apps(Expr::Var(name.clone()), args));
+                let groups: Vec<&[Expr]> = groups.iter().map(|g| g.as_slice()).collect();
+                for_each_product(&groups, |args| {
+                    out.push(Expr::apps(
+                        Expr::Var(name.clone()),
+                        args.iter().copied().cloned(),
+                    ));
                 });
             }
         }
@@ -208,14 +213,19 @@ impl<'a> TermGenerator<'a> {
                         if size < 1 + args.len() {
                             continue;
                         }
-                        for split in compositions(size - 1, args.len()) {
+                        for split in compositions(size - 1, args.len()).iter() {
                             let groups: Vec<Arc<Vec<Expr>>> = args
                                 .iter()
-                                .zip(&split)
+                                .zip(split)
                                 .map(|(t, &s)| self.terms_of_size(t, s))
                                 .collect();
-                            cartesian(&groups, |items| {
-                                out.push(Expr::Ctor(ctor.clone(), items));
+                            let groups: Vec<&[Expr]> =
+                                groups.iter().map(|g| g.as_slice()).collect();
+                            for_each_product(&groups, |items| {
+                                out.push(Expr::Ctor(
+                                    ctor.clone(),
+                                    items.iter().copied().cloned().collect(),
+                                ));
                             });
                         }
                     }
@@ -225,13 +235,16 @@ impl<'a> TermGenerator<'a> {
         // Tuples.
         if let Type::Tuple(elems) = ty {
             if !elems.is_empty() && size > elems.len() {
-                for split in compositions(size - 1, elems.len()) {
+                for split in compositions(size - 1, elems.len()).iter() {
                     let groups: Vec<Arc<Vec<Expr>>> = elems
                         .iter()
-                        .zip(&split)
+                        .zip(split)
                         .map(|(t, &s)| self.terms_of_size(t, s))
                         .collect();
-                    cartesian(&groups, |items| out.push(Expr::Tuple(items)));
+                    let groups: Vec<&[Expr]> = groups.iter().map(|g| g.as_slice()).collect();
+                    for_each_product(&groups, |items| {
+                        out.push(Expr::Tuple(items.iter().copied().cloned().collect()))
+                    });
                 }
             }
         }
@@ -244,7 +257,7 @@ impl<'a> TermGenerator<'a> {
                     }
                 }
                 if size >= 3 {
-                    for split in compositions(size - 1, 2) {
+                    for split in compositions(size - 1, 2).iter() {
                         let lefts = self.terms_of_size(&Type::bool(), split[0]);
                         let rights = self.terms_of_size(&Type::bool(), split[1]);
                         for l in lefts.iter() {
@@ -259,7 +272,7 @@ impl<'a> TermGenerator<'a> {
             if self.config.allow_eq && size >= 3 {
                 let eq_types = self.config.eq_types.clone();
                 for operand_ty in eq_types {
-                    for split in compositions(size - 1, 2) {
+                    for split in compositions(size - 1, 2).iter() {
                         let lefts = self.terms_of_size(&operand_ty, split[0]);
                         let rights = self.terms_of_size(&operand_ty, split[1]);
                         for l in lefts.iter() {
@@ -273,58 +286,6 @@ impl<'a> TermGenerator<'a> {
         }
         out
     }
-}
-
-/// All ways to write `total` as an ordered sum of `parts` positive integers.
-fn compositions(total: usize, parts: usize) -> Vec<Vec<usize>> {
-    fn rec(total: usize, parts: usize, current: &mut Vec<usize>, out: &mut Vec<Vec<usize>>) {
-        if parts == 1 {
-            current.push(total);
-            out.push(current.clone());
-            current.pop();
-            return;
-        }
-        for first in 1..=(total - (parts - 1)) {
-            current.push(first);
-            rec(total - first, parts - 1, current, out);
-            current.pop();
-        }
-    }
-    let mut out = Vec::new();
-    if parts == 0 {
-        if total == 0 {
-            out.push(Vec::new());
-        }
-        return out;
-    }
-    if total >= parts {
-        rec(total, parts, &mut Vec::with_capacity(parts), &mut out);
-    }
-    out
-}
-
-/// Calls `emit` with every element of the cartesian product of `groups`.
-fn cartesian(groups: &[Arc<Vec<Expr>>], mut emit: impl FnMut(Vec<Expr>)) {
-    fn rec(
-        groups: &[Arc<Vec<Expr>>],
-        index: usize,
-        current: &mut Vec<Expr>,
-        emit: &mut impl FnMut(Vec<Expr>),
-    ) {
-        if index == groups.len() {
-            emit(current.clone());
-            return;
-        }
-        for item in groups[index].iter() {
-            current.push(item.clone());
-            rec(groups, index + 1, current, emit);
-            current.pop();
-        }
-    }
-    if groups.iter().any(|g| g.is_empty()) {
-        return;
-    }
-    rec(groups, 0, &mut Vec::new(), &mut emit);
 }
 
 #[cfg(test)]

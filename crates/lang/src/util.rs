@@ -1,11 +1,11 @@
 //! Small shared utilities.
 
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 use std::hash::Hash;
 use std::io::Write as _;
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 /// Writes `bytes` to `path` atomically and durably: the bytes land in a
@@ -17,7 +17,7 @@ use std::time::{Duration, Instant};
 ///
 /// This is the one shared implementation of the pattern every persistent
 /// artifact in the workspace uses: the engine's warm-start snapshots, the
-/// chunk store's chunks, manifests and index (`hanoi_store`), and anything
+/// chunk store's chunks and manifests (`hanoi_store`), and anything
 /// the server checkpoints at drain.  Callers that write several files and
 /// then need the *renames* durable should follow up with [`sync_dir`] on the
 /// containing directory.
@@ -45,6 +45,67 @@ pub fn write_atomic(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
 /// top of the per-file one from [`write_atomic`], never a required one.
 pub fn sync_dir(dir: &Path) {
     let _ = std::fs::File::open(dir).and_then(|d| d.sync_all());
+}
+
+/// All ways to write `total` as an ordered sum of `parts` positive integers,
+/// in lexicographic order, memoized process-wide (the enumerators ask for
+/// the same handful of `(total, parts)` keys at every size).  `(0, 0)` has
+/// one composition, the empty one.
+pub fn compositions(total: usize, parts: usize) -> Arc<Vec<Vec<usize>>> {
+    fn rec(total: usize, parts: usize, current: &mut Vec<usize>, out: &mut Vec<Vec<usize>>) {
+        if parts == 1 {
+            current.push(total);
+            out.push(current.clone());
+            current.pop();
+            return;
+        }
+        for first in 1..=(total - (parts - 1)) {
+            current.push(first);
+            rec(total - first, parts - 1, current, out);
+            current.pop();
+        }
+    }
+    type Memo = Mutex<HashMap<(usize, usize), Arc<Vec<Vec<usize>>>>>;
+    const POISONED: &str = "a thread panicked while holding the compositions memo";
+    static MEMO: OnceLock<Memo> = OnceLock::new();
+    let memo = MEMO.get_or_init(Memo::default);
+    if let Some(cached) = memo.lock().expect(POISONED).get(&(total, parts)) {
+        return Arc::clone(cached);
+    }
+    let mut out = Vec::new();
+    if parts == 0 {
+        if total == 0 {
+            out.push(Vec::new());
+        }
+    } else if total >= parts {
+        rec(total, parts, &mut Vec::with_capacity(parts), &mut out);
+    }
+    let computed = Arc::new(out);
+    memo.lock()
+        .expect(POISONED)
+        .insert((total, parts), Arc::clone(&computed));
+    computed
+}
+
+/// Calls `visit` with every tuple of the cartesian product of `groups`, in
+/// lexicographic order (the last position varies fastest).  Zero groups
+/// have one tuple, the empty one; a product with an empty group has none.
+pub fn for_each_product<'a, T>(groups: &[&'a [T]], mut visit: impl FnMut(&[&'a T])) {
+    fn rec<'a, T>(groups: &[&'a [T]], current: &mut Vec<&'a T>, visit: &mut impl FnMut(&[&'a T])) {
+        let Some((first, rest)) = groups.split_first() else {
+            visit(current);
+            return;
+        };
+        for item in *first {
+            current.push(item);
+            rec(rest, current, visit);
+            current.pop();
+        }
+    }
+    if groups.iter().any(|g| g.is_empty()) {
+        return;
+    }
+    rec(groups, &mut Vec::with_capacity(groups.len()), &mut visit);
 }
 
 /// A shared, thread-safe cooperative-cancellation flag.
@@ -299,6 +360,47 @@ mod tests {
         assert!(write_atomic(Path::new("/"), b"x").is_err());
         sync_dir(&dir); // must not panic, even if the platform refuses
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn compositions_are_correct() {
+        assert_eq!(*compositions(3, 1), vec![vec![3]]);
+        assert_eq!(*compositions(3, 2), vec![vec![1, 2], vec![2, 1]]);
+        assert_eq!(
+            *compositions(4, 2),
+            vec![vec![1, 3], vec![2, 2], vec![3, 1]]
+        );
+        assert_eq!(compositions(4, 3).len(), 3);
+        assert!(compositions(2, 3).is_empty());
+        assert!(compositions(1, 2).is_empty());
+        assert_eq!(*compositions(0, 0), vec![Vec::<usize>::new()]);
+        assert!(compositions(3, 0).is_empty());
+        // The memo serves repeated requests from the same allocation.
+        assert!(Arc::ptr_eq(&compositions(4, 2), &compositions(4, 2)));
+    }
+
+    #[test]
+    fn products_visit_lexicographically() {
+        let collect = |groups: &[&[u8]]| {
+            let mut out = Vec::new();
+            for_each_product(groups, |tuple| {
+                out.push(tuple.iter().map(|&&x| x).collect::<Vec<u8>>())
+            });
+            out
+        };
+        assert_eq!(
+            collect(&[&[1, 2], &[3, 4, 5]]),
+            vec![
+                vec![1, 3],
+                vec![1, 4],
+                vec![1, 5],
+                vec![2, 3],
+                vec![2, 4],
+                vec![2, 5]
+            ]
+        );
+        assert_eq!(collect(&[]), vec![Vec::<u8>::new()]);
+        assert!(collect(&[&[1, 2], &[]]).is_empty());
     }
 
     #[test]

@@ -21,11 +21,11 @@
 //!   needs.  Chunks shared between saves (or between problems) are stored
 //!   once; a save whose older stripes did not move writes only the new
 //!   chunks.
-//! - A **store index** (`store_index.json`) carries a logical LRU clock:
-//!   every save or restore stamps the problem's manifest, and the
-//!   byte-budgeted GC evicts the least-recently-stamped manifests first.
-//!   The index is advisory — a missing or corrupt index degrades to file
-//!   mtimes, never to data loss.
+//! - Each manifest file's **mtime** is the problem's recency record: a save
+//!   rewrites the manifest and a restore bumps its mtime, and the
+//!   byte-budgeted GC evicts the least-recently-used manifests first.
+//!   Recency is advisory — a lost mtime update changes eviction order,
+//!   never data.
 //!
 //! # Corruption isolation
 //!
@@ -67,6 +67,7 @@
 use std::collections::{BTreeMap, HashSet};
 use std::io;
 use std::path::{Path, PathBuf};
+use std::time::SystemTime;
 
 use hanoi_lang::digest::Digest;
 use hanoi_lang::json::{counters, Json};
@@ -76,7 +77,7 @@ mod snapshot;
 
 pub use snapshot::{SaveReport, WrapperLoad};
 
-/// The manifest / index format version written by this crate.
+/// The manifest format version written by this crate.
 pub const STORE_VERSION: u64 = 1;
 
 /// Check-cache entries per stripe chunk.  Small enough that an appending
@@ -91,7 +92,7 @@ pub const ROWS_PER_PART: usize = 256;
 /// store cannot make a restore allocate unboundedly).
 const MAX_CHUNK_BYTES: u64 = 64 * 1024 * 1024;
 
-/// Manifest / index files larger than this are treated as corrupt.
+/// Manifest files larger than this are treated as corrupt.
 const MAX_META_BYTES: u64 = 16 * 1024 * 1024;
 
 /// One `(section, chunk, bytes)` row of a [`Manifest`], in assembly order.
@@ -124,11 +125,6 @@ pub struct Manifest {
 }
 
 impl Manifest {
-    /// Total bytes of the chunks this manifest references.
-    pub fn chunk_bytes(&self) -> u64 {
-        self.entries.iter().map(|e| e.bytes).sum()
-    }
-
     fn to_json(&self) -> Json {
         Json::obj([
             ("version", Json::Num(STORE_VERSION as f64)),
@@ -177,59 +173,6 @@ impl Manifest {
             wrapper_kind,
             entries,
         })
-    }
-}
-
-/// The advisory LRU index: a logical clock plus one `(stamp, bytes)` pair
-/// per manifest.  Purely an eviction-ordering aid — rebuilt from file
-/// mtimes when missing or corrupt.
-#[derive(Debug, Default)]
-struct StoreIndex {
-    clock: u64,
-    entries: BTreeMap<String, (u64, u64)>,
-}
-
-impl StoreIndex {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("version", Json::Num(STORE_VERSION as f64)),
-            ("kind", Json::Str("hanoi-store-index".to_string())),
-            ("clock", Json::Num(self.clock as f64)),
-            (
-                "entries",
-                Json::Arr(
-                    self.entries
-                        .iter()
-                        .map(|(fp, (stamp, bytes))| {
-                            Json::obj([
-                                ("fingerprint", Json::Str(fp.clone())),
-                                ("stamp", Json::Num(*stamp as f64)),
-                                ("bytes", Json::Num(*bytes as f64)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-        ])
-    }
-
-    fn from_json(json: &Json) -> Option<StoreIndex> {
-        if json.get("version").and_then(Json::as_usize)? as u64 != STORE_VERSION
-            || json.get("kind").and_then(Json::as_str)? != "hanoi-store-index"
-        {
-            return None;
-        }
-        let mut index = StoreIndex {
-            clock: json.get("clock").and_then(Json::as_usize)? as u64,
-            entries: BTreeMap::new(),
-        };
-        for row in json.get("entries").and_then(Json::as_arr)? {
-            let fp = row.get("fingerprint").and_then(Json::as_str)?.to_string();
-            let stamp = row.get("stamp").and_then(Json::as_usize)? as u64;
-            let bytes = row.get("bytes").and_then(Json::as_usize)? as u64;
-            index.entries.insert(fp, (stamp, bytes));
-        }
-        Some(index)
     }
 }
 
@@ -335,8 +278,8 @@ pub enum ChunkLoad {
 
 /// A content-addressed chunk store rooted at one directory.
 ///
-/// The root holds `chunks/`, `manifests/` and the advisory
-/// `store_index.json`.  All writes go through
+/// The root holds `chunks/` and `manifests/`; a manifest file's mtime is
+/// its problem's last save or restore.  All writes go through
 /// [`hanoi_lang::util::write_atomic`], so concurrent readers (other engine
 /// processes warm-starting from the same directory) never observe torn
 /// files.
@@ -374,10 +317,6 @@ impl ChunkStore {
     fn manifest_path(&self, fingerprint: Digest) -> PathBuf {
         self.manifests_dir()
             .join(format!("{}.json", fingerprint.to_hex()))
-    }
-
-    fn index_path(&self) -> PathBuf {
-        self.root.join("store_index.json")
     }
 
     /// Writes `text` as a chunk named by its own digest.  Idempotent: an
@@ -430,14 +369,13 @@ impl ChunkStore {
         }
     }
 
-    /// Writes `manifest` (atomically) and stamps it in the LRU index.
+    /// Writes `manifest` atomically; the fresh file's mtime marks the
+    /// problem as most recently used.
     pub fn put_manifest(&self, manifest: &Manifest) -> io::Result<()> {
         write_atomic(
             &self.manifest_path(manifest.fingerprint),
             manifest.to_json().render_pretty().as_bytes(),
-        )?;
-        self.touch(manifest.fingerprint, manifest.chunk_bytes());
-        Ok(())
+        )
     }
 
     /// Reads the manifest for `fingerprint`.  `None` covers both absence and
@@ -458,11 +396,6 @@ impl ChunkStore {
             let _ = std::fs::rename(&path, path.with_extension("json.corrupt"));
         }
         parsed
-    }
-
-    /// Whether a (parse-checked) manifest for `fingerprint` exists.
-    pub fn has_manifest(&self, fingerprint: Digest) -> bool {
-        self.manifest(fingerprint).is_some()
     }
 
     /// Every live manifest in the store, in fingerprint order.
@@ -554,10 +487,13 @@ impl ChunkStore {
     /// every chunk it needs.
     pub fn gc(&self, max_bytes: Option<u64>) -> io::Result<GcReport> {
         let mut report = GcReport::default();
-        // Debris first: quarantined files and interrupted-write leftovers.
+        // Debris first: quarantined files, interrupted-write leftovers, and
+        // the LRU index file older builds kept at the root.
         for dir in [self.chunks_dir(), self.manifests_dir(), self.root.clone()] {
             for (name, bytes) in read_dir_files(&dir) {
-                if (name.ends_with(".corrupt") || name.ends_with(".tmp"))
+                if (name.ends_with(".corrupt")
+                    || name.ends_with(".tmp")
+                    || name == "store_index.json")
                     && std::fs::remove_file(dir.join(&name)).is_ok()
                 {
                     report.debris_purged += 1;
@@ -566,7 +502,7 @@ impl ChunkStore {
             }
         }
 
-        let mut manifests: Vec<(Manifest, u64)> = Vec::new();
+        let mut manifests: Vec<(Manifest, u64, SystemTime)> = Vec::new();
         for stem in list_json_stems(&self.manifests_dir()) {
             let Some(fingerprint) = Digest::from_hex(&stem) else {
                 continue;
@@ -574,24 +510,18 @@ impl ChunkStore {
             // A defective manifest is quarantined by `manifest()`; its
             // now-unreferenced chunks fall out below.
             if let Some(manifest) = self.manifest(fingerprint) {
-                let bytes = std::fs::metadata(self.manifest_path(fingerprint))
-                    .map(|m| m.len())
-                    .unwrap_or(0);
-                manifests.push((manifest, bytes));
+                let metadata = std::fs::metadata(self.manifest_path(fingerprint)).ok();
+                let bytes = metadata.as_ref().map_or(0, |m| m.len());
+                // A time that cannot be read ranks oldest.
+                let mtime = metadata
+                    .and_then(|m| m.modified().ok())
+                    .unwrap_or(SystemTime::UNIX_EPOCH);
+                manifests.push((manifest, bytes, mtime));
             }
         }
-        let mut index = self.load_index();
-        // LRU order: least-recently-stamped first; manifests the index does
-        // not know (e.g. the index was lost) count as oldest, tie-broken by
-        // fingerprint for determinism.
-        manifests.sort_by_key(|(m, _)| {
-            let stamp = index
-                .entries
-                .get(&m.fingerprint.to_hex())
-                .map(|(stamp, _)| *stamp)
-                .unwrap_or(0);
-            (stamp, m.fingerprint.0)
-        });
+        // LRU order: oldest manifest mtime first, tie-broken by fingerprint
+        // for determinism.
+        manifests.sort_by_key(|(m, _, mtime)| (*mtime, m.fingerprint.0));
 
         let sweep_orphans = |live: &HashSet<Digest>, report: &mut GcReport| -> io::Result<()> {
             for (name, bytes) in read_dir_files(&self.chunks_dir()) {
@@ -612,7 +542,7 @@ impl ChunkStore {
 
         let live: HashSet<Digest> = manifests
             .iter()
-            .flat_map(|(m, _)| m.entries.iter().map(|e| e.chunk))
+            .flat_map(|(m, _, _)| m.entries.iter().map(|e| e.chunk))
             .collect();
         sweep_orphans(&live, &mut report)?;
 
@@ -625,21 +555,20 @@ impl ChunkStore {
                 })
                 .collect();
             let mut total: u64 = chunk_sizes.values().sum::<u64>()
-                + manifests.iter().map(|(_, bytes)| *bytes).sum::<u64>();
+                + manifests.iter().map(|(_, bytes, _)| *bytes).sum::<u64>();
             let mut evict_at = 0;
             while total > budget && evict_at < manifests.len() {
                 // Evict the coldest manifest, then the chunks only it held
                 // live.
-                let (manifest, manifest_bytes) = &manifests[evict_at];
+                let (manifest, manifest_bytes, _) = &manifests[evict_at];
                 evict_at += 1;
                 std::fs::remove_file(self.manifest_path(manifest.fingerprint))?;
-                index.entries.remove(&manifest.fingerprint.to_hex());
                 report.manifests_evicted += 1;
                 report.bytes_freed += manifest_bytes;
                 total -= manifest_bytes;
                 let live: HashSet<Digest> = manifests[evict_at..]
                     .iter()
-                    .flat_map(|(m, _)| m.entries.iter().map(|e| e.chunk))
+                    .flat_map(|(m, _, _)| m.entries.iter().map(|e| e.chunk))
                     .collect();
                 let before = report.bytes_freed;
                 sweep_orphans(&live, &mut report)?;
@@ -652,7 +581,6 @@ impl ChunkStore {
                 stats.total_bytes()
             };
         }
-        self.store_index(&index);
         sync_dir(&self.chunks_dir());
         sync_dir(&self.manifests_dir());
         Ok(report)
@@ -716,32 +644,12 @@ impl ChunkStore {
         Ok((pulled, pushed))
     }
 
-    /// Stamps `fingerprint` as most recently used in the advisory LRU
-    /// index.  Best-effort: an unwritable index never fails a save or a
-    /// restore.
-    pub fn touch(&self, fingerprint: Digest, bytes: u64) {
-        let mut index = self.load_index();
-        index.clock += 1;
-        let stamp = index.clock;
-        index.entries.insert(fingerprint.to_hex(), (stamp, bytes));
-        self.store_index(&index);
-    }
-
-    fn load_index(&self) -> StoreIndex {
-        std::fs::metadata(self.index_path())
-            .ok()
-            .filter(|m| m.is_file() && m.len() <= MAX_META_BYTES)
-            .and_then(|_| std::fs::read_to_string(self.index_path()).ok())
-            .and_then(|text| hanoi_lang::json::parse(&text).ok())
-            .and_then(|json| StoreIndex::from_json(&json))
-            .unwrap_or_default()
-    }
-
-    fn store_index(&self, index: &StoreIndex) {
-        let _ = write_atomic(
-            &self.index_path(),
-            index.to_json().render_pretty().as_bytes(),
-        );
+    /// Marks `fingerprint` as most recently used by setting its manifest's
+    /// mtime to now.  Best-effort: a failed update never fails a save or a
+    /// restore; it only changes eviction order.
+    pub fn touch(&self, fingerprint: Digest) {
+        let _ = std::fs::File::open(self.manifest_path(fingerprint))
+            .and_then(|file| file.set_modified(SystemTime::now()));
     }
 }
 
@@ -976,6 +884,85 @@ mod tests {
             store.load_wrapper(Digest(2)),
             WrapperLoad::Missing
         ));
+    }
+
+    /// Sets `path`'s mtime to `secs` after the epoch, so recency order in a
+    /// test never depends on the clock's granularity.
+    fn set_mtime(path: &Path, secs: u64) {
+        std::fs::File::open(path)
+            .unwrap()
+            .set_modified(SystemTime::UNIX_EPOCH + std::time::Duration::from_secs(secs))
+            .unwrap();
+    }
+
+    /// Every file under `dir` as `(relative path, bytes)`, sorted.
+    fn tree(dir: &Path) -> Vec<(PathBuf, Vec<u8>)> {
+        let mut files = Vec::new();
+        for entry in std::fs::read_dir(dir).unwrap().flatten() {
+            let path = entry.path();
+            if path.is_dir() {
+                files.extend(
+                    tree(&path)
+                        .into_iter()
+                        .map(|(rel, bytes)| (Path::new(&entry.file_name()).join(rel), bytes)),
+                );
+            } else {
+                files.push((entry.file_name().into(), std::fs::read(&path).unwrap()));
+            }
+        }
+        files.sort();
+        files
+    }
+
+    #[test]
+    fn a_restore_writes_nothing_but_the_manifest_mtime() {
+        let store = temp_store("restore-readonly");
+        store.save_wrapper(&wrapper(Digest(1), 5)).unwrap();
+        let manifest = store.manifest_path(Digest(1));
+        set_mtime(&manifest, 1_000);
+        let before = tree(store.root());
+
+        assert!(matches!(
+            store.load_wrapper(Digest(1)),
+            WrapperLoad::Loaded { quarantined: 0, .. }
+        ));
+        assert_eq!(
+            tree(store.root()),
+            before,
+            "no file added, removed or rewritten"
+        );
+        let mtime = std::fs::metadata(&manifest).unwrap().modified().unwrap();
+        assert!(mtime > SystemTime::UNIX_EPOCH + std::time::Duration::from_secs(1_000));
+    }
+
+    #[test]
+    fn gc_ignores_and_purges_a_legacy_lru_index() {
+        let store = temp_store("legacy-index");
+        // Identical banks: the two manifests share every chunk, so evicting
+        // either one frees exactly its manifest file.
+        store.save_wrapper(&wrapper(Digest(1), 5)).unwrap();
+        store.save_wrapper(&wrapper(Digest(2), 5)).unwrap();
+        set_mtime(&store.manifest_path(Digest(1)), 2_000);
+        set_mtime(&store.manifest_path(Digest(2)), 1_000);
+        // The index an older build kept, stamping manifest 2 as newest.
+        let legacy = format!(
+            r#"{{"version": 1, "kind": "hanoi-store-index", "clock": 2, "entries": [
+                {{"fingerprint": "{}", "stamp": 1, "bytes": 10}},
+                {{"fingerprint": "{}", "stamp": 2, "bytes": 10}}]}}"#,
+            Digest(1).to_hex(),
+            Digest(2).to_hex()
+        );
+        let index = store.root().join("store_index.json");
+        std::fs::write(&index, legacy).unwrap();
+
+        let budget = store.stats().total_bytes() - 1;
+        let report = store.gc(Some(budget)).unwrap();
+        assert_eq!(report.manifests_evicted, 1);
+        assert_eq!(report.debris_purged, 1);
+        assert!(!index.exists());
+        // The older mtime lost, whatever the index said.
+        assert!(store.manifest(Digest(1)).is_some());
+        assert!(store.manifest(Digest(2)).is_none());
     }
 
     #[test]

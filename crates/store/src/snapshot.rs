@@ -215,7 +215,7 @@ impl ChunkStore {
             .into_iter()
             .collect(),
         );
-        self.touch(fingerprint, manifest.chunk_bytes());
+        self.touch(fingerprint);
         WrapperLoad::Loaded {
             wrapper,
             quarantined,

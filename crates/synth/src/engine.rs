@@ -52,7 +52,6 @@
 //!   ([`hanoi_lang::resolve`]).
 
 use std::collections::{HashMap, HashSet};
-use std::sync::{Arc, Mutex, OnceLock};
 
 use hanoi_abstraction::Problem;
 use hanoi_lang::ast::{Expr, MatchArm, Pattern};
@@ -61,7 +60,7 @@ use hanoi_lang::eval::Fuel;
 use hanoi_lang::resolve::{resolve, resolve_closure_value};
 use hanoi_lang::symbol::Symbol;
 use hanoi_lang::types::{Type, TypeEnv};
-use hanoi_lang::util::Deadline;
+use hanoi_lang::util::{compositions, for_each_product, Deadline};
 use hanoi_lang::value::Value;
 use hanoi_verifier::parallel::{effective_workers, par_map};
 
@@ -781,7 +780,8 @@ impl<'p> Engine<'p> {
                     let Some(arg_layers) = pool.gather(&component.arg_tys, split) else {
                         continue;
                     };
-                    let choices = cartesian_choices(&arg_layers);
+                    let mut choices: Vec<Vec<&PoolTerm>> = Vec::new();
+                    for_each_product(&arg_layers, |choice| choices.push(choice.to_vec()));
                     let eval_chunk = |chunk: &[Vec<&PoolTerm>]| -> Vec<Sig> {
                         let width = worlds.len();
                         let mut probes = vec![0u32; chunk.len() * width * k];
@@ -865,7 +865,7 @@ impl<'p> Engine<'p> {
                         let Some(arg_layers) = pool.gather(&ctor_args, split) else {
                             continue;
                         };
-                        cartesian(&arg_layers, &mut |choice: &[&PoolTerm]| {
+                        for_each_product(&arg_layers, |choice| {
                             let mut arg_ids = vec![0u32; choice.len()];
                             let cells: Vec<Option<u32>> = (0..worlds.len())
                                 .map(|w| {
@@ -1149,72 +1149,6 @@ impl Sieve {
     }
 }
 
-/// All ways to write `total` as an ordered sum of `parts` positive integers,
-/// memoized process-wide (the same handful of `(total, parts)` keys is
-/// requested for every component × size pair of every guess).
-fn compositions(total: usize, parts: usize) -> Arc<Vec<Vec<usize>>> {
-    fn rec(total: usize, parts: usize, current: &mut Vec<usize>, out: &mut Vec<Vec<usize>>) {
-        if parts == 1 {
-            current.push(total);
-            out.push(current.clone());
-            current.pop();
-            return;
-        }
-        for first in 1..=(total - (parts - 1)) {
-            current.push(first);
-            rec(total - first, parts - 1, current, out);
-            current.pop();
-        }
-    }
-    type Memo = Mutex<HashMap<(usize, usize), Arc<Vec<Vec<usize>>>>>;
-    static MEMO: OnceLock<Memo> = OnceLock::new();
-    let memo = MEMO.get_or_init(Memo::default);
-    if let Some(cached) = memo.lock().unwrap().get(&(total, parts)) {
-        return Arc::clone(cached);
-    }
-    let mut out = Vec::new();
-    if parts > 0 && total >= parts {
-        rec(total, parts, &mut Vec::with_capacity(parts), &mut out);
-    }
-    let computed = Arc::new(out);
-    memo.lock()
-        .unwrap()
-        .insert((total, parts), Arc::clone(&computed));
-    computed
-}
-
-/// Visits the cartesian product of term slices.
-fn cartesian<'a>(groups: &[&'a [PoolTerm]], visit: &mut impl FnMut(&[&'a PoolTerm])) {
-    fn rec<'a>(
-        groups: &[&'a [PoolTerm]],
-        index: usize,
-        current: &mut Vec<&'a PoolTerm>,
-        visit: &mut impl FnMut(&[&'a PoolTerm]),
-    ) {
-        if index == groups.len() {
-            visit(current);
-            return;
-        }
-        for term in groups[index] {
-            current.push(term);
-            rec(groups, index + 1, current, visit);
-            current.pop();
-        }
-    }
-    if groups.iter().any(|g| g.is_empty()) {
-        return;
-    }
-    rec(groups, 0, &mut Vec::new(), visit);
-}
-
-/// Materializes the cartesian product of term slices in visitation order
-/// (the shape `par_map` batches over).
-fn cartesian_choices<'a>(groups: &[&'a [PoolTerm]]) -> Vec<Vec<&'a PoolTerm>> {
-    let mut out = Vec::new();
-    cartesian(groups, &mut |choice| out.push(choice.to_vec()));
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1447,12 +1381,16 @@ mod tests {
 
     #[test]
     fn compositions_helper() {
+        // The size splits the engine draws from the shared helper.
         assert_eq!(
             *compositions(4, 2),
             vec![vec![1, 3], vec![2, 2], vec![3, 1]]
         );
         assert!(compositions(1, 2).is_empty());
         // The memo serves repeated requests from the same allocation.
-        assert!(Arc::ptr_eq(&compositions(4, 2), &compositions(4, 2)));
+        assert!(std::sync::Arc::ptr_eq(
+            &compositions(4, 2),
+            &compositions(4, 2)
+        ));
     }
 }

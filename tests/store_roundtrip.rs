@@ -165,7 +165,7 @@ fn gc_respects_the_budget_and_never_breaks_a_surviving_manifest() {
     let budget = before.total_bytes() - 1;
 
     // Make B the most recently used so the LRU eviction targets A.
-    store.touch(b_fp, 0);
+    store.touch(b_fp);
     let report = store.gc(Some(budget)).unwrap();
     assert!(report.manifests_evicted >= 1, "{report:?}");
     assert!(report.bytes_remaining <= budget, "{report:?}");
