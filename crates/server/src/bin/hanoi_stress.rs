@@ -1,10 +1,17 @@
 //! Stress and chaos harness for `hanoi-server`.
 //!
 //! ```text
-//! hanoi_stress --spawn [--mode stress|chaos|both] [--clients N]
-//!              [--requests N] [--out REPORT.json]
-//! hanoi_stress --addr HOST:PORT [--mode stress] [...]
+//! hanoi_stress (--spawn | --addr HOST:PORT) [--mode stress|chaos|both]
+//!              [--clients N] [--storm-clients N] [--requests N]
+//!              [--out REPORT.json]
 //! ```
+//!
+//! `--clients` (default 100) clients send `--requests` (default 3) runs
+//! each; `--storm-clients` (default 50) clients take part in the reconnect
+//! storm.  `--mode` (default `both`) picks the stress phases, the chaos
+//! phases or both.  Against `--addr` the phases that need the in-process
+//! server (overload, reload, oversized and slow-loris frames, drain) are
+//! skipped.
 //!
 //! With `--spawn` the harness runs a chaos-enabled server in-process
 //! (including a deliberately corrupted warm-start directory at boot, to
@@ -38,11 +45,13 @@
 //!   `warm_start_loads > 0`.
 //!
 //! Any violated expectation is reported on stderr and the process exits
-//! non-zero.  The JSON report goes to stdout and, with `--out`, to the given
-//! file (overwritten).
+//! with status 1.  The JSON report goes to stdout and, with `--out`, to the
+//! given file (overwritten).  A bad command line (an unknown flag, a
+//! missing or unparsable value, an unknown mode, or not exactly one of
+//! `--spawn` and `--addr`) is reported on stderr with the accepted flags,
+//! and the process exits with status 2 before it connects anywhere.
 
-use std::io::{BufRead, BufReader, ErrorKind, Write};
-use std::net::TcpStream;
+use std::io::ErrorKind;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
@@ -50,7 +59,12 @@ use std::time::{Duration, Instant};
 use hanoi::{Engine, EngineConfig, RunOptions};
 use hanoi_abstraction::Problem;
 use hanoi_bench::latency::LatencyHistogram;
-use hanoi_lang::json::{self, Json};
+use hanoi_lang::json::Json;
+use hanoi_server::client::{check_contiguous, run_interrupted, run_uninterrupted, Client};
+use hanoi_server::protocol::{
+    cancel_request, drain_request, ping_request, resume_request, submit_request,
+    ChaosDirective::{Panic, Sleep},
+};
 use hanoi_server::{Server, ServerConfig, ServerHandle};
 
 /// Flipped by the SIGHUP handler; the reload phase polls it to prove the
@@ -120,137 +134,6 @@ const LIST_SET: &str = r#"
     spec (s : t) (i : nat) =
       not (lookup empty i) && lookup (insert s i) i && not (lookup (delete s i) i)
 "#;
-
-// ---------------------------------------------------------------------------
-// Protocol client
-// ---------------------------------------------------------------------------
-
-struct Client {
-    reader: BufReader<TcpStream>,
-    /// Answers that arrived while waiting for a different id (runs finish
-    /// in completion order, not submission order).
-    parked: std::collections::HashMap<String, Json>,
-}
-
-impl Client {
-    fn connect(addr: &str) -> std::io::Result<Client> {
-        let stream = TcpStream::connect(addr)?;
-        let _ = stream.set_nodelay(true);
-        stream.set_read_timeout(Some(Duration::from_secs(60)))?;
-        stream.set_write_timeout(Some(Duration::from_secs(10)))?;
-        Ok(Client {
-            reader: BufReader::new(stream),
-            parked: std::collections::HashMap::new(),
-        })
-    }
-
-    fn send(&mut self, frame: &Json) -> std::io::Result<()> {
-        json::write_frame(self.reader.get_mut(), frame)
-    }
-
-    fn send_raw(&mut self, bytes: &[u8]) -> std::io::Result<()> {
-        self.reader.get_mut().write_all(bytes)?;
-        self.reader.get_mut().flush()
-    }
-
-    fn read_frame(&mut self) -> std::io::Result<Json> {
-        let mut line = String::new();
-        loop {
-            line.clear();
-            if self.reader.read_line(&mut line)? == 0 {
-                return Err(std::io::Error::new(
-                    ErrorKind::UnexpectedEof,
-                    "server closed the connection",
-                ));
-            }
-            let trimmed = line.trim();
-            if trimmed.is_empty() {
-                continue;
-            }
-            return json::parse(trimmed)
-                .map_err(|e| std::io::Error::new(ErrorKind::InvalidData, e.to_string()));
-        }
-    }
-
-    /// Reads frames until the `result` or `error` frame for `id` arrives
-    /// (skipping `accepted` acks and streamed events).  A `shed` frame for
-    /// `id` is returned as-is.  Answers for *other* ids are parked, not
-    /// dropped — pipelined runs complete in whatever order the workers
-    /// finish them.
-    fn wait_answer(&mut self, id: &str) -> std::io::Result<Json> {
-        if let Some(frame) = self.parked.remove(id) {
-            return Ok(frame);
-        }
-        loop {
-            let frame = self.read_frame()?;
-            let reply = frame.get("reply").and_then(Json::as_str).unwrap_or("");
-            let frame_id = frame.get("id").and_then(Json::as_str).unwrap_or("");
-            match reply {
-                "result" | "error" | "shed" if frame_id == id => return Ok(frame),
-                "result" | "error" | "shed" if !frame_id.is_empty() => {
-                    self.parked.insert(frame_id.to_string(), frame);
-                }
-                _ => continue,
-            }
-        }
-    }
-}
-
-fn streaming_submit_frame(id: &str, source: &str, sleep_ms: Option<u64>) -> Json {
-    let mut fields = vec![
-        ("op", Json::Str("submit".to_string())),
-        ("id", Json::Str(id.to_string())),
-        ("source", Json::Str(source.to_string())),
-        ("events", Json::Bool(true)),
-    ];
-    if let Some(ms) = sleep_ms {
-        fields.push((
-            "chaos",
-            Json::obj([
-                ("kind", Json::Str("sleep".to_string())),
-                ("ms", Json::Num(ms as f64)),
-            ]),
-        ));
-    }
-    Json::obj(fields)
-}
-
-fn resume_frame(token: &str, last_seq: u64) -> Json {
-    Json::obj([
-        ("op", Json::Str("resume".to_string())),
-        ("token", Json::Str(token.to_string())),
-        ("last_seq", Json::Num(last_seq as f64)),
-    ])
-}
-
-fn submit_frame(id: &str, source: &str) -> Json {
-    Json::obj([
-        ("op", Json::Str("submit".to_string())),
-        ("id", Json::Str(id.to_string())),
-        ("source", Json::Str(source.to_string())),
-    ])
-}
-
-fn chaos_submit_frame(id: &str, source: &str, kind: &str, ms: u64) -> Json {
-    let chaos = if kind == "sleep" {
-        Json::obj([
-            ("kind", Json::Str("sleep".to_string())),
-            ("ms", Json::Num(ms as f64)),
-        ])
-    } else {
-        Json::obj([("kind", Json::Str(kind.to_string()))])
-    };
-    Json::obj([
-        ("op", Json::Str("submit".to_string())),
-        ("id", Json::Str(id.to_string())),
-        ("source", Json::Str(source.to_string())),
-        ("chaos", chaos),
-    ])
-}
-
-fn op_frame(op: &str) -> Json {
-    Json::obj([("op", Json::Str(op.to_string()))])
-}
 
 // ---------------------------------------------------------------------------
 // Report
@@ -378,7 +261,7 @@ fn stress_client(
             }
             let id = format!("c{who}-r{request}-a{attempts}");
             let started = Instant::now();
-            if let Err(e) = client.send(&submit_frame(&id, TRIVIAL)) {
+            if let Err(e) = client.send(&submit_request(&id, TRIVIAL, false, None)) {
                 violations.push(format!("client {who}: send: {e}"));
                 return (latencies, accepted, shed, violations);
             }
@@ -466,7 +349,7 @@ fn overload_phase(addr: &str, budget: usize, quota: usize, report: &Mutex<Report
                     // Pipeline a full quota without waiting: worst-case burst.
                     for i in 0..quota {
                         let id = format!("o{who}-{i}");
-                        let frame = chaos_submit_frame(&id, TRIVIAL, "sleep", 150);
+                        let frame = submit_request(&id, TRIVIAL, false, Some(Sleep(150)));
                         if let Err(e) = client.send(&frame) {
                             violations.push(format!("overload {who}: send: {e}"));
                             return (accepted, shed, violations);
@@ -540,146 +423,6 @@ fn overload_phase(addr: &str, budget: usize, quota: usize, report: &Mutex<Report
 // Durability phases: resume equivalence, reconnect storm, hot reload
 // ---------------------------------------------------------------------------
 
-/// Reads sequenced frames (`event`/`result`/`error`) into `frames`,
-/// tracking the last seen sequence number.  Returns `Ok(true)` at the
-/// terminal frame, `Ok(false)` after `limit` frames on this leg.  A `gap`
-/// frame is a violation: no phase here journals enough to evict.
-fn read_sequenced(
-    client: &mut Client,
-    frames: &mut Vec<Json>,
-    last_seq: &mut u64,
-    limit: Option<usize>,
-) -> Result<bool, String> {
-    let mut read_here = 0usize;
-    loop {
-        if let Some(limit) = limit {
-            if read_here >= limit {
-                return Ok(false);
-            }
-        }
-        let frame = client.read_frame().map_err(|e| format!("read: {e}"))?;
-        match frame.get("reply").and_then(Json::as_str) {
-            Some("event") | Some("result") | Some("error") => {
-                if let Some(seq) = frame.get("seq").and_then(Json::as_usize) {
-                    *last_seq = seq as u64;
-                }
-                let terminal = frame.get("reply").and_then(Json::as_str) != Some("event");
-                frames.push(frame);
-                read_here += 1;
-                if terminal {
-                    return Ok(true);
-                }
-            }
-            Some("gap") => return Err(format!("unexpected gap: {}", frame.render())),
-            Some("shed") => return Err(format!("unexpectedly shed: {}", frame.render())),
-            _ => continue, // accepted / resumed acks
-        }
-    }
-}
-
-/// Waits for this id's admission verdict: `Ok(token)` or `Err(backoff_ms)`.
-fn wait_admission(client: &mut Client, id: &str) -> Result<Result<String, u64>, String> {
-    loop {
-        let frame = client.read_frame().map_err(|e| format!("read: {e}"))?;
-        let frame_id = frame.get("id").and_then(Json::as_str).unwrap_or("");
-        match frame.get("reply").and_then(Json::as_str) {
-            Some("accepted") if frame_id == id => {
-                let token = frame
-                    .get("token")
-                    .and_then(Json::as_str)
-                    .ok_or_else(|| format!("accepted without a token: {}", frame.render()))?;
-                return Ok(Ok(token.to_string()));
-            }
-            Some("shed") if frame_id == id => {
-                let backoff = frame
-                    .get("retry_after_ms")
-                    .and_then(Json::as_usize)
-                    .unwrap_or(0) as u64;
-                if backoff == 0 {
-                    return Err("shed without a retry_after_ms hint".to_string());
-                }
-                return Ok(Err(backoff));
-            }
-            Some("error") if frame_id == id => return Err(format!("rejected: {}", frame.render())),
-            _ => continue,
-        }
-    }
-}
-
-/// Checks the frames form one complete run stream — sequence numbers
-/// exactly `1..=n`, ending in a terminal frame — and returns the terminal.
-fn check_contiguous(frames: &[Json], what: &str) -> Result<Json, String> {
-    if frames.is_empty() {
-        return Err(format!("{what}: empty stream"));
-    }
-    for (i, frame) in frames.iter().enumerate() {
-        match frame.get("seq").and_then(Json::as_usize) {
-            Some(seq) if seq == i + 1 => {}
-            _ => {
-                return Err(format!(
-                    "{what}: hole or duplicate at position {i}: {}",
-                    frame.render()
-                ))
-            }
-        }
-    }
-    let last = frames.last().unwrap();
-    match last.get("reply").and_then(Json::as_str) {
-        Some("result") | Some("error") => Ok(last.clone()),
-        _ => Err(format!("{what}: stream has no terminal frame")),
-    }
-}
-
-/// One uninterrupted streamed run: the reference stream.
-fn run_uninterrupted(addr: &str, id: &str, source: &str) -> Result<Vec<Json>, String> {
-    let mut client = Client::connect(addr).map_err(|e| format!("connect: {e}"))?;
-    client
-        .send(&streaming_submit_frame(id, source, None))
-        .map_err(|e| format!("send: {e}"))?;
-    let mut frames = Vec::new();
-    let mut last_seq = 0u64;
-    read_sequenced(&mut client, &mut frames, &mut last_seq, None)?;
-    Ok(frames)
-}
-
-/// The same run chopped up: the socket is ripped out after each offset's
-/// worth of frames, then a fresh connection resumes by token from the last
-/// seen sequence number.  Returns the merged stream and the disconnects
-/// actually forced.
-fn run_interrupted(
-    addr: &str,
-    id: &str,
-    source: &str,
-    offsets: &[usize],
-    sleep_ms: u64,
-) -> Result<(Vec<Json>, usize), String> {
-    let mut client = Client::connect(addr).map_err(|e| format!("connect: {e}"))?;
-    client
-        .send(&streaming_submit_frame(id, source, Some(sleep_ms)))
-        .map_err(|e| format!("send: {e}"))?;
-    let token = match wait_admission(&mut client, id)? {
-        Ok(token) => token,
-        Err(_) => return Err("interrupted run was shed".to_string()),
-    };
-    let mut frames = Vec::new();
-    let mut last_seq = 0u64;
-    let mut disconnects = 0usize;
-    for &offset in offsets {
-        if read_sequenced(&mut client, &mut frames, &mut last_seq, Some(offset))? {
-            return Ok((frames, disconnects)); // finished before this cut
-        }
-        drop(client); // mid-stream, no goodbye
-        disconnects += 1;
-        std::thread::sleep(Duration::from_millis(25));
-        client = Client::connect(addr).map_err(|e| format!("reconnect: {e}"))?;
-        client
-            .send(&resume_frame(&token, last_seq))
-            .map_err(|e| format!("resume: {e}"))?;
-    }
-    read_sequenced(&mut client, &mut frames, &mut last_seq, None)?;
-    Ok((frames, disconnects))
-}
-
 /// Disconnect/resume equivalence over three benchmark problems: the merged
 /// stream must carry the identical terminal answer over a contiguous
 /// sequence, for cut offsets that land on different parts of each stream.
@@ -699,8 +442,7 @@ fn resume_equivalence_phase(addr: &str, report: &Mutex<Report>) {
                 1 => &[2, 4],
                 _ => &[3],
             };
-            let (merged, _) =
-                run_interrupted(addr, &format!("eq-chop-{round}"), source, offsets, 80)?;
+            let merged = run_interrupted(addr, &format!("eq-chop-{round}"), source, offsets, 80)?;
             let got = check_contiguous(&merged, name)?;
             for key in ["reply", "status", "invariant"] {
                 if got.get(key).and_then(Json::as_str) != expected.get(key).and_then(Json::as_str) {
@@ -736,13 +478,26 @@ fn storm_client(addr: &str, who: usize) -> Result<(Duration, usize), String> {
         if attempts > 200 {
             return Err("never admitted".to_string());
         }
-        client
-            .send(&streaming_submit_frame(&id, TRIVIAL, Some(sleep_ms)))
-            .map_err(|e| format!("send: {e}"))?;
-        match wait_admission(&mut client, &id)? {
+        let submit = submit_request(&id, TRIVIAL, true, Some(Sleep(sleep_ms)));
+        client.send(&submit).map_err(|e| format!("send: {e}"))?;
+        let refusal = match client
+            .wait_admission(&id)
+            .map_err(|e| format!("read: {e}"))?
+        {
             Ok(token) => break token,
-            Err(backoff) => std::thread::sleep(Duration::from_millis(backoff.clamp(1, 500))),
+            Err(refusal) => refusal,
+        };
+        if refusal.get("reply").and_then(Json::as_str) != Some("shed") {
+            return Err(format!("rejected: {}", refusal.render()));
         }
+        let backoff = refusal
+            .get("retry_after_ms")
+            .and_then(Json::as_usize)
+            .unwrap_or(0) as u64;
+        if backoff == 0 {
+            return Err("shed without a retry_after_ms hint".to_string());
+        }
+        std::thread::sleep(Duration::from_millis(backoff.clamp(1, 500)));
     };
     let first_cut = 1 + who % 3;
     let offsets: Vec<usize> = if who.is_multiple_of(5) {
@@ -755,7 +510,7 @@ fn storm_client(addr: &str, who: usize) -> Result<(Duration, usize), String> {
     let mut disconnects = 0usize;
     let mut done = false;
     for &offset in &offsets {
-        if read_sequenced(&mut client, &mut frames, &mut last_seq, Some(offset))? {
+        if client.read_sequenced(&mut frames, &mut last_seq, Some(offset))? {
             done = true;
             break;
         }
@@ -764,11 +519,11 @@ fn storm_client(addr: &str, who: usize) -> Result<(Duration, usize), String> {
         std::thread::sleep(Duration::from_millis(10 + (who as u64 * 13) % 40));
         client = Client::connect(addr).map_err(|e| format!("reconnect: {e}"))?;
         client
-            .send(&resume_frame(&token, last_seq))
+            .send(&resume_request(&token, last_seq))
             .map_err(|e| format!("resume: {e}"))?;
     }
     if !done {
-        read_sequenced(&mut client, &mut frames, &mut last_seq, None)?;
+        client.read_sequenced(&mut frames, &mut last_seq, None)?;
     }
     let terminal = check_contiguous(&frames, &id)?;
     if terminal.get("status").and_then(Json::as_str) != Some("invariant") {
@@ -819,7 +574,12 @@ fn reload_phase(
         // A run in flight across the swap.
         let mut straddler = Client::connect(addr).map_err(|e| format!("connect: {e}"))?;
         straddler
-            .send(&chaos_submit_frame("straddler", TRIVIAL, "sleep", 600))
+            .send(&submit_request(
+                "straddler",
+                TRIVIAL,
+                false,
+                Some(Sleep(600)),
+            ))
             .map_err(|e| format!("send: {e}"))?;
 
         // The rate limit arrives through the config file, announced by a
@@ -849,7 +609,12 @@ fn reload_phase(
         let mut volley = Client::connect(addr).map_err(|e| format!("connect: {e}"))?;
         for i in 0..8 {
             volley
-                .send(&submit_frame(&format!("volley-{i}"), TRIVIAL))
+                .send(&submit_request(
+                    &format!("volley-{i}"),
+                    TRIVIAL,
+                    false,
+                    None,
+                ))
                 .map_err(|e| format!("send: {e}"))?;
         }
         let mut sheds = 0u64;
@@ -922,7 +687,7 @@ fn expect_error_then_ping(addr: &str, raw: &[u8], want_code: &str) -> Result<(),
         ));
     }
     client
-        .send(&op_frame("ping"))
+        .send(&ping_request())
         .map_err(|e| format!("ping send: {e}"))?;
     let pong = client.read_frame().map_err(|e| format!("pong read: {e}"))?;
     if pong.get("reply").and_then(Json::as_str) != Some("pong") {
@@ -967,7 +732,7 @@ fn scenario_mid_frame_disconnect(addr: &str) -> Result<(), String> {
     }
     let mut probe = Client::connect(addr).map_err(|e| format!("reconnect: {e}"))?;
     probe
-        .send(&op_frame("ping"))
+        .send(&ping_request())
         .map_err(|e| format!("ping: {e}"))?;
     let pong = probe.read_frame().map_err(|e| format!("pong: {e}"))?;
     if pong.get("reply").and_then(Json::as_str) != Some("pong") {
@@ -981,10 +746,8 @@ fn scenario_mid_frame_disconnect(addr: &str) -> Result<(), String> {
 fn scenario_slow_loris(addr: &str, frame_timeout: Duration) -> Result<(), String> {
     let mut client = Client::connect(addr).map_err(|e| format!("connect: {e}"))?;
     client
-        .reader
-        .get_mut()
-        .set_read_timeout(Some(Duration::from_millis(200)))
-        .ok();
+        .set_read_timeout(Duration::from_millis(200))
+        .map_err(|e| format!("set the read timeout: {e}"))?;
     let deadline = Instant::now() + frame_timeout * 10 + Duration::from_secs(5);
     let mut cut = false;
     while Instant::now() < deadline {
@@ -993,14 +756,13 @@ fn scenario_slow_loris(addr: &str, frame_timeout: Duration) -> Result<(), String
             break;
         }
         match client.read_frame() {
-            Err(e) if e.kind() == ErrorKind::UnexpectedEof => {
-                cut = true;
-                break;
-            }
-            Err(e) if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut => {
-                // still open; keep dripping
-            }
-            Err(e) if e.kind() == ErrorKind::ConnectionReset => {
+            Err(e) if e.kind() == ErrorKind::WouldBlock => {} // still open; keep dripping
+            Err(e)
+                if matches!(
+                    e.kind(),
+                    ErrorKind::UnexpectedEof | ErrorKind::ConnectionReset
+                ) =>
+            {
                 cut = true;
                 break;
             }
@@ -1020,7 +782,7 @@ fn scenario_slow_loris(addr: &str, frame_timeout: Duration) -> Result<(), String
     // And the server still serves others.
     let mut probe = Client::connect(addr).map_err(|e| format!("reconnect: {e}"))?;
     probe
-        .send(&op_frame("ping"))
+        .send(&ping_request())
         .map_err(|e| format!("ping: {e}"))?;
     probe.read_frame().map_err(|e| format!("pong: {e}"))?;
     Ok(())
@@ -1030,7 +792,7 @@ fn scenario_panic_isolation(addr: &str) -> Result<(), String> {
     let mut client = Client::connect(addr).map_err(|e| format!("connect: {e}"))?;
     // Warm the caches with a clean run first.
     client
-        .send(&submit_frame("warm", TRIVIAL))
+        .send(&submit_request("warm", TRIVIAL, false, None))
         .map_err(|e| format!("send: {e}"))?;
     let warm = client
         .wait_answer("warm")
@@ -1040,7 +802,7 @@ fn scenario_panic_isolation(addr: &str) -> Result<(), String> {
     }
     // Injected worker panic: the answer is a structured error, not a hang.
     client
-        .send(&chaos_submit_frame("boom", TRIVIAL, "panic", 0))
+        .send(&submit_request("boom", TRIVIAL, false, Some(Panic)))
         .map_err(|e| format!("send: {e}"))?;
     let boom = client
         .wait_answer("boom")
@@ -1057,7 +819,7 @@ fn scenario_panic_isolation(addr: &str) -> Result<(), String> {
     // caches survived (a worker-layer panic never touches them): the next
     // run must not rebuild the value pools.
     client
-        .send(&submit_frame("after", TRIVIAL))
+        .send(&submit_request("after", TRIVIAL, false, None))
         .map_err(|e| format!("send: {e}"))?;
     let after = client
         .wait_answer("after")
@@ -1082,15 +844,13 @@ fn scenario_cancel_storm(addr: &str) -> Result<(), String> {
     let ids: Vec<String> = (0..4).map(|i| format!("storm-{i}")).collect();
     for id in &ids {
         client
-            .send(&chaos_submit_frame(id, TRIVIAL, "sleep", 300))
+            .send(&submit_request(id, TRIVIAL, false, Some(Sleep(300))))
             .map_err(|e| format!("send: {e}"))?;
     }
     for id in &ids {
-        let cancel = Json::obj([
-            ("op", Json::Str("cancel".to_string())),
-            ("id", Json::Str(id.clone())),
-        ]);
-        client.send(&cancel).map_err(|e| format!("cancel: {e}"))?;
+        client
+            .send(&cancel_request(id))
+            .map_err(|e| format!("cancel: {e}"))?;
     }
     // Every run must terminate with an answer: accepted ones with a result
     // (cancelled or completed — the race is fair game), shed ones with the
@@ -1120,7 +880,7 @@ fn scenario_correctness(addr: &str) -> Result<(), String> {
         let mut client = Client::connect(addr).map_err(|e| format!("connect: {e}"))?;
         let id = format!("verify-{name}");
         client
-            .send(&submit_frame(&id, source))
+            .send(&submit_request(&id, source, false, None))
             .map_err(|e| format!("send: {e}"))?;
         let answer = client.wait_answer(&id).map_err(|e| format!("read: {e}"))?;
         let got = answer
@@ -1141,7 +901,7 @@ fn scenario_correctness(addr: &str) -> Result<(), String> {
 fn scenario_quarantine(addr: &str) -> Result<(), String> {
     let mut client = Client::connect(addr).map_err(|e| format!("connect: {e}"))?;
     client
-        .send(&submit_frame("quarantine", TRIVIAL))
+        .send(&submit_request("quarantine", TRIVIAL, false, None))
         .map_err(|e| format!("send: {e}"))?;
     let answer = client
         .wait_answer("quarantine")
@@ -1174,28 +934,86 @@ fn scratch_dir(tag: &str) -> std::path::PathBuf {
     dir
 }
 
+/// The flags [`parse_args`] accepts, as a usage error lists them.
+const ACCEPTED_FLAGS: &str = "--spawn, --addr <host:port>, --mode <stress|chaos|both>, \
+    --clients <n>, --storm-clients <n>, --requests <n>, --out <file>";
+
+/// A parsed command line.
+#[derive(Debug, PartialEq)]
+struct Args {
+    /// The server to target; `None` spawns one in-process (`--spawn`).
+    addr: Option<String>,
+    /// Whether the stress phases run (`--mode stress` or `both`).
+    run_stress: bool,
+    /// Whether the chaos suite runs (`--mode chaos` or `both`).
+    run_chaos: bool,
+    clients: usize,
+    storm_clients: usize,
+    requests: usize,
+    out: Option<String>,
+}
+
+/// Parses the command line.  An unknown flag, a flag missing its value, a
+/// count that does not parse, an unknown `--mode` and anything but exactly
+/// one of `--spawn` and `--addr` are errors naming the argument.
+fn parse_args(args: &[String]) -> Result<Args, String> {
+    let mut spawn = false;
+    let mut parsed = Args {
+        addr: None,
+        run_stress: true,
+        run_chaos: true,
+        clients: 100,
+        storm_clients: 50,
+        requests: 3,
+        out: None,
+    };
+    let mut args = args.iter();
+    while let Some(flag) = args.next() {
+        let mut value = || args.next().ok_or_else(|| format!("{flag} needs a value"));
+        let mut count = || {
+            let raw = value()?;
+            raw.parse()
+                .map_err(|_| format!("{flag}: cannot parse {raw:?} as a count"))
+        };
+        match flag.as_str() {
+            "--spawn" => spawn = true,
+            "--addr" => parsed.addr = Some(value()?.clone()),
+            "--mode" => {
+                (parsed.run_stress, parsed.run_chaos) = match value()?.as_str() {
+                    "stress" => (true, false),
+                    "chaos" => (false, true),
+                    "both" => (true, true),
+                    other => return Err(format!("--mode: unknown mode {other:?}")),
+                }
+            }
+            "--clients" => parsed.clients = count()?,
+            "--storm-clients" => parsed.storm_clients = count()?,
+            "--requests" => parsed.requests = count()?,
+            "--out" => parsed.out = Some(value()?.clone()),
+            other => return Err(format!("unknown argument {other:?}")),
+        }
+    }
+    if spawn == parsed.addr.is_some() {
+        return Err("give exactly one of --spawn and --addr".to_string());
+    }
+    Ok(parsed)
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let flag = |name: &str| args.iter().any(|a| a == name);
-    let value = |name: &str| {
-        args.iter()
-            .position(|a| a == name)
-            .and_then(|i| args.get(i + 1))
-    };
-    let number = |name: &str, default: usize| {
-        value(name)
-            .and_then(|v| v.parse::<usize>().ok())
-            .unwrap_or(default)
-    };
-
-    let spawn = flag("--spawn");
-    let clients = number("--clients", 100);
-    let storm_clients = number("--storm-clients", 50);
-    let requests = number("--requests", 3);
-    let mode = value("--mode").map(String::as_str).unwrap_or("both");
-    let run_stress = matches!(mode, "stress" | "both");
-    let run_chaos = matches!(mode, "chaos" | "both");
-    let out = value("--out").cloned();
+    let Args {
+        addr,
+        run_stress,
+        run_chaos,
+        clients,
+        storm_clients,
+        requests,
+        out,
+    } = parse_args(&args).unwrap_or_else(|e| {
+        eprintln!("hanoi-stress: {e}; accepted flags: {ACCEPTED_FLAGS}");
+        std::process::exit(2);
+    });
+    let spawn = addr.is_none();
 
     // Quiet one-line panic log: injected chaos panics are expected noise.
     std::panic::set_hook(Box::new(|info| {
@@ -1212,7 +1030,9 @@ fn main() {
     let frame_timeout = Duration::from_millis(700);
     let mut report = Mutex::new(Report::default());
 
-    let (addr, server_ctx) = if spawn {
+    let (addr, server_ctx) = if let Some(addr) = addr {
+        (addr, None)
+    } else {
         let warm_dir = scratch_dir("warm");
         // Hot-reload source: a flat tunables overlay, empty at boot.
         let cfg_dir = scratch_dir("cfg");
@@ -1262,14 +1082,8 @@ fn main() {
             handle.addr().to_string(),
             Some((handle, join, warm_dir, cfg_dir, tunables_path)),
         )
-    } else {
-        let addr = value("--addr").cloned().unwrap_or_else(|| {
-            eprintln!("hanoi-stress: need --spawn or --addr HOST:PORT");
-            std::process::exit(2);
-        });
-        (addr, None)
     };
-    eprintln!("hanoi-stress: target {addr} (mode: {mode})");
+    eprintln!("hanoi-stress: target {addr} (stress: {run_stress}, chaos: {run_chaos})");
 
     if spawn && run_chaos {
         // Must run before anything else touches the trivial problem: the
@@ -1346,7 +1160,7 @@ fn main() {
         eprintln!("hanoi-stress: draining");
         match Client::connect(&addr) {
             Ok(mut client) => {
-                if client.send(&op_frame("drain")).is_err() {
+                if client.send(&drain_request()).is_err() {
                     report.get_mut().unwrap().violation("drain request failed");
                 }
             }
@@ -1413,5 +1227,65 @@ fn main() {
             report.violations.len()
         );
         std::process::exit(1);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(line: &str) -> Result<Args, String> {
+        let args: Vec<String> = line.split_whitespace().map(str::to_string).collect();
+        parse_args(&args)
+    }
+
+    #[test]
+    fn well_formed_command_lines_parse() {
+        assert_eq!(
+            parse("--spawn").unwrap(),
+            Args {
+                addr: None,
+                run_stress: true,
+                run_chaos: true,
+                clients: 100,
+                storm_clients: 50,
+                requests: 3,
+                out: None,
+            }
+        );
+        assert_eq!(
+            parse(
+                "--addr 127.0.0.1:7077 --mode chaos --clients 7 --storm-clients 9 \
+                 --requests 2 --out r.json"
+            )
+            .unwrap(),
+            Args {
+                addr: Some("127.0.0.1:7077".to_string()),
+                run_stress: false,
+                run_chaos: true,
+                clients: 7,
+                storm_clients: 9,
+                requests: 2,
+                out: Some("r.json".to_string()),
+            }
+        );
+        let stress_only = parse("--spawn --mode stress").unwrap();
+        assert!(stress_only.run_stress && !stress_only.run_chaos);
+    }
+
+    #[test]
+    fn bad_command_lines_are_errors_naming_the_argument() {
+        for (line, named) in [
+            ("--addr 127.0.0.1:9 --mode bogus", "\"bogus\""),
+            ("--addr 127.0.0.1:9 --clients abc", "--clients"),
+            ("--spawn --storm-clients -1", "--storm-clients"),
+            ("--addr 127.0.0.1:9 --frobnicate", "--frobnicate"),
+            ("--spawn --requests", "--requests"),
+            ("--mode stress", "--spawn"),
+            ("--spawn --addr 127.0.0.1:9", "--addr"),
+        ] {
+            let error = parse(line).expect_err(line);
+            assert!(error.contains(named), "{line}: {error}");
+        }
     }
 }

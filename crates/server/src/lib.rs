@@ -43,11 +43,13 @@
 //! entry point, with signal-driven drain and SIGHUP reload) and
 //! `hanoi_stress` (a stress/chaos harness that hammers a server with
 //! concurrent clients, forced disconnects, and fault injection, verifying
-//! answers against direct engine runs).
+//! answers against direct engine runs).  The harness and the tests talk to
+//! the server through [`client`], the one protocol client.
 
 #![warn(missing_docs)]
 
 pub mod admission;
+pub mod client;
 pub mod config;
 pub mod protocol;
 pub mod ratelimit;

@@ -29,6 +29,12 @@
 //! client already received, and the server replays everything after it.
 //! `reload` re-reads the server's config file and hot-swaps the tunables.
 //!
+//! The `*_request` functions below build these frames and are the single
+//! source of truth for the request shapes every client sends
+//! ([`crate::client`], `hanoi_stress`, the tests); [`parse_request`] is
+//! their inverse.  Only frames that are malformed on purpose, and the
+//! `options` object, are written by hand.
+//!
 //! # Replies
 //!
 //! `accepted` (with the run `token`), `shed` (with `retry_after_ms`),
@@ -287,6 +293,75 @@ fn parse_options(json: Option<&Json>) -> Result<RunOptions, ProtocolError> {
         .validate()
         .map_err(|e| bad(format!("invalid options: {e}")))?;
     Ok(options)
+}
+
+// ---------------------------------------------------------------------------
+// Request frames
+// ---------------------------------------------------------------------------
+
+/// Submit `source` as run `id` under the default options, streaming its
+/// [`RunEvent`]s when `events` is set, with an optional fault-injection
+/// directive.
+pub fn submit_request(id: &str, source: &str, events: bool, chaos: Option<ChaosDirective>) -> Json {
+    let mut fields = vec![
+        ("op", Json::Str("submit".to_string())),
+        ("id", Json::Str(id.to_string())),
+        ("source", Json::Str(source.to_string())),
+        ("events", Json::Bool(events)),
+    ];
+    if let Some(chaos) = chaos {
+        let directive = match chaos {
+            ChaosDirective::Panic => Json::obj([("kind", Json::Str("panic".to_string()))]),
+            ChaosDirective::Sleep(ms) => Json::obj([
+                ("kind", Json::Str("sleep".to_string())),
+                ("ms", Json::Num(ms as f64)),
+            ]),
+        };
+        fields.push(("chaos", directive));
+    }
+    Json::obj(fields)
+}
+
+/// Cancel this connection's run `id`.
+pub fn cancel_request(id: &str) -> Json {
+    Json::obj([
+        ("op", Json::Str("cancel".to_string())),
+        ("id", Json::Str(id.to_string())),
+    ])
+}
+
+/// Re-attach to the run `token` names, replaying everything after
+/// `last_seq`.
+pub fn resume_request(token: &str, last_seq: u64) -> Json {
+    Json::obj([
+        ("op", Json::Str("resume".to_string())),
+        ("token", Json::Str(token.to_string())),
+        ("last_seq", Json::Num(last_seq as f64)),
+    ])
+}
+
+/// Ask for the server's statistics.
+pub fn stats_request() -> Json {
+    bare_request("stats")
+}
+
+/// Liveness probe.
+pub fn ping_request() -> Json {
+    bare_request("ping")
+}
+
+/// Start a graceful drain of the whole server.
+pub fn drain_request() -> Json {
+    bare_request("drain")
+}
+
+/// Re-read the server's config file.
+pub fn reload_request() -> Json {
+    bare_request("reload")
+}
+
+fn bare_request(op: &str) -> Json {
+    Json::obj([("op", Json::Str(op.to_string()))])
 }
 
 // ---------------------------------------------------------------------------
@@ -587,6 +662,42 @@ mod tests {
             Request::Submit(submit) => assert_eq!(submit.chaos, Some(ChaosDirective::Panic)),
             other => panic!("expected submit, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn request_builders_round_trip_through_the_parser() {
+        // Through the wire text, as a client sends them.
+        let parsed = |frame: Json| parse_request(&parse(&frame.render()).unwrap()).unwrap();
+        for (events, chaos) in [
+            (false, None),
+            (true, Some(ChaosDirective::Sleep(40))),
+            (false, Some(ChaosDirective::Panic)),
+        ] {
+            match parsed(submit_request("r1", "src", events, chaos)) {
+                Request::Submit(submit) => {
+                    assert_eq!(submit.id, "r1");
+                    assert_eq!(submit.source, "src");
+                    assert_eq!(submit.events, events);
+                    assert_eq!(submit.chaos, chaos);
+                }
+                other => panic!("expected submit, got {other:?}"),
+            }
+        }
+        match parsed(cancel_request("r1")) {
+            Request::Cancel { id } => assert_eq!(id, "r1"),
+            other => panic!("expected cancel, got {other:?}"),
+        }
+        match parsed(resume_request("run-1-aa", 17)) {
+            Request::Resume { token, last_seq } => {
+                assert_eq!(token, "run-1-aa");
+                assert_eq!(last_seq, 17);
+            }
+            other => panic!("expected resume, got {other:?}"),
+        }
+        assert!(matches!(parsed(stats_request()), Request::Stats));
+        assert!(matches!(parsed(ping_request()), Request::Ping));
+        assert!(matches!(parsed(drain_request()), Request::Drain));
+        assert!(matches!(parsed(reload_request()), Request::Reload));
     }
 
     #[test]

@@ -7,115 +7,30 @@
 //! These are the table-driven counterparts of the live chaos scenarios in
 //! `src/bin/hanoi_stress.rs`, pinned as deterministic tests.
 
-use std::io::{BufRead, BufReader, ErrorKind, Write};
-use std::net::TcpStream;
-use std::thread::JoinHandle;
+use std::io::ErrorKind;
 use std::time::Duration;
 
-use hanoi_lang::json::{self, Json};
-use hanoi_server::{Server, ServerConfig, ServerHandle};
+use hanoi_lang::json::Json;
+use hanoi_server::client::{check_contiguous, Client};
+use hanoi_server::protocol::{
+    drain_request, ping_request, resume_request, stats_request, submit_request,
+    ChaosDirective::{Panic, Sleep},
+};
+use hanoi_server::ServerConfig;
 
-const TRIVIAL: &str = r#"
-    type nat = O | S of nat
-    interface I = sig
-      type t
-      val make : t
-    end
-    module M : I = struct
-      type t = nat
-      let make : t = O
-    end
-    spec (s : t) = s == s
-"#;
+mod common;
+use common::{TestServer, TRIVIAL};
 
-/// Spawns an ephemeral server; the returned guard drains it on drop so a
-/// failing assertion cannot leak the serve thread past the test.
-struct TestServer {
-    addr: String,
-    handle: ServerHandle,
-    join: Option<JoinHandle<std::io::Result<usize>>>,
-}
-
-impl TestServer {
-    fn spawn(config: ServerConfig) -> TestServer {
-        let server = Server::bind("127.0.0.1:0", config).expect("bind");
-        let handle = server.handle();
-        let addr = handle.addr().to_string();
-        let join = Some(std::thread::spawn(move || server.serve()));
-        TestServer { addr, handle, join }
-    }
-
-    fn connect(&self) -> Conn {
-        let stream = TcpStream::connect(&self.addr).expect("connect");
-        stream
-            .set_read_timeout(Some(Duration::from_secs(30)))
-            .unwrap();
-        Conn {
-            reader: BufReader::new(stream),
-        }
-    }
-}
-
-impl Drop for TestServer {
-    fn drop(&mut self) {
-        self.handle.drain();
-        self.handle.wait_drained(Duration::from_secs(30));
-        if let Some(join) = self.join.take() {
-            let _ = join.join();
-        }
-    }
-}
-
-struct Conn {
-    reader: BufReader<TcpStream>,
-}
-
-impl Conn {
-    fn send_raw(&mut self, bytes: &[u8]) {
-        self.reader.get_mut().write_all(bytes).expect("write");
-        self.reader.get_mut().flush().expect("flush");
-    }
-
-    fn send(&mut self, frame: &Json) {
-        json::write_frame(self.reader.get_mut(), frame).expect("write frame");
-    }
-
-    fn read_frame(&mut self) -> Json {
-        let mut line = String::new();
-        loop {
-            line.clear();
-            let n = self.reader.read_line(&mut line).expect("read");
-            assert!(n > 0, "server closed the connection");
-            if line.trim().is_empty() {
-                continue;
-            }
-            return json::parse(line.trim()).expect("reply frames are valid JSON");
-        }
-    }
-
-    /// Reads until the result/error answer for `id`.
-    fn wait_answer(&mut self, id: &str) -> Json {
-        loop {
-            let frame = self.read_frame();
-            let reply = frame.get("reply").and_then(Json::as_str).unwrap_or("");
-            if matches!(reply, "result" | "error" | "shed")
-                && frame.get("id").and_then(Json::as_str) == Some(id)
-            {
-                return frame;
-            }
-        }
-    }
-
-    fn ping_pong(&mut self) {
-        self.send(&Json::obj([("op", Json::Str("ping".to_string()))]));
-        let pong = self.read_frame();
-        assert_eq!(
-            pong.get("reply").and_then(Json::as_str),
-            Some("pong"),
-            "stream desynchronized: {}",
-            pong.render()
-        );
-    }
+/// Proves the stream is still synchronized: a ping's next reply is its pong.
+fn ping_pong(conn: &mut Client) {
+    conn.send(&ping_request()).expect("send ping");
+    let pong = conn.read_frame().expect("read pong");
+    assert_eq!(
+        pong.get("reply").and_then(Json::as_str),
+        Some("pong"),
+        "stream desynchronized: {}",
+        pong.render()
+    );
 }
 
 fn small_config() -> ServerConfig {
@@ -167,8 +82,8 @@ fn malformed_inputs_become_structured_errors_and_the_stream_stays_synced() {
     ];
     for (raw, want) in table {
         let mut conn = server.connect();
-        conn.send_raw(raw);
-        let frame = conn.read_frame();
+        conn.send_raw(raw).expect("write");
+        let frame = conn.read_frame().expect("read");
         assert_eq!(
             frame.get("reply").and_then(Json::as_str),
             Some("error"),
@@ -187,7 +102,7 @@ fn malformed_inputs_become_structured_errors_and_the_stream_stays_synced() {
             frame.get("message").and_then(Json::as_str).is_some(),
             "errors carry a human-readable message"
         );
-        conn.ping_pong();
+        ping_pong(&mut conn);
     }
 }
 
@@ -197,19 +112,16 @@ fn a_connection_survives_a_burst_of_garbage_and_still_serves_runs() {
     let mut conn = server.connect();
     // Many bad frames on ONE connection: one error each, in order.
     for _ in 0..20 {
-        conn.send_raw(b"!!!not json!!!\n");
+        conn.send_raw(b"!!!not json!!!\n").expect("write");
     }
     for _ in 0..20 {
-        let frame = conn.read_frame();
+        let frame = conn.read_frame().expect("read");
         assert_eq!(frame.get("code").and_then(Json::as_str), Some("parse"));
     }
     // The very same connection still runs real work.
-    conn.send(&Json::obj([
-        ("op", Json::Str("submit".to_string())),
-        ("id", Json::Str("after-garbage".to_string())),
-        ("source", Json::Str(TRIVIAL.to_string())),
-    ]));
-    let answer = conn.wait_answer("after-garbage");
+    conn.send(&submit_request("after-garbage", TRIVIAL, false, None))
+        .expect("send");
+    let answer = conn.wait_answer("after-garbage").expect("answer");
     assert_eq!(
         answer.get("status").and_then(Json::as_str),
         Some("invariant"),
@@ -224,11 +136,11 @@ fn oversized_lines_are_rejected_with_the_limit_and_skipped() {
     let mut conn = server.connect();
     let mut line = vec![b'x'; 9 * 1024]; // over the 8 KiB config limit
     line.push(b'\n');
-    conn.send_raw(&line);
-    let frame = conn.read_frame();
+    conn.send_raw(&line).expect("write");
+    let frame = conn.read_frame().expect("read");
     assert_eq!(frame.get("code").and_then(Json::as_str), Some("oversized"));
     // The offending line is consumed, not replayed: the stream works.
-    conn.ping_pong();
+    ping_pong(&mut conn);
 }
 
 #[test]
@@ -239,25 +151,24 @@ fn overdeep_json_is_rejected_as_a_parse_error_not_a_stack_overflow() {
     deep.extend(std::iter::repeat_n(b'[', 2_000));
     deep.extend(std::iter::repeat_n(b']', 2_000));
     deep.push(b'\n');
-    conn.send_raw(&deep);
-    let frame = conn.read_frame();
+    conn.send_raw(&deep).expect("write");
+    let frame = conn.read_frame().expect("read");
     assert_eq!(frame.get("code").and_then(Json::as_str), Some("parse"));
-    conn.ping_pong();
+    ping_pong(&mut conn);
 }
 
 #[test]
 fn unelaboratable_sources_are_rejected_per_run_not_per_connection() {
     let server = TestServer::spawn(small_config());
     let mut conn = server.connect();
-    conn.send(&Json::obj([
-        ("op", Json::Str("submit".to_string())),
-        ("id", Json::Str("bad".to_string())),
-        (
-            "source",
-            Json::Str("spec (s : t) = undefined_symbol".to_string()),
-        ),
-    ]));
-    let answer = conn.wait_answer("bad");
+    conn.send(&submit_request(
+        "bad",
+        "spec (s : t) = undefined_symbol",
+        false,
+        None,
+    ))
+    .expect("send");
+    let answer = conn.wait_answer("bad").expect("answer");
     assert_eq!(
         answer.get("code").and_then(Json::as_str),
         Some("bad-problem"),
@@ -267,12 +178,9 @@ fn unelaboratable_sources_are_rejected_per_run_not_per_connection() {
     // Correlation: the error carries the submit's id, and the connection
     // still serves good problems.
     assert_eq!(answer.get("id").and_then(Json::as_str), Some("bad"));
-    conn.send(&Json::obj([
-        ("op", Json::Str("submit".to_string())),
-        ("id", Json::Str("good".to_string())),
-        ("source", Json::Str(TRIVIAL.to_string())),
-    ]));
-    let answer = conn.wait_answer("good");
+    conn.send(&submit_request("good", TRIVIAL, false, None))
+        .expect("send");
+    let answer = conn.wait_answer("good").expect("answer");
     assert_eq!(
         answer.get("status").and_then(Json::as_str),
         Some("invariant")
@@ -283,23 +191,16 @@ fn unelaboratable_sources_are_rejected_per_run_not_per_connection() {
 fn chaos_directives_are_refused_unless_enabled() {
     let server = TestServer::spawn(small_config()); // chaos off by default
     let mut conn = server.connect();
-    conn.send(&Json::obj([
-        ("op", Json::Str("submit".to_string())),
-        ("id", Json::Str("boom".to_string())),
-        ("source", Json::Str(TRIVIAL.to_string())),
-        (
-            "chaos",
-            Json::obj([("kind", Json::Str("panic".to_string()))]),
-        ),
-    ]));
-    let answer = conn.wait_answer("boom");
+    conn.send(&submit_request("boom", TRIVIAL, false, Some(Panic)))
+        .expect("send");
+    let answer = conn.wait_answer("boom").expect("answer");
     assert_eq!(
         answer.get("code").and_then(Json::as_str),
         Some("chaos-disabled"),
         "{}",
         answer.render()
     );
-    conn.ping_pong();
+    ping_pong(&mut conn);
 }
 
 #[test]
@@ -307,19 +208,20 @@ fn mid_frame_disconnects_leave_the_server_available() {
     let server = TestServer::spawn(small_config());
     for _ in 0..5 {
         let mut conn = server.connect();
-        conn.send_raw(br#"{"op":"submit","id":"trunc","sourc"#);
+        conn.send_raw(br#"{"op":"submit","id":"trunc","sourc"#)
+            .expect("write");
         drop(conn); // disconnect mid-frame
     }
     let mut probe = server.connect();
-    probe.ping_pong();
+    ping_pong(&mut probe);
 }
 
 #[test]
 fn stats_and_drain_report_over_the_wire() {
     let server = TestServer::spawn(small_config());
     let mut conn = server.connect();
-    conn.send(&Json::obj([("op", Json::Str("stats".to_string()))]));
-    let stats = conn.read_frame();
+    conn.send(&stats_request()).expect("send");
+    let stats = conn.read_frame().expect("read");
     assert_eq!(stats.get("reply").and_then(Json::as_str), Some("stats"));
     assert!(stats.get("server").is_some(), "{}", stats.render());
     assert!(
@@ -332,16 +234,13 @@ fn stats_and_drain_report_over_the_wire() {
         stats.render()
     );
 
-    conn.send(&Json::obj([("op", Json::Str("drain".to_string()))]));
-    let ack = conn.read_frame();
+    conn.send(&drain_request()).expect("send");
+    let ack = conn.read_frame().expect("read");
     assert_eq!(ack.get("reply").and_then(Json::as_str), Some("draining"));
     // After the drain ack, new submits shed with reason `draining`.
-    conn.send(&Json::obj([
-        ("op", Json::Str("submit".to_string())),
-        ("id", Json::Str("late".to_string())),
-        ("source", Json::Str(TRIVIAL.to_string())),
-    ]));
-    let shed = conn.wait_answer("late");
+    conn.send(&submit_request("late", TRIVIAL, false, None))
+        .expect("send");
+    let shed = conn.wait_answer("late").expect("answer");
     assert_eq!(shed.get("reply").and_then(Json::as_str), Some("shed"));
     assert_eq!(
         shed.get("reason").and_then(Json::as_str),
@@ -363,72 +262,20 @@ fn read_timeouts_do_not_poison_idle_connections() {
     // server's internal 50 ms read-polling ticks.
     let server = TestServer::spawn(small_config());
     let mut conn = server.connect();
-    conn.ping_pong();
+    ping_pong(&mut conn);
     std::thread::sleep(Duration::from_millis(400));
-    conn.ping_pong();
+    ping_pong(&mut conn);
 }
 
 /// Submits a streamed sleep-chaos run, returns its token, and drops the
 /// connection — leaving a detached run behind for resume scenarios.
 fn detach_a_streamed_run(server: &TestServer, id: &str, sleep_ms: u64) -> String {
     let mut conn = server.connect();
-    conn.send(&Json::obj([
-        ("op", Json::Str("submit".to_string())),
-        ("id", Json::Str(id.to_string())),
-        ("source", Json::Str(TRIVIAL.to_string())),
-        ("events", Json::Bool(true)),
-        (
-            "chaos",
-            Json::obj([
-                ("kind", Json::Str("sleep".to_string())),
-                ("ms", Json::Num(sleep_ms as f64)),
-            ]),
-        ),
-    ]));
-    loop {
-        let frame = conn.read_frame();
-        if frame.get("reply").and_then(Json::as_str) == Some("accepted") {
-            return frame
-                .get("token")
-                .and_then(Json::as_str)
-                .expect("accepted frames carry a token")
-                .to_string();
-        }
-    }
-}
-
-fn resume_frame(token: &str, last_seq: u64) -> Json {
-    Json::obj([
-        ("op", Json::Str("resume".to_string())),
-        ("token", Json::Str(token.to_string())),
-        ("last_seq", Json::Num(last_seq as f64)),
-    ])
-}
-
-/// Reads a full contiguous replayed stream (resumed ack, then seq 1..=n
-/// frames ending in a terminal result) and returns the terminal frame.
-fn read_replayed_stream(conn: &mut Conn) -> Json {
-    let mut next_seq = 1;
-    loop {
-        let frame = conn.read_frame();
-        match frame.get("reply").and_then(Json::as_str) {
-            Some("resumed") => {}
-            Some("gap") => panic!("unexpected gap: {}", frame.render()),
-            Some("event") | Some("result") | Some("error") => {
-                assert_eq!(
-                    frame.get("seq").and_then(Json::as_usize),
-                    Some(next_seq),
-                    "replayed stream is not contiguous: {}",
-                    frame.render()
-                );
-                next_seq += 1;
-                if frame.get("reply").and_then(Json::as_str) != Some("event") {
-                    return frame;
-                }
-            }
-            other => panic!("unexpected reply {other:?}: {}", frame.render()),
-        }
-    }
+    let submit = submit_request(id, TRIVIAL, true, Some(Sleep(sleep_ms)));
+    conn.send(&submit).expect("send");
+    conn.wait_admission(id)
+        .expect("read")
+        .expect("accepted frames carry a token")
 }
 
 #[test]
@@ -442,12 +289,16 @@ fn a_disconnect_mid_resume_replay_leaves_the_run_resumable() {
     std::thread::sleep(Duration::from_millis(800));
 
     let mut saboteur = server.connect();
-    saboteur.send(&resume_frame(&token, 0));
+    saboteur.send(&resume_request(&token, 0)).expect("send");
     drop(saboteur); // disconnect while the replay may be in flight
 
     let mut patient = server.connect();
-    patient.send(&resume_frame(&token, 0));
-    let result = read_replayed_stream(&mut patient);
+    patient.send(&resume_request(&token, 0)).expect("send");
+    let mut frames = Vec::new();
+    patient
+        .read_sequenced(&mut frames, &mut 0, None)
+        .expect("replayed stream");
+    let result = check_contiguous(&frames, "replayed stream").expect("contiguous replay");
     assert_eq!(
         result.get("status").and_then(Json::as_str),
         Some("invariant"),
@@ -455,7 +306,7 @@ fn a_disconnect_mid_resume_replay_leaves_the_run_resumable() {
         result.render()
     );
     // And the connection that got the replay is still synchronized.
-    patient.ping_pong();
+    ping_pong(&mut patient);
 }
 
 #[test]
@@ -471,11 +322,7 @@ fn slow_loris_resume_frames_are_cut_off_and_the_run_stays_resumable() {
     std::thread::sleep(Duration::from_millis(800));
 
     let mut loris = server.connect();
-    loris
-        .reader
-        .get_mut()
-        .set_read_timeout(Some(Duration::from_millis(100)))
-        .unwrap();
+    loris.set_read_timeout(Duration::from_millis(100)).unwrap();
     let mut partial: &[u8] = b"{\"op\":\"resume\",\"token\":\"";
     let deadline = std::time::Instant::now() + Duration::from_secs(15);
     let mut cut = false;
@@ -487,19 +334,19 @@ fn slow_loris_resume_frames_are_cut_off_and_the_run_stays_resumable() {
             }
             [] => b'x', // keep the frame unfinished forever
         };
-        if loris.reader.get_mut().write_all(&[byte]).is_err() {
+        if loris.send_raw(&[byte]).is_err() {
             cut = true;
             break;
         }
-        let mut line = String::new();
-        match loris.reader.read_line(&mut line) {
-            Ok(0) => {
-                cut = true;
-                break;
-            }
-            Ok(_) => panic!("server answered an unfinished resume: {line}"),
-            Err(e) if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut => {}
-            Err(e) if e.kind() == ErrorKind::ConnectionReset => {
+        match loris.read_frame() {
+            Ok(frame) => panic!("server answered an unfinished resume: {}", frame.render()),
+            Err(e) if e.kind() == ErrorKind::WouldBlock => {} // still open
+            Err(e)
+                if matches!(
+                    e.kind(),
+                    ErrorKind::UnexpectedEof | ErrorKind::ConnectionReset
+                ) =>
+            {
                 cut = true;
                 break;
             }
@@ -510,8 +357,12 @@ fn slow_loris_resume_frames_are_cut_off_and_the_run_stays_resumable() {
     assert!(cut, "slow-loris resume writer was never disconnected");
 
     let mut patient = server.connect();
-    patient.send(&resume_frame(&token, 0));
-    let result = read_replayed_stream(&mut patient);
+    patient.send(&resume_request(&token, 0)).expect("send");
+    let mut frames = Vec::new();
+    patient
+        .read_sequenced(&mut frames, &mut 0, None)
+        .expect("replayed stream");
+    let result = check_contiguous(&frames, "replayed stream").expect("contiguous replay");
     assert_eq!(
         result.get("status").and_then(Json::as_str),
         Some("invariant"),
@@ -525,28 +376,25 @@ fn slow_loris_writers_are_cut_off_by_the_frame_timeout() {
     let config = small_config().with_frame_timeout(Duration::from_millis(300));
     let server = TestServer::spawn(config);
     let mut conn = server.connect();
-    conn.reader
-        .get_mut()
-        .set_read_timeout(Some(Duration::from_millis(100)))
-        .unwrap();
+    conn.set_read_timeout(Duration::from_millis(100)).unwrap();
     // Drip one byte of a never-finished frame, slower than the timeout
     // allows; the server must cut us off within a few seconds.
     let deadline = std::time::Instant::now() + Duration::from_secs(15);
     let mut cut = false;
     while std::time::Instant::now() < deadline {
-        if conn.reader.get_mut().write_all(b"{").is_err() {
+        if conn.send_raw(b"{").is_err() {
             cut = true;
             break;
         }
-        let mut line = String::new();
-        match conn.reader.read_line(&mut line) {
-            Ok(0) => {
-                cut = true;
-                break;
-            }
-            Ok(_) => panic!("server answered an unfinished frame: {line}"),
-            Err(e) if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut => {}
-            Err(e) if e.kind() == ErrorKind::ConnectionReset => {
+        match conn.read_frame() {
+            Ok(frame) => panic!("server answered an unfinished frame: {}", frame.render()),
+            Err(e) if e.kind() == ErrorKind::WouldBlock => {} // still open
+            Err(e)
+                if matches!(
+                    e.kind(),
+                    ErrorKind::UnexpectedEof | ErrorKind::ConnectionReset
+                ) =>
+            {
                 cut = true;
                 break;
             }
@@ -557,5 +405,5 @@ fn slow_loris_writers_are_cut_off_by_the_frame_timeout() {
     assert!(cut, "slow-loris writer was never disconnected");
     // And the server still answers everyone else.
     let mut probe = server.connect();
-    probe.ping_pong();
+    ping_pong(&mut probe);
 }

@@ -14,29 +14,22 @@
 //! hints, and a `reload` must swap tunables without dropping in-flight
 //! runs.
 
-use std::io::{BufRead, BufReader};
 use std::net::TcpStream;
 use std::path::PathBuf;
-use std::thread::JoinHandle;
 use std::time::Duration;
 
 use hanoi::{Engine, EngineConfig, RunOptions};
 use hanoi_abstraction::Problem;
-use hanoi_lang::json::{self, Json};
-use hanoi_server::{Server, ServerConfig, ServerHandle};
+use hanoi_lang::json::Json;
+use hanoi_server::client::{check_contiguous, run_interrupted, run_uninterrupted, Client};
+use hanoi_server::protocol::{
+    cancel_request, reload_request, resume_request, stats_request, submit_request,
+    ChaosDirective::{Panic, Sleep},
+};
+use hanoi_server::ServerConfig;
 
-const TRIVIAL: &str = r#"
-    type nat = O | S of nat
-    interface I = sig
-      type t
-      val make : t
-    end
-    module M : I = struct
-      type t = nat
-      let make : t = O
-    end
-    spec (s : t) = s == s
-"#;
+mod common;
+use common::{TestServer, TRIVIAL};
 
 const LIST_SET: &str = r#"
     type nat = O | S of nat
@@ -71,208 +64,24 @@ const LIST_SET: &str = r#"
       not (lookup empty i) && lookup (insert s i) i && not (lookup (delete s i) i)
 "#;
 
-struct TestServer {
-    addr: String,
-    handle: ServerHandle,
-    join: Option<JoinHandle<std::io::Result<usize>>>,
-}
-
-impl TestServer {
-    fn spawn(config: ServerConfig) -> TestServer {
-        let server = Server::bind("127.0.0.1:0", config).expect("bind");
-        let handle = server.handle();
-        let addr = handle.addr().to_string();
-        let join = Some(std::thread::spawn(move || server.serve()));
-        TestServer { addr, handle, join }
-    }
-
-    fn connect(&self) -> Conn {
-        let stream = TcpStream::connect(&self.addr).expect("connect");
-        stream
-            .set_read_timeout(Some(Duration::from_secs(60)))
-            .unwrap();
-        Conn {
-            reader: BufReader::new(stream),
-            parked: std::collections::HashMap::new(),
-        }
-    }
-
-    /// Connects and leads with a raw PROXY protocol v1 header, the way a
-    /// `send-proxy` reverse proxy would.
-    fn connect_proxied(&self, header: &str) -> Conn {
-        use std::io::Write;
-        let mut stream = TcpStream::connect(&self.addr).expect("connect");
-        stream
-            .set_read_timeout(Some(Duration::from_secs(60)))
-            .unwrap();
-        stream.write_all(header.as_bytes()).expect("proxy header");
-        Conn {
-            reader: BufReader::new(stream),
-            parked: std::collections::HashMap::new(),
-        }
-    }
-
-    /// Drains and returns the number of warm-start snapshots written.
-    fn drain(mut self) -> usize {
-        self.handle.drain();
-        let snapshots = self
-            .handle
-            .wait_drained(Duration::from_secs(60))
-            .expect("drain timed out");
-        if let Some(join) = self.join.take() {
-            join.join().expect("serve thread").expect("serve result");
-        }
-        snapshots
-    }
-}
-
-impl Drop for TestServer {
-    fn drop(&mut self) {
-        self.handle.drain();
-        self.handle.wait_drained(Duration::from_secs(60));
-        if let Some(join) = self.join.take() {
-            let _ = join.join();
+/// Reads until the next frame whose reply is `reply`; an `error` frame on
+/// the way fails the test.
+fn read_reply(conn: &mut Client, reply: &str) -> Json {
+    loop {
+        let frame = conn.read_frame().expect("read");
+        match frame.get("reply").and_then(Json::as_str) {
+            Some(got) if got == reply => return frame,
+            Some("error") => panic!("waiting for `{reply}`: {}", frame.render()),
+            _ => continue,
         }
     }
 }
 
-struct Conn {
-    reader: BufReader<TcpStream>,
-    parked: std::collections::HashMap<String, Json>,
-}
-
-impl Conn {
-    fn send(&mut self, frame: &Json) {
-        json::write_frame(self.reader.get_mut(), frame).expect("write frame");
-    }
-
-    fn submit(&mut self, id: &str, source: &str) {
-        self.send(&Json::obj([
-            ("op", Json::Str("submit".to_string())),
-            ("id", Json::Str(id.to_string())),
-            ("source", Json::Str(source.to_string())),
-        ]));
-    }
-
-    fn submit_chaos(&mut self, id: &str, kind: &str, ms: u64) {
-        let chaos = if kind == "sleep" {
-            Json::obj([
-                ("kind", Json::Str("sleep".to_string())),
-                ("ms", Json::Num(ms as f64)),
-            ])
-        } else {
-            Json::obj([("kind", Json::Str(kind.to_string()))])
-        };
-        self.send(&Json::obj([
-            ("op", Json::Str("submit".to_string())),
-            ("id", Json::Str(id.to_string())),
-            ("source", Json::Str(TRIVIAL.to_string())),
-            ("chaos", chaos),
-        ]));
-    }
-
-    fn read_frame(&mut self) -> Json {
-        let mut line = String::new();
-        loop {
-            line.clear();
-            let n = self.reader.read_line(&mut line).expect("read");
-            assert!(n > 0, "server closed the connection");
-            if line.trim().is_empty() {
-                continue;
-            }
-            return json::parse(line.trim()).expect("reply frames are valid JSON");
-        }
-    }
-
-    /// Submits with the event stream enabled and (optionally) a sleep-chaos
-    /// directive that holds the worker long enough to disconnect mid-run.
-    fn submit_streaming(&mut self, id: &str, source: &str, sleep_ms: Option<u64>) {
-        let mut fields = vec![
-            ("op", Json::Str("submit".to_string())),
-            ("id", Json::Str(id.to_string())),
-            ("source", Json::Str(source.to_string())),
-            ("events", Json::Bool(true)),
-        ];
-        if let Some(ms) = sleep_ms {
-            fields.push((
-                "chaos",
-                Json::obj([
-                    ("kind", Json::Str("sleep".to_string())),
-                    ("ms", Json::Num(ms as f64)),
-                ]),
-            ));
-        }
-        self.send(&Json::obj(fields));
-    }
-
-    /// Reads until the `accepted` ack for `id` and returns its run token.
-    fn read_token(&mut self, id: &str) -> String {
-        loop {
-            let frame = self.read_frame();
-            if frame.get("reply").and_then(Json::as_str) == Some("accepted")
-                && frame.get("id").and_then(Json::as_str) == Some(id)
-            {
-                return frame
-                    .get("token")
-                    .and_then(Json::as_str)
-                    .expect("accepted frames carry a run token")
-                    .to_string();
-            }
-        }
-    }
-
-    fn resume(&mut self, token: &str, last_seq: u64) {
-        self.send(&Json::obj([
-            ("op", Json::Str("resume".to_string())),
-            ("token", Json::Str(token.to_string())),
-            ("last_seq", Json::Num(last_seq as f64)),
-        ]));
-    }
-
-    /// Reads until the `resumed` ack and returns it.
-    fn read_resumed(&mut self) -> Json {
-        loop {
-            let frame = self.read_frame();
-            match frame.get("reply").and_then(Json::as_str) {
-                Some("resumed") => return frame,
-                Some("error") => panic!("resume failed: {}", frame.render()),
-                _ => continue,
-            }
-        }
-    }
-
-    /// The `server` counter object from a wire-level `stats` round trip.
-    fn server_stats(&mut self) -> Json {
-        self.send(&Json::obj([("op", Json::Str("stats".to_string()))]));
-        loop {
-            let frame = self.read_frame();
-            if frame.get("reply").and_then(Json::as_str) == Some("stats") {
-                return frame.get("server").expect("stats carry counters").clone();
-            }
-        }
-    }
-
-    /// The result/error/shed answer for `id`; answers for other pipelined
-    /// ids are parked (runs complete in worker order, not submit order).
-    fn wait_answer(&mut self, id: &str) -> Json {
-        if let Some(frame) = self.parked.remove(id) {
-            return frame;
-        }
-        loop {
-            let frame = self.read_frame();
-            let reply = frame.get("reply").and_then(Json::as_str).unwrap_or("");
-            if !matches!(reply, "result" | "error" | "shed") {
-                continue;
-            }
-            let frame_id = frame.get("id").and_then(Json::as_str).unwrap_or("");
-            if frame_id == id {
-                return frame;
-            }
-            if !frame_id.is_empty() {
-                self.parked.insert(frame_id.to_string(), frame);
-            }
-        }
-    }
+/// The `server` counter object from a wire-level `stats` round trip.
+fn server_stats(conn: &mut Client) -> Json {
+    conn.send(&stats_request()).expect("send stats");
+    let stats = read_reply(conn, "stats");
+    stats.get("server").expect("stats carry counters").clone()
 }
 
 fn scratch_dir(tag: &str) -> PathBuf {
@@ -298,8 +107,9 @@ fn answers_match_direct_engine_runs() {
             .unwrap_or_else(|| panic!("{name}: direct run failed: {}", direct.outcome))
             .to_string();
         let mut conn = server.connect();
-        conn.submit(name, source);
-        let answer = conn.wait_answer(name);
+        conn.send(&submit_request(name, source, false, None))
+            .expect("send");
+        let answer = conn.wait_answer(name).expect("answer");
         assert_eq!(
             answer.get("status").and_then(Json::as_str),
             Some("invariant"),
@@ -321,15 +131,11 @@ fn answers_match_direct_engine_runs() {
 fn event_streams_arrive_in_protocol_order() {
     let server = TestServer::spawn(ServerConfig::default().with_workers(1));
     let mut conn = server.connect();
-    conn.send(&Json::obj([
-        ("op", Json::Str("submit".to_string())),
-        ("id", Json::Str("observed".to_string())),
-        ("source", Json::Str(TRIVIAL.to_string())),
-        ("events", Json::Bool(true)),
-    ]));
+    conn.send(&submit_request("observed", TRIVIAL, true, None))
+        .expect("send");
     let mut kinds = Vec::new();
     let result = loop {
-        let frame = conn.read_frame();
+        let frame = conn.read_frame().expect("read");
         match frame.get("reply").and_then(Json::as_str) {
             Some("event") => {
                 kinds.push(
@@ -367,12 +173,18 @@ fn overload_at_twice_the_budget_sheds_with_retry_hints() {
     let burst = 6; // 2x the admission budget
     for i in 0..burst {
         // Sleep-chaos keeps the worker busy so the queue genuinely fills.
-        conn.submit_chaos(&format!("burst-{i}"), "sleep", 200);
+        conn.send(&submit_request(
+            &format!("burst-{i}"),
+            TRIVIAL,
+            false,
+            Some(Sleep(200)),
+        ))
+        .expect("send");
     }
     let mut accepted = 0;
     let mut shed = 0;
     for i in 0..burst {
-        let answer = conn.wait_answer(&format!("burst-{i}"));
+        let answer = conn.wait_answer(&format!("burst-{i}")).expect("answer");
         match answer.get("reply").and_then(Json::as_str) {
             Some("shed") => {
                 shed += 1;
@@ -410,11 +222,18 @@ fn per_client_quota_protects_other_clients() {
     );
     let mut greedy = server.connect();
     for i in 0..4 {
-        greedy.submit_chaos(&format!("greedy-{i}"), "sleep", 300);
+        greedy
+            .send(&submit_request(
+                &format!("greedy-{i}"),
+                TRIVIAL,
+                false,
+                Some(Sleep(300)),
+            ))
+            .expect("send");
     }
     let mut shed_reasons = Vec::new();
     for i in 0..4 {
-        let answer = greedy.wait_answer(&format!("greedy-{i}"));
+        let answer = greedy.wait_answer(&format!("greedy-{i}")).expect("answer");
         if answer.get("reply").and_then(Json::as_str) == Some("shed") {
             shed_reasons.push(
                 answer
@@ -431,8 +250,10 @@ fn per_client_quota_protects_other_clients() {
     );
     // A different client was never locked out (the queue had room).
     let mut modest = server.connect();
-    modest.submit("modest", TRIVIAL);
-    let answer = modest.wait_answer("modest");
+    modest
+        .send(&submit_request("modest", TRIVIAL, false, None))
+        .expect("send");
+    let answer = modest.wait_answer("modest").expect("answer");
     assert_eq!(
         answer.get("status").and_then(Json::as_str),
         Some("invariant"),
@@ -451,20 +272,14 @@ fn queued_runs_can_be_cancelled_over_the_wire() {
     );
     let mut conn = server.connect();
     // Occupy the single worker, then queue a victim behind it.
-    conn.submit_chaos("blocker", "sleep", 500);
-    conn.submit("victim", TRIVIAL);
-    conn.send(&Json::obj([
-        ("op", Json::Str("cancel".to_string())),
-        ("id", Json::Str("victim".to_string())),
-    ]));
-    let ack = loop {
-        let frame = conn.read_frame();
-        if frame.get("reply").and_then(Json::as_str) == Some("cancelled") {
-            break frame;
-        }
-    };
+    conn.send(&submit_request("blocker", TRIVIAL, false, Some(Sleep(500))))
+        .expect("send");
+    conn.send(&submit_request("victim", TRIVIAL, false, None))
+        .expect("send");
+    conn.send(&cancel_request("victim")).expect("send");
+    let ack = read_reply(&mut conn, "cancelled");
     assert_eq!(ack.get("found").and_then(Json::as_bool), Some(true));
-    let victim = conn.wait_answer("victim");
+    let victim = conn.wait_answer("victim").expect("answer");
     assert_eq!(
         victim.get("status").and_then(Json::as_str),
         Some("cancelled"),
@@ -472,16 +287,8 @@ fn queued_runs_can_be_cancelled_over_the_wire() {
         victim.render()
     );
     // Cancelling an unknown id is answered honestly.
-    conn.send(&Json::obj([
-        ("op", Json::Str("cancel".to_string())),
-        ("id", Json::Str("never-was".to_string())),
-    ]));
-    let ack = loop {
-        let frame = conn.read_frame();
-        if frame.get("reply").and_then(Json::as_str) == Some("cancelled") {
-            break frame;
-        }
-    };
+    conn.send(&cancel_request("never-was")).expect("send");
+    let ack = read_reply(&mut conn, "cancelled");
     assert_eq!(ack.get("found").and_then(Json::as_bool), Some(false));
 }
 
@@ -500,8 +307,9 @@ fn watchdog_ceiling_clamps_client_timeouts() {
         ("id", Json::Str("hog".to_string())),
         ("source", Json::Str(LIST_SET.to_string())),
         ("options", Json::obj([("timeout_ms", Json::Num(600_000.0))])),
-    ]));
-    let answer = conn.wait_answer("hog");
+    ]))
+    .expect("send");
+    let answer = conn.wait_answer("hog").expect("answer");
     assert_eq!(
         answer.get("status").and_then(Json::as_str),
         Some("timeout"),
@@ -515,13 +323,15 @@ fn a_panicking_run_is_isolated_and_warm_caches_survive() {
     let server = TestServer::spawn(ServerConfig::default().with_workers(2).with_chaos(true));
     let mut conn = server.connect();
     // Warm the problem's caches with a clean run.
-    conn.submit("warm", TRIVIAL);
-    let warm = conn.wait_answer("warm");
+    conn.send(&submit_request("warm", TRIVIAL, false, None))
+        .expect("send");
+    let warm = conn.wait_answer("warm").expect("answer");
     assert_eq!(warm.get("status").and_then(Json::as_str), Some("invariant"));
 
     // A worker panic becomes a structured error on the SAME connection.
-    conn.submit_chaos("boom", "panic", 0);
-    let boom = conn.wait_answer("boom");
+    conn.send(&submit_request("boom", TRIVIAL, false, Some(Panic)))
+        .expect("send");
+    let boom = conn.wait_answer("boom").expect("answer");
     assert_eq!(
         boom.get("reply").and_then(Json::as_str),
         Some("error"),
@@ -532,8 +342,9 @@ fn a_panicking_run_is_isolated_and_warm_caches_survive() {
 
     // The process, the connection, and the warm caches all survived: the
     // next run must not rebuild its value pools.
-    conn.submit("after", TRIVIAL);
-    let after = conn.wait_answer("after");
+    conn.send(&submit_request("after", TRIVIAL, false, None))
+        .expect("send");
+    let after = conn.wait_answer("after").expect("answer");
     assert_eq!(
         after.get("status").and_then(Json::as_str),
         Some("invariant")
@@ -559,8 +370,9 @@ fn drain_checkpoints_warm_state_a_fresh_engine_boots_from() {
             .with_engine(EngineConfig::default().with_warm_start_dir(&dir)),
     );
     let mut conn = server.connect();
-    conn.submit("seed", TRIVIAL);
-    let seed = conn.wait_answer("seed");
+    conn.send(&submit_request("seed", TRIVIAL, false, None))
+        .expect("send");
+    let seed = conn.wait_answer("seed").expect("answer");
     assert_eq!(seed.get("status").and_then(Json::as_str), Some("invariant"));
     let snapshots = server.drain();
     assert!(snapshots >= 1, "drain wrote no warm-start snapshots");
@@ -592,136 +404,26 @@ fn counter(server_stats: &Json, name: &str) -> usize {
         .unwrap_or_else(|| panic!("stats counter `{name}` missing: {}", server_stats.render()))
 }
 
-/// Asserts the frames form the complete stream of one run: sequence numbers
-/// are exactly `1..=n` in order, and the last frame is the terminal
-/// `result`/`error`.  Returns the terminal frame.
-fn assert_contiguous_stream(frames: &[Json], what: &str) -> Json {
-    assert!(!frames.is_empty(), "{what}: empty stream");
-    for (i, frame) in frames.iter().enumerate() {
-        let seq = frame
-            .get("seq")
-            .and_then(Json::as_usize)
-            .unwrap_or_else(|| panic!("{what}: frame without seq: {}", frame.render()));
-        assert_eq!(
-            seq,
-            i + 1,
-            "{what}: stream has a hole or a duplicate at position {i}: {}",
-            frame.render()
-        );
-    }
-    let last = frames.last().unwrap();
-    let reply = last.get("reply").and_then(Json::as_str).unwrap_or("");
-    assert!(
-        matches!(reply, "result" | "error"),
-        "{what}: stream does not end with a terminal frame: {}",
-        last.render()
-    );
-    last.clone()
-}
-
-/// One uninterrupted streamed run: returns its sequenced frames.
-fn run_uninterrupted(server: &TestServer, id: &str, source: &str) -> Vec<Json> {
-    let mut conn = server.connect();
-    conn.submit_streaming(id, source, None);
-    // No token wait: the worker can outrace the `accepted` ack, and the
-    // ack-skipping read below must not swallow those early events.
-    let mut frames = Vec::new();
-    loop {
-        let frame = conn.read_frame();
-        match frame.get("reply").and_then(Json::as_str) {
-            Some("event") => frames.push(frame),
-            Some("result") | Some("error") => {
-                frames.push(frame);
-                return frames;
-            }
-            Some("gap") => panic!("uninterrupted run saw a gap: {}", frame.render()),
-            _ => continue,
-        }
-    }
-}
-
-/// The same run, interrupted: the connection is dropped cold after reading
-/// `offset` sequenced frames (for each offset in turn), then a fresh
-/// connection resumes by token from the last seen sequence number.  Returns
-/// the merged stream (replayed + live frames across all connections).
-fn run_interrupted(server: &TestServer, id: &str, source: &str, offsets: &[usize]) -> Vec<Json> {
-    let mut conn = server.connect();
-    conn.submit_streaming(id, source, Some(150));
-    let token = conn.read_token(id);
-    let mut frames: Vec<Json> = Vec::new();
-    let mut last_seq = 0u64;
-
-    let read_stream = |conn: &mut Conn,
-                       frames: &mut Vec<Json>,
-                       last_seq: &mut u64,
-                       upto: Option<usize>|
-     -> bool {
-        // Reads sequenced frames until the terminal one (true) or until
-        // `upto` frames were read on this leg (false).
-        let mut read_here = 0usize;
-        loop {
-            if let Some(limit) = upto {
-                if read_here >= limit {
-                    return false;
-                }
-            }
-            let frame = conn.read_frame();
-            match frame.get("reply").and_then(Json::as_str) {
-                Some("event") | Some("result") | Some("error") => {
-                    if let Some(seq) = frame.get("seq").and_then(Json::as_usize) {
-                        *last_seq = seq as u64;
-                    }
-                    let terminal = matches!(
-                        frame.get("reply").and_then(Json::as_str),
-                        Some("result") | Some("error")
-                    );
-                    frames.push(frame);
-                    read_here += 1;
-                    if terminal {
-                        return true;
-                    }
-                }
-                Some("gap") => panic!("replay buffer evicted frames mid-test: {}", frame.render()),
-                _ => continue,
-            }
-        }
-    };
-
-    for &offset in offsets {
-        if read_stream(&mut conn, &mut frames, &mut last_seq, Some(offset)) {
-            return frames; // finished before this disconnect offset
-        }
-        drop(conn); // kill the socket cold, mid-stream
-                    // Let the detached run make progress without us.
-        std::thread::sleep(Duration::from_millis(60));
-        conn = server.connect();
-        conn.resume(&token, last_seq);
-        let resumed = conn.read_resumed();
-        assert_eq!(
-            resumed.get("token").and_then(Json::as_str),
-            Some(token.as_str())
-        );
-    }
-    read_stream(&mut conn, &mut frames, &mut last_seq, None);
-    frames
-}
-
 #[test]
 fn resume_replays_the_missed_stream_after_a_disconnect() {
     let server = TestServer::spawn(ServerConfig::default().with_workers(1).with_chaos(true));
     // Submit a streamed run, then vanish before a single event arrives: the
     // run must keep executing and journaling without us.
     let mut conn = server.connect();
-    conn.submit_streaming("durable", TRIVIAL, Some(150));
-    let token = conn.read_token("durable");
+    conn.send(&submit_request("durable", TRIVIAL, true, Some(Sleep(150))))
+        .expect("send");
+    let token = conn
+        .wait_admission("durable")
+        .expect("read")
+        .expect("admitted");
     drop(conn); // hard disconnect: the run must keep executing
 
     // Come back well after the run finished detached: the whole stream —
     // terminal result included — must be served from the replay journal.
     std::thread::sleep(Duration::from_millis(700));
     let mut conn = server.connect();
-    conn.resume(&token, 0);
-    let resumed = conn.read_resumed();
+    conn.send(&resume_request(&token, 0)).expect("send");
+    let resumed = read_reply(&mut conn, "resumed");
     assert_eq!(resumed.get("id").and_then(Json::as_str), Some("durable"));
     assert_eq!(
         resumed.get("finished").and_then(Json::as_bool),
@@ -742,21 +444,9 @@ fn resume_replays_the_missed_stream_after_a_disconnect() {
     // Everything missed is replayed, then the stream goes live; merged it
     // must be a complete, contiguous, gap-free run.
     let mut frames = Vec::new();
-    loop {
-        let frame = conn.read_frame();
-        match frame.get("reply").and_then(Json::as_str) {
-            Some("event") | Some("result") | Some("error") => {
-                let terminal = frame.get("reply").and_then(Json::as_str) != Some("event");
-                frames.push(frame);
-                if terminal {
-                    break;
-                }
-            }
-            Some("gap") => panic!("unexpected gap: {}", frame.render()),
-            _ => continue,
-        }
-    }
-    let result = assert_contiguous_stream(&frames, "resumed run");
+    conn.read_sequenced(&mut frames, &mut 0, None)
+        .expect("resumed run");
+    let result = check_contiguous(&frames, "resumed run").expect("contiguous stream");
     assert_eq!(
         result.get("status").and_then(Json::as_str),
         Some("invariant"),
@@ -765,7 +455,7 @@ fn resume_replays_the_missed_stream_after_a_disconnect() {
     );
 
     // The durability counters observed it all.
-    let stats = conn.server_stats();
+    let stats = server_stats(&mut conn);
     assert!(counter(&stats, "runs_detached") >= 1, "{}", stats.render());
     assert!(counter(&stats, "runs_resumed") >= 1, "{}", stats.render());
     assert!(
@@ -799,8 +489,9 @@ fn merged_disconnect_resume_streams_match_uninterrupted_runs() {
     })
     .collect();
     for (round, (name, source)) in suite.iter().enumerate() {
-        let baseline = run_uninterrupted(&server, &format!("base-{round}"), source);
-        let expected = assert_contiguous_stream(&baseline, name);
+        let baseline = run_uninterrupted(&server.addr, &format!("base-{round}"), source)
+            .unwrap_or_else(|e| panic!("{name}: {e}"));
+        let expected = check_contiguous(&baseline, name).unwrap_or_else(|e| panic!("{e}"));
 
         // Vary the cut points per benchmark: first frame, mid-stream, deep.
         let offsets: &[usize] = match round {
@@ -808,8 +499,9 @@ fn merged_disconnect_resume_streams_match_uninterrupted_runs() {
             1 => &[2, 5],
             _ => &[3],
         };
-        let merged = run_interrupted(&server, &format!("chop-{round}"), source, offsets);
-        let got = assert_contiguous_stream(&merged, name);
+        let merged = run_interrupted(&server.addr, &format!("chop-{round}"), source, offsets, 150)
+            .unwrap_or_else(|e| panic!("{name}: {e}"));
+        let got = check_contiguous(&merged, name).unwrap_or_else(|e| panic!("{e}"));
         assert_eq!(
             got.get("status").and_then(Json::as_str),
             expected.get("status").and_then(Json::as_str),
@@ -833,30 +525,39 @@ fn detached_runs_are_cancelled_after_the_grace_deadline() {
             .with_disconnect_grace(Duration::from_millis(100)),
     );
     let mut conn = server.connect();
-    conn.submit_streaming("abandoned", TRIVIAL, Some(600));
-    let token = conn.read_token("abandoned");
+    conn.send(&submit_request(
+        "abandoned",
+        TRIVIAL,
+        true,
+        Some(Sleep(600)),
+    ))
+    .expect("send");
+    let token = conn
+        .wait_admission("abandoned")
+        .expect("read")
+        .expect("admitted");
     drop(conn); // nobody ever comes back ... within the grace window
 
     // Grace (100ms) + reaper poll (50ms) + chaos sleep (600ms): by 900ms the
     // run must have been force-cancelled and its terminal frame journaled.
     std::thread::sleep(Duration::from_millis(900));
     let mut conn = server.connect();
-    conn.resume(&token, 0);
-    let resumed = conn.read_resumed();
+    conn.send(&resume_request(&token, 0)).expect("send");
+    let resumed = read_reply(&mut conn, "resumed");
     assert_eq!(
         resumed.get("finished").and_then(Json::as_bool),
         Some(true),
         "{}",
         resumed.render()
     );
-    let answer = conn.wait_answer("abandoned");
+    let answer = conn.wait_answer("abandoned").expect("answer");
     assert_eq!(
         answer.get("status").and_then(Json::as_str),
         Some("cancelled"),
         "{}",
         answer.render()
     );
-    let stats = conn.server_stats();
+    let stats = server_stats(&mut conn);
     assert!(counter(&stats, "grace_cancels") >= 1, "{}", stats.render());
 }
 
@@ -871,12 +572,13 @@ fn over_rate_submitters_are_shed_by_the_token_bucket() {
     );
     let mut conn = server.connect();
     for i in 0..6 {
-        conn.submit(&format!("rl-{i}"), TRIVIAL);
+        conn.send(&submit_request(&format!("rl-{i}"), TRIVIAL, false, None))
+            .expect("send");
     }
     let mut results = 0;
     let mut rate_shed = 0;
     for i in 0..6 {
-        let answer = conn.wait_answer(&format!("rl-{i}"));
+        let answer = conn.wait_answer(&format!("rl-{i}")).expect("answer");
         match answer.get("reply").and_then(Json::as_str) {
             Some("result") => results += 1,
             Some("shed") => {
@@ -904,15 +606,16 @@ fn over_rate_submitters_are_shed_by_the_token_bucket() {
 
     // After backing off, the bucket has refilled.
     std::thread::sleep(Duration::from_millis(700));
-    conn.submit("rl-patient", TRIVIAL);
-    let answer = conn.wait_answer("rl-patient");
+    conn.send(&submit_request("rl-patient", TRIVIAL, false, None))
+        .expect("send");
+    let answer = conn.wait_answer("rl-patient").expect("answer");
     assert_eq!(
         answer.get("status").and_then(Json::as_str),
         Some("invariant"),
         "{}",
         answer.render()
     );
-    let stats = conn.server_stats();
+    let stats = server_stats(&mut conn);
     assert!(
         counter(&stats, "rate_limited_sheds") >= 2,
         "{}",
@@ -933,22 +636,17 @@ fn reload_swaps_tunables_without_dropping_in_flight_runs() {
     );
     // An in-flight run straddles the reload.
     let mut conn = server.connect();
-    conn.submit_chaos("straddler", "sleep", 400);
+    conn.send(&submit_request(
+        "straddler",
+        TRIVIAL,
+        false,
+        Some(Sleep(400)),
+    ))
+    .expect("send");
 
     std::fs::write(&path, r#"{"rate_per_sec": 3.5, "max_queue_depth": 5}"#).unwrap();
-    conn.send(&Json::obj([("op", Json::Str("reload".to_string()))]));
-    let reloaded = loop {
-        let frame = conn.read_frame();
-        if frame.get("reply").and_then(Json::as_str) == Some("reloaded") {
-            break frame;
-        }
-        assert_ne!(
-            frame.get("reply").and_then(Json::as_str),
-            Some("error"),
-            "{}",
-            frame.render()
-        );
-    };
+    conn.send(&reload_request()).expect("send");
+    let reloaded = read_reply(&mut conn, "reloaded");
     let tunables = reloaded.get("tunables").expect("reloaded carries tunables");
     assert_eq!(
         tunables.get("rate_per_sec").and_then(Json::as_f64),
@@ -962,7 +660,7 @@ fn reload_swaps_tunables_without_dropping_in_flight_runs() {
     );
 
     // The straddler survived the swap.
-    let answer = conn.wait_answer("straddler");
+    let answer = conn.wait_answer("straddler").expect("answer");
     assert_eq!(
         answer.get("status").and_then(Json::as_str),
         Some("invariant"),
@@ -972,20 +670,15 @@ fn reload_swaps_tunables_without_dropping_in_flight_runs() {
 
     // A rejected reload (invalid tunables) keeps the previous set in force.
     std::fs::write(&path, r#"{"max_queue_depth": 0}"#).unwrap();
-    conn.send(&Json::obj([("op", Json::Str("reload".to_string()))]));
-    let refused = loop {
-        let frame = conn.read_frame();
-        if frame.get("reply").and_then(Json::as_str) == Some("error") {
-            break frame;
-        }
-    };
+    conn.send(&reload_request()).expect("send");
+    let refused = read_reply(&mut conn, "error");
     assert_eq!(
         refused.get("code").and_then(Json::as_str),
         Some("reload-failed"),
         "{}",
         refused.render()
     );
-    let stats = conn.server_stats();
+    let stats = server_stats(&mut conn);
     assert_eq!(counter(&stats, "config_reloads"), 1, "{}", stats.render());
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -994,8 +687,8 @@ fn reload_swaps_tunables_without_dropping_in_flight_runs() {
 fn reload_without_a_config_path_is_refused_honestly() {
     let server = TestServer::spawn(ServerConfig::default().with_workers(1));
     let mut conn = server.connect();
-    conn.send(&Json::obj([("op", Json::Str("reload".to_string()))]));
-    let frame = conn.read_frame();
+    conn.send(&reload_request()).expect("send");
+    let frame = conn.read_frame().expect("read");
     assert_eq!(
         frame.get("code").and_then(Json::as_str),
         Some("reload-unavailable"),
@@ -1012,16 +705,26 @@ fn resuming_onto_a_conflicting_run_id_is_refused() {
     // refuse with a distinct error code instead.
     let server = TestServer::spawn(ServerConfig::default().with_workers(2).with_chaos(true));
     let mut first = server.connect();
-    first.submit_streaming("same", TRIVIAL, Some(1_000));
-    let token = first.read_token("same");
+    first
+        .send(&submit_request("same", TRIVIAL, true, Some(Sleep(1_000))))
+        .expect("send");
+    let token = first
+        .wait_admission("same")
+        .expect("read")
+        .expect("admitted");
 
     let mut second = server.connect();
-    second.submit_chaos("same", "sleep", 1_000);
+    second
+        .send(&submit_request("same", TRIVIAL, false, Some(Sleep(1_000))))
+        .expect("send");
     // Wait for the accepted ack so the run is indexed under this conn.
-    second.read_token("same");
+    second
+        .wait_admission("same")
+        .expect("read")
+        .expect("admitted");
 
-    second.resume(&token, 0);
-    let frame = second.read_frame();
+    second.send(&resume_request(&token, 0)).expect("send");
+    let frame = second.read_frame().expect("read");
     assert_eq!(
         frame.get("code").and_then(Json::as_str),
         Some("resume-conflict"),
@@ -1029,11 +732,8 @@ fn resuming_onto_a_conflicting_run_id_is_refused() {
         frame.render()
     );
     // The refused resume left the second client's own run addressable.
-    second.send(&Json::obj([
-        ("op", Json::Str("cancel".to_string())),
-        ("id", Json::Str("same".to_string())),
-    ]));
-    let answer = second.wait_answer("same");
+    second.send(&cancel_request("same")).expect("send");
+    let answer = second.wait_answer("same").expect("answer");
     assert_eq!(
         answer.get("status").and_then(Json::as_str),
         Some("cancelled"),
@@ -1055,19 +755,27 @@ fn proxy_protocol_keys_rate_buckets_by_advertised_source() {
             .with_proxy_protocol(true)
             .with_rate_limit(0.1, 1.0),
     );
-    let mut alice = server.connect_proxied("PROXY TCP4 10.9.9.1 127.0.0.1 41000 7077\r\n");
-    let mut bob = server.connect_proxied("PROXY TCP4 10.9.9.2 127.0.0.1 41001 7077\r\n");
+    let mut alice = server.connect();
+    alice
+        .send_raw("PROXY TCP4 10.9.9.1 127.0.0.1 41000 7077\r\n".as_bytes())
+        .expect("proxy header");
+    let mut bob = server.connect();
+    bob.send_raw("PROXY TCP4 10.9.9.2 127.0.0.1 41001 7077\r\n".as_bytes())
+        .expect("proxy header");
 
-    alice.submit("a-1", TRIVIAL);
-    let answer = alice.wait_answer("a-1");
+    alice
+        .send(&submit_request("a-1", TRIVIAL, false, None))
+        .expect("send");
+    let answer = alice.wait_answer("a-1").expect("answer");
     assert_eq!(
         answer.get("reply").and_then(Json::as_str),
         Some("result"),
         "{}",
         answer.render()
     );
-    bob.submit("b-1", TRIVIAL);
-    let answer = bob.wait_answer("b-1");
+    bob.send(&submit_request("b-1", TRIVIAL, false, None))
+        .expect("send");
+    let answer = bob.wait_answer("b-1").expect("answer");
     assert_eq!(
         answer.get("reply").and_then(Json::as_str),
         Some("result"),
@@ -1075,8 +783,10 @@ fn proxy_protocol_keys_rate_buckets_by_advertised_source() {
         answer.render()
     );
 
-    alice.submit("a-2", TRIVIAL);
-    let answer = alice.wait_answer("a-2");
+    alice
+        .send(&submit_request("a-2", TRIVIAL, false, None))
+        .expect("send");
+    let answer = alice.wait_answer("a-2").expect("answer");
     assert_eq!(
         answer.get("reason").and_then(Json::as_str),
         Some("rate-limited"),
@@ -1109,15 +819,18 @@ fn connections_without_a_proxy_header_are_closed() {
 
     // The incident is visible in the counters, and properly-proxied
     // clients are unaffected.
-    let mut conn = server.connect_proxied("PROXY TCP4 10.9.9.3 127.0.0.1 41002 7077\r\n");
-    let stats = conn.server_stats();
+    let mut conn = server.connect();
+    conn.send_raw("PROXY TCP4 10.9.9.3 127.0.0.1 41002 7077\r\n".as_bytes())
+        .expect("proxy header");
+    let stats = server_stats(&mut conn);
     assert!(
         counter(&stats, "unattributed_connections") >= 1,
         "{}",
         stats.render()
     );
-    conn.submit("after", TRIVIAL);
-    let answer = conn.wait_answer("after");
+    conn.send(&submit_request("after", TRIVIAL, false, None))
+        .expect("send");
+    let answer = conn.wait_answer("after").expect("answer");
     assert_eq!(
         answer.get("status").and_then(Json::as_str),
         Some("invariant")
@@ -1128,8 +841,9 @@ fn connections_without_a_proxy_header_are_closed() {
 fn resuming_an_unknown_token_is_an_honest_error() {
     let server = TestServer::spawn(ServerConfig::default().with_workers(1));
     let mut conn = server.connect();
-    conn.resume("run-feed-beef", 0);
-    let frame = conn.read_frame();
+    conn.send(&resume_request("run-feed-beef", 0))
+        .expect("send");
+    let frame = conn.read_frame().expect("read");
     assert_eq!(
         frame.get("reply").and_then(Json::as_str),
         Some("error"),
@@ -1143,8 +857,9 @@ fn resuming_an_unknown_token_is_an_honest_error() {
         frame.render()
     );
     // The connection is still synchronized afterwards.
-    conn.submit("after", TRIVIAL);
-    let answer = conn.wait_answer("after");
+    conn.send(&submit_request("after", TRIVIAL, false, None))
+        .expect("send");
+    let answer = conn.wait_answer("after").expect("answer");
     assert_eq!(
         answer.get("status").and_then(Json::as_str),
         Some("invariant")
