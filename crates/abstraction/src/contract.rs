@@ -61,12 +61,15 @@ impl BoundaryLog {
 /// positions whose type mentions `t` are recorded as module-supplied values,
 /// and the final result is recorded as a client-supplied value when its type
 /// mentions `t`.  The wrapper delegates to `implementation` (an ordinary
-/// closure enumerated by the verifier) for the actual computation.
+/// closure enumerated by the verifier) for the actual computation, giving
+/// each call a budget of `fuel` steps (the verifier passes the step bound
+/// of the check the wrapper runs in).
 pub fn instrument_function(
     tyenv: &TypeEnv,
     fn_sig: &Type,
     implementation: Value,
     log: Arc<BoundaryLog>,
+    fuel: u64,
 ) -> Value {
     let (arg_sigs, result_sig) = fn_sig.uncurry();
     let arg_mentions: Vec<bool> = arg_sigs.iter().map(|t| t.mentions_abstract()).collect();
@@ -80,8 +83,7 @@ pub fn instrument_function(
             }
         }
         let evaluator = Evaluator::new(&tyenv);
-        let mut fuel = Fuel::standard();
-        let result = evaluator.apply_many(implementation.clone(), args, &mut fuel)?;
+        let result = evaluator.apply_many(implementation.clone(), args, &mut Fuel::new(fuel))?;
         if result_mentions && result.is_first_order() {
             log.client_supplied.lock().unwrap().push(result.clone());
         }
@@ -138,7 +140,13 @@ mod tests {
             .eval(&problem.globals, &client, &mut Fuel::standard())
             .unwrap();
         let fn_sig = problem.interface.op("fold").unwrap().ty.uncurry().0[0].clone();
-        let wrapped = instrument_function(&problem.tyenv, &fn_sig, client_value, Arc::clone(&log));
+        let wrapped = instrument_function(
+            &problem.tyenv,
+            &fn_sig,
+            client_value,
+            Arc::clone(&log),
+            Fuel::standard().remaining(),
+        );
 
         let acc = Value::nat_list(&[]);
         let s = Value::nat_list(&[1, 2]);
@@ -176,7 +184,13 @@ mod tests {
             .eval(&problem.globals, &client, &mut Fuel::standard())
             .unwrap();
         let sig = Type::arrow(Type::named("nat"), Type::named("nat"));
-        let wrapped = instrument_function(&problem.tyenv, &sig, client_value, Arc::clone(&log));
+        let wrapped = instrument_function(
+            &problem.tyenv,
+            &sig,
+            client_value,
+            Arc::clone(&log),
+            Fuel::standard().remaining(),
+        );
         let evaluator = problem.evaluator();
         let out = evaluator
             .apply(wrapped, Value::nat(3), &mut Fuel::standard())
@@ -184,5 +198,34 @@ mod tests {
         assert_eq!(out, Value::nat(4));
         assert!(log.module_supplied_values().is_empty());
         assert!(log.client_supplied_values().is_empty());
+    }
+
+    #[test]
+    fn wrapped_calls_run_under_the_given_fuel() {
+        let problem = Problem::from_source(FOLD_SET).unwrap();
+        let client = parse_expr("fun (x : nat) (acc : list) -> insert acc x").unwrap();
+        let client_value = problem
+            .evaluator()
+            .eval(&problem.globals, &client, &mut Fuel::standard())
+            .unwrap();
+        let fn_sig = problem.interface.op("fold").unwrap().ty.uncurry().0[0].clone();
+        let call = |fuel: u64| {
+            let wrapped = instrument_function(
+                &problem.tyenv,
+                &fn_sig,
+                client_value.clone(),
+                BoundaryLog::new(),
+                fuel,
+            );
+            // The caller's own budget is ample; only the wrapper's bound
+            // limits the client call.
+            problem.evaluator().apply_many(
+                wrapped,
+                &[Value::nat(1), Value::nat_list(&[2, 3])],
+                &mut Fuel::standard(),
+            )
+        };
+        assert_eq!(call(1_000), Ok(Value::nat_list(&[1, 2, 3])));
+        assert_eq!(call(5), Err(EvalError::OutOfFuel));
     }
 }

@@ -61,10 +61,10 @@ impl Interface {
                     "signature of `{name}` is ill-formed: {msg}"
                 ))
             })?;
-            ops.push(OpSig::new(name.clone(), ty.clone()));
+            ops.push(OpSig::new(*name, ty.clone()));
         }
         Ok(Interface {
-            name: decl.name.clone(),
+            name: decl.name,
             ops,
         })
     }

@@ -110,7 +110,7 @@ impl Problem {
         // prelude and earlier module bindings in scope.
         let mut checker = TypeChecker::new(&tyenv);
         for top in &elaborated.lets {
-            checker.declare_global(top.name.clone(), top.ty());
+            checker.declare_global(top.name, top.ty());
         }
         let mut globals = elaborated.globals.clone();
         let evaluator = Evaluator::new(&tyenv);
@@ -133,8 +133,8 @@ impl Problem {
                 evaluator.eval(&globals, &expr, &mut fuel)
             }
             .map_err(AbstractionError::from)?;
-            globals = globals.bind(substituted.name.clone(), value);
-            checker.declare_global(substituted.name.clone(), declared);
+            globals = globals.bind(substituted.name, value);
+            checker.declare_global(substituted.name, declared);
             module_lets.push(substituted);
         }
 
@@ -165,14 +165,14 @@ impl Problem {
                 .cloned()
                 .expect("module operation was just bound");
             ops.push(ModuleOp {
-                name: op_sig.name.clone(),
+                name: op_sig.name,
                 sig: op_sig.ty.clone(),
                 concrete_sig: expected,
                 value,
             });
         }
         let module = Module {
-            name: module_decl.name.clone(),
+            name: module_decl.name,
             concrete: concrete.clone(),
             ops,
         };
@@ -199,7 +199,7 @@ impl Problem {
         }
         let mut spec_ctx = hanoi_lang::typecheck::TypeContext::new();
         for (name, ty) in &spec.params {
-            spec_ctx = spec_ctx.bind(name.clone(), ty.subst_abstract(&concrete));
+            spec_ctx = spec_ctx.bind(*name, ty.subst_abstract(&concrete));
         }
         checker
             .check(&spec_ctx, &spec.body, &Type::bool())
@@ -335,7 +335,7 @@ impl Problem {
         }
         let mut env = self.globals.clone();
         for ((name, _), value) in self.spec.params.iter().zip(args) {
-            env = env.bind(name.clone(), value.clone());
+            env = env.bind(*name, value.clone());
         }
         // The resolved body (when elaboration built one) is fuel-identical to
         // the name-based original, so both paths report the same outcomes.
@@ -387,7 +387,7 @@ impl Problem {
     pub fn typecheck_invariant(&self, invariant: &Expr) -> Result<(), AbstractionError> {
         let mut checker = TypeChecker::new(&self.tyenv);
         for top in self.prelude.iter().chain(&self.module_lets) {
-            checker.declare_global(top.name.clone(), top.ty());
+            checker.declare_global(top.name, top.ty());
         }
         let expected = Type::arrow(self.concrete_type().clone(), Type::bool());
         checker
@@ -400,8 +400,8 @@ impl Problem {
     pub fn synthesis_components(&self) -> Vec<(Symbol, Type)> {
         self.prelude
             .iter()
-            .map(|l| (l.name.clone(), l.ty()))
-            .chain(self.module_lets.iter().map(|l| (l.name.clone(), l.ty())))
+            .map(|l| (l.name, l.ty()))
+            .chain(self.module_lets.iter().map(|l| (l.name, l.ty())))
             .collect()
     }
 

@@ -52,7 +52,7 @@ impl Pattern {
     fn collect_bound(&self, out: &mut Vec<Symbol>) {
         match self {
             Pattern::Wildcard => {}
-            Pattern::Var(x) => out.push(x.clone()),
+            Pattern::Var(x) => out.push(*x),
             Pattern::Ctor(_, ps) | Pattern::Tuple(ps) => {
                 ps.iter().for_each(|p| p.collect_bound(out))
             }
@@ -272,7 +272,7 @@ impl Expr {
         match self {
             Expr::Var(x) => {
                 if !bound.contains(x) {
-                    out.insert(x.clone());
+                    out.insert(*x);
                 }
             }
             // A resolved slot points at a lexical binder by construction.
@@ -291,15 +291,15 @@ impl Expr {
                 e.free_vars_into(bound, out);
             }
             Expr::Lambda(l) => {
-                let fresh = bound.insert(l.param.clone());
+                let fresh = bound.insert(l.param);
                 l.body.free_vars_into(bound, out);
                 if fresh {
                     bound.remove(&l.param);
                 }
             }
             Expr::Fix(fx) => {
-                let fresh_f = bound.insert(fx.name.clone());
-                let fresh_x = bound.insert(fx.param.clone());
+                let fresh_f = bound.insert(fx.name);
+                let fresh_x = bound.insert(fx.param);
                 fx.body.free_vars_into(bound, out);
                 if fresh_x {
                     bound.remove(&fx.param);
@@ -312,10 +312,8 @@ impl Expr {
                 scrutinee.free_vars_into(bound, out);
                 for arm in arms {
                     let vars = arm.pattern.bound_vars();
-                    let newly: Vec<Symbol> = vars
-                        .into_iter()
-                        .filter(|v| bound.insert(v.clone()))
-                        .collect();
+                    let newly: Vec<Symbol> =
+                        vars.into_iter().filter(|v| bound.insert(*v)).collect();
                     arm.body.free_vars_into(bound, out);
                     for v in newly {
                         bound.remove(&v);
@@ -324,7 +322,7 @@ impl Expr {
             }
             Expr::Let(x, bound_expr, body) => {
                 bound_expr.free_vars_into(bound, out);
-                let fresh = bound.insert(x.clone());
+                let fresh = bound.insert(*x);
                 body.free_vars_into(bound, out);
                 if fresh {
                     bound.remove(x);
@@ -418,23 +416,22 @@ impl TopLet {
         fn subst_expr(e: &Expr, concrete: &Type) -> Expr {
             match e {
                 Expr::Var(_) | Expr::Local(_, _) | Expr::Int(_) => e.clone(),
-                Expr::Ctor(c, args) => Expr::Ctor(
-                    c.clone(),
-                    args.iter().map(|a| subst_expr(a, concrete)).collect(),
-                ),
+                Expr::Ctor(c, args) => {
+                    Expr::Ctor(*c, args.iter().map(|a| subst_expr(a, concrete)).collect())
+                }
                 Expr::Tuple(args) => {
                     Expr::Tuple(args.iter().map(|a| subst_expr(a, concrete)).collect())
                 }
                 Expr::Proj(i, e) => Expr::Proj(*i, Box::new(subst_expr(e, concrete))),
                 Expr::App(a, b) => Expr::app(subst_expr(a, concrete), subst_expr(b, concrete)),
                 Expr::Lambda(l) => Expr::Lambda(Arc::new(LambdaExpr {
-                    param: l.param.clone(),
+                    param: l.param,
                     param_ty: l.param_ty.subst_abstract(concrete),
                     body: Arc::new(subst_expr(&l.body, concrete)),
                 })),
                 Expr::Fix(fx) => Expr::Fix(Arc::new(FixExpr {
-                    name: fx.name.clone(),
-                    param: fx.param.clone(),
+                    name: fx.name,
+                    param: fx.param,
                     param_ty: fx.param_ty.subst_abstract(concrete),
                     ret_ty: fx.ret_ty.subst_abstract(concrete),
                     body: Arc::new(subst_expr(&fx.body, concrete)),
@@ -448,7 +445,7 @@ impl TopLet {
                         .collect(),
                 ),
                 Expr::Let(x, bound, body) => Expr::Let(
-                    x.clone(),
+                    *x,
                     Box::new(subst_expr(bound, concrete)),
                     Box::new(subst_expr(body, concrete)),
                 ),
@@ -464,12 +461,12 @@ impl TopLet {
             }
         }
         TopLet {
-            name: self.name.clone(),
+            name: self.name,
             recursive: self.recursive,
             params: self
                 .params
                 .iter()
-                .map(|(p, t)| (p.clone(), t.subst_abstract(concrete)))
+                .map(|(p, t)| (*p, t.subst_abstract(concrete)))
                 .collect(),
             ret_ty: self.ret_ty.subst_abstract(concrete),
             body: subst_expr(&self.body, concrete),
@@ -624,8 +621,8 @@ impl Program {
                 evaluator.eval(&globals, &expr, &mut fuel)
             }
             .map_err(LangError::Eval)?;
-            globals = globals.bind(top.name.clone(), value);
-            checker.declare_global(top.name.clone(), declared);
+            globals = globals.bind(top.name, value);
+            checker.declare_global(top.name, declared);
             lets.push(top.clone());
         }
         Ok(Elaborated {

@@ -20,9 +20,10 @@
 //!   indices, not names, so `fun x -> x` and `fun y -> y` share a digest
 //!   while free (global) names still distinguish;
 //! * **hash-consed** — subtree digests are combined bottom-up, and shared
-//!   subtrees (`Arc`-backed lambda/fix bodies, shared `Arc<[Value]>` value
-//!   slabs — ubiquitous in enumerated pools) are digested once per distinct
-//!   allocation per call.
+//!   subtrees (`Arc`-backed lambda/fix bodies, shared child
+//!   [`Slab`](crate::value::Slab)s — ubiquitous in enumerated pools) are
+//!   digested once per distinct allocation per call (all empty slabs share
+//!   one memo entry, which is sound because they all digest alike).
 //!
 //! Digests are *fingerprints*, not proofs of identity: two distinct
 //! structures collide with probability ≈ 2⁻¹²⁸ per pair.  The caches keyed
@@ -595,6 +596,33 @@ mod tests {
             Digest::of_expr(&expr).to_hex(),
             "3fdb9b59034e6f9ab2ac9bfda420b099"
         );
+        // Value sequences key the persisted check-cache entries (`v_plus`),
+        // including childless constructors, booleans and `()`, which carry
+        // no child slab at all.
+        let leaf = Value::ctor_of(Symbol::new("Leaf"), Vec::new());
+        for (values, golden) in [
+            (vec![Value::tru()], "ca996db4cd7e816f061fdc1252c01ea2"),
+            (
+                vec![Value::nat_list(&[1, 2])],
+                "1e26fffcdfe84068397bf11855eebe3d",
+            ),
+            (
+                vec![Value::pair(Value::unit(), Value::nat(1))],
+                "8d03ce0c27ed6c44b9c5fbcf68fc1892",
+            ),
+            (vec![leaf.clone()], "99f6942c51ee134aca61d0848cf2832c"),
+            (
+                vec![
+                    Value::fls(),
+                    Value::unit(),
+                    Value::pair(Value::unit(), Value::tru()),
+                    leaf,
+                ],
+                "b009c8f757c7e5471064dd2316ae2cd5",
+            ),
+        ] {
+            assert_eq!(Digest::of_values(&values).to_hex(), golden, "{values:?}");
+        }
     }
 
     #[test]

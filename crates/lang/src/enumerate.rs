@@ -13,7 +13,7 @@ use std::sync::Arc;
 use crate::symbol::Symbol;
 use crate::types::{Type, TypeEnv};
 use crate::util::{compositions, for_each_product};
-use crate::value::Value;
+use crate::value::{Slab, Value};
 
 /// A memoising enumerator of first-order values by size.
 #[derive(Debug, Clone)]
@@ -96,13 +96,13 @@ impl<'a> ValueEnumerator<'a> {
         let ctors: Vec<(Symbol, Vec<Type>)> = decl
             .ctors
             .iter()
-            .map(|c| (c.name.clone(), c.args.clone()))
+            .map(|c| (c.name, c.args.clone()))
             .collect();
         let mut out = Vec::new();
         for (ctor, args) in ctors {
             if args.is_empty() {
                 if size == 1 {
-                    out.push(Value::Ctor(ctor.clone(), Arc::from([])));
+                    out.push(Value::Ctor(ctor, Slab::EMPTY));
                 }
                 continue;
             }
@@ -117,10 +117,7 @@ impl<'a> ValueEnumerator<'a> {
                     .collect();
                 let groups: Vec<&[Value]> = groups.iter().map(|g| g.as_slice()).collect();
                 for_each_product(&groups, |items| {
-                    out.push(Value::Ctor(
-                        ctor.clone(),
-                        items.iter().copied().cloned().collect(),
-                    ))
+                    out.push(Value::Ctor(ctor, items.iter().copied().cloned().collect()))
                 });
             }
         }

@@ -12,7 +12,7 @@ use std::sync::Arc;
 use crate::ast::{Expr, MatchArm, Pattern};
 use crate::error::EvalError;
 use crate::types::TypeEnv;
-use crate::value::{Closure, Env, Locals, NativeFn, Value};
+use crate::value::{Closure, Env, Locals, NativeFn, Slab, Value};
 
 /// A step budget for one evaluation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -100,10 +100,7 @@ impl<'a> Evaluator<'a> {
     ) -> Result<Value, EvalError> {
         fuel.tick(depth)?;
         match expr {
-            Expr::Var(x) => env
-                .lookup(x)
-                .cloned()
-                .ok_or_else(|| EvalError::UnboundVariable(x.clone())),
+            Expr::Var(x) => env.lookup(x).cloned().ok_or(EvalError::UnboundVariable(*x)),
             // Slot references need the resolved-mode evaluator (which carries
             // the Locals stack); reaching one here means a resolved body was
             // evaluated through the name-based entry point.
@@ -121,18 +118,11 @@ impl<'a> Evaluator<'a> {
                         )));
                     }
                 }
-                let mut values = Vec::with_capacity(args.len());
-                for a in args {
-                    values.push(self.eval_at(env, a, fuel, depth + 1)?);
-                }
-                Ok(Value::Ctor(c.clone(), values.into()))
+                let children = children(args, |a| self.eval_at(env, a, fuel, depth + 1))?;
+                Ok(Value::Ctor(*c, children))
             }
             Expr::Tuple(args) => {
-                let mut values = Vec::with_capacity(args.len());
-                for a in args {
-                    values.push(self.eval_at(env, a, fuel, depth + 1)?);
-                }
-                Ok(Value::Tuple(values.into()))
+                children(args, |a| self.eval_at(env, a, fuel, depth + 1)).map(Value::Tuple)
             }
             Expr::Proj(i, e) => {
                 let v = self.eval_at(env, e, fuel, depth + 1)?;
@@ -147,16 +137,16 @@ impl<'a> Evaluator<'a> {
                 self.apply_at(fv, av, fuel, depth + 1)
             }
             Expr::Lambda(l) => Ok(Value::Closure(Arc::new(Closure::by_name(
-                l.param.clone(),
+                l.param,
                 l.body.clone(),
                 env.clone(),
                 None,
             )))),
             Expr::Fix(fx) => Ok(Value::Closure(Arc::new(Closure::by_name(
-                fx.param.clone(),
+                fx.param,
                 fx.body.clone(),
                 env.clone(),
-                Some(fx.name.clone()),
+                Some(fx.name),
             )))),
             Expr::Match(scrutinee, arms) => {
                 let v = self.eval_at(env, scrutinee, fuel, depth + 1)?;
@@ -164,7 +154,7 @@ impl<'a> Evaluator<'a> {
             }
             Expr::Let(x, bound, body) => {
                 let bv = self.eval_at(env, bound, fuel, depth + 1)?;
-                let env2 = env.bind(x.clone(), bv);
+                let env2 = env.bind(*x, bv);
                 self.eval_at(&env2, body, fuel, depth + 1)
             }
             Expr::If(cond, then, els) => {
@@ -239,7 +229,7 @@ impl<'a> Evaluator<'a> {
     pub fn match_pattern(pattern: &Pattern, value: &Value, env: &Env) -> Option<Env> {
         match (pattern, value) {
             (Pattern::Wildcard, _) => Some(env.clone()),
-            (Pattern::Var(x), v) => Some(env.bind(x.clone(), v.clone())),
+            (Pattern::Var(x), v) => Some(env.bind(*x, v.clone())),
             (Pattern::Ctor(c, ps), Value::Ctor(vc, vs)) if c == vc && ps.len() == vs.len() => {
                 let mut cur = env.clone();
                 for (p, v) in ps.iter().zip(vs.iter()) {
@@ -301,12 +291,9 @@ impl<'a> Evaluator<'a> {
             Expr::Local(slot, x) => locals
                 .get(*slot)
                 .cloned()
-                .ok_or_else(|| EvalError::UnboundVariable(x.clone())),
+                .ok_or(EvalError::UnboundVariable(*x)),
             // Free (global) variables keep their name-based lookup.
-            Expr::Var(x) => env
-                .lookup(x)
-                .cloned()
-                .ok_or_else(|| EvalError::UnboundVariable(x.clone())),
+            Expr::Var(x) => env.lookup(x).cloned().ok_or(EvalError::UnboundVariable(*x)),
             Expr::Int(i) => Ok(Value::Int(*i)),
             Expr::Ctor(c, args) => {
                 if let Some(info) = self.tyenv.ctor(c) {
@@ -318,18 +305,13 @@ impl<'a> Evaluator<'a> {
                         )));
                     }
                 }
-                let mut values = Vec::with_capacity(args.len());
-                for a in args {
-                    values.push(self.eval_res_at(env, locals, a, fuel, depth + 1)?);
-                }
-                Ok(Value::Ctor(c.clone(), values.into()))
+                let children =
+                    children(args, |a| self.eval_res_at(env, locals, a, fuel, depth + 1))?;
+                Ok(Value::Ctor(*c, children))
             }
             Expr::Tuple(args) => {
-                let mut values = Vec::with_capacity(args.len());
-                for a in args {
-                    values.push(self.eval_res_at(env, locals, a, fuel, depth + 1)?);
-                }
-                Ok(Value::Tuple(values.into()))
+                children(args, |a| self.eval_res_at(env, locals, a, fuel, depth + 1))
+                    .map(Value::Tuple)
             }
             Expr::Proj(i, e) => {
                 let v = self.eval_res_at(env, locals, e, fuel, depth + 1)?;
@@ -344,7 +326,7 @@ impl<'a> Evaluator<'a> {
                 self.apply_at(fv, av, fuel, depth + 1)
             }
             Expr::Lambda(l) => Ok(Value::Closure(Arc::new(Closure {
-                param: l.param.clone(),
+                param: l.param,
                 body: l.body.clone(),
                 env: env.clone(),
                 rec_name: None,
@@ -352,19 +334,19 @@ impl<'a> Evaluator<'a> {
                 resolved: true,
             }))),
             Expr::Fix(fx) => Ok(Value::Closure(Arc::new(Closure {
-                param: fx.param.clone(),
+                param: fx.param,
                 body: fx.body.clone(),
                 env: env.clone(),
-                rec_name: Some(fx.name.clone()),
+                rec_name: Some(fx.name),
                 locals: locals.clone(),
                 resolved: true,
             }))),
             Expr::Match(scrutinee, arms) => {
                 let v = self.eval_res_at(env, locals, scrutinee, fuel, depth + 1)?;
                 for arm in arms {
-                    let mut chunk = Vec::new();
-                    if Self::match_pattern_collect(&arm.pattern, &v, &mut chunk) {
-                        let locals = locals.push_chunk(chunk);
+                    let mut bound = Vec::new();
+                    if Self::match_pattern_collect(&arm.pattern, &v, &mut bound) {
+                        let locals = locals.push_chunk(&bound);
                         return self.eval_res_at(env, &locals, &arm.body, fuel, depth + 1);
                     }
                 }
@@ -372,7 +354,7 @@ impl<'a> Evaluator<'a> {
             }
             Expr::Let(_, bound, body) => {
                 let bv = self.eval_res_at(env, locals, bound, fuel, depth + 1)?;
-                let locals = locals.push_chunk(vec![bv]);
+                let locals = locals.push([bv]);
                 self.eval_res_at(env, &locals, body, fuel, depth + 1)
             }
             Expr::If(cond, then, els) => {
@@ -426,15 +408,20 @@ impl<'a> Evaluator<'a> {
         }
     }
 
-    /// Matches `value` against `pattern`, appending the bound values to
-    /// `out` in [`Pattern::bound_vars`] order (the order the resolution pass
-    /// numbers slots in).  Returns `false` — with `out` possibly partially
-    /// extended; callers discard it — when the pattern does not match.
-    fn match_pattern_collect(pattern: &Pattern, value: &Value, out: &mut Vec<Value>) -> bool {
+    /// Matches `value` against `pattern`, appending references to the bound
+    /// values to `out` in [`Pattern::bound_vars`] order (the order the
+    /// resolution pass numbers slots in).  Returns `false` — with `out`
+    /// possibly partially extended; callers discard it — when the pattern
+    /// does not match.
+    fn match_pattern_collect<'v>(
+        pattern: &Pattern,
+        value: &'v Value,
+        out: &mut Vec<&'v Value>,
+    ) -> bool {
         match (pattern, value) {
             (Pattern::Wildcard, _) => true,
             (Pattern::Var(_), v) => {
-                out.push(v.clone());
+                out.push(v);
                 true
             }
             (Pattern::Ctor(c, ps), Value::Ctor(vc, vs)) if c == vc && ps.len() == vs.len() => ps
@@ -466,19 +453,18 @@ impl<'a> Evaluator<'a> {
             Value::Closure(clo) if clo.resolved => {
                 // Fast path: one chunk push instead of one or two Env nodes;
                 // the body reads its bindings by slot index.
-                let chunk = match &clo.rec_name {
-                    Some(_) => vec![Value::Closure(clo.clone()), arg],
-                    None => vec![arg],
+                let locals = match &clo.rec_name {
+                    Some(_) => clo.locals.push([Value::Closure(clo.clone()), arg]),
+                    None => clo.locals.push([arg]),
                 };
-                let locals = clo.locals.push_chunk(chunk);
                 self.eval_res_at(&clo.env, &locals, &clo.body, fuel, depth + 1)
             }
             Value::Closure(clo) => {
                 let mut env = clo.env.clone();
                 if let Some(name) = &clo.rec_name {
-                    env = env.bind(name.clone(), Value::Closure(clo.clone()));
+                    env = env.bind(*name, Value::Closure(clo.clone()));
                 }
-                let env = env.bind(clo.param.clone(), arg);
+                let env = env.bind(clo.param, arg);
                 self.eval_at(&env, &clo.body, fuel, depth + 1)
             }
             Value::Native(native) => {
@@ -488,7 +474,7 @@ impl<'a> Evaluator<'a> {
                     (native.func)(&collected)
                 } else {
                     Ok(Value::Native(Arc::new(NativeFn {
-                        name: native.name.clone(),
+                        name: native.name,
                         arity: native.arity,
                         collected,
                         func: native.func.clone(),
@@ -530,6 +516,47 @@ impl<'a> Evaluator<'a> {
         let v = self.apply(pred.clone(), arg.clone(), fuel)?;
         v.as_bool()
             .ok_or_else(|| EvalError::NotABool(v.to_string()))
+    }
+}
+
+/// Evaluates constructor or tuple arguments left to right into a slab,
+/// stopping at the first error.  Up to four children go straight into an
+/// exact-size slab (one allocation, none for no children); longer lists are
+/// gathered first.
+fn children(
+    args: &[Expr],
+    mut eval: impl FnMut(&Expr) -> Result<Value, EvalError>,
+) -> Result<Slab, EvalError> {
+    fn exact<const N: usize>(
+        args: &[Expr],
+        eval: &mut impl FnMut(&Expr) -> Result<Value, EvalError>,
+    ) -> Result<Slab, EvalError> {
+        let mut failure = None;
+        let values: [Value; N] = std::array::from_fn(|i| {
+            if failure.is_none() {
+                match eval(&args[i]) {
+                    Ok(value) => return value,
+                    Err(e) => failure = Some(e),
+                }
+            }
+            Value::unit()
+        });
+        match failure {
+            Some(e) => Err(e),
+            None => Ok(Slab::from(values)),
+        }
+    }
+    match args.len() {
+        0 => Ok(Slab::EMPTY),
+        1 => exact::<1>(args, &mut eval),
+        2 => exact::<2>(args, &mut eval),
+        3 => exact::<3>(args, &mut eval),
+        4 => exact::<4>(args, &mut eval),
+        _ => args
+            .iter()
+            .map(eval)
+            .collect::<Result<Vec<_>, _>>()
+            .map(Slab::from),
     }
 }
 
@@ -602,6 +629,31 @@ mod tests {
         );
         let proj = Expr::Proj(1, Box::new(pair));
         assert_eq!(eval_closed(&proj).unwrap(), Value::tru());
+    }
+
+    #[test]
+    fn children_of_every_arity_evaluate_left_to_right() {
+        let tyenv = tyenv();
+        let ev = Evaluator::new(&tyenv);
+        for n in 0..7u64 {
+            let items: Vec<Value> = (0..n).map(Value::nat).collect();
+            let exprs: Vec<Expr> = items.iter().map(|v| v.to_expr().unwrap()).collect();
+            let tuple = Expr::Tuple(exprs.clone());
+            assert_eq!(eval_closed(&tuple).unwrap(), Value::tuple_of(items.clone()));
+            // The first failing child stops evaluation: the fuel spent is
+            // that of the children before it plus the failing lookup.
+            for bad in 0..exprs.len() {
+                let mut with_ghost = exprs.clone();
+                with_ghost[bad] = Expr::var("ghost");
+                let prefix = Expr::Tuple(exprs[..bad].to_vec());
+                let mut spent = Fuel::standard();
+                let mut expected = Fuel::standard();
+                let result = ev.eval(&Env::empty(), &Expr::Tuple(with_ghost), &mut spent);
+                assert!(matches!(result, Err(EvalError::UnboundVariable(_))));
+                ev.eval(&Env::empty(), &prefix, &mut expected).unwrap();
+                assert_eq!(spent.used(), expected.used() + 1, "n = {n}, bad = {bad}");
+            }
+        }
     }
 
     #[test]

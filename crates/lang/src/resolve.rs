@@ -69,25 +69,22 @@ pub fn resolve(expr: &Expr) -> Expr {
 fn resolve_in(frames: &mut Frames, expr: &Expr) -> Expr {
     match expr {
         Expr::Var(x) => match frames.slot_of(x) {
-            Some(slot) => Expr::Local(slot, x.clone()),
+            Some(slot) => Expr::Local(slot, *x),
             None => expr.clone(),
         },
         // Already resolved (resolution is idempotent).
         Expr::Local(_, _) => expr.clone(),
         Expr::Int(_) => expr.clone(),
-        Expr::Ctor(c, args) => Expr::Ctor(
-            c.clone(),
-            args.iter().map(|a| resolve_in(frames, a)).collect(),
-        ),
+        Expr::Ctor(c, args) => Expr::Ctor(*c, args.iter().map(|a| resolve_in(frames, a)).collect()),
         Expr::Tuple(args) => Expr::Tuple(args.iter().map(|a| resolve_in(frames, a)).collect()),
         Expr::Proj(i, e) => Expr::Proj(*i, Box::new(resolve_in(frames, e))),
         Expr::App(f, a) => Expr::app(resolve_in(frames, f), resolve_in(frames, a)),
         Expr::Lambda(l) => {
-            frames.frames.push(vec![l.param.clone()]);
+            frames.frames.push(vec![l.param]);
             let body = resolve_in(frames, &l.body);
             frames.frames.pop();
             Expr::Lambda(Arc::new(LambdaExpr {
-                param: l.param.clone(),
+                param: l.param,
                 param_ty: l.param_ty.clone(),
                 body: Arc::new(body),
             }))
@@ -95,12 +92,12 @@ fn resolve_in(frames: &mut Frames, expr: &Expr) -> Expr {
         Expr::Fix(fx) => {
             // Application pushes [closure, argument]: the argument is the
             // newer slot, exactly like `env.bind(name).bind(param)`.
-            frames.frames.push(vec![fx.name.clone(), fx.param.clone()]);
+            frames.frames.push(vec![fx.name, fx.param]);
             let body = resolve_in(frames, &fx.body);
             frames.frames.pop();
             Expr::Fix(Arc::new(FixExpr {
-                name: fx.name.clone(),
-                param: fx.param.clone(),
+                name: fx.name,
+                param: fx.param,
                 param_ty: fx.param_ty.clone(),
                 ret_ty: fx.ret_ty.clone(),
                 body: Arc::new(body),
@@ -121,10 +118,10 @@ fn resolve_in(frames: &mut Frames, expr: &Expr) -> Expr {
         }
         Expr::Let(x, bound, body) => {
             let bound = resolve_in(frames, bound);
-            frames.frames.push(vec![x.clone()]);
+            frames.frames.push(vec![*x]);
             let body = resolve_in(frames, body);
             frames.frames.pop();
-            Expr::Let(x.clone(), Box::new(bound), Box::new(body))
+            Expr::Let(*x, Box::new(bound), Box::new(body))
         }
         Expr::If(c, t, e) => Expr::if_(
             resolve_in(frames, c),
@@ -152,15 +149,15 @@ pub fn resolve_closure_value(value: &Value) -> Value {
         Value::Closure(clo) if !clo.resolved => {
             let mut frames = Frames::default();
             frames.frames.push(match &clo.rec_name {
-                Some(name) => vec![name.clone(), clo.param.clone()],
-                None => vec![clo.param.clone()],
+                Some(name) => vec![*name, clo.param],
+                None => vec![clo.param],
             });
             let body = resolve_in(&mut frames, &clo.body);
             Value::Closure(Arc::new(Closure {
-                param: clo.param.clone(),
+                param: clo.param,
                 body: Arc::new(body),
                 env: clo.env.clone(),
-                rec_name: clo.rec_name.clone(),
+                rec_name: clo.rec_name,
                 locals: clo.locals.clone(),
                 resolved: true,
             }))

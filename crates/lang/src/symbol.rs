@@ -1,55 +1,84 @@
 //! Lightweight interned identifiers.
 //!
 //! Identifiers (variable names, constructor names, type names) are used and
-//! cloned pervasively by the interpreter, the enumerators and the
-//! synthesizers.  [`Symbol`] wraps an `Arc<str>` so that cloning is a
-//! reference-count bump, while a process-wide intern table makes repeated
-//! construction of the same name (e.g. `"Cons"` during enumeration of tens of
-//! thousands of values) reuse a single allocation across *all* threads — the
-//! parallel verifier hands values and expressions freely between workers, so
-//! `Symbol` is `Send + Sync`.
+//! copied pervasively by the interpreter, the enumerators and the
+//! synthesizers.  [`Symbol`] is an 8-byte `Copy` handle to an interned,
+//! never-freed name, so copying or dropping one touches no reference count
+//! and no allocator.  A process-wide intern table makes every construction
+//! of the same name (e.g. `"Cons"` during enumeration of tens of thousands of
+//! values) return the same handle across *all* threads — the parallel
+//! verifier hands values and expressions freely between workers, so `Symbol`
+//! is `Send + Sync`.  Interned names live for the rest of the process; the
+//! set of names a run ever sees is small and fixed by its sources.
 //!
-//! Equality, ordering and hashing are all by string *content*, so symbols
-//! compare correctly even if an uninterned symbol were ever constructed.
+//! Equality is handle identity, which agrees with equality by content
+//! because every symbol is interned.  Ordering, hashing, `Display`, `Debug`
+//! and [`Borrow<str>`] are all by string *content*, so hash-map lookups by
+//! `&str`, sort orders, digests and every serialized form are independent
+//! of where a name was interned.
 
 use std::borrow::Borrow;
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::{Arc, OnceLock, RwLock};
+use std::sync::{OnceLock, RwLock};
 
 /// An interned identifier.
-#[derive(Clone)]
-pub struct Symbol(Arc<str>);
+#[derive(Clone, Copy)]
+pub struct Symbol(&'static &'static str);
 
 /// The process-wide intern table.  Reads (the overwhelmingly common case once
 /// a workload warms up) take the shared lock; a miss upgrades to the
 /// exclusive lock with a re-check, so concurrent constructors of the same
-/// fresh name still converge on one allocation.
-static INTERN: OnceLock<RwLock<HashMap<Box<str>, Arc<str>>>> = OnceLock::new();
+/// fresh name still converge on one handle.
+static INTERN: OnceLock<RwLock<HashMap<&'static str, Symbol>>> = OnceLock::new();
 
-fn intern_table() -> &'static RwLock<HashMap<Box<str>, Arc<str>>> {
-    INTERN.get_or_init(|| RwLock::new(HashMap::new()))
+fn intern_table() -> &'static RwLock<HashMap<&'static str, Symbol>> {
+    INTERN.get_or_init(|| {
+        let known = [
+            Symbol::TRUE,
+            Symbol::FALSE,
+            Symbol::ZERO,
+            Symbol::SUCC,
+            Symbol::NIL,
+            Symbol::CONS,
+        ];
+        RwLock::new(known.into_iter().map(|s| (s.as_str(), s)).collect())
+    })
 }
 
 impl Symbol {
+    /// The boolean constructor `True`.
+    pub const TRUE: Symbol = Symbol(&KNOWN[0]);
+    /// The boolean constructor `False`.
+    pub const FALSE: Symbol = Symbol(&KNOWN[1]);
+    /// The Peano zero `O`.
+    pub const ZERO: Symbol = Symbol(&KNOWN[2]);
+    /// The Peano successor `S`.
+    pub const SUCC: Symbol = Symbol(&KNOWN[3]);
+    /// The empty list `Nil`.
+    pub const NIL: Symbol = Symbol(&KNOWN[4]);
+    /// The list constructor `Cons`.
+    pub const CONS: Symbol = Symbol(&KNOWN[5]);
+
     /// Creates (or reuses) a symbol for `name`.
     pub fn new(name: &str) -> Self {
         let table = intern_table();
-        if let Some(existing) = table.read().unwrap().get(name) {
-            return Symbol(existing.clone());
+        if let Some(&existing) = table.read().unwrap().get(name) {
+            return existing;
         }
         let mut table = table.write().unwrap();
-        if let Some(existing) = table.get(name) {
-            return Symbol(existing.clone());
+        if let Some(&existing) = table.get(name) {
+            return existing;
         }
-        let arc: Arc<str> = Arc::from(name);
-        table.insert(Box::from(name), arc.clone());
-        Symbol(arc)
+        let text: &'static str = Box::leak(Box::from(name));
+        let symbol = Symbol(Box::leak(Box::new(text)));
+        table.insert(text, symbol);
+        symbol
     }
 
     /// The textual content of the symbol.
-    pub fn as_str(&self) -> &str {
-        &self.0
+    pub fn as_str(&self) -> &'static str {
+        self.0
     }
 
     /// Returns `true` when the symbol starts with an ASCII uppercase letter,
@@ -61,6 +90,11 @@ impl Symbol {
             .is_some_and(|c| c.is_ascii_uppercase())
     }
 }
+
+/// The names behind the pre-interned [`Symbol`] constants: the runtime
+/// recognises booleans, naturals and lists by comparing against these
+/// handles.  A `static`, so each name has exactly one address.
+static KNOWN: [&str; 6] = ["True", "False", "O", "S", "Nil", "Cons"];
 
 impl fmt::Debug for Symbol {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -76,7 +110,7 @@ impl fmt::Display for Symbol {
 
 impl PartialEq for Symbol {
     fn eq(&self, other: &Self) -> bool {
-        Arc::ptr_eq(&self.0, &other.0) || self.0 == other.0
+        std::ptr::eq(self.0, other.0)
     }
 }
 
@@ -139,7 +173,23 @@ mod tests {
     fn interning_reuses_allocations() {
         let a = Symbol::new("hello");
         let b = Symbol::new("hello");
-        assert!(Arc::ptr_eq(&a.0, &b.0));
+        assert!(std::ptr::eq(a.0, b.0));
+    }
+
+    #[test]
+    fn known_symbols_are_the_interned_ones() {
+        for (known, name) in [
+            (Symbol::TRUE, "True"),
+            (Symbol::FALSE, "False"),
+            (Symbol::ZERO, "O"),
+            (Symbol::SUCC, "S"),
+            (Symbol::NIL, "Nil"),
+            (Symbol::CONS, "Cons"),
+        ] {
+            assert_eq!(known, Symbol::new(name));
+            assert_eq!(known.as_str(), name);
+        }
+        assert_ne!(Symbol::TRUE, Symbol::FALSE);
     }
 
     #[test]
@@ -157,7 +207,7 @@ mod tests {
         let b = std::thread::spawn(|| Symbol::new("cross-thread-symbol"))
             .join()
             .unwrap();
-        assert!(Arc::ptr_eq(&a.0, &b.0));
+        assert!(std::ptr::eq(a.0, b.0));
         assert_eq!(a, b);
     }
 

@@ -132,7 +132,7 @@ impl<'a> TermGenerator<'a> {
             .collect();
         let mut components = self.components.clone();
         for (name, ty) in param_names.iter().zip(&params) {
-            components.push(Component::new(name.clone(), (*ty).clone()));
+            components.push(Component::new(*name, (*ty).clone()));
         }
         let mut inner = TermGenerator::new(self.tyenv, components, self.config.clone());
         inner
@@ -156,7 +156,7 @@ impl<'a> TermGenerator<'a> {
         if size == 1 {
             for c in &self.components {
                 if &c.ty == ty {
-                    out.push(Expr::Var(c.name.clone()));
+                    out.push(Expr::Var(c.name));
                 }
             }
         }
@@ -167,7 +167,7 @@ impl<'a> TermGenerator<'a> {
             .filter_map(|c| {
                 let (args, ret) = c.ty.uncurry();
                 if ret == ty && !args.is_empty() {
-                    Some((c.name.clone(), args.into_iter().cloned().collect()))
+                    Some((c.name, args.into_iter().cloned().collect()))
                 } else {
                     None
                 }
@@ -187,10 +187,7 @@ impl<'a> TermGenerator<'a> {
                     .collect();
                 let groups: Vec<&[Expr]> = groups.iter().map(|g| g.as_slice()).collect();
                 for_each_product(&groups, |args| {
-                    out.push(Expr::apps(
-                        Expr::Var(name.clone()),
-                        args.iter().copied().cloned(),
-                    ));
+                    out.push(Expr::apps(Expr::Var(name), args.iter().copied().cloned()));
                 });
             }
         }
@@ -201,12 +198,12 @@ impl<'a> TermGenerator<'a> {
                     let ctors: Vec<(Symbol, Vec<Type>)> = decl
                         .ctors
                         .iter()
-                        .map(|c| (c.name.clone(), c.args.clone()))
+                        .map(|c| (c.name, c.args.clone()))
                         .collect();
                     for (ctor, args) in ctors {
                         if args.is_empty() {
                             if size == 1 {
-                                out.push(Expr::Ctor(ctor.clone(), Vec::new()));
+                                out.push(Expr::Ctor(ctor, Vec::new()));
                             }
                             continue;
                         }
@@ -223,7 +220,7 @@ impl<'a> TermGenerator<'a> {
                                 groups.iter().map(|g| g.as_slice()).collect();
                             for_each_product(&groups, |items| {
                                 out.push(Expr::Ctor(
-                                    ctor.clone(),
+                                    ctor,
                                     items.iter().copied().cloned().collect(),
                                 ));
                             });
@@ -349,7 +346,7 @@ mod tests {
         let env = tyenv();
         let mut checker = TypeChecker::new(&env);
         for c in list_components() {
-            checker.declare_global(c.name.clone(), c.ty.clone());
+            checker.declare_global(c.name, c.ty.clone());
         }
         let config = TermGenConfig {
             eq_types: vec![Type::named("nat")],

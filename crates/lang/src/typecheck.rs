@@ -129,7 +129,7 @@ impl<'a> TypeChecker<'a> {
                 .lookup(x)
                 .or_else(|| self.globals.get(x))
                 .cloned()
-                .ok_or_else(|| TypeError::UnboundVariable(x.clone())),
+                .ok_or(TypeError::UnboundVariable(*x)),
             // Slot references only exist in already-checked code that went
             // through the resolution pass; they are not re-checkable because
             // the context is name-keyed.
@@ -142,10 +142,10 @@ impl<'a> TypeChecker<'a> {
                 let info = self
                     .tyenv
                     .ctor(c)
-                    .ok_or_else(|| TypeError::UnknownConstructor(c.clone()))?;
+                    .ok_or(TypeError::UnknownConstructor(*c))?;
                 if info.args.len() != args.len() {
                     return Err(TypeError::CtorArity {
-                        ctor: c.clone(),
+                        ctor: *c,
                         expected: info.args.len(),
                         found: args.len(),
                     });
@@ -153,7 +153,7 @@ impl<'a> TypeChecker<'a> {
                 for (arg, expected) in args.iter().zip(&info.args) {
                     self.check(ctx, arg, expected)?;
                 }
-                Ok(Type::Named(info.data_type.clone()))
+                Ok(Type::Named(info.data_type))
             }
             Expr::Tuple(args) => {
                 let tys: Result<Vec<Type>, TypeError> =
@@ -183,7 +183,7 @@ impl<'a> TypeChecker<'a> {
             }
             Expr::Lambda(l) => {
                 self.tyenv.check_wellformed(&l.param_ty)?;
-                let body_ctx = ctx.bind(l.param.clone(), l.param_ty.clone());
+                let body_ctx = ctx.bind(l.param, l.param_ty.clone());
                 let body_ty = self.infer(&body_ctx, &l.body)?;
                 Ok(Type::arrow(l.param_ty.clone(), body_ty))
             }
@@ -192,8 +192,8 @@ impl<'a> TypeChecker<'a> {
                 self.tyenv.check_wellformed(&fx.ret_ty)?;
                 let self_ty = Type::arrow(fx.param_ty.clone(), fx.ret_ty.clone());
                 let body_ctx = ctx
-                    .bind(fx.name.clone(), self_ty.clone())
-                    .bind(fx.param.clone(), fx.param_ty.clone());
+                    .bind(fx.name, self_ty.clone())
+                    .bind(fx.param, fx.param_ty.clone());
                 self.check(&body_ctx, &fx.body, &fx.ret_ty)
                     .map_err(|e| TypeError::Other(format!("in the body of `{}`: {e}", fx.name)))?;
                 Ok(self_ty)
@@ -226,7 +226,7 @@ impl<'a> TypeChecker<'a> {
             }
             Expr::Let(x, bound, body) => {
                 let bound_ty = self.infer(ctx, bound)?;
-                let body_ctx = ctx.bind(x.clone(), bound_ty);
+                let body_ctx = ctx.bind(*x, bound_ty);
                 self.infer(&body_ctx, body)
             }
             Expr::If(cond, then, els) => {
@@ -264,12 +264,12 @@ impl<'a> TypeChecker<'a> {
     ) -> Result<Vec<(Symbol, Type)>, TypeError> {
         match pattern {
             Pattern::Wildcard => Ok(Vec::new()),
-            Pattern::Var(x) => Ok(vec![(x.clone(), scrutinee.clone())]),
+            Pattern::Var(x) => Ok(vec![(*x, scrutinee.clone())]),
             Pattern::Ctor(c, subpatterns) => {
                 let info = self
                     .tyenv
                     .ctor(c)
-                    .ok_or_else(|| TypeError::UnknownConstructor(c.clone()))?;
+                    .ok_or(TypeError::UnknownConstructor(*c))?;
                 let Type::Named(data) = scrutinee else {
                     return Err(TypeError::PatternMismatch {
                         pattern: pattern.to_string(),
@@ -284,7 +284,7 @@ impl<'a> TypeChecker<'a> {
                 }
                 if info.args.len() != subpatterns.len() {
                     return Err(TypeError::CtorArity {
-                        ctor: c.clone(),
+                        ctor: *c,
                         expected: info.args.len(),
                         found: subpatterns.len(),
                     });
@@ -344,7 +344,7 @@ impl<'a> TypeChecker<'a> {
                     .iter()
                     .any(|p| matches!(p, Pattern::Ctor(pc, _) if pc == &c.name))
             })
-            .map(|c| c.name.clone())
+            .map(|c| c.name)
             .collect()
     }
 }

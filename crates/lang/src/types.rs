@@ -11,9 +11,11 @@
 
 use std::collections::HashMap;
 use std::fmt;
+use std::sync::Arc;
 
 use crate::error::TypeError;
 use crate::symbol::Symbol;
+use crate::util::IdHashBuilder;
 
 /// The reserved name of the builtin machine-integer type.  `int` is not an
 /// algebraic data type — it has no constructors and infinitely many values —
@@ -116,7 +118,7 @@ impl Type {
     pub fn subst_abstract(&self, concrete: &Type) -> Type {
         match self {
             Type::Abstract => concrete.clone(),
-            Type::Named(n) => Type::Named(n.clone()),
+            Type::Named(n) => Type::Named(*n),
             Type::Tuple(ts) => Type::Tuple(ts.iter().map(|t| t.subst_abstract(concrete)).collect()),
             Type::Arrow(a, b) => {
                 Type::arrow(a.subst_abstract(concrete), b.subst_abstract(concrete))
@@ -256,22 +258,27 @@ pub struct CtorInfo {
 /// An environment of algebraic data type declarations, with a constructor
 /// index for fast lookup.
 ///
+/// The tables are shared behind one `Arc`, so cloning an environment is a
+/// reference-count bump; [`TypeEnv::declare`] copies them first if they are
+/// shared.  Both indexes hash names with the deterministic
+/// [`IdHasher`](crate::util::IdHasher): the interpreter looks a constructor
+/// up on every constructor evaluation to check its arity.
+///
 /// The builtin `bool` type is always present.
 #[derive(Debug, Clone, Default)]
-pub struct TypeEnv {
+pub struct TypeEnv(Arc<Tables>);
+
+#[derive(Debug, Clone, Default)]
+struct Tables {
     decls: Vec<DataDecl>,
-    by_name: HashMap<Symbol, usize>,
-    ctors: HashMap<Symbol, CtorInfo>,
+    by_name: HashMap<Symbol, usize, IdHashBuilder>,
+    ctors: HashMap<Symbol, CtorInfo, IdHashBuilder>,
 }
 
 impl TypeEnv {
     /// Creates a type environment containing only the builtin `bool` type.
     pub fn new() -> Self {
-        let mut env = TypeEnv {
-            decls: Vec::new(),
-            by_name: HashMap::new(),
-            ctors: HashMap::new(),
-        };
+        let mut env = TypeEnv::default();
         env.declare(DataDecl::builtin_bool())
             .expect("builtin bool declaration is well formed");
         env
@@ -283,52 +290,53 @@ impl TypeEnv {
     /// recursion between distinct declarations is not supported, matching the
     /// paper's benchmarks).
     pub fn declare(&mut self, decl: DataDecl) -> Result<(), TypeError> {
-        if self.by_name.contains_key(&decl.name) || decl.name.as_str() == INT_TYPE_NAME {
-            return Err(TypeError::DuplicateDefinition(decl.name.clone()));
+        if self.0.by_name.contains_key(&decl.name) || decl.name.as_str() == INT_TYPE_NAME {
+            return Err(TypeError::DuplicateDefinition(decl.name));
         }
         for ctor in &decl.ctors {
-            if self.ctors.contains_key(&ctor.name) {
-                return Err(TypeError::DuplicateDefinition(ctor.name.clone()));
+            if self.0.ctors.contains_key(&ctor.name) {
+                return Err(TypeError::DuplicateDefinition(ctor.name));
             }
             for arg in &ctor.args {
                 self.check_wellformed_with(arg, Some(&decl.name))?;
             }
         }
-        let index = self.decls.len();
-        self.by_name.insert(decl.name.clone(), index);
+        let tables = Arc::make_mut(&mut self.0);
+        let index = tables.decls.len();
+        tables.by_name.insert(decl.name, index);
         for (i, ctor) in decl.ctors.iter().enumerate() {
-            self.ctors.insert(
-                ctor.name.clone(),
+            tables.ctors.insert(
+                ctor.name,
                 CtorInfo {
-                    data_type: decl.name.clone(),
+                    data_type: decl.name,
                     args: ctor.args.clone(),
                     index: i,
                 },
             );
         }
-        self.decls.push(decl);
+        tables.decls.push(decl);
         Ok(())
     }
 
     /// All declarations, in declaration order (`bool` first).
     pub fn decls(&self) -> &[DataDecl] {
-        &self.decls
+        &self.0.decls
     }
 
     /// Looks up a data type declaration by name.
     pub fn lookup(&self, name: &Symbol) -> Option<&DataDecl> {
-        self.by_name.get(name).map(|&i| &self.decls[i])
+        self.0.by_name.get(name).map(|&i| &self.0.decls[i])
     }
 
     /// Looks up constructor information by constructor name.
     pub fn ctor(&self, name: &Symbol) -> Option<&CtorInfo> {
-        self.ctors.get(name)
+        self.0.ctors.get(name)
     }
 
     /// Returns `true` if `name` is a declared data type (or the builtin
     /// `int`, which is always available).
     pub fn is_declared(&self, name: &Symbol) -> bool {
-        self.by_name.contains_key(name) || name.as_str() == INT_TYPE_NAME
+        self.0.by_name.contains_key(name) || name.as_str() == INT_TYPE_NAME
     }
 
     /// Checks that a type only references declared data types and contains no
@@ -340,11 +348,13 @@ impl TypeEnv {
     fn check_wellformed_with(&self, ty: &Type, pending: Option<&Symbol>) -> Result<(), TypeError> {
         match ty {
             Type::Named(n) => {
-                if self.by_name.contains_key(n) || pending == Some(n) || n.as_str() == INT_TYPE_NAME
+                if self.0.by_name.contains_key(n)
+                    || pending == Some(n)
+                    || n.as_str() == INT_TYPE_NAME
                 {
                     Ok(())
                 } else {
-                    Err(TypeError::UnknownType(n.clone()))
+                    Err(TypeError::UnknownType(*n))
                 }
             }
             Type::Abstract => Err(TypeError::UnexpectedAbstractType(
@@ -381,7 +391,7 @@ impl TypeEnv {
                 let Some(decl) = self.lookup(n) else {
                     return false;
                 };
-                visiting.push(n.clone());
+                visiting.push(*n);
                 let ok = decl
                     .ctors
                     .iter()

@@ -1,7 +1,7 @@
 //! Small shared utilities.
 
 use std::collections::{HashMap, HashSet};
-use std::hash::Hash;
+use std::hash::{BuildHasherDefault, Hash, Hasher};
 use std::io::Write as _;
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -46,6 +46,64 @@ pub fn write_atomic(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
 pub fn sync_dir(dir: &Path) {
     let _ = std::fs::File::open(dir).and_then(|d| d.sync_all());
 }
+
+/// A fast, deterministic, non-cryptographic hasher (splitmix64 finalization
+/// per write) for hot in-process tables: the synthesizer's term bank and
+/// signature-row sets, and the constructor index the interpreter consults
+/// on every constructor evaluation.  Their keys are dense ids, id rows and
+/// short names, where SipHash's per-hash overhead dominated the actual
+/// probe cost.  Never use it for persisted keys; those are
+/// [`Digest`](crate::digest::Digest)s.
+#[derive(Debug, Default, Clone)]
+pub struct IdHasher(u64);
+
+impl IdHasher {
+    #[inline]
+    fn mix(&mut self, v: u64) {
+        let mut z = (self.0 ^ v).wrapping_add(0x9E37_79B9_7F4A_7C15);
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        self.0 = z ^ (z >> 31);
+    }
+}
+
+impl Hasher for IdHasher {
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut buf = [0u8; 8];
+            buf[..chunk.len()].copy_from_slice(chunk);
+            self.mix(u64::from_le_bytes(buf) ^ (chunk.len() as u64));
+        }
+    }
+
+    #[inline]
+    fn write_u8(&mut self, n: u8) {
+        self.mix(n as u64);
+    }
+
+    #[inline]
+    fn write_u32(&mut self, n: u32) {
+        self.mix(n as u64);
+    }
+
+    #[inline]
+    fn write_u64(&mut self, n: u64) {
+        self.mix(n);
+    }
+
+    #[inline]
+    fn write_usize(&mut self, n: usize) {
+        self.mix(n as u64);
+    }
+}
+
+/// The [`std::hash::BuildHasher`] for [`IdHasher`]-backed tables.
+pub type IdHashBuilder = BuildHasherDefault<IdHasher>;
 
 /// All ways to write `total` as an ordered sum of `parts` positive integers,
 /// in lexicographic order, memoized process-wide (the enumerators ask for

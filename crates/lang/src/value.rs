@@ -97,19 +97,19 @@ impl fmt::Debug for NativeFn {
 /// size measurement; these are the values the enumerative verifier and the
 /// synthesizers manipulate.
 ///
-/// Constructor and tuple children are stored as `Arc<[Value]>` slabs, so
-/// **cloning a value is O(1)** — a tag copy plus a reference-count bump.
-/// This matters enormously on the interpreter's hot path: every variable
-/// lookup, every pattern binding and every pool filter clones values, and
-/// with boxed-slice children those clones no longer walk (or allocate) the
-/// tree.  Structural equality and hashing are unchanged (and equality
-/// short-circuits on shared slabs).
+/// Constructor and tuple children are stored in a [`Slab`], so **cloning a
+/// value is O(1)**: a tag copy plus at most one reference-count bump.  This
+/// matters enormously on the interpreter's hot path: every variable lookup,
+/// every pattern binding and every pool filter clones values.  Childless
+/// constructors (`True`, `O`, `Nil`, `Leaf`, ...) and `()` have an empty
+/// slab and a `Copy` [`Symbol`], so creating, cloning and dropping them
+/// touches neither a reference count nor the allocator.
 #[derive(Debug, Clone)]
 pub enum Value {
     /// A saturated constructor application.
-    Ctor(Symbol, Arc<[Value]>),
+    Ctor(Symbol, Slab),
     /// A tuple (the empty tuple is the unit value).
-    Tuple(Arc<[Value]>),
+    Tuple(Slab),
     /// A machine integer (the builtin `int` type of the numeric/trace
     /// workload).  Unlike Peano naturals these are wide and shallow: a
     /// single node regardless of magnitude, with the enumeration size
@@ -120,6 +120,82 @@ pub enum Value {
     Closure(Arc<Closure>),
     /// A host-implemented function value.
     Native(Arc<NativeFn>),
+}
+
+/// The children of a constructor or tuple value: a shared, immutable slice
+/// that holds no allocation when empty.
+///
+/// `Slab` dereferences to `[Value]`, and its equality, hashing and `Debug`
+/// output are those of the slice, so a value hashes and prints the same
+/// whether or not it has children.  Clones of one non-empty slab share it,
+/// and equality short-circuits on shared slabs.
+#[derive(Clone, Default)]
+pub struct Slab(Option<Arc<[Value]>>);
+
+impl Slab {
+    /// The empty slab (no allocation).
+    pub const EMPTY: Slab = Slab(None);
+}
+
+impl std::ops::Deref for Slab {
+    type Target = [Value];
+
+    fn deref(&self) -> &[Value] {
+        self.0.as_deref().unwrap_or(&[])
+    }
+}
+
+impl From<Vec<Value>> for Slab {
+    fn from(values: Vec<Value>) -> Slab {
+        if values.is_empty() {
+            Slab::EMPTY
+        } else {
+            Slab(Some(values.into()))
+        }
+    }
+}
+
+impl<const N: usize> From<[Value; N]> for Slab {
+    fn from(values: [Value; N]) -> Slab {
+        if N == 0 {
+            Slab::EMPTY
+        } else {
+            Slab(Some(Arc::new(values)))
+        }
+    }
+}
+
+impl FromIterator<Value> for Slab {
+    fn from_iter<I: IntoIterator<Item = Value>>(iter: I) -> Slab {
+        let mut iter = iter.into_iter().peekable();
+        if iter.peek().is_none() {
+            return Slab::EMPTY;
+        }
+        Slab(Some(iter.collect()))
+    }
+}
+
+impl PartialEq for Slab {
+    fn eq(&self, other: &Slab) -> bool {
+        match (&self.0, &other.0) {
+            (Some(a), Some(b)) => Arc::ptr_eq(a, b) || a == b,
+            (a, b) => a.is_none() && b.is_none(),
+        }
+    }
+}
+
+impl Eq for Slab {}
+
+impl Hash for Slab {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        (**self).hash(state);
+    }
+}
+
+impl fmt::Debug for Slab {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(&**self, f)
+    }
 }
 
 impl Value {
@@ -134,24 +210,13 @@ impl Value {
     }
 
     /// The boolean value `True`.
-    ///
-    /// The two boolean values are interned process-wide: every call returns
-    /// a clone of the same allocation, so producing a boolean (the single
-    /// most common operation in signature evaluation and predicate testing)
-    /// is a reference-count bump, and equality between interned booleans
-    /// short-circuits on the shared slab pointer.
     pub fn tru() -> Value {
-        static TRUE: std::sync::OnceLock<Value> = std::sync::OnceLock::new();
-        TRUE.get_or_init(|| Value::Ctor(Symbol::new("True"), Arc::from([])))
-            .clone()
+        Value::Ctor(Symbol::TRUE, Slab::EMPTY)
     }
 
-    /// The boolean value `False` (interned, see [`Value::tru`]).
+    /// The boolean value `False`.
     pub fn fls() -> Value {
-        static FALSE: std::sync::OnceLock<Value> = std::sync::OnceLock::new();
-        FALSE
-            .get_or_init(|| Value::Ctor(Symbol::new("False"), Arc::from([])))
-            .clone()
+        Value::Ctor(Symbol::FALSE, Slab::EMPTY)
     }
 
     /// A boolean value.
@@ -165,18 +230,18 @@ impl Value {
 
     /// The Peano natural for `n` (`S (S ... O)`).
     pub fn nat(n: u64) -> Value {
-        let mut v = Value::Ctor(Symbol::new("O"), Arc::from([]));
+        let mut v = Value::Ctor(Symbol::ZERO, Slab::EMPTY);
         for _ in 0..n {
-            v = Value::Ctor(Symbol::new("S"), Arc::from([v]));
+            v = Value::Ctor(Symbol::SUCC, Slab::from([v]));
         }
         v
     }
 
     /// A `list` of Peano naturals built from `Cons`/`Nil`.
     pub fn nat_list(items: &[u64]) -> Value {
-        let mut v = Value::Ctor(Symbol::new("Nil"), Arc::from([]));
+        let mut v = Value::Ctor(Symbol::NIL, Slab::EMPTY);
         for &n in items.iter().rev() {
-            v = Value::Ctor(Symbol::new("Cons"), Arc::from([Value::nat(n), v]));
+            v = Value::Ctor(Symbol::CONS, Slab::from([Value::nat(n), v]));
         }
         v
     }
@@ -196,19 +261,19 @@ impl Value {
 
     /// The unit value.
     pub fn unit() -> Value {
-        Value::Tuple(Arc::from([]))
+        Value::Tuple(Slab::EMPTY)
     }
 
     /// A pair value.
     pub fn pair(a: Value, b: Value) -> Value {
-        Value::Tuple(Arc::from([a, b]))
+        Value::Tuple(Slab::from([a, b]))
     }
 
     /// Interprets the value as a boolean, if it is `True` or `False`.
     pub fn as_bool(&self) -> Option<bool> {
         match self {
-            Value::Ctor(c, args) if args.is_empty() && c.as_str() == "True" => Some(true),
-            Value::Ctor(c, args) if args.is_empty() && c.as_str() == "False" => Some(false),
+            Value::Ctor(c, args) if args.is_empty() && *c == Symbol::TRUE => Some(true),
+            Value::Ctor(c, args) if args.is_empty() && *c == Symbol::FALSE => Some(false),
             _ => None,
         }
     }
@@ -219,8 +284,8 @@ impl Value {
         let mut cur = self;
         loop {
             match cur {
-                Value::Ctor(c, args) if c.as_str() == "O" && args.is_empty() => return Some(n),
-                Value::Ctor(c, args) if c.as_str() == "S" && args.len() == 1 => {
+                Value::Ctor(c, args) if *c == Symbol::ZERO && args.is_empty() => return Some(n),
+                Value::Ctor(c, args) if *c == Symbol::SUCC && args.len() == 1 => {
                     n += 1;
                     cur = &args[0];
                 }
@@ -235,8 +300,8 @@ impl Value {
         let mut cur = self;
         loop {
             match cur {
-                Value::Ctor(c, args) if c.as_str() == "Nil" && args.is_empty() => return Some(out),
-                Value::Ctor(c, args) if c.as_str() == "Cons" && args.len() == 2 => {
+                Value::Ctor(c, args) if *c == Symbol::NIL && args.is_empty() => return Some(out),
+                Value::Ctor(c, args) if *c == Symbol::CONS && args.len() == 2 => {
                     out.push(&args[0]);
                     cur = &args[1];
                 }
@@ -306,7 +371,7 @@ impl Value {
         match (self, ty) {
             (Value::Ctor(c, args), Type::Named(_)) => match tyenv.ctor(c) {
                 Some(info) => {
-                    Type::Named(info.data_type.clone()) == *ty
+                    Type::Named(info.data_type) == *ty
                         && info.args.len() == args.len()
                         && args
                             .iter()
@@ -329,7 +394,7 @@ impl Value {
         match self {
             Value::Ctor(c, args) => {
                 let args: Option<Vec<Expr>> = args.iter().map(Value::to_expr).collect();
-                Some(Expr::Ctor(c.clone(), args?))
+                Some(Expr::Ctor(*c, args?))
             }
             Value::Tuple(args) => {
                 let args: Option<Vec<Expr>> = args.iter().map(Value::to_expr).collect();
@@ -356,15 +421,18 @@ fn _assert_runtime_types_are_thread_safe() {
     is_send_sync::<Symbol>();
 }
 
+// Atoms stay small: a symbol is one pointer, and a value is a tag plus a
+// symbol plus a (possibly empty) slab.
+const _: () = assert!(std::mem::size_of::<Symbol>() == 8);
+const _: () = assert!(std::mem::size_of::<Value>() <= 32);
+
 impl PartialEq for Value {
     fn eq(&self, other: &Self) -> bool {
         match (self, other) {
             // Shared slabs (clones of the same pooled value) compare equal
             // without walking the tree.
-            (Value::Ctor(c1, a1), Value::Ctor(c2, a2)) => {
-                c1 == c2 && (Arc::ptr_eq(a1, a2) || a1 == a2)
-            }
-            (Value::Tuple(a1), Value::Tuple(a2)) => Arc::ptr_eq(a1, a2) || a1 == a2,
+            (Value::Ctor(c1, a1), Value::Ctor(c2, a2)) => c1 == c2 && a1 == a2,
+            (Value::Tuple(a1), Value::Tuple(a2)) => a1 == a2,
             (Value::Int(a), Value::Int(b)) => a == b,
             (Value::Closure(c1), Value::Closure(c2)) => Arc::ptr_eq(c1, c2),
             (Value::Native(n1), Value::Native(n2)) => Arc::ptr_eq(n1, n2),
@@ -489,16 +557,24 @@ impl Env {
 /// comparisons at all.
 ///
 /// The stack is persistent (chunks are immutable and `Arc`-shared) so that
-/// closures can capture it as cheaply as they capture an [`Env`].
+/// closures can capture it as cheaply as they capture an [`Env`].  A chunk
+/// is stored inline in its node, sized exactly to the values it holds, so a
+/// binding event costs one allocation.
 #[derive(Clone, Default)]
-pub struct Locals(Option<Arc<LocalsNode>>);
+pub struct Locals(Option<Arc<LocalsNode<[Value]>>>);
 
-struct LocalsNode {
+/// One chunk of a [`Locals`] stack.  Nodes are built as
+/// `LocalsNode<[Value; N]>` and unsized to `LocalsNode<[Value]>`.
+struct LocalsNode<T: ?Sized> {
+    rest: Locals,
     /// The values bound by one binding event, oldest first (the newest value
     /// is `chunk.last()`, i.e. slot `0`).
-    chunk: Vec<Value>,
-    rest: Locals,
+    chunk: T,
 }
+
+/// The most values [`Locals::push_chunk`] puts in one node; longer chunks
+/// are split over several nodes, which leaves slot numbering unchanged.
+const MAX_NODE_SLOTS: usize = 4;
 
 impl Locals {
     /// The empty stack.
@@ -506,17 +582,34 @@ impl Locals {
         Locals(None)
     }
 
-    /// Pushes one binding event: all of `values` become the newest slots, the
-    /// last element being slot `0`.  Empty chunks are skipped so slot indices
-    /// always address a value.
-    pub fn push_chunk(&self, values: Vec<Value>) -> Locals {
-        if values.is_empty() {
+    /// Pushes one binding event of a size known at compile time: all of
+    /// `values` become the newest slots, the last element being slot `0`.
+    /// An empty push is skipped so slot indices always address a value.
+    pub fn push<const N: usize>(&self, values: [Value; N]) -> Locals {
+        if N == 0 {
             return self.clone();
         }
-        Locals(Some(Arc::new(LocalsNode {
-            chunk: values,
+        let node: Arc<LocalsNode<[Value]>> = Arc::new(LocalsNode {
             rest: self.clone(),
-        })))
+            chunk: values,
+        });
+        Locals(Some(node))
+    }
+
+    /// Pushes one binding event of any size, like [`Locals::push`]: clones
+    /// of `values` go into nodes of at most four slots each.
+    pub fn push_chunk(&self, values: &[&Value]) -> Locals {
+        fn node<const N: usize>(values: &[&Value]) -> [Value; N] {
+            std::array::from_fn(|i| values[i].clone())
+        }
+        values
+            .chunks(MAX_NODE_SLOTS)
+            .fold(self.clone(), |locals, chunk| match chunk.len() {
+                1 => locals.push(node::<1>(chunk)),
+                2 => locals.push(node::<2>(chunk)),
+                3 => locals.push(node::<3>(chunk)),
+                _ => locals.push(node::<MAX_NODE_SLOTS>(chunk)),
+            })
     }
 
     /// The value at slot `index` (`0` = most recently pushed).
@@ -663,8 +756,8 @@ mod tests {
         assert!(stack.is_empty());
         assert_eq!(stack.get(0), None);
         // One application chunk [rec; arg] then a let chunk [bound].
-        let stack = stack.push_chunk(vec![Value::nat(10), Value::nat(11)]);
-        let stack = stack.push_chunk(vec![Value::nat(12)]);
+        let stack = stack.push([Value::nat(10), Value::nat(11)]);
+        let stack = stack.push([Value::nat(12)]);
         assert_eq!(stack.len(), 3);
         assert_eq!(stack.get(0), Some(&Value::nat(12)));
         assert_eq!(stack.get(1), Some(&Value::nat(11)));
@@ -672,15 +765,29 @@ mod tests {
         assert_eq!(stack.get(3), None);
         // Persistence: pushing onto a captured stack leaves it untouched.
         let captured = stack.clone();
-        let extended = stack.push_chunk(vec![Value::nat(13)]);
+        let extended = stack.push([Value::nat(13)]);
         assert_eq!(captured.len(), 3);
         assert_eq!(extended.get(0), Some(&Value::nat(13)));
         assert_eq!(extended.get(1), Some(&Value::nat(12)));
         // Empty chunks do not shift slot numbering.
-        assert_eq!(
-            captured.push_chunk(Vec::new()).get(0),
-            Some(&Value::nat(12))
-        );
+        assert_eq!(captured.push([]).get(0), Some(&Value::nat(12)));
+        assert_eq!(captured.push_chunk(&[]).get(0), Some(&Value::nat(12)));
+    }
+
+    #[test]
+    fn long_chunks_keep_slot_numbering() {
+        let values: Vec<Value> = (0..11).map(Value::nat).collect();
+        let refs: Vec<&Value> = values.iter().collect();
+        let base = Locals::empty().push([Value::nat(100)]);
+        for n in 0..=refs.len() {
+            let stack = base.push_chunk(&refs[..n]);
+            assert_eq!(stack.len(), n + 1);
+            for slot in 0..n {
+                assert_eq!(stack.get(slot as u32), Some(&values[n - 1 - slot]));
+            }
+            assert_eq!(stack.get(n as u32), Some(&Value::nat(100)));
+            assert_eq!(stack.get(n as u32 + 1), None);
+        }
     }
 
     #[test]

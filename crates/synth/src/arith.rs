@@ -116,7 +116,7 @@ pub fn components(bounds: &ArithBounds) -> Vec<ExtraComponent> {
             continue;
         }
         out.push(ExtraComponent {
-            definition: Expr::Var(name.clone()),
+            definition: Expr::Var(name),
             name,
             ty,
             value,

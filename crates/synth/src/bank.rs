@@ -67,7 +67,6 @@
 //! worker counts.
 
 use std::collections::{HashMap, HashSet};
-use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -77,62 +76,8 @@ use hanoi_lang::eval::{Evaluator, Fuel};
 use hanoi_lang::json::{value_from_json, value_to_json, Json, JsonError};
 use hanoi_lang::parser::parse_expr;
 use hanoi_lang::symbol::Symbol;
+use hanoi_lang::util::IdHashBuilder;
 use hanoi_lang::value::Value;
-
-/// A fast, non-cryptographic hasher (splitmix64 finalization per write) for
-/// the bank's integer-keyed tables and the engine's signature-row sets.
-/// Lookup keys here are dense ids and id rows, where SipHash's per-hash
-/// overhead dominated the actual probe cost.
-#[derive(Debug, Default, Clone)]
-pub struct IdHasher(u64);
-
-impl IdHasher {
-    #[inline]
-    fn mix(&mut self, v: u64) {
-        let mut z = (self.0 ^ v).wrapping_add(0x9E37_79B9_7F4A_7C15);
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        self.0 = z ^ (z >> 31);
-    }
-}
-
-impl Hasher for IdHasher {
-    #[inline]
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        for chunk in bytes.chunks(8) {
-            let mut buf = [0u8; 8];
-            buf[..chunk.len()].copy_from_slice(chunk);
-            self.mix(u64::from_le_bytes(buf) ^ (chunk.len() as u64));
-        }
-    }
-
-    #[inline]
-    fn write_u8(&mut self, n: u8) {
-        self.mix(n as u64);
-    }
-
-    #[inline]
-    fn write_u32(&mut self, n: u32) {
-        self.mix(n as u64);
-    }
-
-    #[inline]
-    fn write_u64(&mut self, n: u64) {
-        self.mix(n);
-    }
-
-    #[inline]
-    fn write_usize(&mut self, n: usize) {
-        self.mix(n as u64);
-    }
-}
-
-/// The [`std::hash::BuildHasher`] for [`IdHasher`]-backed tables.
-pub type IdHashBuilder = BuildHasherDefault<IdHasher>;
 
 /// The interned id of `True` (pre-interned by every bank).
 pub const TRUE_ID: u32 = 0;
@@ -699,7 +644,7 @@ impl TermBank {
     pub fn name_id(&self, name: &Symbol) -> u32 {
         let mut names = self.names.lock().unwrap();
         let next = names.len() as u32;
-        *names.entry(name.clone()).or_insert(next)
+        *names.entry(*name).or_insert(next)
     }
 
     /// Begins one `synthesize` call: registers the root example values and
@@ -900,7 +845,7 @@ impl TermBank {
                 .iter()
                 .map(|&id| interner.value_of(id).clone())
                 .collect();
-            Value::Ctor(ctor.clone(), args.into())
+            Value::Ctor(*ctor, args.into())
         };
         let id = self.intern(&value);
         self.ctors.lock().unwrap().insert(key, id);

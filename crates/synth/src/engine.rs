@@ -60,11 +60,11 @@ use hanoi_lang::eval::Fuel;
 use hanoi_lang::resolve::{resolve, resolve_closure_value};
 use hanoi_lang::symbol::Symbol;
 use hanoi_lang::types::{Type, TypeEnv};
-use hanoi_lang::util::{compositions, for_each_product, Deadline};
+use hanoi_lang::util::{compositions, for_each_product, Deadline, IdHashBuilder};
 use hanoi_lang::value::Value;
 use hanoi_verifier::parallel::{effective_workers, par_map};
 
-use crate::bank::{bool_id, GuessMemo, IdHashBuilder, OldSig, Sig, SigMatrix, TermBank};
+use crate::bank::{bool_id, GuessMemo, OldSig, Sig, SigMatrix, TermBank};
 use crate::error::SynthError;
 use crate::examples::ExampleSet;
 
@@ -309,7 +309,7 @@ impl<'p> Engine<'p> {
         for extra in self.config.extra_components.iter().rev() {
             if wrapped.free_vars().contains(&extra.name) {
                 wrapped = Expr::Let(
-                    extra.name.clone(),
+                    extra.name,
                     Box::new(extra.definition.clone()),
                     Box::new(wrapped),
                 );
@@ -368,7 +368,7 @@ impl<'p> Engine<'p> {
                 continue;
             }
             out.push(FuncComponent {
-                name: extra.name.clone(),
+                name: extra.name,
                 bank_id: bank.name_id(&extra.name),
                 arg_tys: args.into_iter().cloned().collect(),
                 ret_ty: ret.clone(),
@@ -529,7 +529,7 @@ impl<'p> Engine<'p> {
             if decl.ctors.len() < 2 && decl.ctors.iter().all(|c| c.args.is_empty()) {
                 continue;
             }
-            matched_vars.insert(var.clone());
+            matched_vars.insert(*var);
             let mut arms = Vec::new();
             let mut all_ok = true;
             for ctor in &decl.ctors {
@@ -580,11 +580,8 @@ impl<'p> Engine<'p> {
                 match body {
                     Some(body) => {
                         let pattern = Pattern::Ctor(
-                            ctor.name.clone(),
-                            fields
-                                .iter()
-                                .map(|(name, _)| Pattern::Var(name.clone()))
-                                .collect(),
+                            ctor.name,
+                            fields.iter().map(|(name, _)| Pattern::Var(*name)).collect(),
                         );
                         arms.push(MatchArm::new(pattern, body));
                     }
@@ -596,7 +593,7 @@ impl<'p> Engine<'p> {
             }
             matched_vars.remove(var);
             if all_ok {
-                return Ok(Some(Expr::Match(Box::new(Expr::Var(var.clone())), arms)));
+                return Ok(Some(Expr::Match(Box::new(Expr::Var(*var)), arms)));
             }
         }
         Ok(None)
@@ -702,7 +699,7 @@ impl<'p> Engine<'p> {
                 ty == &bool_ty,
                 worlds.iter().map(|w| Some(w.ids[index])).collect(),
             );
-            sieve.add(matrix, ty, sig, || Expr::Var(name.clone()));
+            sieve.add(matrix, ty, sig, || Expr::Var(*name));
         }
         for ty in &types {
             let Type::Named(type_name) = ty else { continue };
@@ -715,9 +712,7 @@ impl<'p> Engine<'p> {
                 }
                 let id = bank.make_ctor(bank.name_id(&ctor.name), &ctor.name, &[]);
                 let sig = matrix.pack(ty == &bool_ty, worlds.iter().map(|_| Some(id)).collect());
-                sieve.add(matrix, ty, sig, || {
-                    Expr::Ctor(ctor.name.clone(), Vec::new())
-                });
+                sieve.add(matrix, ty, sig, || Expr::Ctor(ctor.name, Vec::new()));
             }
         }
         // Machine-integer literals (the numeric grammar's constant pool).
@@ -757,7 +752,7 @@ impl<'p> Engine<'p> {
                             .collect(),
                     );
                     sieve.add(matrix, &bool_ty, sig, || {
-                        Expr::call(REC_NAME, [Expr::Var(name.clone())])
+                        Expr::call(REC_NAME, [Expr::Var(*name)])
                     });
                 }
             }
@@ -829,7 +824,7 @@ impl<'p> Engine<'p> {
                     for (choice, sig) in choices.iter().zip(rows) {
                         sieve.add_tagged(matrix, &component.ret_ty, sig, component.arith, || {
                             Expr::apps(
-                                Expr::Var(component.name.clone()),
+                                Expr::Var(component.name),
                                 choice.iter().map(|t| t.expr.clone()),
                             )
                         });
@@ -853,7 +848,7 @@ impl<'p> Engine<'p> {
                 let ctors: Vec<(Symbol, Vec<Type>)> = decl
                     .ctors
                     .iter()
-                    .map(|c| (c.name.clone(), c.args.clone()))
+                    .map(|c| (c.name, c.args.clone()))
                     .collect();
                 for (ctor_name, ctor_args) in ctors {
                     let k = ctor_args.len();
@@ -878,7 +873,7 @@ impl<'p> Engine<'p> {
                             let sig = matrix.pack(ty == &bool_ty, cells);
                             sieve.add(matrix, ty, sig, || {
                                 Expr::Ctor(
-                                    ctor_name.clone(),
+                                    ctor_name,
                                     choice.iter().map(|t| t.expr.clone()).collect(),
                                 )
                             });

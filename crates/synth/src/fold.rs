@@ -133,7 +133,7 @@ impl FoldSynth {
             let mut field_names = Vec::new();
             for (i, arg_ty) in ctor.args.iter().enumerate() {
                 let field = Symbol::new(&format!("f{i}"));
-                field_names.push((field.clone(), arg_ty.clone()));
+                field_names.push((field, arg_ty.clone()));
                 if arg_ty == &nat {
                     components.push(Component::new(field, nat.clone()));
                 } else if arg_ty == &concrete {
@@ -188,7 +188,7 @@ impl FoldSynth {
                 .zip(arm_bodies)
                 .map(|(ctor, body)| {
                     let pattern = Pattern::Ctor(
-                        ctor.name.clone(),
+                        ctor.name,
                         (0..ctor.args.len())
                             .map(|i| Pattern::Var(Symbol::new(&format!("f{i}"))))
                             .collect(),
@@ -236,7 +236,7 @@ impl FoldSynth {
                     let index = helpers.len();
                     let name = Symbol::new(&format!("fold{index}"));
                     let renamed_definition =
-                        substitute_var(&definition, &helper_name, &Expr::Var(name.clone()));
+                        substitute_var(&definition, &helper_name, &Expr::Var(name));
                     // The fix's own binder is `__fold`; rename the fix itself
                     // so recursive calls resolve, by rebuilding it under the
                     // public name.
@@ -285,7 +285,7 @@ fn substitute_var(expr: &Expr, var: &Symbol, replacement: &Expr) -> Expr {
         Expr::Var(x) if x == var => replacement.clone(),
         Expr::Var(_) | Expr::Local(_, _) | Expr::Int(_) => expr.clone(),
         Expr::Ctor(c, args) => Expr::Ctor(
-            c.clone(),
+            *c,
             args.iter()
                 .map(|a| substitute_var(a, var, replacement))
                 .collect(),
@@ -301,13 +301,13 @@ fn substitute_var(expr: &Expr, var: &Symbol, replacement: &Expr) -> Expr {
             substitute_var(a, var, replacement),
         ),
         Expr::Lambda(l) => Expr::Lambda(Arc::new(hanoi_lang::ast::LambdaExpr {
-            param: l.param.clone(),
+            param: l.param,
             param_ty: l.param_ty.clone(),
             body: Arc::new(substitute_var(&l.body, var, replacement)),
         })),
         Expr::Fix(fx) => Expr::Fix(Arc::new(hanoi_lang::ast::FixExpr {
-            name: fx.name.clone(),
-            param: fx.param.clone(),
+            name: fx.name,
+            param: fx.param,
             param_ty: fx.param_ty.clone(),
             ret_ty: fx.ret_ty.clone(),
             body: Arc::new(substitute_var(&fx.body, var, replacement)),
@@ -324,7 +324,7 @@ fn substitute_var(expr: &Expr, var: &Symbol, replacement: &Expr) -> Expr {
                 .collect(),
         ),
         Expr::Let(x, bound, body) => Expr::Let(
-            x.clone(),
+            *x,
             Box::new(substitute_var(bound, var, replacement)),
             Box::new(substitute_var(body, var, replacement)),
         ),

@@ -191,6 +191,7 @@ pub fn check_conditional_inductiveness(
                                 sig,
                                 candidate.value.clone(),
                                 Arc::clone(&log),
+                                bounds.fuel,
                             ));
                             logs.push(log);
                         } else {
@@ -240,7 +241,7 @@ pub fn check_conditional_inductiveness(
             s.extend(client_supplied);
 
             ControlFlow::Break(InductivenessCex {
-                op: op.name.clone(),
+                op: op.name,
                 args: display_args,
                 s,
                 v: violations,

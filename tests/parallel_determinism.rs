@@ -164,7 +164,7 @@ fn value_equality_and_hashing_survive_the_arc_migration() {
             fn expr_to_value(e: &hanoi_repro::lang::Expr) -> Value {
                 match e {
                     hanoi_repro::lang::Expr::Ctor(c, args) => {
-                        Value::Ctor(c.clone(), args.iter().map(expr_to_value).collect())
+                        Value::Ctor(*c, args.iter().map(expr_to_value).collect())
                     }
                     hanoi_repro::lang::Expr::Tuple(args) => {
                         Value::Tuple(args.iter().map(expr_to_value).collect())
