@@ -12,6 +12,8 @@
 //! abstract argument positions) and enumerated small values (for base-type
 //! argument positions), up to configurable bounds.
 
+use std::ops::ControlFlow;
+
 use hanoi_lang::enumerate::ValueEnumerator;
 use hanoi_lang::eval::Fuel;
 use hanoi_lang::types::Type;
@@ -113,6 +115,7 @@ impl ConstructibleOracle {
                     if let Ok(result) = evaluator.apply_many(op.value.clone(), &args, &mut fuel) {
                         results.push(result);
                     }
+                    ControlFlow::Continue(())
                 });
                 if arg_sigs.is_empty() {
                     results.push(op.value.clone());

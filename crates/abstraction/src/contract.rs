@@ -96,6 +96,7 @@ mod tests {
     use super::*;
     use crate::problem::Problem;
     use hanoi_lang::parser::parse_expr;
+    use hanoi_lang::resolve::resolve;
 
     const FOLD_SET: &str = r#"
         type nat = O | S of nat
@@ -137,7 +138,7 @@ mod tests {
         let client = parse_expr("fun (x : nat) (acc : list) -> insert acc x").unwrap();
         let client_value = problem
             .evaluator()
-            .eval(&problem.globals, &client, &mut Fuel::standard())
+            .eval_resolved(&problem.globals, &resolve(&client), &mut Fuel::standard())
             .unwrap();
         let fn_sig = problem.interface.op("fold").unwrap().ty.uncurry().0[0].clone();
         let wrapped = instrument_function(
@@ -181,7 +182,7 @@ mod tests {
         let client = parse_expr("fun (x : nat) -> S x").unwrap();
         let client_value = problem
             .evaluator()
-            .eval(&problem.globals, &client, &mut Fuel::standard())
+            .eval_resolved(&problem.globals, &resolve(&client), &mut Fuel::standard())
             .unwrap();
         let sig = Type::arrow(Type::named("nat"), Type::named("nat"));
         let wrapped = instrument_function(
@@ -206,7 +207,7 @@ mod tests {
         let client = parse_expr("fun (x : nat) (acc : list) -> insert acc x").unwrap();
         let client_value = problem
             .evaluator()
-            .eval(&problem.globals, &client, &mut Fuel::standard())
+            .eval_resolved(&problem.globals, &resolve(&client), &mut Fuel::standard())
             .unwrap();
         let fn_sig = problem.interface.op("fold").unwrap().ty.uncurry().0[0].clone();
         let call = |fuel: u64| {

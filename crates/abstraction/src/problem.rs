@@ -6,6 +6,7 @@ use hanoi_lang::digest::{Digest, DigestBuilder};
 use hanoi_lang::error::EvalError;
 use hanoi_lang::eval::{Evaluator, Fuel};
 use hanoi_lang::parser::parse_program;
+use hanoi_lang::resolve::resolve;
 use hanoi_lang::symbol::Symbol;
 use hanoi_lang::typecheck::TypeChecker;
 use hanoi_lang::types::{Type, TypeEnv};
@@ -49,30 +50,12 @@ impl Problem {
         Self::from_program(&program)
     }
 
-    /// Like [`Problem::from_source`], but with explicit control over whether
-    /// prelude and module closures go through the slot-resolution pass
-    /// (`true`, the default) or use the historical name-based environment
-    /// lookups (`false`) — the equivalence tests run both.
-    pub fn from_source_with(
-        source: &str,
-        resolve_globals: bool,
-    ) -> Result<Problem, AbstractionError> {
-        let program = parse_program(source)?;
-        Self::from_program_with(&program, resolve_globals)
-    }
-
     /// Elaborates an already parsed surface program.
+    ///
+    /// Every global binding and the specification body go through the
+    /// slot-resolution pass ([`hanoi_lang::resolve`]) here, once.
     pub fn from_program(program: &Program) -> Result<Problem, AbstractionError> {
-        Self::from_program_with(program, true)
-    }
-
-    /// [`Problem::from_program`] with explicit control over slot resolution
-    /// of the global (prelude + module) closures.
-    pub fn from_program_with(
-        program: &Program,
-        resolve_globals: bool,
-    ) -> Result<Problem, AbstractionError> {
-        let elaborated = program.elaborate_with(resolve_globals)?;
+        let elaborated = program.elaborate()?;
         let tyenv = elaborated.tyenv.clone();
 
         let iface_decl = program
@@ -126,13 +109,9 @@ impl Problem {
                 ))
             })?;
             let mut fuel = Fuel::new(1_000_000);
-            let value = if resolve_globals {
-                let resolved = hanoi_lang::resolve::resolve(&expr);
-                evaluator.eval_resolved(&globals, &resolved, &mut fuel)
-            } else {
-                evaluator.eval(&globals, &expr, &mut fuel)
-            }
-            .map_err(AbstractionError::from)?;
+            let value = evaluator
+                .eval_resolved(&globals, &resolve(&expr), &mut fuel)
+                .map_err(AbstractionError::from)?;
             globals = globals.bind(substituted.name, value);
             checker.declare_global(substituted.name, declared);
             module_lets.push(substituted);
@@ -181,13 +160,6 @@ impl Problem {
         // well formed, and the body must be boolean once the abstract type is
         // substituted away.
         let mut spec = Spec::from_decl(spec_decl);
-        if resolve_globals {
-            // The spec body is evaluated once per enumerated argument tuple
-            // in the verifier's sufficiency sweep and once per sample in the
-            // OneShot baseline — resolve it here so all of those run on the
-            // interpreter's slot-indexed fast path.
-            spec.resolve_body();
-        }
         if spec.abstract_arity() == 0 {
             return Err(AbstractionError::BadSpec(
                 "the specification must quantify over at least one value of abstract type".into(),
@@ -204,6 +176,9 @@ impl Problem {
         checker
             .check(&spec_ctx, &spec.body, &Type::bool())
             .map_err(|e| AbstractionError::BadSpec(e.to_string()))?;
+        // The quantified parameters stay free variables, bound by name in the
+        // evaluation environment.
+        spec.body = resolve(&spec.body);
 
         Ok(Problem {
             tyenv,
@@ -337,16 +312,11 @@ impl Problem {
         for ((name, _), value) in self.spec.params.iter().zip(args) {
             env = env.bind(*name, value.clone());
         }
-        // The resolved body (when elaboration built one) is fuel-identical to
-        // the name-based original, so both paths report the same outcomes.
-        match &self.spec.resolved_body {
-            Some(resolved) => {
-                let v = self.evaluator().eval_resolved(&env, resolved, fuel)?;
-                v.as_bool()
-                    .ok_or_else(|| EvalError::NotABool(v.to_string()))
-            }
-            None => self.evaluator().eval_bool(&env, &self.spec.body, fuel),
-        }
+        let v = self
+            .evaluator()
+            .eval_resolved(&env, &self.spec.body, fuel)?;
+        v.as_bool()
+            .ok_or_else(|| EvalError::NotABool(v.to_string()))
     }
 
     /// Evaluates a candidate invariant (an expression of type `τc -> bool`
@@ -355,23 +325,21 @@ impl Problem {
         self.eval_predicate_with_fuel(predicate, arg, &mut Fuel::standard())
     }
 
-    /// Evaluates a candidate invariant with an explicit fuel budget.
+    /// Evaluates a candidate invariant with an explicit fuel budget.  The
+    /// predicate is resolved first; callers that evaluate one predicate
+    /// many times resolve it once and use
+    /// [`Problem::eval_predicate_resolved_with_fuel`].
     pub fn eval_predicate_with_fuel(
         &self,
         predicate: &Expr,
         arg: &Value,
         fuel: &mut Fuel,
     ) -> Result<bool, EvalError> {
-        let evaluator = self.evaluator();
-        let pred_value = evaluator.eval(&self.globals, predicate, fuel)?;
-        evaluator.apply_pred(&pred_value, arg, fuel)
+        self.eval_predicate_resolved_with_fuel(&resolve(predicate), arg, fuel)
     }
 
     /// Evaluates a candidate invariant that has already been through the
-    /// slot-resolution pass ([`hanoi_lang::resolve::resolve`]), on the
-    /// interpreter's indexed fast path.  Fuel consumption and results are
-    /// identical to [`Problem::eval_predicate_with_fuel`] on the unresolved
-    /// expression.
+    /// slot-resolution pass ([`hanoi_lang::resolve::resolve`]).
     pub fn eval_predicate_resolved_with_fuel(
         &self,
         predicate: &Expr,
@@ -477,7 +445,8 @@ mod tests {
         // A clone with a weakened spec (sharing the globals Env!) must get
         // its own fingerprint — check outcomes depend on the spec.
         let mut weaker = b.clone();
-        weaker.spec.body = hanoi_lang::parser::parse_expr("not (lookup empty i)").unwrap();
+        weaker.spec.body =
+            resolve(&hanoi_lang::parser::parse_expr("not (lookup empty i)").unwrap());
         assert_ne!(weaker.fingerprint(), b.fingerprint());
 
         // A buggy module body changes the fingerprint even though every

@@ -17,15 +17,10 @@ pub struct Spec {
     /// [`Type::Abstract`].
     pub params: Vec<(Symbol, Type)>,
     /// The boolean body, evaluated with the parameters and all module
-    /// operations in scope.
+    /// operations in scope.  Problem elaboration slot-resolves it
+    /// ([`hanoi_lang::resolve`]); the quantified parameters stay free
+    /// variables, bound by name in the evaluation environment.
     pub body: Expr,
-    /// The body with its internal binders slot-resolved
-    /// ([`hanoi_lang::resolve`]), set at problem elaboration.  The quantified
-    /// parameters stay name-based (they are bound by the evaluation
-    /// environment), but every `let`/`match`/`fun` inside the body runs on
-    /// the interpreter's indexed fast path.  `None` when the problem was
-    /// elaborated with resolution disabled.
-    pub resolved_body: Option<Expr>,
 }
 
 impl Spec {
@@ -34,14 +29,7 @@ impl Spec {
         Spec {
             params: decl.params.clone(),
             body: decl.body.clone(),
-            resolved_body: None,
         }
-    }
-
-    /// Runs the slot-resolution pass over the body (see
-    /// [`Spec::resolved_body`]).
-    pub fn resolve_body(&mut self) {
-        self.resolved_body = Some(hanoi_lang::resolve::resolve(&self.body));
     }
 
     /// Total number of quantified parameters.

@@ -22,8 +22,8 @@ use hanoi_lang::value::Value;
 pub struct TraceStep {
     /// The candidate invariant of this step.
     pub candidate: Expr,
-    /// The candidate slot-resolved at record time, so every replay probe
-    /// runs on the interpreter's indexed fast path.
+    /// The candidate slot-resolved at record time, not once per replay
+    /// probe.
     resolved: Expr,
     /// The negative examples added after checking it.
     pub negatives: Vec<Value>,

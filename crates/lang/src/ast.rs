@@ -577,18 +577,8 @@ impl Program {
     /// untouched; the `hanoi-abstraction` crate elaborates those.
     ///
     /// Prelude bindings are evaluated through the slot-resolution pass
-    /// ([`crate::resolve`]), so the closures in the resulting environment run
-    /// on the interpreter's indexed fast path.  Use
-    /// [`Program::elaborate_with`] to opt out (the equivalence tests compare
-    /// the two paths).
+    /// ([`crate::resolve`]), like every expression the interpreter runs.
     pub fn elaborate(&self) -> Result<Elaborated, LangError> {
-        self.elaborate_with(true)
-    }
-
-    /// [`Program::elaborate`] with explicit control over whether prelude
-    /// closures are slot-resolved (`true`, the default) or evaluated with
-    /// the historical name-based environment lookups (`false`).
-    pub fn elaborate_with(&self, resolve_globals: bool) -> Result<Elaborated, LangError> {
         let mut tyenv = TypeEnv::new();
         for decl in self.data_decls() {
             tyenv.declare(decl.clone())?;
@@ -614,13 +604,9 @@ impl Program {
             })?;
             let evaluator = Evaluator::new(&tyenv);
             let mut fuel = Fuel::new(1_000_000);
-            let value = if resolve_globals {
-                let resolved = crate::resolve::resolve(&expr);
-                evaluator.eval_resolved(&globals, &resolved, &mut fuel)
-            } else {
-                evaluator.eval(&globals, &expr, &mut fuel)
-            }
-            .map_err(LangError::Eval)?;
+            let value = evaluator
+                .eval_resolved(&globals, &crate::resolve::resolve(&expr), &mut fuel)
+                .map_err(LangError::Eval)?;
             globals = globals.bind(top.name, value);
             checker.declare_global(top.name, declared);
             lets.push(top.clone());

@@ -628,7 +628,7 @@ mod tests {
     #[test]
     fn multi_parameter_let_rec_digest_golden_values() {
         // `let rec f (a) (b) = body` lowers to `fix f a = fun b -> body`:
-        // both the name-based and the slot-resolved form of that lowering
+        // both the unresolved and the slot-resolved form of that lowering
         // are check-cache and snapshot keys, so their bits are pinned too.
         let program = crate::parser::parse_program(
             "let rec lookup (l : list) (x : nat) : bool =

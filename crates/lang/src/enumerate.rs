@@ -8,6 +8,7 @@
 //! verification call, of which a run makes dozens) are cheap.
 
 use std::collections::HashMap;
+use std::ops::ControlFlow;
 use std::sync::Arc;
 
 use crate::symbol::Symbol;
@@ -80,7 +81,8 @@ impl<'a> ValueEnumerator<'a> {
                             .collect();
                         let groups: Vec<&[Value]> = groups.iter().map(|g| g.as_slice()).collect();
                         for_each_product(&groups, |items| {
-                            out.push(Value::Tuple(items.iter().copied().cloned().collect()))
+                            out.push(Value::Tuple(items.iter().copied().cloned().collect()));
+                            ControlFlow::Continue(())
                         });
                     }
                     out
@@ -117,7 +119,8 @@ impl<'a> ValueEnumerator<'a> {
                     .collect();
                 let groups: Vec<&[Value]> = groups.iter().map(|g| g.as_slice()).collect();
                 for_each_product(&groups, |items| {
-                    out.push(Value::Ctor(ctor, items.iter().copied().cloned().collect()))
+                    out.push(Value::Ctor(ctor, items.iter().copied().cloned().collect()));
+                    ControlFlow::Continue(())
                 });
             }
         }

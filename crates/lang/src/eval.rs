@@ -1,4 +1,12 @@
-//! A fuel-limited, environment-based, call-by-value interpreter.
+//! A fuel-limited, call-by-value tree-walking interpreter over slot-resolved
+//! expressions.
+//!
+//! Every expression goes through [`crate::resolve::resolve`] once before it
+//! is evaluated: variables bound by an enclosing `fun`/`fix`/`let`/`match`
+//! become [`Expr::Local`] slot reads from a [`Locals`] stack, and only free
+//! (global) variables are looked up by name in the [`Env`].  The interpreter
+//! never reads a local's name, so α-equivalent expressions evaluate
+//! identically.
 //!
 //! The object language itself is intended to be terminating, but the
 //! inference loop executes *synthesized* candidate invariants and enumerated
@@ -9,7 +17,7 @@
 
 use std::sync::Arc;
 
-use crate::ast::{Expr, MatchArm, Pattern};
+use crate::ast::{Expr, Pattern};
 use crate::error::EvalError;
 use crate::types::TypeEnv;
 use crate::value::{Closure, Env, Locals, NativeFn, Slab, Value};
@@ -86,176 +94,11 @@ impl<'a> Evaluator<'a> {
         self.tyenv
     }
 
-    /// Evaluates `expr` in `env`.
-    pub fn eval(&self, env: &Env, expr: &Expr, fuel: &mut Fuel) -> Result<Value, EvalError> {
-        self.eval_at(env, expr, fuel, 0)
-    }
-
-    fn eval_at(
-        &self,
-        env: &Env,
-        expr: &Expr,
-        fuel: &mut Fuel,
-        depth: u32,
-    ) -> Result<Value, EvalError> {
-        fuel.tick(depth)?;
-        match expr {
-            Expr::Var(x) => env.lookup(x).cloned().ok_or(EvalError::UnboundVariable(*x)),
-            // Slot references need the resolved-mode evaluator (which carries
-            // the Locals stack); reaching one here means a resolved body was
-            // evaluated through the name-based entry point.
-            Expr::Local(_, x) => Err(EvalError::Other(format!(
-                "slot reference `{x}` evaluated outside resolved mode"
-            ))),
-            Expr::Int(i) => Ok(Value::Int(*i)),
-            Expr::Ctor(c, args) => {
-                if let Some(info) = self.tyenv.ctor(c) {
-                    if info.args.len() != args.len() {
-                        return Err(EvalError::Other(format!(
-                            "constructor `{c}` applied to {} argument(s), expected {}",
-                            args.len(),
-                            info.args.len()
-                        )));
-                    }
-                }
-                let children = children(args, |a| self.eval_at(env, a, fuel, depth + 1))?;
-                Ok(Value::Ctor(*c, children))
-            }
-            Expr::Tuple(args) => {
-                children(args, |a| self.eval_at(env, a, fuel, depth + 1)).map(Value::Tuple)
-            }
-            Expr::Proj(i, e) => {
-                let v = self.eval_at(env, e, fuel, depth + 1)?;
-                match v {
-                    Value::Tuple(items) if *i < items.len() => Ok(items[*i].clone()),
-                    other => Err(EvalError::BadProjection(other.to_string())),
-                }
-            }
-            Expr::App(f, arg) => {
-                let fv = self.eval_at(env, f, fuel, depth + 1)?;
-                let av = self.eval_at(env, arg, fuel, depth + 1)?;
-                self.apply_at(fv, av, fuel, depth + 1)
-            }
-            Expr::Lambda(l) => Ok(Value::Closure(Arc::new(Closure::by_name(
-                l.param,
-                l.body.clone(),
-                env.clone(),
-                None,
-            )))),
-            Expr::Fix(fx) => Ok(Value::Closure(Arc::new(Closure::by_name(
-                fx.param,
-                fx.body.clone(),
-                env.clone(),
-                Some(fx.name),
-            )))),
-            Expr::Match(scrutinee, arms) => {
-                let v = self.eval_at(env, scrutinee, fuel, depth + 1)?;
-                self.eval_match(env, &v, arms, fuel, depth + 1)
-            }
-            Expr::Let(x, bound, body) => {
-                let bv = self.eval_at(env, bound, fuel, depth + 1)?;
-                let env2 = env.bind(*x, bv);
-                self.eval_at(&env2, body, fuel, depth + 1)
-            }
-            Expr::If(cond, then, els) => {
-                let cv = self.eval_at(env, cond, fuel, depth + 1)?;
-                match cv.as_bool() {
-                    Some(true) => self.eval_at(env, then, fuel, depth + 1),
-                    Some(false) => self.eval_at(env, els, fuel, depth + 1),
-                    None => Err(EvalError::NotABool(cv.to_string())),
-                }
-            }
-            Expr::Eq(a, b) => {
-                let av = self.eval_at(env, a, fuel, depth + 1)?;
-                let bv = self.eval(env, b, fuel)?;
-                if !av.is_first_order() || !bv.is_first_order() {
-                    return Err(EvalError::EqualityOnClosure);
-                }
-                Ok(Value::bool(av == bv))
-            }
-            Expr::And(a, b) => {
-                let av = self.eval_at(env, a, fuel, depth + 1)?;
-                match av.as_bool() {
-                    Some(false) => Ok(Value::fls()),
-                    Some(true) => {
-                        let bv = self.eval(env, b, fuel)?;
-                        bv.as_bool()
-                            .map(Value::bool)
-                            .ok_or_else(|| EvalError::NotABool(bv.to_string()))
-                    }
-                    None => Err(EvalError::NotABool(av.to_string())),
-                }
-            }
-            Expr::Or(a, b) => {
-                let av = self.eval_at(env, a, fuel, depth + 1)?;
-                match av.as_bool() {
-                    Some(true) => Ok(Value::tru()),
-                    Some(false) => {
-                        let bv = self.eval(env, b, fuel)?;
-                        bv.as_bool()
-                            .map(Value::bool)
-                            .ok_or_else(|| EvalError::NotABool(bv.to_string()))
-                    }
-                    None => Err(EvalError::NotABool(av.to_string())),
-                }
-            }
-            Expr::Not(a) => {
-                let av = self.eval_at(env, a, fuel, depth + 1)?;
-                av.as_bool()
-                    .map(|b| Value::bool(!b))
-                    .ok_or_else(|| EvalError::NotABool(av.to_string()))
-            }
-        }
-    }
-
-    fn eval_match(
-        &self,
-        env: &Env,
-        scrutinee: &Value,
-        arms: &[MatchArm],
-        fuel: &mut Fuel,
-        depth: u32,
-    ) -> Result<Value, EvalError> {
-        for arm in arms {
-            if let Some(env2) = Self::match_pattern(&arm.pattern, scrutinee, env) {
-                return self.eval_at(&env2, &arm.body, fuel, depth);
-            }
-        }
-        Err(EvalError::MatchFailure(scrutinee.to_string()))
-    }
-
-    /// Attempts to match `value` against `pattern`, extending `env` with the
-    /// pattern's bindings on success.
-    pub fn match_pattern(pattern: &Pattern, value: &Value, env: &Env) -> Option<Env> {
-        match (pattern, value) {
-            (Pattern::Wildcard, _) => Some(env.clone()),
-            (Pattern::Var(x), v) => Some(env.bind(*x, v.clone())),
-            (Pattern::Ctor(c, ps), Value::Ctor(vc, vs)) if c == vc && ps.len() == vs.len() => {
-                let mut cur = env.clone();
-                for (p, v) in ps.iter().zip(vs.iter()) {
-                    cur = Self::match_pattern(p, v, &cur)?;
-                }
-                Some(cur)
-            }
-            (Pattern::Tuple(ps), Value::Tuple(vs)) if ps.len() == vs.len() => {
-                let mut cur = env.clone();
-                for (p, v) in ps.iter().zip(vs.iter()) {
-                    cur = Self::match_pattern(p, v, &cur)?;
-                }
-                Some(cur)
-            }
-            _ => None,
-        }
-    }
-
     /// Evaluates a slot-resolved expression (see [`crate::resolve`]) in
     /// `env`, starting from an empty local-slot stack.
     ///
-    /// This is the interpreter's fast path: lexically-bound variables are
-    /// read from a [`Locals`] stack by index instead of walking the
-    /// environment chain by name.  Evaluation order, fuel consumption and
-    /// results are identical to [`Evaluator::eval`] on the unresolved
-    /// expression.
+    /// Lexically-bound variables are read from a [`Locals`] stack by index;
+    /// only free (global) variables are looked up by name in `env`.
     pub fn eval_resolved(
         &self,
         env: &Env,
@@ -264,21 +107,18 @@ impl<'a> Evaluator<'a> {
     ) -> Result<Value, EvalError> {
         // An unresolved expression evaluated here would silently read
         // same-named *globals* where it meant lexically-bound locals
-        // (resolved-mode `let`/`match` never extend `env`).  Resolution is
-        // idempotent, so a properly resolved expression is a fixed point.
+        // (`let`/`match` never extend `env`).
         debug_assert!(
-            crate::resolve::resolve(expr) == *expr,
+            crate::resolve::is_resolved(expr),
             "eval_resolved requires a slot-resolved expression \
              (run hanoi_lang::resolve::resolve first)"
         );
-        self.eval_res_at(env, &Locals::empty(), expr, fuel, 0)
+        self.eval_at(env, &Locals::empty(), expr, fuel, 0)
     }
 
-    /// Resolved-mode twin of [`Evaluator::eval_at`]: every arm mirrors the
-    /// name-based evaluator's recursion (including depth resets on the right
-    /// operands of `==`/`&&`/`||`) so the two paths consume fuel
-    /// identically.
-    fn eval_res_at(
+    /// One evaluation step at nesting `depth`: ticks the fuel, then
+    /// evaluates every subexpression one level deeper.
+    fn eval_at(
         &self,
         env: &Env,
         locals: &Locals,
@@ -292,7 +132,7 @@ impl<'a> Evaluator<'a> {
                 .get(*slot)
                 .cloned()
                 .ok_or(EvalError::UnboundVariable(*x)),
-            // Free (global) variables keep their name-based lookup.
+            // Free (global) variables are looked up by name.
             Expr::Var(x) => env.lookup(x).cloned().ok_or(EvalError::UnboundVariable(*x)),
             Expr::Int(i) => Ok(Value::Int(*i)),
             Expr::Ctor(c, args) => {
@@ -305,24 +145,22 @@ impl<'a> Evaluator<'a> {
                         )));
                     }
                 }
-                let children =
-                    children(args, |a| self.eval_res_at(env, locals, a, fuel, depth + 1))?;
+                let children = children(args, |a| self.eval_at(env, locals, a, fuel, depth + 1))?;
                 Ok(Value::Ctor(*c, children))
             }
             Expr::Tuple(args) => {
-                children(args, |a| self.eval_res_at(env, locals, a, fuel, depth + 1))
-                    .map(Value::Tuple)
+                children(args, |a| self.eval_at(env, locals, a, fuel, depth + 1)).map(Value::Tuple)
             }
             Expr::Proj(i, e) => {
-                let v = self.eval_res_at(env, locals, e, fuel, depth + 1)?;
+                let v = self.eval_at(env, locals, e, fuel, depth + 1)?;
                 match v {
                     Value::Tuple(items) if *i < items.len() => Ok(items[*i].clone()),
                     other => Err(EvalError::BadProjection(other.to_string())),
                 }
             }
             Expr::App(f, arg) => {
-                let fv = self.eval_res_at(env, locals, f, fuel, depth + 1)?;
-                let av = self.eval_res_at(env, locals, arg, fuel, depth + 1)?;
+                let fv = self.eval_at(env, locals, f, fuel, depth + 1)?;
+                let av = self.eval_at(env, locals, arg, fuel, depth + 1)?;
                 self.apply_at(fv, av, fuel, depth + 1)
             }
             Expr::Lambda(l) => Ok(Value::Closure(Arc::new(Closure {
@@ -331,7 +169,6 @@ impl<'a> Evaluator<'a> {
                 env: env.clone(),
                 rec_name: None,
                 locals: locals.clone(),
-                resolved: true,
             }))),
             Expr::Fix(fx) => Ok(Value::Closure(Arc::new(Closure {
                 param: fx.param,
@@ -339,46 +176,45 @@ impl<'a> Evaluator<'a> {
                 env: env.clone(),
                 rec_name: Some(fx.name),
                 locals: locals.clone(),
-                resolved: true,
             }))),
             Expr::Match(scrutinee, arms) => {
-                let v = self.eval_res_at(env, locals, scrutinee, fuel, depth + 1)?;
+                let v = self.eval_at(env, locals, scrutinee, fuel, depth + 1)?;
                 for arm in arms {
                     let mut bound = Vec::new();
                     if Self::match_pattern_collect(&arm.pattern, &v, &mut bound) {
                         let locals = locals.push_chunk(&bound);
-                        return self.eval_res_at(env, &locals, &arm.body, fuel, depth + 1);
+                        return self.eval_at(env, &locals, &arm.body, fuel, depth + 1);
                     }
                 }
                 Err(EvalError::MatchFailure(v.to_string()))
             }
             Expr::Let(_, bound, body) => {
-                let bv = self.eval_res_at(env, locals, bound, fuel, depth + 1)?;
+                let bv = self.eval_at(env, locals, bound, fuel, depth + 1)?;
                 let locals = locals.push([bv]);
-                self.eval_res_at(env, &locals, body, fuel, depth + 1)
+                self.eval_at(env, &locals, body, fuel, depth + 1)
             }
             Expr::If(cond, then, els) => {
-                let cv = self.eval_res_at(env, locals, cond, fuel, depth + 1)?;
+                let cv = self.eval_at(env, locals, cond, fuel, depth + 1)?;
                 match cv.as_bool() {
-                    Some(true) => self.eval_res_at(env, locals, then, fuel, depth + 1),
-                    Some(false) => self.eval_res_at(env, locals, els, fuel, depth + 1),
+                    Some(true) => self.eval_at(env, locals, then, fuel, depth + 1),
+                    Some(false) => self.eval_at(env, locals, els, fuel, depth + 1),
                     None => Err(EvalError::NotABool(cv.to_string())),
                 }
             }
             Expr::Eq(a, b) => {
-                let av = self.eval_res_at(env, locals, a, fuel, depth + 1)?;
-                let bv = self.eval_res_at(env, locals, b, fuel, 0)?;
+                let av = self.eval_at(env, locals, a, fuel, depth + 1)?;
+                let bv = self.eval_at(env, locals, b, fuel, depth + 1)?;
                 if !av.is_first_order() || !bv.is_first_order() {
                     return Err(EvalError::EqualityOnClosure);
                 }
                 Ok(Value::bool(av == bv))
             }
             Expr::And(a, b) => {
-                let av = self.eval_res_at(env, locals, a, fuel, depth + 1)?;
+                let av = self.eval_at(env, locals, a, fuel, depth + 1)?;
                 match av.as_bool() {
                     Some(false) => Ok(Value::fls()),
                     Some(true) => {
-                        let bv = self.eval_res_at(env, locals, b, fuel, 0)?;
+                        let bv = self.eval_at(env, locals, b, fuel, depth + 1)?;
                         bv.as_bool()
                             .map(Value::bool)
                             .ok_or_else(|| EvalError::NotABool(bv.to_string()))
@@ -387,11 +223,11 @@ impl<'a> Evaluator<'a> {
                 }
             }
             Expr::Or(a, b) => {
-                let av = self.eval_res_at(env, locals, a, fuel, depth + 1)?;
+                let av = self.eval_at(env, locals, a, fuel, depth + 1)?;
                 match av.as_bool() {
                     Some(true) => Ok(Value::tru()),
                     Some(false) => {
-                        let bv = self.eval_res_at(env, locals, b, fuel, 0)?;
+                        let bv = self.eval_at(env, locals, b, fuel, depth + 1)?;
                         bv.as_bool()
                             .map(Value::bool)
                             .ok_or_else(|| EvalError::NotABool(bv.to_string()))
@@ -400,7 +236,7 @@ impl<'a> Evaluator<'a> {
                 }
             }
             Expr::Not(a) => {
-                let av = self.eval_res_at(env, locals, a, fuel, depth + 1)?;
+                let av = self.eval_at(env, locals, a, fuel, depth + 1)?;
                 av.as_bool()
                     .map(|b| Value::bool(!b))
                     .ok_or_else(|| EvalError::NotABool(av.to_string()))
@@ -450,22 +286,13 @@ impl<'a> Evaluator<'a> {
     ) -> Result<Value, EvalError> {
         fuel.tick(depth)?;
         match f {
-            Value::Closure(clo) if clo.resolved => {
-                // Fast path: one chunk push instead of one or two Env nodes;
-                // the body reads its bindings by slot index.
+            Value::Closure(clo) => {
+                // One chunk push; the body reads its bindings by slot index.
                 let locals = match &clo.rec_name {
                     Some(_) => clo.locals.push([Value::Closure(clo.clone()), arg]),
                     None => clo.locals.push([arg]),
                 };
-                self.eval_res_at(&clo.env, &locals, &clo.body, fuel, depth + 1)
-            }
-            Value::Closure(clo) => {
-                let mut env = clo.env.clone();
-                if let Some(name) = &clo.rec_name {
-                    env = env.bind(*name, Value::Closure(clo.clone()));
-                }
-                let env = env.bind(clo.param, arg);
-                self.eval_at(&env, &clo.body, fuel, depth + 1)
+                self.eval_at(&clo.env, &locals, &clo.body, fuel, depth + 1)
             }
             Value::Native(native) => {
                 let mut collected = native.collected.clone();
@@ -497,13 +324,6 @@ impl<'a> Evaluator<'a> {
             cur = self.apply(cur, a.clone(), fuel)?;
         }
         Ok(cur)
-    }
-
-    /// Evaluates an expression expected to produce a boolean.
-    pub fn eval_bool(&self, env: &Env, expr: &Expr, fuel: &mut Fuel) -> Result<bool, EvalError> {
-        let v = self.eval(env, expr, fuel)?;
-        v.as_bool()
-            .ok_or_else(|| EvalError::NotABool(v.to_string()))
     }
 
     /// Applies a predicate value (of type `σ -> bool`) to an argument.
@@ -563,6 +383,8 @@ fn children(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ast::MatchArm;
+    use crate::resolve::resolve;
     use crate::types::{CtorDecl, DataDecl, Type};
 
     fn tyenv() -> TypeEnv {
@@ -586,10 +408,14 @@ mod tests {
         env
     }
 
+    /// Resolves and evaluates a closed expression.
+    fn eval_with(ev: &Evaluator, e: &Expr, fuel: &mut Fuel) -> Result<Value, EvalError> {
+        ev.eval_resolved(&Env::empty(), &resolve(e), fuel)
+    }
+
     fn eval_closed(e: &Expr) -> Result<Value, EvalError> {
         let tyenv = tyenv();
-        let ev = Evaluator::new(&tyenv);
-        ev.eval(&Env::empty(), e, &mut Fuel::standard())
+        eval_with(&Evaluator::new(&tyenv), e, &mut Fuel::standard())
     }
 
     /// `plus` as a core expression, used by several tests.
@@ -648,9 +474,9 @@ mod tests {
                 let prefix = Expr::Tuple(exprs[..bad].to_vec());
                 let mut spent = Fuel::standard();
                 let mut expected = Fuel::standard();
-                let result = ev.eval(&Env::empty(), &Expr::Tuple(with_ghost), &mut spent);
+                let result = eval_with(&ev, &Expr::Tuple(with_ghost), &mut spent);
                 assert!(matches!(result, Err(EvalError::UnboundVariable(_))));
-                ev.eval(&Env::empty(), &prefix, &mut expected).unwrap();
+                eval_with(&ev, &prefix, &mut expected).unwrap();
                 assert_eq!(spent.used(), expected.used() + 1, "n = {n}, bad = {bad}");
             }
         }
@@ -729,7 +555,7 @@ mod tests {
         let call = Expr::app(diverge, Expr::ctor("O", vec![]));
         let tyenv = tyenv();
         let ev = Evaluator::new(&tyenv);
-        let result = ev.eval(&Env::empty(), &call, &mut Fuel::new(10_000));
+        let result = eval_with(&ev, &call, &mut Fuel::new(10_000));
         assert_eq!(result, Err(EvalError::OutOfFuel));
     }
 
@@ -738,7 +564,7 @@ mod tests {
         let tyenv = tyenv();
         let ev = Evaluator::new(&tyenv);
         let mut fuel = Fuel::standard();
-        let plus = ev.eval(&Env::empty(), &plus_expr(), &mut fuel).unwrap();
+        let plus = eval_with(&ev, &plus_expr(), &mut fuel).unwrap();
         let result = ev
             .apply_many(plus, &[Value::nat(4), Value::nat(4)], &mut fuel)
             .unwrap();
@@ -764,7 +590,7 @@ mod tests {
         let mut fuel = Fuel::new(100);
         let tyenv = tyenv();
         let ev = Evaluator::new(&tyenv);
-        ev.eval(&Env::empty(), &Expr::tru(), &mut fuel).unwrap();
+        eval_with(&ev, &Expr::tru(), &mut fuel).unwrap();
         assert!(fuel.used() >= 1);
         assert!(fuel.remaining() < 100);
     }
@@ -791,14 +617,12 @@ mod tests {
         let ev = Evaluator::new(&tyenv);
         let identity = Expr::lambda("x", Type::named("nat"), Expr::var("x"));
         for e in [identity, plus_expr()] {
-            let resolved = crate::resolve::resolve(&e);
+            let resolved = resolve(&e);
             for _ in 0..2 {
-                let by_name = ev.eval(&Env::empty(), &e, &mut Fuel::standard()).unwrap();
-                assert!(Arc::ptr_eq(closure_body(&by_name), node_body(&e)));
-                let slots = ev
+                let closure = ev
                     .eval_resolved(&Env::empty(), &resolved, &mut Fuel::standard())
                     .unwrap();
-                assert!(Arc::ptr_eq(closure_body(&slots), node_body(&resolved)));
+                assert!(Arc::ptr_eq(closure_body(&closure), node_body(&resolved)));
             }
         }
     }
@@ -817,22 +641,47 @@ mod tests {
         .unwrap();
         let tyenv = tyenv();
         let ev = Evaluator::new(&tyenv);
-        let lowered = program.top_lets().next().unwrap().to_expr();
-        let resolved = crate::resolve::resolve(&lowered);
-        let by_name = ev
-            .eval(&Env::empty(), &lowered, &mut Fuel::standard())
-            .unwrap();
-        let slots = ev
+        let resolved = resolve(&program.top_lets().next().unwrap().to_expr());
+        let fix = ev
             .eval_resolved(&Env::empty(), &resolved, &mut Fuel::standard())
             .unwrap();
-        for (fix, e) in [(by_name, &lowered), (slots, &resolved)] {
-            let inner = node_body(node_body(e));
-            for _ in 0..2 {
-                let partial = ev
-                    .apply(fix.clone(), Value::nat(1), &mut Fuel::standard())
-                    .unwrap();
-                assert!(Arc::ptr_eq(closure_body(&partial), inner));
-            }
+        let inner = node_body(node_body(&resolved));
+        for _ in 0..2 {
+            let partial = ev
+                .apply(fix.clone(), Value::nat(1), &mut Fuel::standard())
+                .unwrap();
+            assert!(Arc::ptr_eq(closure_body(&partial), inner));
+        }
+    }
+
+    /// Runs `f` on a thread with a 2 MiB stack, the size of a spawned
+    /// worker's, so a recursion that outgrows it aborts the process.
+    fn on_small_stack<T: Send>(f: impl FnOnce() -> T + Send) -> T {
+        std::thread::scope(|scope| {
+            std::thread::Builder::new()
+                .stack_size(2 << 20)
+                .spawn_scoped(scope, f)
+                .unwrap()
+                .join()
+                .unwrap()
+        })
+    }
+
+    #[test]
+    fn divergence_through_a_right_operand_runs_out_of_fuel() {
+        // `fix f (x : bool) : bool = <op>` recursing through the right
+        // operand of `==`, `&&` and `||`: the depth bound must trip before
+        // the host stack overflows, whatever the step budget.
+        let call = Expr::call("f", [Expr::var("x")]);
+        for body in [
+            Expr::eq(Expr::tru(), call.clone()),
+            Expr::and(Expr::tru(), call.clone()),
+            Expr::or(Expr::fls(), call.clone()),
+        ] {
+            let diverge = Expr::fix("f", "x", Type::bool(), Type::bool(), body.clone());
+            let applied = Expr::app(diverge, Expr::tru());
+            let result = on_small_stack(|| eval_closed(&applied));
+            assert_eq!(result, Err(EvalError::OutOfFuel), "body {body}");
         }
     }
 }

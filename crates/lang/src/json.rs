@@ -1185,14 +1185,15 @@ mod tests {
     #[test]
     fn closures_do_not_serialize_and_bad_shapes_do_not_parse() {
         use crate::ast::Expr;
-        use crate::value::{Closure, Env};
+        use crate::value::{Closure, Env, Locals};
         use std::sync::Arc;
-        let clo = Value::Closure(Arc::new(Closure::by_name(
-            Symbol::new("x"),
-            Expr::var("x"),
-            Env::empty(),
-            None,
-        )));
+        let clo = Value::Closure(Arc::new(Closure {
+            param: Symbol::new("x"),
+            body: Arc::new(Expr::Local(0, Symbol::new("x"))),
+            env: Env::empty(),
+            rec_name: None,
+            locals: Locals::empty(),
+        }));
         assert_eq!(value_to_json(&clo), None);
         assert_eq!(value_to_json(&Value::pair(Value::nat(0), clo)), None);
         assert_eq!(value_from_json(&Json::Num(3.0)), None);

@@ -20,10 +20,10 @@
 //!   surface syntax;
 //! * [`typecheck`] — a bidirectional-ish type checker for core expressions;
 //! * [`value`] / [`eval`] — runtime values, environments and a fuel-limited
-//!   call-by-value interpreter;
+//!   call-by-value interpreter over slot-resolved expressions;
 //! * [`resolve`] — the slot-resolution pass that rewrites lexically-bound
-//!   variable references to indexed local slots, enabling the interpreter's
-//!   O(1)-per-binder fast path;
+//!   variable references to indexed local slots, run once on every
+//!   expression before the interpreter sees it;
 //! * [`enumerate`] — size-ordered enumeration of first-order values, the
 //!   workhorse of the bounded enumerative verifier;
 //! * [`termgen`] — size-ordered enumeration of well-typed *terms*, used both

@@ -1,39 +1,31 @@
 //! Slot resolution: rewriting lexically-bound variable references to
 //! de-Bruijn-style local-slot indices.
 //!
-//! The tree-walking interpreter historically looked every variable up by
-//! name in a linked-list [`Env`](crate::value::Env), paying a chain walk and
-//! an interned-name comparison per node — and global references (prelude
-//! functions, module operations) walk past *every* local binding and most of
-//! the global chain on every single evaluation.  This pass runs once per
-//! compiled expression and rewrites each variable reference that is bound by
-//! an enclosing `fun`/`fix`/`let`/`match` binder into
+//! This pass runs once per expression, before the interpreter
+//! ([`Evaluator::eval_resolved`](crate::eval::Evaluator::eval_resolved))
+//! sees it, and rewrites each variable reference that is bound by an
+//! enclosing `fun`/`fix`/`let`/`match` binder into
 //! [`Expr::Local`]`(slot, name)`, where `slot` counts the values pushed onto
 //! the interpreter's [`Locals`](crate::value::Locals) stack between the use
-//! and its binder.  The resolved-mode interpreter
-//! ([`Evaluator::eval_resolved`](crate::eval::Evaluator::eval_resolved))
-//! then services those references with a direct indexed read, while free
-//! variables keep their name-based lookup in the captured environment.
+//! and its binder.  The interpreter services those references with a direct
+//! indexed read; free (global) variables stay [`Expr::Var`] and are looked up
+//! by name in the [`Env`](crate::value::Env).  The name a `Local` carries is
+//! for display and error messages only.
 //!
 //! Slot numbering mirrors the interpreter's binding events exactly:
 //!
 //! * applying a non-recursive closure pushes one chunk `[argument]`;
-//! * applying a recursive closure pushes one chunk `[closure, argument]`
-//!   (the same order [`Env`](crate::value::Env)-based application binds the
-//!   recursive name and then the parameter);
+//! * applying a recursive closure pushes one chunk `[closure, argument]`;
 //! * `let x = e1 in e2` pushes `[value of e1]` around `e2`;
 //! * a `match` arm pushes all of its pattern's bound values in
 //!   [`Pattern::bound_vars`](crate::ast::Pattern::bound_vars) order.
 //!
-//! Resolution is purely a renaming: evaluation order, fuel consumption and
-//! results are identical to the unresolved expression (pinned by the
-//! `env_resolution_equivalence` integration test).
+//! Resolution is idempotent and leaves the printed form unchanged.
 
 use std::sync::Arc;
 
-use crate::ast::{Expr, FixExpr, LambdaExpr, MatchArm};
+use crate::ast::{Expr, FixExpr, LambdaExpr, MatchArm, Pattern};
 use crate::symbol::Symbol;
-use crate::value::{Closure, Value};
 
 /// The stack of binder frames in scope, mirroring the chunks the interpreter
 /// will push at run time.
@@ -91,7 +83,7 @@ fn resolve_in(frames: &mut Frames, expr: &Expr) -> Expr {
         }
         Expr::Fix(fx) => {
             // Application pushes [closure, argument]: the argument is the
-            // newer slot, exactly like `env.bind(name).bind(param)`.
+            // newer slot.
             frames.frames.push(vec![fx.name, fx.param]);
             let body = resolve_in(frames, &fx.body);
             frames.frames.pop();
@@ -135,41 +127,68 @@ fn resolve_in(frames: &mut Frames, expr: &Expr) -> Expr {
     }
 }
 
-/// Rewrites a *closure value* onto the fast path: its body is resolved
-/// relative to the chunk its application will push, and the result is marked
-/// `resolved` so [`Evaluator::apply`](crate::eval::Evaluator::apply)
-/// dispatches to slot-mode evaluation.  Non-closure values (constructor
-/// trees, tuples, native functions) are returned unchanged; closures that
-/// are already resolved are returned unchanged too.
-///
-/// The captured environment is kept as-is: the resolved body still refers to
-/// its free (global) variables by name.
-pub fn resolve_closure_value(value: &Value) -> Value {
-    match value {
-        Value::Closure(clo) if !clo.resolved => {
-            let mut frames = Frames::default();
-            frames.frames.push(match &clo.rec_name {
-                Some(name) => vec![*name, clo.param],
-                None => vec![clo.param],
-            });
-            let body = resolve_in(&mut frames, &clo.body);
-            Value::Closure(Arc::new(Closure {
-                param: clo.param,
-                body: Arc::new(body),
-                env: clo.env.clone(),
-                rec_name: clo.rec_name,
-                locals: clo.locals.clone(),
-                resolved: true,
-            }))
-        }
-        other => other.clone(),
+/// Whether `expr` is slot-resolved, that is a fixed point of [`resolve`]:
+/// no variable it reads by name is bound by one of its own binders.  The
+/// walk allocates nothing, so the interpreter can assert it on every entry.
+pub fn is_resolved(expr: &Expr) -> bool {
+    /// The binders enclosing a subexpression, innermost first, each as the
+    /// patterns whose variables it binds.
+    struct Scope<'a> {
+        binders: &'a [Pattern],
+        outer: Option<&'a Scope<'a>>,
     }
+    fn binds(pattern: &Pattern, x: &Symbol) -> bool {
+        match pattern {
+            Pattern::Wildcard => false,
+            Pattern::Var(y) => y == x,
+            Pattern::Ctor(_, ps) | Pattern::Tuple(ps) => ps.iter().any(|p| binds(p, x)),
+        }
+    }
+    fn bound(scope: Option<&Scope>, x: &Symbol) -> bool {
+        scope.is_some_and(|s| s.binders.iter().any(|p| binds(p, x)) || bound(s.outer, x))
+    }
+    fn under(binders: &[Pattern], scope: Option<&Scope>, body: &Expr) -> bool {
+        check(
+            body,
+            Some(&Scope {
+                binders,
+                outer: scope,
+            }),
+        )
+    }
+    fn check(expr: &Expr, scope: Option<&Scope>) -> bool {
+        match expr {
+            Expr::Var(x) => !bound(scope, x),
+            Expr::Local(_, _) | Expr::Int(_) => true,
+            Expr::Ctor(_, args) | Expr::Tuple(args) => args.iter().all(|a| check(a, scope)),
+            Expr::Proj(_, e) | Expr::Not(e) => check(e, scope),
+            Expr::App(a, b) | Expr::Eq(a, b) | Expr::And(a, b) | Expr::Or(a, b) => {
+                check(a, scope) && check(b, scope)
+            }
+            Expr::If(c, t, e) => check(c, scope) && check(t, scope) && check(e, scope),
+            Expr::Lambda(l) => under(&[Pattern::Var(l.param)], scope, &l.body),
+            Expr::Fix(fx) => under(
+                &[Pattern::Var(fx.name), Pattern::Var(fx.param)],
+                scope,
+                &fx.body,
+            ),
+            Expr::Let(x, bound, body) => {
+                check(bound, scope) && under(&[Pattern::Var(*x)], scope, body)
+            }
+            Expr::Match(scrutinee, arms) => {
+                check(scrutinee, scope)
+                    && arms
+                        .iter()
+                        .all(|arm| under(std::slice::from_ref(&arm.pattern), scope, &arm.body))
+            }
+        }
+    }
+    check(expr, None)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ast::Pattern;
     use crate::types::Type;
 
     #[test]
@@ -307,6 +326,7 @@ mod tests {
         );
         let once = resolve(&e);
         assert_eq!(resolve(&once), once);
+        assert!(is_resolved(&once) && !is_resolved(&e));
         assert_eq!(format!("{e}"), format!("{once}"));
     }
 }

@@ -18,6 +18,7 @@
 //! type, which is all the two consumers above require.
 
 use std::collections::HashMap;
+use std::ops::ControlFlow;
 use std::sync::Arc;
 
 use crate::ast::Expr;
@@ -188,6 +189,7 @@ impl<'a> TermGenerator<'a> {
                 let groups: Vec<&[Expr]> = groups.iter().map(|g| g.as_slice()).collect();
                 for_each_product(&groups, |args| {
                     out.push(Expr::apps(Expr::Var(name), args.iter().copied().cloned()));
+                    ControlFlow::Continue(())
                 });
             }
         }
@@ -223,6 +225,7 @@ impl<'a> TermGenerator<'a> {
                                     ctor,
                                     items.iter().copied().cloned().collect(),
                                 ));
+                                ControlFlow::Continue(())
                             });
                         }
                     }
@@ -240,7 +243,8 @@ impl<'a> TermGenerator<'a> {
                         .collect();
                     let groups: Vec<&[Expr]> = groups.iter().map(|g| g.as_slice()).collect();
                     for_each_product(&groups, |items| {
-                        out.push(Expr::Tuple(items.iter().copied().cloned().collect()))
+                        out.push(Expr::Tuple(items.iter().copied().cloned().collect()));
+                        ControlFlow::Continue(())
                     });
                 }
             }

@@ -271,7 +271,7 @@ pub struct TypeEnv(Arc<Tables>);
 #[derive(Debug, Clone, Default)]
 struct Tables {
     decls: Vec<DataDecl>,
-    by_name: HashMap<Symbol, usize, IdHashBuilder>,
+    index: HashMap<Symbol, usize, IdHashBuilder>,
     ctors: HashMap<Symbol, CtorInfo, IdHashBuilder>,
 }
 
@@ -290,7 +290,7 @@ impl TypeEnv {
     /// recursion between distinct declarations is not supported, matching the
     /// paper's benchmarks).
     pub fn declare(&mut self, decl: DataDecl) -> Result<(), TypeError> {
-        if self.0.by_name.contains_key(&decl.name) || decl.name.as_str() == INT_TYPE_NAME {
+        if self.0.index.contains_key(&decl.name) || decl.name.as_str() == INT_TYPE_NAME {
             return Err(TypeError::DuplicateDefinition(decl.name));
         }
         for ctor in &decl.ctors {
@@ -303,7 +303,7 @@ impl TypeEnv {
         }
         let tables = Arc::make_mut(&mut self.0);
         let index = tables.decls.len();
-        tables.by_name.insert(decl.name, index);
+        tables.index.insert(decl.name, index);
         for (i, ctor) in decl.ctors.iter().enumerate() {
             tables.ctors.insert(
                 ctor.name,
@@ -325,7 +325,7 @@ impl TypeEnv {
 
     /// Looks up a data type declaration by name.
     pub fn lookup(&self, name: &Symbol) -> Option<&DataDecl> {
-        self.0.by_name.get(name).map(|&i| &self.0.decls[i])
+        self.0.index.get(name).map(|&i| &self.0.decls[i])
     }
 
     /// Looks up constructor information by constructor name.
@@ -336,7 +336,7 @@ impl TypeEnv {
     /// Returns `true` if `name` is a declared data type (or the builtin
     /// `int`, which is always available).
     pub fn is_declared(&self, name: &Symbol) -> bool {
-        self.0.by_name.contains_key(name) || name.as_str() == INT_TYPE_NAME
+        self.0.index.contains_key(name) || name.as_str() == INT_TYPE_NAME
     }
 
     /// Checks that a type only references declared data types and contains no
@@ -348,9 +348,7 @@ impl TypeEnv {
     fn check_wellformed_with(&self, ty: &Type, pending: Option<&Symbol>) -> Result<(), TypeError> {
         match ty {
             Type::Named(n) => {
-                if self.0.by_name.contains_key(n)
-                    || pending == Some(n)
-                    || n.as_str() == INT_TYPE_NAME
+                if self.0.index.contains_key(n) || pending == Some(n) || n.as_str() == INT_TYPE_NAME
                 {
                     Ok(())
                 } else {

@@ -3,6 +3,7 @@
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hash, Hasher};
 use std::io::Write as _;
+use std::ops::ControlFlow;
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -146,24 +147,32 @@ pub fn compositions(total: usize, parts: usize) -> Arc<Vec<Vec<usize>>> {
 }
 
 /// Calls `visit` with every tuple of the cartesian product of `groups`, in
-/// lexicographic order (the last position varies fastest).  Zero groups
-/// have one tuple, the empty one; a product with an empty group has none.
-pub fn for_each_product<'a, T>(groups: &[&'a [T]], mut visit: impl FnMut(&[&'a T])) {
-    fn rec<'a, T>(groups: &[&'a [T]], current: &mut Vec<&'a T>, visit: &mut impl FnMut(&[&'a T])) {
+/// lexicographic order (the last position varies fastest), until it returns
+/// [`ControlFlow::Break`].  Zero groups have one tuple, the empty one; a
+/// product with an empty group has none.
+pub fn for_each_product<'a, T>(
+    groups: &[&'a [T]],
+    mut visit: impl FnMut(&[&'a T]) -> ControlFlow<()>,
+) {
+    fn rec<'a, T>(
+        groups: &[&'a [T]],
+        current: &mut Vec<&'a T>,
+        visit: &mut impl FnMut(&[&'a T]) -> ControlFlow<()>,
+    ) -> ControlFlow<()> {
         let Some((first, rest)) = groups.split_first() else {
-            visit(current);
-            return;
+            return visit(current);
         };
         for item in *first {
             current.push(item);
-            rec(rest, current, visit);
+            rec(rest, current, visit)?;
             current.pop();
         }
+        ControlFlow::Continue(())
     }
     if groups.iter().any(|g| g.is_empty()) {
         return;
     }
-    rec(groups, &mut Vec::with_capacity(groups.len()), &mut visit);
+    let _ = rec(groups, &mut Vec::with_capacity(groups.len()), &mut visit);
 }
 
 /// A shared, thread-safe cooperative-cancellation flag.
@@ -442,7 +451,8 @@ mod tests {
         let collect = |groups: &[&[u8]]| {
             let mut out = Vec::new();
             for_each_product(groups, |tuple| {
-                out.push(tuple.iter().map(|&&x| x).collect::<Vec<u8>>())
+                out.push(tuple.iter().map(|&&x| x).collect::<Vec<u8>>());
+                ControlFlow::Continue(())
             });
             out
         };
@@ -459,6 +469,17 @@ mod tests {
         );
         assert_eq!(collect(&[]), vec![Vec::<u8>::new()]);
         assert!(collect(&[&[1, 2], &[]]).is_empty());
+        // A break ends the walk at once.
+        let mut visited = 0;
+        for_each_product(&[&[1u8, 2][..], &[3, 4, 5]], |_| {
+            visited += 1;
+            if visited == 4 {
+                ControlFlow::Break(())
+            } else {
+                ControlFlow::Continue(())
+            }
+        });
+        assert_eq!(visited, 4);
     }
 
     #[test]

@@ -15,16 +15,10 @@ use crate::symbol::Symbol;
 /// `Arc<Expr>`, so creating one costs a refcount bump however large the
 /// body is.
 ///
-/// Closures come in two flavours distinguished by [`Closure::resolved`]:
-///
-/// * *name-based* closures (the default) look every variable up by name in
-///   the captured [`Env`];
-/// * *slot-resolved* closures carry a body whose lexically-bound variable
-///   references were rewritten to [`crate::ast::Expr::Local`] slot indices by
-///   [`crate::resolve`]; they additionally capture the [`Locals`] stack in
-///   effect at creation, and application pushes onto that stack instead of
-///   extending the environment.  Free (global) variables still resolve
-///   through `env`, so the `Env` API is unchanged.
+/// The body is slot-resolved ([`crate::resolve`]): its lexically-bound
+/// variable references are [`crate::ast::Expr::Local`] slot indices into the
+/// [`Locals`] stack captured at creation, onto which application pushes the
+/// (closure and) argument.  Free (global) variables resolve through `env`.
 #[derive(Debug, Clone)]
 pub struct Closure {
     /// The parameter name.
@@ -35,30 +29,8 @@ pub struct Closure {
     pub env: Env,
     /// For recursive closures, the function's own name.
     pub rec_name: Option<Symbol>,
-    /// The captured local-slot stack (empty for name-based closures).
+    /// The captured local-slot stack.
     pub locals: Locals,
-    /// Whether `body` has been through the slot-resolution pass and must be
-    /// evaluated in resolved mode.
-    pub resolved: bool,
-}
-
-impl Closure {
-    /// A name-based (unresolved) closure — the historical representation.
-    pub fn by_name(
-        param: Symbol,
-        body: impl Into<Arc<Expr>>,
-        env: Env,
-        rec_name: Option<Symbol>,
-    ) -> Closure {
-        Closure {
-            param,
-            body: body.into(),
-            env,
-            rec_name,
-            locals: Locals::empty(),
-            resolved: false,
-        }
-    }
 }
 
 /// A host-implemented function value.
@@ -547,8 +519,8 @@ impl Env {
 /// A persistent chunked stack of local-slot values, indexed de-Bruijn style
 /// (slot `0` is the most recently pushed value).
 ///
-/// This is the backing store of the interpreter's slot-resolved fast path:
-/// where [`Env`] walks a linked list comparing interned names (and walks past
+/// This is where the interpreter keeps every lexically-bound value: where
+/// [`Env`] walks a linked list comparing interned names (and walks past
 /// every shadowed and global binding on the way), `Locals` jumps straight to
 /// the requested slot.  Each *binding event* — a function application, a
 /// `let`, one `match` arm — pushes a single chunk node holding all the values
@@ -836,12 +808,13 @@ mod tests {
     #[test]
     fn first_order_detection() {
         assert!(Value::nat(3).is_first_order());
-        let clo = Value::Closure(Arc::new(Closure::by_name(
-            Symbol::new("x"),
-            Expr::var("x"),
-            Env::empty(),
-            None,
-        )));
+        let clo = Value::Closure(Arc::new(Closure {
+            param: Symbol::new("x"),
+            body: Arc::new(Expr::Local(0, Symbol::new("x"))),
+            env: Env::empty(),
+            rec_name: None,
+            locals: Locals::empty(),
+        }));
         assert!(!clo.is_first_order());
         assert!(!Value::pair(Value::nat(0), clo).is_first_order());
     }

@@ -96,11 +96,17 @@ fn atoms_cost_no_allocation(evaluator: &Evaluator<'_>) {
         "not (True && False) || O == O",
         "(Leaf == Leaf) && (() == ())",
     ] {
-        let expr = parse_expr(source).unwrap();
+        let expr = resolve(&parse_expr(source).unwrap());
         // Once before counting, so every name is already interned.
-        let expected = evaluator.eval(&env, &expr, &mut Fuel::standard()).unwrap();
+        let expected = evaluator
+            .eval_resolved(&env, &expr, &mut Fuel::standard())
+            .unwrap();
         let mut value = None;
-        let made = allocations(|| value = evaluator.eval(&env, &expr, &mut Fuel::standard()).ok());
+        let made = allocations(|| {
+            value = evaluator
+                .eval_resolved(&env, &expr, &mut Fuel::standard())
+                .ok()
+        });
         assert_eq!(made, 0, "evaluating `{source}` allocated");
         assert_eq!(value, Some(expected));
     }
@@ -132,18 +138,15 @@ fn applying_a_function_allocates_once(evaluator: &Evaluator<'_>) {
             [Value::tru(), Value::fls()],
         ),
     ] {
-        let expr = parse_expr(source).unwrap();
-        let by_name = evaluator.eval(&env, &expr, &mut Fuel::standard()).unwrap();
-        let resolved = evaluator
-            .eval_resolved(&env, &resolve(&expr), &mut Fuel::standard())
+        let expr = resolve(&parse_expr(source).unwrap());
+        let function = evaluator
+            .eval_resolved(&env, &expr, &mut Fuel::standard())
             .unwrap();
-        for (mode, function) in [("name-based", by_name), ("resolved", resolved)] {
-            for arg in &args {
-                let made = allocations(|| {
-                    evaluator.apply(function.clone(), arg.clone(), &mut Fuel::standard())
-                });
-                assert_eq!(made, 1, "applying {mode} `{source}` to {arg}");
-            }
+        for arg in &args {
+            let made = allocations(|| {
+                evaluator.apply(function.clone(), arg.clone(), &mut Fuel::standard())
+            });
+            assert_eq!(made, 1, "applying `{source}` to {arg}");
         }
     }
 }

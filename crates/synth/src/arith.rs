@@ -219,9 +219,9 @@ mod tests {
         for component in components(&ArithBounds::default()) {
             let arity = component.ty.uncurry().0.len();
             let definition_value = evaluator
-                .eval(
+                .eval_resolved(
                     &elaborated.globals,
-                    &component.definition,
+                    &hanoi_lang::resolve::resolve(&component.definition),
                     &mut Fuel::new(10_000),
                 )
                 .expect("definition evaluates");

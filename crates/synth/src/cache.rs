@@ -14,10 +14,8 @@ use crate::examples::ExampleSet;
 
 /// A store of previously synthesized candidate invariants.
 ///
-/// Candidates are slot-resolved once at insertion, so every consistency probe
-/// against the growing example sets runs on the interpreter's indexed fast
-/// path (fuel-identical to the name-based walk, so lookup outcomes are
-/// unchanged).
+/// Candidates are slot-resolved once at insertion, not once per consistency
+/// probe against the growing example sets.
 #[derive(Debug, Clone, Default)]
 pub struct SynthesisCache {
     candidates: Vec<Expr>,

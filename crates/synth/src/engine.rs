@@ -47,17 +47,17 @@
 //!   exact key — so repeated guesses across schedule entries and CEGIS
 //!   iterations (e.g. match arms whose worlds a new counterexample did not
 //!   reach) replay instantly and report identical counters;
-//! * component closures, candidate predicates and the examples-consistency
-//!   re-check all run on the interpreter's slot-resolved fast path
-//!   ([`hanoi_lang::resolve`]).
+//! * candidate predicates are slot-resolved ([`hanoi_lang::resolve`]) once
+//!   per examples-consistency re-check, not once per example.
 
 use std::collections::{HashMap, HashSet};
+use std::ops::ControlFlow;
 
 use hanoi_abstraction::Problem;
 use hanoi_lang::ast::{Expr, MatchArm, Pattern};
 use hanoi_lang::digest::{Digest, DigestBuilder};
 use hanoi_lang::eval::Fuel;
-use hanoi_lang::resolve::{resolve, resolve_closure_value};
+use hanoi_lang::resolve::resolve;
 use hanoi_lang::symbol::Symbol;
 use hanoi_lang::types::{Type, TypeEnv};
 use hanoi_lang::util::{compositions, for_each_product, Deadline, IdHashBuilder};
@@ -319,8 +319,7 @@ impl<'p> Engine<'p> {
     }
 
     /// Checks an assembled predicate against the examples using real
-    /// recursion, on the slot-resolved fast path (fuel-identical to the
-    /// name-based walk).
+    /// recursion.
     fn consistent_with_examples(&self, predicate: &Expr, examples: &ExampleSet) -> bool {
         let resolved = resolve(predicate);
         examples.labeled().iter().all(|(value, expected)| {
@@ -336,9 +335,7 @@ impl<'p> Engine<'p> {
     }
 
     /// The function-like components visible to term generation, with their
-    /// closures slot-resolved so signature evaluation runs on the
-    /// interpreter's indexed fast path, and their names interned in the
-    /// session bank.
+    /// names interned in the session bank.
     fn function_components(&self, bank: &TermBank) -> Vec<FuncComponent> {
         let mut out = Vec::new();
         for (name, ty) in self.problem.synthesis_components() {
@@ -358,7 +355,7 @@ impl<'p> Engine<'p> {
                 name,
                 arg_tys: args.into_iter().cloned().collect(),
                 ret_ty: ret.clone(),
-                value: resolve_closure_value(value),
+                value: value.clone(),
                 arith: false,
             });
         }
@@ -372,7 +369,7 @@ impl<'p> Engine<'p> {
                 bank_id: bank.name_id(&extra.name),
                 arg_tys: args.into_iter().cloned().collect(),
                 ret_ty: ret.clone(),
-                value: resolve_closure_value(&extra.value),
+                value: extra.value.clone(),
                 arith: extra.arith,
             });
         }
@@ -776,7 +773,10 @@ impl<'p> Engine<'p> {
                         continue;
                     };
                     let mut choices: Vec<Vec<&PoolTerm>> = Vec::new();
-                    for_each_product(&arg_layers, |choice| choices.push(choice.to_vec()));
+                    for_each_product(&arg_layers, |choice| {
+                        choices.push(choice.to_vec());
+                        ControlFlow::Continue(())
+                    });
                     let eval_chunk = |chunk: &[Vec<&PoolTerm>]| -> Vec<Sig> {
                         let width = worlds.len();
                         let mut probes = vec![0u32; chunk.len() * width * k];
@@ -877,6 +877,7 @@ impl<'p> Engine<'p> {
                                     choice.iter().map(|t| t.expr.clone()).collect(),
                                 )
                             });
+                            ControlFlow::Continue(())
                         });
                         if sieve.matched.is_some() {
                             return Ok(());

@@ -16,15 +16,17 @@
 //! remains a self-contained expression.
 
 use std::collections::HashSet;
+use std::ops::ControlFlow;
 
 use hanoi_abstraction::Problem;
 use hanoi_lang::ast::{Expr, MatchArm, Pattern};
 use hanoi_lang::enumerate::ValueEnumerator;
 use hanoi_lang::eval::Fuel;
+use hanoi_lang::resolve::resolve;
 use hanoi_lang::symbol::Symbol;
 use hanoi_lang::termgen::{Component, TermGenConfig, TermGenerator};
 use hanoi_lang::types::Type;
-use hanoi_lang::util::Deadline;
+use hanoi_lang::util::{for_each_product, Deadline};
 use hanoi_lang::value::Value;
 
 use crate::bank::{TermBank, TermBankStats};
@@ -181,7 +183,7 @@ impl FoldSynth {
         let evaluator = problem.evaluator();
         let mut seen_signatures: HashSet<Vec<Option<Value>>> = HashSet::new();
         let mut helpers = Vec::new();
-        let assemble = |arm_bodies: &[Expr]| -> Expr {
+        let assemble = |arm_bodies: &[&Expr]| -> Expr {
             let arms: Vec<MatchArm> = decl
                 .ctors
                 .iter()
@@ -193,7 +195,7 @@ impl FoldSynth {
                             .map(|i| Pattern::Var(Symbol::new(&format!("f{i}"))))
                             .collect(),
                     );
-                    MatchArm::new(pattern, body.clone())
+                    MatchArm::new(pattern, (*body).clone())
                 })
                 .collect();
             Expr::fix(
@@ -205,24 +207,17 @@ impl FoldSynth {
             )
         };
 
-        let mut indices = vec![0usize; per_ctor.len()];
-        if per_ctor.iter().any(|bodies| bodies.is_empty()) {
-            return Vec::new();
-        }
-        'outer: loop {
+        let groups: Vec<&[Expr]> = per_ctor.iter().map(Vec::as_slice).collect();
+        for_each_product(&groups, |arm_bodies| {
             if helpers.len() >= self.fold_config.max_helpers {
-                break;
+                return ControlFlow::Break(());
             }
-            let arm_bodies: Vec<Expr> = indices
-                .iter()
-                .zip(&per_ctor)
-                .map(|(&i, bodies)| bodies[i].clone())
-                .collect();
-            let definition = assemble(&arm_bodies);
-            if let Ok(value) = evaluator
-                .eval(&problem.globals, &definition, &mut Fuel::standard())
-                .map(|v| hanoi_lang::resolve::resolve_closure_value(&v))
-            {
+            let definition = assemble(arm_bodies);
+            if let Ok(value) = evaluator.eval_resolved(
+                &problem.globals,
+                &resolve(&definition),
+                &mut Fuel::standard(),
+            ) {
                 let signature: Vec<Option<Value>> = samples
                     .iter()
                     .map(|sample| {
@@ -259,20 +254,8 @@ impl FoldSynth {
                     });
                 }
             }
-            // Advance the odometer over arm-body combinations.
-            let mut position = per_ctor.len();
-            loop {
-                if position == 0 {
-                    break 'outer;
-                }
-                position -= 1;
-                indices[position] += 1;
-                if indices[position] < per_ctor[position].len() {
-                    break;
-                }
-                indices[position] = 0;
-            }
-        }
+            ControlFlow::Continue(())
+        });
         helpers
     }
 }

@@ -10,6 +10,7 @@
 use hanoi_abstraction::Problem;
 use hanoi_lang::ast::Expr;
 use hanoi_lang::eval::Fuel;
+use hanoi_lang::resolve::resolve;
 use hanoi_lang::termgen::{Component, TermGenConfig, TermGenerator};
 use hanoi_lang::types::Type;
 use hanoi_lang::value::Value;
@@ -57,10 +58,7 @@ pub fn enumerate_function_candidates(
             break;
         }
         let mut fuel = Fuel::new(bounds.fuel);
-        if let Ok(value) = evaluator.eval(&problem.globals, &expr, &mut fuel) {
-            // Candidates are applied over thousands of tuples each; put the
-            // closure body on the slot-resolved fast path once up front.
-            let value = hanoi_lang::resolve::resolve_closure_value(&value);
+        if let Ok(value) = evaluator.eval_resolved(&problem.globals, &resolve(&expr), &mut fuel) {
             out.push(FunctionCandidate {
                 expr,
                 value,

@@ -20,9 +20,8 @@ use crate::outcome::VerifierError;
 /// repeated tests only pay for one application each.
 ///
 /// Compilation runs the slot-resolution pass
-/// ([`hanoi_lang::resolve::resolve`]) over the predicate first, so every
-/// subsequent test evaluates the body on the interpreter's indexed fast path
-/// instead of the name-based environment walk.
+/// ([`hanoi_lang::resolve::resolve`]) over the predicate once, not once per
+/// test.
 #[derive(Debug, Clone)]
 pub struct CompiledPredicate<'p> {
     problem: &'p Problem,
