@@ -164,23 +164,16 @@ impl std::error::Error for ConfigError {}
 pub struct EngineConfig {
     /// Worker threads for every parallel stage (bounded verification, pool
     /// slab construction, synthesis layer evaluation, batch execution).
-    ///
-    /// **This is the canonical statement of the parallelism contract**; the
-    /// synthesizer-level knob
-    /// ([`hanoi_synth::SearchConfig::parallelism`]) cross-links here.
+    /// This is the only parallelism setting: every run hands it to its
+    /// verifier and its synthesizer.
     ///
     /// * `1` (the default) runs serially, like the paper's implementation.
     /// * `0` uses one worker per available core.
     /// * Any other value is taken literally.
     ///
-    /// The per-run [`SearchConfig::parallelism`](hanoi_synth::SearchConfig::parallelism) is an
-    /// `Option<usize>` layered on top: `None` (its default) **inherits**
-    /// this engine-wide value; `Some(n)` overrides it for that run's
-    /// synthesizer only, with the same `1`-serial / `0`-per-core reading —
-    /// so `Some(1)` forces serial synthesis on a parallel engine.  Every
-    /// combination is outcome-identical: parallel stages are deterministic
+    /// Every value is outcome-identical: parallel stages are deterministic
     /// by construction (pinned by `tests/parallel_determinism.rs` and
-    /// `tests/synth_incremental_equivalence.rs`), so the knobs trade wall
+    /// `tests/synth_incremental_equivalence.rs`), so the setting trades wall
     /// clock, never answers.
     pub parallelism: usize,
     /// How many distinct problems the engine keeps warm caches (value pools,
@@ -257,9 +250,7 @@ pub struct RunOptions {
     pub synthesizer: SynthChoice,
     /// Bounds for the enumerative verifier.
     pub bounds: VerifierBounds,
-    /// Search configuration for the synthesizer.  Its `parallelism` of
-    /// `None` inherits the engine-wide knob — see
-    /// [`EngineConfig::parallelism`] for the full contract.
+    /// Search configuration for the synthesizer.
     pub search: SearchConfig,
     /// Which optimizations are enabled.
     pub optimizations: Optimizations,
@@ -269,8 +260,6 @@ pub struct RunOptions {
     pub timeout: Option<Duration>,
     /// Safety cap on CEGIS iterations.
     pub max_iterations: usize,
-    /// Number of smallest values the OneShot baseline labels (30 in §5.5).
-    pub one_shot_samples: usize,
 }
 
 impl Default for RunOptions {
@@ -283,7 +272,6 @@ impl Default for RunOptions {
             optimizations: Optimizations::default(),
             timeout: Some(Duration::from_secs(30 * 60)),
             max_iterations: 400,
-            one_shot_samples: 30,
         }
     }
 }
@@ -367,9 +355,6 @@ impl RunOptions {
         if self.max_iterations == 0 {
             return Err(ConfigError::ZeroField("max_iterations"));
         }
-        if self.one_shot_samples == 0 {
-            return Err(ConfigError::ZeroField("one_shot_samples"));
-        }
         if self.bounds.single_count == 0 {
             return Err(ConfigError::ZeroField("bounds.single_count"));
         }
@@ -393,7 +378,6 @@ mod tests {
         assert_eq!(options.mode, Mode::Hanoi);
         assert_eq!(options.synthesizer, SynthChoice::Myth);
         assert_eq!(options.timeout, Some(Duration::from_secs(1800)));
-        assert_eq!(options.one_shot_samples, 30);
         assert!(options.optimizations.synthesis_result_caching);
         assert!(options.optimizations.counterexample_list_caching);
         // The paper's implementation is serial; parallelism is opt-in.

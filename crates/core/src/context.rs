@@ -2,13 +2,16 @@
 //! modes: example sets, timed verifier/synthesizer calls, caches, statistics,
 //! event streaming and cancellation.
 
+use std::sync::Arc;
 use std::time::Instant;
 
 use hanoi_abstraction::Problem;
 use hanoi_lang::ast::Expr;
 use hanoi_lang::util::{CancelToken, Deadline, OrderedSet};
 use hanoi_lang::value::Value;
-use hanoi_synth::{ExampleSet, FoldSynth, MythSynth, SynthError, SynthesisCache, Synthesizer};
+use hanoi_synth::{
+    ExampleSet, FoldSynth, MythSynth, SynthError, SynthesisCache, Synthesizer, TermBank,
+};
 use hanoi_verifier::{InductivenessOutcome, SufficiencyOutcome, Verifier, VerifierError};
 
 use crate::clc::CexListCache;
@@ -23,7 +26,7 @@ use crate::stats::RunStats;
 /// or standalone via [`InferenceContext::new`] (fresh caches); either way it
 /// carries the run's deadline and cancellation token, streams [`RunEvent`]s
 /// to the run's observer, and owns the verifier/synthesizer pair every mode
-/// drives.
+/// drives, together with the term bank the synthesizer searches through.
 pub struct InferenceContext<'p, 'o> {
     /// The problem being solved.
     pub problem: &'p Problem,
@@ -41,6 +44,7 @@ pub struct InferenceContext<'p, 'o> {
     observer: Option<&'o mut dyn RunObserver>,
     verifier: Verifier<'p>,
     synthesizer: Box<dyn Synthesizer>,
+    bank: Arc<TermBank>,
     synth_cache: SynthesisCache,
     cex_cache: CexListCache,
     started: Instant,
@@ -76,13 +80,16 @@ impl<'p, 'o> InferenceContext<'p, 'o> {
             None,
             verifier,
             synthesizer,
+            Arc::new(TermBank::new()),
         )
     }
 
     /// Assembles a context from externally owned parts — the constructor the
     /// [`crate::Session`] uses to hand a run warm caches, an observer and a
     /// cancellation token.  `deadline` must already carry `cancel` (when
-    /// given) so the verifier and synthesizer workers poll it.
+    /// given) so the verifier and synthesizer workers poll it; `bank` must
+    /// belong to `problem` and the synthesizer's back end.
+    #[allow(clippy::too_many_arguments)]
     pub(crate) fn from_parts(
         problem: &'p Problem,
         options: RunOptions,
@@ -91,10 +98,11 @@ impl<'p, 'o> InferenceContext<'p, 'o> {
         observer: Option<&'o mut dyn RunObserver>,
         verifier: Verifier<'p>,
         synthesizer: Box<dyn Synthesizer>,
+        bank: Arc<TermBank>,
     ) -> Self {
         let pool_base = verifier.pool_stats();
         let check_base = verifier.check_cache_stats();
-        let bank_base = synthesizer.term_bank_stats();
+        let bank_base = bank.stats();
         let mut ctx = InferenceContext {
             problem,
             options,
@@ -106,6 +114,7 @@ impl<'p, 'o> InferenceContext<'p, 'o> {
             observer,
             verifier,
             synthesizer,
+            bank,
             synth_cache: SynthesisCache::new(),
             cex_cache: CexListCache::new(),
             started: Instant::now(),
@@ -120,19 +129,22 @@ impl<'p, 'o> InferenceContext<'p, 'o> {
         ctx
     }
 
-    /// Builds the configured synthesizer, threading the engine-wide
-    /// parallelism knob into the search configuration so synthesis-side layer
-    /// construction uses the same worker pool size as the verifier.  An
-    /// explicitly set `SearchConfig::parallelism` (including `Some(1)`,
-    /// forced-serial) takes precedence over the engine-wide knob.
+    /// Builds the configured synthesizer with the engine-wide worker count,
+    /// so synthesis-side layer construction uses the same worker pool size
+    /// as the verifier.
     pub fn make_synthesizer(options: &RunOptions, parallelism: usize) -> Box<dyn Synthesizer> {
-        let mut search = options.search.clone();
-        if search.parallelism.is_none() {
-            search.parallelism = Some(parallelism);
-        }
+        let search = options.search.clone();
         match options.synthesizer {
-            SynthChoice::Myth => Box::new(MythSynth::with_config(search)),
-            SynthChoice::Fold => Box::new(FoldSynth::new().with_config(search)),
+            SynthChoice::Myth => Box::new(
+                MythSynth::new()
+                    .with_config(search)
+                    .with_parallelism(parallelism),
+            ),
+            SynthChoice::Fold => Box::new(
+                FoldSynth::new()
+                    .with_config(search)
+                    .with_parallelism(parallelism),
+            ),
         }
     }
 
@@ -194,7 +206,7 @@ impl<'p, 'o> InferenceContext<'p, 'o> {
         let checks = self.verifier.check_cache_stats();
         self.stats.verification_cache_hits = checks.hits - self.check_base.hits;
         self.stats.check_cache_evictions = checks.evictions - self.check_base.evictions;
-        let bank = self.synthesizer.term_bank_stats();
+        let bank = self.bank.stats();
         self.stats.record_term_bank(hanoi_synth::TermBankStats {
             terms_enumerated: bank.terms_enumerated - self.bank_base.terms_enumerated,
             column_appends: bank.column_appends - self.bank_base.column_appends,
@@ -248,9 +260,9 @@ impl<'p, 'o> InferenceContext<'p, 'o> {
             }
         }
         let start = Instant::now();
-        let result = self
-            .synthesizer
-            .synthesize(self.problem, &examples, &self.deadline);
+        let result =
+            self.synthesizer
+                .synthesize(self.problem, &self.bank, &examples, &self.deadline);
         let elapsed = start.elapsed();
         self.stats.record_synthesis(elapsed);
         self.emit(RunEvent::PhaseFinished {
@@ -478,6 +490,7 @@ mod tests {
             Some(&mut observer),
             verifier,
             synthesizer,
+            Arc::new(TermBank::new()),
         );
         let candidate = ctx.synthesize_candidate().unwrap();
         let cached = ctx.synthesize_candidate().unwrap();
@@ -547,6 +560,7 @@ mod tests {
             None,
             verifier,
             synthesizer,
+            Arc::new(TermBank::new()),
         );
         assert_eq!(ctx.interrupted(), None);
         token.cancel();

@@ -93,10 +93,10 @@ fn lock_tolerant<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
 /// The warm caches the engine keeps for one problem.
 #[derive(Debug)]
 pub(crate) struct ProblemCaches {
-    /// The problem's globals environment, pinned so the registry key (its
-    /// address identity) can never suffer address reuse while the entry
-    /// lives.
-    globals: Env,
+    /// The problem's globals environment, never read: it is held so the
+    /// registry key (its address identity) can never suffer address reuse
+    /// while the entry lives.
+    _globals: Env,
     /// The problem's stable structural fingerprint — the warm-start manifest
     /// name, and the check that a snapshot belongs to this problem.
     fingerprint: Digest,
@@ -129,7 +129,7 @@ pub(crate) struct ProblemCaches {
 impl ProblemCaches {
     fn new(problem: &Problem, fingerprint: Digest) -> Self {
         ProblemCaches {
-            globals: problem.globals.clone(),
+            _globals: problem.globals.clone(),
             fingerprint,
             pools: PoolCache::for_problem(problem),
             checks: Arc::new(CheckCache::default()),
@@ -218,11 +218,6 @@ impl ProblemCaches {
     /// created.
     pub(crate) fn warm_start_quarantined(&self) -> u64 {
         self.warm_start_quarantined
-    }
-
-    /// The pinned globals environment this entry belongs to.
-    pub(crate) fn globals(&self) -> &Env {
-        &self.globals
     }
 
     /// The shared pool cache.
@@ -561,7 +556,9 @@ mod tests {
     use super::*;
     use crate::config::Mode;
     use crate::outcome::Outcome;
+    use hanoi_lang::util::Deadline;
     use hanoi_lang::value::Value;
+    use hanoi_synth::{ExampleSet, MythSynth, SearchConfig, Synthesizer};
 
     const LIST_SET: &str = r#"
         type nat = O | S of nat
@@ -693,6 +690,52 @@ mod tests {
         // A's caches survived: a new session on A shares them.
         let a_caches = engine.caches_for(&problem_a);
         assert!(Arc::ptr_eq(&a_caches, a.caches()));
+    }
+
+    #[test]
+    fn the_bank_is_scoped_to_one_problem() {
+        // Two problems with the same operation names but different `insert`
+        // semantics.  A bank memoizes evaluations by component name and a
+        // synthesizer trusts the bank it is handed, so the registry must
+        // give each problem (and each back end) its own.
+        let problem_a = Problem::from_source(LIST_SET).unwrap();
+        let buggy = LIST_SET.replace("if lookup l x then l else Cons (x, l)", "Cons (x, l)");
+        assert_ne!(buggy, LIST_SET, "replacement must apply");
+        let problem_b = Problem::from_source(&buggy).unwrap();
+
+        let engine = Engine::with_defaults();
+        let bank_a = engine.caches_for(&problem_a).bank(SynthChoice::Myth);
+        let bank_b = engine.caches_for(&problem_b).bank(SynthChoice::Myth);
+        assert!(
+            !Arc::ptr_eq(&bank_a, &bank_b),
+            "distinct problems, distinct banks"
+        );
+        let caches_a = engine.caches_for(&problem_a);
+        assert!(Arc::ptr_eq(&bank_a, &caches_a.bank(SynthChoice::Myth)));
+        assert!(!Arc::ptr_eq(&bank_a, &caches_a.bank(SynthChoice::Fold)));
+
+        // Problem B's bank, handed out after A's was filled, answers exactly
+        // like a fresh one.
+        let examples = ExampleSet::from_sets(
+            [
+                Value::nat_list(&[]),
+                Value::nat_list(&[0]),
+                Value::nat_list(&[1, 0]),
+            ],
+            [Value::nat_list(&[0, 0])],
+        )
+        .unwrap()
+        .trace_completed(&problem_a.tyenv, problem_a.concrete_type())
+        .0;
+        let synth = MythSynth::new().with_config(SearchConfig::quick());
+        let deadline = Deadline::none();
+        synth
+            .synthesize(&problem_a, &bank_a, &examples, &deadline)
+            .unwrap();
+        let served = synth.synthesize(&problem_b, &bank_b, &examples, &deadline);
+        let fresh = synth.synthesize(&problem_b, &TermBank::new(), &examples, &deadline);
+        assert_eq!(served, fresh);
+        assert_eq!(bank_b.stats().sessions, 1);
     }
 
     /// A unique temp directory per test (no external tempfile crate in the

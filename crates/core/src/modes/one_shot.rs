@@ -8,12 +8,20 @@
 //! counted as failed (matching the paper's observation that OneShot's fixed
 //! example budget is too small for some benchmarks and too large for others).
 
+use std::ops::ControlFlow;
+use std::sync::Arc;
+
 use hanoi_lang::eval::Fuel;
+use hanoi_lang::util::for_each_product;
 use hanoi_lang::value::Value;
 use hanoi_verifier::{InductivenessOutcome, SufficiencyOutcome};
 
 use crate::context::InferenceContext;
 use crate::outcome::{Outcome, RunResult};
+
+/// How many of the smallest values of the concrete type are labelled (30 in
+/// §5.5).
+const ONE_SHOT_SAMPLES: usize = 30;
 
 /// Runs the OneShot baseline.
 pub fn run(mut ctx: InferenceContext<'_, '_>) -> RunResult {
@@ -26,12 +34,10 @@ pub fn run(mut ctx: InferenceContext<'_, '_>) -> RunResult {
 
     // Label the smallest values by evaluating the specification with every
     // base-type quantifier instantiated over a small enumeration.
-    let samples = ctx
-        .verifier()
-        .smallest_concrete_values(ctx.options.one_shot_samples);
+    let samples = ctx.verifier().smallest_concrete_values(ONE_SHOT_SAMPLES);
     let labels: Vec<(Value, bool)> = samples
         .iter()
-        .map(|sample| (sample.clone(), spec_holds_on(&mut ctx, sample)))
+        .map(|sample| (sample.clone(), spec_holds_on(&ctx, sample)))
         .collect();
     for (value, holds) in &labels {
         if *holds {
@@ -72,52 +78,39 @@ pub fn run(mut ctx: InferenceContext<'_, '_>) -> RunResult {
 /// Evaluates the specification on `sample` at the abstract position, with all
 /// base-type quantifiers instantiated over a small enumeration; `true` only
 /// when every instantiation satisfies the spec.
-fn spec_holds_on(ctx: &mut InferenceContext<'_, '_>, sample: &Value) -> bool {
+fn spec_holds_on(ctx: &InferenceContext<'_, '_>, sample: &Value) -> bool {
     let spec = &ctx.problem.spec;
     let abstract_position = spec.abstract_positions()[0];
-    let mut pools: Vec<Vec<Value>> = Vec::new();
-    for (index, (_, ty)) in spec.params.iter().enumerate() {
-        if index == abstract_position {
-            pools.push(vec![sample.clone()]);
-        } else {
-            // Drawn from the session pool cache: this runs once per labelled
-            // sample, and re-enumerating the same small pools 30 times was
-            // pure waste.
-            let concrete = ty.subst_abstract(ctx.problem.concrete_type());
-            let pool = ctx.verifier().pool_cache().pool(&concrete, 20, 8, 1);
-            pools.push(pool.as_ref().clone());
-        }
-    }
+    // Drawn from the session pool cache: this runs once per labelled sample,
+    // and re-enumerating the same small pools 30 times was pure waste.
+    let pools: Vec<Arc<Vec<Value>>> = spec
+        .params
+        .iter()
+        .enumerate()
+        .map(|(index, (_, ty))| {
+            if index == abstract_position {
+                Arc::new(vec![sample.clone()])
+            } else {
+                let concrete = ty.subst_abstract(ctx.problem.concrete_type());
+                ctx.verifier().pool_cache().pool(&concrete, 20, 8, 1)
+            }
+        })
+        .collect();
+    let groups: Vec<&[Value]> = pools.iter().map(|pool| pool.as_slice()).collect();
     let mut holds = true;
-    let mut assignment = vec![0usize; pools.len()];
-    'outer: loop {
-        let args: Vec<Value> = assignment
-            .iter()
-            .zip(&pools)
-            .map(|(&i, pool)| pool[i].clone())
-            .collect();
+    for_each_product(&groups, |args| {
+        let args: Vec<Value> = args.iter().map(|&value| value.clone()).collect();
         let ok = ctx
             .problem
             .eval_spec_with_fuel(&args, &mut Fuel::standard())
             .unwrap_or(false);
-        if !ok {
+        if ok {
+            ControlFlow::Continue(())
+        } else {
             holds = false;
-            break;
+            ControlFlow::Break(())
         }
-        // Advance the odometer.
-        let mut position = pools.len();
-        loop {
-            if position == 0 {
-                break 'outer;
-            }
-            position -= 1;
-            assignment[position] += 1;
-            if assignment[position] < pools[position].len() {
-                break;
-            }
-            assignment[position] = 0;
-        }
-    }
+    });
     holds
 }
 

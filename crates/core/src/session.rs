@@ -125,8 +125,7 @@ impl<'e, 'p> Session<'e, 'p> {
             .with_parallelism(parallelism)
             .with_pool_cache(self.caches.pools())
             .with_check_cache(self.caches.checks());
-        let mut synthesizer = InferenceContext::make_synthesizer(options, parallelism);
-        synthesizer.adopt_bank(self.caches.bank(options.synthesizer), self.caches.globals());
+        let synthesizer = InferenceContext::make_synthesizer(options, parallelism);
 
         let ctx = InferenceContext::from_parts(
             self.problem,
@@ -136,6 +135,7 @@ impl<'e, 'p> Session<'e, 'p> {
             observer,
             verifier,
             synthesizer,
+            self.caches.bank(options.synthesizer),
         );
         let mut result = match options.mode {
             Mode::Hanoi => modes::hanoi::run(ctx),

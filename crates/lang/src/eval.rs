@@ -27,27 +27,20 @@ use crate::value::{Closure, Env, Locals, NativeFn, Slab, Value};
 pub struct Fuel {
     remaining: u64,
     initial: u64,
-    max_depth: u32,
 }
 
-/// Default bound on the depth of nested evaluation (protects the host stack
+/// Bound on the depth of nested evaluation (protects the host stack
 /// from divergent synthesized candidates before the step budget runs out).
 pub const DEFAULT_MAX_DEPTH: u32 = 300;
 
 impl Fuel {
-    /// A budget of `n` evaluation steps with the default depth bound.
+    /// A budget of `n` evaluation steps; nesting is bounded by
+    /// [`DEFAULT_MAX_DEPTH`].
     pub fn new(n: u64) -> Fuel {
         Fuel {
             remaining: n,
             initial: n,
-            max_depth: DEFAULT_MAX_DEPTH,
         }
-    }
-
-    /// Overrides the maximum nesting depth of evaluation.
-    pub fn with_max_depth(mut self, max_depth: u32) -> Fuel {
-        self.max_depth = max_depth;
-        self
     }
 
     /// The default budget used by most callers (large enough for every
@@ -68,7 +61,7 @@ impl Fuel {
 
     /// Consumes one step and checks the depth bound.
     fn tick(&mut self, depth: u32) -> Result<(), EvalError> {
-        if self.remaining == 0 || depth > self.max_depth {
+        if self.remaining == 0 || depth > DEFAULT_MAX_DEPTH {
             Err(EvalError::OutOfFuel)
         } else {
             self.remaining -= 1;

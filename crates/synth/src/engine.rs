@@ -112,19 +112,8 @@ pub struct SearchConfig {
     pub max_terms_per_layer: usize,
     /// Fuel per signature evaluation.
     pub fuel: u64,
-    /// Whether the predicate may call itself on pattern-bound subvalues.
-    pub allow_recursion: bool,
     /// Extra components (beyond the problem's prelude and module operations).
     pub extra_components: Vec<ExtraComponent>,
-    /// Worker threads for per-size layer construction.  `None` (the default)
-    /// *inherits* the engine-wide knob when the search is driver-constructed
-    /// (`hanoi::InferenceContext::make_synthesizer` fills it in) and is
-    /// serial otherwise; `Some(n)` takes precedence over the engine-wide
-    /// knob — `Some(1)` forces serial, `Some(0)` uses one worker per
-    /// available core, any other value is taken literally.  The full
-    /// contract (and the outcome-identity guarantee) is documented once, on
-    /// `EngineConfig::parallelism` in the `hanoi` core crate.
-    pub parallelism: Option<usize>,
     /// Whether boolean signature rows use the packed `u64` bitset lanes
     /// ([`crate::bank::SigMatrix`]).  `false` keeps every row in the
     /// per-cell interned-id representation — a strictly slower path kept as
@@ -145,9 +134,7 @@ impl Default for SearchConfig {
             schedule: vec![(0, 5), (1, 7), (1, 9), (2, 9), (2, 11), (3, 11)],
             max_terms_per_layer: 3000,
             fuel: 20_000,
-            allow_recursion: true,
             extra_components: Vec::new(),
-            parallelism: None,
             use_bitset_rows: true,
             int_literals: Vec::new(),
         }
@@ -205,34 +192,34 @@ struct WorldRow {
 pub struct Engine<'p> {
     problem: &'p Problem,
     config: SearchConfig,
+    parallelism: usize,
 }
 
 impl<'p> Engine<'p> {
-    /// Creates an engine for `problem` with the given configuration.
+    /// Creates a serial engine for `problem` with the given configuration.
     pub fn new(problem: &'p Problem, config: SearchConfig) -> Self {
-        Engine { problem, config }
+        Engine {
+            problem,
+            config,
+            parallelism: 1,
+        }
     }
 
-    /// The configuration in effect.
-    pub fn config(&self) -> &SearchConfig {
-        &self.config
+    /// Sets the worker-thread count for per-size layer construction: `1`
+    /// (the default) is serial, `0` one worker per available core, any other
+    /// value is taken literally.  The inference driver passes its
+    /// engine-wide count.  Every count returns the same predicate.
+    pub fn with_parallelism(mut self, parallelism: usize) -> Self {
+        self.parallelism = parallelism;
+        self
     }
 
     /// Synthesizes a predicate of type `τc -> bool` consistent with
-    /// `examples` (which the caller should already have trace-completed),
-    /// with a throwaway term bank — the rebuild-per-call baseline.
-    pub fn synthesize(
-        &self,
-        examples: &ExampleSet,
-        deadline: &Deadline,
-    ) -> Result<Expr, SynthError> {
-        self.synthesize_with_bank(&TermBank::new(), examples, deadline)
-    }
-
-    /// [`Engine::synthesize`] against a persistent [`TermBank`]: signature
-    /// evaluations already paid for by earlier calls (previous CEGIS
-    /// iterations) are reused, so only the new examples' signature columns
-    /// reach the interpreter.  Results are identical to a fresh-bank call.
+    /// `examples` (which the caller should already have trace-completed)
+    /// against a persistent [`TermBank`]: signature evaluations already paid
+    /// for by earlier calls (previous CEGIS iterations) are reused, so only
+    /// the new examples' signature columns reach the interpreter.  Results
+    /// are identical to a call with a fresh bank.
     pub fn synthesize_with_bank(
         &self,
         bank: &TermBank,
@@ -387,7 +374,9 @@ impl<'p> Engine<'p> {
         b.add_digest(Digest::of_type(concrete));
         b.add_u64(self.config.fuel);
         b.add_u64(self.config.max_terms_per_layer as u64);
-        b.add_u64(self.config.allow_recursion as u64);
+        // Recursion is always allowed; the constant stands where the old
+        // `allow_recursion` flag was hashed, so persisted keys stay valid.
+        b.add_u64(1);
         b.add_u64(components.len() as u64);
         for component in components {
             b.add_str(component.name.as_str());
@@ -685,7 +674,7 @@ impl<'p> Engine<'p> {
         let tyenv = &self.problem.tyenv;
         let evaluator = self.problem.evaluator();
         let bool_ty = Type::bool();
-        let workers = effective_workers(self.config.parallelism.unwrap_or(1));
+        let workers = effective_workers(self.parallelism);
         // Iterate types in stratification order (HashMap iteration order is
         // nondeterministic; generation must not be).
         let types = sieve.type_order.clone();
@@ -736,7 +725,7 @@ impl<'p> Engine<'p> {
 
             // Recursive calls `inv v` on non-root context variables of the
             // concrete type (application of a unary function costs 3 nodes).
-            if self.config.allow_recursion && size == 3 {
+            if size == 3 {
                 for (index, (name, ty)) in ctx.iter().enumerate().skip(1) {
                     if ty != concrete {
                         continue;
@@ -1197,7 +1186,7 @@ mod tests {
         let problem = problem();
         let engine = Engine::new(&problem, SearchConfig::quick());
         let result = engine
-            .synthesize(&ExampleSet::new(), &Deadline::none())
+            .synthesize_with_bank(&TermBank::new(), &ExampleSet::new(), &Deadline::none())
             .unwrap();
         assert!(problem
             .eval_predicate(&result, &Value::nat_list(&[1, 1]))
@@ -1219,7 +1208,9 @@ mod tests {
         )
         .unwrap();
         let examples = trace_completed(&problem, examples);
-        let result = engine.synthesize(&examples, &Deadline::none()).unwrap();
+        let result = engine
+            .synthesize_with_bank(&TermBank::new(), &examples, &Deadline::none())
+            .unwrap();
         for (value, expected) in examples.labeled() {
             assert_eq!(
                 problem.eval_predicate(&result, &value).unwrap(),
@@ -1253,7 +1244,9 @@ mod tests {
         )
         .unwrap();
         let examples = trace_completed(&problem, examples);
-        let result = engine.synthesize(&examples, &Deadline::none()).unwrap();
+        let result = engine
+            .synthesize_with_bank(&TermBank::new(), &examples, &Deadline::none())
+            .unwrap();
         for (value, expected) in examples.labeled() {
             assert_eq!(
                 problem.eval_predicate(&result, &value).unwrap(),
@@ -1292,15 +1285,12 @@ mod tests {
         .unwrap();
         let examples = trace_completed(&problem, examples);
         let serial = Engine::new(&problem, SearchConfig::default())
-            .synthesize(&examples, &Deadline::none())
+            .synthesize_with_bank(&TermBank::new(), &examples, &Deadline::none())
             .unwrap();
         for parallelism in [2usize, 0] {
-            let config = SearchConfig {
-                parallelism: Some(parallelism),
-                ..SearchConfig::default()
-            };
-            let parallel = Engine::new(&problem, config)
-                .synthesize(&examples, &Deadline::none())
+            let parallel = Engine::new(&problem, SearchConfig::default())
+                .with_parallelism(parallelism)
+                .synthesize_with_bank(&TermBank::new(), &examples, &Deadline::none())
                 .unwrap();
             assert_eq!(parallel, serial, "parallelism={parallelism}");
         }
@@ -1328,7 +1318,7 @@ mod tests {
             )
             .unwrap();
             let examples = trace_completed(&problem, examples);
-            let fresh = engine.synthesize(&examples, &Deadline::none());
+            let fresh = engine.synthesize_with_bank(&TermBank::new(), &examples, &Deadline::none());
             let banked = engine.synthesize_with_bank(&bank, &examples, &Deadline::none());
             assert_eq!(banked, fresh);
         }
@@ -1355,7 +1345,8 @@ mod tests {
         let engine_small = Engine::new(&problem, config);
         let examples =
             ExampleSet::from_sets([Value::nat_list(&[1, 0])], [Value::nat_list(&[0, 1])]).unwrap();
-        let result = engine_small.synthesize(&examples, &Deadline::none());
+        let result =
+            engine_small.synthesize_with_bank(&TermBank::new(), &examples, &Deadline::none());
         assert_eq!(result, Err(SynthError::NoCandidate));
         // The full engine, however, can separate them (e.g. via lookup of the
         // head in the tail or an equality involving constants).
@@ -1370,7 +1361,7 @@ mod tests {
         let examples =
             ExampleSet::from_sets([Value::nat_list(&[1, 0])], [Value::nat_list(&[1, 1])]).unwrap();
         assert_eq!(
-            engine.synthesize(&examples, &deadline),
+            engine.synthesize_with_bank(&TermBank::new(), &examples, &deadline),
             Err(SynthError::Timeout)
         );
     }

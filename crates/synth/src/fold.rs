@@ -29,60 +29,48 @@ use hanoi_lang::types::Type;
 use hanoi_lang::util::{for_each_product, Deadline};
 use hanoi_lang::value::Value;
 
-use crate::bank::{TermBank, TermBankStats};
+use crate::bank::TermBank;
 use crate::engine::{Engine, ExtraComponent, SearchConfig};
 use crate::error::SynthError;
 use crate::examples::ExampleSet;
 use crate::traits::Synthesizer;
 
-/// Limits for the auxiliary-fold synthesis pass.
-#[derive(Debug, Clone, Copy)]
-pub struct FoldConfig {
-    /// Maximum AST size of each match-arm body of a helper fold.
-    pub max_arm_size: usize,
-    /// Maximum number of arm-body candidates considered per constructor.
-    pub max_arm_candidates: usize,
-    /// Maximum number of helper folds exposed to the main search.
-    pub max_helpers: usize,
-    /// Number of sample values used to deduplicate helpers behaviourally.
-    pub sample_values: usize,
-    /// Maximum size of those sample values.
-    pub sample_size: usize,
-}
-
-impl Default for FoldConfig {
-    fn default() -> Self {
-        FoldConfig {
-            max_arm_size: 5,
-            max_arm_candidates: 12,
-            max_helpers: 8,
-            sample_values: 25,
-            sample_size: 9,
-        }
-    }
-}
+/// Maximum AST size of each match-arm body of a helper fold.
+const MAX_ARM_SIZE: usize = 5;
+/// Maximum number of arm-body candidates considered per constructor.
+const MAX_ARM_CANDIDATES: usize = 12;
+/// Maximum number of helper folds exposed to the main search.
+const MAX_HELPERS: usize = 8;
+/// Number of sample values used to deduplicate helpers behaviourally.
+const SAMPLE_VALUES: usize = 25;
+/// Maximum size of those sample values.
+const SAMPLE_SIZE: usize = 9;
 
 /// The fold-capable synthesizer.
 ///
-/// Like [`crate::MythSynth`], it owns a persistent [`TermBank`] for its
-/// lifetime; the helper-fold library is regenerated deterministically per
-/// call, so the bank's memoized `fold*` signature evaluations stay valid
-/// across CEGIS iterations.
-#[derive(Debug, Clone, Default)]
+/// Like [`crate::MythSynth`], it holds only its search limits and searches
+/// through the caller's [`TermBank`]; the helper-fold library is regenerated
+/// deterministically per call, so the bank's memoized `fold*` signature
+/// evaluations stay valid across CEGIS iterations.
+#[derive(Debug, Clone)]
 pub struct FoldSynth {
     config: SearchConfig,
-    fold_config: FoldConfig,
-    bank: std::sync::Arc<TermBank>,
-    /// The globals environment of the problem the bank's evaluations belong
-    /// to, pinned so the identity comparison cannot suffer address reuse (a
-    /// different problem swaps in a fresh bank, like [`crate::MythSynth`]).
-    problem_globals: Option<hanoi_lang::value::Env>,
+    parallelism: usize,
+}
+
+impl Default for FoldSynth {
+    fn default() -> Self {
+        FoldSynth::new()
+    }
 }
 
 impl FoldSynth {
-    /// A fold synthesizer with default settings.
+    /// A serial fold synthesizer with the default search schedule.
     pub fn new() -> Self {
-        FoldSynth::default()
+        FoldSynth {
+            config: SearchConfig::default(),
+            parallelism: 1,
+        }
     }
 
     /// Overrides the main search configuration.
@@ -91,9 +79,10 @@ impl FoldSynth {
         self
     }
 
-    /// Overrides the helper-fold limits.
-    pub fn with_fold_config(mut self, fold_config: FoldConfig) -> Self {
-        self.fold_config = fold_config;
+    /// Sets the worker-thread count for layer construction (see
+    /// [`Engine::with_parallelism`]).
+    pub fn with_parallelism(mut self, parallelism: usize) -> Self {
+        self.parallelism = parallelism;
         self
     }
 
@@ -149,8 +138,8 @@ impl FoldSynth {
                 ..TermGenConfig::default()
             };
             let mut generator = TermGenerator::new(&problem.tyenv, components, config);
-            let mut bodies: Vec<Expr> = generator.terms_up_to(&nat, self.fold_config.max_arm_size);
-            bodies.truncate(self.fold_config.max_arm_candidates);
+            let mut bodies: Vec<Expr> = generator.terms_up_to(&nat, MAX_ARM_SIZE);
+            bodies.truncate(MAX_ARM_CANDIDATES);
             // Replace the placeholder recursive-result variables with actual
             // recursive calls.
             let bodies = bodies
@@ -175,11 +164,7 @@ impl FoldSynth {
         // Assemble full folds from one body per constructor, deduplicating by
         // behaviour on a sample of values.
         let mut enumerator = ValueEnumerator::new(&problem.tyenv);
-        let samples = enumerator.first_values(
-            &concrete,
-            self.fold_config.sample_values,
-            self.fold_config.sample_size,
-        );
+        let samples = enumerator.first_values(&concrete, SAMPLE_VALUES, SAMPLE_SIZE);
         let evaluator = problem.evaluator();
         let mut seen_signatures: HashSet<Vec<Option<Value>>> = HashSet::new();
         let mut helpers = Vec::new();
@@ -209,7 +194,7 @@ impl FoldSynth {
 
         let groups: Vec<&[Expr]> = per_ctor.iter().map(Vec::as_slice).collect();
         for_each_product(&groups, |arm_bodies| {
-            if helpers.len() >= self.fold_config.max_helpers {
+            if helpers.len() >= MAX_HELPERS {
                 return ControlFlow::Break(());
             }
             let definition = assemble(arm_bodies);
@@ -338,35 +323,17 @@ impl Synthesizer for FoldSynth {
     }
 
     fn synthesize(
-        &mut self,
+        &self,
         problem: &Problem,
+        bank: &TermBank,
         examples: &ExampleSet,
         deadline: &Deadline,
     ) -> Result<Expr, SynthError> {
-        let identity = problem.globals.identity();
-        if self.problem_globals.as_ref().map(|env| env.identity()) != Some(identity) {
-            if self.problem_globals.is_some() {
-                self.bank = std::sync::Arc::new(TermBank::new());
-            }
-            self.problem_globals = Some(problem.globals.clone());
-        }
         let mut config = self.config.clone();
         config.extra_components = self.helper_folds(problem);
-        let engine = Engine::new(problem, config);
-        engine.synthesize_with_bank(&self.bank, examples, deadline)
-    }
-
-    fn term_bank_stats(&self) -> TermBankStats {
-        self.bank.stats()
-    }
-
-    fn adopt_bank(&mut self, bank: std::sync::Arc<TermBank>, globals: &hanoi_lang::value::Env) {
-        self.bank = bank;
-        self.problem_globals = Some(globals.clone());
-    }
-
-    fn shared_bank(&self) -> Option<std::sync::Arc<TermBank>> {
-        Some(std::sync::Arc::clone(&self.bank))
+        Engine::new(problem, config)
+            .with_parallelism(self.parallelism)
+            .synthesize_with_bank(bank, examples, deadline)
     }
 }
 
@@ -422,7 +389,7 @@ mod tests {
         let synth = FoldSynth::new();
         let helpers = synth.helper_folds(&problem);
         assert!(!helpers.is_empty());
-        assert!(helpers.len() <= FoldConfig::default().max_helpers);
+        assert!(helpers.len() <= MAX_HELPERS);
         // Each helper must evaluate on sample lists, and at least one must
         // behave like a "maximum element" style measure: distinguish [2;0]
         // from [0] (length does too, so just require some helper separates
@@ -441,7 +408,7 @@ mod tests {
     #[test]
     fn fold_synthesizer_separates_using_helpers() {
         let problem = Problem::from_source(MAX_FIRST).unwrap();
-        let mut synth = FoldSynth::new().with_config(SearchConfig::default());
+        let synth = FoldSynth::new();
         assert_eq!(synth.name(), "fold");
         // Positives: max-first lists; negatives: lists whose head is not the
         // maximum.  Separating these requires some fold-like measure of the
@@ -462,7 +429,7 @@ mod tests {
         )
         .unwrap();
         let (examples, _) = examples.trace_completed(&problem.tyenv, problem.concrete_type());
-        let result = synth.synthesize(&problem, &examples, &Deadline::none());
+        let result = synth.synthesize(&problem, &TermBank::new(), &examples, &Deadline::none());
         // The helper library is behaviour-dependent; we require that *if* a
         // candidate is produced it is consistent, and that the common case
         // succeeds.

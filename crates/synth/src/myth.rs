@@ -1,13 +1,11 @@
-//! The default, Myth-style synthesizer.
-
-use std::sync::Arc;
+//! The default, Myth-style synthesizer: a stateless front end to the shared
+//! search [`Engine`], run against the caller's [`TermBank`].
 
 use hanoi_abstraction::Problem;
 use hanoi_lang::ast::Expr;
 use hanoi_lang::util::Deadline;
-use hanoi_lang::value::Env;
 
-use crate::bank::{TermBank, TermBankStats};
+use crate::bank::TermBank;
 use crate::engine::{Engine, SearchConfig};
 use crate::error::SynthError;
 use crate::examples::ExampleSet;
@@ -17,46 +15,41 @@ use crate::traits::Synthesizer;
 /// [Osera & Zdancewic 2015]: match refinement plus bottom-up guessing with
 /// observational-equivalence pruning and structural recursion.
 ///
-/// The synthesizer owns a persistent [`TermBank`] for its lifetime (one CEGIS
-/// session): signature evaluations paid for in one `synthesize` call are
-/// reused by every later call, so an iteration triggered by a single new
-/// counterexample only evaluates that example's signature column.  The bank
-/// is scoped to one problem (its cached evaluations capture the problem's
-/// globals); calling `synthesize` with a different problem swaps in a fresh
-/// bank automatically.
-#[derive(Debug, Clone, Default)]
+/// The synthesizer holds only its search limits; the [`TermBank`] every call
+/// searches through is the caller's, so signature evaluations paid for in
+/// one CEGIS iteration are reused by every later one.
+#[derive(Debug, Clone)]
 pub struct MythSynth {
     config: SearchConfig,
-    bank: Arc<TermBank>,
-    /// The globals environment of the problem the bank's evaluations belong
-    /// to.  Holding the `Env` (not just its address) pins the allocation,
-    /// so the identity comparison can never suffer address reuse.
-    problem_globals: Option<Env>,
+    parallelism: usize,
+}
+
+impl Default for MythSynth {
+    fn default() -> Self {
+        MythSynth::new()
+    }
 }
 
 impl MythSynth {
-    /// A synthesizer with the default search schedule.
+    /// A serial synthesizer with the default search schedule.
     pub fn new() -> Self {
-        MythSynth::default()
-    }
-
-    /// A synthesizer with a custom search configuration.
-    pub fn with_config(config: SearchConfig) -> Self {
         MythSynth {
-            config,
-            bank: Arc::new(TermBank::new()),
-            problem_globals: None,
+            config: SearchConfig::default(),
+            parallelism: 1,
         }
     }
 
-    /// The search configuration in use.
-    pub fn config(&self) -> &SearchConfig {
-        &self.config
+    /// Overrides the search configuration.
+    pub fn with_config(mut self, config: SearchConfig) -> Self {
+        self.config = config;
+        self
     }
 
-    /// The session's persistent term bank.
-    pub fn bank(&self) -> &TermBank {
-        &self.bank
+    /// Sets the worker-thread count for layer construction (see
+    /// [`Engine::with_parallelism`]).
+    pub fn with_parallelism(mut self, parallelism: usize) -> Self {
+        self.parallelism = parallelism;
+        self
     }
 }
 
@@ -66,36 +59,15 @@ impl Synthesizer for MythSynth {
     }
 
     fn synthesize(
-        &mut self,
+        &self,
         problem: &Problem,
+        bank: &TermBank,
         examples: &ExampleSet,
         deadline: &Deadline,
     ) -> Result<Expr, SynthError> {
-        // The bank's memoized evaluations capture this problem's globals; a
-        // different problem (same component names, different semantics)
-        // must not be served from them.
-        let identity = problem.globals.identity();
-        if self.problem_globals.as_ref().map(Env::identity) != Some(identity) {
-            if self.problem_globals.is_some() {
-                self.bank = Arc::new(TermBank::new());
-            }
-            self.problem_globals = Some(problem.globals.clone());
-        }
-        let engine = Engine::new(problem, self.config.clone());
-        engine.synthesize_with_bank(&self.bank, examples, deadline)
-    }
-
-    fn term_bank_stats(&self) -> TermBankStats {
-        self.bank.stats()
-    }
-
-    fn adopt_bank(&mut self, bank: Arc<TermBank>, globals: &Env) {
-        self.bank = bank;
-        self.problem_globals = Some(globals.clone());
-    }
-
-    fn shared_bank(&self) -> Option<Arc<TermBank>> {
-        Some(Arc::clone(&self.bank))
+        Engine::new(problem, self.config.clone())
+            .with_parallelism(self.parallelism)
+            .synthesize_with_bank(bank, examples, deadline)
     }
 }
 
@@ -141,7 +113,7 @@ mod tests {
     #[test]
     fn synthesizes_an_evenness_style_separator() {
         let problem = Problem::from_source(NAT_COUNTER).unwrap();
-        let mut synth = MythSynth::new();
+        let synth = MythSynth::new();
         assert_eq!(synth.name(), "myth");
         // Positives: even naturals (constructible); negatives: odd ones.
         let examples = ExampleSet::from_sets(
@@ -151,7 +123,7 @@ mod tests {
         .unwrap();
         let (examples, _) = examples.trace_completed(&problem.tyenv, problem.concrete_type());
         let result = synth
-            .synthesize(&problem, &examples, &Deadline::none())
+            .synthesize(&problem, &TermBank::new(), &examples, &Deadline::none())
             .unwrap();
         problem.typecheck_invariant(&result).unwrap();
         for (value, expected) in examples.labeled() {
@@ -164,48 +136,16 @@ mod tests {
     }
 
     #[test]
-    fn the_bank_is_scoped_to_one_problem() {
-        // Two problems with the SAME operation name but opposite semantics:
-        // a synthesizer reused across them must not serve the first
-        // problem's memoized `is_zero` evaluations to the second.
-        let problem_a = Problem::from_source(NAT_COUNTER).unwrap();
-        let inverted = NAT_COUNTER.replace(
-            "| O -> True\n            | S m -> False",
-            "| O -> False\n            | S m -> True",
-        );
-        assert_ne!(inverted, NAT_COUNTER, "replacement must apply");
-        let problem_b = Problem::from_source(&inverted).unwrap();
-
-        let examples = ExampleSet::from_sets([Value::nat(0), Value::nat(2)], [Value::nat(1)])
-            .unwrap()
-            .trace_completed(&problem_a.tyenv, problem_a.concrete_type())
-            .0;
-
-        let mut reused = MythSynth::with_config(SearchConfig::quick());
-        let _ = reused
-            .synthesize(&problem_a, &examples, &Deadline::none())
-            .unwrap();
-        let stale_stats = reused.term_bank_stats();
-        assert!(stale_stats.sessions > 0);
-        let crossed = reused
-            .synthesize(&problem_b, &examples, &Deadline::none())
-            .unwrap();
-        // The bank was swapped for a fresh one, so the result matches a
-        // synthesizer that only ever saw problem B.
-        let mut fresh = MythSynth::with_config(SearchConfig::quick());
-        let expected = fresh
-            .synthesize(&problem_b, &examples, &Deadline::none())
-            .unwrap();
-        assert_eq!(crossed, expected);
-        assert_eq!(reused.term_bank_stats().sessions, 1);
-    }
-
-    #[test]
     fn respects_the_synth_contract_on_empty_examples() {
         let problem = Problem::from_source(NAT_COUNTER).unwrap();
-        let mut synth = MythSynth::with_config(SearchConfig::quick());
+        let synth = MythSynth::new().with_config(SearchConfig::quick());
         let result = synth
-            .synthesize(&problem, &ExampleSet::new(), &Deadline::none())
+            .synthesize(
+                &problem,
+                &TermBank::new(),
+                &ExampleSet::new(),
+                &Deadline::none(),
+            )
             .unwrap();
         problem.typecheck_invariant(&result).unwrap();
     }

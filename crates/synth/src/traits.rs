@@ -1,13 +1,15 @@
 //! The synthesizer interface the inference driver is parameterized by.
-
-use std::sync::Arc;
+//!
+//! A synthesizer is a stateless search procedure.  The memo it searches
+//! through — the [`TermBank`] of term evaluations, persisted across CEGIS
+//! iterations, runs and processes — belongs to the caller, which keeps one
+//! bank per (problem, back end) and passes it to every call.
 
 use hanoi_abstraction::Problem;
 use hanoi_lang::ast::Expr;
 use hanoi_lang::util::Deadline;
-use hanoi_lang::value::Env;
 
-use crate::bank::{TermBank, TermBankStats};
+use crate::bank::TermBank;
 use crate::error::SynthError;
 use crate::examples::ExampleSet;
 
@@ -23,42 +25,17 @@ pub trait Synthesizer {
 
     /// Synthesizes a predicate of type `τc -> bool` separating the example
     /// sets, closed over the problem's prelude and module operations.
+    ///
+    /// Term evaluations are memoized in, and served from, `bank`.  Its
+    /// entries capture the globals of the problem they were computed for,
+    /// so a bank must only ever be passed calls on one problem.
     fn synthesize(
-        &mut self,
+        &self,
         problem: &Problem,
+        bank: &TermBank,
         examples: &ExampleSet,
         deadline: &Deadline,
     ) -> Result<Expr, SynthError>;
-
-    /// Counter snapshot of the synthesizer's persistent term bank, when it
-    /// keeps one (the engine-backed synthesizers do; the default is an empty
-    /// snapshot for synthesizers without incremental state).
-    fn term_bank_stats(&self) -> TermBankStats {
-        TermBankStats::default()
-    }
-
-    /// Hands the synthesizer an externally owned term bank to evaluate
-    /// signatures through, together with the globals environment of the
-    /// problem the bank's memoized evaluations belong to.
-    ///
-    /// This is how a long-lived inference engine keeps signature evaluations
-    /// warm *across* runs: the bank outlives any one synthesizer instance,
-    /// and every synthesizer adopted into it appends to (and is served from)
-    /// the same memoized store.  Callers must only adopt a bank into
-    /// synthesizers working on the problem whose globals are given —
-    /// bank-backed synthesizers still guard against mismatches and will swap
-    /// in a fresh bank rather than serve stale evaluations.
-    ///
-    /// The default is a no-op for synthesizers without incremental state.
-    fn adopt_bank(&mut self, _bank: Arc<TermBank>, _globals: &Env) {}
-
-    /// The synthesizer's shareable term bank, when it keeps one.  A caller
-    /// that wants the bank to survive this synthesizer (cross-run reuse)
-    /// clones the `Arc` and [`Synthesizer::adopt_bank`]s it into the next
-    /// instance.
-    fn shared_bank(&self) -> Option<Arc<TermBank>> {
-        None
-    }
 }
 
 #[cfg(test)]
@@ -74,8 +51,9 @@ mod tests {
         }
 
         fn synthesize(
-            &mut self,
+            &self,
             problem: &Problem,
+            _bank: &TermBank,
             examples: &ExampleSet,
             _deadline: &Deadline,
         ) -> Result<Expr, SynthError> {
@@ -104,10 +82,15 @@ mod tests {
         "#,
         )
         .unwrap();
-        let mut synth: Box<dyn Synthesizer> = Box::new(ConstTrue);
+        let synth: Box<dyn Synthesizer> = Box::new(ConstTrue);
         assert_eq!(synth.name(), "const-true");
         let result = synth
-            .synthesize(&problem, &ExampleSet::new(), &Deadline::none())
+            .synthesize(
+                &problem,
+                &TermBank::new(),
+                &ExampleSet::new(),
+                &Deadline::none(),
+            )
             .unwrap();
         problem.typecheck_invariant(&result).unwrap();
     }

@@ -42,10 +42,10 @@ pub enum PoolSpec<'a> {
     /// `P` is membership in an explicit, known-constructible set (`V+`) —
     /// this is the *visible inductiveness* check.
     Known(&'a [Value]),
-    /// `P` is a predicate; abstract argument positions are filled with every
-    /// enumerated value satisfying it.  With the candidate itself as `P`
-    /// this is the *full inductiveness* check (`CondInductive I I`).
-    Satisfying(&'a Expr),
+    /// `P` is the candidate itself: abstract argument positions are filled
+    /// with every enumerated value satisfying it — the *full inductiveness*
+    /// check (`CondInductive I I`).
+    Satisfying,
 }
 
 /// One choice for one argument position, borrowed from a cached pool (or
@@ -76,7 +76,7 @@ enum Source<'a> {
 /// the LinearArbitrary baseline (§5.5) checks inductiveness one operation
 /// at a time.
 #[allow(clippy::too_many_arguments)]
-pub fn check_conditional_inductiveness(
+pub fn check_cond_inductive(
     problem: &Problem,
     pools: &PoolCache,
     bounds: &VerifierBounds,
@@ -88,26 +88,14 @@ pub fn check_conditional_inductiveness(
 ) -> Result<InductivenessOutcome, VerifierError> {
     let q = CompiledPredicate::compile(problem, invariant, bounds.fuel)?
         .with_eval_counter(pools.eval_counter());
-    // Full inductiveness conditions on the candidate itself (`CondInductive
-    // I I`); reuse the compiled `Q` instead of compiling the same expression
-    // twice.
-    let p_predicate = match pool {
-        PoolSpec::Satisfying(p) if p == invariant => Some(q.clone()),
-        PoolSpec::Satisfying(p) => Some(
-            CompiledPredicate::compile(problem, p, bounds.fuel)?
-                .with_eval_counter(pools.eval_counter()),
-        ),
-        PoolSpec::Known(_) => None,
-    };
     let known: Option<HashSet<&Value>> = match pool {
         PoolSpec::Known(values) => Some(values.iter().collect()),
-        PoolSpec::Satisfying(_) => None,
+        PoolSpec::Satisfying => None,
     };
     let satisfies_p = |v: &Value| -> bool {
-        match (&known, &p_predicate) {
-            (Some(set), _) => set.contains(v),
-            (None, Some(pred)) => pred.test(v),
-            (None, None) => unreachable!("one of the two pool forms is always present"),
+        match &known {
+            Some(set) => set.contains(v),
+            None => q.test(v),
         }
     };
 
@@ -312,12 +300,12 @@ mod tests {
     fn trivially_true_candidate_is_fully_inductive() {
         let problem = problem();
         let candidate = parse_expr("fun (l : list) -> True").unwrap();
-        let outcome = check_conditional_inductiveness(
+        let outcome = check_cond_inductive(
             &problem,
             &PoolCache::for_problem(&problem),
             &VerifierBounds::quick(),
             &Deadline::none(),
-            PoolSpec::Satisfying(&candidate),
+            PoolSpec::Satisfying,
             &candidate,
             None,
             1,
@@ -330,12 +318,12 @@ mod tests {
     fn the_paper_invariant_is_fully_inductive() {
         let problem = problem();
         let inv = no_duplicates();
-        let outcome = check_conditional_inductiveness(
+        let outcome = check_cond_inductive(
             &problem,
             &PoolCache::for_problem(&problem),
             &VerifierBounds::quick(),
             &Deadline::none(),
-            PoolSpec::Satisfying(&inv),
+            PoolSpec::Satisfying,
             &inv,
             None,
             1,
@@ -361,12 +349,12 @@ mod tests {
             )
             .unwrap()
         });
-        let outcome = check_conditional_inductiveness(
+        let outcome = check_cond_inductive(
             &problem,
             &PoolCache::for_problem(&problem),
             &VerifierBounds::quick(),
             &Deadline::none(),
-            PoolSpec::Satisfying(&candidate),
+            PoolSpec::Satisfying,
             &candidate,
             None,
             1,
@@ -404,7 +392,7 @@ mod tests {
         // results of operations on [], e.g. insert [] 1 = [1], which violates
         // the candidate — a visible-inductiveness counterexample.
         let v_plus = vec![Value::nat_list(&[])];
-        let outcome = check_conditional_inductiveness(
+        let outcome = check_cond_inductive(
             &problem,
             &PoolCache::for_problem(&problem),
             &VerifierBounds::quick(),
@@ -439,7 +427,7 @@ mod tests {
         let candidate =
             parse_expr("fun (l : list) -> match l with | Nil -> False | Cons (hd, tl) -> True end")
                 .unwrap();
-        let outcome = check_conditional_inductiveness(
+        let outcome = check_cond_inductive(
             &problem,
             &PoolCache::for_problem(&problem),
             &VerifierBounds::quick(),

@@ -23,6 +23,10 @@
 //!   to *any* enumerated value satisfying the candidate must produce values
 //!   satisfying the candidate.
 //!
+//! These are the only conditional-inductiveness checks the algorithm makes:
+//! the conditioning set `P` is either `V+` or the candidate itself
+//! ([`inductive::PoolSpec`]), never an unrelated predicate.
+//!
 //! Higher-order operations are handled per §4.2: functional arguments are
 //! enumerated as small lambda terms and wrapped in logging contracts so that
 //! abstract-type values crossing the module boundary contribute to the

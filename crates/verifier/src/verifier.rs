@@ -1,21 +1,18 @@
 //! The [`Verifier`] façade: one object bundling a problem, bounds and a
 //! deadline, exposing the three checks the inference driver needs.
 
-use std::ops::ControlFlow;
 use std::sync::Arc;
 
 use hanoi_abstraction::Problem;
 use hanoi_lang::ast::Expr;
 use hanoi_lang::digest::Digest;
-use hanoi_lang::types::Type;
 use hanoi_lang::value::Value;
 
 use crate::bounds::{Deadline, VerifierBounds};
 use crate::checkcache::{CheckCache, CheckCacheStats};
-use crate::inductive::{check_conditional_inductiveness, PoolSpec};
+use crate::inductive::{check_cond_inductive, PoolSpec};
 use crate::outcome::{InductivenessOutcome, SufficiencyOutcome, VerifierError};
 use crate::poolcache::{PoolCache, PoolCacheStats};
-use crate::pools::{search_product, CompiledPredicate};
 use crate::tester::check_sufficiency;
 
 /// The bounded enumerative verifier.
@@ -150,7 +147,7 @@ impl<'p> Verifier<'p> {
         invariant: &Expr,
     ) -> Result<InductivenessOutcome, VerifierError> {
         let compute = || {
-            check_conditional_inductiveness(
+            check_cond_inductive(
                 self.problem,
                 &self.pools,
                 &self.bounds,
@@ -178,12 +175,12 @@ impl<'p> Verifier<'p> {
         invariant: &Expr,
     ) -> Result<InductivenessOutcome, VerifierError> {
         let compute = || {
-            check_conditional_inductiveness(
+            check_cond_inductive(
                 self.problem,
                 &self.pools,
                 &self.bounds,
                 &self.deadline,
-                PoolSpec::Satisfying(invariant),
+                PoolSpec::Satisfying,
                 invariant,
                 None,
                 self.workers(),
@@ -203,12 +200,12 @@ impl<'p> Verifier<'p> {
         invariant: &Expr,
     ) -> Result<InductivenessOutcome, VerifierError> {
         let compute = || {
-            check_conditional_inductiveness(
+            check_cond_inductive(
                 self.problem,
                 &self.pools,
                 &self.bounds,
                 &self.deadline,
-                PoolSpec::Satisfying(invariant),
+                PoolSpec::Satisfying,
                 invariant,
                 Some(op),
                 self.workers(),
@@ -218,57 +215,6 @@ impl<'p> Verifier<'p> {
             Some(cache) => cache.op(op, Digest::of_expr(invariant), self.bounds, compute),
             None => compute(),
         }
-    }
-
-    /// `CondInductive P Q` with an arbitrary conditioning predicate — used by
-    /// the ∧Str baseline, which strengthens relative to a previously accepted
-    /// conjunct.
-    pub fn check_conditional(
-        &self,
-        p: &Expr,
-        q: &Expr,
-    ) -> Result<InductivenessOutcome, VerifierError> {
-        check_conditional_inductiveness(
-            self.problem,
-            &self.pools,
-            &self.bounds,
-            &self.deadline,
-            PoolSpec::Satisfying(p),
-            q,
-            None,
-            self.workers(),
-        )
-    }
-
-    /// Tests whether `predicate` holds on every enumerated value of `ty`
-    /// (up to single-quantifier bounds); returns the first violating value.
-    /// This is the plain `Verify P` of §3.3, exposed for tests and baselines.
-    pub fn find_violation(
-        &self,
-        ty: &Type,
-        predicate: &Expr,
-    ) -> Result<Option<Value>, VerifierError> {
-        let compiled = CompiledPredicate::compile(self.problem, predicate, self.bounds.fuel)?
-            .with_eval_counter(self.pools.eval_counter());
-        let values = self.pools.pool(
-            ty,
-            self.bounds.single_count,
-            self.bounds.single_size,
-            self.workers(),
-        );
-        search_product(
-            std::slice::from_ref(&*values),
-            usize::MAX,
-            self.workers(),
-            &self.deadline,
-            |tuple| {
-                if compiled.test(tuple[0]) {
-                    ControlFlow::Continue(())
-                } else {
-                    ControlFlow::Break(tuple[0].clone())
-                }
-            },
-        )
     }
 
     /// The smallest `count` values of the concrete representation type — the
@@ -361,47 +307,11 @@ mod tests {
     }
 
     #[test]
-    fn find_violation_locates_small_witnesses() {
-        let problem = Problem::from_source(LIST_SET).unwrap();
-        let verifier = Verifier::new(&problem).with_bounds(VerifierBounds::quick());
-        let pred = parse_expr("fun (n : nat) -> not (n == 2)").unwrap();
-        let violation = verifier.find_violation(&Type::named("nat"), &pred).unwrap();
-        assert_eq!(violation, Some(Value::nat(2)));
-        let tautology = parse_expr("fun (n : nat) -> n == n").unwrap();
-        assert_eq!(
-            verifier
-                .find_violation(&Type::named("nat"), &tautology)
-                .unwrap(),
-            None
-        );
-    }
-
-    #[test]
     fn smallest_concrete_values_start_with_nil() {
         let problem = Problem::from_source(LIST_SET).unwrap();
         let verifier = Verifier::new(&problem).with_bounds(VerifierBounds::quick());
         let values = verifier.smallest_concrete_values(5);
         assert_eq!(values.len(), 5);
         assert_eq!(values[0], Value::nat_list(&[]));
-    }
-
-    #[test]
-    fn conditional_check_with_distinct_p_and_q() {
-        let problem = Problem::from_source(LIST_SET).unwrap();
-        let verifier = Verifier::new(&problem).with_bounds(VerifierBounds::quick());
-        // P: lists of length <= 1 (a constructible-ish under-approximation);
-        // Q: no duplicates.  Operations on P-values cannot create duplicates,
-        // so CondInductive P Q holds.
-        let p = parse_expr(
-            "fun (l : list) -> match l with | Nil -> True | Cons (hd, tl) -> \
-               match tl with | Nil -> True | Cons (h2, t2) -> False end end",
-        )
-        .unwrap();
-        let q = parse_expr(
-            "fix inv (l : list) : bool = \
-               match l with | Nil -> True | Cons (hd, tl) -> not (lookup tl hd) && inv tl end",
-        )
-        .unwrap();
-        assert!(verifier.check_conditional(&p, &q).unwrap().is_valid());
     }
 }

@@ -6,7 +6,9 @@
 use std::time::{Duration, Instant};
 
 use hanoi_repro::benchmarks;
-use hanoi_repro::hanoi::{CancelToken, Engine, EngineConfig, Outcome, RunOptions};
+use hanoi_repro::hanoi::{
+    CancelToken, Engine, EngineConfig, Outcome, RunEvent, RunOptions, RunPhase,
+};
 use hanoi_repro::verifier::VerifierBounds;
 
 /// Options for a run that would take far longer than the cancellation delay:
@@ -31,33 +33,45 @@ fn cancellation_stops_a_running_inference_promptly_at_every_parallelism() {
         let session = engine.session(&problem);
         let token = CancelToken::new();
 
-        let canceller = {
-            let token = token.clone();
-            std::thread::spawn(move || {
-                std::thread::sleep(Duration::from_millis(150));
+        // Cancel from inside the run, right after its first synthesis call:
+        // the run is then always mid-flight, however fast the build is.
+        let mut cancelled_at = None;
+        let mut cancel_after_first_synthesis = |event: &RunEvent| {
+            let synthesized = matches!(
+                event,
+                RunEvent::PhaseFinished {
+                    phase: RunPhase::Synthesis,
+                    ..
+                }
+            );
+            if synthesized && cancelled_at.is_none() {
+                cancelled_at = Some(Instant::now());
                 token.cancel();
-            })
+            }
         };
-        let started = Instant::now();
-        let result = session.run_cancellable(&long_run_options(), token);
-        let elapsed = started.elapsed();
-        canceller.join().unwrap();
+        let result = session.run_with(
+            &long_run_options(),
+            Some(&mut cancel_after_first_synthesis),
+            Some(token.clone()),
+        );
+        let cancelled_at = cancelled_at.expect("the run reaches a synthesis call");
+        let latency = cancelled_at.elapsed();
 
         assert_eq!(
             result.outcome,
             Outcome::Cancelled,
-            "parallelism {parallelism}: expected cancellation, got {} after {elapsed:?}",
+            "parallelism {parallelism}: expected cancellation, got {}",
             result.outcome
         );
         // "Promptly": well under what the full run would take.  The bound is
         // generous because debug builds enumerate paper-scale pools between
         // cancellation points.
         assert!(
-            elapsed < Duration::from_secs(30),
-            "parallelism {parallelism}: cancellation took {elapsed:?}"
+            latency < Duration::from_secs(30),
+            "parallelism {parallelism}: cancellation took {latency:?}"
         );
         // Statistics are still well-formed after an aborted run.
-        assert!(result.stats.total_time >= Duration::from_millis(150));
+        assert!(result.stats.synthesis_calls >= 1);
         assert_eq!(result.stats.invariant_size, None);
     }
 }

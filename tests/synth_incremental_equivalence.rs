@@ -18,14 +18,12 @@ use hanoi_repro::synth::{ExampleSet, SearchConfig, TermBank};
 /// rule (components, constructors, equality, connectives, match refinement,
 /// recursion), small enough that even a failed search over 28 benchmarks
 /// stays fast in debug builds.
-fn test_config(parallelism: usize) -> SearchConfig {
+fn test_config() -> SearchConfig {
     SearchConfig {
         schedule: vec![(0, 4), (1, 5)],
         max_terms_per_layer: 300,
         fuel: 4_000,
-        allow_recursion: true,
         extra_components: Vec::new(),
-        parallelism: Some(parallelism),
         use_bitset_rows: true,
         int_literals: Vec::new(),
     }
@@ -34,23 +32,23 @@ fn test_config(parallelism: usize) -> SearchConfig {
 /// The numeric-family search: the base test configuration widened with the
 /// bounded linear-arithmetic components and the integer literal pool, and a
 /// schedule deep enough to apply binary atoms.
-fn numeric_config(parallelism: usize) -> SearchConfig {
+fn numeric_config() -> SearchConfig {
     let bounds = hanoi_repro::synth::arith::ArithBounds::default();
     SearchConfig {
         schedule: vec![(0, 5), (1, 7)],
         extra_components: hanoi_repro::synth::arith::components(&bounds),
         int_literals: hanoi_repro::synth::arith::literal_pool(&bounds),
-        ..test_config(parallelism)
+        ..test_config()
     }
 }
 
 /// The same search with the packed bitset rows disabled: every signature
 /// stays a per-cell id row.  The two representations must be observably
 /// identical.
-fn id_row_config(parallelism: usize) -> SearchConfig {
+fn id_row_config() -> SearchConfig {
     SearchConfig {
         use_bitset_rows: false,
-        ..test_config(parallelism)
+        ..test_config()
     }
 }
 
@@ -90,14 +88,19 @@ fn persistent_bank_engines_match_fresh_engines_on_every_benchmark() {
             benchmark.id
         );
 
-        let serial_engine = Engine::new(&problem, test_config(1));
+        let serial_engine = Engine::new(&problem, test_config());
         let parallel_engines: Vec<(usize, Engine<'_>)> = [2usize, 0]
             .into_iter()
-            .map(|p| (p, Engine::new(&problem, test_config(p))))
+            .map(|p| (p, Engine::new(&problem, test_config()).with_parallelism(p)))
             .collect();
         let idrow_engines: Vec<(usize, Engine<'_>)> = [1usize, 2, 0]
             .into_iter()
-            .map(|p| (p, Engine::new(&problem, id_row_config(p))))
+            .map(|p| {
+                (
+                    p,
+                    Engine::new(&problem, id_row_config()).with_parallelism(p),
+                )
+            })
             .collect();
         let bank = TermBank::new();
         let parallel_banks: Vec<TermBank> =
@@ -204,16 +207,21 @@ fn numeric_family_engines_agree_across_every_representation() {
             benchmark.id
         );
 
-        let serial_engine = Engine::new(&problem, numeric_config(1));
+        let serial_engine = Engine::new(&problem, numeric_config());
         let parallel_engines: Vec<(usize, Engine<'_>)> = [2usize, 0]
             .into_iter()
-            .map(|p| (p, Engine::new(&problem, numeric_config(p))))
+            .map(|p| {
+                (
+                    p,
+                    Engine::new(&problem, numeric_config()).with_parallelism(p),
+                )
+            })
             .collect();
         let idrow_engine = Engine::new(
             &problem,
             SearchConfig {
                 use_bitset_rows: false,
-                ..numeric_config(1)
+                ..numeric_config()
             },
         );
         let bank = TermBank::new();
@@ -307,7 +315,7 @@ fn bank_reuse_across_iterations_serves_hits() {
         .unwrap()
         .problem()
         .unwrap();
-    let engine = Engine::new(&problem, test_config(1));
+    let engine = Engine::new(&problem, test_config());
     let bank = TermBank::new();
     for examples in example_sequence(&problem) {
         let _ = engine.synthesize_with_bank(&bank, &examples, &Deadline::none());
@@ -340,7 +348,7 @@ fn eq_class_splits_are_detected_when_a_column_distinguishes_terms() {
         .unwrap()
         .problem()
         .unwrap();
-    let engine = Engine::new(&problem, test_config(1));
+    let engine = Engine::new(&problem, test_config());
     let bank = TermBank::new();
     let first = ExampleSet::from_sets([Value::nat_list(&[])], [Value::nat_list(&[0, 0])]).unwrap();
     let (first, _) = first.trace_completed(&problem.tyenv, problem.concrete_type());
@@ -600,8 +608,8 @@ fn word_boundary_example_sets_agree_across_representations() {
         examples.len()
     );
 
-    let bitset_engine = Engine::new(&problem, test_config(1));
-    let idrow_engine = Engine::new(&problem, id_row_config(1));
+    let bitset_engine = Engine::new(&problem, test_config());
+    let idrow_engine = Engine::new(&problem, id_row_config());
     let bitset_bank = TermBank::new();
     let idrow_bank = TermBank::new();
     let packed = bitset_engine.synthesize_with_bank(&bitset_bank, &examples, &Deadline::none());
@@ -616,7 +624,7 @@ fn word_boundary_example_sets_agree_across_representations() {
     // Parallel guessing over multi-word lanes must not change the outcome
     // at any level.
     for parallelism in [2usize, 4, 0] {
-        let engine = Engine::new(&problem, test_config(parallelism));
+        let engine = Engine::new(&problem, test_config()).with_parallelism(parallelism);
         let parallel = engine.synthesize_with_bank(&TermBank::new(), &examples, &Deadline::none());
         assert_eq!(parallel, packed, "parallelism {parallelism}");
     }
