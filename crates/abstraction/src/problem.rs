@@ -299,8 +299,15 @@ impl Problem {
         self.eval_spec_with_fuel(args, &mut Fuel::standard())
     }
 
-    /// Evaluates the specification with an explicit fuel budget.
-    pub fn eval_spec_with_fuel(&self, args: &[Value], fuel: &mut Fuel) -> Result<bool, EvalError> {
+    /// Evaluates the specification with an explicit fuel budget, on any
+    /// sequence of borrowed argument values (a `&[Value]`, or a tuple of
+    /// references mapped to `&Value`s).
+    pub fn eval_spec_with_fuel<'v, I>(&self, args: I, fuel: &mut Fuel) -> Result<bool, EvalError>
+    where
+        I: IntoIterator<Item = &'v Value>,
+        I::IntoIter: ExactSizeIterator,
+    {
+        let args = args.into_iter();
         if args.len() != self.spec.arity() {
             return Err(EvalError::Other(format!(
                 "specification expects {} argument(s), got {}",

@@ -99,10 +99,9 @@ fn spec_holds_on(ctx: &InferenceContext<'_, '_>, sample: &Value) -> bool {
     let groups: Vec<&[Value]> = pools.iter().map(|pool| pool.as_slice()).collect();
     let mut holds = true;
     for_each_product(&groups, |args| {
-        let args: Vec<Value> = args.iter().map(|&value| value.clone()).collect();
         let ok = ctx
             .problem
-            .eval_spec_with_fuel(&args, &mut Fuel::standard())
+            .eval_spec_with_fuel(args.iter().copied(), &mut Fuel::standard())
             .unwrap_or(false);
         if ok {
             ControlFlow::Continue(())

@@ -109,11 +109,12 @@ pub enum Expr {
     /// A variable reference.
     Var(Symbol),
     /// A resolved local-slot reference produced by [`crate::resolve`]: the
-    /// `u32` is a de-Bruijn-style index into the interpreter's [`Locals`]
-    /// stack (`0` = innermost binding), the [`Symbol`] is the original
-    /// variable name, kept for display and diagnostics.  The parser never
-    /// produces this variant; it only appears in bodies that went through
-    /// the slot-resolution pass.
+    /// `u32` is a de-Bruijn-style index into the values the interpreter has
+    /// bound — its value stack, then the closure's captured [`Locals`]
+    /// (`0` = innermost binding); the [`Symbol`] is the original variable
+    /// name, kept for display and diagnostics.  The parser never produces
+    /// this variant; it only appears in bodies that went through the
+    /// slot-resolution pass.
     ///
     /// [`Locals`]: crate::value::Locals
     Local(u32, Symbol),

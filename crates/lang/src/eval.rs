@@ -3,10 +3,25 @@
 //!
 //! Every expression goes through [`crate::resolve::resolve`] once before it
 //! is evaluated: variables bound by an enclosing `fun`/`fix`/`let`/`match`
-//! become [`Expr::Local`] slot reads from a [`Locals`] stack, and only free
-//! (global) variables are looked up by name in the [`Env`].  The interpreter
-//! never reads a local's name, so α-equivalent expressions evaluate
-//! identically.
+//! become [`Expr::Local`] slot reads, and only free (global) variables are
+//! looked up by name in the [`Env`].  The interpreter never reads a local's
+//! name, so α-equivalent expressions evaluate identically.
+//!
+//! Bound values live on one value stack per evaluation (per call of
+//! [`Evaluator::eval_resolved`], [`Evaluator::apply`] or
+//! [`Evaluator::apply_many`]).  A function application pushes the frame
+//! `[closure?, argument]`, a `let` pushes its value and a matching `match`
+//! arm pushes its pattern's bindings; each pops them again on every exit
+//! path, errors included.  A slot read below the current frame falls
+//! through to the [`Locals`] chain the running closure captured.  Only
+//! evaluating a `fun`/`fix` copies the current frame into a persistent
+//! [`Locals`] chain, so applying a function, a `let` and a `match` arm
+//! allocate nothing.  A saturated call `g a1 a2` of a closure whose body is
+//! a `fun` — in an expression, or two arguments of
+//! [`Evaluator::apply_many`] — binds `[g?, a1, a2]` as one frame and never
+//! builds the intermediate closure; its fuel ticks and depths are those of
+//! the curried application, so fuel use and depth-bound errors do not
+//! depend on it.
 //!
 //! The object language itself is intended to be terminating, but the
 //! inference loop executes *synthesized* candidate invariants and enumerated
@@ -70,6 +85,50 @@ impl Fuel {
     }
 }
 
+/// Where an expression's variables live while it runs: globals by name in
+/// `env`, the current frame on the value stack from `base` up, and under it
+/// the slots the running closure captured in `outer`.
+struct Scope<'s> {
+    env: &'s Env,
+    outer: &'s Locals,
+    base: usize,
+}
+
+/// Slots reserved on an evaluation's first binding, so that an evaluation
+/// whose frames stay this shallow allocates its stack once.
+const STACK_CAPACITY: usize = 32;
+
+/// Pushes one bound value onto an evaluation's value stack.
+fn bind(stack: &mut Vec<Value>, value: Value) {
+    if stack.capacity() == 0 {
+        stack.reserve_exact(STACK_CAPACITY);
+    }
+    stack.push(value);
+}
+
+/// Matches `value` against `pattern`, pushing clones of the bound values
+/// onto `stack` in [`Pattern::bound_vars`] order (the order the resolution
+/// pass numbers slots in).  Returns `false` — with `stack` possibly
+/// extended; callers truncate it — when the pattern does not match.
+fn bind_pattern(pattern: &Pattern, value: &Value, stack: &mut Vec<Value>) -> bool {
+    match (pattern, value) {
+        (Pattern::Wildcard, _) => true,
+        (Pattern::Var(_), v) => {
+            bind(stack, v.clone());
+            true
+        }
+        (Pattern::Ctor(c, ps), Value::Ctor(vc, vs)) if c == vc && ps.len() == vs.len() => ps
+            .iter()
+            .zip(vs.iter())
+            .all(|(p, v)| bind_pattern(p, v, stack)),
+        (Pattern::Tuple(ps), Value::Tuple(vs)) if ps.len() == vs.len() => ps
+            .iter()
+            .zip(vs.iter())
+            .all(|(p, v)| bind_pattern(p, v, stack)),
+        _ => false,
+    }
+}
+
 /// The interpreter.
 #[derive(Debug, Clone, Copy)]
 pub struct Evaluator<'a> {
@@ -88,9 +147,9 @@ impl<'a> Evaluator<'a> {
     }
 
     /// Evaluates a slot-resolved expression (see [`crate::resolve`]) in
-    /// `env`, starting from an empty local-slot stack.
+    /// `env`, starting from an empty value stack.
     ///
-    /// Lexically-bound variables are read from a [`Locals`] stack by index;
+    /// Lexically-bound variables are read from the value stack by index;
     /// only free (global) variables are looked up by name in `env`.
     pub fn eval_resolved(
         &self,
@@ -106,27 +165,43 @@ impl<'a> Evaluator<'a> {
             "eval_resolved requires a slot-resolved expression \
              (run hanoi_lang::resolve::resolve first)"
         );
-        self.eval_at(env, &Locals::empty(), expr, fuel, 0)
+        let outer = Locals::empty();
+        let scope = Scope {
+            env,
+            outer: &outer,
+            base: 0,
+        };
+        self.eval_at(&scope, &mut Vec::new(), expr, fuel, 0)
     }
 
     /// One evaluation step at nesting `depth`: ticks the fuel, then
-    /// evaluates every subexpression one level deeper.
+    /// evaluates every subexpression one level deeper.  Whatever the step
+    /// binds on `stack` it pops before returning.
     fn eval_at(
         &self,
-        env: &Env,
-        locals: &Locals,
+        scope: &Scope<'_>,
+        stack: &mut Vec<Value>,
         expr: &Expr,
         fuel: &mut Fuel,
         depth: u32,
     ) -> Result<Value, EvalError> {
         fuel.tick(depth)?;
         match expr {
-            Expr::Local(slot, x) => locals
-                .get(*slot)
+            Expr::Local(slot, x) => {
+                let frame = &stack[scope.base..];
+                let slot = *slot as usize;
+                let value = match slot.checked_sub(frame.len()) {
+                    None => Some(&frame[frame.len() - 1 - slot]),
+                    Some(captured) => scope.outer.get(captured as u32),
+                };
+                value.cloned().ok_or(EvalError::UnboundVariable(*x))
+            }
+            // Free (global) variables are looked up by name.
+            Expr::Var(x) => scope
+                .env
+                .lookup(x)
                 .cloned()
                 .ok_or(EvalError::UnboundVariable(*x)),
-            // Free (global) variables are looked up by name.
-            Expr::Var(x) => env.lookup(x).cloned().ok_or(EvalError::UnboundVariable(*x)),
             Expr::Int(i) => Ok(Value::Int(*i)),
             Expr::Ctor(c, args) => {
                 if let Some(info) = self.tyenv.ctor(c) {
@@ -138,76 +213,84 @@ impl<'a> Evaluator<'a> {
                         )));
                     }
                 }
-                let children = children(args, |a| self.eval_at(env, locals, a, fuel, depth + 1))?;
+                let children = children(args, |a| self.eval_at(scope, stack, a, fuel, depth + 1))?;
                 Ok(Value::Ctor(*c, children))
             }
             Expr::Tuple(args) => {
-                children(args, |a| self.eval_at(env, locals, a, fuel, depth + 1)).map(Value::Tuple)
+                children(args, |a| self.eval_at(scope, stack, a, fuel, depth + 1)).map(Value::Tuple)
             }
             Expr::Proj(i, e) => {
-                let v = self.eval_at(env, locals, e, fuel, depth + 1)?;
+                let v = self.eval_at(scope, stack, e, fuel, depth + 1)?;
                 match v {
                     Value::Tuple(items) if *i < items.len() => Ok(items[*i].clone()),
                     other => Err(EvalError::BadProjection(other.to_string())),
                 }
             }
             Expr::App(f, arg) => {
-                let fv = self.eval_at(env, locals, f, fuel, depth + 1)?;
-                let av = self.eval_at(env, locals, arg, fuel, depth + 1)?;
-                self.apply_at(fv, av, fuel, depth + 1)
+                if let Expr::App(g, first) = &**f {
+                    return self.eval_spine(scope, stack, [g, first, arg], fuel, depth);
+                }
+                let fv = self.eval_at(scope, stack, f, fuel, depth + 1)?;
+                let av = self.eval_at(scope, stack, arg, fuel, depth + 1)?;
+                self.apply_at(fv, av, stack, fuel, depth + 1)
             }
             Expr::Lambda(l) => Ok(Value::Closure(Arc::new(Closure {
                 param: l.param,
                 body: l.body.clone(),
-                env: env.clone(),
+                env: scope.env.clone(),
                 rec_name: None,
-                locals: locals.clone(),
+                locals: scope.outer.capture(&stack[scope.base..]),
             }))),
             Expr::Fix(fx) => Ok(Value::Closure(Arc::new(Closure {
                 param: fx.param,
                 body: fx.body.clone(),
-                env: env.clone(),
+                env: scope.env.clone(),
                 rec_name: Some(fx.name),
-                locals: locals.clone(),
+                locals: scope.outer.capture(&stack[scope.base..]),
             }))),
             Expr::Match(scrutinee, arms) => {
-                let v = self.eval_at(env, locals, scrutinee, fuel, depth + 1)?;
+                let v = self.eval_at(scope, stack, scrutinee, fuel, depth + 1)?;
+                let mark = stack.len();
                 for arm in arms {
-                    let mut bound = Vec::new();
-                    if Self::match_pattern_collect(&arm.pattern, &v, &mut bound) {
-                        let locals = locals.push_chunk(&bound);
-                        return self.eval_at(env, &locals, &arm.body, fuel, depth + 1);
+                    if bind_pattern(&arm.pattern, &v, stack) {
+                        let result = self.eval_at(scope, stack, &arm.body, fuel, depth + 1);
+                        stack.truncate(mark);
+                        return result;
                     }
+                    stack.truncate(mark);
                 }
                 Err(EvalError::MatchFailure(v.to_string()))
             }
             Expr::Let(_, bound, body) => {
-                let bv = self.eval_at(env, locals, bound, fuel, depth + 1)?;
-                let locals = locals.push([bv]);
-                self.eval_at(env, &locals, body, fuel, depth + 1)
+                let bv = self.eval_at(scope, stack, bound, fuel, depth + 1)?;
+                let mark = stack.len();
+                bind(stack, bv);
+                let result = self.eval_at(scope, stack, body, fuel, depth + 1);
+                stack.truncate(mark);
+                result
             }
             Expr::If(cond, then, els) => {
-                let cv = self.eval_at(env, locals, cond, fuel, depth + 1)?;
+                let cv = self.eval_at(scope, stack, cond, fuel, depth + 1)?;
                 match cv.as_bool() {
-                    Some(true) => self.eval_at(env, locals, then, fuel, depth + 1),
-                    Some(false) => self.eval_at(env, locals, els, fuel, depth + 1),
+                    Some(true) => self.eval_at(scope, stack, then, fuel, depth + 1),
+                    Some(false) => self.eval_at(scope, stack, els, fuel, depth + 1),
                     None => Err(EvalError::NotABool(cv.to_string())),
                 }
             }
             Expr::Eq(a, b) => {
-                let av = self.eval_at(env, locals, a, fuel, depth + 1)?;
-                let bv = self.eval_at(env, locals, b, fuel, depth + 1)?;
+                let av = self.eval_at(scope, stack, a, fuel, depth + 1)?;
+                let bv = self.eval_at(scope, stack, b, fuel, depth + 1)?;
                 if !av.is_first_order() || !bv.is_first_order() {
                     return Err(EvalError::EqualityOnClosure);
                 }
                 Ok(Value::bool(av == bv))
             }
             Expr::And(a, b) => {
-                let av = self.eval_at(env, locals, a, fuel, depth + 1)?;
+                let av = self.eval_at(scope, stack, a, fuel, depth + 1)?;
                 match av.as_bool() {
                     Some(false) => Ok(Value::fls()),
                     Some(true) => {
-                        let bv = self.eval_at(env, locals, b, fuel, depth + 1)?;
+                        let bv = self.eval_at(scope, stack, b, fuel, depth + 1)?;
                         bv.as_bool()
                             .map(Value::bool)
                             .ok_or_else(|| EvalError::NotABool(bv.to_string()))
@@ -216,11 +299,11 @@ impl<'a> Evaluator<'a> {
                 }
             }
             Expr::Or(a, b) => {
-                let av = self.eval_at(env, locals, a, fuel, depth + 1)?;
+                let av = self.eval_at(scope, stack, a, fuel, depth + 1)?;
                 match av.as_bool() {
                     Some(true) => Ok(Value::tru()),
                     Some(false) => {
-                        let bv = self.eval_at(env, locals, b, fuel, depth + 1)?;
+                        let bv = self.eval_at(scope, stack, b, fuel, depth + 1)?;
                         bv.as_bool()
                             .map(Value::bool)
                             .ok_or_else(|| EvalError::NotABool(bv.to_string()))
@@ -229,7 +312,7 @@ impl<'a> Evaluator<'a> {
                 }
             }
             Expr::Not(a) => {
-                let av = self.eval_at(env, locals, a, fuel, depth + 1)?;
+                let av = self.eval_at(scope, stack, a, fuel, depth + 1)?;
                 av.as_bool()
                     .map(|b| Value::bool(!b))
                     .ok_or_else(|| EvalError::NotABool(av.to_string()))
@@ -237,55 +320,122 @@ impl<'a> Evaluator<'a> {
         }
     }
 
-    /// Matches `value` against `pattern`, appending references to the bound
-    /// values to `out` in [`Pattern::bound_vars`] order (the order the
-    /// resolution pass numbers slots in).  Returns `false` — with `out`
-    /// possibly partially extended; callers discard it — when the pattern
-    /// does not match.
-    fn match_pattern_collect<'v>(
-        pattern: &Pattern,
-        value: &'v Value,
-        out: &mut Vec<&'v Value>,
-    ) -> bool {
-        match (pattern, value) {
-            (Pattern::Wildcard, _) => true,
-            (Pattern::Var(_), v) => {
-                out.push(v);
-                true
-            }
-            (Pattern::Ctor(c, ps), Value::Ctor(vc, vs)) if c == vc && ps.len() == vs.len() => ps
-                .iter()
-                .zip(vs.iter())
-                .all(|(p, v)| Self::match_pattern_collect(p, v, out)),
-            (Pattern::Tuple(ps), Value::Tuple(vs)) if ps.len() == vs.len() => ps
-                .iter()
-                .zip(vs.iter())
-                .all(|(p, v)| Self::match_pattern_collect(p, v, out)),
-            _ => false,
+    /// Evaluates `g a1 a2` (the application spine `App(App(g, a1), a2)`
+    /// met at `depth`) with [`Evaluator::apply_two`], at the depths the
+    /// curried evaluation applies at: `g a1` is evaluated at `depth + 1`,
+    /// so it applies at `depth + 2`, and the outer application at
+    /// `depth + 1`.  Kept out of line so that [`Evaluator::eval_at`]'s
+    /// host-stack frame stays small.
+    #[inline(never)]
+    fn eval_spine(
+        &self,
+        scope: &Scope<'_>,
+        stack: &mut Vec<Value>,
+        [g, a1, a2]: [&Expr; 3],
+        fuel: &mut Fuel,
+        depth: u32,
+    ) -> Result<Value, EvalError> {
+        fuel.tick(depth + 1)?;
+        let gv = self.eval_at(scope, stack, g, fuel, depth + 2)?;
+        // `a1` waits in a local until `a2` is evaluated: on the stack it
+        // would shift the slots `a2` reads.
+        let first = self.eval_at(scope, stack, a1, fuel, depth + 2)?;
+        let second = |stack: &mut Vec<Value>, fuel: &mut Fuel| {
+            self.eval_at(scope, stack, a2, fuel, depth + 1)
+        };
+        self.apply_two(gv, first, second, stack, fuel, [depth + 2, depth + 1])
+    }
+
+    /// Applies `g` to `first`, then the result to the value `second`
+    /// computes, applying at depths `[inner, outer]`.  When `g` is a
+    /// closure whose body is a `fun`, the call binds `[g?, first, second]`
+    /// as one frame and runs the inner body: the closure `g first` would
+    /// evaluate to is never built.  Every other callee is applied curried.
+    ///
+    /// Both ways tick the fuel at the same depths in the same order —
+    /// applying `g` at `inner`, the `fun` at `inner + 1`, then whatever
+    /// `second` ticks, applying to it at `outer`, its body at `outer + 1` —
+    /// so fuel use, depth-bound errors and which error a failing call
+    /// reports do not depend on the shortcut.
+    fn apply_two(
+        &self,
+        g: Value,
+        first: Value,
+        second: impl FnOnce(&mut Vec<Value>, &mut Fuel) -> Result<Value, EvalError>,
+        stack: &mut Vec<Value>,
+        fuel: &mut Fuel,
+        [inner, outer]: [u32; 2],
+    ) -> Result<Value, EvalError> {
+        let saturated = match &g {
+            Value::Closure(clo) => match &*clo.body {
+                Expr::Lambda(body) => Some((clo, body)),
+                _ => None,
+            },
+            _ => None,
+        };
+        let Some((clo, body)) = saturated else {
+            let fv = self.apply_at(g, first, stack, fuel, inner)?;
+            let second = second(stack, fuel)?;
+            return self.apply_at(fv, second, stack, fuel, outer);
+        };
+        fuel.tick(inner)?;
+        fuel.tick(inner + 1)?;
+        let second = second(stack, fuel)?;
+        fuel.tick(outer)?;
+        let base = stack.len();
+        if clo.rec_name.is_some() {
+            bind(stack, g.clone());
         }
+        bind(stack, first);
+        bind(stack, second);
+        self.run_body(clo, &body.body, stack, base, fuel, outer + 1)
+    }
+
+    /// Evaluates `body`, a body of `clo`, on the frame bound on `stack`
+    /// from `base` up, and pops that frame.
+    fn run_body(
+        &self,
+        clo: &Closure,
+        body: &Expr,
+        stack: &mut Vec<Value>,
+        base: usize,
+        fuel: &mut Fuel,
+        depth: u32,
+    ) -> Result<Value, EvalError> {
+        let callee = Scope {
+            env: &clo.env,
+            outer: &clo.locals,
+            base,
+        };
+        let result = self.eval_at(&callee, stack, body, fuel, depth);
+        stack.truncate(base);
+        result
     }
 
     /// Applies a function value to an argument value.
     pub fn apply(&self, f: Value, arg: Value, fuel: &mut Fuel) -> Result<Value, EvalError> {
-        self.apply_at(f, arg, fuel, 0)
+        self.apply_at(f, arg, &mut Vec::new(), fuel, 0)
     }
 
+    /// Applies `f` to `arg` at nesting `depth`: a closure runs its body on
+    /// the frame `[closure?, argument]`, popped again on return.
     fn apply_at(
         &self,
         f: Value,
         arg: Value,
+        stack: &mut Vec<Value>,
         fuel: &mut Fuel,
         depth: u32,
     ) -> Result<Value, EvalError> {
         fuel.tick(depth)?;
         match f {
             Value::Closure(clo) => {
-                // One chunk push; the body reads its bindings by slot index.
-                let locals = match &clo.rec_name {
-                    Some(_) => clo.locals.push([Value::Closure(clo.clone()), arg]),
-                    None => clo.locals.push([arg]),
-                };
-                self.eval_at(&clo.env, &locals, &clo.body, fuel, depth + 1)
+                let base = stack.len();
+                if clo.rec_name.is_some() {
+                    bind(stack, Value::Closure(clo.clone()));
+                }
+                bind(stack, arg);
+                self.run_body(&clo, &clo.body, stack, base, fuel, depth + 1)
             }
             Value::Native(native) => {
                 let mut collected = native.collected.clone();
@@ -305,16 +455,25 @@ impl<'a> Evaluator<'a> {
         }
     }
 
-    /// Applies a function value to several arguments in turn.
+    /// Applies a function value to several arguments in turn.  Arguments
+    /// go two at a time, so a closure whose body is a `fun` takes a pair as
+    /// one frame, for the fuel applying them one at a time would spend.
     pub fn apply_many(
         &self,
         f: Value,
         args: &[Value],
         fuel: &mut Fuel,
     ) -> Result<Value, EvalError> {
+        let mut stack = Vec::new();
         let mut cur = f;
-        for a in args {
-            cur = self.apply(cur, a.clone(), fuel)?;
+        let mut rest = args;
+        while let [first, second, tail @ ..] = rest {
+            let second = |_: &mut Vec<Value>, _: &mut Fuel| Ok(second.clone());
+            cur = self.apply_two(cur, first.clone(), second, &mut stack, fuel, [0, 0])?;
+            rest = tail;
+        }
+        if let [last] = rest {
+            cur = self.apply_at(cur, last.clone(), &mut stack, fuel, 0)?;
         }
         Ok(cur)
     }
@@ -556,12 +715,32 @@ mod tests {
     fn apply_many_curries() {
         let tyenv = tyenv();
         let ev = Evaluator::new(&tyenv);
-        let mut fuel = Fuel::standard();
-        let plus = eval_with(&ev, &plus_expr(), &mut fuel).unwrap();
-        let result = ev
-            .apply_many(plus, &[Value::nat(4), Value::nat(4)], &mut fuel)
-            .unwrap();
-        assert_eq!(result, Value::nat(8));
+        let plus = eval_with(&ev, &plus_expr(), &mut Fuel::standard()).unwrap();
+        let triple = crate::parser::parse_expr("fun (a : nat) (b : nat) (c : nat) -> (c, b, a)");
+        let triple = eval_with(&ev, &triple.unwrap(), &mut Fuel::standard()).unwrap();
+        let nats = |range: &mut dyn Iterator<Item = u64>| range.map(Value::nat).collect();
+        for (f, args, expected) in [
+            (plus, vec![Value::nat(4), Value::nat(4)], Value::nat(8)),
+            (
+                triple,
+                nats(&mut (1..=3)),
+                Value::tuple_of(nats(&mut (1..=3).rev())),
+            ),
+        ] {
+            // Two arguments at a time or one at a time: the same value for
+            // the same fuel.
+            let mut many = Fuel::standard();
+            assert_eq!(
+                ev.apply_many(f.clone(), &args, &mut many),
+                Ok(expected.clone())
+            );
+            let mut curried = Fuel::standard();
+            let one_by_one = args
+                .iter()
+                .try_fold(f, |g, a| ev.apply(g, a.clone(), &mut curried));
+            assert_eq!(one_by_one, Ok(expected));
+            assert_eq!(many.used(), curried.used());
+        }
     }
 
     #[test]
@@ -663,18 +842,44 @@ mod tests {
     #[test]
     fn divergence_through_a_right_operand_runs_out_of_fuel() {
         // `fix f (x : bool) : bool = <op>` recursing through the right
-        // operand of `==`, `&&` and `||`: the depth bound must trip before
-        // the host stack overflows, whatever the step budget.
+        // operand of `==`, `&&` and `||`, and the two-argument
+        // `fix f (x : bool) = fun (y : bool) -> f x y` called saturated:
+        // the depth bound must trip before the host stack overflows,
+        // whatever the step budget.  The fuel spent on the way is pinned to
+        // that of plain curried application.
         let call = Expr::call("f", [Expr::var("x")]);
-        for body in [
-            Expr::eq(Expr::tru(), call.clone()),
-            Expr::and(Expr::tru(), call.clone()),
-            Expr::or(Expr::fls(), call.clone()),
+        let one_argument = |body: Expr| {
+            let diverge = Expr::fix("f", "x", Type::bool(), Type::bool(), body);
+            Expr::app(diverge, Expr::tru())
+        };
+        let two_arguments = Expr::apps(
+            Expr::fix(
+                "f",
+                "x",
+                Type::bool(),
+                Type::arrow(Type::bool(), Type::bool()),
+                Expr::lambda(
+                    "y",
+                    Type::bool(),
+                    Expr::call("f", [Expr::var("x"), Expr::var("y")]),
+                ),
+            ),
+            [Expr::tru(), Expr::tru()],
+        );
+        for (applied, expected_used) in [
+            (one_argument(Expr::eq(Expr::tru(), call.clone())), 601),
+            (one_argument(Expr::and(Expr::tru(), call.clone())), 601),
+            (one_argument(Expr::or(Expr::fls(), call.clone())), 601),
+            (two_arguments, 1197),
         ] {
-            let diverge = Expr::fix("f", "x", Type::bool(), Type::bool(), body.clone());
-            let applied = Expr::app(diverge, Expr::tru());
-            let result = on_small_stack(|| eval_closed(&applied));
-            assert_eq!(result, Err(EvalError::OutOfFuel), "body {body}");
+            let (result, used) = on_small_stack(|| {
+                let tyenv = tyenv();
+                let mut fuel = Fuel::standard();
+                let result = eval_with(&Evaluator::new(&tyenv), &applied, &mut fuel);
+                (result, fuel.used())
+            });
+            assert_eq!(result, Err(EvalError::OutOfFuel), "{applied}");
+            assert_eq!(used, expected_used, "{applied}");
         }
     }
 }

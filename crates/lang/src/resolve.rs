@@ -5,20 +5,25 @@
 //! ([`Evaluator::eval_resolved`](crate::eval::Evaluator::eval_resolved))
 //! sees it, and rewrites each variable reference that is bound by an
 //! enclosing `fun`/`fix`/`let`/`match` binder into
-//! [`Expr::Local`]`(slot, name)`, where `slot` counts the values pushed onto
-//! the interpreter's [`Locals`](crate::value::Locals) stack between the use
-//! and its binder.  The interpreter services those references with a direct
-//! indexed read; free (global) variables stay [`Expr::Var`] and are looked up
-//! by name in the [`Env`](crate::value::Env).  The name a `Local` carries is
-//! for display and error messages only.
+//! [`Expr::Local`]`(slot, name)`, where `slot` counts the values bound
+//! between the use and its binder.  The interpreter services those
+//! references with a direct indexed read — from its value stack, or below
+//! the current frame from the [`Locals`](crate::value::Locals) chain the
+//! running closure captured; free (global) variables stay [`Expr::Var`] and
+//! are looked up by name in the [`Env`](crate::value::Env).  The name a
+//! `Local` carries is for display and error messages only.
 //!
-//! Slot numbering mirrors the interpreter's binding events exactly:
+//! Slot numbering mirrors the order in which the interpreter binds values:
 //!
-//! * applying a non-recursive closure pushes one chunk `[argument]`;
-//! * applying a recursive closure pushes one chunk `[closure, argument]`;
-//! * `let x = e1 in e2` pushes `[value of e1]` around `e2`;
-//! * a `match` arm pushes all of its pattern's bound values in
+//! * applying a non-recursive closure binds `[argument]`;
+//! * applying a recursive closure binds `[closure, argument]`;
+//! * `let x = e1 in e2` binds `[value of e1]` around `e2`;
+//! * a `match` arm binds all of its pattern's bound values in
 //!   [`Pattern::bound_vars`](crate::ast::Pattern::bound_vars) order.
+//!
+//! A saturated two-argument call binds `[closure?, a1, a2]` at once, which
+//! is the same numbering as applying the outer closure and then the `fun`
+//! it returns.
 //!
 //! Resolution is idempotent and leaves the printed form unchanged.
 
@@ -27,8 +32,8 @@ use std::sync::Arc;
 use crate::ast::{Expr, FixExpr, LambdaExpr, MatchArm, Pattern};
 use crate::symbol::Symbol;
 
-/// The stack of binder frames in scope, mirroring the chunks the interpreter
-/// will push at run time.
+/// The stack of binder frames in scope, mirroring the values the
+/// interpreter will bind at run time.
 #[derive(Debug, Default)]
 struct Frames {
     frames: Vec<Vec<Symbol>>,
@@ -36,7 +41,7 @@ struct Frames {
 
 impl Frames {
     /// The slot index of `name`, if lexically bound: the number of values
-    /// pushed more recently than its binding.
+    /// bound more recently than it.
     fn slot_of(&self, name: &Symbol) -> Option<u32> {
         let mut distance = 0u32;
         for frame in self.frames.iter().rev() {

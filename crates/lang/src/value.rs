@@ -16,9 +16,10 @@ use crate::symbol::Symbol;
 /// body is.
 ///
 /// The body is slot-resolved ([`crate::resolve`]): its lexically-bound
-/// variable references are [`crate::ast::Expr::Local`] slot indices into the
-/// [`Locals`] stack captured at creation, onto which application pushes the
-/// (closure and) argument.  Free (global) variables resolve through `env`.
+/// variable references are [`crate::ast::Expr::Local`] slot indices.
+/// Application binds the (closure and) argument on the interpreter's value
+/// stack; slots below that frame read the [`Locals`] captured at creation.
+/// Free (global) variables resolve through `env`.
 #[derive(Debug, Clone)]
 pub struct Closure {
     /// The parameter name.
@@ -516,22 +517,23 @@ impl Env {
     }
 }
 
-/// A persistent chunked stack of local-slot values, indexed de-Bruijn style
-/// (slot `0` is the most recently pushed value).
+/// A persistent chunked stack of captured local-slot values, indexed
+/// de-Bruijn style (slot `0` is the most recently bound value).
 ///
-/// This is where the interpreter keeps every lexically-bound value: where
-/// [`Env`] walks a linked list comparing interned names (and walks past
-/// every shadowed and global binding on the way), `Locals` jumps straight to
-/// the requested slot.  Each *binding event* — a function application, a
-/// `let`, one `match` arm — pushes a single chunk node holding all the values
-/// it binds, so the chain length is the lexical nesting depth, not the
-/// binding count, and lookups touch at most `depth` nodes with no name
-/// comparisons at all.
+/// The interpreter binds values on a plain value stack that lives for one
+/// evaluation (see [`crate::eval`]).  Only a closure outlives it, so
+/// evaluating a `fun`/`fix` copies the running frame — the slots bound
+/// since the enclosing closure was entered — onto that closure's own
+/// captured chain with [`Locals::capture`]; slot reads the frame does not
+/// cover continue here.  Compared with [`Env`], which walks a linked list
+/// comparing interned names (and walks past every shadowed and global
+/// binding on the way), `Locals` jumps straight to the requested slot with
+/// no name comparisons at all.
 ///
 /// The stack is persistent (chunks are immutable and `Arc`-shared) so that
 /// closures can capture it as cheaply as they capture an [`Env`].  A chunk
-/// is stored inline in its node, sized exactly to the values it holds, so a
-/// binding event costs one allocation.
+/// is stored inline in its node, sized exactly to the values it holds, so
+/// a capture costs one allocation per four slots.
 #[derive(Clone, Default)]
 pub struct Locals(Option<Arc<LocalsNode<[Value]>>>);
 
@@ -539,13 +541,13 @@ pub struct Locals(Option<Arc<LocalsNode<[Value]>>>);
 /// `LocalsNode<[Value; N]>` and unsized to `LocalsNode<[Value]>`.
 struct LocalsNode<T: ?Sized> {
     rest: Locals,
-    /// The values bound by one binding event, oldest first (the newest value
-    /// is `chunk.last()`, i.e. slot `0`).
+    /// The values of one chunk, oldest first (the newest value is
+    /// `chunk.last()`, i.e. slot `0`).
     chunk: T,
 }
 
-/// The most values [`Locals::push_chunk`] puts in one node; longer chunks
-/// are split over several nodes, which leaves slot numbering unchanged.
+/// The most values [`Locals::capture`] puts in one node; longer frames are
+/// split over several nodes, which leaves slot numbering unchanged.
 const MAX_NODE_SLOTS: usize = 4;
 
 impl Locals {
@@ -554,37 +556,26 @@ impl Locals {
         Locals(None)
     }
 
-    /// Pushes one binding event of a size known at compile time: all of
-    /// `values` become the newest slots, the last element being slot `0`.
-    /// An empty push is skipped so slot indices always address a value.
-    pub fn push<const N: usize>(&self, values: [Value; N]) -> Locals {
-        if N == 0 {
-            return self.clone();
+    /// This stack with clones of `frame` on top: its last value becomes
+    /// slot `0`.  Clones go into nodes of at most four slots each; an empty
+    /// frame adds no node, so slot indices always address a value.
+    pub fn capture(&self, frame: &[Value]) -> Locals {
+        fn node<const N: usize>(rest: Locals, values: &[Value]) -> Locals {
+            let chunk: [Value; N] = std::array::from_fn(|i| values[i].clone());
+            let node: Arc<LocalsNode<[Value]>> = Arc::new(LocalsNode { rest, chunk });
+            Locals(Some(node))
         }
-        let node: Arc<LocalsNode<[Value]>> = Arc::new(LocalsNode {
-            rest: self.clone(),
-            chunk: values,
-        });
-        Locals(Some(node))
-    }
-
-    /// Pushes one binding event of any size, like [`Locals::push`]: clones
-    /// of `values` go into nodes of at most four slots each.
-    pub fn push_chunk(&self, values: &[&Value]) -> Locals {
-        fn node<const N: usize>(values: &[&Value]) -> [Value; N] {
-            std::array::from_fn(|i| values[i].clone())
-        }
-        values
+        frame
             .chunks(MAX_NODE_SLOTS)
             .fold(self.clone(), |locals, chunk| match chunk.len() {
-                1 => locals.push(node::<1>(chunk)),
-                2 => locals.push(node::<2>(chunk)),
-                3 => locals.push(node::<3>(chunk)),
-                _ => locals.push(node::<MAX_NODE_SLOTS>(chunk)),
+                1 => node::<1>(locals, chunk),
+                2 => node::<2>(locals, chunk),
+                3 => node::<3>(locals, chunk),
+                _ => node::<MAX_NODE_SLOTS>(locals, chunk),
             })
     }
 
-    /// The value at slot `index` (`0` = most recently pushed).
+    /// The value at slot `index` (`0` = most recently bound).
     pub fn get(&self, index: u32) -> Option<&Value> {
         let mut remaining = index as usize;
         let mut cur = self;
@@ -596,22 +587,6 @@ impl Locals {
             cur = &node.rest;
         }
         None
-    }
-
-    /// `true` when no slots are bound.
-    pub fn is_empty(&self) -> bool {
-        self.0.is_none()
-    }
-
-    /// Total number of bound slots.
-    pub fn len(&self) -> usize {
-        let mut total = 0usize;
-        let mut cur = self;
-        while let Some(node) = &cur.0 {
-            total += node.chunk.len();
-            cur = &node.rest;
-        }
-        total
     }
 }
 
@@ -725,35 +700,31 @@ mod tests {
     #[test]
     fn locals_index_from_the_top() {
         let stack = Locals::empty();
-        assert!(stack.is_empty());
         assert_eq!(stack.get(0), None);
-        // One application chunk [rec; arg] then a let chunk [bound].
-        let stack = stack.push([Value::nat(10), Value::nat(11)]);
-        let stack = stack.push([Value::nat(12)]);
-        assert_eq!(stack.len(), 3);
+        // One application frame [rec; arg] then a let frame [bound].
+        let stack = stack.capture(&[Value::nat(10), Value::nat(11)]);
+        let stack = stack.capture(&[Value::nat(12)]);
         assert_eq!(stack.get(0), Some(&Value::nat(12)));
         assert_eq!(stack.get(1), Some(&Value::nat(11)));
         assert_eq!(stack.get(2), Some(&Value::nat(10)));
         assert_eq!(stack.get(3), None);
-        // Persistence: pushing onto a captured stack leaves it untouched.
+        // Persistence: capturing onto a captured stack leaves it untouched.
         let captured = stack.clone();
-        let extended = stack.push([Value::nat(13)]);
-        assert_eq!(captured.len(), 3);
+        let extended = stack.capture(&[Value::nat(13)]);
+        assert_eq!(captured.get(0), Some(&Value::nat(12)));
+        assert_eq!(captured.get(3), None);
         assert_eq!(extended.get(0), Some(&Value::nat(13)));
         assert_eq!(extended.get(1), Some(&Value::nat(12)));
-        // Empty chunks do not shift slot numbering.
-        assert_eq!(captured.push([]).get(0), Some(&Value::nat(12)));
-        assert_eq!(captured.push_chunk(&[]).get(0), Some(&Value::nat(12)));
+        // Empty frames do not shift slot numbering.
+        assert_eq!(captured.capture(&[]).get(0), Some(&Value::nat(12)));
     }
 
     #[test]
     fn long_chunks_keep_slot_numbering() {
         let values: Vec<Value> = (0..11).map(Value::nat).collect();
-        let refs: Vec<&Value> = values.iter().collect();
-        let base = Locals::empty().push([Value::nat(100)]);
-        for n in 0..=refs.len() {
-            let stack = base.push_chunk(&refs[..n]);
-            assert_eq!(stack.len(), n + 1);
+        let base = Locals::empty().capture(&[Value::nat(100)]);
+        for n in 0..=values.len() {
+            let stack = base.capture(&values[..n]);
             for slot in 0..n {
                 assert_eq!(stack.get(slot as u32), Some(&values[n - 1 - slot]));
             }

@@ -1,6 +1,8 @@
-//! Allocation budget of the value layer: evaluating, cloning and dropping
-//! childless constructors, booleans and `()` never touches the allocator,
-//! and applying a function allocates exactly one node for its argument.
+//! Allocation budget of the value layer and the interpreter: evaluating,
+//! cloning and dropping childless constructors, booleans and `()` never
+//! touches the allocator, applying a function allocates once (the
+//! evaluation's value stack), and a recursive two-argument call allocates
+//! nothing beyond the values it builds.
 //!
 //! The counting allocator is process-wide, so this file holds exactly one
 //! test; the count is also kept per thread, so whatever the test harness
@@ -151,10 +153,49 @@ fn applying_a_function_allocates_once(evaluator: &Evaluator<'_>) {
     }
 }
 
+/// `plus m n` on a first argument of `k` more `S`s allocates `k` more times:
+/// once per `S` slab of its result.  Calls, `match` arms and the curried
+/// `plus m2` in the recursive call bind on the evaluation's value stack.
+fn two_argument_recursion_allocates_only_its_result(evaluator: &Evaluator<'_>) {
+    let plus = resolve(
+        &parse_expr(
+            "fix plus (m : nat) : nat -> nat = fun (n : nat) ->
+               match m with | O -> n | S m2 -> S (plus m2 n) end",
+        )
+        .unwrap(),
+    );
+    let plus = evaluator
+        .eval_resolved(&Env::empty(), &plus, &mut Fuel::standard())
+        .unwrap();
+    let call = resolve(&parse_expr("plus m n").unwrap());
+    let cost = |m: u64| {
+        let env = Env::empty()
+            .bind(Symbol::new("plus"), plus.clone())
+            .bind(Symbol::new("m"), Value::nat(m))
+            .bind(Symbol::new("n"), Value::nat(1));
+        let mut value = None;
+        let made = allocations(|| {
+            value = evaluator
+                .eval_resolved(&env, &call, &mut Fuel::standard())
+                .ok()
+        });
+        assert_eq!(value, Some(Value::nat(m + 1)), "plus {m} 1");
+        made
+    };
+    let (small, large) = (cost(2), cost(6));
+    assert_eq!(small, 1 + 2, "plus 2 1: its value stack and two `S` slabs");
+    assert_eq!(
+        large,
+        small + 4,
+        "plus 6 1 allocated {large} times, plus 2 1 {small}"
+    );
+}
+
 #[test]
 fn value_layer_allocation_budget() {
     let tyenv = tyenv();
     let evaluator = Evaluator::new(&tyenv);
     atoms_cost_no_allocation(&evaluator);
     applying_a_function_allocates_once(&evaluator);
+    two_argument_recursion_allocates_only_its_result(&evaluator);
 }

@@ -162,16 +162,11 @@ pub fn check_cond_inductive(
             // Materialize arguments, instrumenting abstract-mentioning
             // functional positions with boundary logs.
             let mut args: Vec<Value> = Vec::with_capacity(tuple.len());
-            let mut display_args: Vec<Value> = Vec::with_capacity(tuple.len());
             let mut logs: Vec<Arc<BoundaryLog>> = Vec::new();
             for (choice, sig) in tuple.iter().zip(&arg_sigs) {
                 match choice {
-                    Choice::Val(v) => {
-                        args.push((*v).clone());
-                        display_args.push((*v).clone());
-                    }
+                    Choice::Val(v) => args.push((*v).clone()),
                     Choice::Fun(candidate) => {
-                        display_args.push(candidate.value.clone());
                         if sig.mentions_abstract() {
                             let log = BoundaryLog::new();
                             args.push(instrument_function(
@@ -221,7 +216,15 @@ pub fn check_cond_inductive(
                 return ControlFlow::Continue(());
             }
 
-            // Build S = {|args|}σ ∪ client-supplied values.
+            // Report the arguments as enumerated (functions uninstrumented)
+            // and build S = {|args|}σ ∪ client-supplied values.
+            let display_args: Vec<Value> = tuple
+                .iter()
+                .map(|choice| match choice {
+                    Choice::Val(v) => (*v).clone(),
+                    Choice::Fun(candidate) => candidate.value.clone(),
+                })
+                .collect();
             let mut s: Vec<Value> = Vec::new();
             for (value, sig) in display_args.iter().zip(&arg_sigs) {
                 s.extend(collect_abstract(value, sig));

@@ -90,20 +90,19 @@ pub fn product_len<T>(pools: &[Vec<T>], cap: usize) -> usize {
     total.min(cap)
 }
 
-/// Decodes a flat index into one tuple of the cartesian product of `pools`.
+/// Decodes a flat index into one tuple of the cartesian product of `pools`,
+/// written to `tuple` (one slot per pool).
 ///
 /// This is the single definition of the verifier's tuple visit order:
 /// [`search_product`] tests flat indices `0..product_len` in ascending
-/// order, so `decode_tuple(pools, k)` is the `k`-th tuple visited.  The
-/// order is lexicographic, with the last pool varying fastest.
-pub fn decode_tuple<T>(pools: &[Vec<T>], mut flat: usize) -> Vec<&T> {
-    let mut tuple = Vec::with_capacity(pools.len());
-    for pool in pools.iter().rev() {
-        tuple.push(&pool[flat % pool.len()]);
+/// order, so `decode_tuple(pools, k, _)` writes the `k`-th tuple visited.
+/// The order is lexicographic, with the last pool varying fastest.
+pub fn decode_tuple<'a, T>(pools: &'a [Vec<T>], mut flat: usize, tuple: &mut [&'a T]) {
+    debug_assert_eq!(tuple.len(), pools.len());
+    for (slot, pool) in tuple.iter_mut().zip(pools).rev() {
+        *slot = &pool[flat % pool.len()];
         flat /= pool.len();
     }
-    tuple.reverse();
-    tuple
 }
 
 /// Searches the (capped) cartesian product of `pools`, in
@@ -133,8 +132,30 @@ where
         if flat.is_multiple_of(DEADLINE_POLL) && deadline.expired() {
             return Err(VerifierError::Timeout);
         }
-        Ok(visit(&decode_tuple(pools, flat)).break_value())
+        Ok(with_tuple(pools, flat, &visit).break_value())
     })
+}
+
+/// Tuples of at most this many positions are decoded into a buffer on the
+/// host stack; wider ones into a `Vec`.
+const INLINE_TUPLE: usize = 8;
+
+/// Calls `visit` on the tuple at `flat` (which must be below
+/// [`product_len`], so that every pool is non-empty).
+fn with_tuple<'a, T, R>(pools: &'a [Vec<T>], flat: usize, visit: impl FnOnce(&[&'a T]) -> R) -> R {
+    let Some(first) = pools.first().map(|pool| &pool[0]) else {
+        return visit(&[]);
+    };
+    if pools.len() <= INLINE_TUPLE {
+        let mut buffer = [first; INLINE_TUPLE];
+        let tuple = &mut buffer[..pools.len()];
+        decode_tuple(pools, flat, tuple);
+        visit(tuple)
+    } else {
+        let mut tuple = vec![first; pools.len()];
+        decode_tuple(pools, flat, &mut tuple);
+        visit(&tuple)
+    }
 }
 
 /// How often (in flat indices) [`search_product`] polls its deadline.
@@ -238,9 +259,18 @@ mod tests {
         assert_eq!(seen[1], vec![1, 20]);
         assert_eq!(seen[5], vec![3, 20]);
         assert_eq!(visited(&pools, 4), seen[..4].to_vec());
+        // Tuples wider than the inline buffer visit in the same order.
+        let wide: Vec<Vec<u8>> = (0..INLINE_TUPLE + 1).map(|_| vec![0, 1]).collect();
+        let binary = |n: usize| -> Vec<u8> {
+            (0..wide.len())
+                .rev()
+                .map(|bit| (n >> bit & 1) as u8)
+                .collect()
+        };
+        assert_eq!(visited(&wide, 3), (0..3).map(binary).collect::<Vec<_>>());
     }
 
-    /// `decode_tuple(pools, k)` is the `k`-th tuple the bounded product
+    /// `decode_tuple(pools, k, _)` writes the `k`-th tuple the bounded product
     /// search (`search_product`) visits.
     #[test]
     fn decode_tuple_matches_bounded_product_order() {
@@ -256,7 +286,9 @@ mod tests {
         assert_eq!(lexicographic.len(), product_len(&pools, 1000));
         assert_eq!(visited(&pools, 1000), lexicographic);
         for (flat, expected) in lexicographic.iter().enumerate() {
-            let decoded: Vec<i32> = decode_tuple(&pools, flat).into_iter().copied().collect();
+            let mut tuple = [&0; 3];
+            decode_tuple(&pools, flat, &mut tuple);
+            let decoded: Vec<i32> = tuple.into_iter().copied().collect();
             assert_eq!(&decoded, expected, "flat index {flat}");
         }
     }

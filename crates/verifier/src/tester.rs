@@ -65,14 +65,14 @@ pub fn check_sufficiency(
 
     let abstract_positions = spec.abstract_positions();
     let found = search_product(&filtered, cap, workers, deadline, |tuple| {
-        let args: Vec<Value> = tuple.iter().map(|v| (**v).clone()).collect();
         let mut fuel = Fuel::new(bounds.fuel);
         let holds = problem
-            .eval_spec_with_fuel(&args, &mut fuel)
+            .eval_spec_with_fuel(tuple.iter().map(|&&v| v), &mut fuel)
             .unwrap_or(false);
         if holds {
             ControlFlow::Continue(())
         } else {
+            let args: Vec<Value> = tuple.iter().map(|&&v| v.clone()).collect();
             let abstract_args = abstract_positions
                 .iter()
                 .map(|&i| args[i].clone())
