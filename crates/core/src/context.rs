@@ -202,6 +202,8 @@ impl<'p, 'o> InferenceContext<'p, 'o> {
                 builds: pools.builds - self.pool_base.builds,
                 slab_builds: pools.slab_builds - self.pool_base.slab_builds,
                 predicate_evals: pools.predicate_evals - self.pool_base.predicate_evals,
+                predicate_table_hits: pools.predicate_table_hits
+                    - self.pool_base.predicate_table_hits,
             });
         let checks = self.verifier.check_cache_stats();
         self.stats.verification_cache_hits = checks.hits - self.check_base.hits;

@@ -17,9 +17,25 @@
 //!   checked against `Q` (rule I-A); a violation yields the counterexample
 //!   `⟨S, V⟩` where `S` collects the abstract-type inputs (`{|·|}σ`, plus
 //!   client-supplied contract values) and `V` the violating outputs.
+//!
+//! Under full inductiveness `P` and `Q` are the same candidate, and one
+//! check tests it on the same values again and again: every operation
+//! filters the same enumerated pools, and most operation results are
+//! themselves small pool values.  A verdict table therefore keeps the
+//! candidate's verdict on every value the pool filter tests (the abstract
+//! parts of each pool value, evaluated once per check, not once per
+//! operation).  Operation results, module-supplied and client-supplied
+//! contract values are looked up in it first; a value outside it is
+//! evaluated as usual and not stored, so the table never outgrows the
+//! pools.  [`CompiledPredicate::test`] runs each test on fresh fuel, so a
+//! verdict depends on the value alone and a stored one equals a re-run.
+//! The table lives for one check only: it is never persisted and never
+//! shared across candidates.
 
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
+use std::hash::Hasher;
 use std::ops::ControlFlow;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use hanoi_abstraction::contract::{instrument_function, BoundaryLog};
@@ -27,14 +43,15 @@ use hanoi_abstraction::Problem;
 use hanoi_lang::ast::Expr;
 use hanoi_lang::eval::Fuel;
 use hanoi_lang::types::Type;
+use hanoi_lang::util::{IdHashBuilder, IdHasher};
 use hanoi_lang::value::Value;
 
 use crate::bounds::{Deadline, VerifierBounds};
 use crate::hof::FunctionCandidate;
 use crate::outcome::{InductivenessCex, InductivenessOutcome, VerifierError};
-use crate::parallel::par_retain;
+use crate::parallel::{par_map, par_retain};
 use crate::poolcache::PoolCache;
-use crate::pools::{collect_abstract, search_product, CompiledPredicate};
+use crate::pools::{abstract_parts, collect_abstract, search_product, CompiledPredicate};
 
 /// The conditioning predicate `P` of a conditional-inductiveness check.
 #[derive(Debug, Clone, Copy)]
@@ -67,6 +84,145 @@ enum Source<'a> {
     Functions(Arc<Vec<FunctionCandidate>>),
 }
 
+/// How one check decides `P`.
+enum Condition<'a, 'q> {
+    /// Membership in the caller's known-constructible set (`V+`).
+    Known(HashSet<&'a Value>),
+    /// The candidate itself, with its verdicts on pool values kept for the
+    /// rest of the check.
+    Satisfying(VerdictTable<'q>),
+}
+
+/// The verdicts of one candidate on the pool values of one
+/// full-inductiveness check (see the module docs).  It is only probed,
+/// never iterated, so its keys may hash by symbol address.
+struct VerdictTable<'q> {
+    q: &'q CompiledPredicate<'q>,
+    /// The values the pool filter tested, one list per filtered pool: the
+    /// cached pool itself, or the abstract parts of its tuples.  Entries
+    /// point into these lists instead of holding a copy of each value.
+    tested: Vec<Arc<Vec<Value>>>,
+    /// Keyed by [`address_hash`].  Of two values with one hash only the
+    /// first is stored; the other is evaluated whenever it is tested.
+    slots: HashMap<u64, Held, IdHashBuilder>,
+    /// Counts the tests the table answers.
+    hits: &'q AtomicU64,
+}
+
+/// A stored verdict and where its value lives in [`VerdictTable::tested`].
+struct Held {
+    list: u32,
+    index: u32,
+    verdict: bool,
+}
+
+impl<'q> VerdictTable<'q> {
+    fn new(q: &'q CompiledPredicate<'q>, hits: &'q AtomicU64) -> Self {
+        VerdictTable {
+            q,
+            tested: Vec::new(),
+            slots: HashMap::default(),
+            hits,
+        }
+    }
+
+    fn get(&self, hash: u64, value: &Value) -> Option<bool> {
+        self.slots
+            .get(&hash)
+            .filter(|held| &self.tested[held.list as usize][held.index as usize] == value)
+            .map(|held| held.verdict)
+    }
+
+    /// The candidate's verdict on `value`: from the table when it holds one,
+    /// otherwise evaluated (and not stored).
+    fn test(&self, value: &Value) -> bool {
+        match self.get(address_hash(value), value) {
+            Some(verdict) => {
+                self.hits.fetch_add(1, Ordering::Relaxed);
+                verdict
+            }
+            None => self.q.test(value),
+        }
+    }
+
+    /// The values of `pool` (the pool of an argument position of type `sig`)
+    /// whose abstract parts all satisfy the candidate, in pool order.  Parts
+    /// the table lacks are evaluated over `workers` threads and stored
+    /// serially, so the result matches a serial filter.
+    fn filter<'v>(
+        &mut self,
+        pool: &'v Arc<Vec<Value>>,
+        sig: &Type,
+        workers: usize,
+    ) -> Vec<&'v Value> {
+        let parts = match sig {
+            Type::Abstract => Arc::clone(pool),
+            _ => Arc::new(pool.iter().flat_map(|v| collect_abstract(v, sig)).collect()),
+        };
+        let mut hits = 0;
+        let mut misses: Vec<(u64, u32)> = Vec::new();
+        for (index, part) in parts.iter().enumerate() {
+            let hash = address_hash(part);
+            if self.get(hash, part).is_some() {
+                hits += 1;
+            } else {
+                misses.push((hash, index as u32));
+            }
+        }
+        self.hits.fetch_add(hits, Ordering::Relaxed);
+        if !misses.is_empty() {
+            let verdicts = par_map(&misses, workers, |&(_, index)| {
+                self.q.test(&parts[index as usize])
+            });
+            let list = self.tested.len() as u32;
+            self.tested.push(parts);
+            self.slots.reserve(misses.len());
+            for ((hash, index), verdict) in misses.into_iter().zip(verdicts) {
+                self.slots.entry(hash).or_insert(Held {
+                    list,
+                    index,
+                    verdict,
+                });
+            }
+        }
+        pool.iter()
+            .filter(|value| {
+                abstract_parts(value, sig).into_iter().all(|part| {
+                    // Only a part whose hash a different value holds is
+                    // missing.
+                    self.get(address_hash(part), part)
+                        .unwrap_or_else(|| self.q.test(part))
+                })
+            })
+            .collect()
+    }
+}
+
+/// A structural hash of `value` that hashes each constructor by its interned
+/// symbol's address rather than its name: equal values hash equally (equal
+/// symbols share one address), but the hash differs across processes, so it
+/// only keys tables that are probed and never iterated.
+fn address_hash(value: &Value) -> u64 {
+    fn feed(value: &Value, state: &mut IdHasher) {
+        match value {
+            Value::Ctor(name, args) => {
+                state.write_usize(name.as_str().as_ptr() as usize);
+                args.iter().for_each(|arg| feed(arg, state));
+            }
+            Value::Tuple(items) => {
+                state.write_usize(items.len());
+                items.iter().for_each(|item| feed(item, state));
+            }
+            Value::Int(i) => state.write_u64(*i as u64),
+            Value::Closure(c) => state.write_usize(Arc::as_ptr(c) as usize),
+            Value::Native(n) => state.write_usize(Arc::as_ptr(n) as usize),
+        }
+    }
+    let mut state = IdHasher::default();
+    feed(value, &mut state);
+    state.finish()
+}
+
 /// Checks `CondInductive P Q` where `P` is given by `pool` and `Q` is
 /// `invariant`, spreading tuple evaluation over `workers` threads (`1` =
 /// serial; parallel runs report the same counterexample as serial ones, see
@@ -88,14 +244,10 @@ pub fn check_cond_inductive(
 ) -> Result<InductivenessOutcome, VerifierError> {
     let q = CompiledPredicate::compile(problem, invariant, bounds.fuel)?
         .with_eval_counter(pools.eval_counter());
-    let known: Option<HashSet<&Value>> = match pool {
-        PoolSpec::Known(values) => Some(values.iter().collect()),
-        PoolSpec::Satisfying => None,
-    };
-    let satisfies_p = |v: &Value| -> bool {
-        match &known {
-            Some(set) => set.contains(v),
-            None => q.test(v),
+    let mut condition = match pool {
+        PoolSpec::Known(values) => Condition::Known(values.iter().collect()),
+        PoolSpec::Satisfying => {
+            Condition::Satisfying(VerdictTable::new(&q, pools.table_hit_counter()))
         }
     };
 
@@ -147,16 +299,30 @@ pub fn check_cond_inductive(
                     choice_pools.push(candidates.iter().map(Choice::Fun).collect());
                 }
                 Source::Values(values, filter) => {
-                    let mut refs: Vec<&Value> = values.iter().collect();
-                    if *filter {
-                        par_retain(&mut refs, workers, |v| {
-                            collect_abstract(v, sig).iter().all(&satisfies_p)
-                        });
-                    }
+                    let refs: Vec<&Value> = match &mut condition {
+                        _ if !*filter => values.iter().collect(),
+                        Condition::Known(set) => {
+                            let mut refs: Vec<&Value> = values.iter().collect();
+                            par_retain(&mut refs, workers, |v| {
+                                abstract_parts(v, sig).into_iter().all(|p| set.contains(p))
+                            });
+                            refs
+                        }
+                        Condition::Satisfying(table) => table.filter(values, sig, workers),
+                    };
                     choice_pools.push(refs.into_iter().map(Choice::Val).collect());
                 }
             }
         }
+
+        let satisfies_p = |v: &Value| match &condition {
+            Condition::Known(set) => set.contains(v),
+            Condition::Satisfying(table) => table.test(v),
+        };
+        let satisfies_q = |v: &Value| match &condition {
+            Condition::Known(_) => q.test(v),
+            Condition::Satisfying(table) => table.test(v),
+        };
 
         let found = search_product(&choice_pools, cap, workers, deadline, |tuple| {
             // Materialize arguments, instrumenting abstract-mentioning
@@ -211,7 +377,7 @@ pub fn check_cond_inductive(
             // functional argument.
             let mut produced: Vec<Value> = collect_abstract(&result, result_sig);
             produced.extend(logs.iter().flat_map(|log| log.module_supplied_values()));
-            let violations: Vec<Value> = produced.into_iter().filter(|v| !q.test(v)).collect();
+            let violations: Vec<Value> = produced.into_iter().filter(|v| !satisfies_q(v)).collect();
             if violations.is_empty() {
                 return ControlFlow::Continue(());
             }
@@ -449,5 +615,85 @@ mod tests {
             }
             InductivenessOutcome::Valid => panic!("`empty` violates the candidate"),
         }
+    }
+
+    /// A full-inductiveness check of `candidate` (of `only_op`, when set) on
+    /// a fresh pool cache: its outcome and the cache's counters.
+    fn full_check(
+        problem: &Problem,
+        candidate: &Expr,
+        only_op: Option<&str>,
+    ) -> (InductivenessOutcome, crate::PoolCacheStats) {
+        let pools = PoolCache::for_problem(problem);
+        let outcome = check_cond_inductive(
+            problem,
+            &pools,
+            &VerifierBounds::quick(),
+            &Deadline::none(),
+            PoolSpec::Satisfying,
+            candidate,
+            only_op,
+            1,
+        )
+        .unwrap();
+        (outcome, pools.stats())
+    }
+
+    #[test]
+    fn the_verdict_table_evaluates_each_pool_value_once_per_check() {
+        // `insert` and `delete` draw their lists from one 2-quantifier pool.
+        let problem = problem();
+        let inv = no_duplicates();
+        let (outcome, full) = full_check(&problem, &inv, None);
+        assert_eq!(outcome, InductivenessOutcome::Valid);
+        assert_eq!(full.predicate_evals, 165);
+        // Before the table this check made 463 evaluations; each of them is
+        // now either an evaluation or a table hit.
+        assert_eq!(full.predicate_evals + full.predicate_table_hits, 463);
+
+        // Checked one operation at a time, `insert` and `delete` each
+        // evaluate the whole pool; checked together, the second one reads
+        // the first one's verdicts, so the pool is evaluated once.  Results
+        // outside the pool are evaluated in both cases.
+        let pool = PoolCache::for_problem(&problem)
+            .pool(&Type::named("list"), 150, 9, 1)
+            .len() as u64;
+        let evals = |op| full_check(&problem, &inv, Some(op)).1.predicate_evals;
+        assert_eq!(
+            full.predicate_evals,
+            evals("empty") + evals("insert") + evals("delete") - pool
+        );
+    }
+
+    #[test]
+    fn a_violation_decided_by_the_table_is_the_same_counterexample() {
+        // The §2 candidate: insert [] 1 = [1], and [1] is a pool value whose
+        // verdict the pool filter already holds.
+        let problem = problem();
+        let candidate = parse_expr(
+            "fun (l : list) -> match l with | Nil -> True | Cons (hd, tl) -> not (hd == 1) end",
+        )
+        .unwrap();
+        let (outcome, stats) = full_check(&problem, &candidate, None);
+        assert_eq!(
+            outcome,
+            InductivenessOutcome::Cex(InductivenessCex {
+                op: "insert".into(),
+                args: vec![Value::nat_list(&[]), Value::nat(1)],
+                s: vec![Value::nat_list(&[])],
+                v: vec![Value::nat_list(&[1])],
+            })
+        );
+        // `empty`'s result and the pool filter: 35 evaluations; the results
+        // [0] and [1] of `insert []`: 2 table hits.
+        assert_eq!((stats.predicate_evals, stats.predicate_table_hits), (35, 2));
+    }
+
+    #[test]
+    fn address_hashes_agree_on_equal_values() {
+        let a = Value::nat_list(&[3, 1, 2]);
+        let b = Value::nat_list(&[3, 1, 2]);
+        assert_eq!(address_hash(&a), address_hash(&b));
+        assert_ne!(address_hash(&a), address_hash(&Value::nat_list(&[3, 2, 1])));
     }
 }

@@ -27,8 +27,9 @@
 //!   serial build regardless of scheduling.
 //!
 //! The cache is also the verification session's instrumentation hub: it
-//! counts pool hits, slab/pool builds and predicate evaluations (the eval
-//! counter is shared with [`crate::pools::CompiledPredicate`]), which the
+//! counts pool hits, slab/pool builds, predicate evaluations (the eval
+//! counter is shared with [`crate::pools::CompiledPredicate`]) and predicate
+//! tests answered from a full-inductiveness verdict table, which the
 //! inference driver surfaces through `RunStats`.
 //!
 //! Nothing here is persisted across processes: pool contents are a
@@ -60,6 +61,10 @@ pub struct PoolCacheStats {
     /// Predicate evaluations performed by compiled predicates wired to this
     /// cache (see [`PoolCache::eval_counter`]).
     pub predicate_evals: u64,
+    /// Predicate tests a full-inductiveness check answered from its
+    /// check-scoped verdict table instead of evaluating (see
+    /// [`crate::inductive`]).
+    pub predicate_table_hits: u64,
 }
 
 /// Per-size slab store: all values of a type with exactly `size` nodes.
@@ -96,6 +101,7 @@ pub struct PoolCache {
     builds: AtomicU64,
     slab_builds: AtomicU64,
     evals: Arc<AtomicU64>,
+    table_hits: AtomicU64,
 }
 
 impl PoolCache {
@@ -111,6 +117,7 @@ impl PoolCache {
             builds: AtomicU64::new(0),
             slab_builds: AtomicU64::new(0),
             evals: Arc::new(AtomicU64::new(0)),
+            table_hits: AtomicU64::new(0),
         }
     }
 
@@ -291,6 +298,11 @@ impl PoolCache {
         Arc::clone(&self.evals)
     }
 
+    /// The shared counter of predicate tests answered from a verdict table.
+    pub(crate) fn table_hit_counter(&self) -> &AtomicU64 {
+        &self.table_hits
+    }
+
     /// A snapshot of the session counters.
     pub fn stats(&self) -> PoolCacheStats {
         PoolCacheStats {
@@ -298,6 +310,7 @@ impl PoolCache {
             builds: self.builds.load(Ordering::Relaxed),
             slab_builds: self.slab_builds.load(Ordering::Relaxed),
             predicate_evals: self.evals.load(Ordering::Relaxed),
+            predicate_table_hits: self.table_hits.load(Ordering::Relaxed),
         }
     }
 }

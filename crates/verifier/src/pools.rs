@@ -169,13 +169,19 @@ const PRODUCT_CHUNK: usize = 64;
 /// Collects the abstract-type components of a first-order value, guided by
 /// its interface-level type — the `{|v|}σ` function of Figure 3.
 pub fn collect_abstract(value: &Value, sig: &Type) -> Vec<Value> {
+    abstract_parts(value, sig).into_iter().cloned().collect()
+}
+
+/// [`collect_abstract`] without the clones: the components, borrowed from
+/// `value`.
+pub fn abstract_parts<'v>(value: &'v Value, sig: &Type) -> Vec<&'v Value> {
     match sig {
-        Type::Abstract => vec![value.clone()],
+        Type::Abstract => vec![value],
         Type::Tuple(sigs) => match value {
             Value::Tuple(items) if items.len() == sigs.len() => sigs
                 .iter()
                 .zip(items.iter())
-                .flat_map(|(s, v)| collect_abstract(v, s))
+                .flat_map(|(s, v)| abstract_parts(v, s))
                 .collect(),
             _ => Vec::new(),
         },

@@ -16,7 +16,7 @@ use std::hash::{Hash, Hasher};
 use hanoi_repro::hanoi::{Engine, EngineConfig, Outcome, RunOptions};
 use hanoi_repro::lang::parser::parse_expr;
 use hanoi_repro::lang::value::Value;
-use hanoi_repro::verifier::{Verifier, VerifierBounds};
+use hanoi_repro::verifier::{InductivenessOutcome, Verifier, VerifierBounds};
 
 const PARALLELISM_LEVELS: [usize; 3] = [2, 4, 8];
 
@@ -107,6 +107,66 @@ fn verifier_checks_report_identical_counterexamples() {
                 vis_serial,
                 "{id}: visible inductiveness diverged at parallelism {workers}"
             );
+        }
+    }
+}
+
+/// Full inductiveness keeps a check-scoped table of the candidate's verdicts
+/// on pool values, filled by parallel workers and read by the parallel tuple
+/// search: outcomes, counterexamples included, must not depend on the worker
+/// count.  The `+hofs` modules also look up the values their `fold`
+/// callbacks hand back to the module (rule I-Fun's premise).
+#[test]
+fn full_inductiveness_with_the_verdict_table_is_parallelism_independent() {
+    // The §2 candidate: heads must differ from 1.  `insert [] 1 = [1]`
+    // violates it, and [1] is a pool value, so the verdict that decides the
+    // counterexample comes from the table.
+    let head_is_not_one =
+        "fun (l : list) -> match l with | Nil -> True | Cons (hd, tl) -> not (hd == 1) end";
+    let candidates = ["fun (l : list) -> True", head_is_not_one];
+    let bounds = VerifierBounds::quick();
+    for id in [
+        "/coq/unique-list-::-set+hofs",
+        "/coq/sorted-list-::-set+hofs",
+    ] {
+        let problem = hanoi_repro::benchmarks::find(id)
+            .unwrap()
+            .problem()
+            .unwrap();
+        for source in candidates {
+            let candidate = parse_expr(source).unwrap();
+            let verifier = |workers| {
+                Verifier::new(&problem)
+                    .with_bounds(bounds)
+                    .with_parallelism(workers)
+            };
+            let (serial, parallel) = (verifier(1), verifier(2));
+            let full = serial.check_full_inductiveness(&candidate).unwrap();
+            assert_eq!(
+                parallel.check_full_inductiveness(&candidate).unwrap(),
+                full,
+                "{id}: full inductiveness of {source} diverged at parallelism 2"
+            );
+            for op in ["filter", "fold"] {
+                assert_eq!(
+                    parallel.check_op_inductiveness(op, &candidate).unwrap(),
+                    serial.check_op_inductiveness(op, &candidate).unwrap(),
+                    "{id}: inductiveness of {op} under {source} diverged at parallelism 2"
+                );
+            }
+            if source == head_is_not_one {
+                let InductivenessOutcome::Cex(cex) = full else {
+                    panic!("{id}: insert [] 1 = [1] violates {source}");
+                };
+                let pool = serial.pool_cache().pool(
+                    problem.concrete_type(),
+                    bounds.multi_count,
+                    bounds.multi_size,
+                    1,
+                );
+                assert_eq!(cex.v, vec![Value::nat_list(&[1])], "{id}");
+                assert!(pool.contains(&cex.v[0]), "{id}: [1] is a pool value");
+            }
         }
     }
 }

@@ -145,4 +145,8 @@ fn run_stats_surface_the_pool_and_eval_counters() {
         stats.predicate_evals > 0,
         "candidate evaluations are counted"
     );
+    assert!(
+        stats.predicate_table_hits > 0,
+        "full-inductiveness checks answer repeated tests from their verdict table"
+    );
 }
