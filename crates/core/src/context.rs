@@ -204,6 +204,8 @@ impl<'p, 'o> InferenceContext<'p, 'o> {
                 predicate_evals: pools.predicate_evals - self.pool_base.predicate_evals,
                 predicate_table_hits: pools.predicate_table_hits
                     - self.pool_base.predicate_table_hits,
+                spec_evals: pools.spec_evals - self.pool_base.spec_evals,
+                spec_memo_hits: pools.spec_memo_hits - self.pool_base.spec_memo_hits,
             });
         let checks = self.verifier.check_cache_stats();
         self.stats.verification_cache_hits = checks.hits - self.check_base.hits;

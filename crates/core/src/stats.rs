@@ -47,6 +47,13 @@ counters! {
         /// its verdict table (the candidate's verdicts on that check's pool
         /// values) instead of evaluating.
         pub predicate_table_hits: u64,
+        /// Specification evaluations made by the verifier's sufficiency
+        /// searches.
+        pub spec_evals: u64,
+        /// Sufficiency tuples skipped because an earlier check of the
+        /// session found that the specification held on them (the session
+        /// spec memo).
+        pub spec_memo_hits: u64,
         /// Verifier checks answered from the engine's cross-run check-outcome
         /// cache without re-running their sweep.
         pub verification_cache_hits: u64,
@@ -134,6 +141,8 @@ impl RunStats {
         self.pool_slab_builds = pool.slab_builds;
         self.predicate_evals = pool.predicate_evals;
         self.predicate_table_hits = pool.predicate_table_hits;
+        self.spec_evals = pool.spec_evals;
+        self.spec_memo_hits = pool.spec_memo_hits;
     }
 
     /// Copies a synthesizer term-bank snapshot into the run statistics.
@@ -186,6 +195,8 @@ mod tests {
             pool_slab_builds: 9,
             predicate_evals: 12345,
             predicate_table_hits: 6789,
+            spec_evals: 2468,
+            spec_memo_hits: 1357,
             verification_cache_hits: 4,
             check_cache_evictions: 2,
             warm_start_loads: 3,
@@ -209,7 +220,7 @@ mod tests {
                 r#""final_negatives":8,"final_positives":11,"invariant_size":18,"#,
                 r#""iterations":7,"pool_builds":4,"pool_cache_hits":40,"#,
                 r#""pool_slab_builds":9,"predicate_evals":12345,"#,
-                r#""predicate_table_hits":6789,"#,
+                r#""predicate_table_hits":6789,"spec_evals":2468,"spec_memo_hits":1357,"#,
                 r#""synth_arith_atoms":12,"synth_bank_hits":500,"#,
                 r#""synth_bitset_row_ops":4321,"synth_column_appends":6,"#,
                 r#""synth_eq_class_splits":2,"synth_guess_memo_hits":7,"#,
@@ -228,7 +239,7 @@ mod tests {
                 r#""final_negatives":0,"final_positives":0,"invariant_size":null,"#,
                 r#""iterations":0,"pool_builds":0,"pool_cache_hits":0,"#,
                 r#""pool_slab_builds":0,"predicate_evals":0,"#,
-                r#""predicate_table_hits":0,"#,
+                r#""predicate_table_hits":0,"spec_evals":0,"spec_memo_hits":0,"#,
                 r#""synth_arith_atoms":0,"synth_bank_hits":0,"#,
                 r#""synth_bitset_row_ops":0,"synth_column_appends":0,"#,
                 r#""synth_eq_class_splits":0,"synth_guess_memo_hits":0,"#,

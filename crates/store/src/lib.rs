@@ -723,7 +723,10 @@ mod tests {
                 (
                     "check_cache".to_string(),
                     Json::obj([
-                        ("version", Json::Num(1.0)),
+                        (
+                            "version",
+                            Json::Num(hanoi_verifier::CheckCache::SNAPSHOT_VERSION as f64),
+                        ),
                         ("kind", Json::Str("check-cache".into())),
                         ("entries", Json::Arr(Vec::new())),
                     ]),

@@ -213,8 +213,12 @@ impl CheckCache {
 
     /// The snapshot format version written by [`CheckCache::to_json`].  Bump
     /// it whenever the key digests ([`hanoi_lang::digest`]) or the entry
-    /// encoding change shape; loaders reject mismatching versions cleanly.
-    pub const SNAPSHOT_VERSION: u64 = 1;
+    /// encoding change shape, or a verifier fix changes the outcome a key
+    /// stands for; loaders reject mismatching versions cleanly, so stores
+    /// written by older builds restore cold.  Version 2: sufficiency filters
+    /// tuple-typed spec parameters by their abstract parts, where version 1
+    /// builds could store a vacuous `Valid`.
+    pub const SNAPSHOT_VERSION: u64 = 2;
 
     /// An empty cache holding at most `capacity` outcomes.
     pub fn new(capacity: usize) -> Self {
@@ -930,7 +934,7 @@ mod tests {
         );
         // A wrong-kind object is also a skip, not a join of foreign data.
         let foreign = Json::obj([
-            ("version", Json::Num(1.0)),
+            ("version", Json::Num(CheckCache::SNAPSHOT_VERSION as f64)),
             ("kind", Json::Str("term-bank-part".to_string())),
             ("entries", Json::Arr(vec![])),
         ]);
@@ -938,6 +942,48 @@ mod tests {
         assert_eq!(skipped, 1);
         // Splitting something that is not a check-cache snapshot is refused.
         assert!(CheckCache::split_snapshot(&foreign, 2).is_none());
+    }
+
+    #[test]
+    fn snapshots_of_older_versions_restore_cold() {
+        // Version 1 builds answered sufficiency for tuple-typed spec
+        // parameters vacuously; their outcomes must not be served.
+        let cache = CheckCache::new(32);
+        let bounds = VerifierBounds::quick();
+        for i in 0..4 {
+            cache
+                .sufficiency(digest_of(&format!("inv{i}")), bounds, || {
+                    Ok(SufficiencyOutcome::Valid)
+                })
+                .unwrap();
+        }
+        let with_version = |json: &Json, version: u64| {
+            let mut json = json.clone();
+            if let Json::Obj(map) = &mut json {
+                map.insert("version".to_string(), Json::Num(version as f64));
+            }
+            json
+        };
+        let old = CheckCache::SNAPSHOT_VERSION - 1;
+        assert!(CheckCache::from_json(&with_version(&cache.to_json(), old), 32).is_err());
+        assert!(CheckCache::split_snapshot(&with_version(&cache.to_json(), old), 2).is_none());
+        // The warm-start store reassembles recency stripes: an older build's
+        // stripes are skipped, and the joined snapshot restores empty.
+        let stripes = CheckCache::split_snapshot(&cache.to_json(), 2).unwrap();
+        let old_stripes: Vec<Json> = stripes.iter().map(|s| with_version(s, old)).collect();
+        let (joined, skipped) = CheckCache::join_stripes(&old_stripes);
+        assert_eq!(skipped, stripes.len());
+        assert_eq!(
+            CheckCache::from_json(&joined, 32).unwrap().stats().entries,
+            0
+        );
+        // The current version's stripes restore whole.
+        let (joined, skipped) = CheckCache::join_stripes(&stripes);
+        assert_eq!(skipped, 0);
+        assert_eq!(
+            CheckCache::from_json(&joined, 32).unwrap().stats().entries,
+            4
+        );
     }
 
     #[test]

@@ -31,6 +31,12 @@
 //! verdict depends on the value alone and a stored one equals a re-run.
 //! The table lives for one check only: it is never persisted and never
 //! shared across candidates.
+//!
+//! A candidate that is literally `fun (x : τ) -> True` needs no sweep at
+//! all: under rule I-A a check fails only when a produced value violates
+//! `Q`, and client-supplied values only decide which tuples count, so with
+//! `Q ≡ True` every check — visible or full, of every operation — is
+//! `Valid`.
 
 use std::collections::{HashMap, HashSet};
 use std::hash::Hasher;
@@ -42,6 +48,7 @@ use hanoi_abstraction::contract::{instrument_function, BoundaryLog};
 use hanoi_abstraction::Problem;
 use hanoi_lang::ast::Expr;
 use hanoi_lang::eval::Fuel;
+use hanoi_lang::symbol::Symbol;
 use hanoi_lang::types::Type;
 use hanoi_lang::util::{IdHashBuilder, IdHasher};
 use hanoi_lang::value::Value;
@@ -223,6 +230,12 @@ fn address_hash(value: &Value) -> u64 {
     state.finish()
 }
 
+/// Whether `invariant` is literally `fun (x : τ) -> True`.
+fn is_constant_true(invariant: &Expr) -> bool {
+    matches!(invariant, Expr::Lambda(lambda)
+        if matches!(&*lambda.body, Expr::Ctor(name, args) if *name == Symbol::TRUE && args.is_empty()))
+}
+
 /// Checks `CondInductive P Q` where `P` is given by `pool` and `Q` is
 /// `invariant`, spreading tuple evaluation over `workers` threads (`1` =
 /// serial; parallel runs report the same counterexample as serial ones, see
@@ -244,6 +257,10 @@ pub fn check_cond_inductive(
 ) -> Result<InductivenessOutcome, VerifierError> {
     let q = CompiledPredicate::compile(problem, invariant, bounds.fuel)?
         .with_eval_counter(pools.eval_counter());
+    if is_constant_true(invariant) {
+        // Rule I-A: only a produced value violating Q fails the check.
+        return Ok(InductivenessOutcome::Valid);
+    }
     let mut condition = match pool {
         PoolSpec::Known(values) => Condition::Known(values.iter().collect()),
         PoolSpec::Satisfying => {
@@ -687,6 +704,43 @@ mod tests {
         // `empty`'s result and the pool filter: 35 evaluations; the results
         // [0] and [1] of `insert []`: 2 table hits.
         assert_eq!((stats.predicate_evals, stats.predicate_table_hits), (35, 2));
+    }
+
+    #[test]
+    fn a_true_conclusion_is_valid_without_a_sweep() {
+        let problem = problem();
+        let check = |candidate: &Expr, pool: PoolSpec<'_>, only_op: Option<&str>| {
+            let pools = PoolCache::for_problem(&problem);
+            let outcome = check_cond_inductive(
+                &problem,
+                &pools,
+                &VerifierBounds::quick(),
+                &Deadline::none(),
+                pool,
+                candidate,
+                only_op,
+                1,
+            )
+            .unwrap();
+            (outcome, pools.stats())
+        };
+        let v_plus = vec![Value::nat_list(&[]), Value::nat_list(&[0, 1])];
+        let checks = [
+            (PoolSpec::Known(&v_plus), None),
+            (PoolSpec::Satisfying, None),
+            (PoolSpec::Satisfying, Some("insert")),
+        ];
+        let literal = parse_expr("fun (l : list) -> True").unwrap();
+        let not_false = parse_expr("fun (l : list) -> not False").unwrap();
+        for (pool, only_op) in checks {
+            let (outcome, stats) = check(&literal, pool, only_op);
+            assert_eq!(outcome, InductivenessOutcome::Valid);
+            assert_eq!(stats, crate::PoolCacheStats::default(), "no pool, no test");
+            // The same predicate, not literally `True`, is swept.
+            let (outcome, stats) = check(&not_false, pool, only_op);
+            assert_eq!(outcome, InductivenessOutcome::Valid);
+            assert!(stats.predicate_evals > 0);
+        }
     }
 
     #[test]

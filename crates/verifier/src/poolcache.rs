@@ -24,23 +24,29 @@
 //!   largest first, each with a private [`ValueEnumerator`]; since
 //!   [`ValueEnumerator::values_of_size`] is a deterministic function of
 //!   `(type, size)`, the merged size-ordered result is byte-identical to a
-//!   serial build regardless of scheduling.
+//!   serial build regardless of scheduling;
+//! * **spec memos** ([`SpecMemo`]) record, per problem, fuel bound and
+//!   quantifier pool bounds, the tuples on which the specification held in
+//!   an earlier sufficiency check of the session (see [`crate::tester`]).
 //!
 //! The cache is also the verification session's instrumentation hub: it
 //! counts pool hits, slab/pool builds, predicate evaluations (the eval
-//! counter is shared with [`crate::pools::CompiledPredicate`]) and predicate
-//! tests answered from a full-inductiveness verdict table, which the
-//! inference driver surfaces through `RunStats`.
+//! counter is shared with [`crate::pools::CompiledPredicate`]), predicate
+//! tests answered from a full-inductiveness verdict table, and the spec
+//! evaluations and memo hits of sufficiency searches, which the inference
+//! driver surfaces through `RunStats`.
 //!
 //! Nothing here is persisted across processes: pool contents are a
-//! deterministic function of `(type, size)`, and a warm-started run that
-//! answers its checks from the check-outcome cache never requests a pool.
+//! deterministic function of `(type, size)`, spec memos are rebuilt by the
+//! checks of a session, and a warm-started run that answers its checks from
+//! the check-outcome cache never requests a pool.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
 use hanoi_abstraction::Problem;
+use hanoi_lang::digest::Digest;
 use hanoi_lang::enumerate::ValueEnumerator;
 use hanoi_lang::types::{Type, TypeEnv};
 use hanoi_lang::value::Value;
@@ -65,6 +71,11 @@ pub struct PoolCacheStats {
     /// check-scoped verdict table instead of evaluating (see
     /// [`crate::inductive`]).
     pub predicate_table_hits: u64,
+    /// Specification evaluations made by sufficiency searches.
+    pub spec_evals: u64,
+    /// Sufficiency tuples skipped because the session's spec memo records
+    /// that the specification already held on them (see [`SpecMemo`]).
+    pub spec_memo_hits: u64,
 }
 
 /// Per-size slab store: all values of a type with exactly `size` nodes.
@@ -79,6 +90,71 @@ type PoolMap = HashMap<(Type, usize, usize), Arc<Vec<Value>>>;
 /// key because enumeration *evaluates* each candidate and drops the ones
 /// that run out of budget.
 type FunctionMap = HashMap<(usize, Type, usize, usize, u64), Arc<Vec<FunctionCandidate>>>;
+/// Spec memo store, keyed by `(problem fingerprint, fuel, count, size)`.
+/// The fingerprint fixes the spec's parameter types, and a pool is a
+/// deterministic function of `(type, count, size)`, so the key fixes the
+/// quantifier pools a memo's tuple indices point into.
+type SpecMemoMap = HashMap<(Digest, u64, usize, usize), Arc<SpecMemo>>;
+
+/// The most tuples a [`SpecMemo`] covers: one bit each, 512 KiB at most.
+/// Sufficiency checks over larger unfiltered products are not memoized.
+const SPEC_MEMO_MAX_TUPLES: usize = 1 << 22;
+
+/// The tuples of one specification's quantifier pools on which the
+/// specification held, one bit per tuple of the *unfiltered* product of the
+/// pools, so that the memo is shared by every candidate's sufficiency check.
+///
+/// A spec verdict is a function of the tuple alone (each evaluation starts
+/// from fresh fuel), so a recorded tuple may skip evaluation.  Only "held"
+/// is recorded: a failing tuple is evaluated again, which keeps the first
+/// failing tuple of every search — its counterexample — unchanged.  Bits
+/// are set with `fetch_or`, so parallel workers share one memo without a
+/// lock.
+#[derive(Debug)]
+pub struct SpecMemo {
+    /// Pool lengths: a tuple's bit is its pool indices read in mixed radix,
+    /// the last quantifier as the lowest digit.
+    radices: Vec<usize>,
+    words: Box<[AtomicU64]>,
+}
+
+impl SpecMemo {
+    /// A memo over `pools`, or `None` when their product exceeds
+    /// [`SPEC_MEMO_MAX_TUPLES`].
+    fn new(pools: &[Arc<Vec<Value>>]) -> Option<SpecMemo> {
+        let mut tuples = 1usize;
+        for pool in pools {
+            tuples = tuples.checked_mul(pool.len())?;
+        }
+        if tuples > SPEC_MEMO_MAX_TUPLES {
+            return None;
+        }
+        Some(SpecMemo {
+            radices: pools.iter().map(|pool| pool.len()).collect(),
+            words: (0..tuples.div_ceil(64))
+                .map(|_| AtomicU64::new(0))
+                .collect(),
+        })
+    }
+
+    /// The bit of the tuple at `indices` (one index per pool).
+    pub fn slot(&self, indices: impl IntoIterator<Item = usize>) -> usize {
+        indices
+            .into_iter()
+            .zip(&self.radices)
+            .fold(0, |slot, (index, &radix)| slot * radix + index)
+    }
+
+    /// Whether the specification is recorded to hold on the tuple at `slot`.
+    pub fn holds(&self, slot: usize) -> bool {
+        self.words[slot / 64].load(Ordering::Relaxed) & (1 << (slot % 64)) != 0
+    }
+
+    /// Records that the specification held on the tuple at `slot`.
+    pub fn record(&self, slot: usize) {
+        self.words[slot / 64].fetch_or(1 << (slot % 64), Ordering::Relaxed);
+    }
+}
 
 /// A shared, memoized store of enumeration pools for one verification
 /// session.  Cheap to share (`Arc`), safe to use from the parallel
@@ -93,6 +169,8 @@ pub struct PoolCache {
     /// Enumerated higher-order argument candidates, keyed by interface
     /// signature and the HOF bounds that shaped the enumeration.
     functions: Mutex<FunctionMap>,
+    /// Spec-held tuples of earlier sufficiency checks.
+    spec_memos: Mutex<SpecMemoMap>,
     /// Serializes cache *misses*: held across build-and-insert so that
     /// concurrent requests for the same key enumerate exactly once (hits
     /// never take it).
@@ -102,6 +180,8 @@ pub struct PoolCache {
     slab_builds: AtomicU64,
     evals: Arc<AtomicU64>,
     table_hits: AtomicU64,
+    spec_evals: AtomicU64,
+    spec_memo_hits: AtomicU64,
 }
 
 impl PoolCache {
@@ -112,12 +192,15 @@ impl PoolCache {
             slabs: Mutex::new(HashMap::new()),
             pools: Mutex::new(HashMap::new()),
             functions: Mutex::new(HashMap::new()),
+            spec_memos: Mutex::new(HashMap::new()),
             build_lock: Mutex::new(()),
             hits: AtomicU64::new(0),
             builds: AtomicU64::new(0),
             slab_builds: AtomicU64::new(0),
             evals: Arc::new(AtomicU64::new(0)),
             table_hits: AtomicU64::new(0),
+            spec_evals: AtomicU64::new(0),
+            spec_memo_hits: AtomicU64::new(0),
         }
     }
 
@@ -303,6 +386,39 @@ impl PoolCache {
         &self.table_hits
     }
 
+    /// The session's memo of spec-held tuples for the problem with
+    /// fingerprint `problem` (see [`Problem::fingerprint`]), evaluated under
+    /// `fuel`, over quantifier `pools`: this cache's pools of `count` values
+    /// of at most `size` nodes, one per spec parameter.  `None` when the
+    /// pools' product is too large to memoize.
+    pub fn spec_memo(
+        &self,
+        problem: Digest,
+        fuel: u64,
+        count: usize,
+        size: usize,
+        pools: &[Arc<Vec<Value>>],
+    ) -> Option<Arc<SpecMemo>> {
+        let key = (problem, fuel, count, size);
+        let mut memos = self.spec_memos.lock().unwrap();
+        if let Some(memo) = memos.get(&key) {
+            return Some(Arc::clone(memo));
+        }
+        let memo = Arc::new(SpecMemo::new(pools)?);
+        memos.insert(key, Arc::clone(&memo));
+        Some(memo)
+    }
+
+    /// The shared counter of specification evaluations.
+    pub(crate) fn spec_eval_counter(&self) -> &AtomicU64 {
+        &self.spec_evals
+    }
+
+    /// The shared counter of tuples answered from a spec memo.
+    pub(crate) fn spec_memo_hit_counter(&self) -> &AtomicU64 {
+        &self.spec_memo_hits
+    }
+
     /// A snapshot of the session counters.
     pub fn stats(&self) -> PoolCacheStats {
         PoolCacheStats {
@@ -311,6 +427,8 @@ impl PoolCache {
             slab_builds: self.slab_builds.load(Ordering::Relaxed),
             predicate_evals: self.evals.load(Ordering::Relaxed),
             predicate_table_hits: self.table_hits.load(Ordering::Relaxed),
+            spec_evals: self.spec_evals.load(Ordering::Relaxed),
+            spec_memo_hits: self.spec_memo_hits.load(Ordering::Relaxed),
         }
     }
 }

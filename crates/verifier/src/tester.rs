@@ -4,9 +4,22 @@
 //! arguments whose abstract-type components satisfy `I` also satisfies the
 //! specification body.  The check instantiates every quantifier with the
 //! smallest values of its type (abstract-type quantifiers are filtered by
-//! `I`), up to the configured bounds, and reports the first violating tuple.
+//! `I`, which must hold on every abstract part of a value — `{|v|}σ` of
+//! Figure 3 — so a `t * nat` parameter is filtered by its `t` component), up
+//! to the configured bounds, and reports the first violating tuple.
+//!
+//! The specification's verdict on a tuple does not depend on the candidate,
+//! and a CEGIS run checks many candidates against the same quantifier pools.
+//! Each check therefore records the tuples on which the specification held
+//! in the session's [`SpecMemo`](crate::poolcache::SpecMemo) (kept by the
+//! [`PoolCache`], keyed by the
+//! problem's fingerprint, the fuel bound and the pool bounds), and later checks
+//! skip them without evaluating the specification.  Tuples are identified
+//! by their indices into the unfiltered pools, so the memo does not depend
+//! on which values a candidate filters out or on the visit order.
 
 use std::ops::ControlFlow;
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 use hanoi_abstraction::Problem;
@@ -18,13 +31,17 @@ use crate::bounds::{Deadline, VerifierBounds};
 use crate::outcome::{SufficiencyCex, SufficiencyOutcome, VerifierError};
 use crate::parallel::par_retain;
 use crate::poolcache::PoolCache;
-use crate::pools::{search_product, CompiledPredicate};
+use crate::pools::{abstract_parts, collect_abstract, search_product, CompiledPredicate};
+
+/// One quantifier choice: a value and its index in the unfiltered pool.
+type Indexed<'a> = (usize, &'a Value);
 
 /// Checks sufficiency of `invariant` for the problem's specification,
 /// spreading tuple evaluation over `workers` threads (`1` = serial; parallel
 /// runs report the same outcome as serial ones, see [`crate::parallel`]).
 /// Quantifier pools are drawn from `pools`, so enumeration is paid at most
-/// once per `(type, count, size)` per session.
+/// once per `(type, count, size)` per session, and so is the specification's
+/// evaluation on a tuple where it holds (see the module docs).
 pub fn check_sufficiency(
     problem: &Problem,
     pools: &PoolCache,
@@ -54,29 +71,60 @@ pub fn check_sufficiency(
             pools.pool(&concrete, per_count, per_size, workers)
         })
         .collect();
-    let mut filtered: Vec<Vec<&Value>> = Vec::with_capacity(quantifiers);
-    for (pool, (_, param_ty)) in shared.iter().zip(&spec.params) {
-        let mut values: Vec<&Value> = pool.iter().collect();
+    let mut filtered: Vec<Vec<Indexed<'_>>> = Vec::with_capacity(quantifiers);
+    for (i, (pool, (_, param_ty))) in shared.iter().zip(&spec.params).enumerate() {
+        // Parameters of one type share one pool, and so one filtered list.
+        if let Some(same) = spec.params[..i].iter().position(|(_, ty)| ty == param_ty) {
+            filtered.push(filtered[same].clone());
+            continue;
+        }
+        let mut values: Vec<Indexed<'_>> = pool.iter().enumerate().collect();
         if param_ty.mentions_abstract() {
-            par_retain(&mut values, workers, |v| predicate.test(v));
+            par_retain(&mut values, workers, |(_, v)| {
+                abstract_parts(v, param_ty)
+                    .into_iter()
+                    .all(|part| predicate.test(part))
+            });
         }
         filtered.push(values);
     }
 
-    let abstract_positions = spec.abstract_positions();
+    let memo = pools.spec_memo(
+        problem.fingerprint(),
+        bounds.fuel,
+        per_count,
+        per_size,
+        &shared,
+    );
+    let spec_evals = pools.spec_eval_counter();
+    let memo_hits = pools.spec_memo_hit_counter();
     let found = search_product(&filtered, cap, workers, deadline, |tuple| {
+        let memo_slot = memo
+            .as_deref()
+            .map(|memo| (memo, memo.slot(tuple.iter().map(|&&(index, _)| index))));
+        if let Some((memo, slot)) = memo_slot {
+            if memo.holds(slot) {
+                memo_hits.fetch_add(1, Ordering::Relaxed);
+                return ControlFlow::Continue(());
+            }
+        }
+        spec_evals.fetch_add(1, Ordering::Relaxed);
         let mut fuel = Fuel::new(bounds.fuel);
         let holds = problem
-            .eval_spec_with_fuel(tuple.iter().map(|&&v| v), &mut fuel)
+            .eval_spec_with_fuel(tuple.iter().map(|&&(_, v)| v), &mut fuel)
             .unwrap_or(false);
         if holds {
+            if let Some((memo, slot)) = memo_slot {
+                memo.record(slot);
+            }
             ControlFlow::Continue(())
         } else {
-            let args: Vec<Value> = tuple.iter().map(|&&v| v.clone()).collect();
-            let abstract_args = abstract_positions
+            let args: Vec<Value> = tuple.iter().map(|&&(_, v)| v.clone()).collect();
+            let abstract_args = args
                 .iter()
-                .map(|&i| args[i].clone())
-                .collect::<Vec<_>>();
+                .zip(&spec.params)
+                .flat_map(|(arg, (_, param_ty))| collect_abstract(arg, param_ty))
+                .collect();
             ControlFlow::Break(SufficiencyCex {
                 args,
                 abstract_args,
@@ -235,6 +283,114 @@ mod tests {
             .unwrap();
             assert_eq!(parallel, serial, "workers={workers}");
         }
+    }
+
+    /// `LIST_SET` with one tuple-typed parameter in place of `(s : t) (i :
+    /// nat)`.
+    fn tuple_spec_problem() -> Problem {
+        let source = LIST_SET.replace(
+            "spec (s : t) (i : nat) =\n          not (lookup empty i) && lookup (insert s i) i && not (lookup (delete s i) i)",
+            "spec (p : t * nat) = not (lookup empty (snd p)) \
+               && lookup (insert (fst p) (snd p)) (snd p) \
+               && not (lookup (delete (fst p) (snd p)) (snd p))",
+        );
+        assert_ne!(source, LIST_SET);
+        Problem::from_source(&source).unwrap()
+    }
+
+    #[test]
+    fn tuple_typed_parameters_are_filtered_by_their_abstract_parts() {
+        // The candidate accepts every list, so the spec must fail on a list
+        // with duplicates, as it does on the `(s : t) (i : nat)` spec; an
+        // application of the candidate to the whole pair would fail, reject
+        // every pair and make the check vacuously `Valid`.
+        let problem = tuple_spec_problem();
+        let candidate =
+            parse_expr("fun (l : list) -> match l with | Nil -> True | Cons (hd, tl) -> True end")
+                .unwrap();
+        let outcome = check_sufficiency(
+            &problem,
+            &PoolCache::for_problem(&problem),
+            &VerifierBounds::quick(),
+            &Deadline::none(),
+            &candidate,
+            1,
+        )
+        .unwrap();
+        let SufficiencyOutcome::Cex(cex) = outcome else {
+            panic!("a candidate accepting [0; 0] is not sufficient");
+        };
+        assert_eq!(cex.args.len(), 1);
+        assert_eq!(cex.abstract_args.len(), 1);
+        assert!(
+            cex.abstract_args.iter().all(|v| v.as_list().is_some()),
+            "the abstract arguments are the lists inside the pair, got {:?}",
+            cex.abstract_args
+        );
+    }
+
+    /// `True`, a candidate that is not sufficient, and the §2 invariant.
+    fn candidate_sequence() -> Vec<Expr> {
+        vec![
+            parse_expr("fun (l : list) -> True").unwrap(),
+            parse_expr(
+                "fun (l : list) -> match l with | Nil -> True | Cons (hd, tl) -> not (hd == 1) end",
+            )
+            .unwrap(),
+            no_duplicates(),
+        ]
+    }
+
+    #[test]
+    fn the_spec_memo_changes_no_outcome() {
+        let problem = problem();
+        let bounds = VerifierBounds::quick();
+        let check = |pools: &PoolCache, candidate: &Expr| {
+            check_sufficiency(&problem, pools, &bounds, &Deadline::none(), candidate, 1).unwrap()
+        };
+        let shared = PoolCache::for_problem(&problem);
+        let mut fresh_evals = 0;
+        for candidate in candidate_sequence() {
+            let fresh = PoolCache::for_problem(&problem);
+            assert_eq!(check(&shared, &candidate), check(&fresh, &candidate));
+            let stats = fresh.stats();
+            assert_eq!(stats.spec_memo_hits, 0, "a fresh cache has no memo");
+            fresh_evals += stats.spec_evals;
+        }
+        let stats = shared.stats();
+        assert!(stats.spec_memo_hits > 0, "later checks skip held tuples");
+        // Every tuple a search visits is either evaluated or skipped.
+        assert_eq!(stats.spec_evals + stats.spec_memo_hits, fresh_evals);
+    }
+
+    #[test]
+    fn the_spec_memo_is_keyed_by_the_spec() {
+        // A weakened spec over the same module (and globals) holds on tuples
+        // where the original fails: it must not read the original's memo,
+        // nor the original its memo.
+        let problem = problem();
+        let mut weaker = problem.clone();
+        weaker.spec.body =
+            hanoi_lang::resolve::resolve(&parse_expr("not (lookup empty i)").unwrap());
+        let pools = PoolCache::for_problem(&problem);
+        let check = |problem: &Problem| {
+            check_sufficiency(
+                problem,
+                &pools,
+                &VerifierBounds::quick(),
+                &Deadline::none(),
+                &candidate_sequence()[0],
+                1,
+            )
+            .unwrap()
+        };
+        assert_eq!(check(&weaker), SufficiencyOutcome::Valid);
+        let visited = pools.stats().spec_evals;
+        assert!(matches!(check(&problem), SufficiencyOutcome::Cex(_)));
+        assert_eq!(pools.stats().spec_memo_hits, 0);
+        // The weaker spec's rerun reads its own memo.
+        assert_eq!(check(&weaker), SufficiencyOutcome::Valid);
+        assert_eq!(pools.stats().spec_memo_hits, visited);
     }
 
     #[test]

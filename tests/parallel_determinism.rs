@@ -75,8 +75,14 @@ fn verifier_checks_report_identical_counterexamples() {
         let problem = benchmark.problem().unwrap();
         // A trivially-true candidate: not sufficient for any of these specs,
         // so sufficiency produces a counterexample whose identity we compare.
-        let trivial =
-            parse_expr(&format!("fun (x : {}) -> True", problem.concrete_type())).unwrap();
+        // It is written `not False` rather than `True`, because inductiveness
+        // checks return `Valid` for a literal `True` conclusion without a
+        // sweep, and the sweeps are what must agree across worker counts.
+        let trivial = parse_expr(&format!(
+            "fun (x : {}) -> not False",
+            problem.concrete_type()
+        ))
+        .unwrap();
         let serial = Verifier::new(&problem)
             .with_bounds(VerifierBounds::quick())
             .with_parallelism(1);
@@ -86,6 +92,10 @@ fn verifier_checks_report_identical_counterexamples() {
         let vis_serial = serial
             .check_visible_inductiveness(&v_plus, &trivial)
             .unwrap();
+        assert!(
+            serial.pool_stats().predicate_evals > 0,
+            "{id}: the inductiveness checks sweep"
+        );
         for workers in PARALLELISM_LEVELS {
             let parallel = Verifier::new(&problem)
                 .with_bounds(VerifierBounds::quick())
@@ -123,7 +133,9 @@ fn full_inductiveness_with_the_verdict_table_is_parallelism_independent() {
     // counterexample comes from the table.
     let head_is_not_one =
         "fun (l : list) -> match l with | Nil -> True | Cons (hd, tl) -> not (hd == 1) end";
-    let candidates = ["fun (l : list) -> True", head_is_not_one];
+    // `not False` holds everywhere but is not literally `True`, so its checks
+    // sweep (and look up the `fold` callbacks' values) to a `Valid` verdict.
+    let candidates = ["fun (l : list) -> not False", head_is_not_one];
     let bounds = VerifierBounds::quick();
     for id in [
         "/coq/unique-list-::-set+hofs",
@@ -167,6 +179,51 @@ fn full_inductiveness_with_the_verdict_table_is_parallelism_independent() {
                 assert_eq!(cex.v, vec![Value::nat_list(&[1])], "{id}");
                 assert!(pool.contains(&cex.v[0]), "{id}: [1] is a pool value");
             }
+        }
+    }
+}
+
+/// Sufficiency checks record the tuples on which the spec held in the
+/// session's spec memo, written by parallel workers and read by later checks:
+/// a sequence of candidates on one verifier must report the same outcomes,
+/// counterexamples included, at every worker count.  The `+binfuncs` spec
+/// has three quantifiers, `(s1 : t) (s2 : t) (i : nat)`.
+#[test]
+fn sufficiency_with_the_spec_memo_is_parallelism_independent() {
+    let candidates = [
+        "fun (l : list) -> True",
+        "fun (l : list) -> match l with | Nil -> True | Cons (hd, tl) -> not (hd == 1) end",
+        "fix inv (l : list) : bool = \
+           match l with | Nil -> True | Cons (hd, tl) -> not (lookup tl hd) && inv tl end",
+    ];
+    for (id, arity) in [
+        ("/coq/unique-list-::-set", 2),
+        ("/coq/unique-list-::-set+binfuncs", 3),
+    ] {
+        let problem = hanoi_repro::benchmarks::find(id)
+            .unwrap()
+            .problem()
+            .unwrap();
+        assert_eq!(problem.spec.arity(), arity, "{id}");
+        let verifier = |workers| {
+            Verifier::new(&problem)
+                .with_bounds(VerifierBounds::quick())
+                .with_parallelism(workers)
+        };
+        let (serial, parallel) = (verifier(1), verifier(2));
+        for source in candidates {
+            let candidate = parse_expr(source).unwrap();
+            assert_eq!(
+                parallel.check_sufficiency(&candidate).unwrap(),
+                serial.check_sufficiency(&candidate).unwrap(),
+                "{id}: sufficiency of {source} diverged at parallelism 2"
+            );
+        }
+        for (workers, verifier) in [(1, &serial), (2, &parallel)] {
+            assert!(
+                verifier.pool_stats().spec_memo_hits > 0,
+                "{id}: later checks skip held tuples at parallelism {workers}"
+            );
         }
     }
 }

@@ -86,7 +86,8 @@ fn pool_enumeration_happens_at_most_once_per_session() {
            match l with | Nil -> True | Cons (hd, tl) -> not (lookup tl hd) && inv tl end",
     )
     .unwrap();
-    let trivial = parse_expr("fun (l : list) -> True").unwrap();
+    // Not literally `True`, whose inductiveness checks skip the sweep.
+    let trivial = parse_expr("fun (l : list) -> not False").unwrap();
 
     let run_all_checks = |candidate| {
         assert!(verifier.check_sufficiency(candidate).is_ok());
@@ -148,5 +149,10 @@ fn run_stats_surface_the_pool_and_eval_counters() {
     assert!(
         stats.predicate_table_hits > 0,
         "full-inductiveness checks answer repeated tests from their verdict table"
+    );
+    assert!(stats.spec_evals > 0, "spec evaluations are counted");
+    assert!(
+        stats.spec_memo_hits > 0,
+        "later sufficiency checks skip tuples an earlier one found the spec to hold on"
     );
 }
