@@ -22,11 +22,11 @@ use crate::stats::RunStats;
 
 /// Mutable state of one inference run, shared by all modes.
 ///
-/// A context is built by a [`crate::Session`] (warm caches from the engine)
-/// or standalone via [`InferenceContext::new`] (fresh caches); either way it
-/// carries the run's deadline and cancellation token, streams [`RunEvent`]s
-/// to the run's observer, and owns the verifier/synthesizer pair every mode
-/// drives, together with the term bank the synthesizer searches through.
+/// A context is built by a [`crate::Session`], which hands it the engine's
+/// warm caches.  It carries the run's deadline and cancellation token,
+/// streams [`RunEvent`]s to the run's observer, and owns the
+/// verifier/synthesizer pair every mode drives, together with the term bank
+/// the synthesizer searches through.
 pub struct InferenceContext<'p, 'o> {
     /// The problem being solved.
     pub problem: &'p Problem,
@@ -57,33 +57,6 @@ pub struct InferenceContext<'p, 'o> {
 }
 
 impl<'p, 'o> InferenceContext<'p, 'o> {
-    /// Creates a fresh, cold context for one standalone run: new pool cache,
-    /// new term bank, no observer, no external cancellation.
-    ///
-    /// `parallelism` is the engine-wide worker-thread knob (`1` = serial,
-    /// `0` = one worker per core).
-    pub fn new(problem: &'p Problem, options: RunOptions, parallelism: usize) -> Self {
-        let deadline = match options.timeout {
-            Some(timeout) => Deadline::after(timeout),
-            None => Deadline::none(),
-        };
-        let verifier = Verifier::new(problem)
-            .with_bounds(options.bounds)
-            .with_deadline(deadline.clone())
-            .with_parallelism(parallelism);
-        let synthesizer = Self::make_synthesizer(&options, parallelism);
-        Self::from_parts(
-            problem,
-            options,
-            deadline,
-            None,
-            None,
-            verifier,
-            synthesizer,
-            Arc::new(TermBank::new()),
-        )
-    }
-
     /// Assembles a context from externally owned parts — the constructor the
     /// [`crate::Session`] uses to hand a run warm caches, an observer and a
     /// cancellation token.  `deadline` must already carry `cancel` (when
@@ -188,6 +161,22 @@ impl<'p, 'o> InferenceContext<'p, 'o> {
         None
     }
 
+    /// Starts one iteration of a mode's loop: the outcome to end the run
+    /// with when it was interrupted or has used up its iteration cap.
+    pub fn begin_iteration(&mut self) -> Result<(), Outcome> {
+        if let Some(outcome) = self.interrupted() {
+            return Err(outcome);
+        }
+        self.stats.iterations += 1;
+        if self.stats.iterations > self.options.max_iterations {
+            return Err(Outcome::SynthesisFailure(format!(
+                "iteration cap of {} reached",
+                self.options.max_iterations
+            )));
+        }
+        Ok(())
+    }
+
     /// Wraps up the run: fills the time, example-count, pool-cache and
     /// term-bank statistics, and emits the final event.
     pub fn finish(mut self, outcome: Outcome) -> RunResult {
@@ -290,24 +279,21 @@ impl<'p, 'o> InferenceContext<'p, 'o> {
         let result = self
             .verifier
             .check_visible_inductiveness(self.v_plus.as_slice(), candidate);
-        self.record_check(RunPhase::VisibleInductiveness, start);
-        self.map_verifier_result(result)
+        self.timed(RunPhase::VisibleInductiveness, start, result)
     }
 
     /// Timed sufficiency check.
     pub fn check_sufficiency(&mut self, candidate: &Expr) -> Result<SufficiencyOutcome, Outcome> {
         let start = Instant::now();
         let result = self.verifier.check_sufficiency(candidate);
-        self.record_check(RunPhase::Sufficiency, start);
-        self.map_verifier_result(result)
+        self.timed(RunPhase::Sufficiency, start, result)
     }
 
     /// Timed full-inductiveness check.
     pub fn check_full(&mut self, candidate: &Expr) -> Result<InductivenessOutcome, Outcome> {
         let start = Instant::now();
         let result = self.verifier.check_full_inductiveness(candidate);
-        self.record_check(RunPhase::FullInductiveness, start);
-        self.map_verifier_result(result)
+        self.timed(RunPhase::FullInductiveness, start, result)
     }
 
     /// Timed single-operation full-inductiveness check (LA baseline).
@@ -318,21 +304,23 @@ impl<'p, 'o> InferenceContext<'p, 'o> {
     ) -> Result<InductivenessOutcome, Outcome> {
         let start = Instant::now();
         let result = self.verifier.check_op_inductiveness(op, candidate);
-        self.record_check(RunPhase::OpInductiveness, start);
-        self.map_verifier_result(result)
+        self.timed(RunPhase::OpInductiveness, start, result)
     }
 
-    fn record_check(&mut self, phase: RunPhase, start: Instant) {
+    /// Records a verifier check of `phase` that started at `start`, and maps
+    /// its error to the outcome the run ends with: a deadline expiry is a
+    /// timeout, or a cancellation when the deadline's token fired.
+    fn timed<T>(
+        &mut self,
+        phase: RunPhase,
+        start: Instant,
+        result: Result<T, VerifierError>,
+    ) -> Result<T, Outcome> {
         let elapsed = start.elapsed();
         self.stats.record_verification(elapsed);
         self.emit(RunEvent::PhaseFinished { phase, elapsed });
-    }
-
-    fn map_verifier_result<T>(&self, result: Result<T, VerifierError>) -> Result<T, Outcome> {
         match result {
             Ok(value) => Ok(value),
-            // The verifier reports every deadline expiry as a timeout; when
-            // the deadline's cancellation token fired, the run was cancelled.
             Err(VerifierError::Timeout) => Err(self.interrupted().unwrap_or(Outcome::Timeout)),
             Err(other) => Err(Outcome::SynthesisFailure(format!(
                 "verifier failed: {other}"
@@ -411,10 +399,37 @@ mod tests {
         spec (s : t) (i : nat) = lookup (insert s i) i
     "#;
 
+    /// A context over fresh caches, built as a session builds one.
+    fn context<'p, 'o>(
+        problem: &'p Problem,
+        options: RunOptions,
+        cancel: Option<CancelToken>,
+        observer: Option<&'o mut dyn RunObserver>,
+    ) -> InferenceContext<'p, 'o> {
+        let deadline = match &cancel {
+            Some(token) => Deadline::none().with_cancel(token.clone()),
+            None => Deadline::none(),
+        };
+        let verifier = Verifier::new(problem)
+            .with_bounds(options.bounds)
+            .with_deadline(deadline.clone());
+        let synthesizer = InferenceContext::make_synthesizer(&options, 1);
+        InferenceContext::from_parts(
+            problem,
+            options,
+            deadline,
+            cancel,
+            observer,
+            verifier,
+            synthesizer,
+            Arc::new(TermBank::new()),
+        )
+    }
+
     #[test]
     fn example_bookkeeping() {
         let problem = Problem::from_source(SIMPLE).unwrap();
-        let mut ctx = InferenceContext::new(&problem, RunOptions::quick(), 1);
+        let mut ctx = context(&problem, RunOptions::quick(), None, None);
         assert!(!ctx.timed_out());
         assert_eq!(ctx.interrupted(), None);
 
@@ -440,7 +455,7 @@ mod tests {
     fn disabling_clc_resets_v_minus_completely() {
         let problem = Problem::from_source(SIMPLE).unwrap();
         let options = RunOptions::quick().with_optimizations(Optimizations::without_clc());
-        let mut ctx = InferenceContext::new(&problem, options, 1);
+        let mut ctx = context(&problem, options, None, None);
         let candidate = hanoi_lang::parser::parse_expr("fun (l : list) -> True").unwrap();
         ctx.add_negatives(&candidate, &[Value::nat_list(&[1, 1])]);
         ctx.add_positives([Value::nat_list(&[])]);
@@ -451,7 +466,7 @@ mod tests {
     #[test]
     fn negatives_already_positive_are_not_added() {
         let problem = Problem::from_source(SIMPLE).unwrap();
-        let mut ctx = InferenceContext::new(&problem, RunOptions::quick(), 1);
+        let mut ctx = context(&problem, RunOptions::quick(), None, None);
         ctx.add_positives([Value::nat_list(&[2])]);
         let candidate = hanoi_lang::parser::parse_expr("fun (l : list) -> True").unwrap();
         let added = ctx.add_negatives(&candidate, &[Value::nat_list(&[2]), Value::nat_list(&[3])]);
@@ -461,7 +476,7 @@ mod tests {
     #[test]
     fn synthesize_candidate_uses_the_cache() {
         let problem = Problem::from_source(SIMPLE).unwrap();
-        let mut ctx = InferenceContext::new(&problem, RunOptions::quick(), 1);
+        let mut ctx = context(&problem, RunOptions::quick(), None, None);
         let first = ctx.synthesize_candidate().unwrap();
         assert_eq!(ctx.stats.synthesis_calls, 1);
         let second = ctx.synthesize_candidate().unwrap();
@@ -480,22 +495,7 @@ mod tests {
 
         let problem = Problem::from_source(SIMPLE).unwrap();
         let mut observer = CollectingObserver::new();
-        let options = RunOptions::quick();
-        let deadline = Deadline::none();
-        let verifier = Verifier::new(&problem)
-            .with_bounds(options.bounds)
-            .with_deadline(deadline.clone());
-        let synthesizer = InferenceContext::make_synthesizer(&options, 1);
-        let mut ctx = InferenceContext::from_parts(
-            &problem,
-            options,
-            deadline,
-            None,
-            Some(&mut observer),
-            verifier,
-            synthesizer,
-            Arc::new(TermBank::new()),
-        );
+        let mut ctx = context(&problem, RunOptions::quick(), None, Some(&mut observer));
         let candidate = ctx.synthesize_candidate().unwrap();
         let cached = ctx.synthesize_candidate().unwrap();
         assert_eq!(candidate, cached);
@@ -549,23 +549,8 @@ mod tests {
     #[test]
     fn cancellation_maps_to_the_cancelled_outcome() {
         let problem = Problem::from_source(SIMPLE).unwrap();
-        let options = RunOptions::quick();
         let token = CancelToken::new();
-        let deadline = Deadline::none().with_cancel(token.clone());
-        let verifier = Verifier::new(&problem)
-            .with_bounds(options.bounds)
-            .with_deadline(deadline.clone());
-        let synthesizer = InferenceContext::make_synthesizer(&options, 1);
-        let ctx = InferenceContext::from_parts(
-            &problem,
-            options,
-            deadline,
-            Some(token.clone()),
-            None,
-            verifier,
-            synthesizer,
-            Arc::new(TermBank::new()),
-        );
+        let ctx = context(&problem, RunOptions::quick(), Some(token.clone()), None);
         assert_eq!(ctx.interrupted(), None);
         token.cancel();
         assert_eq!(ctx.interrupted(), Some(Outcome::Cancelled));

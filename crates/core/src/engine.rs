@@ -408,14 +408,14 @@ impl Engine {
     /// exact per-run counters, run same-problem jobs in separate batches.
     pub fn run_batch(&self, jobs: &[BatchJob<'_>]) -> Vec<RunResult> {
         let workers =
-            hanoi_verifier::parallel::effective_workers(self.config.parallelism).min(jobs.len());
+            hanoi_lang::parallel::effective_workers(self.config.parallelism).min(jobs.len());
         // Inner parallelism only when the batch itself is not parallel.
         let inner = if workers > 1 {
             1
         } else {
             self.config.parallelism
         };
-        hanoi_verifier::parallel::par_map(jobs, workers, |job| {
+        hanoi_lang::parallel::par_map(jobs, workers, |job| {
             self.session(job.problem)
                 .run_with_parallelism(&job.options, None, None, inner)
         })

@@ -25,13 +25,8 @@ pub fn run(mut ctx: InferenceContext<'_, '_>) -> RunResult {
         // Phase 1: find a sufficient first conjunct.
         ctx.v_minus.clear();
         let first = loop {
-            if let Some(outcome) = ctx.interrupted() {
+            if let Err(outcome) = ctx.begin_iteration() {
                 return ctx.finish(outcome);
-            }
-            ctx.stats.iterations += 1;
-            if ctx.stats.iterations > ctx.options.max_iterations {
-                let message = format!("iteration cap of {} reached", ctx.options.max_iterations);
-                return ctx.finish(Outcome::SynthesisFailure(message));
             }
             let candidate = match ctx.synthesize_candidate() {
                 Ok(candidate) => candidate,
@@ -52,13 +47,8 @@ pub fn run(mut ctx: InferenceContext<'_, '_>) -> RunResult {
         // Phase 2: strengthen the conjunction until it is inductive.
         let mut conjuncts = vec![first];
         loop {
-            if let Some(outcome) = ctx.interrupted() {
+            if let Err(outcome) = ctx.begin_iteration() {
                 return ctx.finish(outcome);
-            }
-            ctx.stats.iterations += 1;
-            if ctx.stats.iterations > ctx.options.max_iterations {
-                let message = format!("iteration cap of {} reached", ctx.options.max_iterations);
-                return ctx.finish(Outcome::SynthesisFailure(message));
             }
             let conjunction = conjoin(&concrete, &conjuncts);
             match ctx.check_full(&conjunction) {

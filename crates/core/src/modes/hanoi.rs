@@ -15,13 +15,8 @@ use crate::outcome::{Outcome, RunResult};
 /// their counterexamples.
 pub fn run(mut ctx: InferenceContext<'_, '_>) -> RunResult {
     loop {
-        if let Some(outcome) = ctx.interrupted() {
+        if let Err(outcome) = ctx.begin_iteration() {
             return ctx.finish(outcome);
-        }
-        ctx.stats.iterations += 1;
-        if ctx.stats.iterations > ctx.options.max_iterations {
-            let message = format!("iteration cap of {} reached", ctx.options.max_iterations);
-            return ctx.finish(Outcome::SynthesisFailure(message));
         }
 
         // Synth V+ V−

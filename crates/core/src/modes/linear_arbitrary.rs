@@ -20,13 +20,8 @@ pub fn run(mut ctx: InferenceContext<'_, '_>) -> RunResult {
         .collect();
 
     loop {
-        if let Some(outcome) = ctx.interrupted() {
+        if let Err(outcome) = ctx.begin_iteration() {
             return ctx.finish(outcome);
-        }
-        ctx.stats.iterations += 1;
-        if ctx.stats.iterations > ctx.options.max_iterations {
-            let message = format!("iteration cap of {} reached", ctx.options.max_iterations);
-            return ctx.finish(Outcome::SynthesisFailure(message));
         }
 
         let candidate = match ctx.synthesize_candidate() {

@@ -32,6 +32,8 @@
 //!   paper's "Size" column measures invariants in AST nodes);
 //! * [`digest`] — stable, interner-independent structural fingerprints of
 //!   expressions, values and types, the keys of every disk-persistable cache;
+//! * [`parallel`] — deterministic scoped-thread search, map and filter
+//!   primitives whose results equal a serial run's;
 //! * [`json`] — a dependency-free JSON reader/writer (the build environment
 //!   is offline, so `serde` is unavailable), including the structural
 //!   encoding of first-order [`value::Value`]s that cache snapshots use.
@@ -64,6 +66,7 @@ pub mod error;
 pub mod eval;
 pub mod ints;
 pub mod json;
+pub mod parallel;
 pub mod parser;
 pub mod prelude;
 pub mod pretty;

@@ -1,4 +1,6 @@
-//! Deterministic work-stealing parallel search primitives.
+//! Deterministic work-stealing parallel search primitives, shared by the
+//! verifier's sweeps, the synthesizer's layer construction and the engine's
+//! batch runner.
 //!
 //! The verifier's hot path is embarrassingly parallel — evaluate a pure
 //! predicate over an indexed space of candidate×value tuples, short-circuit

@@ -33,7 +33,7 @@
 //! * component-application batches (one `compositions` split × cartesian
 //!   product of argument layers) are evaluated through
 //!   [`TermBank::apply_batch`] — one bank-lock round-trip per batch — and
-//!   chunked across [`hanoi_verifier::parallel::par_map`] workers, with
+//!   chunked across [`hanoi_lang::parallel::par_map`] workers, with
 //!   results merged back in enumeration order: a parallel guess returns
 //!   byte-identical predicates to a serial one;
 //! * boolean signature rows are packed `u64` bitset lanes
@@ -57,12 +57,12 @@ use hanoi_abstraction::Problem;
 use hanoi_lang::ast::{Expr, MatchArm, Pattern};
 use hanoi_lang::digest::{Digest, DigestBuilder};
 use hanoi_lang::eval::Fuel;
+use hanoi_lang::parallel::{effective_workers, par_map};
 use hanoi_lang::resolve::resolve;
 use hanoi_lang::symbol::Symbol;
 use hanoi_lang::types::{Type, TypeEnv};
 use hanoi_lang::util::{compositions, for_each_product, Deadline, IdHashBuilder};
 use hanoi_lang::value::Value;
-use hanoi_verifier::parallel::{effective_workers, par_map};
 
 use crate::bank::{bool_id, GuessMemo, OldSig, Sig, SigMatrix, TermBank};
 use crate::error::SynthError;

@@ -3,7 +3,7 @@
 //! Bounded enumerative checks are *deterministic*: the outcome of
 //! `Verify Suf`/`CondInductive` is a pure function of the problem, the
 //! candidate, the bounds and (for visible inductiveness) the known-positive
-//! set — parallelism never changes it (see [`crate::parallel`]), and the
+//! set — parallelism never changes it (see [`hanoi_lang::parallel`]), and the
 //! deadline can only abort a check, not change its verdict.  A CEGIS re-run
 //! of the same problem therefore re-computes byte-identical sweeps: dozens of
 //! candidates × three checks × thousands of tuples, all previously answered.
@@ -63,64 +63,88 @@ use hanoi_lang::symbol::Symbol;
 use hanoi_lang::value::Value;
 
 use crate::bounds::VerifierBounds;
-use crate::outcome::{InductivenessCex, InductivenessOutcome, SufficiencyCex, SufficiencyOutcome};
-
-/// Which of the verifier's checks an entry memoizes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-enum CheckKind {
-    /// `Verify Suf φ M [I]`.
-    Sufficiency,
-    /// `CondInductive V+ I` (visible inductiveness).
-    Visible,
-    /// `CondInductive I I` (full inductiveness).
-    Full,
-    /// `CondInductive I I` restricted to one operation (the LA baseline).
-    Op,
-}
-
-impl CheckKind {
-    fn as_str(self) -> &'static str {
-        match self {
-            CheckKind::Sufficiency => "sufficiency",
-            CheckKind::Visible => "visible",
-            CheckKind::Full => "full",
-            CheckKind::Op => "op",
-        }
-    }
-
-    fn from_str(s: &str) -> Option<CheckKind> {
-        match s {
-            "sufficiency" => Some(CheckKind::Sufficiency),
-            "visible" => Some(CheckKind::Visible),
-            "full" => Some(CheckKind::Full),
-            "op" => Some(CheckKind::Op),
-            _ => None,
-        }
-    }
-}
+use crate::outcome::{
+    InductivenessCex, InductivenessOutcome, SufficiencyCex, SufficiencyOutcome, VerifierError,
+};
+use crate::verifier::Check;
 
 /// One memoized check, keyed by the complete argument tuple of the check
 /// function in digest form.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 struct CheckKey {
-    kind: CheckKind,
+    check: KeyedCheck,
     /// α-invariant structural digest of the (resolved) candidate.
     candidate: Digest,
-    /// Digest of the ordered `V+` sequence ([`CheckKind::Visible`] only;
-    /// `Digest(0)` otherwise).
-    v_plus: Digest,
-    /// The restricted operation ([`CheckKind::Op`] only; empty otherwise).
-    op: String,
     /// The bounds the sweep ran under — part of the check function's
     /// arguments, so part of the key.
     bounds: VerifierBounds,
 }
 
+/// A `Check` as a key holds it: `V+` as the digest of its ordered value
+/// sequence ([`Digest::of_values`]), the operation by name.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+enum KeyedCheck {
+    Sufficiency,
+    Visible(Digest),
+    Full,
+    Op(String),
+}
+
+impl CheckKey {
+    fn new(check: Check<'_>, candidate: Digest, bounds: VerifierBounds) -> Self {
+        let check = match check {
+            Check::Sufficiency => KeyedCheck::Sufficiency,
+            Check::Visible(v_plus) => KeyedCheck::Visible(Digest::of_values(v_plus)),
+            Check::Full => KeyedCheck::Full,
+            Check::Op(op) => KeyedCheck::Op(op.to_string()),
+        };
+        CheckKey {
+            check,
+            candidate,
+            bounds,
+        }
+    }
+}
+
 /// A memoized outcome (checks have two result shapes).
 #[derive(Debug, Clone, PartialEq, Eq)]
-enum CachedOutcome {
+pub(crate) enum CachedOutcome {
     Inductiveness(InductivenessOutcome),
     Sufficiency(SufficiencyOutcome),
+}
+
+/// A check's outcome type, as the cache stores it.
+pub(crate) trait Memoized: Clone {
+    /// The outcome as an entry holds it.
+    fn into_cached(self) -> CachedOutcome;
+    /// The stored outcome, when it has this shape.
+    fn from_cached(cached: CachedOutcome) -> Option<Self>;
+}
+
+impl Memoized for InductivenessOutcome {
+    fn into_cached(self) -> CachedOutcome {
+        CachedOutcome::Inductiveness(self)
+    }
+
+    fn from_cached(cached: CachedOutcome) -> Option<Self> {
+        match cached {
+            CachedOutcome::Inductiveness(outcome) => Some(outcome),
+            CachedOutcome::Sufficiency(_) => None,
+        }
+    }
+}
+
+impl Memoized for SufficiencyOutcome {
+    fn into_cached(self) -> CachedOutcome {
+        CachedOutcome::Sufficiency(self)
+    }
+
+    fn from_cached(cached: CachedOutcome) -> Option<Self> {
+        match cached {
+            CachedOutcome::Sufficiency(outcome) => Some(outcome),
+            CachedOutcome::Inductiveness(_) => None,
+        }
+    }
 }
 
 /// Counter snapshot of a check cache.
@@ -241,121 +265,34 @@ impl CheckCache {
         }
     }
 
-    fn lookup(&self, key: &CheckKey) -> Option<CachedOutcome> {
-        let found = self.state.lock().unwrap().touch(key);
-        match &found {
-            Some(_) => self.hits.fetch_add(1, Ordering::Relaxed),
-            None => self.misses.fetch_add(1, Ordering::Relaxed),
-        };
-        found
-    }
-
-    fn store(&self, key: CheckKey, outcome: CachedOutcome) {
+    /// Memoizes `check` of the candidate with digest `candidate` under
+    /// `bounds`: returns the cached outcome, or runs `sweep` and records its
+    /// result when it completed.
+    pub(crate) fn memo<T: Memoized>(
+        &self,
+        check: Check<'_>,
+        candidate: Digest,
+        bounds: VerifierBounds,
+        sweep: impl FnOnce() -> Result<T, VerifierError>,
+    ) -> Result<T, VerifierError> {
+        let key = CheckKey::new(check, candidate, bounds);
+        let found = self.state.lock().unwrap().touch(&key);
+        if let Some(outcome) = found.and_then(T::from_cached) {
+            self.hits.fetch_add(1, Ordering::Relaxed);
+            return Ok(outcome);
+        }
+        self.misses.fetch_add(1, Ordering::Relaxed);
+        let outcome = sweep()?;
+        let cached = outcome.clone().into_cached();
         let evicted = self
             .state
             .lock()
             .unwrap()
-            .insert(key, outcome, self.capacity);
+            .insert(key, cached, self.capacity);
         if evicted > 0 {
             self.evictions.fetch_add(evicted, Ordering::Relaxed);
         }
-    }
-
-    /// Memoizes an inductiveness-shaped check: returns the cached outcome or
-    /// runs `compute`, recording its result when it completed.
-    fn inductiveness(
-        &self,
-        key: CheckKey,
-        compute: impl FnOnce() -> Result<InductivenessOutcome, crate::VerifierError>,
-    ) -> Result<InductivenessOutcome, crate::VerifierError> {
-        if let Some(CachedOutcome::Inductiveness(outcome)) = self.lookup(&key) {
-            return Ok(outcome);
-        }
-        let outcome = compute()?;
-        self.store(key, CachedOutcome::Inductiveness(outcome.clone()));
         Ok(outcome)
-    }
-
-    /// Memoized sufficiency check (see [`CheckCache::inductiveness`]).
-    pub(crate) fn sufficiency(
-        &self,
-        candidate: Digest,
-        bounds: VerifierBounds,
-        compute: impl FnOnce() -> Result<SufficiencyOutcome, crate::VerifierError>,
-    ) -> Result<SufficiencyOutcome, crate::VerifierError> {
-        let key = CheckKey {
-            kind: CheckKind::Sufficiency,
-            candidate,
-            v_plus: Digest(0),
-            op: String::new(),
-            bounds,
-        };
-        if let Some(CachedOutcome::Sufficiency(outcome)) = self.lookup(&key) {
-            return Ok(outcome);
-        }
-        let outcome = compute()?;
-        self.store(key, CachedOutcome::Sufficiency(outcome.clone()));
-        Ok(outcome)
-    }
-
-    /// Memoized visible-inductiveness check: `v_plus` is the digest of the
-    /// ordered known-positive sequence ([`Digest::of_values`]).
-    pub(crate) fn visible(
-        &self,
-        candidate: Digest,
-        v_plus: Digest,
-        bounds: VerifierBounds,
-        compute: impl FnOnce() -> Result<InductivenessOutcome, crate::VerifierError>,
-    ) -> Result<InductivenessOutcome, crate::VerifierError> {
-        self.inductiveness(
-            CheckKey {
-                kind: CheckKind::Visible,
-                candidate,
-                v_plus,
-                op: String::new(),
-                bounds,
-            },
-            compute,
-        )
-    }
-
-    /// Memoized full-inductiveness check.
-    pub(crate) fn full(
-        &self,
-        candidate: Digest,
-        bounds: VerifierBounds,
-        compute: impl FnOnce() -> Result<InductivenessOutcome, crate::VerifierError>,
-    ) -> Result<InductivenessOutcome, crate::VerifierError> {
-        self.inductiveness(
-            CheckKey {
-                kind: CheckKind::Full,
-                candidate,
-                v_plus: Digest(0),
-                op: String::new(),
-                bounds,
-            },
-            compute,
-        )
-    }
-
-    /// Memoized single-operation inductiveness check.
-    pub(crate) fn op(
-        &self,
-        op: &str,
-        candidate: Digest,
-        bounds: VerifierBounds,
-        compute: impl FnOnce() -> Result<InductivenessOutcome, crate::VerifierError>,
-    ) -> Result<InductivenessOutcome, crate::VerifierError> {
-        self.inductiveness(
-            CheckKey {
-                kind: CheckKind::Op,
-                candidate,
-                v_plus: Digest(0),
-                op: op.to_string(),
-                bounds,
-            },
-            compute,
-        )
     }
 
     /// Serializes the cache to a versioned snapshot.  Entries are written in
@@ -435,6 +372,7 @@ impl CheckCache {
                     entry
                         .get("outcome")
                         .ok_or_else(|| corrupt("entry without outcome"))?,
+                    &key.check,
                 )
                 .ok_or_else(|| corrupt("malformed outcome"))?;
                 state.insert(key, outcome, capacity);
@@ -546,21 +484,36 @@ fn bounds_from_json(json: &Json) -> Option<VerifierBounds> {
 }
 
 fn key_to_json(key: &CheckKey) -> Json {
+    // Every key carries the `V+` digest and the operation name; the checks
+    // without one store zeros and the empty name.
+    let (kind, v_plus, op) = match &key.check {
+        KeyedCheck::Sufficiency => ("sufficiency", Digest(0), ""),
+        KeyedCheck::Visible(v_plus) => ("visible", *v_plus, ""),
+        KeyedCheck::Full => ("full", Digest(0), ""),
+        KeyedCheck::Op(op) => ("op", Digest(0), op.as_str()),
+    };
     Json::obj([
-        ("kind", Json::Str(key.kind.as_str().to_string())),
+        ("kind", Json::Str(kind.to_string())),
         ("candidate", Json::Str(key.candidate.to_hex())),
-        ("v_plus", Json::Str(key.v_plus.to_hex())),
-        ("op", Json::Str(key.op.clone())),
+        ("v_plus", Json::Str(v_plus.to_hex())),
+        ("op", Json::Str(op.to_string())),
         ("bounds", bounds_to_json(&key.bounds)),
     ])
 }
 
 fn key_from_json(json: &Json) -> Option<CheckKey> {
+    let v_plus = Digest::from_hex(json.get("v_plus")?.as_str()?)?;
+    let op = json.get("op")?.as_str()?;
+    let check = match (json.get("kind")?.as_str()?, v_plus, op) {
+        ("sufficiency", Digest(0), "") => KeyedCheck::Sufficiency,
+        ("visible", v_plus, "") => KeyedCheck::Visible(v_plus),
+        ("full", Digest(0), "") => KeyedCheck::Full,
+        ("op", Digest(0), op) => KeyedCheck::Op(op.to_string()),
+        _ => return None,
+    };
     Some(CheckKey {
-        kind: CheckKind::from_str(json.get("kind")?.as_str()?)?,
+        check,
         candidate: Digest::from_hex(json.get("candidate")?.as_str()?)?,
-        v_plus: Digest::from_hex(json.get("v_plus")?.as_str()?)?,
-        op: json.get("op")?.as_str()?.to_string(),
         bounds: bounds_from_json(json.get("bounds")?)?,
     })
 }
@@ -601,21 +554,12 @@ fn outcome_to_json(outcome: &CachedOutcome) -> Option<Json> {
     })
 }
 
-fn outcome_from_json(json: &Json) -> Option<CachedOutcome> {
-    if let Some(body) = json.get("inductiveness") {
-        if body.as_str() == Some("valid") {
-            return Some(CachedOutcome::Inductiveness(InductivenessOutcome::Valid));
-        }
-        return Some(CachedOutcome::Inductiveness(InductivenessOutcome::Cex(
-            InductivenessCex {
-                op: Symbol::new(body.get("op")?.as_str()?),
-                args: values_from_json(body.get("args")?)?,
-                s: values_from_json(body.get("s")?)?,
-                v: values_from_json(body.get("v")?)?,
-            },
-        )));
-    }
-    if let Some(body) = json.get("sufficiency") {
+/// Decodes the outcome of an entry keyed by `check`: a sufficiency key
+/// holds a sufficiency outcome and every other key an inductiveness one, so
+/// an outcome of the other shape is malformed.
+fn outcome_from_json(json: &Json, check: &KeyedCheck) -> Option<CachedOutcome> {
+    if *check == KeyedCheck::Sufficiency {
+        let body = json.get("sufficiency")?;
         if body.as_str() == Some("valid") {
             return Some(CachedOutcome::Sufficiency(SufficiencyOutcome::Valid));
         }
@@ -626,7 +570,18 @@ fn outcome_from_json(json: &Json) -> Option<CachedOutcome> {
             },
         )));
     }
-    None
+    let body = json.get("inductiveness")?;
+    if body.as_str() == Some("valid") {
+        return Some(CachedOutcome::Inductiveness(InductivenessOutcome::Valid));
+    }
+    Some(CachedOutcome::Inductiveness(InductivenessOutcome::Cex(
+        InductivenessCex {
+            op: Symbol::new(body.get("op")?.as_str()?),
+            args: values_from_json(body.get("args")?)?,
+            s: values_from_json(body.get("s")?)?,
+            v: values_from_json(body.get("v")?)?,
+        },
+    )))
 }
 
 #[cfg(test)]
@@ -653,7 +608,7 @@ mod tests {
         let mut computed = 0;
         for _ in 0..3 {
             let outcome = cache
-                .full(digest_of("inv"), bounds, || {
+                .memo(Check::Full, digest_of("inv"), bounds, || {
                     computed += 1;
                     Ok(cex())
                 })
@@ -673,12 +628,14 @@ mod tests {
         let cache = CheckCache::default();
         let bounds = VerifierBounds::quick();
         let timeout: Result<InductivenessOutcome, crate::VerifierError> =
-            cache.full(digest_of("inv"), bounds, || {
+            cache.memo(Check::Full, digest_of("inv"), bounds, || {
                 Err(crate::VerifierError::Timeout)
             });
         assert!(timeout.is_err());
         // The next call computes for real.
-        let ok = cache.full(digest_of("inv"), bounds, || Ok(InductivenessOutcome::Valid));
+        let ok = cache.memo(Check::Full, digest_of("inv"), bounds, || {
+            Ok(InductivenessOutcome::Valid)
+        });
         assert_eq!(ok.unwrap(), InductivenessOutcome::Valid);
         assert_eq!(cache.stats().entries, 1);
     }
@@ -689,27 +646,33 @@ mod tests {
         let quick = VerifierBounds::quick();
         let paper = VerifierBounds::paper();
         let valid = || Ok(InductivenessOutcome::Valid);
-        cache.full(digest_of("inv"), quick, valid).unwrap();
+        cache
+            .memo(Check::Full, digest_of("inv"), quick, valid)
+            .unwrap();
         // Same candidate, different bounds: a distinct entry.
-        cache.full(digest_of("inv"), paper, valid).unwrap();
+        cache
+            .memo(Check::Full, digest_of("inv"), paper, valid)
+            .unwrap();
         // Same candidate, visible with two different V+ sets: distinct.
         cache
-            .visible(
+            .memo(
+                Check::Visible(&[Value::nat(0)]),
                 digest_of("inv"),
-                Digest::of_values(&[Value::nat(0)]),
                 quick,
                 valid,
             )
             .unwrap();
         cache
-            .visible(
+            .memo(
+                Check::Visible(&[Value::nat(1)]),
                 digest_of("inv"),
-                Digest::of_values(&[Value::nat(1)]),
                 quick,
                 valid,
             )
             .unwrap();
-        cache.op("insert", digest_of("inv"), quick, valid).unwrap();
+        cache
+            .memo(Check::Op("insert"), digest_of("inv"), quick, valid)
+            .unwrap();
         assert_eq!(cache.stats().entries, 5);
         assert_eq!(cache.stats().hits, 0);
     }
@@ -719,25 +682,31 @@ mod tests {
         let cache = CheckCache::new(2);
         let bounds = VerifierBounds::quick();
         let valid = || Ok(InductivenessOutcome::Valid);
-        cache.full(digest_of("a"), bounds, valid).unwrap();
-        cache.full(digest_of("b"), bounds, valid).unwrap();
+        cache
+            .memo(Check::Full, digest_of("a"), bounds, valid)
+            .unwrap();
+        cache
+            .memo(Check::Full, digest_of("b"), bounds, valid)
+            .unwrap();
         // Touch `a` so `b` becomes the least recently used entry…
         let mut recomputed = false;
         cache
-            .full(digest_of("a"), bounds, || {
+            .memo(Check::Full, digest_of("a"), bounds, || {
                 recomputed = true;
                 Ok(InductivenessOutcome::Valid)
             })
             .unwrap();
         assert!(!recomputed, "`a` must still be cached");
         // …then exceed the capacity: `b` is evicted, `a` survives.
-        cache.full(digest_of("c"), bounds, valid).unwrap();
+        cache
+            .memo(Check::Full, digest_of("c"), bounds, valid)
+            .unwrap();
         let stats = cache.stats();
         assert_eq!(stats.entries, 2);
         assert_eq!(stats.evictions, 1);
         let mut b_recomputed = false;
         cache
-            .full(digest_of("b"), bounds, || {
+            .memo(Check::Full, digest_of("b"), bounds, || {
                 b_recomputed = true;
                 Ok(InductivenessOutcome::Valid)
             })
@@ -748,7 +717,7 @@ mod tests {
         assert_eq!(cache.stats().evictions, 2);
         let mut c_recomputed = false;
         cache
-            .full(digest_of("c"), bounds, || {
+            .memo(Check::Full, digest_of("c"), bounds, || {
                 c_recomputed = true;
                 Ok(InductivenessOutcome::Valid)
             })
@@ -764,7 +733,7 @@ mod tests {
         let bounds = VerifierBounds::quick();
         for i in 0..5 {
             cache
-                .full(digest_of(&format!("inv{i}")), bounds, || {
+                .memo(Check::Full, digest_of(&format!("inv{i}")), bounds, || {
                     Ok(InductivenessOutcome::Valid)
                 })
                 .unwrap();
@@ -775,7 +744,7 @@ mod tests {
         // The most recent entry is resident.
         let mut recomputed = false;
         cache
-            .full(digest_of("inv4"), bounds, || {
+            .memo(Check::Full, digest_of("inv4"), bounds, || {
                 recomputed = true;
                 Ok(InductivenessOutcome::Valid)
             })
@@ -787,12 +756,16 @@ mod tests {
     fn snapshots_round_trip_entries_and_recency() {
         let cache = CheckCache::new(8);
         let bounds = VerifierBounds::quick();
-        cache.full(digest_of("a"), bounds, || Ok(cex())).unwrap();
         cache
-            .sufficiency(digest_of("b"), bounds, || Ok(SufficiencyOutcome::Valid))
+            .memo(Check::Full, digest_of("a"), bounds, || Ok(cex()))
             .unwrap();
         cache
-            .sufficiency(digest_of("s"), bounds, || {
+            .memo(Check::Sufficiency, digest_of("b"), bounds, || {
+                Ok(SufficiencyOutcome::Valid)
+            })
+            .unwrap();
+        cache
+            .memo(Check::Sufficiency, digest_of("s"), bounds, || {
                 Ok(SufficiencyOutcome::Cex(SufficiencyCex {
                     args: vec![Value::nat_list(&[1, 1]), Value::nat(1)],
                     abstract_args: vec![Value::nat_list(&[1, 1])],
@@ -800,15 +773,15 @@ mod tests {
             })
             .unwrap();
         cache
-            .visible(
+            .memo(
+                Check::Visible(&[Value::nat(0)]),
                 digest_of("a"),
-                Digest::of_values(&[Value::nat(0)]),
                 bounds,
                 || Ok(InductivenessOutcome::Valid),
             )
             .unwrap();
         cache
-            .op("insert", digest_of("a"), bounds, || {
+            .memo(Check::Op("insert"), digest_of("a"), bounds, || {
                 Ok(InductivenessOutcome::Valid)
             })
             .unwrap();
@@ -822,7 +795,7 @@ mod tests {
         // Every entry answers from the restored cache without recomputing.
         let mut recomputed = false;
         let outcome = restored
-            .full(digest_of("a"), bounds, || {
+            .memo(Check::Full, digest_of("a"), bounds, || {
                 recomputed = true;
                 Ok(InductivenessOutcome::Valid)
             })
@@ -830,7 +803,7 @@ mod tests {
         assert!(!recomputed);
         assert_eq!(outcome, cex(), "counterexample values survived the disk");
         let suf = restored
-            .sufficiency(digest_of("s"), bounds, || {
+            .memo(Check::Sufficiency, digest_of("s"), bounds, || {
                 recomputed = true;
                 Ok(SufficiencyOutcome::Valid)
             })
@@ -845,7 +818,7 @@ mod tests {
         let bounds = VerifierBounds::quick();
         for i in 0..6 {
             cache
-                .full(digest_of(&format!("inv{i}")), bounds, || {
+                .memo(Check::Full, digest_of(&format!("inv{i}")), bounds, || {
                     Ok(InductivenessOutcome::Valid)
                 })
                 .unwrap();
@@ -855,7 +828,7 @@ mod tests {
         // The *most recently used* entries survive the shrink.
         let mut recomputed = false;
         restored
-            .full(digest_of("inv5"), bounds, || {
+            .memo(Check::Full, digest_of("inv5"), bounds, || {
                 recomputed = true;
                 Ok(InductivenessOutcome::Valid)
             })
@@ -869,7 +842,7 @@ mod tests {
         let bounds = VerifierBounds::quick();
         for i in 0..7 {
             cache
-                .full(digest_of(&format!("inv{i}")), bounds, || {
+                .memo(Check::Full, digest_of(&format!("inv{i}")), bounds, || {
                     Ok(InductivenessOutcome::Valid)
                 })
                 .unwrap();
@@ -895,7 +868,7 @@ mod tests {
         // Only entries that did not change stripes produce identical chunks:
         // appending one entry leaves the full older stripes byte-stable.
         cache
-            .full(digest_of("inv7"), bounds, || {
+            .memo(Check::Full, digest_of("inv7"), bounds, || {
                 Ok(InductivenessOutcome::Valid)
             })
             .unwrap();
@@ -915,7 +888,7 @@ mod tests {
         let bounds = VerifierBounds::quick();
         for i in 0..4 {
             cache
-                .full(digest_of(&format!("inv{i}")), bounds, || {
+                .memo(Check::Full, digest_of(&format!("inv{i}")), bounds, || {
                     Ok(InductivenessOutcome::Valid)
                 })
                 .unwrap();
@@ -952,9 +925,12 @@ mod tests {
         let bounds = VerifierBounds::quick();
         for i in 0..4 {
             cache
-                .sufficiency(digest_of(&format!("inv{i}")), bounds, || {
-                    Ok(SufficiencyOutcome::Valid)
-                })
+                .memo(
+                    Check::Sufficiency,
+                    digest_of(&format!("inv{i}")),
+                    bounds,
+                    || Ok(SufficiencyOutcome::Valid),
+                )
                 .unwrap();
         }
         let with_version = |json: &Json, version: u64| {
@@ -987,11 +963,52 @@ mod tests {
     }
 
     #[test]
+    fn entries_whose_outcome_does_not_fit_their_check_are_rejected() {
+        let cache = CheckCache::default();
+        let bounds = VerifierBounds::quick();
+        cache
+            .memo(Check::Full, digest_of("inv"), bounds, || {
+                Ok(InductivenessOutcome::Valid)
+            })
+            .unwrap();
+        cache
+            .memo(Check::Sufficiency, digest_of("inv"), bounds, || {
+                Ok(SufficiencyOutcome::Valid)
+            })
+            .unwrap();
+        let edited = |from: &str, to: &str| {
+            let rendered = cache.to_json().render();
+            assert!(rendered.contains(from));
+            hanoi_lang::json::parse(&rendered.replace(from, to)).unwrap()
+        };
+        let relabelled = |from: &str, to: &str| {
+            edited(&format!(r#""kind":"{from}""#), &format!(r#""kind":"{to}""#))
+        };
+        // An inductiveness outcome under a sufficiency key, and the reverse,
+        // are malformed entries: the whole snapshot is refused, so a restore
+        // starts cold instead of answering (and counting a hit) for a check
+        // whose sweep then runs anyway.
+        for (from, to) in [("full", "sufficiency"), ("sufficiency", "visible")] {
+            let snapshot = relabelled(from, to);
+            assert!(
+                CheckCache::from_json(&snapshot, 8).is_err(),
+                "{from} → {to}"
+            );
+        }
+        assert!(CheckCache::from_json(&relabelled("full", "op"), 8).is_ok());
+        // So is an operation name on a check of every operation.
+        let named = edited(r#""kind":"full","op":"""#, r#""kind":"full","op":"insert""#);
+        assert!(CheckCache::from_json(&named, 8).is_err());
+    }
+
+    #[test]
     fn corrupt_and_mismatched_snapshots_are_rejected() {
         let cache = CheckCache::default();
         let bounds = VerifierBounds::quick();
         cache
-            .full(digest_of("inv"), bounds, || Ok(InductivenessOutcome::Valid))
+            .memo(Check::Full, digest_of("inv"), bounds, || {
+                Ok(InductivenessOutcome::Valid)
+            })
             .unwrap();
         let good = cache.to_json();
 

@@ -1,14 +1,20 @@
 //! The conditional-inductiveness checker (`CondInductive P Q`, Figure 3).
 //!
+//! The verifier's `Check` value picks `P` and the operations: visible
+//! inductiveness (`Visible(V+)`) conditions on the known-constructible set
+//! `V+`, full inductiveness (`Full`) on the candidate itself, and `Op(name)`
+//! is full inductiveness of one operation only (the LinearArbitrary
+//! baseline, §5.5, checks operations one at a time).
+//!
 //! The relation `vm : τm ▶P_Q` is checked one module operation at a time
 //! (the operations are the components of the product `τm`, so rule I-Prod
 //! reduces the check to its per-operation form).  For an operation of type
 //! `σ1 -> … -> σk -> ρ`:
 //!
 //! * argument positions of abstract type draw their values from the
-//!   *conditioning pool* `P` — the set `V+` of known-constructible values for
-//!   visible inductiveness, or the enumerated values satisfying the candidate
-//!   for full inductiveness (rule I-Fun's contravariant premise);
+//!   *conditioning pool* `P` — the set `V+` for visible inductiveness, or
+//!   the enumerated values satisfying the candidate otherwise (rule I-Fun's
+//!   contravariant premise);
 //! * argument positions of base type are enumerated from smallest to largest;
 //! * argument positions of function type are filled with enumerated lambda
 //!   terms; if their type mentions the abstract type they are wrapped in a
@@ -18,10 +24,10 @@
 //!   `⟨S, V⟩` where `S` collects the abstract-type inputs (`{|·|}σ`, plus
 //!   client-supplied contract values) and `V` the violating outputs.
 //!
-//! Under full inductiveness `P` and `Q` are the same candidate, and one
-//! check tests it on the same values again and again: every operation
-//! filters the same enumerated pools, and most operation results are
-//! themselves small pool values.  A verdict table therefore keeps the
+//! Under full and per-operation inductiveness `P` and `Q` are the same
+//! candidate, and one check tests it on the same values again and again:
+//! every operation filters the same enumerated pools, and most operation
+//! results are themselves small pool values.  A verdict table therefore keeps the
 //! candidate's verdict on every value the pool filter tests (the abstract
 //! parts of each pool value, evaluated once per check, not once per
 //! operation).  Operation results, module-supplied and client-supplied
@@ -35,8 +41,7 @@
 //! A candidate that is literally `fun (x : τ) -> True` needs no sweep at
 //! all: under rule I-A a check fails only when a produced value violates
 //! `Q`, and client-supplied values only decide which tuples count, so with
-//! `Q ≡ True` every check — visible or full, of every operation — is
-//! `Valid`.
+//! `Q ≡ True` every check — visible, full or per-operation — is `Valid`.
 
 use std::collections::{HashMap, HashSet};
 use std::hash::Hasher;
@@ -45,32 +50,18 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use hanoi_abstraction::contract::{instrument_function, BoundaryLog};
-use hanoi_abstraction::Problem;
 use hanoi_lang::ast::Expr;
 use hanoi_lang::eval::Fuel;
+use hanoi_lang::parallel::{par_map, par_retain};
 use hanoi_lang::symbol::Symbol;
 use hanoi_lang::types::Type;
 use hanoi_lang::util::{IdHashBuilder, IdHasher};
 use hanoi_lang::value::Value;
 
-use crate::bounds::{Deadline, VerifierBounds};
 use crate::hof::FunctionCandidate;
 use crate::outcome::{InductivenessCex, InductivenessOutcome, VerifierError};
-use crate::parallel::{par_map, par_retain};
-use crate::poolcache::PoolCache;
 use crate::pools::{abstract_parts, collect_abstract, search_product, CompiledPredicate};
-
-/// The conditioning predicate `P` of a conditional-inductiveness check.
-#[derive(Debug, Clone, Copy)]
-pub enum PoolSpec<'a> {
-    /// `P` is membership in an explicit, known-constructible set (`V+`) —
-    /// this is the *visible inductiveness* check.
-    Known(&'a [Value]),
-    /// `P` is the candidate itself: abstract argument positions are filled
-    /// with every enumerated value satisfying it — the *full inductiveness*
-    /// check (`CondInductive I I`).
-    Satisfying,
-}
+use crate::verifier::{Check, Verifier};
 
 /// One choice for one argument position, borrowed from a cached pool (or
 /// from the caller's `V+` slice).
@@ -236,43 +227,40 @@ fn is_constant_true(invariant: &Expr) -> bool {
         if matches!(&*lambda.body, Expr::Ctor(name, args) if *name == Symbol::TRUE && args.is_empty()))
 }
 
-/// Checks `CondInductive P Q` where `P` is given by `pool` and `Q` is
-/// `invariant`, spreading tuple evaluation over `workers` threads (`1` =
-/// serial; parallel runs report the same counterexample as serial ones, see
-/// [`crate::parallel`]).  Pools come from the shared `pools` cache.
-///
-/// With `only_op` set, only the module operation of that name is checked:
-/// the LinearArbitrary baseline (§5.5) checks inductiveness one operation
-/// at a time.
-#[allow(clippy::too_many_arguments)]
-pub fn check_cond_inductive(
-    problem: &Problem,
-    pools: &PoolCache,
-    bounds: &VerifierBounds,
-    deadline: &Deadline,
-    pool: PoolSpec<'_>,
+/// Checks `CondInductive P Q` where `Q` is `invariant` and `P` comes from
+/// `check`: the known-constructible set of [`Check::Visible`], or the
+/// candidate itself for [`Check::Full`] and [`Check::Op`].  [`Check::Op`]
+/// checks only the named module operation: the LinearArbitrary baseline
+/// (§5.5) checks inductiveness one operation at a time.  Pools come from the
+/// verifier's pool cache, and tuple evaluation is spread over its workers
+/// (parallel runs report the same counterexample as serial ones, see
+/// [`hanoi_lang::parallel`]).
+pub(crate) fn check_cond_inductive(
+    verifier: &Verifier<'_>,
+    check: Check<'_>,
     invariant: &Expr,
-    only_op: Option<&str>,
-    workers: usize,
 ) -> Result<InductivenessOutcome, VerifierError> {
+    let problem = verifier.problem();
+    let pools = verifier.pool_cache();
+    let bounds = verifier.bounds();
+    let workers = verifier.workers();
     let q = CompiledPredicate::compile(problem, invariant, bounds.fuel)?
         .with_eval_counter(pools.eval_counter());
     if is_constant_true(invariant) {
         // Rule I-A: only a produced value violating Q fails the check.
         return Ok(InductivenessOutcome::Valid);
     }
-    let mut condition = match pool {
-        PoolSpec::Known(values) => Condition::Known(values.iter().collect()),
-        PoolSpec::Satisfying => {
+    let mut condition = match check {
+        Check::Visible(values) => Condition::Known(values.iter().collect()),
+        Check::Full | Check::Op(_) => {
             Condition::Satisfying(VerdictTable::new(&q, pools.table_hit_counter()))
         }
+        Check::Sufficiency => unreachable!("sufficiency is not an inductiveness check"),
     };
 
     for op in problem.inductive_ops() {
-        if let Some(only) = only_op {
-            if op.name.as_str() != only {
-                continue;
-            }
+        if matches!(check, Check::Op(only) if op.name.as_str() != only) {
+            continue;
         }
         let (arg_sigs, result_sig) = op.sig.uncurry();
         let quantifiers = arg_sigs.len().max(1);
@@ -289,8 +277,8 @@ pub fn check_cond_inductive(
                 if let Type::Arrow(_, _) = sig {
                     Source::Functions(pools.function_pool(problem, sig, bounds))
                 } else if sig.mentions_abstract() {
-                    match (&pool, sig) {
-                        (PoolSpec::Known(known_values), Type::Abstract) => {
+                    match (check, sig) {
+                        (Check::Visible(known_values), Type::Abstract) => {
                             Source::Known(known_values)
                         }
                         _ => {
@@ -341,7 +329,7 @@ pub fn check_cond_inductive(
             Condition::Satisfying(table) => table.test(v),
         };
 
-        let found = search_product(&choice_pools, cap, workers, deadline, |tuple| {
+        let found = search_product(&choice_pools, cap, workers, verifier.deadline(), |tuple| {
             // Materialize arguments, instrumenting abstract-mentioning
             // functional positions with boundary logs.
             let mut args: Vec<Value> = Vec::with_capacity(tuple.len());
@@ -432,6 +420,9 @@ pub fn check_cond_inductive(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bounds::VerifierBounds;
+    use crate::poolcache::PoolCache;
+    use hanoi_abstraction::Problem;
     use hanoi_lang::parser::parse_expr;
 
     const LIST_SET: &str = r#"
@@ -471,6 +462,10 @@ mod tests {
         Problem::from_source(LIST_SET).unwrap()
     }
 
+    fn quick(problem: &Problem) -> Verifier<'_> {
+        Verifier::new(problem).with_bounds(VerifierBounds::quick())
+    }
+
     fn no_duplicates() -> Expr {
         parse_expr(
             "fix inv (l : list) : bool = \
@@ -486,17 +481,7 @@ mod tests {
     fn trivially_true_candidate_is_fully_inductive() {
         let problem = problem();
         let candidate = parse_expr("fun (l : list) -> True").unwrap();
-        let outcome = check_cond_inductive(
-            &problem,
-            &PoolCache::for_problem(&problem),
-            &VerifierBounds::quick(),
-            &Deadline::none(),
-            PoolSpec::Satisfying,
-            &candidate,
-            None,
-            1,
-        )
-        .unwrap();
+        let outcome = check_cond_inductive(&quick(&problem), Check::Full, &candidate).unwrap();
         assert_eq!(outcome, InductivenessOutcome::Valid);
     }
 
@@ -504,17 +489,7 @@ mod tests {
     fn the_paper_invariant_is_fully_inductive() {
         let problem = problem();
         let inv = no_duplicates();
-        let outcome = check_cond_inductive(
-            &problem,
-            &PoolCache::for_problem(&problem),
-            &VerifierBounds::quick(),
-            &Deadline::none(),
-            PoolSpec::Satisfying,
-            &inv,
-            None,
-            1,
-        )
-        .unwrap();
+        let outcome = check_cond_inductive(&quick(&problem), Check::Full, &inv).unwrap();
         assert_eq!(outcome, InductivenessOutcome::Valid);
     }
 
@@ -535,17 +510,7 @@ mod tests {
             )
             .unwrap()
         });
-        let outcome = check_cond_inductive(
-            &problem,
-            &PoolCache::for_problem(&problem),
-            &VerifierBounds::quick(),
-            &Deadline::none(),
-            PoolSpec::Satisfying,
-            &candidate,
-            None,
-            1,
-        )
-        .unwrap();
+        let outcome = check_cond_inductive(&quick(&problem), Check::Full, &candidate).unwrap();
         match outcome {
             InductivenessOutcome::Cex(cex) => {
                 assert!(!cex.v.is_empty());
@@ -578,17 +543,8 @@ mod tests {
         // results of operations on [], e.g. insert [] 1 = [1], which violates
         // the candidate — a visible-inductiveness counterexample.
         let v_plus = vec![Value::nat_list(&[])];
-        let outcome = check_cond_inductive(
-            &problem,
-            &PoolCache::for_problem(&problem),
-            &VerifierBounds::quick(),
-            &Deadline::none(),
-            PoolSpec::Known(&v_plus),
-            &candidate,
-            None,
-            1,
-        )
-        .unwrap();
+        let outcome =
+            check_cond_inductive(&quick(&problem), Check::Visible(&v_plus), &candidate).unwrap();
         match outcome {
             InductivenessOutcome::Cex(cex) => {
                 assert!(cex.v.iter().all(|v| v.as_list().is_some()));
@@ -613,17 +569,8 @@ mod tests {
         let candidate =
             parse_expr("fun (l : list) -> match l with | Nil -> False | Cons (hd, tl) -> True end")
                 .unwrap();
-        let outcome = check_cond_inductive(
-            &problem,
-            &PoolCache::for_problem(&problem),
-            &VerifierBounds::quick(),
-            &Deadline::none(),
-            PoolSpec::Known(&[]),
-            &candidate,
-            None,
-            1,
-        )
-        .unwrap();
+        let outcome =
+            check_cond_inductive(&quick(&problem), Check::Visible(&[]), &candidate).unwrap();
         match outcome {
             InductivenessOutcome::Cex(cex) => {
                 assert_eq!(cex.op.as_str(), "empty");
@@ -634,26 +581,16 @@ mod tests {
         }
     }
 
-    /// A full-inductiveness check of `candidate` (of `only_op`, when set) on
-    /// a fresh pool cache: its outcome and the cache's counters.
-    fn full_check(
+    /// `check` of `candidate` on a fresh pool cache: its outcome and the
+    /// cache's counters.
+    fn fresh_check(
         problem: &Problem,
+        check: Check<'_>,
         candidate: &Expr,
-        only_op: Option<&str>,
     ) -> (InductivenessOutcome, crate::PoolCacheStats) {
-        let pools = PoolCache::for_problem(problem);
-        let outcome = check_cond_inductive(
-            problem,
-            &pools,
-            &VerifierBounds::quick(),
-            &Deadline::none(),
-            PoolSpec::Satisfying,
-            candidate,
-            only_op,
-            1,
-        )
-        .unwrap();
-        (outcome, pools.stats())
+        let verifier = quick(problem);
+        let outcome = check_cond_inductive(&verifier, check, candidate).unwrap();
+        (outcome, verifier.pool_stats())
     }
 
     #[test]
@@ -661,7 +598,7 @@ mod tests {
         // `insert` and `delete` draw their lists from one 2-quantifier pool.
         let problem = problem();
         let inv = no_duplicates();
-        let (outcome, full) = full_check(&problem, &inv, None);
+        let (outcome, full) = fresh_check(&problem, Check::Full, &inv);
         assert_eq!(outcome, InductivenessOutcome::Valid);
         assert_eq!(full.predicate_evals, 165);
         // Before the table this check made 463 evaluations; each of them is
@@ -675,7 +612,7 @@ mod tests {
         let pool = PoolCache::for_problem(&problem)
             .pool(&Type::named("list"), 150, 9, 1)
             .len() as u64;
-        let evals = |op| full_check(&problem, &inv, Some(op)).1.predicate_evals;
+        let evals = |op| fresh_check(&problem, Check::Op(op), &inv).1.predicate_evals;
         assert_eq!(
             full.predicate_evals,
             evals("empty") + evals("insert") + evals("delete") - pool
@@ -691,7 +628,7 @@ mod tests {
             "fun (l : list) -> match l with | Nil -> True | Cons (hd, tl) -> not (hd == 1) end",
         )
         .unwrap();
-        let (outcome, stats) = full_check(&problem, &candidate, None);
+        let (outcome, stats) = fresh_check(&problem, Check::Full, &candidate);
         assert_eq!(
             outcome,
             InductivenessOutcome::Cex(InductivenessCex {
@@ -709,35 +646,16 @@ mod tests {
     #[test]
     fn a_true_conclusion_is_valid_without_a_sweep() {
         let problem = problem();
-        let check = |candidate: &Expr, pool: PoolSpec<'_>, only_op: Option<&str>| {
-            let pools = PoolCache::for_problem(&problem);
-            let outcome = check_cond_inductive(
-                &problem,
-                &pools,
-                &VerifierBounds::quick(),
-                &Deadline::none(),
-                pool,
-                candidate,
-                only_op,
-                1,
-            )
-            .unwrap();
-            (outcome, pools.stats())
-        };
         let v_plus = vec![Value::nat_list(&[]), Value::nat_list(&[0, 1])];
-        let checks = [
-            (PoolSpec::Known(&v_plus), None),
-            (PoolSpec::Satisfying, None),
-            (PoolSpec::Satisfying, Some("insert")),
-        ];
+        let checks = [Check::Visible(&v_plus), Check::Full, Check::Op("insert")];
         let literal = parse_expr("fun (l : list) -> True").unwrap();
         let not_false = parse_expr("fun (l : list) -> not False").unwrap();
-        for (pool, only_op) in checks {
-            let (outcome, stats) = check(&literal, pool, only_op);
+        for check in checks {
+            let (outcome, stats) = fresh_check(&problem, check, &literal);
             assert_eq!(outcome, InductivenessOutcome::Valid);
             assert_eq!(stats, crate::PoolCacheStats::default(), "no pool, no test");
             // The same predicate, not literally `True`, is swept.
-            let (outcome, stats) = check(&not_false, pool, only_op);
+            let (outcome, stats) = fresh_check(&problem, check, &not_false);
             assert_eq!(outcome, InductivenessOutcome::Valid);
             assert!(stats.predicate_evals > 0);
         }

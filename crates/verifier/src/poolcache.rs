@@ -20,7 +20,7 @@
 //!   generation plus evaluation) than value pools;
 //! * slab construction is **parallelized** over the configured worker count
 //!   using the same scoped-thread layer as the parallel verifier
-//!   ([`crate::parallel`]): workers claim sizes from a shared cursor,
+//!   ([`hanoi_lang::parallel`]): workers claim sizes from a shared cursor,
 //!   largest first, each with a private [`ValueEnumerator`]; since
 //!   [`ValueEnumerator::values_of_size`] is a deterministic function of
 //!   `(type, size)`, the merged size-ordered result is byte-identical to a
@@ -238,7 +238,7 @@ impl PoolCache {
         // values nobody reads.  With several workers, slabs are built in
         // batches of `workers` sizes (slight speculative overshoot past the
         // cutoff, kept and reused by later, larger requests).
-        let batch = crate::parallel::effective_workers(workers).max(1);
+        let batch = hanoi_lang::parallel::effective_workers(workers).max(1);
         let mut out = Vec::new();
         let mut next_size = 1usize;
         while next_size <= size && out.len() < count {
@@ -338,7 +338,7 @@ impl PoolCache {
             enumerator
         };
 
-        let workers = crate::parallel::effective_workers(workers).min(missing.len());
+        let workers = hanoi_lang::parallel::effective_workers(workers).min(missing.len());
         if workers <= 1 {
             let mut enumerator = seeded_enumerator();
             let mut slabs = self.slabs.lock().unwrap();

@@ -113,7 +113,7 @@ pub fn decode_tuple<'a, T>(pools: &'a [Vec<T>], mut flat: usize, tuple: &mut [&'
 ///
 /// Serial-equivalent by construction: whatever thread breaks first, the
 /// reported break is always the one at the least flat index (see
-/// [`crate::parallel::find_first`]), so callers observe exactly the
+/// [`hanoi_lang::parallel::find_first`]), so callers observe exactly the
 /// counterexample a `workers = 1` run would report.  `visit` must therefore
 /// be a pure function of the tuple.
 pub fn search_product<'a, T, R>(
@@ -128,7 +128,7 @@ where
     R: Send,
 {
     let len = product_len(pools, cap);
-    crate::parallel::find_first(len, workers, PRODUCT_CHUNK, |flat| {
+    hanoi_lang::parallel::find_first(len, workers, PRODUCT_CHUNK, |flat| {
         if flat.is_multiple_of(DEADLINE_POLL) && deadline.expired() {
             return Err(VerifierError::Timeout);
         }

@@ -12,7 +12,7 @@
 //! and a CEGIS run checks many candidates against the same quantifier pools.
 //! Each check therefore records the tuples on which the specification held
 //! in the session's [`SpecMemo`](crate::poolcache::SpecMemo) (kept by the
-//! [`PoolCache`], keyed by the
+//! [`PoolCache`](crate::poolcache::PoolCache), keyed by the
 //! problem's fingerprint, the fuel bound and the pool bounds), and later checks
 //! skip them without evaluating the specification.  Tuples are identified
 //! by their indices into the unfiltered pools, so the memo does not depend
@@ -22,34 +22,33 @@ use std::ops::ControlFlow;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
-use hanoi_abstraction::Problem;
 use hanoi_lang::ast::Expr;
 use hanoi_lang::eval::Fuel;
+use hanoi_lang::parallel::par_retain;
 use hanoi_lang::value::Value;
 
-use crate::bounds::{Deadline, VerifierBounds};
 use crate::outcome::{SufficiencyCex, SufficiencyOutcome, VerifierError};
-use crate::parallel::par_retain;
-use crate::poolcache::PoolCache;
 use crate::pools::{abstract_parts, collect_abstract, search_product, CompiledPredicate};
+use crate::verifier::Verifier;
 
 /// One quantifier choice: a value and its index in the unfiltered pool.
 type Indexed<'a> = (usize, &'a Value);
 
 /// Checks sufficiency of `invariant` for the problem's specification,
-/// spreading tuple evaluation over `workers` threads (`1` = serial; parallel
-/// runs report the same outcome as serial ones, see [`crate::parallel`]).
-/// Quantifier pools are drawn from `pools`, so enumeration is paid at most
-/// once per `(type, count, size)` per session, and so is the specification's
-/// evaluation on a tuple where it holds (see the module docs).
-pub fn check_sufficiency(
-    problem: &Problem,
-    pools: &PoolCache,
-    bounds: &VerifierBounds,
-    deadline: &Deadline,
+/// spreading tuple evaluation over the verifier's workers (parallel runs
+/// report the same outcome as serial ones, see [`hanoi_lang::parallel`]).
+/// Quantifier pools are drawn from the verifier's pool cache, so enumeration
+/// is paid at most once per `(type, count, size)` per session, and so is the
+/// specification's evaluation on a tuple where it holds (see the module
+/// docs).
+pub(crate) fn check_sufficiency(
+    verifier: &Verifier<'_>,
     invariant: &Expr,
-    workers: usize,
 ) -> Result<SufficiencyOutcome, VerifierError> {
+    let problem = verifier.problem();
+    let pools = verifier.pool_cache();
+    let bounds = verifier.bounds();
+    let workers = verifier.workers();
     let spec = &problem.spec;
     let quantifiers = spec.arity();
     let per_count = bounds.count_for(quantifiers);
@@ -98,7 +97,7 @@ pub fn check_sufficiency(
     );
     let spec_evals = pools.spec_eval_counter();
     let memo_hits = pools.spec_memo_hit_counter();
-    let found = search_product(&filtered, cap, workers, deadline, |tuple| {
+    let found = search_product(&filtered, cap, workers, verifier.deadline(), |tuple| {
         let memo_slot = memo
             .as_deref()
             .map(|memo| (memo, memo.slot(tuple.iter().map(|&&(index, _)| index))));
@@ -141,6 +140,9 @@ pub fn check_sufficiency(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bounds::{Deadline, VerifierBounds};
+    use crate::poolcache::PoolCache;
+    use hanoi_abstraction::Problem;
     use hanoi_lang::parser::parse_expr;
 
     const LIST_SET: &str = r#"
@@ -180,6 +182,10 @@ mod tests {
         Problem::from_source(LIST_SET).unwrap()
     }
 
+    fn quick(problem: &Problem) -> Verifier<'_> {
+        Verifier::new(problem).with_bounds(VerifierBounds::quick())
+    }
+
     /// The no-duplicates invariant from §2.
     fn no_duplicates() -> Expr {
         parse_expr(
@@ -196,15 +202,7 @@ mod tests {
     fn trivial_candidate_is_not_sufficient() {
         let problem = problem();
         let candidate = parse_expr("fun (l : list) -> True").unwrap();
-        let outcome = check_sufficiency(
-            &problem,
-            &PoolCache::for_problem(&problem),
-            &VerifierBounds::quick(),
-            &Deadline::none(),
-            &candidate,
-            1,
-        )
-        .unwrap();
+        let outcome = check_sufficiency(&quick(&problem), &candidate).unwrap();
         match outcome {
             SufficiencyOutcome::Cex(cex) => {
                 // The counterexample must be a list with duplicates (that is
@@ -230,15 +228,7 @@ mod tests {
     #[test]
     fn the_paper_invariant_is_sufficient() {
         let problem = problem();
-        let outcome = check_sufficiency(
-            &problem,
-            &PoolCache::for_problem(&problem),
-            &VerifierBounds::quick(),
-            &Deadline::none(),
-            &no_duplicates(),
-            1,
-        )
-        .unwrap();
+        let outcome = check_sufficiency(&quick(&problem), &no_duplicates()).unwrap();
         assert_eq!(outcome, SufficiencyOutcome::Valid);
     }
 
@@ -246,15 +236,7 @@ mod tests {
     fn too_strong_candidates_are_vacuously_sufficient() {
         let problem = problem();
         let candidate = parse_expr("fun (l : list) -> False").unwrap();
-        let outcome = check_sufficiency(
-            &problem,
-            &PoolCache::for_problem(&problem),
-            &VerifierBounds::quick(),
-            &Deadline::none(),
-            &candidate,
-            1,
-        )
-        .unwrap();
+        let outcome = check_sufficiency(&quick(&problem), &candidate).unwrap();
         assert_eq!(outcome, SufficiencyOutcome::Valid);
     }
 
@@ -262,25 +244,10 @@ mod tests {
     fn parallel_runs_report_the_serial_counterexample() {
         let problem = problem();
         let candidate = parse_expr("fun (l : list) -> True").unwrap();
-        let serial = check_sufficiency(
-            &problem,
-            &PoolCache::for_problem(&problem),
-            &VerifierBounds::quick(),
-            &Deadline::none(),
-            &candidate,
-            1,
-        )
-        .unwrap();
+        let serial = check_sufficiency(&quick(&problem), &candidate).unwrap();
         for workers in [2, 4, 8] {
-            let parallel = check_sufficiency(
-                &problem,
-                &PoolCache::for_problem(&problem),
-                &VerifierBounds::quick(),
-                &Deadline::none(),
-                &candidate,
-                workers,
-            )
-            .unwrap();
+            let parallel =
+                check_sufficiency(&quick(&problem).with_parallelism(workers), &candidate).unwrap();
             assert_eq!(parallel, serial, "workers={workers}");
         }
     }
@@ -308,15 +275,7 @@ mod tests {
         let candidate =
             parse_expr("fun (l : list) -> match l with | Nil -> True | Cons (hd, tl) -> True end")
                 .unwrap();
-        let outcome = check_sufficiency(
-            &problem,
-            &PoolCache::for_problem(&problem),
-            &VerifierBounds::quick(),
-            &Deadline::none(),
-            &candidate,
-            1,
-        )
-        .unwrap();
+        let outcome = check_sufficiency(&quick(&problem), &candidate).unwrap();
         let SufficiencyOutcome::Cex(cex) = outcome else {
             panic!("a candidate accepting [0; 0] is not sufficient");
         };
@@ -344,9 +303,9 @@ mod tests {
     #[test]
     fn the_spec_memo_changes_no_outcome() {
         let problem = problem();
-        let bounds = VerifierBounds::quick();
-        let check = |pools: &PoolCache, candidate: &Expr| {
-            check_sufficiency(&problem, pools, &bounds, &Deadline::none(), candidate, 1).unwrap()
+        let check = |pools: &Arc<PoolCache>, candidate: &Expr| {
+            let verifier = quick(&problem).with_pool_cache(Arc::clone(pools));
+            check_sufficiency(&verifier, candidate).unwrap()
         };
         let shared = PoolCache::for_problem(&problem);
         let mut fresh_evals = 0;
@@ -374,15 +333,8 @@ mod tests {
             hanoi_lang::resolve::resolve(&parse_expr("not (lookup empty i)").unwrap());
         let pools = PoolCache::for_problem(&problem);
         let check = |problem: &Problem| {
-            check_sufficiency(
-                problem,
-                &pools,
-                &VerifierBounds::quick(),
-                &Deadline::none(),
-                &candidate_sequence()[0],
-                1,
-            )
-            .unwrap()
+            let verifier = quick(problem).with_pool_cache(Arc::clone(&pools));
+            check_sufficiency(&verifier, &candidate_sequence()[0]).unwrap()
         };
         assert_eq!(check(&weaker), SufficiencyOutcome::Valid);
         let visited = pools.stats().spec_evals;
@@ -401,14 +353,7 @@ mod tests {
         // With an already expired deadline the check either finds the (very
         // early) counterexample before the first poll or times out; both are
         // acceptable, but it must not loop.
-        let result = check_sufficiency(
-            &problem,
-            &PoolCache::for_problem(&problem),
-            &VerifierBounds::quick(),
-            &deadline,
-            &candidate,
-            1,
-        );
+        let result = check_sufficiency(&quick(&problem).with_deadline(deadline), &candidate);
         match result {
             Ok(_) | Err(VerifierError::Timeout) => {}
             Err(other) => panic!("unexpected error {other}"),

@@ -1,5 +1,7 @@
 //! The [`Verifier`] façade: one object bundling a problem, bounds and a
-//! deadline, exposing the three checks the inference driver needs.
+//! deadline, exposing the checks the inference modes need.  Every check
+//! takes one path: a `Check` value, answered from the check cache or by
+//! its sweep.
 
 use std::sync::Arc;
 
@@ -9,11 +11,27 @@ use hanoi_lang::digest::Digest;
 use hanoi_lang::value::Value;
 
 use crate::bounds::{Deadline, VerifierBounds};
-use crate::checkcache::{CheckCache, CheckCacheStats};
-use crate::inductive::{check_cond_inductive, PoolSpec};
+use crate::checkcache::{CheckCache, CheckCacheStats, Memoized};
+use crate::inductive::check_cond_inductive;
 use crate::outcome::{InductivenessOutcome, SufficiencyOutcome, VerifierError};
 use crate::poolcache::{PoolCache, PoolCacheStats};
 use crate::tester::check_sufficiency;
+
+/// One of the verifier's checks, as a sweep runs it and as the check cache
+/// keys its outcome.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Check<'a> {
+    /// `Verify Suf φ M [I]` (Definition 3.4).
+    Sufficiency,
+    /// `CondInductive V+ I`: abstract arguments come from the given
+    /// known-constructible values.
+    Visible(&'a [Value]),
+    /// `CondInductive I I`: abstract arguments are the enumerated values
+    /// satisfying the candidate.
+    Full,
+    /// `CondInductive I I` for the named module operation only.
+    Op(&'a str),
+}
 
 /// The bounded enumerative verifier.
 ///
@@ -64,7 +82,7 @@ impl<'p> Verifier<'p> {
     /// default) runs serially, `0` uses one worker per available core, any
     /// other value is taken literally.  Parallel runs produce outcomes
     /// identical to serial ones — counterexample selection is deterministic
-    /// (least tuple under the enumeration order), see [`crate::parallel`].
+    /// (least tuple under the enumeration order), see [`hanoi_lang::parallel`].
     pub fn with_parallelism(mut self, parallelism: usize) -> Self {
         self.parallelism = parallelism;
         self
@@ -108,7 +126,7 @@ impl<'p> Verifier<'p> {
     /// The effective worker count of this verifier (with `0` resolved to the
     /// available core count).
     pub fn workers(&self) -> usize {
-        crate::parallel::effective_workers(self.parallelism)
+        hanoi_lang::parallel::effective_workers(self.parallelism)
     }
 
     /// The problem being verified.
@@ -121,22 +139,16 @@ impl<'p> Verifier<'p> {
         &self.bounds
     }
 
+    /// The deadline every check polls.
+    pub(crate) fn deadline(&self) -> &Deadline {
+        &self.deadline
+    }
+
     /// `Verify Suf φ M [I]`: is the candidate sufficient for the spec?
     pub fn check_sufficiency(&self, invariant: &Expr) -> Result<SufficiencyOutcome, VerifierError> {
-        let compute = || {
-            check_sufficiency(
-                self.problem,
-                &self.pools,
-                &self.bounds,
-                &self.deadline,
-                invariant,
-                self.workers(),
-            )
-        };
-        match &self.checks {
-            Some(cache) => cache.sufficiency(Digest::of_expr(invariant), self.bounds, compute),
-            None => compute(),
-        }
+        self.run(Check::Sufficiency, invariant, |verifier, _, invariant| {
+            check_sufficiency(verifier, invariant)
+        })
     }
 
     /// `CondInductive V+ I`: is the candidate visibly inductive relative to
@@ -146,27 +158,7 @@ impl<'p> Verifier<'p> {
         v_plus: &[Value],
         invariant: &Expr,
     ) -> Result<InductivenessOutcome, VerifierError> {
-        let compute = || {
-            check_cond_inductive(
-                self.problem,
-                &self.pools,
-                &self.bounds,
-                &self.deadline,
-                PoolSpec::Known(v_plus),
-                invariant,
-                None,
-                self.workers(),
-            )
-        };
-        match &self.checks {
-            Some(cache) => cache.visible(
-                Digest::of_expr(invariant),
-                Digest::of_values(v_plus),
-                self.bounds,
-                compute,
-            ),
-            None => compute(),
-        }
+        self.run(Check::Visible(v_plus), invariant, check_cond_inductive)
     }
 
     /// `CondInductive I I`: is the candidate fully inductive?
@@ -174,22 +166,7 @@ impl<'p> Verifier<'p> {
         &self,
         invariant: &Expr,
     ) -> Result<InductivenessOutcome, VerifierError> {
-        let compute = || {
-            check_cond_inductive(
-                self.problem,
-                &self.pools,
-                &self.bounds,
-                &self.deadline,
-                PoolSpec::Satisfying,
-                invariant,
-                None,
-                self.workers(),
-            )
-        };
-        match &self.checks {
-            Some(cache) => cache.full(Digest::of_expr(invariant), self.bounds, compute),
-            None => compute(),
-        }
+        self.run(Check::Full, invariant, check_cond_inductive)
     }
 
     /// `CondInductive I I` restricted to a single module operation — the
@@ -199,21 +176,21 @@ impl<'p> Verifier<'p> {
         op: &str,
         invariant: &Expr,
     ) -> Result<InductivenessOutcome, VerifierError> {
-        let compute = || {
-            check_cond_inductive(
-                self.problem,
-                &self.pools,
-                &self.bounds,
-                &self.deadline,
-                PoolSpec::Satisfying,
-                invariant,
-                Some(op),
-                self.workers(),
-            )
-        };
+        self.run(Check::Op(op), invariant, check_cond_inductive)
+    }
+
+    /// Answers `check` of `invariant` from the check cache when it holds
+    /// the outcome, and runs `sweep` otherwise.
+    fn run<T: Memoized>(
+        &self,
+        check: Check<'_>,
+        invariant: &Expr,
+        sweep: fn(&Self, Check<'_>, &Expr) -> Result<T, VerifierError>,
+    ) -> Result<T, VerifierError> {
+        let sweep = || sweep(self, check, invariant);
         match &self.checks {
-            Some(cache) => cache.op(op, Digest::of_expr(invariant), self.bounds, compute),
-            None => compute(),
+            Some(cache) => cache.memo(check, Digest::of_expr(invariant), self.bounds, sweep),
+            None => sweep(),
         }
     }
 
@@ -304,6 +281,66 @@ mod tests {
             .check_full_inductiveness(&trivial)
             .unwrap()
             .is_valid());
+    }
+
+    #[test]
+    fn check_cache_snapshots_keep_their_wire_format() {
+        // One entry of each check kind, with a sufficiency and an
+        // inductiveness counterexample among them: the bytes a warm-start
+        // store holds.  Stores written by other builds restore only while
+        // these bytes stay put (or `CheckCache::SNAPSHOT_VERSION` moves).
+        let problem = Problem::from_source(LIST_SET).unwrap();
+        let cache = Arc::new(CheckCache::default());
+        let verifier = Verifier::new(&problem)
+            .with_bounds(VerifierBounds::quick())
+            .with_check_cache(Arc::clone(&cache));
+        let trivial = parse_expr("fun (l : list) -> True").unwrap();
+        let heads_not_one = parse_expr(
+            "fun (l : list) -> match l with | Nil -> True | Cons (hd, tl) -> not (hd == 1) end",
+        )
+        .unwrap();
+        let v_plus = vec![Value::nat_list(&[])];
+        assert!(!verifier.check_sufficiency(&trivial).unwrap().is_valid());
+        assert!(!verifier
+            .check_visible_inductiveness(&v_plus, &heads_not_one)
+            .unwrap()
+            .is_valid());
+        assert!(!verifier
+            .check_full_inductiveness(&heads_not_one)
+            .unwrap()
+            .is_valid());
+        assert!(verifier
+            .check_op_inductiveness("empty", &heads_not_one)
+            .unwrap()
+            .is_valid());
+        assert_eq!(
+            cache.to_json().render(),
+            concat!(
+                r#"{"entries":[{"key":{"bounds":[400,14,150,9,4000,5,12,100000],"#,
+                r#""candidate":"aacdb712642626bc3a980fe7cd3b6b41","kind":"sufficiency","#,
+                r#""op":"","v_plus":"00000000000000000000000000000000"},"#,
+                r#""outcome":{"sufficiency":{"abstract_args":[{"a":[{"a":[],"c":"O"},"#,
+                r#"{"a":[{"a":[],"c":"O"},{"a":[],"c":"Nil"}],"c":"Cons"}],"c":"Cons"}],"#,
+                r#""args":[{"a":[{"a":[],"c":"O"},{"a":[{"a":[],"c":"O"},{"a":[],"c":"Nil"}],"#,
+                r#""c":"Cons"}],"c":"Cons"},{"a":[],"c":"O"}]}}},"#,
+                r#"{"key":{"bounds":[400,14,150,9,4000,5,12,100000],"#,
+                r#""candidate":"a92a0595f96bd186fb90a652737c3949","kind":"visible","#,
+                r#""op":"","v_plus":"0adfe23acacdad14d9ece254420ee793"},"#,
+                r#""outcome":{"inductiveness":{"args":[{"a":[],"c":"Nil"},"#,
+                r#"{"a":[{"a":[],"c":"O"}],"c":"S"}],"op":"insert","s":[{"a":[],"c":"Nil"}],"#,
+                r#""v":[{"a":[{"a":[{"a":[],"c":"O"}],"c":"S"},{"a":[],"c":"Nil"}],"c":"Cons"}]}}},"#,
+                r#"{"key":{"bounds":[400,14,150,9,4000,5,12,100000],"#,
+                r#""candidate":"a92a0595f96bd186fb90a652737c3949","kind":"full","#,
+                r#""op":"","v_plus":"00000000000000000000000000000000"},"#,
+                r#""outcome":{"inductiveness":{"args":[{"a":[],"c":"Nil"},"#,
+                r#"{"a":[{"a":[],"c":"O"}],"c":"S"}],"op":"insert","s":[{"a":[],"c":"Nil"}],"#,
+                r#""v":[{"a":[{"a":[{"a":[],"c":"O"}],"c":"S"},{"a":[],"c":"Nil"}],"c":"Cons"}]}}},"#,
+                r#"{"key":{"bounds":[400,14,150,9,4000,5,12,100000],"#,
+                r#""candidate":"a92a0595f96bd186fb90a652737c3949","kind":"op","#,
+                r#""op":"empty","v_plus":"00000000000000000000000000000000"},"#,
+                r#""outcome":{"inductiveness":"valid"}}],"kind":"check-cache","version":2}"#,
+            )
+        );
     }
 
     #[test]
