@@ -28,7 +28,6 @@
 //! *shape* of the results, and EXPERIMENTS.md records the comparison.
 
 pub mod cli;
-pub mod latency;
 pub mod report;
 
 use std::time::Duration;

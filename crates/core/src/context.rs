@@ -2,6 +2,7 @@
 //! modes: example sets, timed verifier/synthesizer calls, caches, statistics,
 //! event streaming and cancellation.
 
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -10,7 +11,8 @@ use hanoi_lang::ast::Expr;
 use hanoi_lang::util::{CancelToken, Deadline, OrderedSet};
 use hanoi_lang::value::Value;
 use hanoi_synth::{
-    ExampleSet, FoldSynth, MythSynth, SynthError, SynthesisCache, Synthesizer, TermBank,
+    ExampleSet, FoldSynth, MythSynth, SynthCounters, SynthError, SynthesisCache, Synthesizer,
+    TermBank,
 };
 use hanoi_verifier::{InductivenessOutcome, SufficiencyOutcome, Verifier, VerifierError};
 
@@ -26,7 +28,10 @@ use crate::stats::RunStats;
 /// warm caches.  It carries the run's deadline and cancellation token,
 /// streams [`RunEvent`]s to the run's observer, and owns the
 /// verifier/synthesizer pair every mode drives, together with the term bank
-/// the synthesizer searches through.
+/// the synthesizer searches through.  The run's work is counted in the
+/// verifier's [`hanoi_verifier::VerifierCounters`] and in the run's
+/// [`SynthCounters`], and copied into [`RunStats`] by
+/// [`InferenceContext::finish`].
 pub struct InferenceContext<'p, 'o> {
     /// The problem being solved.
     pub problem: &'p Problem,
@@ -45,15 +50,10 @@ pub struct InferenceContext<'p, 'o> {
     verifier: Verifier<'p>,
     synthesizer: Box<dyn Synthesizer>,
     bank: Arc<TermBank>,
+    synth_counters: SynthCounters,
     synth_cache: SynthesisCache,
     cex_cache: CexListCache,
     started: Instant,
-    /// Counter snapshots taken at run start.  The engine's caches live
-    /// *across* runs, so their counters are cumulative; `RunStats` reports
-    /// the per-run delta (a fully warm run shows `pool_builds == 0`).
-    pool_base: hanoi_verifier::PoolCacheStats,
-    check_base: hanoi_verifier::CheckCacheStats,
-    bank_base: hanoi_synth::TermBankStats,
 }
 
 impl<'p, 'o> InferenceContext<'p, 'o> {
@@ -73,9 +73,6 @@ impl<'p, 'o> InferenceContext<'p, 'o> {
         synthesizer: Box<dyn Synthesizer>,
         bank: Arc<TermBank>,
     ) -> Self {
-        let pool_base = verifier.pool_stats();
-        let check_base = verifier.check_cache_stats();
-        let bank_base = bank.stats();
         let mut ctx = InferenceContext {
             problem,
             options,
@@ -88,12 +85,10 @@ impl<'p, 'o> InferenceContext<'p, 'o> {
             verifier,
             synthesizer,
             bank,
+            synth_counters: SynthCounters::default(),
             synth_cache: SynthesisCache::new(),
             cex_cache: CexListCache::new(),
             started: Instant::now(),
-            pool_base,
-            check_base,
-            bank_base,
         };
         ctx.emit(RunEvent::RunStarted {
             mode: ctx.options.mode,
@@ -177,40 +172,34 @@ impl<'p, 'o> InferenceContext<'p, 'o> {
         Ok(())
     }
 
-    /// Wraps up the run: fills the time, example-count, pool-cache and
-    /// term-bank statistics, and emits the final event.
+    /// Wraps up the run: fills the time and example-count statistics,
+    /// copies the run's verifier and synthesizer counters into them, and
+    /// emits the final event.
     pub fn finish(mut self, outcome: Outcome) -> RunResult {
-        self.stats.total_time = self.started.elapsed();
-        self.stats.final_positives = self.v_plus.len();
-        self.stats.final_negatives = self.v_minus.len();
-        // The caches may be shared across runs: report this run's delta.
-        let pools = self.verifier.pool_stats();
-        self.stats
-            .record_pool_cache(hanoi_verifier::PoolCacheStats {
-                hits: pools.hits - self.pool_base.hits,
-                builds: pools.builds - self.pool_base.builds,
-                slab_builds: pools.slab_builds - self.pool_base.slab_builds,
-                predicate_evals: pools.predicate_evals - self.pool_base.predicate_evals,
-                predicate_table_hits: pools.predicate_table_hits
-                    - self.pool_base.predicate_table_hits,
-                spec_evals: pools.spec_evals - self.pool_base.spec_evals,
-                spec_memo_hits: pools.spec_memo_hits - self.pool_base.spec_memo_hits,
-            });
-        let checks = self.verifier.check_cache_stats();
-        self.stats.verification_cache_hits = checks.hits - self.check_base.hits;
-        self.stats.check_cache_evictions = checks.evictions - self.check_base.evictions;
-        let bank = self.bank.stats();
-        self.stats.record_term_bank(hanoi_synth::TermBankStats {
-            terms_enumerated: bank.terms_enumerated - self.bank_base.terms_enumerated,
-            column_appends: bank.column_appends - self.bank_base.column_appends,
-            eq_class_splits: bank.eq_class_splits - self.bank_base.eq_class_splits,
-            bank_hits: bank.bank_hits - self.bank_base.bank_hits,
-            bitset_row_ops: bank.bitset_row_ops - self.bank_base.bitset_row_ops,
-            guess_memo_hits: bank.guess_memo_hits - self.bank_base.guess_memo_hits,
-            probe_batches: bank.probe_batches - self.bank_base.probe_batches,
-            arith_atoms: bank.arith_atoms - self.bank_base.arith_atoms,
-            ..bank
-        });
+        let stats = &mut self.stats;
+        stats.total_time = self.started.elapsed();
+        stats.final_positives = self.v_plus.len();
+        stats.final_negatives = self.v_minus.len();
+        let load = |counter: &AtomicU64| counter.load(Ordering::Relaxed);
+        let verifier = self.verifier.counters();
+        stats.pool_cache_hits = load(&verifier.pool_cache_hits);
+        stats.pool_builds = load(&verifier.pool_builds);
+        stats.pool_slab_builds = load(&verifier.pool_slab_builds);
+        stats.predicate_evals = load(&verifier.predicate_evals);
+        stats.predicate_table_hits = load(&verifier.predicate_table_hits);
+        stats.spec_evals = load(&verifier.spec_evals);
+        stats.spec_memo_hits = load(&verifier.spec_memo_hits);
+        stats.verification_cache_hits = load(&verifier.check_cache_hits);
+        stats.check_cache_evictions = load(&verifier.check_cache_evictions);
+        let synth = &self.synth_counters;
+        stats.synth_terms_enumerated = load(&synth.terms_enumerated);
+        stats.synth_column_appends = load(&synth.column_appends);
+        stats.synth_eq_class_splits = load(&synth.eq_class_splits);
+        stats.synth_bank_hits = load(&synth.bank_hits);
+        stats.synth_bitset_row_ops = load(&synth.bitset_row_ops);
+        stats.synth_guess_memo_hits = load(&synth.guess_memo_hits);
+        stats.synth_probe_batches = load(&synth.probe_batches);
+        stats.synth_arith_atoms = load(&synth.arith_atoms);
         self.emit(RunEvent::RunFinished {
             success: outcome.is_success(),
             iterations: self.stats.iterations,
@@ -253,9 +242,13 @@ impl<'p, 'o> InferenceContext<'p, 'o> {
             }
         }
         let start = Instant::now();
-        let result =
-            self.synthesizer
-                .synthesize(self.problem, &self.bank, &examples, &self.deadline);
+        let result = self.synthesizer.synthesize(
+            self.problem,
+            &self.bank,
+            &self.synth_counters,
+            &examples,
+            &self.deadline,
+        );
         let elapsed = start.elapsed();
         self.stats.record_synthesis(elapsed);
         self.emit(RunEvent::PhaseFinished {

@@ -398,14 +398,7 @@ impl Engine {
     /// (otherwise an N-worker engine would put N×N runnable threads on N
     /// cores).  Outcomes never depend on the split.  Jobs over the same
     /// problem share that problem's warm caches, exactly like sequential
-    /// sessions would.
-    ///
-    /// Statistics caveat: per-run cache counters (`pool_builds`,
-    /// `verification_cache_hits`, the `synth_*` counters) are deltas of the
-    /// shared caches' cumulative counters; when two jobs over the *same*
-    /// problem run concurrently, each job's delta also includes its
-    /// sibling's cache activity.  Outcomes and timings are unaffected; for
-    /// exact per-run counters, run same-problem jobs in separate batches.
+    /// sessions would, and each job's statistics count only its own work.
     pub fn run_batch(&self, jobs: &[BatchJob<'_>]) -> Vec<RunResult> {
         let workers =
             hanoi_lang::parallel::effective_workers(self.config.parallelism).min(jobs.len());
@@ -558,7 +551,7 @@ mod tests {
     use crate::outcome::Outcome;
     use hanoi_lang::util::Deadline;
     use hanoi_lang::value::Value;
-    use hanoi_synth::{ExampleSet, MythSynth, SearchConfig, Synthesizer};
+    use hanoi_synth::{ExampleSet, MythSynth, SearchConfig, SynthCounters, Synthesizer};
 
     const LIST_SET: &str = r#"
         type nat = O | S of nat
@@ -728,12 +721,18 @@ mod tests {
         .trace_completed(&problem_a.tyenv, problem_a.concrete_type())
         .0;
         let synth = MythSynth::new().with_config(SearchConfig::quick());
-        let deadline = Deadline::none();
+        let (counters, deadline) = (SynthCounters::default(), Deadline::none());
         synth
-            .synthesize(&problem_a, &bank_a, &examples, &deadline)
+            .synthesize(&problem_a, &bank_a, &counters, &examples, &deadline)
             .unwrap();
-        let served = synth.synthesize(&problem_b, &bank_b, &examples, &deadline);
-        let fresh = synth.synthesize(&problem_b, &TermBank::new(), &examples, &deadline);
+        let served = synth.synthesize(&problem_b, &bank_b, &counters, &examples, &deadline);
+        let fresh = synth.synthesize(
+            &problem_b,
+            &TermBank::new(),
+            &counters,
+            &examples,
+            &deadline,
+        );
         assert_eq!(served, fresh);
         assert_eq!(bank_b.stats().sessions, 1);
     }

@@ -92,7 +92,7 @@ fn spec_holds_on(ctx: &InferenceContext<'_, '_>, sample: &Value) -> bool {
                 Arc::new(vec![sample.clone()])
             } else {
                 let concrete = ty.subst_abstract(ctx.problem.concrete_type());
-                ctx.verifier().pool_cache().pool(&concrete, 20, 8, 1)
+                ctx.verifier().pool(&concrete, 20, 8)
             }
         })
         .collect();

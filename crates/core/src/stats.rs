@@ -133,29 +133,6 @@ impl RunStats {
         self.synthesis_calls += 1;
         self.synthesis_time += elapsed;
     }
-
-    /// Copies a verifier pool-cache snapshot into the run statistics.
-    pub fn record_pool_cache(&mut self, pool: hanoi_verifier::PoolCacheStats) {
-        self.pool_cache_hits = pool.hits;
-        self.pool_builds = pool.builds;
-        self.pool_slab_builds = pool.slab_builds;
-        self.predicate_evals = pool.predicate_evals;
-        self.predicate_table_hits = pool.predicate_table_hits;
-        self.spec_evals = pool.spec_evals;
-        self.spec_memo_hits = pool.spec_memo_hits;
-    }
-
-    /// Copies a synthesizer term-bank snapshot into the run statistics.
-    pub fn record_term_bank(&mut self, bank: hanoi_synth::TermBankStats) {
-        self.synth_terms_enumerated = bank.terms_enumerated;
-        self.synth_column_appends = bank.column_appends;
-        self.synth_eq_class_splits = bank.eq_class_splits;
-        self.synth_bank_hits = bank.bank_hits;
-        self.synth_bitset_row_ops = bank.bitset_row_ops;
-        self.synth_guess_memo_hits = bank.guess_memo_hits;
-        self.synth_probe_batches = bank.probe_batches;
-        self.synth_arith_atoms = bank.arith_atoms;
-    }
 }
 
 #[cfg(test)]

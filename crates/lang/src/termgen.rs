@@ -2,15 +2,13 @@
 //!
 //! Two consumers need a stream of candidate expressions ordered by size:
 //!
-//! * the Myth-style synthesizer's "E-guessing" phase, which enumerates
-//!   expressions built from in-scope variables, prelude/module functions,
-//!   constructors and boolean connectives until one is consistent with the
-//!   current examples; and
-//! * the higher-order-argument generator of the verifier (§4.2), which must
-//!   enumerate *functions* to pass to module operations such as `fold` and
-//!   `map` ("there are many ways to build a function, so enumeratively
-//!   verifying a higher-order function requires searching through many
-//!   possible functions").
+//! * the higher-order-argument generator of the verifier (§4.2,
+//!   `hanoi_verifier::hof`), which must enumerate *functions* to pass to
+//!   module operations such as `fold` and `map` ("there are many ways to
+//!   build a function, so enumeratively verifying a higher-order function
+//!   requires searching through many possible functions"); and
+//! * the fold synthesizer (`hanoi_synth::fold`), which enumerates the arms
+//!   of the catamorphisms it offers the search as helper components.
 //!
 //! Terms are enumerated bottom-up and memoised per `(type, size)`.  The
 //! generator deliberately produces only saturated applications of named
@@ -49,24 +47,14 @@ impl Component {
 /// Configuration for [`TermGenerator`].
 #[derive(Debug, Clone)]
 pub struct TermGenConfig {
-    /// Allow constructor applications.
-    pub allow_ctors: bool,
     /// Allow `&&`, `||`, `not` at boolean goal types.
     pub allow_bool_ops: bool,
-    /// Allow structural equality `a == b`; operands are drawn from the types
-    /// listed in `eq_types`.
-    pub allow_eq: bool,
-    /// Operand types for structural equality.
-    pub eq_types: Vec<Type>,
 }
 
 impl Default for TermGenConfig {
     fn default() -> Self {
         TermGenConfig {
-            allow_ctors: true,
             allow_bool_ops: true,
-            allow_eq: true,
-            eq_types: Vec::new(),
         }
     }
 }
@@ -194,40 +182,34 @@ impl<'a> TermGenerator<'a> {
             }
         }
         // Constructor applications.
-        if self.config.allow_ctors {
-            if let Type::Named(type_name) = ty {
-                if let Some(decl) = self.tyenv.lookup(type_name) {
-                    let ctors: Vec<(Symbol, Vec<Type>)> = decl
-                        .ctors
-                        .iter()
-                        .map(|c| (c.name, c.args.clone()))
-                        .collect();
-                    for (ctor, args) in ctors {
-                        if args.is_empty() {
-                            if size == 1 {
-                                out.push(Expr::Ctor(ctor, Vec::new()));
-                            }
-                            continue;
+        if let Type::Named(type_name) = ty {
+            if let Some(decl) = self.tyenv.lookup(type_name) {
+                let ctors: Vec<(Symbol, Vec<Type>)> = decl
+                    .ctors
+                    .iter()
+                    .map(|c| (c.name, c.args.clone()))
+                    .collect();
+                for (ctor, args) in ctors {
+                    if args.is_empty() {
+                        if size == 1 {
+                            out.push(Expr::Ctor(ctor, Vec::new()));
                         }
-                        if size < 1 + args.len() {
-                            continue;
-                        }
-                        for split in compositions(size - 1, args.len()).iter() {
-                            let groups: Vec<Arc<Vec<Expr>>> = args
-                                .iter()
-                                .zip(split)
-                                .map(|(t, &s)| self.terms_of_size(t, s))
-                                .collect();
-                            let groups: Vec<&[Expr]> =
-                                groups.iter().map(|g| g.as_slice()).collect();
-                            for_each_product(&groups, |items| {
-                                out.push(Expr::Ctor(
-                                    ctor,
-                                    items.iter().copied().cloned().collect(),
-                                ));
-                                ControlFlow::Continue(())
-                            });
-                        }
+                        continue;
+                    }
+                    if size < 1 + args.len() {
+                        continue;
+                    }
+                    for split in compositions(size - 1, args.len()).iter() {
+                        let groups: Vec<Arc<Vec<Expr>>> = args
+                            .iter()
+                            .zip(split)
+                            .map(|(t, &s)| self.terms_of_size(t, s))
+                            .collect();
+                        let groups: Vec<&[Expr]> = groups.iter().map(|g| g.as_slice()).collect();
+                        for_each_product(&groups, |items| {
+                            out.push(Expr::Ctor(ctor, items.iter().copied().cloned().collect()));
+                            ControlFlow::Continue(())
+                        });
                     }
                 }
             }
@@ -249,37 +231,21 @@ impl<'a> TermGenerator<'a> {
                 }
             }
         }
-        // Boolean structure.
-        if ty == &Type::bool() {
-            if self.config.allow_bool_ops {
-                if size >= 2 {
-                    for a in self.terms_of_size(&Type::bool(), size - 1).iter() {
-                        out.push(Expr::not(a.clone()));
-                    }
-                }
-                if size >= 3 {
-                    for split in compositions(size - 1, 2).iter() {
-                        let lefts = self.terms_of_size(&Type::bool(), split[0]);
-                        let rights = self.terms_of_size(&Type::bool(), split[1]);
-                        for l in lefts.iter() {
-                            for r in rights.iter() {
-                                out.push(Expr::and(l.clone(), r.clone()));
-                                out.push(Expr::or(l.clone(), r.clone()));
-                            }
-                        }
-                    }
+        // Boolean connectives.
+        if ty == &Type::bool() && self.config.allow_bool_ops {
+            if size >= 2 {
+                for a in self.terms_of_size(&Type::bool(), size - 1).iter() {
+                    out.push(Expr::not(a.clone()));
                 }
             }
-            if self.config.allow_eq && size >= 3 {
-                let eq_types = self.config.eq_types.clone();
-                for operand_ty in eq_types {
-                    for split in compositions(size - 1, 2).iter() {
-                        let lefts = self.terms_of_size(&operand_ty, split[0]);
-                        let rights = self.terms_of_size(&operand_ty, split[1]);
-                        for l in lefts.iter() {
-                            for r in rights.iter() {
-                                out.push(Expr::eq(l.clone(), r.clone()));
-                            }
+            if size >= 3 {
+                for split in compositions(size - 1, 2).iter() {
+                    let lefts = self.terms_of_size(&Type::bool(), split[0]);
+                    let rights = self.terms_of_size(&Type::bool(), split[1]);
+                    for l in lefts.iter() {
+                        for r in rights.iter() {
+                            out.push(Expr::and(l.clone(), r.clone()));
+                            out.push(Expr::or(l.clone(), r.clone()));
                         }
                     }
                 }
@@ -352,11 +318,7 @@ mod tests {
         for c in list_components() {
             checker.declare_global(c.name, c.ty.clone());
         }
-        let config = TermGenConfig {
-            eq_types: vec![Type::named("nat")],
-            ..TermGenConfig::default()
-        };
-        let mut gen = TermGenerator::new(&env, list_components(), config);
+        let mut gen = TermGenerator::new(&env, list_components(), TermGenConfig::default());
         for ty in [Type::bool(), Type::named("nat"), Type::named("list")] {
             for term in gen.terms_up_to(&ty, 5) {
                 let inferred = checker
@@ -376,27 +338,6 @@ mod tests {
                 assert_eq!(crate::size::expr_size(term), size, "term {term}");
             }
         }
-    }
-
-    #[test]
-    fn equality_terms_respect_configuration() {
-        let env = tyenv();
-        let config = TermGenConfig {
-            eq_types: vec![Type::named("nat")],
-            ..TermGenConfig::default()
-        };
-        let mut gen = TermGenerator::new(&env, list_components(), config);
-        let with_eq = gen.terms_up_to(&Type::bool(), 3);
-        // `x == x` has size 3 (one Eq node, two variables).
-        assert!(with_eq.iter().any(|t| matches!(t, Expr::Eq(_, _))));
-
-        let config = TermGenConfig {
-            allow_eq: false,
-            ..TermGenConfig::default()
-        };
-        let mut gen = TermGenerator::new(&env, list_components(), config);
-        let without_eq = gen.terms_up_to(&Type::bool(), 3);
-        assert!(!without_eq.iter().any(|t| matches!(t, Expr::Eq(_, _))));
     }
 
     #[test]

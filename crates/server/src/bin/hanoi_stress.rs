@@ -58,9 +58,9 @@ use std::time::{Duration, Instant};
 
 use hanoi::{Engine, EngineConfig, RunOptions};
 use hanoi_abstraction::Problem;
-use hanoi_bench::latency::LatencyHistogram;
 use hanoi_lang::json::Json;
 use hanoi_server::client::{check_contiguous, run_interrupted, run_uninterrupted, Client};
+use hanoi_server::latency::LatencyHistogram;
 use hanoi_server::protocol::{
     cancel_request, drain_request, ping_request, resume_request, submit_request,
     ChaosDirective::{Panic, Sleep},

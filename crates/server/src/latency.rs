@@ -1,7 +1,7 @@
-//! Latency aggregation for service-shaped benchmarks: a percentile
-//! histogram over request durations.
+//! Latency aggregation for the stress harness: a percentile histogram over
+//! request durations.
 //!
-//! The stress harness in `hanoi-server` records one sample per
+//! `hanoi_stress` records one sample per
 //! request/response round trip and reports p50/p95/p99 — the numbers that
 //! matter for a bounded server are the *tail*, not the mean (a server that
 //! sheds correctly keeps its tail flat under overload; one that queues

@@ -44,13 +44,15 @@
 //! `hanoi_stress` (a stress/chaos harness that hammers a server with
 //! concurrent clients, forced disconnects, and fault injection, verifying
 //! answers against direct engine runs).  The harness and the tests talk to
-//! the server through [`client`], the one protocol client.
+//! the server through [`client`], the one protocol client; the harness
+//! reports round-trip percentiles through [`latency`].
 
 #![warn(missing_docs)]
 
 pub mod admission;
 pub mod client;
 pub mod config;
+pub mod latency;
 pub mod protocol;
 pub mod ratelimit;
 pub mod registry;

@@ -18,7 +18,7 @@
 //!
 //! Every component is tagged [`crate::engine::ExtraComponent::arith`], so
 //! enumeration of the numeric grammar is observable as
-//! [`crate::bank::TermBankStats::arith_atoms`].  Alongside the components,
+//! [`crate::bank::SynthCounters::arith_atoms`].  Alongside the components,
 //! [`literal_pool`] supplies the integer constants the search may use as
 //! size-1 terms ([`crate::engine::SearchConfig::int_literals`]).
 //!

@@ -1,14 +1,11 @@
 //! The persistent term bank: incremental, memoized signature evaluation for
 //! the synthesis engine.
 //!
-//! `Engine::guess` historically rebuilt its observational-equivalence term
-//! pool from zero on every call: each CEGIS iteration — often triggered by a
-//! *single* new counterexample — re-enumerated every term and re-ran the
-//! interpreter on every `(term, example world)` pair, even though all but one
-//! column of the signature matrix had already been computed in the previous
-//! iteration.  [`TermBank`] makes the expensive parts of that matrix a
-//! once-per-session cost, the same way the verifier's
-//! `hanoi_verifier::poolcache::PoolCache` made quantifier pools a
+//! A CEGIS iteration is often triggered by a *single* new counterexample, so
+//! all but one column of the guess's signature matrix were already computed
+//! in the previous iteration.  [`TermBank`] makes the expensive parts of
+//! that matrix a once-per-session cost, the same way the verifier's
+//! `hanoi_verifier::poolcache::PoolCache` makes quantifier pools a
 //! once-per-session cost:
 //!
 //! * **value interner** — every value that ever appears in a signature cell
@@ -50,12 +47,12 @@
 //! * **batched probes** — [`TermBank::apply_batch`] answers a whole
 //!   component×split batch of signature probes with one lock round-trip per
 //!   table instead of one per probe, which is what keeps parallel guess
-//!   workers off each other's locks;
-//! * **instrumentation hub** — terms enumerated, signature-column appends,
-//!   equivalence-class splits (previously-merged terms distinguished by a
-//!   new column), bank hit/miss, bitset-op, memo-hit and probe-batch
-//!   counters, surfaced through `RunStats` and the per-layer metrics of the
-//!   `perfbench` suite benchmark.
+//!   workers off each other's locks.
+//!
+//! The bank holds state only.  The work of a `synthesize` call (terms
+//! enumerated, column appends, bank hits, …) is counted in the
+//! [`SynthCounters`] its caller passes, so runs that share a bank each
+//! count their own work.
 //!
 //! The bank is owned by the CEGIS session (each synthesizer instance holds
 //! one across all of its `synthesize` calls) and is safe to share with the
@@ -201,7 +198,7 @@ pub enum OldSig {
 /// of a fixed width, applies the boolean connectives and old-column
 /// projections word-parallel where rows are packed, and counts the `u64`
 /// word operations it performs (surfaced as
-/// [`TermBankStats::bitset_row_ops`]).  With `enabled = false` every row
+/// [`SynthCounters::bitset_row_ops`]).  With `enabled = false` every row
 /// stays in the id-row fallback lane — the pre-bitset representation, kept
 /// as a test oracle.
 ///
@@ -463,42 +460,61 @@ pub struct GuessMemo {
     pub arith: u64,
 }
 
-/// Counter snapshot of one synthesis session's term-bank activity.
+/// The size of a term bank's state.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TermBankStats {
-    /// Candidate terms enumerated (pre-deduplication) across all guesses.
-    pub terms_enumerated: u64,
-    /// Signature columns appended after the first synthesize call: one per
-    /// new example world (counterexamples plus their trace-completion
-    /// subvalues).
-    pub column_appends: u64,
-    /// Observational-equivalence classes re-split because a freshly appended
-    /// column distinguished previously-merged terms.
-    pub eq_class_splits: u64,
-    /// Component-application evaluations served from the bank without
-    /// touching the interpreter.
-    pub bank_hits: u64,
-    /// Component-application evaluations that reached the interpreter (each
-    /// becomes a cached row for every later iteration).
-    pub bank_misses: u64,
     /// Number of `synthesize` calls the bank has served.
     pub sessions: u64,
     /// Distinct values interned by the session.
     pub interned_values: u64,
+    /// Memoized component applications: one per distinct application that
+    /// reached the interpreter.
+    pub applications: u64,
+}
+
+/// The synthesis work of one run, counted by every `synthesize` call the
+/// run makes (see [`crate::Synthesizer::synthesize`]).
+#[derive(Debug, Default)]
+pub struct SynthCounters {
+    /// Candidate terms enumerated (pre-deduplication) across all guesses.
+    pub terms_enumerated: AtomicU64,
+    /// Signature columns appended after the bank's first synthesize call:
+    /// one per new example world (counterexamples plus their
+    /// trace-completion subvalues).
+    pub column_appends: AtomicU64,
+    /// Observational-equivalence classes re-split because a freshly appended
+    /// column distinguished previously-merged terms.
+    pub eq_class_splits: AtomicU64,
+    /// Component-application evaluations served from the bank without
+    /// touching the interpreter.
+    pub bank_hits: AtomicU64,
     /// Word-parallel `u64` operations performed on packed signature rows
     /// (packing, connectives, target matches, old-column projections).
-    pub bitset_row_ops: u64,
+    pub bitset_row_ops: AtomicU64,
     /// Whole-guess outcomes served from the guess memo instead of being
     /// re-enumerated.
-    pub guess_memo_hits: u64,
+    pub guess_memo_hits: AtomicU64,
     /// Batched signature-probe calls ([`TermBank::apply_batch`]): each is one
     /// lock round-trip per bank table for a whole component×split batch.
-    pub probe_batches: u64,
+    pub probe_batches: AtomicU64,
     /// Arithmetic atoms enumerated: integer literals seeded into guesses plus
     /// applications of linear-arithmetic components
     /// ([`crate::arith::components`]).  Zero unless the numeric grammar is
     /// enabled.
-    pub arith_atoms: u64,
+    pub arith_atoms: AtomicU64,
+}
+
+impl SynthCounters {
+    /// Counts one guess's enumeration: terms, equivalence-class splits,
+    /// word operations on packed signature rows and arithmetic atoms.  A
+    /// memo-served guess replays its stored terms/splits/arith here with
+    /// `bit_ops = 0`.
+    pub(crate) fn count_guess(&self, terms: u64, splits: u64, bit_ops: u64, arith: u64) {
+        self.terms_enumerated.fetch_add(terms, Ordering::Relaxed);
+        self.eq_class_splits.fetch_add(splits, Ordering::Relaxed);
+        self.bitset_row_ops.fetch_add(bit_ops, Ordering::Relaxed);
+        self.arith_atoms.fetch_add(arith, Ordering::Relaxed);
+    }
 }
 
 /// The session-wide value interner: structural value ↔ dense id.
@@ -588,15 +604,6 @@ pub struct TermBank {
     /// for the key derivation and the soundness argument).
     guesses: Mutex<HashMap<u128, GuessMemo, IdHashBuilder>>,
     sessions: AtomicU64,
-    terms: AtomicU64,
-    appends: AtomicU64,
-    splits: AtomicU64,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    bit_ops: AtomicU64,
-    memo_hits: AtomicU64,
-    batches: AtomicU64,
-    arith: AtomicU64,
 }
 
 impl Default for TermBank {
@@ -609,15 +616,6 @@ impl Default for TermBank {
             worlds: Mutex::new(HashSet::default()),
             guesses: Mutex::new(HashMap::default()),
             sessions: AtomicU64::new(0),
-            terms: AtomicU64::new(0),
-            appends: AtomicU64::new(0),
-            splits: AtomicU64::new(0),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            bit_ops: AtomicU64::new(0),
-            memo_hits: AtomicU64::new(0),
-            batches: AtomicU64::new(0),
-            arith: AtomicU64::new(0),
         }
     }
 }
@@ -650,8 +648,13 @@ impl TermBank {
     /// Begins one `synthesize` call: registers the root example values and
     /// returns, per example, its interned id and whether its signature
     /// column is *new* to the bank.  Columns arriving after the first call
-    /// are counted as appends — the incremental cost of one CEGIS iteration.
-    pub fn begin_session(&self, examples: &[(Value, bool)]) -> Vec<(u32, bool)> {
+    /// are counted in `counters` as appends — the incremental cost of one
+    /// CEGIS iteration.
+    pub fn begin_session(
+        &self,
+        examples: &[(Value, bool)],
+        counters: &SynthCounters,
+    ) -> Vec<(u32, bool)> {
         let first = self.sessions.fetch_add(1, Ordering::Relaxed) == 0;
         let columns: Vec<(u32, bool)> = examples
             .iter()
@@ -663,56 +666,26 @@ impl TermBank {
             .collect();
         if !first {
             let appended = columns.iter().filter(|(_, new)| *new).count() as u64;
-            self.appends.fetch_add(appended, Ordering::Relaxed);
+            counters
+                .column_appends
+                .fetch_add(appended, Ordering::Relaxed);
         }
         columns
     }
 
-    /// Evaluates `component` (with interned name id `name`) on the values
-    /// denoted by `arg_ids`, memoized.  Every actual evaluation runs under a
-    /// fresh `fuel`-step budget (part of the key), so the cached result is
-    /// exactly what an unmemoized engine would have computed.
-    pub fn apply_component(
-        &self,
-        evaluator: &Evaluator<'_>,
-        name: u32,
-        component: &Value,
-        arg_ids: &[u32],
-        fuel: u64,
-    ) -> Option<u32> {
-        let key: AppKey = (name, ArgsKey::new(arg_ids), fuel);
-        if let Some(cached) = self.apps.lock().unwrap().get(&key) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return *cached;
-        }
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        let args: Vec<Value> = {
-            let interner = self.interner.lock().unwrap();
-            arg_ids
-                .iter()
-                .map(|&id| interner.value_of(id).clone())
-                .collect()
-        };
-        let result = evaluator
-            .apply_many(component.clone(), &args, &mut Fuel::new(fuel))
-            .ok()
-            .map(|value| self.intern(&value));
-        self.apps.lock().unwrap().insert(key, result);
-        result
-    }
-
-    /// Evaluates a whole batch of component-application probes with one lock
-    /// round-trip per bank table, instead of one per probe as
-    /// [`TermBank::apply_component`] does.  `probes` is `valid.len()` probes
-    /// of `arity` argument ids each, flattened; a probe with `valid[p] ==
-    /// false` (an argument failed to evaluate) answers `None` without
-    /// touching the bank — exactly the per-probe short-circuit of the
-    /// unbatched path.
+    /// Evaluates `component` (with interned name id `name`) on a whole batch
+    /// of argument-id probes, memoized, with one lock round-trip per bank
+    /// table for the batch.  `probes` is `valid.len()` probes of `arity`
+    /// argument ids each, flattened; a probe with `valid[p] == false` (an
+    /// argument failed to evaluate) answers `None` without touching the bank.
+    /// Every actual evaluation runs under a fresh `fuel`-step budget (part of
+    /// the key), so a cached result is exactly what an unmemoized engine
+    /// would have computed; failures are memoized too.
     ///
-    /// Hit/miss accounting matches a sequential probe-by-probe run: the
-    /// first occurrence of a missing key in the batch is a miss, duplicate
-    /// occurrences are hits.  All misses are evaluated outside any lock and
-    /// inserted together.
+    /// The batch and its hits are counted in `counters`, and hit accounting
+    /// matches a sequential probe-by-probe run: the first occurrence of a
+    /// missing key in the batch is a miss, duplicate occurrences are hits.
+    /// All misses are evaluated outside any lock and inserted together.
     #[allow(clippy::too_many_arguments)]
     pub fn apply_batch(
         &self,
@@ -723,9 +696,10 @@ impl TermBank {
         arity: usize,
         probes: &[u32],
         valid: &[bool],
+        counters: &SynthCounters,
     ) -> Vec<Option<u32>> {
         debug_assert_eq!(probes.len(), valid.len() * arity);
-        self.batches.fetch_add(1, Ordering::Relaxed);
+        counters.probe_batches.fetch_add(1, Ordering::Relaxed);
         let mut results: Vec<Option<u32>> = vec![None; valid.len()];
         // Pass 1 — one probe of the application store for the whole batch.
         // `pending` holds the genuinely new keys in first-occurrence order;
@@ -764,9 +738,7 @@ impl TermBank {
                     }
                 }
             }
-            self.hits.fetch_add(hits, Ordering::Relaxed);
-            self.misses
-                .fetch_add(pending.len() as u64, Ordering::Relaxed);
+            counters.bank_hits.fetch_add(hits, Ordering::Relaxed);
         }
         if pending.is_empty() {
             return results;
@@ -816,14 +788,9 @@ impl TermBank {
         results
     }
 
-    /// Looks up a memoized whole-guess outcome.  A hit bumps the
-    /// [`TermBankStats::guess_memo_hits`] counter.
+    /// Looks up a memoized whole-guess outcome.
     pub fn guess_memo_get(&self, key: Digest) -> Option<GuessMemo> {
-        let memo = self.guesses.lock().unwrap().get(&key.0).cloned();
-        if memo.is_some() {
-            self.memo_hits.fetch_add(1, Ordering::Relaxed);
-        }
-        memo
+        self.guesses.lock().unwrap().get(&key.0).cloned()
     }
 
     /// Stores a whole-guess outcome under its digest key.
@@ -852,17 +819,6 @@ impl TermBank {
         id
     }
 
-    /// Records one guess's enumeration counters (terms, equivalence-class
-    /// splits, arithmetic atoms, and word operations on packed signature
-    /// rows).  A memo-served guess replays its stored terms/splits/arith
-    /// here with `bit_ops = 0`.
-    pub fn record_guess(&self, terms: u64, splits: u64, bit_ops: u64, arith: u64) {
-        self.terms.fetch_add(terms, Ordering::Relaxed);
-        self.splits.fetch_add(splits, Ordering::Relaxed);
-        self.bit_ops.fetch_add(bit_ops, Ordering::Relaxed);
-        self.arith.fetch_add(arith, Ordering::Relaxed);
-    }
-
     /// The snapshot format version written by [`TermBank::to_json`].  Bump
     /// it whenever the value encoding or the table layout changes shape;
     /// loaders reject mismatching versions cleanly.  Version 2 added the
@@ -883,9 +839,8 @@ impl TermBank {
     /// signature cells, which are first-order by construction) or a table
     /// exceeds [`TermBank::MAX_SNAPSHOT_ENTRIES`].
     ///
-    /// Counters are *not* persisted (except the session count, which decides
-    /// whether future columns count as appends): a restored bank reports
-    /// only the activity of its own process.
+    /// The session count is persisted: it decides whether future columns
+    /// count as appends.
     pub fn to_json(&self) -> Option<Json> {
         // Copy all six tables out under their locks — held together so the
         // snapshot is *consistent* (no app row can reference a value id
@@ -1332,20 +1287,12 @@ impl TermBank {
         Some((joined, skipped))
     }
 
-    /// A snapshot of the session counters.
+    /// The size of the bank's state.
     pub fn stats(&self) -> TermBankStats {
         TermBankStats {
-            terms_enumerated: self.terms.load(Ordering::Relaxed),
-            column_appends: self.appends.load(Ordering::Relaxed),
-            eq_class_splits: self.splits.load(Ordering::Relaxed),
-            bank_hits: self.hits.load(Ordering::Relaxed),
-            bank_misses: self.misses.load(Ordering::Relaxed),
             sessions: self.sessions.load(Ordering::Relaxed),
             interned_values: self.interner.lock().unwrap().values.len() as u64,
-            bitset_row_ops: self.bit_ops.load(Ordering::Relaxed),
-            guess_memo_hits: self.memo_hits.load(Ordering::Relaxed),
-            probe_batches: self.batches.load(Ordering::Relaxed),
-            arith_atoms: self.arith.load(Ordering::Relaxed),
+            applications: self.apps.lock().unwrap().len() as u64,
         }
     }
 }
@@ -1354,6 +1301,23 @@ impl TermBank {
 mod tests {
     use super::*;
     use hanoi_lang::types::TypeEnv;
+
+    fn load(counter: &AtomicU64) -> u64 {
+        counter.load(Ordering::Relaxed)
+    }
+
+    /// `component` applied to `arg` as a one-probe batch, under fuel 100.
+    fn apply(
+        bank: &TermBank,
+        name: u32,
+        f: &Value,
+        arg: u32,
+        counters: &SynthCounters,
+    ) -> Option<u32> {
+        let tyenv = TypeEnv::new();
+        let evaluator = Evaluator::new(&tyenv);
+        bank.apply_batch(&evaluator, name, f, 100, 1, &[arg], &[true], counters)[0]
+    }
 
     fn nat_succ() -> Value {
         Value::native("succ", 1, |args| {
@@ -1378,36 +1342,28 @@ mod tests {
 
     #[test]
     fn application_results_are_memoized_including_failures() {
-        let tyenv = TypeEnv::new();
-        let evaluator = Evaluator::new(&tyenv);
         let bank = TermBank::new();
         let succ = nat_succ();
         let name = bank.name_id(&Symbol::new("succ"));
         assert_eq!(name, bank.name_id(&Symbol::new("succ")));
         let one = bank.intern(&Value::nat(1));
+        let counters = SynthCounters::default();
 
-        let first = bank.apply_component(&evaluator, name, &succ, &[one], 100);
+        let first = apply(&bank, name, &succ, one, &counters);
         assert_eq!(first.map(|id| bank.value_of(id)), Some(Value::nat(2)));
-        let second = bank.apply_component(&evaluator, name, &succ, &[one], 100);
+        let second = apply(&bank, name, &succ, one, &counters);
         assert_eq!(second, first);
-        let stats = bank.stats();
-        assert_eq!(stats.bank_hits, 1);
-        assert_eq!(stats.bank_misses, 1);
+        assert_eq!(load(&counters.bank_hits), 1);
+        assert_eq!(bank.stats().applications, 1);
 
         // A non-function "component" fails to apply; the failure is memoized
         // too.
         let broken = Value::nat(0);
         let broken_name = bank.name_id(&Symbol::new("broken"));
         assert_ne!(broken_name, name);
-        assert_eq!(
-            bank.apply_component(&evaluator, broken_name, &broken, &[one], 100),
-            None
-        );
-        assert_eq!(
-            bank.apply_component(&evaluator, broken_name, &broken, &[one], 100),
-            None
-        );
-        assert_eq!(bank.stats().bank_hits, 2);
+        assert_eq!(apply(&bank, broken_name, &broken, one, &counters), None);
+        assert_eq!(apply(&bank, broken_name, &broken, one, &counters), None);
+        assert_eq!(load(&counters.bank_hits), 2);
     }
 
     #[test]
@@ -1440,25 +1396,22 @@ mod tests {
 
     #[test]
     fn snapshots_round_trip_every_table() {
-        let tyenv = TypeEnv::new();
-        let evaluator = Evaluator::new(&tyenv);
         let bank = TermBank::new();
         let succ = nat_succ();
         let succ_name = bank.name_id(&Symbol::new("succ"));
         let one = bank.intern(&Value::nat(1));
-        let two = bank
-            .apply_component(&evaluator, succ_name, &succ, &[one], 100)
-            .unwrap();
+        let counters = SynthCounters::default();
+        let two = apply(&bank, succ_name, &succ, one, &counters).unwrap();
         // A memoized failure too.
         let broken_name = bank.name_id(&Symbol::new("broken"));
         assert_eq!(
-            bank.apply_component(&evaluator, broken_name, &Value::nat(0), &[one], 100),
+            apply(&bank, broken_name, &Value::nat(0), one, &counters),
             None
         );
         let s = Symbol::new("S");
         let s_id = bank.name_id(&s);
         let three = bank.make_ctor(s_id, &s, &[two]);
-        bank.begin_session(&[(Value::nat(1), true)]);
+        bank.begin_session(&[(Value::nat(1), true)], &counters);
 
         let snapshot = bank.to_json().expect("first-order bank snapshots");
         let text = snapshot.render_pretty();
@@ -1472,39 +1425,37 @@ mod tests {
         // Memoized applications (including the failure) answer without the
         // interpreter: a broken component would error if re-evaluated, and
         // the hit counter proves the store was consulted.
+        let counters = SynthCounters::default();
         assert_eq!(
-            restored.apply_component(&evaluator, succ_name, &succ, &[one], 100),
+            apply(&restored, succ_name, &succ, one, &counters),
             Some(two)
         );
         assert_eq!(
-            restored.apply_component(&evaluator, broken_name, &Value::nat(0), &[one], 100),
+            apply(&restored, broken_name, &Value::nat(0), one, &counters),
             None
         );
-        assert_eq!(restored.stats().bank_hits, 2);
-        assert_eq!(restored.stats().bank_misses, 0);
+        assert_eq!(load(&counters.bank_hits), 2);
+        assert_eq!(restored.stats().applications, bank.stats().applications);
         // The name table survived (same ids for the same names).
         assert_eq!(restored.name_id(&Symbol::new("succ")), succ_name);
         assert_eq!(restored.name_id(&s), s_id);
         // Worlds survived: re-registering the same example is not an append.
-        let columns = restored.begin_session(&[(Value::nat(1), true)]);
+        let columns = restored.begin_session(&[(Value::nat(1), true)], &counters);
         assert_eq!(columns, vec![(one, false)]);
-        assert_eq!(restored.stats().column_appends, 0);
+        assert_eq!(load(&counters.column_appends), 0);
         // …but a genuinely new world still counts as one.
-        restored.begin_session(&[(Value::nat(9), true)]);
-        assert_eq!(restored.stats().column_appends, 1);
+        restored.begin_session(&[(Value::nat(9), true)], &counters);
+        assert_eq!(load(&counters.column_appends), 1);
     }
 
     #[test]
     fn chunked_snapshots_round_trip_and_isolate_corruption() {
-        let tyenv = TypeEnv::new();
-        let evaluator = Evaluator::new(&tyenv);
         let bank = TermBank::new();
         let succ = nat_succ();
         let succ_name = bank.name_id(&Symbol::new("succ"));
         for n in 0..5 {
             let arg = bank.intern(&Value::nat(n));
-            bank.apply_component(&evaluator, succ_name, &succ, &[arg], 100)
-                .unwrap();
+            apply(&bank, succ_name, &succ, arg, &SynthCounters::default()).unwrap();
         }
         let s = Symbol::new("S");
         let s_id = bank.name_id(&s);
@@ -1519,7 +1470,7 @@ mod tests {
                 arith: 0,
             },
         );
-        bank.begin_session(&[(Value::nat(1), true)]);
+        bank.begin_session(&[(Value::nat(1), true)], &SynthCounters::default());
         let snapshot = bank.to_json().unwrap();
 
         // Split and rejoin reproduce the snapshot byte for byte.
@@ -1554,8 +1505,6 @@ mod tests {
 
     #[test]
     fn unchanged_tables_keep_byte_identical_chunks_as_banks_grow() {
-        let tyenv = TypeEnv::new();
-        let evaluator = Evaluator::new(&tyenv);
         let bank = TermBank::new();
         let succ = nat_succ();
         let succ_name = bank.name_id(&Symbol::new("succ"));
@@ -1573,14 +1522,12 @@ mod tests {
             },
         );
         let one = bank.intern(&Value::nat(1));
-        bank.apply_component(&evaluator, succ_name, &succ, &[one], 100)
-            .unwrap();
+        apply(&bank, succ_name, &succ, one, &SynthCounters::default()).unwrap();
         let before = TermBank::split_snapshot(&bank.to_json().unwrap(), usize::MAX).unwrap();
 
         // Grow only the application memo table.
         let two = bank.intern(&Value::nat(2));
-        bank.apply_component(&evaluator, succ_name, &succ, &[two], 100)
-            .unwrap();
+        apply(&bank, succ_name, &succ, two, &SynthCounters::default()).unwrap();
         let after = TermBank::split_snapshot(&bank.to_json().unwrap(), usize::MAX).unwrap();
 
         let rendered =
@@ -1610,33 +1557,38 @@ mod tests {
         // Rows: fresh, fresh, in-batch duplicate, invalid, fresh.
         let probes = vec![ids[0], ids[1], ids[1], ids[2], ids[3]];
         let valid = vec![true, true, true, false, true];
-        let results = batched.apply_batch(&evaluator, name, &succ, 100, 1, &probes, &valid);
+        let b = SynthCounters::default();
+        let results = batched.apply_batch(&evaluator, name, &succ, 100, 1, &probes, &valid, &b);
 
         let sequential = TermBank::new();
         let sname = sequential.name_id(&Symbol::new("succ"));
         let sids: Vec<u32> = (0..4).map(|n| sequential.intern(&Value::nat(n))).collect();
+        let s = SynthCounters::default();
         let expected: Vec<Option<u32>> = vec![
-            sequential.apply_component(&evaluator, sname, &succ, &[sids[0]], 100),
-            sequential.apply_component(&evaluator, sname, &succ, &[sids[1]], 100),
-            sequential.apply_component(&evaluator, sname, &succ, &[sids[1]], 100),
+            apply(&sequential, sname, &succ, sids[0], &s),
+            apply(&sequential, sname, &succ, sids[1], &s),
+            apply(&sequential, sname, &succ, sids[1], &s),
             None,
-            sequential.apply_component(&evaluator, sname, &succ, &[sids[3]], 100),
+            apply(&sequential, sname, &succ, sids[3], &s),
         ];
         assert_eq!(results, expected);
-        let (b, s) = (batched.stats(), sequential.stats());
         assert_eq!(
-            b.bank_hits, s.bank_hits,
+            load(&b.bank_hits),
+            load(&s.bank_hits),
             "in-batch duplicates count as hits"
         );
-        assert_eq!(b.bank_misses, s.bank_misses);
-        assert_eq!(b.probe_batches, 1);
-        assert_eq!(s.probe_batches, 0);
+        assert_eq!(
+            batched.stats().applications,
+            sequential.stats().applications
+        );
+        assert_eq!(load(&b.probe_batches), 1);
+        assert_eq!(load(&s.probe_batches), 4, "one batch per probe");
         // A second identical batch is answered entirely from the store.
-        let again = batched.apply_batch(&evaluator, name, &succ, 100, 1, &probes, &valid);
+        let evaluated = batched.stats().applications;
+        let again = batched.apply_batch(&evaluator, name, &succ, 100, 1, &probes, &valid, &b);
         assert_eq!(again, results);
-        let b2 = batched.stats();
-        assert_eq!(b2.bank_misses, b.bank_misses, "no re-evaluation");
-        assert_eq!(b2.probe_batches, 2);
+        assert_eq!(batched.stats().applications, evaluated, "no re-evaluation");
+        assert_eq!(load(&b.probe_batches), 2);
     }
 
     #[test]
@@ -1664,7 +1616,6 @@ mod tests {
             },
         );
         assert!(bank.guess_memo_get(Digest(99)).is_none());
-        assert_eq!(bank.stats().guess_memo_hits, 0, "misses are not hits");
 
         let snapshot = bank.to_json().expect("guess memos serialize");
         let text = snapshot.render_pretty();
@@ -1679,7 +1630,6 @@ mod tests {
             .expect("failure survived");
         assert_eq!(miss.result, None);
         assert_eq!((miss.terms, miss.splits), (5, 0));
-        assert_eq!(restored.stats().guess_memo_hits, 2);
 
         // A corrupt guesses table rejects the whole snapshot.
         let mut copy = snapshot.clone();
@@ -1726,20 +1676,24 @@ mod tests {
     #[test]
     fn sessions_tag_new_columns_and_count_appends() {
         let bank = TermBank::new();
-        let first = bank.begin_session(&[(Value::nat(0), true), (Value::nat(1), false)]);
+        let counters = SynthCounters::default();
+        let first = bank.begin_session(&[(Value::nat(0), true), (Value::nat(1), false)], &counters);
         // The initial population is not an append.
         assert_eq!(
             first.iter().map(|(_, new)| *new).collect::<Vec<_>>(),
             vec![true, true]
         );
-        assert_eq!(bank.stats().column_appends, 0);
+        assert_eq!(load(&counters.column_appends), 0);
 
         // One counterexample arrives: exactly one new column.
-        let second = bank.begin_session(&[
-            (Value::nat(0), true),
-            (Value::nat(1), false),
-            (Value::nat(2), false),
-        ]);
+        let second = bank.begin_session(
+            &[
+                (Value::nat(0), true),
+                (Value::nat(1), false),
+                (Value::nat(2), false),
+            ],
+            &counters,
+        );
         assert_eq!(
             second.iter().map(|(_, new)| *new).collect::<Vec<_>>(),
             vec![false, false, true]
@@ -1747,13 +1701,12 @@ mod tests {
         // Ids are stable across sessions.
         assert_eq!(first[0].0, second[0].0);
         assert_eq!(first[1].0, second[1].0);
-        let stats = bank.stats();
-        assert_eq!(stats.column_appends, 1);
-        assert_eq!(stats.sessions, 2);
+        assert_eq!(load(&counters.column_appends), 1);
+        assert_eq!(bank.stats().sessions, 2);
 
         // Re-running with the same examples appends nothing.
-        let third = bank.begin_session(&[(Value::nat(2), false)]);
+        let third = bank.begin_session(&[(Value::nat(2), false)], &counters);
         assert_eq!(third, vec![(second[2].0, false)]);
-        assert_eq!(bank.stats().column_appends, 1);
+        assert_eq!(load(&counters.column_appends), 1);
     }
 }

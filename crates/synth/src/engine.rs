@@ -52,6 +52,7 @@
 
 use std::collections::{HashMap, HashSet};
 use std::ops::ControlFlow;
+use std::sync::atomic::Ordering;
 
 use hanoi_abstraction::Problem;
 use hanoi_lang::ast::{Expr, MatchArm, Pattern};
@@ -64,7 +65,7 @@ use hanoi_lang::types::{Type, TypeEnv};
 use hanoi_lang::util::{compositions, for_each_product, Deadline, IdHashBuilder};
 use hanoi_lang::value::Value;
 
-use crate::bank::{bool_id, GuessMemo, OldSig, Sig, SigMatrix, TermBank};
+use crate::bank::{bool_id, GuessMemo, OldSig, Sig, SigMatrix, SynthCounters, TermBank};
 use crate::error::SynthError;
 use crate::examples::ExampleSet;
 
@@ -96,7 +97,7 @@ pub struct ExtraComponent {
     pub definition: Expr,
     /// Whether the component is a linear-arithmetic atom
     /// ([`crate::arith::components`]) — its applications count toward the
-    /// [`crate::bank::TermBankStats::arith_atoms`] statistic.
+    /// [`crate::bank::SynthCounters::arith_atoms`] count.
     pub arith: bool,
 }
 
@@ -219,16 +220,18 @@ impl<'p> Engine<'p> {
     /// against a persistent [`TermBank`]: signature evaluations already paid
     /// for by earlier calls (previous CEGIS iterations) are reused, so only
     /// the new examples' signature columns reach the interpreter.  Results
-    /// are identical to a call with a fresh bank.
+    /// are identical to a call with a fresh bank.  The call's work is
+    /// counted in `counters`.
     pub fn synthesize_with_bank(
         &self,
         bank: &TermBank,
+        counters: &SynthCounters,
         examples: &ExampleSet,
         deadline: &Deadline,
     ) -> Result<Expr, SynthError> {
         let concrete = self.problem.concrete_type().clone();
         let labeled = examples.labeled();
-        let columns = bank.begin_session(&labeled);
+        let columns = bank.begin_session(&labeled, counters);
         // Labels keyed by interned id: recursive-call signatures probe this
         // once per world without rehashing the value.
         let example_table: HashMap<u32, bool> = columns
@@ -259,6 +262,7 @@ impl<'p> Engine<'p> {
             }
             let body = self.synth_node(
                 bank,
+                counters,
                 &ctx,
                 &worlds,
                 match_depth,
@@ -465,6 +469,7 @@ impl<'p> Engine<'p> {
     fn synth_node(
         &self,
         bank: &TermBank,
+        counters: &SynthCounters,
         ctx: &[(Symbol, Type)],
         worlds: &[WorldRow],
         match_depth: usize,
@@ -484,6 +489,7 @@ impl<'p> Engine<'p> {
         }
         if let Some(found) = self.guess(
             bank,
+            counters,
             ctx,
             worlds,
             guess_size,
@@ -552,6 +558,7 @@ impl<'p> Engine<'p> {
                     .collect();
                 let body = self.synth_node(
                     bank,
+                    counters,
                     &arm_ctx,
                     &arm_worlds,
                     match_depth - 1,
@@ -600,6 +607,7 @@ impl<'p> Engine<'p> {
     fn guess(
         &self,
         bank: &TermBank,
+        counters: &SynthCounters,
         ctx: &[(Symbol, Type)],
         worlds: &[WorldRow],
         max_size: usize,
@@ -610,7 +618,8 @@ impl<'p> Engine<'p> {
     ) -> Result<Option<Expr>, SynthError> {
         let key = self.guess_key(session, ctx, worlds, max_size, example_table);
         if let Some(memo) = bank.guess_memo_get(key) {
-            bank.record_guess(memo.terms, memo.splits, 0, memo.arith);
+            counters.guess_memo_hits.fetch_add(1, Ordering::Relaxed);
+            counters.count_guess(memo.terms, memo.splits, 0, memo.arith);
             return Ok(memo.result);
         }
         let types = self.types_of_interest(ctx, components);
@@ -630,6 +639,7 @@ impl<'p> Engine<'p> {
         );
         let result = self.guess_into(
             bank,
+            counters,
             ctx,
             worlds,
             max_size,
@@ -640,7 +650,7 @@ impl<'p> Engine<'p> {
             &mut pool,
             &mut sieve,
         );
-        bank.record_guess(sieve.terms, sieve.splits, matrix.ops(), sieve.arith);
+        counters.count_guess(sieve.terms, sieve.splits, matrix.ops(), sieve.arith);
         result.map(|()| {
             bank.guess_memo_put(
                 key,
@@ -660,6 +670,7 @@ impl<'p> Engine<'p> {
     fn guess_into(
         &self,
         bank: &TermBank,
+        counters: &SynthCounters,
         ctx: &[(Symbol, Type)],
         worlds: &[WorldRow],
         max_size: usize,
@@ -792,6 +803,7 @@ impl<'p> Engine<'p> {
                             k,
                             &probes,
                             &valid,
+                            counters,
                         );
                         (0..chunk.len())
                             .map(|c| {
@@ -1175,6 +1187,12 @@ mod tests {
         Problem::from_source(LIST_SET).unwrap()
     }
 
+    /// `engine`'s answer on `examples` from a fresh bank.
+    fn synthesize_fresh(engine: &Engine<'_>, examples: &ExampleSet) -> Result<Expr, SynthError> {
+        let counters = SynthCounters::default();
+        engine.synthesize_with_bank(&TermBank::new(), &counters, examples, &Deadline::none())
+    }
+
     fn trace_completed(problem: &Problem, examples: ExampleSet) -> ExampleSet {
         examples
             .trace_completed(&problem.tyenv, problem.concrete_type())
@@ -1185,9 +1203,7 @@ mod tests {
     fn empty_examples_give_the_trivial_predicate() {
         let problem = problem();
         let engine = Engine::new(&problem, SearchConfig::quick());
-        let result = engine
-            .synthesize_with_bank(&TermBank::new(), &ExampleSet::new(), &Deadline::none())
-            .unwrap();
+        let result = synthesize_fresh(&engine, &ExampleSet::new()).unwrap();
         assert!(problem
             .eval_predicate(&result, &Value::nat_list(&[1, 1]))
             .unwrap());
@@ -1208,9 +1224,7 @@ mod tests {
         )
         .unwrap();
         let examples = trace_completed(&problem, examples);
-        let result = engine
-            .synthesize_with_bank(&TermBank::new(), &examples, &Deadline::none())
-            .unwrap();
+        let result = synthesize_fresh(&engine, &examples).unwrap();
         for (value, expected) in examples.labeled() {
             assert_eq!(
                 problem.eval_predicate(&result, &value).unwrap(),
@@ -1244,9 +1258,7 @@ mod tests {
         )
         .unwrap();
         let examples = trace_completed(&problem, examples);
-        let result = engine
-            .synthesize_with_bank(&TermBank::new(), &examples, &Deadline::none())
-            .unwrap();
+        let result = synthesize_fresh(&engine, &examples).unwrap();
         for (value, expected) in examples.labeled() {
             assert_eq!(
                 problem.eval_predicate(&result, &value).unwrap(),
@@ -1284,14 +1296,12 @@ mod tests {
         )
         .unwrap();
         let examples = trace_completed(&problem, examples);
-        let serial = Engine::new(&problem, SearchConfig::default())
-            .synthesize_with_bank(&TermBank::new(), &examples, &Deadline::none())
-            .unwrap();
+        let serial =
+            synthesize_fresh(&Engine::new(&problem, SearchConfig::default()), &examples).unwrap();
         for parallelism in [2usize, 0] {
-            let parallel = Engine::new(&problem, SearchConfig::default())
-                .with_parallelism(parallelism)
-                .synthesize_with_bank(&TermBank::new(), &examples, &Deadline::none())
-                .unwrap();
+            let engine =
+                Engine::new(&problem, SearchConfig::default()).with_parallelism(parallelism);
+            let parallel = synthesize_fresh(&engine, &examples).unwrap();
             assert_eq!(parallel, serial, "parallelism={parallelism}");
         }
     }
@@ -1301,6 +1311,7 @@ mod tests {
         let problem = problem();
         let engine = Engine::new(&problem, SearchConfig::quick());
         let bank = TermBank::new();
+        let counters = SynthCounters::default();
         // A CEGIS-like sequence: the positives stay, negatives accumulate.
         let negatives_by_iteration: [&[&[u64]]; 3] = [
             &[&[0, 0]],
@@ -1318,17 +1329,20 @@ mod tests {
             )
             .unwrap();
             let examples = trace_completed(&problem, examples);
-            let fresh = engine.synthesize_with_bank(&TermBank::new(), &examples, &Deadline::none());
-            let banked = engine.synthesize_with_bank(&bank, &examples, &Deadline::none());
+            let fresh = synthesize_fresh(&engine, &examples);
+            let banked =
+                engine.synthesize_with_bank(&bank, &counters, &examples, &Deadline::none());
             assert_eq!(banked, fresh);
         }
-        let stats = bank.stats();
-        assert!(stats.bank_hits > 0, "later iterations reuse evaluations");
         assert!(
-            stats.column_appends > 0,
+            counters.bank_hits.load(Ordering::Relaxed) > 0,
+            "later iterations reuse evaluations"
+        );
+        assert!(
+            counters.column_appends.load(Ordering::Relaxed) > 0,
             "new counterexamples append columns"
         );
-        assert_eq!(stats.sessions, 3);
+        assert_eq!(bank.stats().sessions, 3);
     }
 
     #[test]
@@ -1345,8 +1359,7 @@ mod tests {
         let engine_small = Engine::new(&problem, config);
         let examples =
             ExampleSet::from_sets([Value::nat_list(&[1, 0])], [Value::nat_list(&[0, 1])]).unwrap();
-        let result =
-            engine_small.synthesize_with_bank(&TermBank::new(), &examples, &Deadline::none());
+        let result = synthesize_fresh(&engine_small, &examples);
         assert_eq!(result, Err(SynthError::NoCandidate));
         // The full engine, however, can separate them (e.g. via lookup of the
         // head in the tail or an equality involving constants).
@@ -1361,7 +1374,12 @@ mod tests {
         let examples =
             ExampleSet::from_sets([Value::nat_list(&[1, 0])], [Value::nat_list(&[1, 1])]).unwrap();
         assert_eq!(
-            engine.synthesize_with_bank(&TermBank::new(), &examples, &deadline),
+            engine.synthesize_with_bank(
+                &TermBank::new(),
+                &SynthCounters::default(),
+                &examples,
+                &deadline
+            ),
             Err(SynthError::Timeout)
         );
     }

@@ -29,7 +29,7 @@ use hanoi_lang::types::Type;
 use hanoi_lang::util::{for_each_product, Deadline};
 use hanoi_lang::value::Value;
 
-use crate::bank::TermBank;
+use crate::bank::{SynthCounters, TermBank};
 use crate::engine::{Engine, ExtraComponent, SearchConfig};
 use crate::error::SynthError;
 use crate::examples::ExampleSet;
@@ -133,9 +133,7 @@ impl FoldSynth {
                 }
             }
             let config = TermGenConfig {
-                allow_eq: false,
                 allow_bool_ops: false,
-                ..TermGenConfig::default()
             };
             let mut generator = TermGenerator::new(&problem.tyenv, components, config);
             let mut bodies: Vec<Expr> = generator.terms_up_to(&nat, MAX_ARM_SIZE);
@@ -326,6 +324,7 @@ impl Synthesizer for FoldSynth {
         &self,
         problem: &Problem,
         bank: &TermBank,
+        counters: &SynthCounters,
         examples: &ExampleSet,
         deadline: &Deadline,
     ) -> Result<Expr, SynthError> {
@@ -333,7 +332,7 @@ impl Synthesizer for FoldSynth {
         config.extra_components = self.helper_folds(problem);
         Engine::new(problem, config)
             .with_parallelism(self.parallelism)
-            .synthesize_with_bank(bank, examples, deadline)
+            .synthesize_with_bank(bank, counters, examples, deadline)
     }
 }
 
@@ -429,7 +428,13 @@ mod tests {
         )
         .unwrap();
         let (examples, _) = examples.trace_completed(&problem.tyenv, problem.concrete_type());
-        let result = synth.synthesize(&problem, &TermBank::new(), &examples, &Deadline::none());
+        let result = synth.synthesize(
+            &problem,
+            &TermBank::new(),
+            &SynthCounters::default(),
+            &examples,
+            &Deadline::none(),
+        );
         // The helper library is behaviour-dependent; we require that *if* a
         // candidate is produced it is consistent, and that the common case
         // succeeds.

@@ -39,7 +39,7 @@ pub mod fold;
 pub mod myth;
 pub mod traits;
 
-pub use bank::{TermBank, TermBankStats};
+pub use bank::{SynthCounters, TermBank, TermBankStats};
 pub use cache::SynthesisCache;
 pub use engine::SearchConfig;
 pub use error::SynthError;

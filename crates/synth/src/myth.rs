@@ -5,7 +5,7 @@ use hanoi_abstraction::Problem;
 use hanoi_lang::ast::Expr;
 use hanoi_lang::util::Deadline;
 
-use crate::bank::TermBank;
+use crate::bank::{SynthCounters, TermBank};
 use crate::engine::{Engine, SearchConfig};
 use crate::error::SynthError;
 use crate::examples::ExampleSet;
@@ -62,12 +62,13 @@ impl Synthesizer for MythSynth {
         &self,
         problem: &Problem,
         bank: &TermBank,
+        counters: &SynthCounters,
         examples: &ExampleSet,
         deadline: &Deadline,
     ) -> Result<Expr, SynthError> {
         Engine::new(problem, self.config.clone())
             .with_parallelism(self.parallelism)
-            .synthesize_with_bank(bank, examples, deadline)
+            .synthesize_with_bank(bank, counters, examples, deadline)
     }
 }
 
@@ -123,7 +124,13 @@ mod tests {
         .unwrap();
         let (examples, _) = examples.trace_completed(&problem.tyenv, problem.concrete_type());
         let result = synth
-            .synthesize(&problem, &TermBank::new(), &examples, &Deadline::none())
+            .synthesize(
+                &problem,
+                &TermBank::new(),
+                &SynthCounters::default(),
+                &examples,
+                &Deadline::none(),
+            )
             .unwrap();
         problem.typecheck_invariant(&result).unwrap();
         for (value, expected) in examples.labeled() {
@@ -143,6 +150,7 @@ mod tests {
             .synthesize(
                 &problem,
                 &TermBank::new(),
+                &SynthCounters::default(),
                 &ExampleSet::new(),
                 &Deadline::none(),
             )

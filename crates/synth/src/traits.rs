@@ -3,13 +3,14 @@
 //! A synthesizer is a stateless search procedure.  The memo it searches
 //! through — the [`TermBank`] of term evaluations, persisted across CEGIS
 //! iterations, runs and processes — belongs to the caller, which keeps one
-//! bank per (problem, back end) and passes it to every call.
+//! bank per (problem, back end) and passes it to every call, together with
+//! the [`SynthCounters`] of the run the call belongs to.
 
 use hanoi_abstraction::Problem;
 use hanoi_lang::ast::Expr;
 use hanoi_lang::util::Deadline;
 
-use crate::bank::TermBank;
+use crate::bank::{SynthCounters, TermBank};
 use crate::error::SynthError;
 use crate::examples::ExampleSet;
 
@@ -28,11 +29,13 @@ pub trait Synthesizer {
     ///
     /// Term evaluations are memoized in, and served from, `bank`.  Its
     /// entries capture the globals of the problem they were computed for,
-    /// so a bank must only ever be passed calls on one problem.
+    /// so a bank must only ever be passed calls on one problem.  The call's
+    /// work is counted in `counters`.
     fn synthesize(
         &self,
         problem: &Problem,
         bank: &TermBank,
+        counters: &SynthCounters,
         examples: &ExampleSet,
         deadline: &Deadline,
     ) -> Result<Expr, SynthError>;
@@ -54,6 +57,7 @@ mod tests {
             &self,
             problem: &Problem,
             _bank: &TermBank,
+            _counters: &SynthCounters,
             examples: &ExampleSet,
             _deadline: &Deadline,
         ) -> Result<Expr, SynthError> {
@@ -88,6 +92,7 @@ mod tests {
             .synthesize(
                 &problem,
                 &TermBank::new(),
+                &SynthCounters::default(),
                 &ExampleSet::new(),
                 &Deadline::none(),
             )

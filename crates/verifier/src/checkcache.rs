@@ -22,25 +22,23 @@
 //! ([`hanoi_lang::digest::Digest`]): the candidate as the α-invariant
 //! 128-bit fingerprint of its resolved AST, the `V+` set as the fingerprint
 //! of its ordered value sequence, plus the full [`VerifierBounds`] and (for
-//! per-operation checks) the operation name.  Digest keys replaced the
-//! previous pretty-printed candidate strings for two reasons: they are
-//! small and constant-size (a sweep-size candidate used to pretty-print to
-//! kilobytes, and `V+` values were stored wholesale), and they are
-//! *interner-independent* — valid across processes, which is what makes the
-//! cache snapshotable to disk ([`CheckCache::to_json`] /
-//! [`CheckCache::from_json`]).  The price is a 2⁻¹²⁸ per-pair collision
-//! probability instead of exact keys; see the "cache soundness" section of
-//! `docs/ARCHITECTURE.md`.
+//! per-operation checks) the operation name.  Digest keys are small and
+//! constant-size (a sweep-size candidate pretty-prints to kilobytes, and a
+//! `V+` set holds whole values), and they are *interner-independent* —
+//! valid across processes, which is what makes the cache snapshotable to
+//! disk ([`CheckCache::to_json`] / [`CheckCache::from_json`]).  The price
+//! is a 2⁻¹²⁸ per-pair collision probability instead of exact keys; see
+//! the "cache soundness" section of `docs/ARCHITECTURE.md`.
 //!
 //! # Eviction
 //!
 //! The cache is bounded by a true LRU: when an insert would exceed
 //! `capacity`, the least-recently-*used* entry (hits refresh recency) is
-//! evicted and counted ([`CheckCacheStats::evictions`], surfaced as
-//! `RunStats::check_cache_evictions`).  This replaced the previous
-//! stop-admitting-at-capacity policy, under which a long-lived service
-//! session could permanently pin a stale working set while every new
-//! candidate missed.
+//! evicted.  New entries always land, so a long-lived service session
+//! cannot pin a stale working set while every new candidate misses.
+//!
+//! The cache holds entries only: hits and evictions are counted in the
+//! [`VerifierCounters`] of the verifier whose check caused them.
 //!
 //! # Snapshots
 //!
@@ -54,7 +52,7 @@
 //! guessed at.
 
 use std::collections::{BTreeMap, HashMap};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::Mutex;
 
 use hanoi_lang::digest::Digest;
@@ -66,7 +64,7 @@ use crate::bounds::VerifierBounds;
 use crate::outcome::{
     InductivenessCex, InductivenessOutcome, SufficiencyCex, SufficiencyOutcome, VerifierError,
 };
-use crate::verifier::Check;
+use crate::verifier::{Check, VerifierCounters};
 
 /// One memoized check, keyed by the complete argument tuple of the check
 /// function in digest form.
@@ -147,19 +145,6 @@ impl Memoized for SufficiencyOutcome {
     }
 }
 
-/// Counter snapshot of a check cache.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CheckCacheStats {
-    /// Checks answered from the cache (no sweep executed).
-    pub hits: u64,
-    /// Checks that ran their sweep (and, if completed, were recorded).
-    pub misses: u64,
-    /// Entries currently stored.
-    pub entries: u64,
-    /// Entries evicted because an insert exceeded the capacity (LRU order).
-    pub evictions: u64,
-}
-
 /// The LRU store: entries carry a recency stamp, and a stamp-ordered index
 /// finds the least recently used entry in `O(log n)`.
 #[derive(Debug, Default)]
@@ -215,9 +200,6 @@ impl LruState {
 pub struct CheckCache {
     state: Mutex<LruState>,
     capacity: usize,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    evictions: AtomicU64,
 }
 
 impl Default for CheckCache {
@@ -249,39 +231,32 @@ impl CheckCache {
         CheckCache {
             state: Mutex::new(LruState::default()),
             capacity,
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
         }
     }
 
-    /// Counter snapshot.
-    pub fn stats(&self) -> CheckCacheStats {
-        CheckCacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            entries: self.state.lock().unwrap().entries.len() as u64,
-            evictions: self.evictions.load(Ordering::Relaxed),
-        }
+    /// The number of stored outcomes.
+    pub fn entries(&self) -> usize {
+        self.state.lock().unwrap().entries.len()
     }
 
     /// Memoizes `check` of the candidate with digest `candidate` under
     /// `bounds`: returns the cached outcome, or runs `sweep` and records its
-    /// result when it completed.
+    /// result when it completed.  A hit, and the entries an insert evicts,
+    /// are counted in `counters`.
     pub(crate) fn memo<T: Memoized>(
         &self,
         check: Check<'_>,
         candidate: Digest,
         bounds: VerifierBounds,
+        counters: &VerifierCounters,
         sweep: impl FnOnce() -> Result<T, VerifierError>,
     ) -> Result<T, VerifierError> {
         let key = CheckKey::new(check, candidate, bounds);
         let found = self.state.lock().unwrap().touch(&key);
         if let Some(outcome) = found.and_then(T::from_cached) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
+            counters.check_cache_hits.fetch_add(1, Ordering::Relaxed);
             return Ok(outcome);
         }
-        self.misses.fetch_add(1, Ordering::Relaxed);
         let outcome = sweep()?;
         let cached = outcome.clone().into_cached();
         let evicted = self
@@ -289,9 +264,9 @@ impl CheckCache {
             .lock()
             .unwrap()
             .insert(key, cached, self.capacity);
-        if evicted > 0 {
-            self.evictions.fetch_add(evicted, Ordering::Relaxed);
-        }
+        counters
+            .check_cache_evictions
+            .fetch_add(evicted, Ordering::Relaxed);
         Ok(outcome)
     }
 
@@ -588,6 +563,10 @@ fn outcome_from_json(json: &Json, check: &KeyedCheck) -> Option<CachedOutcome> {
 mod tests {
     use super::*;
 
+    fn load(counter: &std::sync::atomic::AtomicU64) -> u64 {
+        counter.load(Ordering::Relaxed)
+    }
+
     fn digest_of(name: &str) -> Digest {
         Digest::of_str(name)
     }
@@ -603,12 +582,13 @@ mod tests {
 
     #[test]
     fn completed_outcomes_are_served_from_the_cache() {
+        let counters = VerifierCounters::default();
         let cache = CheckCache::default();
         let bounds = VerifierBounds::quick();
         let mut computed = 0;
         for _ in 0..3 {
             let outcome = cache
-                .memo(Check::Full, digest_of("inv"), bounds, || {
+                .memo(Check::Full, digest_of("inv"), bounds, &counters, || {
                     computed += 1;
                     Ok(cex())
                 })
@@ -616,42 +596,42 @@ mod tests {
             assert_eq!(outcome, cex());
         }
         assert_eq!(computed, 1, "the sweep must run exactly once");
-        let stats = cache.stats();
-        assert_eq!(stats.hits, 2);
-        assert_eq!(stats.misses, 1);
-        assert_eq!(stats.entries, 1);
-        assert_eq!(stats.evictions, 0);
+        assert_eq!(load(&counters.check_cache_hits), 2);
+        assert_eq!(cache.entries(), 1);
+        assert_eq!(load(&counters.check_cache_evictions), 0);
     }
 
     #[test]
     fn errors_are_never_cached() {
+        let counters = VerifierCounters::default();
         let cache = CheckCache::default();
         let bounds = VerifierBounds::quick();
         let timeout: Result<InductivenessOutcome, crate::VerifierError> =
-            cache.memo(Check::Full, digest_of("inv"), bounds, || {
+            cache.memo(Check::Full, digest_of("inv"), bounds, &counters, || {
                 Err(crate::VerifierError::Timeout)
             });
         assert!(timeout.is_err());
         // The next call computes for real.
-        let ok = cache.memo(Check::Full, digest_of("inv"), bounds, || {
+        let ok = cache.memo(Check::Full, digest_of("inv"), bounds, &counters, || {
             Ok(InductivenessOutcome::Valid)
         });
         assert_eq!(ok.unwrap(), InductivenessOutcome::Valid);
-        assert_eq!(cache.stats().entries, 1);
+        assert_eq!(cache.entries(), 1);
     }
 
     #[test]
     fn keys_distinguish_kind_bounds_and_v_plus() {
+        let counters = VerifierCounters::default();
         let cache = CheckCache::default();
         let quick = VerifierBounds::quick();
         let paper = VerifierBounds::paper();
         let valid = || Ok(InductivenessOutcome::Valid);
         cache
-            .memo(Check::Full, digest_of("inv"), quick, valid)
+            .memo(Check::Full, digest_of("inv"), quick, &counters, valid)
             .unwrap();
         // Same candidate, different bounds: a distinct entry.
         cache
-            .memo(Check::Full, digest_of("inv"), paper, valid)
+            .memo(Check::Full, digest_of("inv"), paper, &counters, valid)
             .unwrap();
         // Same candidate, visible with two different V+ sets: distinct.
         cache
@@ -659,6 +639,7 @@ mod tests {
                 Check::Visible(&[Value::nat(0)]),
                 digest_of("inv"),
                 quick,
+                &counters,
                 valid,
             )
             .unwrap();
@@ -667,31 +648,39 @@ mod tests {
                 Check::Visible(&[Value::nat(1)]),
                 digest_of("inv"),
                 quick,
+                &counters,
                 valid,
             )
             .unwrap();
         cache
-            .memo(Check::Op("insert"), digest_of("inv"), quick, valid)
+            .memo(
+                Check::Op("insert"),
+                digest_of("inv"),
+                quick,
+                &counters,
+                valid,
+            )
             .unwrap();
-        assert_eq!(cache.stats().entries, 5);
-        assert_eq!(cache.stats().hits, 0);
+        assert_eq!(cache.entries(), 5);
+        assert_eq!(load(&counters.check_cache_hits), 0);
     }
 
     #[test]
     fn eviction_is_lru_and_counted() {
+        let counters = VerifierCounters::default();
         let cache = CheckCache::new(2);
         let bounds = VerifierBounds::quick();
         let valid = || Ok(InductivenessOutcome::Valid);
         cache
-            .memo(Check::Full, digest_of("a"), bounds, valid)
+            .memo(Check::Full, digest_of("a"), bounds, &counters, valid)
             .unwrap();
         cache
-            .memo(Check::Full, digest_of("b"), bounds, valid)
+            .memo(Check::Full, digest_of("b"), bounds, &counters, valid)
             .unwrap();
         // Touch `a` so `b` becomes the least recently used entry…
         let mut recomputed = false;
         cache
-            .memo(Check::Full, digest_of("a"), bounds, || {
+            .memo(Check::Full, digest_of("a"), bounds, &counters, || {
                 recomputed = true;
                 Ok(InductivenessOutcome::Valid)
             })
@@ -699,14 +688,13 @@ mod tests {
         assert!(!recomputed, "`a` must still be cached");
         // …then exceed the capacity: `b` is evicted, `a` survives.
         cache
-            .memo(Check::Full, digest_of("c"), bounds, valid)
+            .memo(Check::Full, digest_of("c"), bounds, &counters, valid)
             .unwrap();
-        let stats = cache.stats();
-        assert_eq!(stats.entries, 2);
-        assert_eq!(stats.evictions, 1);
+        assert_eq!(cache.entries(), 2);
+        assert_eq!(load(&counters.check_cache_evictions), 1);
         let mut b_recomputed = false;
         cache
-            .memo(Check::Full, digest_of("b"), bounds, || {
+            .memo(Check::Full, digest_of("b"), bounds, &counters, || {
                 b_recomputed = true;
                 Ok(InductivenessOutcome::Valid)
             })
@@ -714,10 +702,10 @@ mod tests {
         assert!(b_recomputed, "`b` was the LRU entry and must be gone");
         // Re-inserting `b` evicted `a` (the LRU among {a, c}); `c`, the most
         // recently inserted entry, survives.
-        assert_eq!(cache.stats().evictions, 2);
+        assert_eq!(load(&counters.check_cache_evictions), 2);
         let mut c_recomputed = false;
         cache
-            .memo(Check::Full, digest_of("c"), bounds, || {
+            .memo(Check::Full, digest_of("c"), bounds, &counters, || {
                 c_recomputed = true;
                 Ok(InductivenessOutcome::Valid)
             })
@@ -727,24 +715,28 @@ mod tests {
 
     #[test]
     fn admission_never_stops_new_entries_keep_landing() {
+        let counters = VerifierCounters::default();
         // The pre-LRU behaviour stopped admitting at capacity; now the
         // *newest* entry always lands and the oldest leaves.
         let cache = CheckCache::new(2);
         let bounds = VerifierBounds::quick();
         for i in 0..5 {
             cache
-                .memo(Check::Full, digest_of(&format!("inv{i}")), bounds, || {
-                    Ok(InductivenessOutcome::Valid)
-                })
+                .memo(
+                    Check::Full,
+                    digest_of(&format!("inv{i}")),
+                    bounds,
+                    &counters,
+                    || Ok(InductivenessOutcome::Valid),
+                )
                 .unwrap();
         }
-        let stats = cache.stats();
-        assert_eq!(stats.entries, 2);
-        assert_eq!(stats.evictions, 3);
+        assert_eq!(cache.entries(), 2);
+        assert_eq!(load(&counters.check_cache_evictions), 3);
         // The most recent entry is resident.
         let mut recomputed = false;
         cache
-            .memo(Check::Full, digest_of("inv4"), bounds, || {
+            .memo(Check::Full, digest_of("inv4"), bounds, &counters, || {
                 recomputed = true;
                 Ok(InductivenessOutcome::Valid)
             })
@@ -754,48 +746,63 @@ mod tests {
 
     #[test]
     fn snapshots_round_trip_entries_and_recency() {
+        let counters = VerifierCounters::default();
         let cache = CheckCache::new(8);
         let bounds = VerifierBounds::quick();
         cache
-            .memo(Check::Full, digest_of("a"), bounds, || Ok(cex()))
+            .memo(Check::Full, digest_of("a"), bounds, &counters, || Ok(cex()))
             .unwrap();
         cache
-            .memo(Check::Sufficiency, digest_of("b"), bounds, || {
-                Ok(SufficiencyOutcome::Valid)
-            })
+            .memo(
+                Check::Sufficiency,
+                digest_of("b"),
+                bounds,
+                &counters,
+                || Ok(SufficiencyOutcome::Valid),
+            )
             .unwrap();
         cache
-            .memo(Check::Sufficiency, digest_of("s"), bounds, || {
-                Ok(SufficiencyOutcome::Cex(SufficiencyCex {
-                    args: vec![Value::nat_list(&[1, 1]), Value::nat(1)],
-                    abstract_args: vec![Value::nat_list(&[1, 1])],
-                }))
-            })
+            .memo(
+                Check::Sufficiency,
+                digest_of("s"),
+                bounds,
+                &counters,
+                || {
+                    Ok(SufficiencyOutcome::Cex(SufficiencyCex {
+                        args: vec![Value::nat_list(&[1, 1]), Value::nat(1)],
+                        abstract_args: vec![Value::nat_list(&[1, 1])],
+                    }))
+                },
+            )
             .unwrap();
         cache
             .memo(
                 Check::Visible(&[Value::nat(0)]),
                 digest_of("a"),
                 bounds,
+                &counters,
                 || Ok(InductivenessOutcome::Valid),
             )
             .unwrap();
         cache
-            .memo(Check::Op("insert"), digest_of("a"), bounds, || {
-                Ok(InductivenessOutcome::Valid)
-            })
+            .memo(
+                Check::Op("insert"),
+                digest_of("a"),
+                bounds,
+                &counters,
+                || Ok(InductivenessOutcome::Valid),
+            )
             .unwrap();
 
         let snapshot = cache.to_json().render_pretty();
         let parsed = hanoi_lang::json::parse(&snapshot).unwrap();
         let restored = CheckCache::from_json(&parsed, 8).unwrap();
-        assert_eq!(restored.stats().entries, 5);
-        assert_eq!(restored.stats().hits, 0, "restored counters start at zero");
+        assert_eq!(restored.entries(), 5);
 
         // Every entry answers from the restored cache without recomputing.
         let mut recomputed = false;
         let outcome = restored
-            .memo(Check::Full, digest_of("a"), bounds, || {
+            .memo(Check::Full, digest_of("a"), bounds, &counters, || {
                 recomputed = true;
                 Ok(InductivenessOutcome::Valid)
             })
@@ -803,10 +810,16 @@ mod tests {
         assert!(!recomputed);
         assert_eq!(outcome, cex(), "counterexample values survived the disk");
         let suf = restored
-            .memo(Check::Sufficiency, digest_of("s"), bounds, || {
-                recomputed = true;
-                Ok(SufficiencyOutcome::Valid)
-            })
+            .memo(
+                Check::Sufficiency,
+                digest_of("s"),
+                bounds,
+                &counters,
+                || {
+                    recomputed = true;
+                    Ok(SufficiencyOutcome::Valid)
+                },
+            )
             .unwrap();
         assert!(!recomputed);
         assert!(matches!(suf, SufficiencyOutcome::Cex(_)));
@@ -814,21 +827,26 @@ mod tests {
 
     #[test]
     fn snapshot_restore_respects_a_smaller_capacity() {
+        let counters = VerifierCounters::default();
         let cache = CheckCache::new(8);
         let bounds = VerifierBounds::quick();
         for i in 0..6 {
             cache
-                .memo(Check::Full, digest_of(&format!("inv{i}")), bounds, || {
-                    Ok(InductivenessOutcome::Valid)
-                })
+                .memo(
+                    Check::Full,
+                    digest_of(&format!("inv{i}")),
+                    bounds,
+                    &counters,
+                    || Ok(InductivenessOutcome::Valid),
+                )
                 .unwrap();
         }
         let restored = CheckCache::from_json(&cache.to_json(), 3).unwrap();
-        assert_eq!(restored.stats().entries, 3);
+        assert_eq!(restored.entries(), 3);
         // The *most recently used* entries survive the shrink.
         let mut recomputed = false;
         restored
-            .memo(Check::Full, digest_of("inv5"), bounds, || {
+            .memo(Check::Full, digest_of("inv5"), bounds, &counters, || {
                 recomputed = true;
                 Ok(InductivenessOutcome::Valid)
             })
@@ -838,13 +856,18 @@ mod tests {
 
     #[test]
     fn stripes_round_trip_and_respect_recency_order() {
+        let counters = VerifierCounters::default();
         let cache = CheckCache::new(32);
         let bounds = VerifierBounds::quick();
         for i in 0..7 {
             cache
-                .memo(Check::Full, digest_of(&format!("inv{i}")), bounds, || {
-                    Ok(InductivenessOutcome::Valid)
-                })
+                .memo(
+                    Check::Full,
+                    digest_of(&format!("inv{i}")),
+                    bounds,
+                    &counters,
+                    || Ok(InductivenessOutcome::Valid),
+                )
                 .unwrap();
         }
         let snapshot = cache.to_json();
@@ -864,11 +887,11 @@ mod tests {
             "split ∘ join must be the identity on snapshots"
         );
         let restored = CheckCache::from_json(&joined, 32).unwrap();
-        assert_eq!(restored.stats().entries, 7);
+        assert_eq!(restored.entries(), 7);
         // Only entries that did not change stripes produce identical chunks:
         // appending one entry leaves the full older stripes byte-stable.
         cache
-            .memo(Check::Full, digest_of("inv7"), bounds, || {
+            .memo(Check::Full, digest_of("inv7"), bounds, &counters, || {
                 Ok(InductivenessOutcome::Valid)
             })
             .unwrap();
@@ -884,13 +907,18 @@ mod tests {
 
     #[test]
     fn corrupt_stripes_are_skipped_not_fatal() {
+        let counters = VerifierCounters::default();
         let cache = CheckCache::new(32);
         let bounds = VerifierBounds::quick();
         for i in 0..4 {
             cache
-                .memo(Check::Full, digest_of(&format!("inv{i}")), bounds, || {
-                    Ok(InductivenessOutcome::Valid)
-                })
+                .memo(
+                    Check::Full,
+                    digest_of(&format!("inv{i}")),
+                    bounds,
+                    &counters,
+                    || Ok(InductivenessOutcome::Valid),
+                )
                 .unwrap();
         }
         let mut stripes = CheckCache::split_snapshot(&cache.to_json(), 2).unwrap();
@@ -901,7 +929,7 @@ mod tests {
         assert_eq!(skipped, 1);
         let restored = CheckCache::from_json(&joined, 32).unwrap();
         assert_eq!(
-            restored.stats().entries,
+            restored.entries(),
             2,
             "the surviving stripe's entries must all restore"
         );
@@ -919,6 +947,7 @@ mod tests {
 
     #[test]
     fn snapshots_of_older_versions_restore_cold() {
+        let counters = VerifierCounters::default();
         // Version 1 builds answered sufficiency for tuple-typed spec
         // parameters vacuously; their outcomes must not be served.
         let cache = CheckCache::new(32);
@@ -929,6 +958,7 @@ mod tests {
                     Check::Sufficiency,
                     digest_of(&format!("inv{i}")),
                     bounds,
+                    &counters,
                     || Ok(SufficiencyOutcome::Valid),
                 )
                 .unwrap();
@@ -949,32 +979,31 @@ mod tests {
         let old_stripes: Vec<Json> = stripes.iter().map(|s| with_version(s, old)).collect();
         let (joined, skipped) = CheckCache::join_stripes(&old_stripes);
         assert_eq!(skipped, stripes.len());
-        assert_eq!(
-            CheckCache::from_json(&joined, 32).unwrap().stats().entries,
-            0
-        );
+        assert_eq!(CheckCache::from_json(&joined, 32).unwrap().entries(), 0);
         // The current version's stripes restore whole.
         let (joined, skipped) = CheckCache::join_stripes(&stripes);
         assert_eq!(skipped, 0);
-        assert_eq!(
-            CheckCache::from_json(&joined, 32).unwrap().stats().entries,
-            4
-        );
+        assert_eq!(CheckCache::from_json(&joined, 32).unwrap().entries(), 4);
     }
 
     #[test]
     fn entries_whose_outcome_does_not_fit_their_check_are_rejected() {
+        let counters = VerifierCounters::default();
         let cache = CheckCache::default();
         let bounds = VerifierBounds::quick();
         cache
-            .memo(Check::Full, digest_of("inv"), bounds, || {
+            .memo(Check::Full, digest_of("inv"), bounds, &counters, || {
                 Ok(InductivenessOutcome::Valid)
             })
             .unwrap();
         cache
-            .memo(Check::Sufficiency, digest_of("inv"), bounds, || {
-                Ok(SufficiencyOutcome::Valid)
-            })
+            .memo(
+                Check::Sufficiency,
+                digest_of("inv"),
+                bounds,
+                &counters,
+                || Ok(SufficiencyOutcome::Valid),
+            )
             .unwrap();
         let edited = |from: &str, to: &str| {
             let rendered = cache.to_json().render();
@@ -1003,10 +1032,11 @@ mod tests {
 
     #[test]
     fn corrupt_and_mismatched_snapshots_are_rejected() {
+        let counters = VerifierCounters::default();
         let cache = CheckCache::default();
         let bounds = VerifierBounds::quick();
         cache
-            .memo(Check::Full, digest_of("inv"), bounds, || {
+            .memo(Check::Full, digest_of("inv"), bounds, &counters, || {
                 Ok(InductivenessOutcome::Valid)
             })
             .unwrap();

@@ -46,11 +46,7 @@ pub fn enumerate_function_candidates(
         .filter(|(_, ty)| ty.is_first_order())
         .map(|(name, ty)| Component::new(name, ty))
         .collect();
-    let config = TermGenConfig {
-        allow_eq: false,
-        ..TermGenConfig::default()
-    };
-    let mut generator = TermGenerator::new(&problem.tyenv, components, config);
+    let mut generator = TermGenerator::new(&problem.tyenv, components, TermGenConfig::default());
     let evaluator = problem.evaluator();
     let mut out = Vec::new();
     for expr in generator.lambdas_up_to(&concrete_sig, bounds.hof_body_size) {

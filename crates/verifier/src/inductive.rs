@@ -241,11 +241,10 @@ pub(crate) fn check_cond_inductive(
     invariant: &Expr,
 ) -> Result<InductivenessOutcome, VerifierError> {
     let problem = verifier.problem();
-    let pools = verifier.pool_cache();
     let bounds = verifier.bounds();
     let workers = verifier.workers();
-    let q = CompiledPredicate::compile(problem, invariant, bounds.fuel)?
-        .with_eval_counter(pools.eval_counter());
+    let counters = verifier.counters();
+    let q = CompiledPredicate::compile(problem, invariant, bounds.fuel, &counters.predicate_evals)?;
     if is_constant_true(invariant) {
         // Rule I-A: only a produced value violating Q fails the check.
         return Ok(InductivenessOutcome::Valid);
@@ -253,7 +252,7 @@ pub(crate) fn check_cond_inductive(
     let mut condition = match check {
         Check::Visible(values) => Condition::Known(values.iter().collect()),
         Check::Full | Check::Op(_) => {
-            Condition::Satisfying(VerdictTable::new(&q, pools.table_hit_counter()))
+            Condition::Satisfying(VerdictTable::new(&q, &counters.predicate_table_hits))
         }
         Check::Sufficiency => unreachable!("sufficiency is not an inductiveness check"),
     };
@@ -275,7 +274,11 @@ pub(crate) fn check_cond_inductive(
             .iter()
             .map(|sig| {
                 if let Type::Arrow(_, _) = sig {
-                    Source::Functions(pools.function_pool(problem, sig, bounds))
+                    Source::Functions(
+                        verifier
+                            .pool_cache()
+                            .function_pool(problem, sig, bounds, counters),
+                    )
                 } else if sig.mentions_abstract() {
                     match (check, sig) {
                         (Check::Visible(known_values), Type::Abstract) => {
@@ -283,14 +286,11 @@ pub(crate) fn check_cond_inductive(
                         }
                         _ => {
                             let concrete = sig.subst_abstract(problem.concrete_type());
-                            Source::Values(
-                                pools.pool(&concrete, per_count, per_size, workers),
-                                true,
-                            )
+                            Source::Values(verifier.pool(&concrete, per_count, per_size), true)
                         }
                     }
                 } else {
-                    Source::Values(pools.pool(sig, per_count, per_size, workers), false)
+                    Source::Values(verifier.pool(sig, per_count, per_size), false)
                 }
             })
             .collect();
@@ -581,16 +581,35 @@ mod tests {
         }
     }
 
+    /// The verifier counters [`fresh_check`] reads.
+    #[derive(Debug, Default, PartialEq, Eq)]
+    struct Work {
+        pool_cache_hits: u64,
+        pool_builds: u64,
+        pool_slab_builds: u64,
+        predicate_evals: u64,
+        predicate_table_hits: u64,
+    }
+
     /// `check` of `candidate` on a fresh pool cache: its outcome and the
-    /// cache's counters.
+    /// check's work.
     fn fresh_check(
         problem: &Problem,
         check: Check<'_>,
         candidate: &Expr,
-    ) -> (InductivenessOutcome, crate::PoolCacheStats) {
+    ) -> (InductivenessOutcome, Work) {
         let verifier = quick(problem);
         let outcome = check_cond_inductive(&verifier, check, candidate).unwrap();
-        (outcome, verifier.pool_stats())
+        let counters = verifier.counters();
+        let load = |counter: &AtomicU64| counter.load(Ordering::Relaxed);
+        let work = Work {
+            pool_cache_hits: load(&counters.pool_cache_hits),
+            pool_builds: load(&counters.pool_builds),
+            pool_slab_builds: load(&counters.pool_slab_builds),
+            predicate_evals: load(&counters.predicate_evals),
+            predicate_table_hits: load(&counters.predicate_table_hits),
+        };
+        (outcome, work)
     }
 
     #[test]
@@ -653,7 +672,7 @@ mod tests {
         for check in checks {
             let (outcome, stats) = fresh_check(&problem, check, &literal);
             assert_eq!(outcome, InductivenessOutcome::Valid);
-            assert_eq!(stats, crate::PoolCacheStats::default(), "no pool, no test");
+            assert_eq!(stats, Work::default(), "no pool, no test");
             // The same predicate, not literally `True`, is swept.
             let (outcome, stats) = fresh_check(&problem, check, &not_false);
             assert_eq!(outcome, InductivenessOutcome::Valid);

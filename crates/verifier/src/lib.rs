@@ -59,9 +59,9 @@ pub mod tester;
 pub mod verifier;
 
 pub use bounds::{Deadline, VerifierBounds};
-pub use checkcache::{CheckCache, CheckCacheStats};
+pub use checkcache::CheckCache;
 pub use outcome::{
     InductivenessCex, InductivenessOutcome, SufficiencyCex, SufficiencyOutcome, VerifierError,
 };
-pub use poolcache::{PoolCache, PoolCacheStats};
-pub use verifier::Verifier;
+pub use poolcache::PoolCache;
+pub use verifier::{Verifier, VerifierCounters};

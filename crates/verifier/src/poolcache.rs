@@ -2,11 +2,9 @@
 //!
 //! Every verifier check instantiates its quantifiers from *pools*: the
 //! smallest `count` first-order values of a type, none larger than `size`
-//! nodes (§4.3).  Historically each check re-enumerated its pools from
-//! scratch, so a CEGIS run — dozens of candidates, three checks per
-//! candidate, several quantifier positions per check — paid the same
-//! enumeration cost over and over.  [`PoolCache`] makes enumeration a
-//! once-per-session cost:
+//! nodes (§4.3).  A CEGIS run makes dozens of candidates, three checks per
+//! candidate and several quantifier positions per check, all over the same
+//! few pools, so [`PoolCache`] makes enumeration a once-per-session cost:
 //!
 //! * **per-size slabs** (`(Type, size) → Arc<[Value]>`) are the unit of
 //!   construction and sharing.  A pool request only builds the slabs it is
@@ -29,12 +27,9 @@
 //!   quantifier pool bounds, the tuples on which the specification held in
 //!   an earlier sufficiency check of the session (see [`crate::tester`]).
 //!
-//! The cache is also the verification session's instrumentation hub: it
-//! counts pool hits, slab/pool builds, predicate evaluations (the eval
-//! counter is shared with [`crate::pools::CompiledPredicate`]), predicate
-//! tests answered from a full-inductiveness verdict table, and the spec
-//! evaluations and memo hits of sufficiency searches, which the inference
-//! driver surfaces through `RunStats`.
+//! The cache holds state only.  Its hits and builds are counted in the
+//! [`VerifierCounters`] of the verifier that asked, so several verifiers
+//! (several runs) may share one cache and each still counts its own work.
 //!
 //! Nothing here is persisted across processes: pool contents are a
 //! deterministic function of `(type, size)`, spec memos are rebuilt by the
@@ -53,30 +48,7 @@ use hanoi_lang::value::Value;
 
 use crate::bounds::VerifierBounds;
 use crate::hof::{enumerate_function_candidates, FunctionCandidate};
-
-/// Counter snapshot of one verification session's pool activity.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct PoolCacheStats {
-    /// Pool requests answered from the cache.
-    pub hits: u64,
-    /// Pools assembled (value pools and function pools; at most one per
-    /// distinct `(type, count, size)` / `(signature, bounds)` key).
-    pub builds: u64,
-    /// Per-size slabs enumerated (at most one per `(type, size)` key).
-    pub slab_builds: u64,
-    /// Predicate evaluations performed by compiled predicates wired to this
-    /// cache (see [`PoolCache::eval_counter`]).
-    pub predicate_evals: u64,
-    /// Predicate tests a full-inductiveness check answered from its
-    /// check-scoped verdict table instead of evaluating (see
-    /// [`crate::inductive`]).
-    pub predicate_table_hits: u64,
-    /// Specification evaluations made by sufficiency searches.
-    pub spec_evals: u64,
-    /// Sufficiency tuples skipped because the session's spec memo records
-    /// that the specification already held on them (see [`SpecMemo`]).
-    pub spec_memo_hits: u64,
-}
+use crate::verifier::VerifierCounters;
 
 /// Per-size slab store: all values of a type with exactly `size` nodes.
 type SlabMap = HashMap<(Type, usize), Arc<Vec<Value>>>;
@@ -175,13 +147,6 @@ pub struct PoolCache {
     /// concurrent requests for the same key enumerate exactly once (hits
     /// never take it).
     build_lock: Mutex<()>,
-    hits: AtomicU64,
-    builds: AtomicU64,
-    slab_builds: AtomicU64,
-    evals: Arc<AtomicU64>,
-    table_hits: AtomicU64,
-    spec_evals: AtomicU64,
-    spec_memo_hits: AtomicU64,
 }
 
 impl PoolCache {
@@ -194,13 +159,6 @@ impl PoolCache {
             functions: Mutex::new(HashMap::new()),
             spec_memos: Mutex::new(HashMap::new()),
             build_lock: Mutex::new(()),
-            hits: AtomicU64::new(0),
-            builds: AtomicU64::new(0),
-            slab_builds: AtomicU64::new(0),
-            evals: Arc::new(AtomicU64::new(0)),
-            table_hits: AtomicU64::new(0),
-            spec_evals: AtomicU64::new(0),
-            spec_memo_hits: AtomicU64::new(0),
         }
     }
 
@@ -215,9 +173,22 @@ impl PoolCache {
     /// `(ty, count, size)` and shared thereafter.  Missing per-size slabs
     /// are built over `workers` threads (`<= 1` = serially).
     pub fn pool(&self, ty: &Type, count: usize, size: usize, workers: usize) -> Arc<Vec<Value>> {
+        self.fetch(ty, count, size, workers, &VerifierCounters::default())
+    }
+
+    /// [`PoolCache::pool`], counting the hit or the pool and slab builds in
+    /// `counters`.
+    pub(crate) fn fetch(
+        &self,
+        ty: &Type,
+        count: usize,
+        size: usize,
+        workers: usize,
+        counters: &VerifierCounters,
+    ) -> Arc<Vec<Value>> {
         let key = (ty.clone(), count, size);
         if let Some(cached) = self.pools.lock().unwrap().get(&key) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
+            counters.pool_cache_hits.fetch_add(1, Ordering::Relaxed);
             return Arc::clone(cached);
         }
 
@@ -225,7 +196,7 @@ impl PoolCache {
         // once; re-check under the lock (the race loser takes the hit path).
         let _building = self.build_lock.lock().unwrap();
         if let Some(cached) = self.pools.lock().unwrap().get(&key) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
+            counters.pool_cache_hits.fetch_add(1, Ordering::Relaxed);
             return Arc::clone(cached);
         }
 
@@ -243,7 +214,7 @@ impl PoolCache {
         let mut next_size = 1usize;
         while next_size <= size && out.len() < count {
             let batch_end = (next_size + batch - 1).min(size);
-            self.ensure_slab_range(ty, next_size, batch_end, workers);
+            self.ensure_slab_range(ty, next_size, batch_end, workers, counters);
             let slabs = self.slabs.lock().unwrap();
             'fill: for s in next_size..=batch_end {
                 let slab = slabs
@@ -259,18 +230,20 @@ impl PoolCache {
             next_size = batch_end + 1;
         }
         let pool = Arc::new(out);
-        self.builds.fetch_add(1, Ordering::Relaxed);
+        counters.pool_builds.fetch_add(1, Ordering::Relaxed);
         self.pools.lock().unwrap().insert(key, Arc::clone(&pool));
         pool
     }
 
     /// The enumerated higher-order argument candidates for an interface
-    /// signature `sig`, built once per `(sig, hof bounds)` key.
-    pub fn function_pool(
+    /// signature `sig`, built once per `(sig, hof bounds)` key; the hit or
+    /// the build is counted in `counters`.
+    pub(crate) fn function_pool(
         &self,
         problem: &Problem,
         sig: &Type,
         bounds: &VerifierBounds,
+        counters: &VerifierCounters,
     ) -> Arc<Vec<FunctionCandidate>> {
         let key = (
             problem.globals.identity(),
@@ -280,16 +253,16 @@ impl PoolCache {
             bounds.fuel,
         );
         if let Some(cached) = self.functions.lock().unwrap().get(&key) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
+            counters.pool_cache_hits.fetch_add(1, Ordering::Relaxed);
             return Arc::clone(cached);
         }
         let _building = self.build_lock.lock().unwrap();
         if let Some(cached) = self.functions.lock().unwrap().get(&key) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
+            counters.pool_cache_hits.fetch_add(1, Ordering::Relaxed);
             return Arc::clone(cached);
         }
         let pool = Arc::new(enumerate_function_candidates(problem, sig, bounds));
-        self.builds.fetch_add(1, Ordering::Relaxed);
+        counters.pool_builds.fetch_add(1, Ordering::Relaxed);
         self.functions
             .lock()
             .unwrap()
@@ -298,7 +271,7 @@ impl PoolCache {
     }
 
     /// Builds every missing per-size slab of `ty` for sizes in
-    /// `min_size..=max_size`.
+    /// `min_size..=max_size`, counting them in `counters`.
     ///
     /// With more than one worker the missing sizes are claimed from a shared
     /// cursor, largest first (the cost of a size is heavily skewed towards
@@ -306,7 +279,14 @@ impl PoolCache {
     /// [`ValueEnumerator`].  Slab contents are a deterministic function of
     /// `(ty, size)`, so the cache state after this call is identical for
     /// every worker count.
-    fn ensure_slab_range(&self, ty: &Type, min_size: usize, max_size: usize, workers: usize) {
+    fn ensure_slab_range(
+        &self,
+        ty: &Type,
+        min_size: usize,
+        max_size: usize,
+        workers: usize,
+        counters: &VerifierCounters,
+    ) {
         // Snapshot what is already cached for this type: the missing sizes
         // are the work list, the present ones (any size, including below the
         // requested range) seed every enumerator so monotonic-growth
@@ -328,7 +308,8 @@ impl PoolCache {
         if missing.is_empty() {
             return;
         }
-        self.slab_builds
+        counters
+            .pool_slab_builds
             .fetch_add(missing.len() as u64, Ordering::Relaxed);
         let seeded_enumerator = || {
             let mut enumerator = ValueEnumerator::new(&self.tyenv);
@@ -374,18 +355,6 @@ impl PoolCache {
         }
     }
 
-    /// The shared predicate-evaluation counter; hand it to
-    /// [`crate::pools::CompiledPredicate::with_eval_counter`] so evaluations
-    /// show up in this session's [`PoolCacheStats`].
-    pub fn eval_counter(&self) -> Arc<AtomicU64> {
-        Arc::clone(&self.evals)
-    }
-
-    /// The shared counter of predicate tests answered from a verdict table.
-    pub(crate) fn table_hit_counter(&self) -> &AtomicU64 {
-        &self.table_hits
-    }
-
     /// The session's memo of spec-held tuples for the problem with
     /// fingerprint `problem` (see [`Problem::fingerprint`]), evaluated under
     /// `fuel`, over quantifier `pools`: this cache's pools of `count` values
@@ -407,29 +376,6 @@ impl PoolCache {
         let memo = Arc::new(SpecMemo::new(pools)?);
         memos.insert(key, Arc::clone(&memo));
         Some(memo)
-    }
-
-    /// The shared counter of specification evaluations.
-    pub(crate) fn spec_eval_counter(&self) -> &AtomicU64 {
-        &self.spec_evals
-    }
-
-    /// The shared counter of tuples answered from a spec memo.
-    pub(crate) fn spec_memo_hit_counter(&self) -> &AtomicU64 {
-        &self.spec_memo_hits
-    }
-
-    /// A snapshot of the session counters.
-    pub fn stats(&self) -> PoolCacheStats {
-        PoolCacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            builds: self.builds.load(Ordering::Relaxed),
-            slab_builds: self.slab_builds.load(Ordering::Relaxed),
-            predicate_evals: self.evals.load(Ordering::Relaxed),
-            predicate_table_hits: self.table_hits.load(Ordering::Relaxed),
-            spec_evals: self.spec_evals.load(Ordering::Relaxed),
-            spec_memo_hits: self.spec_memo_hits.load(Ordering::Relaxed),
-        }
     }
 }
 
@@ -462,6 +408,10 @@ mod tests {
         Problem::from_source(LIST_SET).unwrap()
     }
 
+    fn load(counter: &AtomicU64) -> u64 {
+        counter.load(Ordering::Relaxed)
+    }
+
     #[test]
     fn pools_match_fresh_enumeration() {
         let problem = problem();
@@ -482,42 +432,46 @@ mod tests {
     fn repeated_requests_hit_the_cache() {
         let problem = problem();
         let cache = PoolCache::for_problem(&problem);
-        let first = cache.pool(&Type::named("list"), 100, 12, 1);
-        let stats = cache.stats();
-        assert_eq!(stats.hits, 0);
-        assert_eq!(stats.builds, 1);
-        let slabs_after_first = stats.slab_builds;
+        let counters = VerifierCounters::default();
+        let first = cache.fetch(&Type::named("list"), 100, 12, 1, &counters);
+        assert_eq!(load(&counters.pool_cache_hits), 0);
+        assert_eq!(load(&counters.pool_builds), 1);
+        let slabs_after_first = load(&counters.pool_slab_builds);
         assert!(slabs_after_first > 0);
-        let second = cache.pool(&Type::named("list"), 100, 12, 1);
+        let second = cache.fetch(&Type::named("list"), 100, 12, 1, &counters);
         assert!(Arc::ptr_eq(&first, &second), "hit must share the slab");
-        let stats = cache.stats();
-        assert_eq!(stats.hits, 1);
-        assert_eq!(stats.builds, 1);
-        assert_eq!(stats.slab_builds, slabs_after_first, "a hit builds nothing");
+        assert_eq!(load(&counters.pool_cache_hits), 1);
+        assert_eq!(load(&counters.pool_builds), 1);
+        assert_eq!(
+            load(&counters.pool_slab_builds),
+            slabs_after_first,
+            "a hit builds nothing"
+        );
     }
 
     #[test]
     fn pools_grow_monotonically() {
         let problem = problem();
         let cache = PoolCache::for_problem(&problem);
-        cache.pool(&Type::named("list"), 50, 10, 1);
-        let after_small = cache.stats().slab_builds;
+        let counters = VerifierCounters::default();
+        let slab_builds = |count, size| {
+            cache.fetch(&Type::named("list"), count, size, 1, &counters);
+            load(&counters.pool_slab_builds)
+        };
+        let after_small = slab_builds(50, 10);
         assert!(after_small > 0);
         // A larger request reuses the existing slabs and only enumerates the
         // missing sizes.
-        cache.pool(&Type::named("list"), 5000, 12, 1);
-        let after_large = cache.stats().slab_builds;
+        let after_large = slab_builds(5000, 12);
         assert!(after_large > after_small);
         assert!(
             after_large <= 12,
             "slab builds are bounded by the distinct sizes, got {after_large}"
         );
         // A *smaller* request builds nothing at all.
-        cache.pool(&Type::named("list"), 10, 8, 1);
-        assert_eq!(cache.stats().slab_builds, after_large);
+        assert_eq!(slab_builds(10, 8), after_large);
         // Re-requesting an already-built size range builds nothing either.
-        cache.pool(&Type::named("list"), 5000, 12, 1);
-        assert_eq!(cache.stats().slab_builds, after_large);
+        assert_eq!(slab_builds(5000, 12), after_large);
     }
 
     #[test]
@@ -549,14 +503,14 @@ mod tests {
             ))
             .unwrap();
         let cache = PoolCache::new(tyenv.clone());
-        let pool = cache.pool(&Type::named("tree"), 100, 30, 1);
+        let counters = VerifierCounters::default();
+        let pool = cache.fetch(&Type::named("tree"), 100, 30, 1, &counters);
         assert_eq!(pool.len(), 100);
-        let stats = cache.stats();
+        let slab_builds = load(&counters.pool_slab_builds);
         assert!(
-            stats.slab_builds < 15,
+            slab_builds < 15,
             "the count cutoff must stop slab enumeration early, \
-             built {} slabs",
-            stats.slab_builds
+             built {slab_builds} slabs"
         );
         // And the prefix matches a fresh first_values sweep.
         let fresh = hanoi_lang::enumerate::ValueEnumerator::new(&tyenv).first_values(
@@ -585,10 +539,11 @@ mod tests {
         let cache = PoolCache::for_problem(&problem);
         let sig = Type::arrow(Type::named("nat"), Type::named("nat"));
         let bounds = VerifierBounds::quick();
-        let first = cache.function_pool(&problem, &sig, &bounds);
-        let second = cache.function_pool(&problem, &sig, &bounds);
+        let counters = VerifierCounters::default();
+        let first = cache.function_pool(&problem, &sig, &bounds, &counters);
+        let second = cache.function_pool(&problem, &sig, &bounds, &counters);
         assert!(Arc::ptr_eq(&first, &second));
         assert!(!first.is_empty());
-        assert_eq!(cache.stats().hits, 1);
+        assert_eq!(load(&counters.pool_cache_hits), 1);
     }
 }

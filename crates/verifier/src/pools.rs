@@ -3,7 +3,6 @@
 
 use std::ops::ControlFlow;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
 use hanoi_abstraction::Problem;
 use hanoi_lang::ast::Expr;
@@ -27,16 +26,19 @@ pub struct CompiledPredicate<'p> {
     problem: &'p Problem,
     closure: Value,
     fuel: u64,
-    evals: Option<Arc<AtomicU64>>,
+    evals: &'p AtomicU64,
 }
 
 impl<'p> CompiledPredicate<'p> {
     /// Evaluates `predicate` (an expression closed over the problem's
-    /// globals) to a function value, slot-resolving it first.
+    /// globals) to a function value, slot-resolving it first.  Every
+    /// [`CompiledPredicate::test`] increments `evals` (typically
+    /// [`crate::VerifierCounters::predicate_evals`]).
     pub fn compile(
         problem: &'p Problem,
         predicate: &Expr,
         fuel: u64,
+        evals: &'p AtomicU64,
     ) -> Result<Self, VerifierError> {
         let resolved = resolve(predicate);
         let closure = problem
@@ -47,25 +49,15 @@ impl<'p> CompiledPredicate<'p> {
             problem,
             closure,
             fuel,
-            evals: None,
+            evals,
         })
-    }
-
-    /// Wires the predicate to a shared evaluation counter (typically
-    /// [`crate::poolcache::PoolCache::eval_counter`]); every subsequent
-    /// [`CompiledPredicate::test`] increments it.
-    pub fn with_eval_counter(mut self, counter: Arc<AtomicU64>) -> Self {
-        self.evals = Some(counter);
-        self
     }
 
     /// Tests the predicate on one value.  Any evaluation failure (divergence
     /// of a synthesized candidate, a match failure, …) counts as `false`,
     /// matching the paper's treatment of misbehaving candidates.
     pub fn test(&self, value: &Value) -> bool {
-        if let Some(counter) = &self.evals {
-            counter.fetch_add(1, Ordering::Relaxed);
-        }
+        self.evals.fetch_add(1, Ordering::Relaxed);
         let mut fuel = Fuel::new(self.fuel);
         self.problem
             .evaluator()
@@ -218,9 +210,11 @@ mod tests {
     fn compiled_predicates_test_values() {
         let problem = Problem::from_source(LIST_SET).unwrap();
         let pred = parse_expr("fun (l : list) -> not (lookup l 0)").unwrap();
-        let compiled = CompiledPredicate::compile(&problem, &pred, 100_000).unwrap();
+        let evals = AtomicU64::new(0);
+        let compiled = CompiledPredicate::compile(&problem, &pred, 100_000, &evals).unwrap();
         assert!(compiled.test(&Value::nat_list(&[1, 2])));
         assert!(!compiled.test(&Value::nat_list(&[0])));
+        assert_eq!(evals.load(Ordering::Relaxed), 2);
     }
 
     #[test]
@@ -228,7 +222,8 @@ mod tests {
         let problem = Problem::from_source(LIST_SET).unwrap();
         // A predicate that diverges on every input.
         let pred = parse_expr("fix loop (l : list) : bool = loop l").unwrap();
-        let compiled = CompiledPredicate::compile(&problem, &pred, 10_000).unwrap();
+        let evals = AtomicU64::new(0);
+        let compiled = CompiledPredicate::compile(&problem, &pred, 10_000, &evals).unwrap();
         assert!(!compiled.test(&Value::nat_list(&[])));
     }
 

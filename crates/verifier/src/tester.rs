@@ -46,17 +46,17 @@ pub(crate) fn check_sufficiency(
     invariant: &Expr,
 ) -> Result<SufficiencyOutcome, VerifierError> {
     let problem = verifier.problem();
-    let pools = verifier.pool_cache();
     let bounds = verifier.bounds();
     let workers = verifier.workers();
+    let counters = verifier.counters();
     let spec = &problem.spec;
     let quantifiers = spec.arity();
     let per_count = bounds.count_for(quantifiers);
     let per_size = bounds.size_for(quantifiers);
     let cap = bounds.cap_for(quantifiers);
 
-    let predicate = CompiledPredicate::compile(problem, invariant, bounds.fuel)?
-        .with_eval_counter(pools.eval_counter());
+    let predicate =
+        CompiledPredicate::compile(problem, invariant, bounds.fuel, &counters.predicate_evals)?;
 
     // One shared (cached) pool per quantified parameter; the per-candidate
     // work is only the filter, which borrows from the cached slab instead of
@@ -67,7 +67,7 @@ pub(crate) fn check_sufficiency(
         .iter()
         .map(|(_, param_ty)| {
             let concrete = param_ty.subst_abstract(problem.concrete_type());
-            pools.pool(&concrete, per_count, per_size, workers)
+            verifier.pool(&concrete, per_count, per_size)
         })
         .collect();
     let mut filtered: Vec<Vec<Indexed<'_>>> = Vec::with_capacity(quantifiers);
@@ -88,26 +88,24 @@ pub(crate) fn check_sufficiency(
         filtered.push(values);
     }
 
-    let memo = pools.spec_memo(
+    let memo = verifier.pool_cache().spec_memo(
         problem.fingerprint(),
         bounds.fuel,
         per_count,
         per_size,
         &shared,
     );
-    let spec_evals = pools.spec_eval_counter();
-    let memo_hits = pools.spec_memo_hit_counter();
     let found = search_product(&filtered, cap, workers, verifier.deadline(), |tuple| {
         let memo_slot = memo
             .as_deref()
             .map(|memo| (memo, memo.slot(tuple.iter().map(|&&(index, _)| index))));
         if let Some((memo, slot)) = memo_slot {
             if memo.holds(slot) {
-                memo_hits.fetch_add(1, Ordering::Relaxed);
+                counters.spec_memo_hits.fetch_add(1, Ordering::Relaxed);
                 return ControlFlow::Continue(());
             }
         }
-        spec_evals.fetch_add(1, Ordering::Relaxed);
+        counters.spec_evals.fetch_add(1, Ordering::Relaxed);
         let mut fuel = Fuel::new(bounds.fuel);
         let holds = problem
             .eval_spec_with_fuel(tuple.iter().map(|&&(_, v)| v), &mut fuel)
@@ -184,6 +182,10 @@ mod tests {
 
     fn quick(problem: &Problem) -> Verifier<'_> {
         Verifier::new(problem).with_bounds(VerifierBounds::quick())
+    }
+
+    fn load(counter: &std::sync::atomic::AtomicU64) -> u64 {
+        counter.load(Ordering::Relaxed)
     }
 
     /// The no-duplicates invariant from §2.
@@ -303,23 +305,32 @@ mod tests {
     #[test]
     fn the_spec_memo_changes_no_outcome() {
         let problem = problem();
-        let check = |pools: &Arc<PoolCache>, candidate: &Expr| {
-            let verifier = quick(&problem).with_pool_cache(Arc::clone(pools));
-            check_sufficiency(&verifier, candidate).unwrap()
-        };
-        let shared = PoolCache::for_problem(&problem);
+        let shared = quick(&problem);
         let mut fresh_evals = 0;
         for candidate in candidate_sequence() {
-            let fresh = PoolCache::for_problem(&problem);
-            assert_eq!(check(&shared, &candidate), check(&fresh, &candidate));
-            let stats = fresh.stats();
-            assert_eq!(stats.spec_memo_hits, 0, "a fresh cache has no memo");
-            fresh_evals += stats.spec_evals;
+            let fresh = quick(&problem);
+            assert_eq!(
+                check_sufficiency(&shared, &candidate).unwrap(),
+                check_sufficiency(&fresh, &candidate).unwrap()
+            );
+            let counters = fresh.counters();
+            assert_eq!(
+                load(&counters.spec_memo_hits),
+                0,
+                "a fresh cache has no memo"
+            );
+            fresh_evals += load(&counters.spec_evals);
         }
-        let stats = shared.stats();
-        assert!(stats.spec_memo_hits > 0, "later checks skip held tuples");
+        let counters = shared.counters();
+        assert!(
+            load(&counters.spec_memo_hits) > 0,
+            "later checks skip held tuples"
+        );
         // Every tuple a search visits is either evaluated or skipped.
-        assert_eq!(stats.spec_evals + stats.spec_memo_hits, fresh_evals);
+        assert_eq!(
+            load(&counters.spec_evals) + load(&counters.spec_memo_hits),
+            fresh_evals
+        );
     }
 
     #[test]
@@ -332,17 +343,27 @@ mod tests {
         weaker.spec.body =
             hanoi_lang::resolve::resolve(&parse_expr("not (lookup empty i)").unwrap());
         let pools = PoolCache::for_problem(&problem);
+        // One check on the shared pools: its outcome, spec evaluations and
+        // spec-memo hits.
         let check = |problem: &Problem| {
             let verifier = quick(problem).with_pool_cache(Arc::clone(&pools));
-            check_sufficiency(&verifier, &candidate_sequence()[0]).unwrap()
+            let outcome = check_sufficiency(&verifier, &candidate_sequence()[0]).unwrap();
+            let counters = verifier.counters();
+            (
+                outcome,
+                load(&counters.spec_evals),
+                load(&counters.spec_memo_hits),
+            )
         };
-        assert_eq!(check(&weaker), SufficiencyOutcome::Valid);
-        let visited = pools.stats().spec_evals;
-        assert!(matches!(check(&problem), SufficiencyOutcome::Cex(_)));
-        assert_eq!(pools.stats().spec_memo_hits, 0);
+        let (outcome, visited, _) = check(&weaker);
+        assert_eq!(outcome, SufficiencyOutcome::Valid);
+        let (outcome, _, memo_hits) = check(&problem);
+        assert!(matches!(outcome, SufficiencyOutcome::Cex(_)));
+        assert_eq!(memo_hits, 0);
         // The weaker spec's rerun reads its own memo.
-        assert_eq!(check(&weaker), SufficiencyOutcome::Valid);
-        assert_eq!(pools.stats().spec_memo_hits, visited);
+        let (outcome, _, memo_hits) = check(&weaker);
+        assert_eq!(outcome, SufficiencyOutcome::Valid);
+        assert_eq!(memo_hits, visited);
     }
 
     #[test]

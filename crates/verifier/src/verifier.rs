@@ -1,20 +1,23 @@
 //! The [`Verifier`] façade: one object bundling a problem, bounds and a
 //! deadline, exposing the checks the inference modes need.  Every check
 //! takes one path: a `Check` value, answered from the check cache or by
-//! its sweep.
+//! its sweep.  Every check counts its work in the verifier's
+//! [`VerifierCounters`].
 
+use std::sync::atomic::AtomicU64;
 use std::sync::Arc;
 
 use hanoi_abstraction::Problem;
 use hanoi_lang::ast::Expr;
 use hanoi_lang::digest::Digest;
+use hanoi_lang::types::Type;
 use hanoi_lang::value::Value;
 
 use crate::bounds::{Deadline, VerifierBounds};
-use crate::checkcache::{CheckCache, CheckCacheStats, Memoized};
+use crate::checkcache::{CheckCache, Memoized};
 use crate::inductive::check_cond_inductive;
 use crate::outcome::{InductivenessOutcome, SufficiencyOutcome, VerifierError};
-use crate::poolcache::{PoolCache, PoolCacheStats};
+use crate::poolcache::PoolCache;
 use crate::tester::check_sufficiency;
 
 /// One of the verifier's checks, as a sweep runs it and as the check cache
@@ -33,15 +36,46 @@ pub(crate) enum Check<'a> {
     Op(&'a str),
 }
 
+/// The work of the checks made through one [`Verifier`] and its clones,
+/// counted as it happens.  The caches a verifier shares with other
+/// verifiers hold no counts, so a run that overlaps another run of the same
+/// problem counts only its own work.
+#[derive(Debug, Default)]
+pub struct VerifierCounters {
+    /// Pool requests answered from the pool cache.
+    pub pool_cache_hits: AtomicU64,
+    /// Pools assembled: value pools and function pools (at most one per
+    /// distinct `(type, count, size)` or function-pool key).
+    pub pool_builds: AtomicU64,
+    /// Per-size enumeration slabs built (at most one per `(type, size)`).
+    pub pool_slab_builds: AtomicU64,
+    /// Candidate-predicate evaluations (pool filtering plus `P`/`Q` tests).
+    pub predicate_evals: AtomicU64,
+    /// Predicate tests a full-inductiveness check answered from its verdict
+    /// table instead of evaluating (see [`crate::inductive`]).
+    pub predicate_table_hits: AtomicU64,
+    /// Specification evaluations made by sufficiency searches.
+    pub spec_evals: AtomicU64,
+    /// Sufficiency tuples skipped because the session's spec memo records
+    /// that the specification held on them (see
+    /// [`crate::poolcache::SpecMemo`]).
+    pub spec_memo_hits: AtomicU64,
+    /// Checks answered from the check-outcome cache without a sweep.
+    pub check_cache_hits: AtomicU64,
+    /// Check-outcome cache entries evicted (LRU) by this verifier's inserts.
+    pub check_cache_evictions: AtomicU64,
+}
+
 /// The bounded enumerative verifier.
 ///
 /// A `Verifier` is one *verification session*: it owns a shared
 /// [`PoolCache`], so across all the checks made through it (a whole CEGIS
 /// run, typically) each `(type, count, size)` pool is enumerated at most
-/// once.  Cloning the verifier shares the cache.  An optional
-/// [`CheckCache`] ([`Verifier::with_check_cache`]) additionally memoizes
-/// whole check *outcomes* — the long-lived engine shares one per problem so
-/// re-runs skip entire sweeps.
+/// once.  An optional [`CheckCache`] ([`Verifier::with_check_cache`])
+/// additionally memoizes whole check *outcomes* — the long-lived engine
+/// shares one per problem so re-runs skip entire sweeps.  A verifier counts
+/// its checks' work in one [`VerifierCounters`] set, created with it.
+/// Cloning the verifier shares the caches and the counters.
 #[derive(Debug, Clone)]
 pub struct Verifier<'p> {
     problem: &'p Problem,
@@ -50,6 +84,7 @@ pub struct Verifier<'p> {
     parallelism: usize,
     pools: Arc<PoolCache>,
     checks: Option<Arc<CheckCache>>,
+    counters: Arc<VerifierCounters>,
 }
 
 impl<'p> Verifier<'p> {
@@ -63,6 +98,7 @@ impl<'p> Verifier<'p> {
             parallelism: 1,
             pools: PoolCache::for_problem(problem),
             checks: None,
+            counters: Arc::default(),
         }
     }
 
@@ -106,21 +142,23 @@ impl<'p> Verifier<'p> {
         self
     }
 
-    /// Counter snapshot of the shared check-outcome cache (zeros when none
-    /// is installed).
-    pub fn check_cache_stats(&self) -> CheckCacheStats {
-        self.checks.as_ref().map(|c| c.stats()).unwrap_or_default()
-    }
-
     /// The pool cache backing this verification session.
     pub fn pool_cache(&self) -> &Arc<PoolCache> {
         &self.pools
     }
 
-    /// Counter snapshot of this session's pool activity (hits, builds,
-    /// predicate evaluations).
-    pub fn pool_stats(&self) -> PoolCacheStats {
-        self.pools.stats()
+    /// The work counted by the checks made through this verifier and its
+    /// clones.
+    pub fn counters(&self) -> &VerifierCounters {
+        &self.counters
+    }
+
+    /// The smallest `count` values of `ty` no larger than `size` nodes, from
+    /// the pool cache (see [`PoolCache::pool`]); the request is counted in
+    /// this verifier's [`VerifierCounters`].
+    pub fn pool(&self, ty: &Type, count: usize, size: usize) -> Arc<Vec<Value>> {
+        self.pools
+            .fetch(ty, count, size, self.workers(), &self.counters)
     }
 
     /// The effective worker count of this verifier (with `0` resolved to the
@@ -189,7 +227,13 @@ impl<'p> Verifier<'p> {
     ) -> Result<T, VerifierError> {
         let sweep = || sweep(self, check, invariant);
         match &self.checks {
-            Some(cache) => cache.memo(check, Digest::of_expr(invariant), self.bounds, sweep),
+            Some(cache) => cache.memo(
+                check,
+                Digest::of_expr(invariant),
+                self.bounds,
+                &self.counters,
+                sweep,
+            ),
             None => sweep(),
         }
     }
@@ -197,13 +241,7 @@ impl<'p> Verifier<'p> {
     /// The smallest `count` values of the concrete representation type — the
     /// sample the OneShot baseline labels with the specification.
     pub fn smallest_concrete_values(&self, count: usize) -> Vec<Value> {
-        self.pools
-            .pool(
-                self.problem.concrete_type(),
-                count,
-                self.bounds.single_size,
-                self.workers(),
-            )
+        self.pool(self.problem.concrete_type(), count, self.bounds.single_size)
             .as_ref()
             .clone()
     }

@@ -9,8 +9,13 @@
 //! the problem and the caches: any warm/cold divergence is a cache bug, not
 //! scheduling noise.
 
+use std::sync::Barrier;
+use std::time::Duration;
+
 use hanoi_repro::benchmarks::{self, Benchmark};
-use hanoi_repro::hanoi::{Engine, Mode, Outcome, RunOptions, RunResult};
+use hanoi_repro::hanoi::{
+    BatchJob, Engine, EngineConfig, Mode, Outcome, RunEvent, RunOptions, RunResult, RunStats,
+};
 use hanoi_repro::synth::arith::ArithBounds;
 use hanoi_repro::synth::SearchConfig;
 use hanoi_repro::verifier::VerifierBounds;
@@ -173,8 +178,6 @@ fn warm_oneshot_matches_cold_oneshot_after_a_hanoi_run() {
 
 #[test]
 fn batches_match_sequential_sessions() {
-    use hanoi_repro::hanoi::BatchJob;
-
     let problems: Vec<_> = ["/other/cache", "/other/rational", "/other/sized-list"]
         .iter()
         .map(|id| benchmarks::find(id).unwrap().problem().unwrap())
@@ -184,8 +187,7 @@ fn batches_match_sequential_sessions() {
         .map(|p| BatchJob::new(p, test_options()))
         .collect();
 
-    let parallel_engine =
-        Engine::new(hanoi_repro::hanoi::EngineConfig::default().with_parallelism(2)).unwrap();
+    let parallel_engine = Engine::new(EngineConfig::default().with_parallelism(2)).unwrap();
     let batched = parallel_engine.run_batch(&jobs);
 
     for (job, result) in jobs.iter().zip(&batched) {
@@ -196,4 +198,105 @@ fn batches_match_sequential_sessions() {
             "batched result diverged from a sequential run"
         );
     }
+}
+
+/// Quick options without a wall-clock budget: the `/coq/unique-list-::-set`
+/// runs complete, so they exercise every layer.
+fn complete_options() -> RunOptions {
+    RunOptions::quick().with_timeout(None)
+}
+
+/// `stats` without its wall-clock times: the run's outcome-shaped numbers
+/// and work counters.
+fn work(stats: &RunStats) -> RunStats {
+    RunStats {
+        total_time: Duration::ZERO,
+        verification_time: Duration::ZERO,
+        synthesis_time: Duration::ZERO,
+        ..stats.clone()
+    }
+}
+
+#[test]
+fn a_run_started_inside_another_run_counts_only_its_own_work() {
+    let problem = benchmarks::find("/coq/unique-list-::-set")
+        .unwrap()
+        .problem()
+        .unwrap();
+    let options = complete_options();
+
+    // One engine, the job twice in sequence: cold, then warm.
+    let engine = Engine::with_defaults();
+    let session = engine.session(&problem);
+    let cold = session.run(&options);
+    assert!(cold.is_success(), "{:?}", cold.outcome);
+    let warm = session.run(&options);
+
+    // Another engine: run A's observer starts run B of the same job as A
+    // starts, so B runs cold while A is open, and A then runs warm.
+    let engine = Engine::with_defaults();
+    let mut inner = None;
+    let mut observer = |event: &RunEvent| {
+        if matches!(event, RunEvent::RunStarted { .. }) {
+            inner = Some(engine.run(&problem, &options));
+        }
+    };
+    let outer = engine
+        .session(&problem)
+        .run_observed(&options, &mut observer);
+    let inner = inner.expect("the observer started a run");
+    assert_eq!(work(&inner.stats), work(&cold.stats), "B counts a cold run");
+    assert_eq!(work(&outer.stats), work(&warm.stats), "A counts a warm run");
+}
+
+#[test]
+fn concurrent_runs_of_one_problem_split_one_cold_run_of_pool_builds() {
+    // Each pool key and slab is built once, under the pool cache's build
+    // lock, by whichever of two concurrent runs asks first: together they
+    // build what one cold run builds.
+    let problem = benchmarks::find("/coq/unique-list-::-set")
+        .unwrap()
+        .problem()
+        .unwrap();
+    let options = complete_options();
+    let cold = Engine::with_defaults().run(&problem, &options);
+    assert!(cold.is_success(), "{:?}", cold.outcome);
+    let assert_split = |runs: &[RunResult], how: &str| {
+        for run in runs {
+            assert_eq!(outcome_key(&run.outcome), outcome_key(&cold.outcome));
+        }
+        let sum = |counter: fn(&RunStats) -> u64| -> u64 {
+            runs.iter().map(|run| counter(&run.stats)).sum()
+        };
+        assert_eq!(sum(|s| s.pool_builds), cold.stats.pool_builds, "{how}");
+        assert_eq!(
+            sum(|s| s.pool_slab_builds),
+            cold.stats.pool_slab_builds,
+            "{how}"
+        );
+    };
+
+    // Two copies of the job in one batch at parallelism 2.
+    let jobs = vec![BatchJob::new(&problem, options.clone()); 2];
+    let engine = Engine::new(EngineConfig::default().with_parallelism(2)).unwrap();
+    assert_split(&engine.run_batch(&jobs), "run_batch");
+
+    // Two sessions on two threads that both start before either works.
+    let engine = Engine::with_defaults();
+    let started = Barrier::new(2);
+    let runs: Vec<RunResult> = std::thread::scope(|scope| {
+        let run = || {
+            let mut observer = |event: &RunEvent| {
+                if matches!(event, RunEvent::RunStarted { .. }) {
+                    started.wait();
+                }
+            };
+            engine
+                .session(&problem)
+                .run_observed(&options, &mut observer)
+        };
+        let threads = [scope.spawn(run), scope.spawn(run)];
+        threads.map(|thread| thread.join().unwrap()).into()
+    });
+    assert_split(&runs, "overlapping sessions");
 }

@@ -13,7 +13,7 @@ use hanoi_repro::lang::parser::{parse_expr, parse_program};
 use hanoi_repro::lang::types::Type;
 use hanoi_repro::lang::util::Deadline;
 use hanoi_repro::lang::value::Value;
-use hanoi_repro::synth::{ExampleSet, MythSynth, SynthError, Synthesizer, TermBank};
+use hanoi_repro::synth::{ExampleSet, MythSynth, SynthCounters, SynthError, Synthesizer, TermBank};
 
 const CASES: u64 = 64;
 
@@ -163,7 +163,9 @@ fn synthesized_predicates_respect_their_examples() {
         let (examples, _) = examples.trace_completed(&problem.tyenv, problem.concrete_type());
 
         let synth = MythSynth::new();
-        match synth.synthesize(&problem, &TermBank::new(), &examples, &Deadline::none()) {
+        let bank = TermBank::new();
+        let counters = SynthCounters::default();
+        match synth.synthesize(&problem, &bank, &counters, &examples, &Deadline::none()) {
             Ok(candidate) => {
                 for (value, expected) in examples.labeled() {
                     let actual = problem.eval_predicate(&candidate, &value).unwrap();

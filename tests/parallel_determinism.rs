@@ -12,6 +12,7 @@
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashSet;
 use std::hash::{Hash, Hasher};
+use std::sync::atomic::Ordering;
 
 use hanoi_repro::hanoi::{Engine, EngineConfig, Outcome, RunOptions};
 use hanoi_repro::lang::parser::parse_expr;
@@ -93,7 +94,7 @@ fn verifier_checks_report_identical_counterexamples() {
             .check_visible_inductiveness(&v_plus, &trivial)
             .unwrap();
         assert!(
-            serial.pool_stats().predicate_evals > 0,
+            serial.counters().predicate_evals.load(Ordering::Relaxed) > 0,
             "{id}: the inductiveness checks sweep"
         );
         for workers in PARALLELISM_LEVELS {
@@ -221,7 +222,7 @@ fn sufficiency_with_the_spec_memo_is_parallelism_independent() {
         }
         for (workers, verifier) in [(1, &serial), (2, &parallel)] {
             assert!(
-                verifier.pool_stats().spec_memo_hits > 0,
+                verifier.counters().spec_memo_hits.load(Ordering::Relaxed) > 0,
                 "{id}: later checks skip held tuples at parallelism {workers}"
             );
         }

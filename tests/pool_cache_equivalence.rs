@@ -4,6 +4,7 @@
 //! session.
 
 use std::collections::HashSet;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use hanoi_repro::hanoi::{Engine, RunOptions};
 use hanoi_repro::lang::parser::parse_expr;
@@ -98,29 +99,39 @@ fn pool_enumeration_happens_at_most_once_per_session() {
             .is_ok());
     };
 
+    // The verifier's pool builds, slab builds, pool hits and predicate
+    // evaluations so far.
+    let work = || {
+        let counters = verifier.counters();
+        let load = |counter: &AtomicU64| counter.load(Ordering::Relaxed);
+        (
+            load(&counters.pool_builds),
+            load(&counters.pool_slab_builds),
+            load(&counters.pool_cache_hits),
+            load(&counters.predicate_evals),
+        )
+    };
+
     run_all_checks(&no_dup);
-    let after_first = verifier.pool_stats();
-    assert!(after_first.builds > 0, "the first pass enumerates pools");
+    let (builds, slab_builds, hits, evals) = work();
+    assert!(builds > 0, "the first pass enumerates pools");
 
     // A second candidate re-runs every check: pools must be served entirely
     // from the cache — the build counters do not move at all.
     run_all_checks(&trivial);
     run_all_checks(&no_dup);
-    let after_more = verifier.pool_stats();
+    let (more_builds, more_slab_builds, more_hits, more_evals) = work();
     assert_eq!(
-        after_more.builds, after_first.builds,
+        more_builds, builds,
         "pool assembly must happen at most once per (type, count, size)"
     );
     assert_eq!(
-        after_more.slab_builds, after_first.slab_builds,
+        more_slab_builds, slab_builds,
         "slab enumeration must happen at most once per (type, size)"
     );
+    assert!(more_hits > hits, "later checks are served from the cache");
     assert!(
-        after_more.hits > after_first.hits,
-        "later checks are served from the cache"
-    );
-    assert!(
-        after_more.predicate_evals > after_first.predicate_evals,
+        more_evals > evals,
         "predicate evaluations keep being counted"
     );
 }

@@ -7,12 +7,15 @@
 //! rows must be indistinguishable (outcomes, terms enumerated, eq-class
 //! splits) from the per-cell id rows they replace.
 
+use std::sync::atomic::{AtomicU64, Ordering};
+
 use hanoi_repro::hanoi::{Engine as InferenceEngine, RunOptions};
+use hanoi_repro::lang::ast::Expr;
 use hanoi_repro::lang::enumerate::ValueEnumerator;
 use hanoi_repro::lang::util::Deadline;
 use hanoi_repro::lang::value::Value;
 use hanoi_repro::synth::engine::Engine;
-use hanoi_repro::synth::{ExampleSet, SearchConfig, TermBank};
+use hanoi_repro::synth::{ExampleSet, SearchConfig, SynthCounters, SynthError, TermBank};
 
 /// A small search configuration: big enough to exercise every generation
 /// rule (components, constructors, equality, connectives, match refinement,
@@ -50,6 +53,21 @@ fn id_row_config() -> SearchConfig {
         use_bitset_rows: false,
         ..test_config()
     }
+}
+
+fn load(counter: &AtomicU64) -> u64 {
+    counter.load(Ordering::Relaxed)
+}
+
+/// One synthesis call against `bank`, and the work it counted.
+fn synthesize(
+    engine: &Engine<'_>,
+    bank: &TermBank,
+    examples: &ExampleSet,
+) -> (Result<Expr, SynthError>, SynthCounters) {
+    let counters = SynthCounters::default();
+    let result = engine.synthesize_with_bank(bank, &counters, examples, &Deadline::none());
+    (result, counters)
 }
 
 /// A CEGIS-like example sequence for one benchmark: the smallest enumerable
@@ -106,17 +124,19 @@ fn persistent_bank_engines_match_fresh_engines_on_every_benchmark() {
         let parallel_banks: Vec<TermBank> =
             parallel_engines.iter().map(|_| TermBank::new()).collect();
         let idrow_banks: Vec<TermBank> = idrow_engines.iter().map(|_| TermBank::new()).collect();
+        // Sequence totals: the bitset and serial id-row splits, and the
+        // persistent bank's column appends.
+        let (mut splits, mut idrow_splits, mut appends) = (0, 0, 0);
 
         for (iteration, examples) in sequence.iter().enumerate() {
             // Rebuild-per-iteration baseline: a throwaway bank per call.
-            let fresh_bank = TermBank::new();
-            let fresh =
-                serial_engine.synthesize_with_bank(&fresh_bank, examples, &Deadline::none());
+            let (fresh, fresh_work) = synthesize(&serial_engine, &TermBank::new(), examples);
 
             // Persistent-bank run of the same iteration.
-            let terms_before = bank.stats().terms_enumerated;
-            let banked = serial_engine.synthesize_with_bank(&bank, examples, &Deadline::none());
-            let banked_terms = bank.stats().terms_enumerated - terms_before;
+            let (banked, work) = synthesize(&serial_engine, &bank, examples);
+            let banked_terms = load(&work.terms_enumerated);
+            splits += load(&work.eq_class_splits);
+            appends += load(&work.column_appends);
 
             assert_eq!(
                 banked, fresh,
@@ -126,7 +146,7 @@ fn persistent_bank_engines_match_fresh_engines_on_every_benchmark() {
             );
             assert_eq!(
                 banked_terms,
-                fresh_bank.stats().terms_enumerated,
+                load(&fresh_work.terms_enumerated),
                 "{}: iteration {iteration} enumerated a different number of \
                  terms with a persistent bank",
                 benchmark.id
@@ -135,7 +155,7 @@ fn persistent_bank_engines_match_fresh_engines_on_every_benchmark() {
             // Parallel guessing (own persistent banks) must be
             // outcome-identical to the serial run.
             for ((parallelism, engine), pbank) in parallel_engines.iter().zip(&parallel_banks) {
-                let parallel = engine.synthesize_with_bank(pbank, examples, &Deadline::none());
+                let (parallel, _) = synthesize(engine, pbank, examples);
                 assert_eq!(
                     parallel, banked,
                     "{}: iteration {iteration} diverged at parallelism \
@@ -148,8 +168,7 @@ fn persistent_bank_engines_match_fresh_engines_on_every_benchmark() {
             // bitset rows — outcome *and* terms enumerated, at every
             // parallelism level.
             for ((parallelism, engine), ibank) in idrow_engines.iter().zip(&idrow_banks) {
-                let iterms_before = ibank.stats().terms_enumerated;
-                let idrow = engine.synthesize_with_bank(ibank, examples, &Deadline::none());
+                let (idrow, idrow_work) = synthesize(engine, ibank, examples);
                 assert_eq!(
                     idrow, banked,
                     "{}: iteration {iteration} diverged between bitset and \
@@ -157,8 +176,9 @@ fn persistent_bank_engines_match_fresh_engines_on_every_benchmark() {
                     benchmark.id
                 );
                 if *parallelism == 1 {
+                    idrow_splits += load(&idrow_work.eq_class_splits);
                     assert_eq!(
-                        ibank.stats().terms_enumerated - iterms_before,
+                        load(&idrow_work.terms_enumerated),
                         banked_terms,
                         "{}: iteration {iteration} enumerated a different \
                          number of terms with id rows",
@@ -172,18 +192,21 @@ fn persistent_bank_engines_match_fresh_engines_on_every_benchmark() {
         // identical equivalence classes: same split counts over the whole
         // sequence.
         assert_eq!(
-            bank.stats().eq_class_splits,
-            idrow_banks[0].stats().eq_class_splits,
+            splits, idrow_splits,
             "{}: bitset and id rows disagreed on eq-class splits",
             benchmark.id
         );
 
         // Later iterations of a growing example sequence must actually have
         // exercised the incremental machinery.
-        let stats = bank.stats();
-        assert_eq!(stats.sessions as usize, sequence.len(), "{}", benchmark.id);
+        assert_eq!(
+            bank.stats().sessions as usize,
+            sequence.len(),
+            "{}",
+            benchmark.id
+        );
         assert!(
-            stats.column_appends > 0,
+            appends > 0,
             "{}: new negatives must append signature columns",
             benchmark.id
         );
@@ -228,38 +251,36 @@ fn numeric_family_engines_agree_across_every_representation() {
         let parallel_banks: Vec<TermBank> =
             parallel_engines.iter().map(|_| TermBank::new()).collect();
         let idrow_bank = TermBank::new();
+        // Sequence totals of the persistent bitset and id-row runs.
+        let (mut arith, mut splits, mut idrow_splits) = (0, 0, 0);
 
         for (iteration, examples) in sequence.iter().enumerate() {
-            let fresh_bank = TermBank::new();
-            let fresh =
-                serial_engine.synthesize_with_bank(&fresh_bank, examples, &Deadline::none());
-
-            let before = bank.stats();
-            let banked = serial_engine.synthesize_with_bank(&bank, examples, &Deadline::none());
-            let after = bank.stats();
+            let (fresh, fresh_work) = synthesize(&serial_engine, &TermBank::new(), examples);
+            let (banked, work) = synthesize(&serial_engine, &bank, examples);
+            arith += load(&work.arith_atoms);
+            splits += load(&work.eq_class_splits);
 
             assert_eq!(
                 banked, fresh,
                 "{}: iteration {iteration} diverged between persistent and fresh banks",
                 benchmark.id
             );
-            let fresh_stats = fresh_bank.stats();
             assert_eq!(
-                after.terms_enumerated - before.terms_enumerated,
-                fresh_stats.terms_enumerated,
+                load(&work.terms_enumerated),
+                load(&fresh_work.terms_enumerated),
                 "{}: iteration {iteration} term counts diverged",
                 benchmark.id
             );
             assert_eq!(
-                after.arith_atoms - before.arith_atoms,
-                fresh_stats.arith_atoms,
+                load(&work.arith_atoms),
+                load(&fresh_work.arith_atoms),
                 "{}: iteration {iteration} arith-atom counts diverged between \
                  persistent (memo-replayed) and fresh banks",
                 benchmark.id
             );
 
             for ((parallelism, engine), pbank) in parallel_engines.iter().zip(&parallel_banks) {
-                let parallel = engine.synthesize_with_bank(pbank, examples, &Deadline::none());
+                let (parallel, _) = synthesize(engine, pbank, examples);
                 assert_eq!(
                     parallel, banked,
                     "{}: iteration {iteration} diverged at parallelism {parallelism}",
@@ -267,24 +288,23 @@ fn numeric_family_engines_agree_across_every_representation() {
                 );
             }
 
-            let ibefore = idrow_bank.stats();
-            let idrow = idrow_engine.synthesize_with_bank(&idrow_bank, examples, &Deadline::none());
-            let iafter = idrow_bank.stats();
+            let (idrow, idrow_work) = synthesize(&idrow_engine, &idrow_bank, examples);
+            idrow_splits += load(&idrow_work.eq_class_splits);
             assert_eq!(
                 idrow, banked,
                 "{}: iteration {iteration} diverged between bitset and id rows",
                 benchmark.id
             );
             assert_eq!(
-                iafter.terms_enumerated - ibefore.terms_enumerated,
-                after.terms_enumerated - before.terms_enumerated,
+                load(&idrow_work.terms_enumerated),
+                load(&work.terms_enumerated),
                 "{}: iteration {iteration} enumerated a different number of \
                  terms with id rows",
                 benchmark.id
             );
             assert_eq!(
-                iafter.arith_atoms - ibefore.arith_atoms,
-                after.arith_atoms - before.arith_atoms,
+                load(&idrow_work.arith_atoms),
+                load(&work.arith_atoms),
                 "{}: iteration {iteration} arith-atom counts depend on the row \
                  representation",
                 benchmark.id
@@ -294,13 +314,12 @@ fn numeric_family_engines_agree_across_every_representation() {
         // The numeric grammar must actually have been exercised: integer
         // literals and arithmetic components enumerate on every benchmark.
         assert!(
-            bank.stats().arith_atoms > 0,
+            arith > 0,
             "{}: no arithmetic atoms enumerated",
             benchmark.id
         );
         assert_eq!(
-            bank.stats().eq_class_splits,
-            idrow_bank.stats().eq_class_splits,
+            splits, idrow_splits,
             "{}: bitset and id rows disagreed on eq-class splits",
             benchmark.id
         );
@@ -317,25 +336,26 @@ fn bank_reuse_across_iterations_serves_hits() {
         .unwrap();
     let engine = Engine::new(&problem, test_config());
     let bank = TermBank::new();
+    let counters = SynthCounters::default();
     for examples in example_sequence(&problem) {
-        let _ = engine.synthesize_with_bank(&bank, &examples, &Deadline::none());
+        let _ = engine.synthesize_with_bank(&bank, &counters, &examples, &Deadline::none());
     }
-    let stats = bank.stats();
-    assert!(stats.bank_misses > 0, "cold columns reach the interpreter");
+    // A fresh bank's applications are its misses.
+    let misses = bank.stats().applications;
+    let hits = load(&counters.bank_hits);
+    assert!(misses > 0, "cold columns reach the interpreter");
     assert!(
-        stats.bank_hits > stats.bank_misses,
-        "warm iterations must be dominated by bank hits: hits={} misses={}",
-        stats.bank_hits,
-        stats.bank_misses
+        hits > misses,
+        "warm iterations must be dominated by bank hits: hits={hits} misses={misses}"
     );
     assert!(
-        stats.guess_memo_hits > 0,
+        load(&counters.guess_memo_hits) > 0,
         "a growing example sequence must replay unchanged sub-guesses from \
-         the guess memo: {stats:?}"
+         the guess memo: {counters:?}"
     );
     assert!(
-        stats.probe_batches > 0,
-        "component applications must go through batched probes: {stats:?}"
+        load(&counters.probe_batches) > 0,
+        "component applications must go through batched probes: {counters:?}"
     );
 }
 
@@ -350,9 +370,10 @@ fn eq_class_splits_are_detected_when_a_column_distinguishes_terms() {
         .unwrap();
     let engine = Engine::new(&problem, test_config());
     let bank = TermBank::new();
+    let counters = SynthCounters::default();
     let first = ExampleSet::from_sets([Value::nat_list(&[])], [Value::nat_list(&[0, 0])]).unwrap();
     let (first, _) = first.trace_completed(&problem.tyenv, problem.concrete_type());
-    let _ = engine.synthesize_with_bank(&bank, &first, &Deadline::none());
+    let _ = engine.synthesize_with_bank(&bank, &counters, &first, &Deadline::none());
 
     let second = ExampleSet::from_sets(
         [
@@ -368,13 +389,12 @@ fn eq_class_splits_are_detected_when_a_column_distinguishes_terms() {
     )
     .unwrap();
     let (second, _) = second.trace_completed(&problem.tyenv, problem.concrete_type());
-    let _ = engine.synthesize_with_bank(&bank, &second, &Deadline::none());
+    let _ = engine.synthesize_with_bank(&bank, &counters, &second, &Deadline::none());
 
-    let stats = bank.stats();
-    assert!(stats.column_appends > 0);
+    assert!(load(&counters.column_appends) > 0);
     assert!(
-        stats.eq_class_splits > 0,
-        "new columns must re-split previously merged classes: {stats:?}"
+        load(&counters.eq_class_splits) > 0,
+        "new columns must re-split previously merged classes: {counters:?}"
     );
 }
 
@@ -610,22 +630,22 @@ fn word_boundary_example_sets_agree_across_representations() {
 
     let bitset_engine = Engine::new(&problem, test_config());
     let idrow_engine = Engine::new(&problem, id_row_config());
-    let bitset_bank = TermBank::new();
-    let idrow_bank = TermBank::new();
-    let packed = bitset_engine.synthesize_with_bank(&bitset_bank, &examples, &Deadline::none());
-    let plain = idrow_engine.synthesize_with_bank(&idrow_bank, &examples, &Deadline::none());
+    let (packed, b) = synthesize(&bitset_engine, &TermBank::new(), &examples);
+    let (plain, i) = synthesize(&idrow_engine, &TermBank::new(), &examples);
     assert_eq!(packed, plain);
-    let (b, i) = (bitset_bank.stats(), idrow_bank.stats());
-    assert_eq!(b.terms_enumerated, i.terms_enumerated);
-    assert_eq!(b.eq_class_splits, i.eq_class_splits);
-    assert!(b.bitset_row_ops > 0, "the packed path must be exercised");
-    assert_eq!(i.bitset_row_ops, 0, "the id-row path must not pack");
+    assert_eq!(load(&b.terms_enumerated), load(&i.terms_enumerated));
+    assert_eq!(load(&b.eq_class_splits), load(&i.eq_class_splits));
+    assert!(
+        load(&b.bitset_row_ops) > 0,
+        "the packed path must be exercised"
+    );
+    assert_eq!(load(&i.bitset_row_ops), 0, "the id-row path must not pack");
 
     // Parallel guessing over multi-word lanes must not change the outcome
     // at any level.
     for parallelism in [2usize, 4, 0] {
         let engine = Engine::new(&problem, test_config()).with_parallelism(parallelism);
-        let parallel = engine.synthesize_with_bank(&TermBank::new(), &examples, &Deadline::none());
+        let (parallel, _) = synthesize(&engine, &TermBank::new(), &examples);
         assert_eq!(parallel, packed, "parallelism {parallelism}");
     }
 }
