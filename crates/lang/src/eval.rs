@@ -280,10 +280,9 @@ impl<'a> Evaluator<'a> {
             Expr::Eq(a, b) => {
                 let av = self.eval_at(scope, stack, a, fuel, depth + 1)?;
                 let bv = self.eval_at(scope, stack, b, fuel, depth + 1)?;
-                if !av.is_first_order() || !bv.is_first_order() {
-                    return Err(EvalError::EqualityOnClosure);
-                }
-                Ok(Value::bool(av == bv))
+                av.first_order_eq(&bv)
+                    .map(Value::bool)
+                    .ok_or(EvalError::EqualityOnClosure)
             }
             Expr::And(a, b) => {
                 let av = self.eval_at(scope, stack, a, fuel, depth + 1)?;
@@ -672,6 +671,53 @@ mod tests {
             Value::nat_list(&[2]).to_expr().unwrap(),
         );
         assert_eq!(eval_closed(&e).unwrap(), Value::fls());
+    }
+
+    #[test]
+    fn structural_equality_of_naturals() {
+        let nat = |n: u64| Value::nat(n).to_expr().unwrap();
+        assert_eq!(
+            eval_closed(&Expr::eq(nat(3), nat(3))).unwrap(),
+            Value::tru()
+        );
+        assert_eq!(
+            eval_closed(&Expr::eq(nat(3), nat(4))).unwrap(),
+            Value::fls()
+        );
+        assert_eq!(
+            eval_closed(&Expr::eq(nat(0), nat(2))).unwrap(),
+            Value::fls()
+        );
+    }
+
+    #[test]
+    fn equality_reaching_a_closure_is_an_error() {
+        let nat = |n: u64| Value::nat(n).to_expr().unwrap();
+        let id = Expr::lambda("x", Type::named("nat"), Expr::var("x"));
+        // `let f = fun x -> x in (1, f) == (2, f)`: the closure sits after
+        // the first mismatch.
+        let e = Expr::let_(
+            "f",
+            id.clone(),
+            Expr::eq(
+                Expr::Tuple(vec![nat(1), Expr::var("f")]),
+                Expr::Tuple(vec![nat(2), Expr::var("f")]),
+            ),
+        );
+        assert!(matches!(eval_closed(&e), Err(EvalError::EqualityOnClosure)));
+        // `let p = (0, fun x -> x) in p == p`: both sides share one pair.
+        let e = Expr::let_(
+            "p",
+            Expr::Tuple(vec![nat(0), id.clone()]),
+            Expr::eq(Expr::var("p"), Expr::var("p")),
+        );
+        assert!(matches!(eval_closed(&e), Err(EvalError::EqualityOnClosure)));
+        // A closure on one side only.
+        let e = Expr::eq(
+            Expr::Tuple(vec![nat(1), nat(0)]),
+            Expr::Tuple(vec![nat(2), id]),
+        );
+        assert!(matches!(eval_closed(&e), Err(EvalError::EqualityOnClosure)));
     }
 
     #[test]

@@ -55,6 +55,13 @@ pub fn sync_dir(dir: &Path) {
 /// short names, where SipHash's per-hash overhead dominated the actual
 /// probe cost.  Never use it for persisted keys; those are
 /// [`Digest`](crate::digest::Digest)s.
+///
+/// Byte writes read the input eight bytes at a time as little-endian words,
+/// without copying; a shorter tail is folded into one word with shifts, as
+/// if zero-padded to eight bytes.  Each word is mixed together with its byte
+/// count.  A golden test pins the output, so a faster `write` cannot move
+/// the iteration order of any table keyed by it.  Keys that hash many ids
+/// should feed whole words through `write_u64`.
 #[derive(Debug, Default, Clone)]
 pub struct IdHasher(u64);
 
@@ -75,10 +82,18 @@ impl Hasher for IdHasher {
     }
 
     fn write(&mut self, bytes: &[u8]) {
-        for chunk in bytes.chunks(8) {
-            let mut buf = [0u8; 8];
-            buf[..chunk.len()].copy_from_slice(chunk);
-            self.mix(u64::from_le_bytes(buf) ^ (chunk.len() as u64));
+        let mut words = bytes.chunks_exact(8);
+        for word in &mut words {
+            let word: [u8; 8] = word.try_into().expect("chunks_exact yields 8-byte words");
+            self.mix(u64::from_le_bytes(word) ^ 8);
+        }
+        let tail = words.remainder();
+        if !tail.is_empty() {
+            let word = tail
+                .iter()
+                .rev()
+                .fold(0u64, |acc, &byte| (acc << 8) | u64::from(byte));
+            self.mix(word ^ tail.len() as u64);
         }
     }
 
@@ -427,6 +442,51 @@ mod tests {
         assert!(write_atomic(Path::new("/"), b"x").is_err());
         sync_dir(&dir); // must not panic, even if the platform refuses
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// `IdHasher`'s output is pinned: tables keyed by it iterate in hash
+    /// order.  The values were recorded from the byte-buffer `write` that
+    /// the word-reading one replaced.
+    #[test]
+    fn id_hasher_output_is_pinned() {
+        let bytes: Vec<u8> = (0u8..17)
+            .map(|i| i.wrapping_mul(37).wrapping_add(11))
+            .collect();
+        let by_length: [u64; 18] = [
+            0x0000_0000_0000_0000,
+            0x0887_12be_8a58_2fca,
+            0x88d3_db75_8153_7d9f,
+            0x7224_ef4d_47c6_3589,
+            0x2ac6_0bce_40f5_cf94,
+            0xa95b_25f0_ad8a_f73a,
+            0xc25b_3fa8_a04b_65f1,
+            0xccfa_be73_6911_ad1c,
+            0xb792_8edc_5740_edf3,
+            0xfea5_3e39_d576_b96e,
+            0x1e6f_fea6_d87b_cdf2,
+            0x9b75_8cdd_c127_0b77,
+            0x7eb0_70e7_626b_3a4c,
+            0x5fd5_6593_c50b_d617,
+            0xfe83_4495_9d14_878e,
+            0x3fc8_0020_44e4_c094,
+            0x0ea2_d241_4b84_2a80,
+            0xfd12_8073_8876_70e5,
+        ];
+        for (len, &expected) in by_length.iter().enumerate() {
+            let mut hasher = IdHasher::default();
+            hasher.write(&bytes[..len]);
+            assert_eq!(hasher.finish(), expected, "write of {len} bytes");
+        }
+        let names = [
+            ("O", 0xcf24_19af_f38a_d2f4),
+            ("Cons", 0x666f_cdb8_c217_000a),
+            ("balance", 0x06ed_33b9_9c33_de63),
+        ];
+        for (name, expected) in names {
+            let mut hasher = IdHasher::default();
+            name.hash(&mut hasher);
+            assert_eq!(hasher.finish(), expected, "hash of {name:?}");
+        }
     }
 
     #[test]

@@ -108,6 +108,33 @@ pub struct Slab(Option<Arc<[Value]>>);
 impl Slab {
     /// The empty slab (no allocation).
     pub const EMPTY: Slab = Slab(None);
+
+    /// Whether both slabs are clones of one allocation.
+    fn shares(&self, other: &Slab) -> bool {
+        matches!((&self.0, &other.0), (Some(a), Some(b)) if Arc::ptr_eq(a, b))
+    }
+
+    /// [`Value::first_order_eq`] over two child lists, in one walk: children
+    /// compare pairwise, and after the first mismatch the rest of both lists
+    /// is only checked for closures.  A shared slab is checked once.
+    fn first_order_eq(&self, other: &Slab) -> Option<bool> {
+        if self.shares(other) {
+            return self.iter().all(Value::is_first_order).then_some(true);
+        }
+        let rest_first_order = |from: usize| {
+            self[from..]
+                .iter()
+                .chain(&other[from..])
+                .all(Value::is_first_order)
+        };
+        for (i, (a, b)) in self.iter().zip(other.iter()).enumerate() {
+            if !a.first_order_eq(b)? {
+                return rest_first_order(i + 1).then_some(false);
+            }
+        }
+        let common = self.len().min(other.len());
+        rest_first_order(common).then_some(self.len() == other.len())
+    }
 }
 
 impl std::ops::Deref for Slab {
@@ -295,6 +322,19 @@ impl Value {
             collected: Vec::new(),
             func: Arc::new(func),
         }))
+    }
+
+    /// Structural equality of two first-order values: `None` when either
+    /// value holds a closure or a native function anywhere, whatever the
+    /// other holds.  One walk does both jobs: it equals
+    /// `(self.is_first_order() && other.is_first_order()).then(|| self == other)`.
+    pub fn first_order_eq(&self, other: &Value) -> Option<bool> {
+        match (self, other) {
+            (Value::Int(a), Value::Int(b)) => Some(a == b),
+            (Value::Ctor(c1, a1), Value::Ctor(c2, a2)) if c1 == c2 => a1.first_order_eq(a2),
+            (Value::Tuple(a1), Value::Tuple(a2)) => a1.first_order_eq(a2),
+            _ => (self.is_first_order() && other.is_first_order()).then_some(false),
+        }
     }
 
     /// `true` when the value contains no closures or native functions.
@@ -788,5 +828,52 @@ mod tests {
         }));
         assert!(!clo.is_first_order());
         assert!(!Value::pair(Value::nat(0), clo).is_first_order());
+    }
+
+    #[test]
+    fn first_order_equality_is_equality_or_a_closure_error() {
+        let clo = Value::Closure(Arc::new(Closure {
+            param: Symbol::new("x"),
+            body: Arc::new(Expr::Local(0, Symbol::new("x"))),
+            env: Env::empty(),
+            rec_name: None,
+            locals: Locals::empty(),
+        }));
+        let first_order = [
+            Value::nat(0),
+            Value::nat(3),
+            Value::nat(4),
+            Value::nat_list(&[]),
+            Value::nat_list(&[1, 2]),
+            Value::nat_list(&[1, 3]),
+            Value::nat_list(&[1, 2, 0]),
+            Value::pair(Value::nat(1), Value::nat_list(&[2])),
+            Value::Int(-2),
+        ];
+        for a in &first_order {
+            for b in &first_order {
+                assert_eq!(a.first_order_eq(b), Some(a == b), "{a} == {b}");
+            }
+            // Separately built equal values, and clones sharing a slab.
+            assert_eq!(a.first_order_eq(&a.clone()), Some(true));
+            let rebuilt = crate::json::value_from_json(&crate::json::value_to_json(a).unwrap());
+            assert_eq!(a.first_order_eq(&rebuilt.unwrap()), Some(true));
+        }
+        // A closure anywhere in either operand is an error, also after the
+        // first mismatch and in a slab both sides share.
+        let with_closure = [
+            clo.clone(),
+            Value::pair(Value::nat(1), clo.clone()),
+            Value::pair(Value::nat(2), clo.clone()),
+            Value::pair(clo.clone(), Value::nat(1)),
+            Value::ctor_of(Symbol::new("Cons"), vec![Value::nat(1), clo.clone()]),
+        ];
+        for a in &with_closure {
+            assert_eq!(a.first_order_eq(&a.clone()), None, "{a} == {a}");
+            for b in first_order.iter().chain(&with_closure) {
+                assert_eq!(a.first_order_eq(b), None, "{a} == {b}");
+                assert_eq!(b.first_order_eq(a), None, "{b} == {a}");
+            }
+        }
     }
 }

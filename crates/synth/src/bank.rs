@@ -64,6 +64,7 @@
 //! worker counts.
 
 use std::collections::{HashMap, HashSet};
+use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -105,8 +106,9 @@ pub fn bool_of(id: u32) -> Option<bool> {
 /// cells hold a boolean at all (a zero validity bit is an error/absent
 /// cell).  Two invariants make word-wise equality exactly cell-wise
 /// equality: `bits ⊆ valid` (invalid cells carry a zero bit), and bits past
-/// the row length are zero in both lanes.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+/// the row length are zero in both lanes.  The hash feeds the lanes one word
+/// at a time.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BitRow {
     len: u32,
     bits: Box<[u64]>,
@@ -136,16 +138,57 @@ impl BitRow {
     }
 }
 
+impl Hash for BitRow {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        write_lanes(state, &self.bits, &self.valid);
+    }
+}
+
+/// Feeds a packed row's lanes to `state` one `u64` word at a time, validity
+/// word before bit word.  The length is left out: equal rows have equal
+/// lanes, and the rows of one table share a width.
+fn write_lanes<H: Hasher>(state: &mut H, bits: &[u64], valid: &[u64]) {
+    for (&b, &v) in bits.iter().zip(valid) {
+        state.write_u64(v);
+        state.write_u64(b);
+    }
+}
+
+/// Feeds an id row to `state` two ids per `u64` word (the first id in the
+/// low half); an odd last id fills a word alone.  `id` maps a cell to its
+/// id.  The caller writes the length first, so rows of different lengths do
+/// not collide on their words alone.
+fn write_id_pairs<H: Hasher, T: Copy>(state: &mut H, row: &[T], id: impl Fn(T) -> u32) {
+    let mut pairs = row.chunks_exact(2);
+    for pair in &mut pairs {
+        state.write_u64(u64::from(id(pair[0])) | u64::from(id(pair[1])) << 32);
+    }
+    if let [last] = pairs.remainder() {
+        state.write_u64(u64::from(id(*last)));
+    }
+}
+
+/// Feeds a signature id row to `state`: its length, then its cells two per
+/// word, an absent cell as `u32::MAX` (which no dense interner id reaches).
+/// Equality still tells `None` from `Some(u32::MAX)`; only the hash merges
+/// them.
+fn write_cells<H: Hasher>(state: &mut H, cells: &[Option<u32>]) {
+    state.write_usize(cells.len());
+    write_id_pairs(state, cells, |cell| cell.unwrap_or(u32::MAX));
+}
+
 /// One term signature across the example worlds, in *canonical* form: a row
 /// of a boolean-typed term whose cells are all booleans-or-errors packs to
 /// [`Sig::Bits`]; every other row (non-boolean types, or a boolean-typed row
 /// holding a non-boolean id) keeps the dense-id fallback lane [`Sig::Ids`].
 /// Because the representation is a pure function of the cell contents, equal
-/// logical rows always share a variant, so derived equality/hashing is
-/// exactly cell-wise row equality — pinned by
+/// logical rows always share a variant, so derived equality is exactly
+/// cell-wise row equality — pinned by
 /// `tests/synth_incremental_equivalence.rs`, which runs the id-row fallback
-/// path against the packed path on the whole benchmark suite.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+/// path against the packed path on the whole benchmark suite.  Rows hash a
+/// word at a time: packed lanes word by word, id rows as their length and
+/// then two ids per word.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Sig {
     /// A packed boolean row (shared by reference; rows are immutable).
     Bits(Arc<BitRow>),
@@ -176,12 +219,22 @@ impl Sig {
     }
 }
 
+impl Hash for Sig {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        match self {
+            Sig::Bits(row) => row.hash(state),
+            Sig::Ids(cells) => write_cells(state, cells),
+        }
+    }
+}
+
 /// The old-column projection of a signature row (equivalence-class split
 /// detection).  Canonical exactly like [`Sig`]: if every *old* cell is a
 /// boolean-or-error the projection is the masked word lanes (new columns
 /// zeroed in both lanes, so word equality is old-cell equality); otherwise
-/// it is the compacted old-cell id row.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+/// it is the compacted old-cell id row.  Hashed a word at a time, like
+/// [`Sig`].
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum OldSig {
     /// Masked lanes of a packed (or packable-on-old-columns) row.
     Bits {
@@ -192,6 +245,15 @@ pub enum OldSig {
     },
     /// The old-column cells of an unpackable row, compacted.
     Ids(Box<[Option<u32>]>),
+}
+
+impl Hash for OldSig {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        match self {
+            OldSig::Bits { bits, valid } => write_lanes(state, bits, valid),
+            OldSig::Ids(cells) => write_cells(state, cells),
+        }
+    }
 }
 
 /// The signature-matrix factory of one guess: builds canonical [`Sig`] rows
@@ -553,8 +615,10 @@ impl Interner {
 
 /// The interned argument-id tuple of an application or construction key.
 /// Tuples of up to four arguments (every benchmark component) are stored
-/// inline, so a cache probe allocates nothing.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+/// inline, so a cache probe allocates nothing.  [`ArgsKey::new`] picks the
+/// form by length alone, so the derived equality is slice equality, and the
+/// hash (the length, then two ids per word) reads only the slice.
+#[derive(Debug, Clone, PartialEq, Eq)]
 enum ArgsKey {
     Inline([u32; 4], u8),
     Heap(Box<[u32]>),
@@ -579,10 +643,37 @@ impl ArgsKey {
     }
 }
 
-/// Key of one memoized application or construction: the interned name id of
-/// the component (or constructor), the interned argument ids, and — for
-/// applications — the fuel budget the evaluation ran under.
-type AppKey = (u32, ArgsKey, u64);
+impl Hash for ArgsKey {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        let args = self.as_slice();
+        state.write_usize(args.len());
+        write_id_pairs(state, args, |id| id);
+    }
+}
+
+/// Key of one memoized application: the interned name id of the component,
+/// the interned argument ids, and the fuel budget the evaluation ran under.
+/// The hash is `name << 32 | arity` followed by the argument ids two per
+/// word.  The fuel takes part in equality but not in the hash: a bank sees
+/// one fuel bound in practice, and keys that differ only in fuel stay
+/// distinct entries.
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct AppKey {
+    name: u32,
+    args: ArgsKey,
+    fuel: u64,
+}
+
+impl Hash for AppKey {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        let args = self.args.as_slice();
+        state.write_u64(u64::from(self.name) << 32 | args.len() as u64);
+        write_id_pairs(state, args, |id| id);
+    }
+}
+
+/// Key of one memoized construction: the interned name id of the
+/// constructor and the interned argument ids.
 type CtorKey = (u32, ArgsKey);
 
 /// The persistent term bank of one CEGIS session.
@@ -714,11 +805,11 @@ impl TermBank {
                 if !ok {
                     continue;
                 }
-                let key: AppKey = (
+                let key = AppKey {
                     name,
-                    ArgsKey::new(&probes[p * arity..(p + 1) * arity]),
+                    args: ArgsKey::new(&probes[p * arity..(p + 1) * arity]),
                     fuel,
-                );
+                };
                 if let Some(cached) = apps.get(&key) {
                     hits += 1;
                     results[p] = *cached;
@@ -749,8 +840,9 @@ impl TermBank {
             let interner = self.interner.lock().unwrap();
             pending
                 .iter()
-                .map(|(_, args, _)| {
-                    args.as_slice()
+                .map(|key| {
+                    key.args
+                        .as_slice()
                         .iter()
                         .map(|&id| interner.value_of(id).clone())
                         .collect()
@@ -863,9 +955,7 @@ impl TermBank {
             }
             let app_rows: Vec<(u32, Vec<u32>, u64, Option<u32>)> = apps
                 .iter()
-                .map(|((name, args, fuel), result)| {
-                    (*name, args.as_slice().to_vec(), *fuel, *result)
-                })
+                .map(|(key, result)| (key.name, key.args.as_slice().to_vec(), key.fuel, *result))
                 .collect();
             let ctor_rows: Vec<(u32, Vec<u32>, u32)> = ctors
                 .iter()
@@ -1087,7 +1177,14 @@ impl TermBank {
                         r.as_usize().ok_or_else(|| corrupt("non-numeric result"))? as u32,
                     )?),
                 };
-                apps.insert((name, ArgsKey::new(&args), fuel), result);
+                apps.insert(
+                    AppKey {
+                        name,
+                        args: ArgsKey::new(&args),
+                        fuel,
+                    },
+                    result,
+                );
             }
         }
         {
@@ -1392,6 +1489,81 @@ mod tests {
         let b = bank.make_ctor(wide, &tuple, &ids);
         assert_eq!(a, b);
         assert_ne!(ArgsKey::new(&ids[..2]), ArgsKey::new(&ids[..3]));
+    }
+
+    #[test]
+    fn equal_rows_dedupe_and_distinct_rows_do_not() {
+        let matrix = SigMatrix::new(3, true);
+        let mut rows: HashSet<Sig, IdHashBuilder> = HashSet::default();
+        // Equal rows built separately are one member, in either lane.
+        let ids = || vec![Some(7), None, Some(9)];
+        assert!(rows.insert(matrix.pack(false, ids())));
+        assert!(!rows.insert(matrix.pack(false, ids())));
+        let bools = || vec![Some(TRUE_ID), None, Some(FALSE_ID)];
+        assert!(matches!(matrix.pack(true, bools()), Sig::Bits(_)));
+        assert!(rows.insert(matrix.pack(true, bools())));
+        assert!(!rows.insert(matrix.pack(true, bools())));
+        assert_eq!(rows.len(), 2);
+        // An absent cell hashes like `u32::MAX`, but the rows stay distinct
+        // members.
+        assert!(rows.insert(matrix.pack(false, vec![Some(7), Some(u32::MAX), Some(9)])));
+        assert_eq!(rows.len(), 3);
+        // Id rows of every length up to five (odd lengths leave a lone id).
+        for len in 0..=5 {
+            let row = |tail: u32| -> Sig {
+                Sig::Ids((0..len).map(|w| Some(w + tail)).collect::<Vec<_>>().into())
+            };
+            assert!(rows.insert(row(100)), "length {len}");
+            assert!(!rows.insert(row(100)), "length {len}");
+        }
+        // Old-column projections follow the same contract.
+        let mut old: HashSet<OldSig, IdHashBuilder> = HashSet::default();
+        assert!(old.insert(OldSig::Ids(vec![Some(3), None].into())));
+        assert!(!old.insert(OldSig::Ids(vec![Some(3), None].into())));
+        assert!(old.insert(OldSig::Ids(vec![Some(3), Some(u32::MAX)].into())));
+    }
+
+    #[test]
+    fn applications_under_two_fuel_bounds_are_two_entries() {
+        let bank = TermBank::new();
+        let succ = nat_succ();
+        let name = bank.name_id(&Symbol::new("succ"));
+        let one = bank.intern(&Value::nat(1));
+        let counters = SynthCounters::default();
+        let tyenv = TypeEnv::new();
+        let evaluator = Evaluator::new(&tyenv);
+        for fuel in [100, 200, 100, 200] {
+            let result =
+                bank.apply_batch(&evaluator, name, &succ, fuel, 1, &[one], &[true], &counters);
+            assert_eq!(result[0].map(|id| bank.value_of(id)), Some(Value::nat(2)));
+        }
+        assert_eq!(bank.stats().applications, 2);
+        assert_eq!(load(&counters.bank_hits), 2);
+    }
+
+    #[test]
+    fn heap_argument_keys_are_found_again() {
+        let bank = TermBank::new();
+        let ids: Vec<u32> = (0..5).map(|n| bank.intern(&Value::nat(n))).collect();
+        let mut keys: HashSet<ArgsKey, IdHashBuilder> = HashSet::default();
+        assert!(matches!(ArgsKey::new(&ids), ArgsKey::Heap(_)));
+        assert!(keys.insert(ArgsKey::new(&ids)));
+        assert!(keys.contains(&ArgsKey::new(&ids)));
+        assert!(!keys.contains(&ArgsKey::new(&ids[..4])));
+        // A five-argument application is memoized under its heap key.
+        let sum = Value::native("sum5", 5, |args| {
+            Ok(Value::nat(args.iter().filter_map(Value::as_nat).sum()))
+        });
+        let name = bank.name_id(&Symbol::new("sum5"));
+        let counters = SynthCounters::default();
+        let tyenv = TypeEnv::new();
+        let evaluator = Evaluator::new(&tyenv);
+        for _ in 0..2 {
+            let result = bank.apply_batch(&evaluator, name, &sum, 100, 5, &ids, &[true], &counters);
+            assert_eq!(result[0].map(|id| bank.value_of(id)), Some(Value::nat(10)));
+        }
+        assert_eq!(bank.stats().applications, 1);
+        assert_eq!(load(&counters.bank_hits), 1);
     }
 
     #[test]

@@ -958,7 +958,7 @@ impl<'p> Engine<'p> {
 /// hand out slices (no snapshot clones) while the current size accumulates
 /// in the [`Sieve`]'s staging area.
 struct Pool {
-    layers: HashMap<Type, Vec<Vec<PoolTerm>>>,
+    layers: HashMap<Type, Vec<Vec<PoolTerm>>, IdHashBuilder>,
 }
 
 impl Pool {
@@ -999,16 +999,29 @@ impl Pool {
     }
 
     /// Moves the sieve's staged terms into this pool as the (now immutable)
-    /// layer for `size`.
+    /// layer for `size`.  Each type's layer is set on its own, so the walk
+    /// does not depend on the table's iteration order.
     fn freeze(&mut self, sieve: &mut Sieve, size: usize) {
-        for (ty, staged) in sieve.staging.iter_mut() {
+        for (ty, sieve_layer) in sieve.layers.iter_mut() {
             if let Some(layers) = self.layers.get_mut(ty) {
                 if let Some(layer) = layers.get_mut(size - 1) {
-                    *layer = std::mem::take(staged);
+                    *layer = std::mem::take(&mut sieve_layer.staging);
                 }
             }
         }
     }
+}
+
+/// The per-type state of a [`Sieve`]: one table entry, so a candidate term
+/// costs one `Type` hash.
+#[derive(Default)]
+struct SieveLayer {
+    /// Terms kept at the size currently being generated.
+    staging: Vec<PoolTerm>,
+    /// Signature rows of every kept term.
+    seen: HashSet<Sig, IdHashBuilder>,
+    /// Old-column projections of kept rows (only tracked incrementally).
+    seen_old: HashSet<OldSig, IdHashBuilder>,
 }
 
 /// The deduplication and match-detection state of one guessing pass.
@@ -1025,12 +1038,8 @@ struct Sieve {
     /// Insertion-ordered stratification types (generation must not depend on
     /// `HashMap` iteration order).
     type_order: Vec<Type>,
-    /// Terms kept at the size currently being generated.
-    staging: HashMap<Type, Vec<PoolTerm>>,
-    /// Signature rows of every kept term, per type.
-    seen: HashMap<Type, HashSet<Sig, IdHashBuilder>>,
-    /// Old-column projections of kept rows (only tracked incrementally).
-    seen_old: HashMap<Type, HashSet<OldSig, IdHashBuilder>>,
+    /// Staged terms and seen rows, per type.
+    layers: HashMap<Type, SieveLayer, IdHashBuilder>,
     /// Per world: `true` when the column was already known to the bank.
     old_mask: Vec<bool>,
     /// `old_mask` as bitset lane words (the packed projection mask).
@@ -1059,14 +1068,9 @@ impl Sieve {
         let track_splits = old_mask.iter().any(|&o| o) && old_mask.iter().any(|&o| !o);
         Sieve {
             type_order: types.to_vec(),
-            staging: types.iter().map(|t| (t.clone(), Vec::new())).collect(),
-            seen: types
+            layers: types
                 .iter()
-                .map(|t| (t.clone(), HashSet::default()))
-                .collect(),
-            seen_old: types
-                .iter()
-                .map(|t| (t.clone(), HashSet::default()))
+                .map(|t| (t.clone(), SieveLayer::default()))
                 .collect(),
             old_mask_words: matrix.mask_words(&old_mask),
             old_mask,
@@ -1103,32 +1107,19 @@ impl Sieve {
         if self.matched.is_some() {
             return;
         }
-        let Some(staged) = self.staging.get(ty) else {
+        let Some(layer) = self.layers.get_mut(ty) else {
             return;
         };
         self.terms += 1;
         if arith {
             self.arith += 1;
         }
-        if staged.len() >= self.max_per_layer {
-            return;
-        }
-        if !self
-            .seen
-            .get_mut(ty)
-            .expect("seen table mirrors staging table")
-            .insert(sig.clone())
-        {
+        if layer.staging.len() >= self.max_per_layer || !layer.seen.insert(sig.clone()) {
             return;
         }
         if self.track_splits {
             let projection = matrix.project(&sig, &self.old_mask_words, &self.old_mask);
-            if !self
-                .seen_old
-                .get_mut(ty)
-                .expect("seen_old table mirrors staging table")
-                .insert(projection)
-            {
+            if !layer.seen_old.insert(projection) {
                 self.splits += 1;
             }
         }
@@ -1136,13 +1127,10 @@ impl Sieve {
             self.matched = Some(make_expr());
             return;
         }
-        self.staging
-            .get_mut(ty)
-            .expect("staging entry checked above")
-            .push(PoolTerm {
-                expr: make_expr(),
-                sig,
-            });
+        layer.staging.push(PoolTerm {
+            expr: make_expr(),
+            sig,
+        });
     }
 }
 
