@@ -4,7 +4,7 @@
 //! Usage:
 //!
 //! ```text
-//! cargo run -p hanoi-bench --release --bin figure7 [-- --quick] [-- --timeout <secs>] [-- --parallelism <n>] [-- --out <path>] [-- --warm-dir <dir>] [-- --benchmark <id>]...
+//! cargo run -p hanoi-bench --release --bin figure7 [-- --quick] [-- --timeout <secs>] [-- --out <path>] [-- --warm-dir <dir>] [-- --benchmark <id>]...
 //! ```
 //!
 //! `--quick` runs the fast subset with reduced verifier bounds (a smoke run);

@@ -10,7 +10,7 @@
 //! Usage:
 //!
 //! ```text
-//! cargo run -p hanoi-bench --release --bin figure8 [-- --quick] [-- --timeout <secs>] [-- --parallelism <n>] [-- --out <path>] [-- --warm-dir <dir>] [-- --benchmark <id>]...
+//! cargo run -p hanoi-bench --release --bin figure8 [-- --quick] [-- --timeout <secs>] [-- --out <path>] [-- --warm-dir <dir>] [-- --benchmark <id>]...
 //! ```
 //!
 //! With `--warm-dir`, every fresh engine restores the problem's snapshot

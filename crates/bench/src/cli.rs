@@ -16,8 +16,6 @@ pub struct HarnessArgs {
     pub quick: bool,
     /// `--timeout <secs>`: per-benchmark wall-clock budget override.
     pub timeout: Option<Duration>,
-    /// `--parallelism <n>`: verifier worker threads.
-    pub parallelism: usize,
     /// `--out <path>`: where to write the JSON rows.
     pub out: Option<String>,
     /// `--warm-dir <path>`: the warm-start store.  Every engine the harness
@@ -51,7 +49,6 @@ impl HarnessArgs {
         let mut parsed = HarnessArgs {
             quick: default_quick,
             timeout: None,
-            parallelism: 1,
             out: None,
             warm_dir: None,
             benchmark_filter: Vec::new(),
@@ -66,7 +63,6 @@ impl HarnessArgs {
                 "--timeout" => {
                     parsed.timeout = Some(Duration::from_secs(parse_value(flag, value()?)?))
                 }
-                "--parallelism" => parsed.parallelism = parse_value(flag, value()?)?,
                 "--out" => parsed.out = Some(value()?.clone()),
                 "--warm-dir" => parsed.warm_dir = Some(value()?.clone()),
                 "--benchmark" => parsed.benchmark_filter.push(value()?.clone()),
@@ -92,7 +88,6 @@ impl HarnessArgs {
         if let Some(timeout) = self.timeout {
             harness.timeout = timeout;
         }
-        harness.parallelism = self.parallelism;
         harness.warm_dir = self.warm_dir.clone();
         harness
     }
@@ -120,8 +115,8 @@ impl HarnessArgs {
 }
 
 /// The flags [`HarnessArgs::from_args`] accepts, as its error lists them.
-const ACCEPTED_FLAGS: &str = "--quick, --full, --timeout <secs>, --parallelism <n>, \
-    --out <path>, --warm-dir <path>, --benchmark <id>";
+const ACCEPTED_FLAGS: &str =
+    "--quick, --full, --timeout <secs>, --out <path>, --warm-dir <path>, --benchmark <id>";
 
 /// `raw` parsed as the value of `flag`, or an error naming the flag.
 fn parse_value<T: FromStr>(flag: &str, raw: &str) -> Result<T, String> {
@@ -140,32 +135,21 @@ mod tests {
     #[test]
     fn flags_parse_and_default() {
         let args = HarnessArgs::from_args(
-            &strings(&[
-                "--quick",
-                "--timeout",
-                "7",
-                "--parallelism",
-                "3",
-                "--out",
-                "x.json",
-            ]),
+            &strings(&["--quick", "--timeout", "7", "--out", "x.json"]),
             false,
         )
         .unwrap();
         assert!(args.quick);
         assert_eq!(args.timeout, Some(Duration::from_secs(7)));
-        assert_eq!(args.parallelism, 3);
         assert_eq!(args.out_or("d.json"), "x.json");
         assert_eq!(args.warm_dir, None);
         let harness = args.harness();
         assert_eq!(harness.timeout, Duration::from_secs(7));
         assert!(!harness.paper_bounds);
-        assert_eq!(harness.parallelism, 3);
         assert_eq!(harness.warm_dir, None);
 
         let defaults = HarnessArgs::from_args(&strings(&[]), true).unwrap();
         assert!(defaults.quick);
-        assert_eq!(defaults.parallelism, 1);
         assert_eq!(defaults.out_or("d.json"), "d.json");
         assert!(!defaults.benchmarks().is_empty());
 
@@ -200,8 +184,8 @@ mod tests {
 
     #[test]
     fn bad_numeric_values_are_errors_naming_the_flag() {
-        let err = HarnessArgs::from_args(&strings(&["--parallelism", "x"]), true).unwrap_err();
-        assert!(err.contains("--parallelism"), "{err}");
+        let err = HarnessArgs::from_args(&strings(&["--timeout", "x"]), true).unwrap_err();
+        assert!(err.contains("--timeout"), "{err}");
         let err = HarnessArgs::from_args(&strings(&["--timeout", "-1"]), true).unwrap_err();
         assert!(err.contains("--timeout"), "{err}");
         let err = HarnessArgs::from_args(&strings(&["--quick", "--timeout"]), true).unwrap_err();
@@ -212,7 +196,7 @@ mod tests {
     fn unknown_arguments_are_errors_listing_the_accepted_flags() {
         for (args, culprit) in [
             (&["--help"][..], "--help"),
-            (&["--paralelism", "2"][..], "--paralelism"),
+            (&["--parallelism", "2"][..], "--parallelism"),
             (&["--quick", "stray"][..], "stray"),
         ] {
             let err = HarnessArgs::from_args(&strings(args), true).unwrap_err();

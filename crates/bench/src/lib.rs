@@ -158,10 +158,6 @@ pub struct HarnessConfig {
     pub timeout: Duration,
     /// Use the paper's verifier bounds (`false` = reduced "quick" bounds).
     pub paper_bounds: bool,
-    /// Verifier worker threads (`1` = serial like the paper, `0` = one
-    /// worker per available core). Outcomes are identical either way; only
-    /// the wall-clock columns change.
-    pub parallelism: usize,
     /// The warm-start store directory (`--warm-dir`): every engine built by
     /// [`HarnessConfig::engine`] restores per-problem snapshots from it, and
     /// the binaries save state back into it on exit, so re-invoking a
@@ -177,7 +173,6 @@ impl HarnessConfig {
         HarnessConfig {
             timeout: Duration::from_secs(20),
             paper_bounds: false,
-            parallelism: 1,
             warm_dir: None,
         }
     }
@@ -188,21 +183,14 @@ impl HarnessConfig {
         HarnessConfig {
             timeout: Duration::from_secs(300),
             paper_bounds: true,
-            parallelism: 1,
             warm_dir: None,
         }
-    }
-
-    /// Sets the verifier worker-thread count.
-    pub fn with_parallelism(mut self, parallelism: usize) -> Self {
-        self.parallelism = parallelism;
-        self
     }
 
     /// Builds the engine for one experiment run, attached to the warm-start
     /// store when one is configured.
     pub fn engine(&self) -> Engine {
-        let mut config = hanoi::EngineConfig::default().with_parallelism(self.parallelism);
+        let mut config = hanoi::EngineConfig::default();
         if let Some(dir) = &self.warm_dir {
             config = config.with_warm_start_dir(dir);
         }

@@ -91,7 +91,10 @@ pub fn figure8_series(rows: &[Row], thresholds: &[f64]) -> String {
     }
     out.push_str(&format!("{:<12}", "Mode"));
     for t in thresholds {
-        out.push_str(&format!(" {:>8}", format!("<={t:.0}s")));
+        // Hundredths, without trailing zeros: `0.1`, `0.35`, `10`.
+        let fixed = format!("{t:.2}");
+        let secs = fixed.trim_end_matches('0').trim_end_matches('.');
+        out.push_str(&format!(" {:>8}", format!("<={secs}s")));
     }
     out.push('\n');
     out.push_str(&"-".repeat(12 + 9 * thresholds.len()));
@@ -172,6 +175,12 @@ mod tests {
         let series = figure8_series(&rows, &[1.0, 10.0, 100.0]);
         assert!(series.contains("Hanoi"));
         assert!(series.contains("<=10s"));
+        // Fractions of a 7 s timeout, as `figure8` makes its thresholds.
+        let sub_second = figure8_series(&rows, &[0.1, 0.05 * 7.0, 0.5, 1.0, 10.0]);
+        for label in ["<=0.1s", "<=0.35s", "<=0.5s", "<=1s", "<=10s"] {
+            assert!(sub_second.contains(label), "{label} in {sub_second}");
+        }
+        assert!(!sub_second.contains("<=0s"), "{sub_second}");
 
         let summary = completion_summary(&rows);
         assert!(summary.contains("1/2 completed"));

@@ -4,15 +4,14 @@
 //! of the `run_with` entry points); cancelling it from another thread makes
 //! the run abort with [`crate::Outcome::Cancelled`] at its next cancellation
 //! point.  There is no dedicated polling machinery: the token rides inside
-//! the run's [`hanoi_lang::util::Deadline`], so every place the verifier's
-//! and the synthesizer's (possibly parallel) workers already poll the
-//! deadline — per enumerated tuple batch, per synthesis layer — doubles as a
+//! the run's [`hanoi_lang::util::Deadline`], so every place the verifier
+//! and the synthesizer already poll the deadline — per enumerated tuple batch, per synthesis layer — doubles as a
 //! cancellation point.  This replaces the previous timeout-only interruption
 //! model: a run can now be stopped for external reasons (client disconnect,
 //! shed load, a batch sibling already answered) without waiting for its
 //! wall-clock budget.
 //!
-//! Cancellation is cooperative and prompt, not instantaneous: a worker
+//! Cancellation is cooperative and prompt, not instantaneous: a run
 //! mid-evaluation finishes its current value first.  It is also permanent —
 //! a cancelled token cannot be re-armed; use a fresh token per run (tokens
 //! are cheap: one shared atomic).

@@ -162,19 +162,17 @@ impl std::error::Error for ConfigError {}
 /// [`crate::Engine`] owns, fixed for the engine's lifetime.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EngineConfig {
-    /// Worker threads for every parallel stage (bounded verification, pool
-    /// slab construction, synthesis layer evaluation, batch execution).
-    /// This is the only parallelism setting: every run hands it to its
-    /// verifier and its synthesizer.
+    /// Worker threads for [`crate::Engine::run_batch`], which runs the jobs
+    /// of one batch side by side.  Every inference run executes on one
+    /// thread, so the setting changes nothing else.
     ///
-    /// * `1` (the default) runs serially, like the paper's implementation.
+    /// * `1` (the default) runs a batch's jobs one after another.
     /// * `0` uses one worker per available core.
     /// * Any other value is taken literally.
     ///
-    /// Every value is outcome-identical: parallel stages are deterministic
-    /// by construction (pinned by `tests/parallel_determinism.rs` and
-    /// `tests/synth_incremental_equivalence.rs`), so the setting trades wall
-    /// clock, never answers.
+    /// Every value is outcome-identical (pinned by
+    /// `tests/parallel_determinism.rs`): it trades wall clock, never
+    /// answers.
     pub parallelism: usize,
     /// How many distinct problems the engine keeps warm caches (value pools,
     /// term banks) for.  When a new problem would exceed the budget, the
@@ -211,8 +209,8 @@ impl EngineConfig {
         EngineConfig::default()
     }
 
-    /// Sets the worker-thread count (`1` = serial, `0` = one worker per
-    /// available core).
+    /// Sets the [`crate::Engine::run_batch`] worker count (`1` = one job at
+    /// a time, `0` = one worker per available core).
     pub fn with_parallelism(mut self, parallelism: usize) -> Self {
         self.parallelism = parallelism;
         self
@@ -380,7 +378,7 @@ mod tests {
         assert_eq!(options.timeout, Some(Duration::from_secs(1800)));
         assert!(options.optimizations.synthesis_result_caching);
         assert!(options.optimizations.counterexample_list_caching);
-        // The paper's implementation is serial; parallelism is opt-in.
+        // The paper's implementation is serial; batch parallelism is opt-in.
         assert_eq!(EngineConfig::default().parallelism, 1);
     }
 

@@ -60,7 +60,7 @@ impl<'p, 'o> InferenceContext<'p, 'o> {
     /// Assembles a context from externally owned parts — the constructor the
     /// [`crate::Session`] uses to hand a run warm caches, an observer and a
     /// cancellation token.  `deadline` must already carry `cancel` (when
-    /// given) so the verifier and synthesizer workers poll it; `bank` must
+    /// given) so the verifier and synthesizer poll it; `bank` must
     /// belong to `problem` and the synthesizer's back end.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn from_parts(
@@ -97,22 +97,12 @@ impl<'p, 'o> InferenceContext<'p, 'o> {
         ctx
     }
 
-    /// Builds the configured synthesizer with the engine-wide worker count,
-    /// so synthesis-side layer construction uses the same worker pool size
-    /// as the verifier.
-    pub fn make_synthesizer(options: &RunOptions, parallelism: usize) -> Box<dyn Synthesizer> {
+    /// Builds the configured synthesizer.
+    pub fn make_synthesizer(options: &RunOptions) -> Box<dyn Synthesizer> {
         let search = options.search.clone();
         match options.synthesizer {
-            SynthChoice::Myth => Box::new(
-                MythSynth::new()
-                    .with_config(search)
-                    .with_parallelism(parallelism),
-            ),
-            SynthChoice::Fold => Box::new(
-                FoldSynth::new()
-                    .with_config(search)
-                    .with_parallelism(parallelism),
-            ),
+            SynthChoice::Myth => Box::new(MythSynth::new().with_config(search)),
+            SynthChoice::Fold => Box::new(FoldSynth::new().with_config(search)),
         }
     }
 
@@ -406,7 +396,7 @@ mod tests {
         let verifier = Verifier::new(problem)
             .with_bounds(options.bounds)
             .with_deadline(deadline.clone());
-        let synthesizer = InferenceContext::make_synthesizer(&options, 1);
+        let synthesizer = InferenceContext::make_synthesizer(&options);
         InferenceContext::from_parts(
             problem,
             options,

@@ -387,30 +387,18 @@ impl Engine {
         self.session(problem).run(options)
     }
 
-    /// Executes many runs, parallelized over the engine's worker threads
-    /// (the [`EngineConfig::parallelism`] knob), and returns their results
-    /// in the order of `jobs` — the result order is deterministic regardless
-    /// of scheduling, and each run is itself outcome-deterministic, so a
-    /// batch is reproducible end to end.
-    ///
-    /// The worker budget is spent at the *batch* level: when several jobs
-    /// run concurrently, each job's verifier and synthesizer run serially
-    /// (otherwise an N-worker engine would put N×N runnable threads on N
-    /// cores).  Outcomes never depend on the split.  Jobs over the same
-    /// problem share that problem's warm caches, exactly like sequential
-    /// sessions would, and each job's statistics count only its own work.
+    /// Executes many runs, side by side on the engine's worker threads (the
+    /// [`EngineConfig::parallelism`] knob), and returns their results in the
+    /// order of `jobs` — the result order is deterministic regardless of
+    /// scheduling, and each run is itself deterministic, so a batch is
+    /// reproducible end to end.  Each run executes on one thread.  Jobs
+    /// over the same problem share that problem's warm caches, exactly like
+    /// sequential sessions would, and each job's statistics count only its
+    /// own work.
     pub fn run_batch(&self, jobs: &[BatchJob<'_>]) -> Vec<RunResult> {
-        let workers =
-            hanoi_lang::parallel::effective_workers(self.config.parallelism).min(jobs.len());
-        // Inner parallelism only when the batch itself is not parallel.
-        let inner = if workers > 1 {
-            1
-        } else {
-            self.config.parallelism
-        };
+        let workers = hanoi_lang::parallel::effective_workers(self.config.parallelism);
         hanoi_lang::parallel::par_map(jobs, workers, |job| {
-            self.session(job.problem)
-                .run_with_parallelism(&job.options, None, None, inner)
+            self.session(job.problem).run(&job.options)
         })
     }
 

@@ -90,19 +90,6 @@ impl<'e, 'p> Session<'e, 'p> {
         observer: Option<&mut dyn RunObserver>,
         cancel: Option<CancelToken>,
     ) -> RunResult {
-        self.run_with_parallelism(options, observer, cancel, self.engine.config().parallelism)
-    }
-
-    /// [`Session::run_with`] with an explicit worker count — used by
-    /// [`Engine::run_batch`] to spend the worker budget at the batch level
-    /// instead of multiplying it inside every job.
-    pub(crate) fn run_with_parallelism(
-        &self,
-        options: &RunOptions,
-        observer: Option<&mut dyn RunObserver>,
-        cancel: Option<CancelToken>,
-        parallelism: usize,
-    ) -> RunResult {
         if let Err(error) = options.validate() {
             return RunResult::new(
                 Outcome::SynthesisFailure(format!("invalid run options: {error}")),
@@ -122,10 +109,9 @@ impl<'e, 'p> Session<'e, 'p> {
         let verifier = Verifier::new(self.problem)
             .with_bounds(options.bounds)
             .with_deadline(deadline.clone())
-            .with_parallelism(parallelism)
             .with_pool_cache(self.caches.pools())
             .with_check_cache(self.caches.checks());
-        let synthesizer = InferenceContext::make_synthesizer(options, parallelism);
+        let synthesizer = InferenceContext::make_synthesizer(options);
 
         let ctx = InferenceContext::from_parts(
             self.problem,

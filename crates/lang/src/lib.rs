@@ -32,8 +32,8 @@
 //!   paper's "Size" column measures invariants in AST nodes);
 //! * [`digest`] — stable, interner-independent structural fingerprints of
 //!   expressions, values and types, the keys of every disk-persistable cache;
-//! * [`parallel`] — deterministic scoped-thread search, map and filter
-//!   primitives whose results equal a serial run's;
+//! * [`parallel`] — the order-preserving scoped-thread map that runs the
+//!   jobs of one batch side by side;
 //! * [`json`] — a dependency-free JSON reader/writer (the build environment
 //!   is offline, so `serde` is unavailable), including the structural
 //!   encoding of first-order [`value::Value`]s that cache snapshots use.

@@ -6,9 +6,9 @@
 //! never-freed name, so copying or dropping one touches no reference count
 //! and no allocator.  A process-wide intern table makes every construction
 //! of the same name (e.g. `"Cons"` during enumeration of tens of thousands of
-//! values) return the same handle across *all* threads — the parallel
-//! verifier hands values and expressions freely between workers, so `Symbol`
-//! is `Send + Sync`.  Interned names live for the rest of the process; the
+//! values) return the same handle across *all* threads — concurrent runs share
+//! values and expressions through the engine's caches, so `Symbol` is
+//! `Send + Sync`.  Interned names live for the rest of the process; the
 //! set of names a run ever sees is small and fixed by its sources.
 //!
 //! Equality is handle identity, which agrees with equality by content

@@ -5,9 +5,8 @@
 //! ```text
 //! hanoi_serve [--addr HOST:PORT] [--workers N] [--queue N] [--quota N]
 //!             [--rate PER_SEC] [--burst N] [--grace-secs N]
-//!             [--config FILE] [--parallelism N] [--warm-dir DIR]
-//!             [--watchdog-secs N] [--drain-secs N] [--max-conns N]
-//!             [--proxy-protocol] [--chaos]
+//!             [--config FILE] [--warm-dir DIR] [--watchdog-secs N]
+//!             [--drain-secs N] [--max-conns N] [--proxy-protocol] [--chaos]
 //! ```
 //!
 //! SIGTERM or SIGINT triggers a graceful drain: stop admitting, finish (or
@@ -58,16 +57,15 @@ extern "C" fn on_reload(_signum: i32) {
 
 /// The flags [`parse_args`] accepts, as its error lists them.
 const ACCEPTED_FLAGS: &str = "--addr <host:port>, --workers <n>, --queue <n>, --quota <n>, \
-    --rate <per-sec>, --burst <n>, --grace-secs <n>, --config <file>, --parallelism <n>, \
-    --warm-dir <dir>, --watchdog-secs <n>, --drain-secs <n>, --max-conns <n>, \
-    --proxy-protocol, --chaos";
+    --rate <per-sec>, --burst <n>, --grace-secs <n>, --config <file>, --warm-dir <dir>, \
+    --watchdog-secs <n>, --drain-secs <n>, --max-conns <n>, --proxy-protocol, --chaos";
 
 /// Parses the command line into the listen address and the server
 /// configuration.  An unknown argument, a flag missing its value and a
 /// value that does not parse are errors naming the argument.
 fn parse_args(args: &[String]) -> Result<(String, ServerConfig), String> {
     let mut addr = "127.0.0.1:7077".to_string();
-    let mut engine = EngineConfig::default().with_parallelism(1);
+    let mut engine = EngineConfig::default();
     let mut config = ServerConfig::default();
     let mut rate: Option<f64> = None;
     let mut burst = config.tunables.rate_burst;
@@ -83,7 +81,6 @@ fn parse_args(args: &[String]) -> Result<(String, ServerConfig), String> {
             "--burst" => burst = parse_value(flag, value()?)?,
             "--grace-secs" => config = config.with_disconnect_grace(secs(flag, value()?)?),
             "--config" => config = config.with_config_path(value()?),
-            "--parallelism" => engine = engine.with_parallelism(parse_value(flag, value()?)?),
             "--warm-dir" => engine = engine.with_warm_start_dir(value()?),
             "--watchdog-secs" => config = config.with_watchdog(secs(flag, value()?)?),
             "--drain-secs" => config = config.with_drain_timeout(secs(flag, value()?)?),
@@ -233,8 +230,6 @@ mod tests {
             "11",
             "--max-conns",
             "13",
-            "--parallelism",
-            "4",
             "--warm-dir",
             "/tmp/warm",
             "--config",
@@ -253,7 +248,6 @@ mod tests {
         assert_eq!(config.tunables.watchdog, Duration::from_secs(9));
         assert_eq!(config.drain_timeout, Duration::from_secs(11));
         assert_eq!(config.max_connections, 13);
-        assert_eq!(config.engine.parallelism, 4);
         assert_eq!(
             config.engine.warm_start_dir.as_deref(),
             Some(std::path::Path::new("/tmp/warm"))
@@ -271,6 +265,7 @@ mod tests {
         for (args, named) in [
             (&["--workers", "nope"][..], "--workers"),
             (&["--quue", "4"][..], "\"--quue\""),
+            (&["--parallelism", "2"][..], "\"--parallelism\""),
             (&["--queue"][..], "--queue"),
             (&["--rate", "fast"][..], "--rate"),
             (&["--grace-secs", "-1"][..], "--grace-secs"),

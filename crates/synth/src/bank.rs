@@ -46,22 +46,21 @@
 //!   schedule entries, CEGIS iterations and — via the snapshot — processes;
 //! * **batched probes** — [`TermBank::apply_batch`] answers a whole
 //!   component×split batch of signature probes with one lock round-trip per
-//!   table instead of one per probe, which is what keeps parallel guess
-//!   workers off each other's locks.
+//!   table instead of one per probe.
 //!
 //! The bank holds state only.  The work of a `synthesize` call (terms
 //! enumerated, column appends, bank hits, …) is counted in the
 //! [`SynthCounters`] its caller passes, so runs that share a bank each
 //! count their own work.
 //!
-//! The bank is owned by the CEGIS session (each synthesizer instance holds
-//! one across all of its `synthesize` calls) and is safe to share with the
-//! engine's parallel per-size layer construction: the stores sit behind
-//! mutexes with short critical sections, and concurrent misses for the same
-//! key simply evaluate the same pure function twice.  Which `u32` a value
-//! interns to may differ between runs, but every engine decision depends
-//! only on id *equality* within one bank, so outcomes are identical across
-//! worker counts.
+//! The engine keeps one bank per problem and synthesizer back end, shared
+//! by every run of that problem, including runs on other threads (a
+//! `run_batch` or the server): the stores sit behind mutexes with short
+//! critical sections, and concurrent misses for the same key simply
+//! evaluate the same pure function twice.  Which `u32` a value interns to
+//! may differ between runs, but every engine decision depends only on id
+//! *equality* within one bank, so outcomes do not depend on which run
+//! interned a value first.
 
 use std::collections::{HashMap, HashSet};
 use std::hash::{Hash, Hasher};
@@ -264,8 +263,7 @@ impl Hash for OldSig {
 /// stays in the id-row fallback lane — the pre-bitset representation, kept
 /// as a test oracle.
 ///
-/// The matrix is shared by reference with parallel guess workers; the op
-/// counter is atomic and all methods take `&self`.
+/// All methods take `&self`; the op counter is atomic.
 #[derive(Debug)]
 pub struct SigMatrix {
     width: usize,

@@ -22,7 +22,7 @@
 //! still separates them — this preserves the `Synth` soundness contract even
 //! where trace completeness was imperfect.
 //!
-//! # Incremental, parallel guessing
+//! # Incremental guessing
 //!
 //! Guessing is backed by a persistent [`TermBank`] (see [`crate::bank`]):
 //!
@@ -32,10 +32,7 @@
 //!   for that example's *column* of the signature matrix;
 //! * component-application batches (one `compositions` split × cartesian
 //!   product of argument layers) are evaluated through
-//!   [`TermBank::apply_batch`] — one bank-lock round-trip per batch — and
-//!   chunked across [`hanoi_lang::parallel::par_map`] workers, with
-//!   results merged back in enumeration order: a parallel guess returns
-//!   byte-identical predicates to a serial one;
+//!   [`TermBank::apply_batch`] — one bank-lock round-trip per batch;
 //! * boolean signature rows are packed `u64` bitset lanes
 //!   ([`crate::bank::SigMatrix`]), so deduplication, target matching and the
 //!   boolean connectives are word-parallel integer operations; rows over
@@ -58,7 +55,6 @@ use hanoi_abstraction::Problem;
 use hanoi_lang::ast::{Expr, MatchArm, Pattern};
 use hanoi_lang::digest::{Digest, DigestBuilder};
 use hanoi_lang::eval::Fuel;
-use hanoi_lang::parallel::{effective_workers, par_map};
 use hanoi_lang::resolve::resolve;
 use hanoi_lang::symbol::Symbol;
 use hanoi_lang::types::{Type, TypeEnv};
@@ -73,13 +69,6 @@ use crate::examples::ExampleSet;
 pub const REC_NAME: &str = "inv";
 /// The name of the predicate's argument.
 pub const ARG_NAME: &str = "x";
-
-/// Minimum component-application batch size worth fanning out to the scoped
-/// thread pool.  `par_map` spawns and joins fresh OS threads per call (tens
-/// of microseconds), and a warm-bank batch cell costs ~0.1µs, so small
-/// batches — the overwhelmingly common case at small term sizes — are
-/// evaluated inline.
-const PAR_BATCH_MIN: usize = 64;
 
 /// An additional component made available to the search (used by
 /// [`crate::FoldSynth`] for the auxiliary catamorphisms it synthesizes
@@ -193,26 +182,12 @@ struct WorldRow {
 pub struct Engine<'p> {
     problem: &'p Problem,
     config: SearchConfig,
-    parallelism: usize,
 }
 
 impl<'p> Engine<'p> {
-    /// Creates a serial engine for `problem` with the given configuration.
+    /// Creates an engine for `problem` with the given configuration.
     pub fn new(problem: &'p Problem, config: SearchConfig) -> Self {
-        Engine {
-            problem,
-            config,
-            parallelism: 1,
-        }
-    }
-
-    /// Sets the worker-thread count for per-size layer construction: `1`
-    /// (the default) is serial, `0` one worker per available core, any other
-    /// value is taken literally.  The inference driver passes its
-    /// engine-wide count.  Every count returns the same predicate.
-    pub fn with_parallelism(mut self, parallelism: usize) -> Self {
-        self.parallelism = parallelism;
-        self
+        Engine { problem, config }
     }
 
     /// Synthesizes a predicate of type `τc -> bool` consistent with
@@ -593,8 +568,7 @@ impl<'p> Engine<'p> {
     }
 
     /// Bottom-up, observational-equivalence-pruned term guessing, with
-    /// whole-outcome memoization, bank-memoized signature evaluation and
-    /// parallel per-size layer construction.
+    /// whole-outcome memoization and bank-memoized signature evaluation.
     ///
     /// The memo is sound because a guess outcome (and its term/split
     /// counters) is a deterministic function of exactly what
@@ -685,7 +659,6 @@ impl<'p> Engine<'p> {
         let tyenv = &self.problem.tyenv;
         let evaluator = self.problem.evaluator();
         let bool_ty = Type::bool();
-        let workers = effective_workers(self.parallelism);
         // Iterate types in stratification order (HashMap iteration order is
         // nondeterministic; generation must not be).
         let types = sieve.type_order.clone();
@@ -758,10 +731,7 @@ impl<'p> Engine<'p> {
             // signature evaluation runs the interpreter.  Each
             // (component, size split) batch is answered by one
             // `TermBank::apply_batch` call — one lock round-trip per bank
-            // table for the whole batch.  Parallel workers take contiguous
-            // chunks of the choice list (one batch each, flattened back in
-            // enumeration order), so parallel guessing stays deterministic
-            // and workers stay off each other's locks.
+            // table for the whole batch.
             for component in components {
                 let k = component.arg_tys.len();
                 if size < 1 + 2 * k || !pool.has_type(&component.ret_ty) {
@@ -777,51 +747,36 @@ impl<'p> Engine<'p> {
                         choices.push(choice.to_vec());
                         ControlFlow::Continue(())
                     });
-                    let eval_chunk = |chunk: &[Vec<&PoolTerm>]| -> Vec<Sig> {
-                        let width = worlds.len();
-                        let mut probes = vec![0u32; chunk.len() * width * k];
-                        let mut valid = vec![true; chunk.len() * width];
-                        for (c, choice) in chunk.iter().enumerate() {
-                            for w in 0..width {
-                                let p = c * width + w;
-                                for (slot, term) in choice.iter().enumerate() {
-                                    match term.sig.cell(w) {
-                                        Some(id) => probes[p * k + slot] = id,
-                                        None => {
-                                            valid[p] = false;
-                                            break;
-                                        }
+                    let width = worlds.len();
+                    let mut probes = vec![0u32; choices.len() * width * k];
+                    let mut valid = vec![true; choices.len() * width];
+                    for (c, choice) in choices.iter().enumerate() {
+                        for w in 0..width {
+                            let p = c * width + w;
+                            for (slot, term) in choice.iter().enumerate() {
+                                match term.sig.cell(w) {
+                                    Some(id) => probes[p * k + slot] = id,
+                                    None => {
+                                        valid[p] = false;
+                                        break;
                                     }
                                 }
                             }
                         }
-                        let results = bank.apply_batch(
-                            &evaluator,
-                            component.bank_id,
-                            &component.value,
-                            self.config.fuel,
-                            k,
-                            &probes,
-                            &valid,
-                            counters,
-                        );
-                        (0..chunk.len())
-                            .map(|c| {
-                                matrix
-                                    .pack(boolean_ret, results[c * width..(c + 1) * width].to_vec())
-                            })
-                            .collect()
-                    };
-                    let rows: Vec<Sig> = if workers > 1 && choices.len() >= PAR_BATCH_MIN {
-                        let chunk_len = choices.len().div_ceil(workers);
-                        let chunks: Vec<&[Vec<&PoolTerm>]> = choices.chunks(chunk_len).collect();
-                        par_map(&chunks, workers, |chunk| eval_chunk(chunk))
-                            .into_iter()
-                            .flatten()
-                            .collect()
-                    } else {
-                        eval_chunk(&choices)
-                    };
+                    }
+                    let results = bank.apply_batch(
+                        &evaluator,
+                        component.bank_id,
+                        &component.value,
+                        self.config.fuel,
+                        k,
+                        &probes,
+                        &valid,
+                        counters,
+                    );
+                    let rows = (0..choices.len()).map(|c| {
+                        matrix.pack(boolean_ret, results[c * width..(c + 1) * width].to_vec())
+                    });
                     for (choice, sig) in choices.iter().zip(rows) {
                         sieve.add_tagged(matrix, &component.ret_ty, sig, component.arith, || {
                             Expr::apps(
@@ -1137,6 +1092,8 @@ impl Sieve {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hanoi_lang::parallel::par_map;
+    use std::sync::Barrier;
 
     const LIST_SET: &str = r#"
         type nat = O | S of nat
@@ -1284,13 +1241,23 @@ mod tests {
         )
         .unwrap();
         let examples = trace_completed(&problem, examples);
-        let serial =
-            synthesize_fresh(&Engine::new(&problem, SearchConfig::default()), &examples).unwrap();
-        for parallelism in [2usize, 0] {
-            let engine =
-                Engine::new(&problem, SearchConfig::default()).with_parallelism(parallelism);
-            let parallel = synthesize_fresh(&engine, &examples).unwrap();
-            assert_eq!(parallel, serial, "parallelism={parallelism}");
+        let engine = Engine::new(&problem, SearchConfig::default());
+        let serial = synthesize_fresh(&engine, &examples).unwrap();
+        // Runs of one problem side by side (as `run_batch` and the server
+        // make them) guess through one shared bank.
+        let bank = TermBank::new();
+        // With one worker per item, `par_map` hands each worker one item,
+        // so the barrier starts every guess at once.
+        let start = Barrier::new(3);
+        let guesses = par_map(&[(); 3], 3, |_| {
+            start.wait();
+            let counters = SynthCounters::default();
+            engine
+                .synthesize_with_bank(&bank, &counters, &examples, &Deadline::none())
+                .unwrap()
+        });
+        for guess in guesses {
+            assert_eq!(guess, serial);
         }
     }
 

@@ -55,7 +55,6 @@ const SAMPLE_SIZE: usize = 9;
 #[derive(Debug, Clone)]
 pub struct FoldSynth {
     config: SearchConfig,
-    parallelism: usize,
 }
 
 impl Default for FoldSynth {
@@ -65,24 +64,16 @@ impl Default for FoldSynth {
 }
 
 impl FoldSynth {
-    /// A serial fold synthesizer with the default search schedule.
+    /// A fold synthesizer with the default search schedule.
     pub fn new() -> Self {
         FoldSynth {
             config: SearchConfig::default(),
-            parallelism: 1,
         }
     }
 
     /// Overrides the main search configuration.
     pub fn with_config(mut self, config: SearchConfig) -> Self {
         self.config = config;
-        self
-    }
-
-    /// Sets the worker-thread count for layer construction (see
-    /// [`Engine::with_parallelism`]).
-    pub fn with_parallelism(mut self, parallelism: usize) -> Self {
-        self.parallelism = parallelism;
         self
     }
 
@@ -330,9 +321,7 @@ impl Synthesizer for FoldSynth {
     ) -> Result<Expr, SynthError> {
         let mut config = self.config.clone();
         config.extra_components = self.helper_folds(problem);
-        Engine::new(problem, config)
-            .with_parallelism(self.parallelism)
-            .synthesize_with_bank(bank, counters, examples, deadline)
+        Engine::new(problem, config).synthesize_with_bank(bank, counters, examples, deadline)
     }
 }
 

@@ -21,7 +21,6 @@ use crate::traits::Synthesizer;
 #[derive(Debug, Clone)]
 pub struct MythSynth {
     config: SearchConfig,
-    parallelism: usize,
 }
 
 impl Default for MythSynth {
@@ -31,24 +30,16 @@ impl Default for MythSynth {
 }
 
 impl MythSynth {
-    /// A serial synthesizer with the default search schedule.
+    /// A synthesizer with the default search schedule.
     pub fn new() -> Self {
         MythSynth {
             config: SearchConfig::default(),
-            parallelism: 1,
         }
     }
 
     /// Overrides the search configuration.
     pub fn with_config(mut self, config: SearchConfig) -> Self {
         self.config = config;
-        self
-    }
-
-    /// Sets the worker-thread count for layer construction (see
-    /// [`Engine::with_parallelism`]).
-    pub fn with_parallelism(mut self, parallelism: usize) -> Self {
-        self.parallelism = parallelism;
         self
     }
 }
@@ -67,7 +58,6 @@ impl Synthesizer for MythSynth {
         deadline: &Deadline,
     ) -> Result<Expr, SynthError> {
         Engine::new(problem, self.config.clone())
-            .with_parallelism(self.parallelism)
             .synthesize_with_bank(bank, counters, examples, deadline)
     }
 }

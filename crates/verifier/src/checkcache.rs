@@ -3,8 +3,7 @@
 //! Bounded enumerative checks are *deterministic*: the outcome of
 //! `Verify Suf`/`CondInductive` is a pure function of the problem, the
 //! candidate, the bounds and (for visible inductiveness) the known-positive
-//! set — parallelism never changes it (see [`hanoi_lang::parallel`]), and the
-//! deadline can only abort a check, not change its verdict.  A CEGIS re-run
+//! set — and the deadline can only abort a check, not change its verdict.  A CEGIS re-run
 //! of the same problem therefore re-computes byte-identical sweeps: dozens of
 //! candidates × three checks × thousands of tuples, all previously answered.
 //!

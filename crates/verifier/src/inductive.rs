@@ -52,7 +52,6 @@ use std::sync::Arc;
 use hanoi_abstraction::contract::{instrument_function, BoundaryLog};
 use hanoi_lang::ast::Expr;
 use hanoi_lang::eval::Fuel;
-use hanoi_lang::parallel::{par_map, par_retain};
 use hanoi_lang::symbol::Symbol;
 use hanoi_lang::types::Type;
 use hanoi_lang::util::{IdHashBuilder, IdHasher};
@@ -145,43 +144,26 @@ impl<'q> VerdictTable<'q> {
 
     /// The values of `pool` (the pool of an argument position of type `sig`)
     /// whose abstract parts all satisfy the candidate, in pool order.  Parts
-    /// the table lacks are evaluated over `workers` threads and stored
-    /// serially, so the result matches a serial filter.
-    fn filter<'v>(
-        &mut self,
-        pool: &'v Arc<Vec<Value>>,
-        sig: &Type,
-        workers: usize,
-    ) -> Vec<&'v Value> {
+    /// the table lacks are evaluated and stored as the filter meets them.
+    fn filter<'v>(&mut self, pool: &'v Arc<Vec<Value>>, sig: &Type) -> Vec<&'v Value> {
         let parts = match sig {
             Type::Abstract => Arc::clone(pool),
             _ => Arc::new(pool.iter().flat_map(|v| collect_abstract(v, sig)).collect()),
         };
-        let mut hits = 0;
-        let mut misses: Vec<(u64, u32)> = Vec::new();
+        let list = self.tested.len() as u32;
+        self.tested.push(Arc::clone(&parts));
         for (index, part) in parts.iter().enumerate() {
             let hash = address_hash(part);
             if self.get(hash, part).is_some() {
-                hits += 1;
-            } else {
-                misses.push((hash, index as u32));
+                self.hits.fetch_add(1, Ordering::Relaxed);
+                continue;
             }
-        }
-        self.hits.fetch_add(hits, Ordering::Relaxed);
-        if !misses.is_empty() {
-            let verdicts = par_map(&misses, workers, |&(_, index)| {
-                self.q.test(&parts[index as usize])
+            let verdict = self.q.test(part);
+            self.slots.entry(hash).or_insert(Held {
+                list,
+                index: index as u32,
+                verdict,
             });
-            let list = self.tested.len() as u32;
-            self.tested.push(parts);
-            self.slots.reserve(misses.len());
-            for ((hash, index), verdict) in misses.into_iter().zip(verdicts) {
-                self.slots.entry(hash).or_insert(Held {
-                    list,
-                    index,
-                    verdict,
-                });
-            }
         }
         pool.iter()
             .filter(|value| {
@@ -232,9 +214,7 @@ fn is_constant_true(invariant: &Expr) -> bool {
 /// candidate itself for [`Check::Full`] and [`Check::Op`].  [`Check::Op`]
 /// checks only the named module operation: the LinearArbitrary baseline
 /// (§5.5) checks inductiveness one operation at a time.  Pools come from the
-/// verifier's pool cache, and tuple evaluation is spread over its workers
-/// (parallel runs report the same counterexample as serial ones, see
-/// [`hanoi_lang::parallel`]).
+/// verifier's pool cache.
 pub(crate) fn check_cond_inductive(
     verifier: &Verifier<'_>,
     check: Check<'_>,
@@ -242,7 +222,6 @@ pub(crate) fn check_cond_inductive(
 ) -> Result<InductivenessOutcome, VerifierError> {
     let problem = verifier.problem();
     let bounds = verifier.bounds();
-    let workers = verifier.workers();
     let counters = verifier.counters();
     let q = CompiledPredicate::compile(problem, invariant, bounds.fuel, &counters.predicate_evals)?;
     if is_constant_true(invariant) {
@@ -308,12 +287,12 @@ pub(crate) fn check_cond_inductive(
                         _ if !*filter => values.iter().collect(),
                         Condition::Known(set) => {
                             let mut refs: Vec<&Value> = values.iter().collect();
-                            par_retain(&mut refs, workers, |v| {
+                            refs.retain(|v| {
                                 abstract_parts(v, sig).into_iter().all(|p| set.contains(p))
                             });
                             refs
                         }
-                        Condition::Satisfying(table) => table.filter(values, sig, workers),
+                        Condition::Satisfying(table) => table.filter(values, sig),
                     };
                     choice_pools.push(refs.into_iter().map(Choice::Val).collect());
                 }
@@ -329,7 +308,7 @@ pub(crate) fn check_cond_inductive(
             Condition::Satisfying(table) => table.test(v),
         };
 
-        let found = search_product(&choice_pools, cap, workers, verifier.deadline(), |tuple| {
+        let found = search_product(&choice_pools, cap, verifier.deadline(), |tuple| {
             // Materialize arguments, instrumenting abstract-mentioning
             // functional positions with boundary logs.
             let mut args: Vec<Value> = Vec::with_capacity(tuple.len());

@@ -38,13 +38,9 @@
 //! abstract-type values crossing the module boundary contribute to the
 //! counterexample sets.
 //!
-//! Every check accepts a `parallelism` knob (see
-//! [`Verifier::with_parallelism`]): candidate×value work is chunked over a
-//! scoped thread pool ([`hanoi_lang::parallel`]), short-circuiting on the
-//! first counterexample while keeping counterexample selection
-//! deterministic — the reported counterexample is always the least tuple
-//! under the enumeration order, regardless of which worker finds one first,
-//! so parallel runs are outcome-identical to serial runs.
+//! Every check runs on the calling thread.  The caches a check reads — the
+//! [`PoolCache`] and the [`CheckCache`] — may be shared by concurrent runs
+//! of one problem, and each run counts its own work.
 
 #![warn(missing_docs)]
 

@@ -16,13 +16,9 @@
 //! * **function pools** memoize the enumerated higher-order argument
 //!   candidates of §4.2, which are even more expensive to build (term
 //!   generation plus evaluation) than value pools;
-//! * slab construction is **parallelized** over the configured worker count
-//!   using the same scoped-thread layer as the parallel verifier
-//!   ([`hanoi_lang::parallel`]): workers claim sizes from a shared cursor,
-//!   largest first, each with a private [`ValueEnumerator`]; since
-//!   [`ValueEnumerator::values_of_size`] is a deterministic function of
-//!   `(type, size)`, the merged size-ordered result is byte-identical to a
-//!   serial build regardless of scheduling;
+//! * slabs are built one size at a time, smallest first, each by a
+//!   [`ValueEnumerator`] seeded with the type's smaller slabs, and only
+//!   until the request's `count` is reached;
 //! * **spec memos** ([`SpecMemo`]) record, per problem, fuel bound and
 //!   quantifier pool bounds, the tuples on which the specification held in
 //!   an earlier sufficiency check of the session (see [`crate::tester`]).
@@ -37,7 +33,7 @@
 //! the check-outcome cache never requests a pool.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use hanoi_abstraction::Problem;
@@ -80,8 +76,8 @@ const SPEC_MEMO_MAX_TUPLES: usize = 1 << 22;
 /// from fresh fuel), so a recorded tuple may skip evaluation.  Only "held"
 /// is recorded: a failing tuple is evaluated again, which keeps the first
 /// failing tuple of every search — its counterexample — unchanged.  Bits
-/// are set with `fetch_or`, so parallel workers share one memo without a
-/// lock.
+/// are set with `fetch_or`, so concurrent runs of one problem share one memo
+/// without a lock.
 #[derive(Debug)]
 pub struct SpecMemo {
     /// Pool lengths: a tuple's bit is its pool indices read in mixed radix,
@@ -129,8 +125,8 @@ impl SpecMemo {
 }
 
 /// A shared, memoized store of enumeration pools for one verification
-/// session.  Cheap to share (`Arc`), safe to use from the parallel
-/// verifier's worker threads.
+/// session.  Cheap to share (`Arc`), safe to use from concurrent runs of
+/// one problem.
 #[derive(Debug)]
 pub struct PoolCache {
     tyenv: TypeEnv,
@@ -170,10 +166,11 @@ impl PoolCache {
     /// The smallest `count` values of `ty` no larger than `size` nodes, in
     /// the enumeration order of
     /// [`ValueEnumerator::first_values`] — assembled once per
-    /// `(ty, count, size)` and shared thereafter.  Missing per-size slabs
-    /// are built over `workers` threads (`<= 1` = serially).
-    pub fn pool(&self, ty: &Type, count: usize, size: usize, workers: usize) -> Arc<Vec<Value>> {
-        self.fetch(ty, count, size, workers, &VerifierCounters::default())
+    /// `(ty, count, size)` and shared thereafter.  `_workers` is ignored:
+    /// pools are built on the calling thread.  The argument stays for the
+    /// benchmark's verifier replay, which passes `1`.
+    pub fn pool(&self, ty: &Type, count: usize, size: usize, _workers: usize) -> Arc<Vec<Value>> {
+        self.fetch(ty, count, size, &VerifierCounters::default())
     }
 
     /// [`PoolCache::pool`], counting the hit or the pool and slab builds in
@@ -183,7 +180,6 @@ impl PoolCache {
         ty: &Type,
         count: usize,
         size: usize,
-        workers: usize,
         counters: &VerifierCounters,
     ) -> Arc<Vec<Value>> {
         let key = (ty.clone(), count, size);
@@ -206,28 +202,14 @@ impl PoolCache {
         // tree-shaped types, whose per-size slabs grow exponentially: the
         // count bound is typically reached long before the size bound, and
         // building every slab up to `size` would materialize millions of
-        // values nobody reads.  With several workers, slabs are built in
-        // batches of `workers` sizes (slight speculative overshoot past the
-        // cutoff, kept and reused by later, larger requests).
-        let batch = hanoi_lang::parallel::effective_workers(workers).max(1);
+        // values nobody reads.
         let mut out = Vec::new();
-        let mut next_size = 1usize;
-        while next_size <= size && out.len() < count {
-            let batch_end = (next_size + batch - 1).min(size);
-            self.ensure_slab_range(ty, next_size, batch_end, workers, counters);
-            let slabs = self.slabs.lock().unwrap();
-            'fill: for s in next_size..=batch_end {
-                let slab = slabs
-                    .get(&(ty.clone(), s))
-                    .expect("ensure_slab_range built every size in the batch");
-                for value in slab.iter() {
-                    if out.len() >= count {
-                        break 'fill;
-                    }
-                    out.push(value.clone());
-                }
+        for s in 1..=size {
+            if out.len() >= count {
+                break;
             }
-            next_size = batch_end + 1;
+            let slab = self.slab(ty, s, counters);
+            out.extend(slab.iter().take(count - out.len()).cloned());
         }
         let pool = Arc::new(out);
         counters.pool_builds.fetch_add(1, Ordering::Relaxed);
@@ -270,89 +252,28 @@ impl PoolCache {
         pool
     }
 
-    /// Builds every missing per-size slab of `ty` for sizes in
-    /// `min_size..=max_size`, counting them in `counters`.
-    ///
-    /// With more than one worker the missing sizes are claimed from a shared
-    /// cursor, largest first (the cost of a size is heavily skewed towards
-    /// the largest ones), each worker enumerating with a private
-    /// [`ValueEnumerator`].  Slab contents are a deterministic function of
-    /// `(ty, size)`, so the cache state after this call is identical for
-    /// every worker count.
-    fn ensure_slab_range(
-        &self,
-        ty: &Type,
-        min_size: usize,
-        max_size: usize,
-        workers: usize,
-        counters: &VerifierCounters,
-    ) {
-        // Snapshot what is already cached for this type: the missing sizes
-        // are the work list, the present ones (any size, including below the
-        // requested range) seed every enumerator so monotonic-growth
-        // requests never recompute known slabs.
-        type Seeds = Vec<(usize, Arc<Vec<Value>>)>;
-        let (missing, seeds): (Vec<usize>, Seeds) = {
+    /// The slab of `ty` at `size`, built (and counted in `counters`) when
+    /// missing by an enumerator seeded with every smaller slab of `ty` the
+    /// cache holds, so monotonic-growth requests never recompute known
+    /// slabs.  Callers hold the build lock.
+    fn slab(&self, ty: &Type, size: usize, counters: &VerifierCounters) -> Arc<Vec<Value>> {
+        let key = (ty.clone(), size);
+        if let Some(slab) = self.slabs.lock().unwrap().get(&key) {
+            return Arc::clone(slab);
+        }
+        counters.pool_slab_builds.fetch_add(1, Ordering::Relaxed);
+        let mut enumerator = ValueEnumerator::new(&self.tyenv);
+        {
             let slabs = self.slabs.lock().unwrap();
-            let mut missing = Vec::new();
-            let mut seeds = Seeds::new();
-            for s in (1..=max_size).rev() {
-                match slabs.get(&(ty.clone(), s)) {
-                    Some(slab) => seeds.push((s, Arc::clone(slab))),
-                    None if s >= min_size => missing.push(s),
-                    None => {}
+            for s in 1..size {
+                if let Some(slab) = slabs.get(&(ty.clone(), s)) {
+                    enumerator.seed(ty, s, Arc::clone(slab));
                 }
             }
-            (missing, seeds)
-        };
-        if missing.is_empty() {
-            return;
         }
-        counters
-            .pool_slab_builds
-            .fetch_add(missing.len() as u64, Ordering::Relaxed);
-        let seeded_enumerator = || {
-            let mut enumerator = ValueEnumerator::new(&self.tyenv);
-            for (s, slab) in &seeds {
-                enumerator.seed(ty, *s, Arc::clone(slab));
-            }
-            enumerator
-        };
-
-        let workers = hanoi_lang::parallel::effective_workers(workers).min(missing.len());
-        if workers <= 1 {
-            let mut enumerator = seeded_enumerator();
-            let mut slabs = self.slabs.lock().unwrap();
-            for &s in &missing {
-                slabs.insert((ty.clone(), s), enumerator.values_of_size(ty, s));
-            }
-            return;
-        }
-
-        // Workers claim sizes largest-first (cost is heavily skewed towards
-        // the largest sizes).  Each worker enumerates with a private,
-        // pre-seeded enumerator; sub-slabs a worker derives for sizes
-        // another worker owns are recomputed privately — acceptable because
-        // the largest one or two sizes dominate the total cost.
-        let cursor = AtomicUsize::new(0);
-        let built: Mutex<Vec<(usize, Arc<Vec<Value>>)>> = Mutex::new(Vec::new());
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| {
-                    let mut enumerator = seeded_enumerator();
-                    loop {
-                        let index = cursor.fetch_add(1, Ordering::Relaxed);
-                        let Some(&s) = missing.get(index) else { return };
-                        let slab = enumerator.values_of_size(ty, s);
-                        built.lock().unwrap().push((s, slab));
-                    }
-                });
-            }
-        });
-        let mut slabs = self.slabs.lock().unwrap();
-        for (s, slab) in built.into_inner().unwrap() {
-            slabs.insert((ty.clone(), s), slab);
-        }
+        let slab = enumerator.values_of_size(ty, size);
+        self.slabs.lock().unwrap().insert(key, Arc::clone(&slab));
+        slab
     }
 
     /// The session's memo of spec-held tuples for the problem with
@@ -383,6 +304,8 @@ impl PoolCache {
 mod tests {
     use super::*;
     use crate::pools::enumerate_values;
+    use hanoi_lang::parallel::par_map;
+    use std::sync::Barrier;
 
     const LIST_SET: &str = r#"
         type nat = O | S of nat
@@ -416,15 +339,10 @@ mod tests {
     fn pools_match_fresh_enumeration() {
         let problem = problem();
         let cache = PoolCache::for_problem(&problem);
-        for workers in [1usize, 2, 0] {
-            for (count, size) in [(10, 8), (50, 12), (400, 14)] {
-                let cached = cache.pool(&Type::named("list"), count, size, workers);
-                let fresh = enumerate_values(&problem, &Type::named("list"), count, size);
-                assert_eq!(
-                    *cached, fresh,
-                    "count={count} size={size} workers={workers}"
-                );
-            }
+        for (count, size) in [(10, 8), (50, 12), (400, 14)] {
+            let cached = cache.pool(&Type::named("list"), count, size, 1);
+            let fresh = enumerate_values(&problem, &Type::named("list"), count, size);
+            assert_eq!(*cached, fresh, "count={count} size={size}");
         }
     }
 
@@ -433,12 +351,12 @@ mod tests {
         let problem = problem();
         let cache = PoolCache::for_problem(&problem);
         let counters = VerifierCounters::default();
-        let first = cache.fetch(&Type::named("list"), 100, 12, 1, &counters);
+        let first = cache.fetch(&Type::named("list"), 100, 12, &counters);
         assert_eq!(load(&counters.pool_cache_hits), 0);
         assert_eq!(load(&counters.pool_builds), 1);
         let slabs_after_first = load(&counters.pool_slab_builds);
         assert!(slabs_after_first > 0);
-        let second = cache.fetch(&Type::named("list"), 100, 12, 1, &counters);
+        let second = cache.fetch(&Type::named("list"), 100, 12, &counters);
         assert!(Arc::ptr_eq(&first, &second), "hit must share the slab");
         assert_eq!(load(&counters.pool_cache_hits), 1);
         assert_eq!(load(&counters.pool_builds), 1);
@@ -455,7 +373,7 @@ mod tests {
         let cache = PoolCache::for_problem(&problem);
         let counters = VerifierCounters::default();
         let slab_builds = |count, size| {
-            cache.fetch(&Type::named("list"), count, size, 1, &counters);
+            cache.fetch(&Type::named("list"), count, size, &counters);
             load(&counters.pool_slab_builds)
         };
         let after_small = slab_builds(50, 10);
@@ -504,7 +422,7 @@ mod tests {
             .unwrap();
         let cache = PoolCache::new(tyenv.clone());
         let counters = VerifierCounters::default();
-        let pool = cache.fetch(&Type::named("tree"), 100, 30, 1, &counters);
+        let pool = cache.fetch(&Type::named("tree"), 100, 30, &counters);
         assert_eq!(pool.len(), 100);
         let slab_builds = load(&counters.pool_slab_builds);
         assert!(
@@ -523,14 +441,27 @@ mod tests {
 
     #[test]
     fn parallel_slab_builds_are_deterministic() {
+        // Runs of one problem side by side share its cache: requests of
+        // different sizes from several threads leave every pool equal to a
+        // fresh enumeration, and each pool is built once.
         let problem = problem();
-        let serial = PoolCache::for_problem(&problem);
-        let expected = serial.pool(&Type::named("list"), 3000, 14, 1);
-        for workers in [2usize, 3, 8, 0] {
-            let parallel = PoolCache::for_problem(&problem);
-            let got = parallel.pool(&Type::named("list"), 3000, 14, workers);
-            assert_eq!(*got, *expected, "workers={workers}");
+        let cache = PoolCache::for_problem(&problem);
+        let requests = [(3000, 14), (50, 12), (3000, 14), (400, 14)];
+        let counters = VerifierCounters::default();
+        // With one worker per item, `par_map` hands each worker one
+        // request, so the barrier starts every request at once.
+        let start = Barrier::new(requests.len());
+        let pools = par_map(&requests, requests.len(), |&(count, size)| {
+            start.wait();
+            cache.fetch(&Type::named("list"), count, size, &counters)
+        });
+        for (pool, (count, size)) in pools.iter().zip(requests) {
+            let fresh = enumerate_values(&problem, &Type::named("list"), count, size);
+            assert_eq!(**pool, fresh, "count={count} size={size}");
         }
+        assert_eq!(load(&counters.pool_builds), 3);
+        assert_eq!(load(&counters.pool_cache_hits), 1);
+        assert_eq!(load(&counters.pool_slab_builds), 14);
     }
 
     #[test]

@@ -98,34 +98,24 @@ pub fn decode_tuple<'a, T>(pools: &'a [Vec<T>], mut flat: usize, tuple: &mut [&'
 }
 
 /// Searches the (capped) cartesian product of `pools`, in
-/// [`decode_tuple`] order, for the first tuple on which `visit` breaks,
-/// distributing tuples over `workers` threads.  The deadline is polled
-/// every 256 flat indices; an expired one ends the search with
-/// [`VerifierError::Timeout`].
-///
-/// Serial-equivalent by construction: whatever thread breaks first, the
-/// reported break is always the one at the least flat index (see
-/// [`hanoi_lang::parallel::find_first`]), so callers observe exactly the
-/// counterexample a `workers = 1` run would report.  `visit` must therefore
-/// be a pure function of the tuple.
+/// [`decode_tuple`] order, for the first tuple on which `visit` breaks.
+/// The deadline is polled every 256 flat indices; an expired
+/// one ends the search with [`VerifierError::Timeout`].
 pub fn search_product<'a, T, R>(
     pools: &'a [Vec<T>],
     cap: usize,
-    workers: usize,
     deadline: &Deadline,
-    visit: impl Fn(&[&'a T]) -> ControlFlow<R> + Sync,
-) -> Result<Option<R>, VerifierError>
-where
-    T: Sync,
-    R: Send,
-{
-    let len = product_len(pools, cap);
-    hanoi_lang::parallel::find_first(len, workers, PRODUCT_CHUNK, |flat| {
+    mut visit: impl FnMut(&[&'a T]) -> ControlFlow<R>,
+) -> Result<Option<R>, VerifierError> {
+    for flat in 0..product_len(pools, cap) {
         if flat.is_multiple_of(DEADLINE_POLL) && deadline.expired() {
             return Err(VerifierError::Timeout);
         }
-        Ok(with_tuple(pools, flat, &visit).break_value())
-    })
+        if let ControlFlow::Break(found) = with_tuple(pools, flat, &mut visit) {
+            return Ok(Some(found));
+        }
+    }
+    Ok(None)
 }
 
 /// Tuples of at most this many positions are decoded into a buffer on the
@@ -152,11 +142,6 @@ fn with_tuple<'a, T, R>(pools: &'a [Vec<T>], flat: usize, visit: impl FnOnce(&[&
 
 /// How often (in flat indices) [`search_product`] polls its deadline.
 const DEADLINE_POLL: usize = 256;
-
-/// Chunk size for parallel product search: large enough to amortize the
-/// claim, small enough that the short-circuit cutoff stays tight (a tuple
-/// evaluation runs the interpreter, so chunks are already milliseconds).
-const PRODUCT_CHUNK: usize = 64;
 
 /// Collects the abstract-type components of a first-order value, guided by
 /// its interface-level type — the `{|v|}σ` function of Figure 3.
@@ -235,18 +220,16 @@ mod tests {
         assert!(values.windows(2).all(|w| w[0].size() <= w[1].size()));
     }
 
-    /// Every tuple serial `search_product` visits, in visit order.
-    fn visited<T: Copy + Send + Sync>(pools: &[Vec<T>], cap: usize) -> Vec<Vec<T>> {
-        let seen = std::sync::Mutex::new(Vec::new());
-        let found: Option<()> = search_product(pools, cap, 1, &Deadline::none(), |tuple| {
-            seen.lock()
-                .unwrap()
-                .push(tuple.iter().map(|&&x| x).collect());
+    /// Every tuple `search_product` visits, in visit order.
+    fn visited<T: Copy>(pools: &[Vec<T>], cap: usize) -> Vec<Vec<T>> {
+        let mut seen = Vec::new();
+        let found: Option<()> = search_product(pools, cap, &Deadline::none(), |tuple| {
+            seen.push(tuple.iter().map(|&&x| x).collect());
             ControlFlow::Continue(())
         })
         .unwrap();
         assert_eq!(found, None);
-        seen.into_inner().unwrap()
+        seen
     }
 
     /// The bounded product search (`search_product`) visits tuples
@@ -297,9 +280,9 @@ mod tests {
     #[test]
     fn search_product_breaks_early() {
         let pools = vec![vec![1, 2, 3]];
-        let tested = AtomicU64::new(0);
-        let found = search_product(&pools, 100, 1, &Deadline::none(), |tuple| {
-            tested.fetch_add(1, Ordering::Relaxed);
+        let mut tested = 0;
+        let found = search_product(&pools, 100, &Deadline::none(), |tuple| {
+            tested += 1;
             if *tuple[0] == 2 {
                 ControlFlow::Break(*tuple[0])
             } else {
@@ -307,7 +290,7 @@ mod tests {
             }
         });
         assert_eq!(found, Ok(Some(2)));
-        assert_eq!(tested.load(Ordering::Relaxed), 2);
+        assert_eq!(tested, 2);
     }
 
     #[test]
@@ -322,50 +305,46 @@ mod tests {
 
     #[test]
     fn search_product_is_serial_equivalent() {
-        // The first tuple whose components sum above a threshold; parallel
-        // search must find the same (lexicographically least) one as serial.
+        // The first tuple whose components sum above a threshold is the
+        // first one a plain nested loop over the pools meets.
         let pools = vec![
             (0..7).collect::<Vec<i64>>(),
             (0..9).collect(),
             (0..5).collect(),
         ];
-        let first_above = |threshold: i64, workers: usize| -> Option<Vec<i64>> {
-            search_product(&pools, 10_000, workers, &Deadline::none(), |tuple| {
+        for threshold in [3i64, 9, 14, 100] {
+            let found = search_product(&pools, 10_000, &Deadline::none(), |tuple| {
                 let sum: i64 = tuple.iter().copied().sum();
                 if sum >= threshold {
-                    ControlFlow::Break(tuple.iter().map(|&&x| x).collect())
+                    ControlFlow::Break(tuple.iter().map(|&&x| x).collect::<Vec<i64>>())
                 } else {
                     ControlFlow::Continue(())
                 }
             })
-            .unwrap()
-        };
-        for threshold in [3i64, 9, 14, 100] {
-            let serial = first_above(threshold, 1);
-            for workers in [2, 4, 8] {
-                assert_eq!(
-                    first_above(threshold, workers),
-                    serial,
-                    "threshold={threshold} workers={workers}"
-                );
-            }
+            .unwrap();
+            let nested = pools[0].iter().find_map(|&a| {
+                pools[1].iter().find_map(|&b| {
+                    pools[2]
+                        .iter()
+                        .find(|&&c| a + b + c >= threshold)
+                        .map(|&c| vec![a, b, c])
+                })
+            });
+            assert_eq!(found, nested, "threshold={threshold}");
         }
     }
 
     #[test]
     fn search_product_respects_the_cap() {
-        use std::sync::atomic::AtomicUsize;
         let pools = vec![(0..100).collect::<Vec<i32>>(), (0..100).collect()];
-        for workers in [1, 4] {
-            let visited = AtomicUsize::new(0);
-            let found: Option<()> = search_product(&pools, 37, workers, &Deadline::none(), |_| {
-                visited.fetch_add(1, Ordering::Relaxed);
-                ControlFlow::Continue(())
-            })
-            .unwrap();
-            assert_eq!(found, None);
-            assert_eq!(visited.load(Ordering::Relaxed), 37, "workers={workers}");
-        }
+        let mut visited = 0;
+        let found: Option<()> = search_product(&pools, 37, &Deadline::none(), |_| {
+            visited += 1;
+            ControlFlow::Continue(())
+        })
+        .unwrap();
+        assert_eq!(found, None);
+        assert_eq!(visited, 37);
     }
 
     #[test]

@@ -24,7 +24,6 @@ use std::sync::Arc;
 
 use hanoi_lang::ast::Expr;
 use hanoi_lang::eval::Fuel;
-use hanoi_lang::parallel::par_retain;
 use hanoi_lang::value::Value;
 
 use crate::outcome::{SufficiencyCex, SufficiencyOutcome, VerifierError};
@@ -34,9 +33,7 @@ use crate::verifier::Verifier;
 /// One quantifier choice: a value and its index in the unfiltered pool.
 type Indexed<'a> = (usize, &'a Value);
 
-/// Checks sufficiency of `invariant` for the problem's specification,
-/// spreading tuple evaluation over the verifier's workers (parallel runs
-/// report the same outcome as serial ones, see [`hanoi_lang::parallel`]).
+/// Checks sufficiency of `invariant` for the problem's specification.
 /// Quantifier pools are drawn from the verifier's pool cache, so enumeration
 /// is paid at most once per `(type, count, size)` per session, and so is the
 /// specification's evaluation on a tuple where it holds (see the module
@@ -47,7 +44,6 @@ pub(crate) fn check_sufficiency(
 ) -> Result<SufficiencyOutcome, VerifierError> {
     let problem = verifier.problem();
     let bounds = verifier.bounds();
-    let workers = verifier.workers();
     let counters = verifier.counters();
     let spec = &problem.spec;
     let quantifiers = spec.arity();
@@ -60,8 +56,7 @@ pub(crate) fn check_sufficiency(
 
     // One shared (cached) pool per quantified parameter; the per-candidate
     // work is only the filter, which borrows from the cached slab instead of
-    // cloning it.  Filtering abstract-type pools by the candidate runs the
-    // interpreter per value, so it is spread over the workers too.
+    // cloning it.
     let shared: Vec<Arc<Vec<Value>>> = spec
         .params
         .iter()
@@ -79,7 +74,7 @@ pub(crate) fn check_sufficiency(
         }
         let mut values: Vec<Indexed<'_>> = pool.iter().enumerate().collect();
         if param_ty.mentions_abstract() {
-            par_retain(&mut values, workers, |(_, v)| {
+            values.retain(|(_, v)| {
                 abstract_parts(v, param_ty)
                     .into_iter()
                     .all(|part| predicate.test(part))
@@ -95,7 +90,7 @@ pub(crate) fn check_sufficiency(
         per_size,
         &shared,
     );
-    let found = search_product(&filtered, cap, workers, verifier.deadline(), |tuple| {
+    let found = search_product(&filtered, cap, verifier.deadline(), |tuple| {
         let memo_slot = memo
             .as_deref()
             .map(|memo| (memo, memo.slot(tuple.iter().map(|&&(index, _)| index))));
@@ -141,7 +136,9 @@ mod tests {
     use crate::bounds::{Deadline, VerifierBounds};
     use crate::poolcache::PoolCache;
     use hanoi_abstraction::Problem;
+    use hanoi_lang::parallel::par_map;
     use hanoi_lang::parser::parse_expr;
+    use std::sync::Barrier;
 
     const LIST_SET: &str = r#"
         type nat = O | S of nat
@@ -244,13 +241,25 @@ mod tests {
 
     #[test]
     fn parallel_runs_report_the_serial_counterexample() {
+        // Runs of one problem side by side (as `run_batch` and the server
+        // make them) share its pool cache and spec memo: each check still
+        // reports the counterexample of a check made alone.
         let problem = problem();
         let candidate = parse_expr("fun (l : list) -> True").unwrap();
         let serial = check_sufficiency(&quick(&problem), &candidate).unwrap();
-        for workers in [2, 4, 8] {
-            let parallel =
-                check_sufficiency(&quick(&problem).with_parallelism(workers), &candidate).unwrap();
-            assert_eq!(parallel, serial, "workers={workers}");
+        let pools = PoolCache::for_problem(&problem);
+        let verifiers: Vec<Verifier<'_>> = (0..4)
+            .map(|_| quick(&problem).with_pool_cache(Arc::clone(&pools)))
+            .collect();
+        // With one worker per item, `par_map` hands each worker one
+        // verifier, so the barrier starts every check at once.
+        let start = Barrier::new(verifiers.len());
+        let outcomes = par_map(&verifiers, verifiers.len(), |verifier| {
+            start.wait();
+            check_sufficiency(verifier, &candidate).unwrap()
+        });
+        for outcome in outcomes {
+            assert_eq!(outcome, serial);
         }
     }
 

@@ -81,21 +81,19 @@ pub struct Verifier<'p> {
     problem: &'p Problem,
     bounds: VerifierBounds,
     deadline: Deadline,
-    parallelism: usize,
     pools: Arc<PoolCache>,
     checks: Option<Arc<CheckCache>>,
     counters: Arc<VerifierCounters>,
 }
 
 impl<'p> Verifier<'p> {
-    /// A verifier with the paper's default bounds, no deadline, serial
-    /// execution, and a fresh pool cache.
+    /// A verifier with the paper's default bounds, no deadline and a fresh
+    /// pool cache.
     pub fn new(problem: &'p Problem) -> Self {
         Verifier {
             problem,
             bounds: VerifierBounds::default(),
             deadline: Deadline::none(),
-            parallelism: 1,
             pools: PoolCache::for_problem(problem),
             checks: None,
             counters: Arc::default(),
@@ -111,16 +109,6 @@ impl<'p> Verifier<'p> {
     /// Sets a wall-clock deadline shared by all checks.
     pub fn with_deadline(mut self, deadline: Deadline) -> Self {
         self.deadline = deadline;
-        self
-    }
-
-    /// Sets the number of worker threads used by every check: `1` (the
-    /// default) runs serially, `0` uses one worker per available core, any
-    /// other value is taken literally.  Parallel runs produce outcomes
-    /// identical to serial ones — counterexample selection is deterministic
-    /// (least tuple under the enumeration order), see [`hanoi_lang::parallel`].
-    pub fn with_parallelism(mut self, parallelism: usize) -> Self {
-        self.parallelism = parallelism;
         self
     }
 
@@ -157,14 +145,7 @@ impl<'p> Verifier<'p> {
     /// the pool cache (see [`PoolCache::pool`]); the request is counted in
     /// this verifier's [`VerifierCounters`].
     pub fn pool(&self, ty: &Type, count: usize, size: usize) -> Arc<Vec<Value>> {
-        self.pools
-            .fetch(ty, count, size, self.workers(), &self.counters)
-    }
-
-    /// The effective worker count of this verifier (with `0` resolved to the
-    /// available core count).
-    pub fn workers(&self) -> usize {
-        hanoi_lang::parallel::effective_workers(self.parallelism)
+        self.pools.fetch(ty, count, size, &self.counters)
     }
 
     /// The problem being verified.

@@ -197,6 +197,12 @@ fn batches_match_sequential_sessions() {
             outcome_key(&sequential.outcome),
             "batched result diverged from a sequential run"
         );
+        // Distinct problems, each run on one thread: exact counters.
+        assert_eq!(
+            work(&result.stats),
+            work(&sequential.stats),
+            "batched work counters diverged from a sequential run"
+        );
     }
 }
 

@@ -8,7 +8,7 @@
 //! any later change to evaluation.
 
 use hanoi_repro::abstraction::Problem;
-use hanoi_repro::hanoi::{Engine, EngineConfig, Outcome, RunOptions};
+use hanoi_repro::hanoi::{Engine, Outcome, RunOptions};
 use hanoi_repro::lang::enumerate::ValueEnumerator;
 use hanoi_repro::lang::error::EvalError;
 use hanoi_repro::lang::eval::Fuel;
@@ -17,7 +17,7 @@ use hanoi_repro::lang::resolve::resolve;
 use hanoi_repro::lang::value::Value;
 
 /// The tier-1 example modules: one spec with two quantifiers, a tree-based
-/// module and a size-tracking module — the same trio the parallel
+/// module and a size-tracking module — the same trio the batch
 /// determinism suite pins.
 const MODULES: [&str; 3] = [
     "/coq/unique-list-::-set",
@@ -199,8 +199,8 @@ fn candidate_predicates_agree_across_eval_and_eval_resolved() {
 #[test]
 fn whole_inference_runs_agree_across_both_paths() {
     // The strongest form of the pin: the complete CEGIS trajectory
-    // (outcome, iteration count, final example sets) at parallelism 1, 2
-    // and 0.  Per module: (outcome, iterations, |V+|, |V−|).
+    // (outcome, iteration count, final example sets).  Per module:
+    // (outcome, iterations, |V+|, |V−|).
     const GOLDEN: [(&str, &str, usize, usize, usize); 3] = [
         (
             "/coq/unique-list-::-set",
@@ -225,27 +225,25 @@ fn whole_inference_runs_agree_across_both_paths() {
             1,
         ),
     ];
-    for parallelism in [1usize, 2, 0] {
-        let engine = Engine::new(EngineConfig::default().with_parallelism(parallelism)).unwrap();
-        let mut actual = Vec::new();
-        for id in MODULES {
-            let report = engine.run(&problem(id), &RunOptions::quick());
-            let outcome = match &report.outcome {
-                Outcome::Invariant(e) => e.to_string(),
-                other => other.to_string(),
-            };
-            actual.push((
-                id,
-                outcome,
-                report.stats.iterations,
-                report.stats.final_positives,
-                report.stats.final_negatives,
-            ));
-        }
-        let golden: Vec<_> = GOLDEN
-            .iter()
-            .map(|&(id, outcome, i, p, n)| (id, outcome.to_string(), i, p, n))
-            .collect();
-        assert_eq!(actual, golden, "at parallelism {parallelism}");
+    let engine = Engine::with_defaults();
+    let mut actual = Vec::new();
+    for id in MODULES {
+        let report = engine.run(&problem(id), &RunOptions::quick());
+        let outcome = match &report.outcome {
+            Outcome::Invariant(e) => e.to_string(),
+            other => other.to_string(),
+        };
+        actual.push((
+            id,
+            outcome,
+            report.stats.iterations,
+            report.stats.final_positives,
+            report.stats.final_negatives,
+        ));
     }
+    let golden: Vec<_> = GOLDEN
+        .iter()
+        .map(|&(id, outcome, i, p, n)| (id, outcome.to_string(), i, p, n))
+        .collect();
+    assert_eq!(actual, golden);
 }

@@ -1,27 +1,32 @@
-//! Determinism of the parallel verifier and stability of the `Arc`-migrated
-//! value layer.
+//! Determinism of batches and of caches shared across threads, and
+//! stability of the `Arc`-migrated value layer.
 //!
-//! The verifier guarantees that parallel runs are *outcome-identical* to
-//! serial runs: the reported counterexample is always the least tuple under
-//! the enumeration order, regardless of which worker finds one first. These
-//! tests pin that guarantee end to end — at the level of the three verifier
-//! checks and of whole inference runs — on several benchmark modules, and
-//! additionally pin that the `Rc` → `Arc` migration left `Value` equality
-//! and hashing untouched (including across threads).
+//! Every inference run executes on one thread; parallelism lives only
+//! across runs: the jobs of `Engine::run_batch`, and the server's
+//! concurrent sessions.  Runs of one problem share its pool cache (and the
+//! spec memo inside it), check cache and term bank.  These tests pin that
+//! a batch reports exactly what serial sessions report, work counters
+//! included, and that checks sharing one pool cache from several threads
+//! report the counterexamples of checks made alone.  They additionally pin
+//! that the `Rc` → `Arc` migration left `Value` equality and hashing
+//! untouched (including across threads).
 
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashSet;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::Ordering;
+use std::sync::{Arc, Barrier};
+use std::time::Duration;
 
-use hanoi_repro::hanoi::{Engine, EngineConfig, Outcome, RunOptions};
+use hanoi_repro::hanoi::{BatchJob, Engine, EngineConfig, Outcome, RunOptions, RunStats};
 use hanoi_repro::lang::parser::parse_expr;
 use hanoi_repro::lang::value::Value;
-use hanoi_repro::verifier::{InductivenessOutcome, Verifier, VerifierBounds};
+use hanoi_repro::verifier::{InductivenessOutcome, PoolCache, Verifier, VerifierBounds};
 
-const PARALLELISM_LEVELS: [usize; 3] = [2, 4, 8];
+/// How many checks share one pool cache in the shared-cache tests.
+const SHARERS: usize = 3;
 
-/// Benchmark modules used for the serial-vs-parallel comparison. These three
+/// Benchmark modules used for the batch-vs-serial comparison. These three
 /// cover a spec with two quantifiers, a tree-based module and a
 /// size-tracking module, and all complete quickly under quick bounds.
 const MODULES: [&str; 3] = [
@@ -30,42 +35,107 @@ const MODULES: [&str; 3] = [
     "/other/sized-list",
 ];
 
+/// `stats` with its wall-clock times zeroed: the run's outcome-shaped
+/// numbers and work counters.
+fn work(stats: &RunStats) -> RunStats {
+    RunStats {
+        total_time: Duration::ZERO,
+        verification_time: Duration::ZERO,
+        synthesis_time: Duration::ZERO,
+        ..stats.clone()
+    }
+}
+
+/// `f` applied to every item, each on a thread of its own; a barrier
+/// starts them all at once.
+fn side_by_side<T: Sync, U: Send>(items: &[T], f: impl Fn(&T) -> U + Sync) -> Vec<U> {
+    let (start, f) = (&Barrier::new(items.len()), &f);
+    std::thread::scope(|scope| {
+        let threads: Vec<_> = items
+            .iter()
+            .map(|item| {
+                scope.spawn(move || {
+                    start.wait();
+                    f(item)
+                })
+            })
+            .collect();
+        threads.into_iter().map(|t| t.join().unwrap()).collect()
+    })
+}
+
+/// `SHARERS` quick verifiers over `problem` sharing one pool cache, as
+/// concurrent runs of one problem do.
+fn sharing_verifiers(problem: &hanoi_repro::abstraction::Problem) -> Vec<Verifier<'_>> {
+    let pools = PoolCache::for_problem(problem);
+    (0..SHARERS)
+        .map(|_| {
+            Verifier::new(problem)
+                .with_bounds(VerifierBounds::quick())
+                .with_pool_cache(Arc::clone(&pools))
+        })
+        .collect()
+}
+
 #[test]
 fn whole_inference_runs_are_parallelism_independent() {
-    for id in MODULES {
-        let benchmark = hanoi_repro::benchmarks::find(id).unwrap();
-        let problem = benchmark.problem().unwrap();
-        let serial = Engine::with_defaults().run(&problem, &RunOptions::quick());
-        for workers in PARALLELISM_LEVELS {
-            let parallel = Engine::new(EngineConfig::default().with_parallelism(workers))
+    let problems: Vec<_> = MODULES
+        .iter()
+        .map(|id| {
+            hanoi_repro::benchmarks::find(id)
                 .unwrap()
-                .run(&problem, &RunOptions::quick());
+                .problem()
+                .unwrap()
+        })
+        .collect();
+    let jobs: Vec<BatchJob<'_>> = problems
+        .iter()
+        .map(|problem| BatchJob::new(problem, RunOptions::quick()))
+        .collect();
+    let serial: Vec<_> = problems
+        .iter()
+        .map(|problem| Engine::with_defaults().run(problem, &RunOptions::quick()))
+        .collect();
+    for (id, run) in MODULES.iter().zip(&serial) {
+        // All three modules must actually complete, otherwise this test
+        // compares nothing interesting.
+        assert!(
+            matches!(run.outcome, Outcome::Invariant(_)),
+            "{id}: expected an inferred invariant, got {:?}",
+            run.outcome
+        );
+    }
+    for workers in [2, 0] {
+        let batch = Engine::new(EngineConfig::default().with_parallelism(workers))
+            .unwrap()
+            .run_batch(&jobs);
+        for ((id, batched), serial) in MODULES.iter().zip(&batch).zip(&serial) {
             assert_eq!(
-                parallel.outcome, serial.outcome,
+                batched.outcome, serial.outcome,
                 "{id}: outcome diverged at parallelism {workers}"
             );
             // The whole CEGIS trajectory must match, not just the final
             // answer: same iteration count and same final example sets.
             assert_eq!(
-                parallel.stats.iterations, serial.stats.iterations,
+                batched.stats.iterations, serial.stats.iterations,
                 "{id}: iteration count diverged at parallelism {workers}"
             );
             assert_eq!(
-                parallel.stats.final_positives, serial.stats.final_positives,
+                batched.stats.final_positives, serial.stats.final_positives,
                 "{id}: V+ size diverged at parallelism {workers}"
             );
             assert_eq!(
-                parallel.stats.final_negatives, serial.stats.final_negatives,
+                batched.stats.final_negatives, serial.stats.final_negatives,
                 "{id}: V− size diverged at parallelism {workers}"
             );
+            // The jobs are distinct problems and each runs on one thread,
+            // so every work counter is exact.
+            assert_eq!(
+                work(&batched.stats),
+                work(&serial.stats),
+                "{id}: work counters diverged at parallelism {workers}"
+            );
         }
-        // All three modules must actually complete, otherwise this test
-        // compares nothing interesting.
-        assert!(
-            matches!(serial.outcome, Outcome::Invariant(_)),
-            "{id}: expected an inferred invariant, got {:?}",
-            serial.outcome
-        );
     }
 }
 
@@ -78,15 +148,13 @@ fn verifier_checks_report_identical_counterexamples() {
         // so sufficiency produces a counterexample whose identity we compare.
         // It is written `not False` rather than `True`, because inductiveness
         // checks return `Valid` for a literal `True` conclusion without a
-        // sweep, and the sweeps are what must agree across worker counts.
+        // sweep, and the sweeps are what must agree.
         let trivial = parse_expr(&format!(
             "fun (x : {}) -> not False",
             problem.concrete_type()
         ))
         .unwrap();
-        let serial = Verifier::new(&problem)
-            .with_bounds(VerifierBounds::quick())
-            .with_parallelism(1);
+        let serial = Verifier::new(&problem).with_bounds(VerifierBounds::quick());
         let suf_serial = serial.check_sufficiency(&trivial).unwrap();
         let full_serial = serial.check_full_inductiveness(&trivial).unwrap();
         let v_plus = serial.smallest_concrete_values(5);
@@ -97,36 +165,29 @@ fn verifier_checks_report_identical_counterexamples() {
             serial.counters().predicate_evals.load(Ordering::Relaxed) > 0,
             "{id}: the inductiveness checks sweep"
         );
-        for workers in PARALLELISM_LEVELS {
-            let parallel = Verifier::new(&problem)
-                .with_bounds(VerifierBounds::quick())
-                .with_parallelism(workers);
-            assert_eq!(
-                parallel.check_sufficiency(&trivial).unwrap(),
-                suf_serial,
-                "{id}: sufficiency diverged at parallelism {workers}"
-            );
-            assert_eq!(
-                parallel.check_full_inductiveness(&trivial).unwrap(),
-                full_serial,
-                "{id}: full inductiveness diverged at parallelism {workers}"
-            );
-            assert_eq!(
-                parallel
+        let verifiers = sharing_verifiers(&problem);
+        let outcomes = side_by_side(&verifiers, |verifier| {
+            (
+                verifier.check_sufficiency(&trivial).unwrap(),
+                verifier.check_full_inductiveness(&trivial).unwrap(),
+                verifier
                     .check_visible_inductiveness(&v_plus, &trivial)
                     .unwrap(),
-                vis_serial,
-                "{id}: visible inductiveness diverged at parallelism {workers}"
-            );
+            )
+        });
+        for (suf, full, vis) in outcomes {
+            assert_eq!(suf, suf_serial, "{id}: sufficiency diverged");
+            assert_eq!(full, full_serial, "{id}: full inductiveness diverged");
+            assert_eq!(vis, vis_serial, "{id}: visible inductiveness diverged");
         }
     }
 }
 
 /// Full inductiveness keeps a check-scoped table of the candidate's verdicts
-/// on pool values, filled by parallel workers and read by the parallel tuple
-/// search: outcomes, counterexamples included, must not depend on the worker
-/// count.  The `+hofs` modules also look up the values their `fold`
-/// callbacks hand back to the module (rule I-Fun's premise).
+/// on pool values, filled from the shared pool cache: checks made side by
+/// side on one cache report what a check made alone reports,
+/// counterexamples included.  The `+hofs` modules also look up the values
+/// their `fold` callbacks hand back to the module (rule I-Fun's premise).
 #[test]
 fn full_inductiveness_with_the_verdict_table_is_parallelism_independent() {
     // The §2 candidate: heads must differ from 1.  `insert [] 1 = [1]`
@@ -148,23 +209,26 @@ fn full_inductiveness_with_the_verdict_table_is_parallelism_independent() {
             .unwrap();
         for source in candidates {
             let candidate = parse_expr(source).unwrap();
-            let verifier = |workers| {
-                Verifier::new(&problem)
-                    .with_bounds(bounds)
-                    .with_parallelism(workers)
-            };
-            let (serial, parallel) = (verifier(1), verifier(2));
+            let serial = Verifier::new(&problem).with_bounds(bounds);
             let full = serial.check_full_inductiveness(&candidate).unwrap();
-            assert_eq!(
-                parallel.check_full_inductiveness(&candidate).unwrap(),
-                full,
-                "{id}: full inductiveness of {source} diverged at parallelism 2"
-            );
-            for op in ["filter", "fold"] {
+            let ops =
+                ["filter", "fold"].map(|op| serial.check_op_inductiveness(op, &candidate).unwrap());
+            let verifiers = sharing_verifiers(&problem);
+            let shared = side_by_side(&verifiers, |verifier| {
+                (
+                    verifier.check_full_inductiveness(&candidate).unwrap(),
+                    ["filter", "fold"]
+                        .map(|op| verifier.check_op_inductiveness(op, &candidate).unwrap()),
+                )
+            });
+            for (shared_full, shared_ops) in shared {
                 assert_eq!(
-                    parallel.check_op_inductiveness(op, &candidate).unwrap(),
-                    serial.check_op_inductiveness(op, &candidate).unwrap(),
-                    "{id}: inductiveness of {op} under {source} diverged at parallelism 2"
+                    shared_full, full,
+                    "{id}: full inductiveness of {source} diverged on a shared cache"
+                );
+                assert_eq!(
+                    shared_ops, ops,
+                    "{id}: per-operation inductiveness under {source} diverged on a shared cache"
                 );
             }
             if source == head_is_not_one {
@@ -184,11 +248,12 @@ fn full_inductiveness_with_the_verdict_table_is_parallelism_independent() {
     }
 }
 
-/// Sufficiency checks record the tuples on which the spec held in the
-/// session's spec memo, written by parallel workers and read by later checks:
-/// a sequence of candidates on one verifier must report the same outcomes,
-/// counterexamples included, at every worker count.  The `+binfuncs` spec
-/// has three quantifiers, `(s1 : t) (s2 : t) (i : nat)`.
+/// Sufficiency checks record the tuples on which the spec held in the spec
+/// memo of their pool cache, with `fetch_or`, so checks of one problem on
+/// several threads write and read one memo: a sequence of candidates must
+/// report the same outcomes, counterexamples included, as on a verifier of
+/// its own.  The `+binfuncs` spec has three quantifiers,
+/// `(s1 : t) (s2 : t) (i : nat)`.
 #[test]
 fn sufficiency_with_the_spec_memo_is_parallelism_independent() {
     let candidates = [
@@ -196,7 +261,8 @@ fn sufficiency_with_the_spec_memo_is_parallelism_independent() {
         "fun (l : list) -> match l with | Nil -> True | Cons (hd, tl) -> not (hd == 1) end",
         "fix inv (l : list) : bool = \
            match l with | Nil -> True | Cons (hd, tl) -> not (lookup tl hd) && inv tl end",
-    ];
+    ]
+    .map(|source| parse_expr(source).unwrap());
     for (id, arity) in [
         ("/coq/unique-list-::-set", 2),
         ("/coq/unique-list-::-set+binfuncs", 3),
@@ -206,26 +272,29 @@ fn sufficiency_with_the_spec_memo_is_parallelism_independent() {
             .problem()
             .unwrap();
         assert_eq!(problem.spec.arity(), arity, "{id}");
-        let verifier = |workers| {
-            Verifier::new(&problem)
-                .with_bounds(VerifierBounds::quick())
-                .with_parallelism(workers)
-        };
-        let (serial, parallel) = (verifier(1), verifier(2));
-        for source in candidates {
-            let candidate = parse_expr(source).unwrap();
+        let serial = Verifier::new(&problem).with_bounds(VerifierBounds::quick());
+        let expected: Vec<_> = candidates
+            .iter()
+            .map(|candidate| serial.check_sufficiency(candidate).unwrap())
+            .collect();
+        let verifiers = sharing_verifiers(&problem);
+        let shared = side_by_side(&verifiers, |verifier| {
+            candidates
+                .iter()
+                .map(|candidate| verifier.check_sufficiency(candidate).unwrap())
+                .collect::<Vec<_>>()
+        });
+        for outcomes in shared {
             assert_eq!(
-                parallel.check_sufficiency(&candidate).unwrap(),
-                serial.check_sufficiency(&candidate).unwrap(),
-                "{id}: sufficiency of {source} diverged at parallelism 2"
+                outcomes, expected,
+                "{id}: sufficiency diverged on a shared memo"
             );
         }
-        for (workers, verifier) in [(1, &serial), (2, &parallel)] {
-            assert!(
-                verifier.counters().spec_memo_hits.load(Ordering::Relaxed) > 0,
-                "{id}: later checks skip held tuples at parallelism {workers}"
-            );
-        }
+        let memo_hits: u64 = verifiers
+            .iter()
+            .map(|verifier| verifier.counters().spec_memo_hits.load(Ordering::Relaxed))
+            .sum();
+        assert!(memo_hits > 0, "{id}: later checks skip held tuples");
     }
 }
 

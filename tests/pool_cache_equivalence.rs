@@ -5,6 +5,7 @@
 
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Barrier;
 
 use hanoi_repro::hanoi::{Engine, RunOptions};
 use hanoi_repro::lang::parser::parse_expr;
@@ -36,19 +37,16 @@ fn cached_pools_match_fresh_enumeration_for_every_benchmark_type() {
         let problem = benchmark
             .problem()
             .unwrap_or_else(|e| panic!("{}: {e}", benchmark.id));
-        for workers in [1usize, 2, 0] {
-            let cache = PoolCache::for_problem(&problem);
-            for ty in pool_types(&problem) {
-                for (count, size) in [(40, 7), (120, 9)] {
-                    let cached = cache.pool(&ty, count, size, workers);
-                    let fresh = enumerate_values(&problem, &ty, count, size);
-                    assert_eq!(
-                        *cached, fresh,
-                        "{}: pool diverged for {ty} count={count} size={size} \
-                         workers={workers}",
-                        benchmark.id
-                    );
-                }
+        let cache = PoolCache::for_problem(&problem);
+        for ty in pool_types(&problem) {
+            for (count, size) in [(40, 7), (120, 9)] {
+                let cached = cache.pool(&ty, count, size, 1);
+                let fresh = enumerate_values(&problem, &ty, count, size);
+                assert_eq!(
+                    *cached, fresh,
+                    "{}: pool diverged for {ty} count={count} size={size}",
+                    benchmark.id
+                );
             }
         }
     }
@@ -56,21 +54,37 @@ fn cached_pools_match_fresh_enumeration_for_every_benchmark_type() {
 
 #[test]
 fn parallel_slab_construction_is_deterministic() {
-    // Mirrors tests/parallel_determinism.rs at the enumeration layer: the
-    // merged slab order must be byte-identical to a serial build for every
-    // worker count, including paper-scale single-quantifier pools.
+    // Runs of one problem on several threads share its pool cache: requests
+    // that race to build the same slabs, paper-scale single-quantifier pools
+    // included, leave each pool byte-identical to a build on a cache of its
+    // own.
     let problem = hanoi_repro::benchmarks::find("/coq/unique-list-::-set")
         .unwrap()
         .problem()
         .unwrap();
-    let serial = PoolCache::for_problem(&problem).pool(&Type::named("list"), 3000, 14, 1);
-    for workers in [2usize, 3, 8, 0] {
-        let parallel =
-            PoolCache::for_problem(&problem).pool(&Type::named("list"), 3000, 14, workers);
-        assert_eq!(*parallel, *serial, "workers={workers}");
+    let list = Type::named("list");
+    let requests = [(3000, 14), (400, 14), (3000, 14), (150, 9)];
+    let shared = PoolCache::for_problem(&problem);
+    let start = Barrier::new(requests.len());
+    let pools: Vec<_> = std::thread::scope(|scope| {
+        let threads: Vec<_> = requests
+            .iter()
+            .map(|&(count, size)| {
+                let (shared, list, start) = (&shared, &list, &start);
+                scope.spawn(move || {
+                    start.wait();
+                    shared.pool(list, count, size, 1)
+                })
+            })
+            .collect();
+        threads.into_iter().map(|t| t.join().unwrap()).collect()
+    });
+    for (pool, (count, size)) in pools.iter().zip(requests) {
+        let alone = PoolCache::for_problem(&problem).pool(&list, count, size, 1);
+        assert_eq!(**pool, *alone, "count={count} size={size}");
         assert!(
-            parallel.windows(2).all(|w| w[0].size() <= w[1].size()),
-            "size order violated at workers={workers}"
+            pool.windows(2).all(|w| w[0].size() <= w[1].size()),
+            "size order violated at count={count} size={size}"
         );
     }
 }

@@ -1,11 +1,10 @@
 //! Incremental synthesis correctness: an engine backed by a persistent
 //! [`hanoi_repro::synth::TermBank`] must return *identical* predicates (and
-//! enumerate identical term counts at parallelism 1) to a
-//! rebuild-per-iteration engine, across every benchmark of the suite and a
-//! CEGIS-like sequence of growing example sets — parallel guessing must be
-//! outcome-identical to serial guessing, and the packed bitset signature
-//! rows must be indistinguishable (outcomes, terms enumerated, eq-class
-//! splits) from the per-cell id rows they replace.
+//! enumerate identical term counts) to a rebuild-per-iteration engine,
+//! across every benchmark of the suite and a CEGIS-like sequence of growing
+//! example sets, and the packed bitset signature rows must be
+//! indistinguishable (outcomes, terms enumerated, eq-class splits) from the
+//! per-cell id rows they replace.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -107,24 +106,10 @@ fn persistent_bank_engines_match_fresh_engines_on_every_benchmark() {
         );
 
         let serial_engine = Engine::new(&problem, test_config());
-        let parallel_engines: Vec<(usize, Engine<'_>)> = [2usize, 0]
-            .into_iter()
-            .map(|p| (p, Engine::new(&problem, test_config()).with_parallelism(p)))
-            .collect();
-        let idrow_engines: Vec<(usize, Engine<'_>)> = [1usize, 2, 0]
-            .into_iter()
-            .map(|p| {
-                (
-                    p,
-                    Engine::new(&problem, id_row_config()).with_parallelism(p),
-                )
-            })
-            .collect();
+        let idrow_engine = Engine::new(&problem, id_row_config());
         let bank = TermBank::new();
-        let parallel_banks: Vec<TermBank> =
-            parallel_engines.iter().map(|_| TermBank::new()).collect();
-        let idrow_banks: Vec<TermBank> = idrow_engines.iter().map(|_| TermBank::new()).collect();
-        // Sequence totals: the bitset and serial id-row splits, and the
+        let idrow_bank = TermBank::new();
+        // Sequence totals: the bitset and id-row splits, and the
         // persistent bank's column appends.
         let (mut splits, mut idrow_splits, mut appends) = (0, 0, 0);
 
@@ -152,40 +137,22 @@ fn persistent_bank_engines_match_fresh_engines_on_every_benchmark() {
                 benchmark.id
             );
 
-            // Parallel guessing (own persistent banks) must be
-            // outcome-identical to the serial run.
-            for ((parallelism, engine), pbank) in parallel_engines.iter().zip(&parallel_banks) {
-                let (parallel, _) = synthesize(engine, pbank, examples);
-                assert_eq!(
-                    parallel, banked,
-                    "{}: iteration {iteration} diverged at parallelism \
-                     {parallelism}",
-                    benchmark.id
-                );
-            }
-
-            // Per-cell id rows (own persistent banks) must match the packed
-            // bitset rows — outcome *and* terms enumerated, at every
-            // parallelism level.
-            for ((parallelism, engine), ibank) in idrow_engines.iter().zip(&idrow_banks) {
-                let (idrow, idrow_work) = synthesize(engine, ibank, examples);
-                assert_eq!(
-                    idrow, banked,
-                    "{}: iteration {iteration} diverged between bitset and \
-                     id rows at parallelism {parallelism}",
-                    benchmark.id
-                );
-                if *parallelism == 1 {
-                    idrow_splits += load(&idrow_work.eq_class_splits);
-                    assert_eq!(
-                        load(&idrow_work.terms_enumerated),
-                        banked_terms,
-                        "{}: iteration {iteration} enumerated a different \
-                         number of terms with id rows",
-                        benchmark.id
-                    );
-                }
-            }
+            // Per-cell id rows (own persistent bank) must match the packed
+            // bitset rows — outcome *and* terms enumerated.
+            let (idrow, idrow_work) = synthesize(&idrow_engine, &idrow_bank, examples);
+            assert_eq!(
+                idrow, banked,
+                "{}: iteration {iteration} diverged between bitset and id rows",
+                benchmark.id
+            );
+            idrow_splits += load(&idrow_work.eq_class_splits);
+            assert_eq!(
+                load(&idrow_work.terms_enumerated),
+                banked_terms,
+                "{}: iteration {iteration} enumerated a different number of \
+                 terms with id rows",
+                benchmark.id
+            );
         }
 
         // The bitset and id-row representations must partition terms into
@@ -217,8 +184,8 @@ fn persistent_bank_engines_match_fresh_engines_on_every_benchmark() {
 fn numeric_family_engines_agree_across_every_representation() {
     // The linear-arithmetic grammar must satisfy the same equivalence
     // matrix as the base grammar: persistent bank ≡ fresh bank (outcome and
-    // term counts, including the arithmetic-atom counter), parallel ≡
-    // serial, and bitset ≡ id rows — on every numeric benchmark.
+    // term counts, including the arithmetic-atom counter) and bitset ≡ id
+    // rows — on every numeric benchmark.
     for benchmark in hanoi_repro::benchmarks::numeric_registry() {
         let problem = benchmark
             .problem()
@@ -231,15 +198,6 @@ fn numeric_family_engines_agree_across_every_representation() {
         );
 
         let serial_engine = Engine::new(&problem, numeric_config());
-        let parallel_engines: Vec<(usize, Engine<'_>)> = [2usize, 0]
-            .into_iter()
-            .map(|p| {
-                (
-                    p,
-                    Engine::new(&problem, numeric_config()).with_parallelism(p),
-                )
-            })
-            .collect();
         let idrow_engine = Engine::new(
             &problem,
             SearchConfig {
@@ -248,8 +206,6 @@ fn numeric_family_engines_agree_across_every_representation() {
             },
         );
         let bank = TermBank::new();
-        let parallel_banks: Vec<TermBank> =
-            parallel_engines.iter().map(|_| TermBank::new()).collect();
         let idrow_bank = TermBank::new();
         // Sequence totals of the persistent bitset and id-row runs.
         let (mut arith, mut splits, mut idrow_splits) = (0, 0, 0);
@@ -278,15 +234,6 @@ fn numeric_family_engines_agree_across_every_representation() {
                  persistent (memo-replayed) and fresh banks",
                 benchmark.id
             );
-
-            for ((parallelism, engine), pbank) in parallel_engines.iter().zip(&parallel_banks) {
-                let (parallel, _) = synthesize(engine, pbank, examples);
-                assert_eq!(
-                    parallel, banked,
-                    "{}: iteration {iteration} diverged at parallelism {parallelism}",
-                    benchmark.id
-                );
-            }
 
             let (idrow, idrow_work) = synthesize(&idrow_engine, &idrow_bank, examples);
             idrow_splits += load(&idrow_work.eq_class_splits);
@@ -640,14 +587,6 @@ fn word_boundary_example_sets_agree_across_representations() {
         "the packed path must be exercised"
     );
     assert_eq!(load(&i.bitset_row_ops), 0, "the id-row path must not pack");
-
-    // Parallel guessing over multi-word lanes must not change the outcome
-    // at any level.
-    for parallelism in [2usize, 4, 0] {
-        let engine = Engine::new(&problem, test_config()).with_parallelism(parallelism);
-        let (parallel, _) = synthesize(&engine, &TermBank::new(), &examples);
-        assert_eq!(parallel, packed, "parallelism {parallelism}");
-    }
 }
 
 #[test]
